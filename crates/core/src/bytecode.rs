@@ -17,6 +17,8 @@
 //! the `bpf_ktime_get_ns` / `bpf_get_current_pid_tgid` helpers, as in real
 //! eBPF.
 
+use std::sync::Arc;
+
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{OP_JLT, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, SZ_DW, SZ_W};
 use kscope_ebpf::interp::{ExecEnv, Vm};
@@ -134,14 +136,38 @@ impl std::error::Error for BuildError {}
 /// }
 /// assert_eq!(probe.counters().send.count, 2);
 /// ```
+///
+/// # Sharing one probe between instances
+///
+/// The programs sit behind [`Arc`]s, and [`BytecodeBackend::instantiate`]
+/// makes a new instance that shares them — with their verifier proofs
+/// and JIT code — but owns fresh, zeroed maps. That is sound because
+/// nothing a built program carries depends on a map *instance*:
+///
+/// * Verification is a pure function of three inputs: the instructions,
+///   the map definitions in fd order, and the verifier's `ctx_size`
+///   ([`CTX_SIZE`] / [`NET_CTX_SIZE`]). The verifier reads no map
+///   contents, only [`MapRegistry::def`].
+/// * Every instance's registry is made by [`MapRegistry::fresh_like`]
+///   from the registry the programs were verified against, so it is
+///   layout-identical by construction: same definitions, same fds.
+///   The same holds for the cost certificate, which reads only the
+///   instructions.
+/// * JIT code binds no map instance. It reaches maps only through the
+///   descriptor table [`MapRegistry::refresh_runtime_descs`] rebuilds
+///   from the live registry on every program entry; nothing about map
+///   storage is baked in at compile time.
+///
+/// So each instance runs exactly the programs the registration checks
+/// passed, against maps those checks describe.
 #[derive(Debug)]
 pub struct BytecodeBackend {
     maps: MapRegistry,
     vm: Vm,
-    enter: Program,
-    exit: Program,
-    net_rx: Option<Program>,
-    sock_drain: Option<Program>,
+    enter: Arc<Program>,
+    exit: Arc<Program>,
+    net_rx: Option<Arc<Program>>,
+    sock_drain: Option<Arc<Program>>,
     stats_fd: MapFd,
     hist_fd: Option<MapFd>,
     sketch_fd: Option<MapFd>,
@@ -150,6 +176,7 @@ pub struct BytecodeBackend {
     shift: u32,
     tgids: Vec<Pid>,
     insns_executed: u64,
+    faults: u64,
     optimized: bool,
 }
 
@@ -259,8 +286,8 @@ impl BytecodeBackend {
         Ok(BytecodeBackend {
             maps,
             vm: Vm::new(),
-            enter,
-            exit,
+            enter: Arc::new(enter),
+            exit: Arc::new(exit),
             net_rx: None,
             sock_drain: None,
             stats_fd,
@@ -271,8 +298,44 @@ impl BytecodeBackend {
             shift,
             tgids,
             insns_executed: 0,
+            faults: 0,
             optimized: false,
         })
+    }
+
+    /// A new instance of this probe: the same programs — shared, not
+    /// copied, along with their verifier proofs and JIT code — over
+    /// fresh maps with the same layout and nothing in them. The
+    /// instance keeps this one's dispatch tier and starts with zero
+    /// executed instructions and zero faults. This instance's map
+    /// contents are never read. See the type-level docs for why the
+    /// shared programs stay verified for the new maps.
+    pub fn instantiate(&self) -> BytecodeBackend {
+        let maps = self.maps.fresh_like();
+        debug_assert!(
+            maps.defs().eq(self.maps.defs()),
+            "an instance's maps must match the verified layout in fd order"
+        );
+        BytecodeBackend {
+            maps,
+            // The VM holds the tier plus per-invocation scratch that
+            // every execution resets.
+            vm: self.vm.clone(),
+            enter: Arc::clone(&self.enter),
+            exit: Arc::clone(&self.exit),
+            net_rx: self.net_rx.clone(),
+            sock_drain: self.sock_drain.clone(),
+            stats_fd: self.stats_fd,
+            hist_fd: self.hist_fd,
+            sketch_fd: self.sketch_fd,
+            stack_hist_fd: self.stack_hist_fd,
+            stack_stats_fd: self.stack_stats_fd,
+            shift: self.shift,
+            tgids: self.tgids.clone(),
+            insns_executed: 0,
+            faults: 0,
+            optimized: self.optimized,
+        }
     }
 
     /// Attaches the network-stack probe pair: `kscope_net_rx` on the
@@ -315,11 +378,11 @@ impl BytecodeBackend {
         verifier
             .verify(&sock_drain, &self.maps)
             .map_err(BuildError::Verify)?;
-        self.net_rx = Some(net_rx);
-        self.sock_drain = Some(sock_drain);
+        self.net_rx = Some(Arc::new(net_rx));
+        self.sock_drain = Some(Arc::new(sock_drain));
         self.stack_hist_fd = Some(stack_hist_fd);
         self.stack_stats_fd = Some(stack_stats_fd);
-        Ok(self)
+        Ok(self.precompiled())
     }
 
     /// Switches probe execution to the template JIT
@@ -330,8 +393,34 @@ impl BytecodeBackend {
     /// dispatchers bitwise-identical — only execution speed. The
     /// `NS_PER_INSN` cost model is unchanged: modeled probe cost stays
     /// comparable across dispatchers.
+    ///
+    /// Every attached program is compiled here, and so is any program a
+    /// later builder attaches or swaps in: no event pays the compile.
     pub fn with_jit(mut self) -> BytecodeBackend {
         self.vm = self.vm.with_jit();
+        self.precompiled()
+    }
+
+    /// Every attached program: the syscall pair, then the netstack pair
+    /// when attached.
+    fn all_programs(&self) -> impl Iterator<Item = &Program> {
+        [
+            Some(&self.enter),
+            Some(&self.exit),
+            self.net_rx.as_ref(),
+            self.sock_drain.as_ref(),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|p| &**p)
+    }
+
+    /// Compiles every attached program for the VM's tier now (a no-op
+    /// off the JIT tier and for programs already compiled).
+    fn precompiled(self) -> BytecodeBackend {
+        for program in self.all_programs() {
+            self.vm.precompile(program);
+        }
         self
     }
 
@@ -371,23 +460,23 @@ impl BytecodeBackend {
             }
         };
         if let Some(opt) = optimize(&self.enter, CTX_SIZE, &self.maps)? {
-            self.enter = opt;
+            self.enter = Arc::new(opt);
         }
         if let Some(opt) = optimize(&self.exit, CTX_SIZE, &self.maps)? {
-            self.exit = opt;
+            self.exit = Arc::new(opt);
         }
         if let Some(prog) = &self.net_rx {
             if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.net_rx = Some(opt);
+                self.net_rx = Some(Arc::new(opt));
             }
         }
         if let Some(prog) = &self.sock_drain {
             if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.sock_drain = Some(opt);
+                self.sock_drain = Some(Arc::new(opt));
             }
         }
         self.optimized = true;
-        Ok(self)
+        Ok(self.precompiled())
     }
 
     /// True when the probe runs statically optimized programs.
@@ -410,10 +499,7 @@ impl BytecodeBackend {
     /// Returns [`BuildError::CostBudget`] naming the offending program
     /// when a bound is missing or exceeds the budget.
     pub fn check_cost_budget(&self, budget_insns: u64) -> Result<(), BuildError> {
-        let mut progs = vec![&self.enter, &self.exit];
-        progs.extend(self.net_rx.iter());
-        progs.extend(self.sock_drain.iter());
-        for prog in progs {
+        for prog in self.all_programs() {
             let over = |bound| BuildError::CostBudget {
                 program: prog.name().to_string(),
                 bound,
@@ -440,6 +526,14 @@ impl BytecodeBackend {
         self.insns_executed
     }
 
+    /// Program runs that faulted. The kernel's semantics apply: a
+    /// faulting run is aborted where it faulted, charged nothing, and
+    /// counted here; map writes it made before the fault stay. The
+    /// verifier's soundness claim is that this stays 0.
+    pub fn faults(&self) -> u64 {
+        self.faults
+    }
+
     /// The assembled `sys_enter` and `sys_exit` programs, in that order
     /// (for acceptance-corpus tests and tooling).
     pub fn programs(&self) -> (&Program, &Program) {
@@ -461,6 +555,14 @@ impl BytecodeBackend {
     /// Disassembly of both programs (for documentation and debugging).
     pub fn disassembly(&self) -> String {
         format!("{}\n{}", self.enter.disassemble(), self.exit.disassemble())
+    }
+
+    /// Replaces the exit program with `exit` *without verifying it*, so
+    /// tests can make a program fault at run time.
+    #[cfg(test)]
+    fn with_unverified_exit(mut self, exit: Program) -> BytecodeBackend {
+        self.exit = Arc::new(exit);
+        self
     }
 
     /// Array-map slot 0 of one of this backend's own maps. Both the
@@ -585,11 +687,12 @@ impl MetricBackend for BytecodeBackend {
             pid_tgid: ctx.pid_tgid,
             ..ExecEnv::default()
         };
-        let outcome = match self.vm.execute(program, buf, &mut self.maps, &mut env) {
-            Ok(outcome) => outcome,
-            // `build` only returns backends whose programs passed the
-            // verifier, and verified programs cannot fault.
-            Err(e) => unreachable!("verified program faulted: {e:?}"),
+        let Ok(outcome) = self.vm.execute(program, buf, &mut self.maps, &mut env) else {
+            // Verified programs should never get here; if one does, it
+            // is aborted and counted, as the kernel would, not allowed
+            // to take the host down.
+            self.faults += 1;
+            return Nanos::ZERO;
         };
         self.insns_executed += outcome.insns_executed;
         Nanos::from_nanos((outcome.insns_executed as f64 * NS_PER_INSN).round() as u64)
@@ -1261,6 +1364,132 @@ mod tests {
                 stage_ns,
                 arg,
             },
+        }
+    }
+
+    /// Every signal the probe has: histogram, sketch, netstack.
+    fn full_probe(jit: bool) -> BytecodeBackend {
+        let p = BytecodeBackend::new_with_histogram_and_sketch(
+            1200,
+            SyscallProfile::data_caching(),
+            0,
+            8,
+        )
+        .unwrap()
+        .with_netstack()
+        .unwrap();
+        if jit {
+            p.with_jit()
+        } else {
+            p
+        }
+    }
+
+    /// One request's tracepoints: poll, rx, drain, recv, send.
+    fn feed_request(p: &mut BytecodeBackend, tid: u32, request: u64, t_us: u64) {
+        let (rx_ns, poll_exit, drain_ns) = ((t_us + 5) * 1_000, t_us + 10, (t_us + 12) * 1_000);
+        p.on_event(&ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, tid, t_us));
+        p.on_event(&net_ctx(TracePhase::NetRxSoftirq, request, 500, 64, rx_ns));
+        p.on_event(&ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, tid, poll_exit));
+        p.on_event(&net_ctx(TracePhase::SockQueueDrain, request, 0, 0, drain_ns));
+        p.on_event(&ctx(TracePhase::Exit, SyscallNo::RECVMSG, tid, t_us + 15));
+        p.on_event(&ctx(TracePhase::Exit, SyscallNo::SENDMSG, tid, t_us + 20));
+    }
+
+    /// Every map cell of the probe, keys and values alike.
+    fn map_dump(p: &BytecodeBackend) -> String {
+        format!("{:?}", p.map_registry())
+    }
+
+    #[test]
+    fn instances_share_programs_and_start_from_empty_maps() {
+        for jit in [false, true] {
+            let mut source = full_probe(jit);
+            // Live contents in the source must not reach an instance.
+            feed_request(&mut source, 1, 1, 100);
+            let a = source.instantiate();
+            let b = source.instantiate();
+
+            let (enter, exit) = source.programs();
+            let (rx, drain) = source.net_programs().unwrap();
+            for inst in [&a, &b] {
+                assert!(std::ptr::eq(inst.programs().0, enter));
+                assert!(std::ptr::eq(inst.programs().1, exit));
+                let (irx, idrain) = inst.net_programs().unwrap();
+                assert!(std::ptr::eq(irx, rx) && std::ptr::eq(idrain, drain));
+                assert_eq!(inst.uses_jit(), jit);
+                assert_eq!(inst.insns_executed(), 0);
+                assert_eq!(inst.faults(), 0);
+                assert_eq!(inst.counters(), RawCounters::new(0));
+                assert_eq!(inst.poll_histogram(), Some([0; HIST_BUCKETS]));
+                assert_eq!(inst.stack_counters(), Some(StackCounters::default()));
+                assert_eq!(inst.stack_histogram(), Some([0; HIST_BUCKETS]));
+                assert_eq!(inst.entity_sketch().unwrap().update_count(), 0);
+                // Layout and contents both equal a probe built from
+                // scratch, before any event.
+                assert_eq!(map_dump(inst), map_dump(&full_probe(jit)));
+            }
+        }
+    }
+
+    #[test]
+    fn instances_do_not_share_map_state() {
+        for jit in [false, true] {
+            let source = full_probe(jit);
+            let mut a = source.instantiate();
+            let mut b = source.instantiate();
+            feed_request(&mut b, 2, 9, 50);
+            let b_before = map_dump(&b);
+            let source_before = map_dump(&source);
+            for (i, t) in [100, 300, 600].into_iter().enumerate() {
+                feed_request(&mut a, 1, i as u64, t);
+            }
+            assert_eq!(a.counters().send.count, 2);
+            assert_eq!(a.stack_counters().unwrap().count, 3);
+            assert_eq!(map_dump(&b), b_before, "jit={jit}");
+            assert_eq!(map_dump(&source), source_before, "jit={jit}");
+            // And B still runs on its own state.
+            feed_request(&mut b, 2, 10, 700);
+            assert_eq!(b.counters().send.count, 1);
+            assert_eq!(b.stack_counters().unwrap().count, 2);
+        }
+    }
+
+    #[test]
+    fn a_faulting_program_is_aborted_and_counted() {
+        // Reads past the end of the 16-byte context. The verifier rejects
+        // it, so only an unverified install can run it.
+        let faulting = || {
+            Asm::new("faulting_exit")
+                .load(SZ_DW, R0, R1, 64)
+                .exit()
+                .assemble()
+                .unwrap()
+        };
+        for jit in [false, true] {
+            let mut p = full_probe(jit);
+            let verifier = Verifier::new(VerifierConfig {
+                ctx_size: CTX_SIZE,
+                ..VerifierConfig::default()
+            });
+            assert!(verifier.verify(&faulting(), p.map_registry()).is_err());
+            p = p.with_unverified_exit(faulting());
+            feed_request(&mut p, 1, 1, 100);
+            // The request's three exits faulted; the verified enter and
+            // netstack programs ran.
+            assert_eq!(p.faults(), 3, "jit={jit}");
+            let cost = p.on_event(&ctx(TracePhase::Exit, SyscallNo::SENDMSG, 1, 200));
+            assert_eq!(cost, Nanos::ZERO);
+            assert_eq!(p.faults(), 4);
+            // The faulting program wrote nothing; the others' cells hold.
+            assert_eq!(p.counters(), RawCounters::new(0));
+            assert_eq!(p.poll_histogram(), Some([0; HIST_BUCKETS]));
+            assert_eq!(p.entity_sketch().unwrap().update_count(), 0);
+            assert_eq!(p.stack_counters().unwrap().count, 1);
+            let start = p.map_registry().fd_by_name("start").unwrap();
+            let key = pid_tgid(1200, 1).to_le_bytes();
+            let stamp = p.map_registry().lookup(start, &key).unwrap();
+            assert_eq!(stamp, Some(&100_000u64.to_le_bytes()[..]));
         }
     }
 

@@ -481,6 +481,18 @@ impl Vm {
         matches!(self.dispatch, Dispatch::Jit { .. })
     }
 
+    /// Runs, ahead of time, the one-time JIT compile that [`Vm::execute`]
+    /// would otherwise do on `program`'s first run, so no invocation
+    /// pays it.
+    /// The native code is cached on the program itself, so every VM of
+    /// the same tier that later runs it shares the compilation. A no-op
+    /// on the interpreter tiers.
+    pub fn precompile(&self, program: &Program) {
+        if let Dispatch::Jit { elide } = self.dispatch {
+            stream(program, self.optimize).jit_for(elide);
+        }
+    }
+
     /// Runs one invocation of `program`.
     ///
     /// `ctx` is the read-only context the program sees through `r1`;
@@ -512,14 +524,7 @@ impl Vm {
             slots,
             scratch,
         } = self;
-        let program = if *optimize {
-            program
-                .optimized()
-                .map(|(p, _)| p)
-                .unwrap_or(program)
-        } else {
-            program
-        };
+        let program = stream(program, *optimize);
         let mut mem = Memory {
             ctx,
             stack: [0; STACK_SIZE],
@@ -545,6 +550,17 @@ impl Vm {
                 }
             }
         }
+    }
+}
+
+/// The instruction stream a VM runs for `program`: its statically
+/// optimized form when `optimize` is set and the optimizer accepted it,
+/// the program itself otherwise.
+fn stream(program: &Program, optimize: bool) -> &Program {
+    if optimize {
+        program.optimized().map(|(p, _)| p).unwrap_or(program)
+    } else {
+        program
     }
 }
 

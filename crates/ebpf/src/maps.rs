@@ -484,6 +484,24 @@ impl MapRegistry {
         self.entry(fd).map(|e| e.name.as_str())
     }
 
+    /// Every map's name and definition, in fd order.
+    pub fn defs(&self) -> impl Iterator<Item = (&str, MapDef)> + '_ {
+        self.maps.iter().map(|e| (e.name.as_str(), e.def))
+    }
+
+    /// A registry with the same maps as this one — same names, same
+    /// definitions, same fds — but none of their contents: every map is
+    /// as [`MapRegistry::create`] makes it. Programs verified against
+    /// this registry are therefore verified against the copy too (the
+    /// verifier reads only the definitions).
+    pub fn fresh_like(&self) -> MapRegistry {
+        let mut fresh = MapRegistry::new();
+        for (name, def) in self.defs() {
+            fresh.create(name, def);
+        }
+        fresh
+    }
+
     /// Looks up a map by name (first match).
     pub fn fd_by_name(&self, name: &str) -> Option<MapFd> {
         self.maps
@@ -1280,6 +1298,26 @@ mod tests {
         assert_eq!(maps.fd_by_name("beta"), Some(b));
         assert_eq!(maps.fd_by_name("gamma"), None);
         assert_eq!(maps.name(a).unwrap(), "alpha");
+    }
+
+    #[test]
+    fn fresh_like_copies_the_layout_but_not_the_contents() {
+        let mut maps = MapRegistry::new();
+        let h = maps.create("h", MapDef::hash(8, 8, 16));
+        let a = maps.create("a", MapDef::array(8, 2));
+        let s = maps.create("s", MapDef::topk_sketch(8, 4));
+        maps.update(h, &1u64.to_le_bytes(), &2u64.to_le_bytes())
+            .unwrap();
+        maps.set_array_u64(a, 1, 7).unwrap();
+        maps.sketch_update(s, &3u64.to_le_bytes(), 1).unwrap();
+
+        let fresh = maps.fresh_like();
+        assert!(fresh.defs().eq(maps.defs()));
+        assert_eq!(fresh.len(h).unwrap(), 0);
+        assert_eq!(fresh.array_u64(a, 1).unwrap(), 0);
+        assert_eq!(fresh.sketch_state(s).unwrap().update_count(), 0);
+        // The source keeps its contents.
+        assert_eq!(maps.array_u64(a, 1).unwrap(), 7);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! report-producing side of the control channel.
 
 use kscope_core::{
-    Agent, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
+    Agent, BuildError, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
     SaturationDetector, SlackAssessment, SlackEstimator, StackDelay, TopKSketch, WindowedObserver,
 };
 use kscope_kernel::{HostSpec, Kernel, ProbeId, SchedConfig};
@@ -98,6 +98,62 @@ pub struct HostTruth {
     pub bytes_delivered: u64,
 }
 
+/// The fleet's probe, built once per run and shared read-only by every
+/// host.
+///
+/// The paper's probe is one fixed set of programs — the syscall pair
+/// plus the netstack pair — and every host runs it against the same map
+/// layout. So the work that makes it trustworthy happens once, here:
+/// assembly, verification of each program, the optional optimizer, the
+/// [`FleetConfig::probe_cost_budget`] registration gate, and, with
+/// [`FleetConfig::jit_probes`], the JIT compile. Each host then takes
+/// an instance ([`BytecodeBackend::instantiate`]): the same verified,
+/// certified, compiled programs over maps of its own. Why the shared
+/// programs stay verified for every host's maps is argued on
+/// [`BytecodeBackend`].
+#[derive(Debug)]
+pub(crate) struct FleetProbe(BytecodeBackend);
+
+// Workers share one probe by reference (`parallel::map_indexed`).
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FleetProbe>();
+};
+
+impl FleetProbe {
+    /// Builds and checks the probe every host of `config`'s fleet runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] when a program fails to assemble or
+    /// verify (a generator bug), or when the registration gate rejects
+    /// a program's certified cost.
+    pub(crate) fn build(config: &FleetConfig) -> Result<FleetProbe, BuildError> {
+        // Every host runs the server under the same pid, so an entity
+        // (`pid_tgid` of the serving thread, drawn from the shared pool)
+        // has the same sketch key fleet-wide and merges across hosts.
+        let mut backend = BytecodeBackend::new_with_histogram_and_sketch(
+            SimHost::SERVER_PID,
+            SyscallProfile::data_caching(),
+            config.shift,
+            config.sketch_capacity,
+        )?
+        .with_netstack()?;
+        if config.optimized_probes {
+            backend = backend.with_optimizer()?;
+        }
+        if config.jit_probes {
+            backend = backend.with_jit();
+        }
+        // Registration gate: a probe without a finite certified cost
+        // bound inside the budget never joins the fleet.
+        if let Some(budget) = config.probe_cost_budget {
+            backend.check_cost_budget(budget)?;
+        }
+        Ok(FleetProbe(backend))
+    }
+}
+
 /// A fleet member: kernel + verified bytecode probe + windowed observer +
 /// agent, with a netem link to the collector.
 pub struct SimHost {
@@ -148,34 +204,32 @@ impl std::fmt::Debug for SimHost {
 }
 
 impl SimHost {
-    /// Builds host `id`'s full stack. RNG streams derive from
-    /// `config.seed` and `id` alone — never from how many hosts were
-    /// built before this one — so hosts can be simulated independently,
-    /// in any order, on any worker count, bit-identically.
-    pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, kscope_core::BuildError> {
-        // Every host runs the server under the same pid, so an entity
-        // (`pid_tgid` of the serving thread, drawn from the shared pool)
-        // has the same sketch key fleet-wide and merges across hosts.
+    /// Builds host `id`'s full stack, probe included. RNG streams derive
+    /// from `config.seed` and `id` alone — never from how many hosts
+    /// were built before this one — so hosts can be simulated
+    /// independently, in any order, on any worker count,
+    /// bit-identically.
+    ///
+    /// This builds the probe for this one host and then instantiates
+    /// it, the same two steps a fleet run takes, except that a run
+    /// builds the probe once and instantiates it for every host.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] when a probe program fails to assemble
+    /// or verify (a generator bug), or when the
+    /// [`FleetConfig::probe_cost_budget`] registration gate rejects a
+    /// program's certified cost.
+    pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, BuildError> {
+        Ok(SimHost::with_probe(config, id, &FleetProbe::build(config)?))
+    }
+
+    /// Builds host `id`'s full stack around an instance of `probe`,
+    /// which must come from [`FleetProbe::build`] of the same `config`.
+    /// The host gets maps of its own; the programs stay shared.
+    pub(crate) fn with_probe(config: &FleetConfig, id: u32, probe: &FleetProbe) -> SimHost {
         let pid: Pid = SimHost::SERVER_PID;
-        let mut backend = BytecodeBackend::new_with_histogram_and_sketch(
-            pid,
-            SyscallProfile::data_caching(),
-            config.shift,
-            config.sketch_capacity,
-        )?
-        .with_netstack()?;
-        if config.optimized_probes {
-            backend = backend.with_optimizer()?;
-        }
-        if config.jit_probes {
-            backend = backend.with_jit();
-        }
-        // Registration gate: a probe without a finite certified cost
-        // bound inside the budget never joins the fleet.
-        if let Some(budget) = config.probe_cost_budget {
-            backend.check_cost_budget(budget)?;
-        }
-        let observer = WindowedObserver::new(backend, config.window);
+        let observer = WindowedObserver::new(probe.0.instantiate(), config.window);
         let mut kernel = Kernel::for_host(HostSpec::amd_epyc_7302(), SchedConfig::default());
         let probe = kernel.tracing.attach(Box::new(observer));
 
@@ -202,7 +256,7 @@ impl SimHost {
         let mut master = SimRng::seed_from_u64(config.seed);
         let rng = master.fork(u64::from(id));
         let link_rng = master.fork(1_000_000 + u64::from(id));
-        Ok(SimHost {
+        SimHost {
             id,
             pid,
             kernel,
@@ -226,7 +280,7 @@ impl SimHost {
             entity_counts: vec![0; config.entities as usize],
             inflight: 0,
             truth: HostTruth::default(),
-        })
+        }
     }
 
     /// The tgid every simulated server runs under (shared fleet-wide so

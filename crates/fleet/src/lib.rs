@@ -12,8 +12,9 @@
 //! * **Hosts** ([`SimHost`]): each fleet member is a full single-host
 //!   pipeline — `kscope-kernel` host, verified eBPF bytecode probe with
 //!   the in-probe poll histogram, `WindowedObserver`, and
-//!   `kscope-core::Agent` — all driven in lockstep on one shared
-//!   `kscope-simcore` engine.
+//!   `kscope-core::Agent` — each on its own `kscope-simcore` engine.
+//!   A run verifies and compiles the probe once; every host shares
+//!   those programs over maps of its own.
 //! * **Mergeable state** ([`ReportEnvelope`]): hosts report *cumulative*
 //!   sufficient statistics (count/Σδ/Σδ² per stream,
 //!   `kscope_core::RawCounters`), cumulative histogram cells

@@ -11,6 +11,10 @@
 //! parallel (`kscope_simcore::parallel::map_indexed`, deterministic in
 //! host-id order) and the peak memory is one host stack per worker plus
 //! the O(K) report envelopes, never 10⁵ live kernels at once.
+//!
+//! The probe is the one thing hosts share: a run builds, verifies,
+//! certifies and compiles it once ([`FleetProbe::build`]) before any
+//! host starts, and every worker instantiates hosts from it read-only.
 
 use kscope_core::BuildError;
 use kscope_netem::LinkStats;
@@ -19,7 +23,7 @@ use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 
 use crate::collector::{Accounting, Collector, FleetRollup, Transport};
 use crate::config::FleetConfig;
-use crate::host::{HostTruth, ReportEnvelope, SimHost};
+use crate::host::{FleetProbe, HostTruth, ReportEnvelope, SimHost};
 
 /// Events on one host's engine. Ties at the same instant resolve in
 /// schedule order (the engine's FIFO tie-break), so the interleaving of
@@ -92,11 +96,12 @@ struct HostOutcome {
     arrivals: Vec<(Nanos, ReportEnvelope)>,
 }
 
-/// Runs one host start to finish on its own engine. The event stream
-/// (and thus the outcome) is a pure function of `config` and `id`.
-fn simulate_host(config: &FleetConfig, id: u32) -> Result<HostOutcome, BuildError> {
+/// Runs `host` start to finish on its own engine. The event stream
+/// (and thus the outcome) is a pure function of `config` and the host's
+/// id.
+fn simulate_host(config: &FleetConfig, mut host: SimHost) -> HostOutcome {
+    let id = host.id();
     let horizon = config.horizon();
-    let mut host = SimHost::new(config, id)?;
     let mut engine: Engine<HostEvent> = Engine::new();
     engine.schedule(host.first_request_at(), HostEvent::Request);
     // Report ticks sit just past each window boundary, staggered per
@@ -118,12 +123,12 @@ fn simulate_host(config: &FleetConfig, id: u32) -> Result<HostOutcome, BuildErro
         arrivals: Vec::new(),
     };
     engine.run(&mut sim);
-    Ok(HostOutcome {
+    HostOutcome {
         truth: sim.host.truth,
         link: *sim.host.link_stats(),
         entity_counts: sim.host.entity_counts().to_vec(),
         arrivals: sim.arrivals,
-    })
+    }
 }
 
 /// A completed fleet run: the collector's state plus per-host ground
@@ -215,26 +220,32 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
     run_fleet_jobs(config, 1)
 }
 
-/// Runs a fleet to completion on up to `jobs` workers: each host's
-/// stack is simulated independently (traffic, report ticks, channel
-/// transits), then the arrivals feed the collector in host-id order.
-/// Per-host outcomes are pure functions of `(config, id)`, so the run
-/// is bit-identical at any `jobs`.
+/// Runs a fleet to completion on up to `jobs` workers: the probe is
+/// built once, then each host's stack is simulated independently
+/// (traffic, report ticks, channel transits), then the arrivals feed
+/// the collector in host-id order. Per-host outcomes are pure functions
+/// of `(config, id)`, so the run is bit-identical at any `jobs`.
 ///
 /// # Errors
 ///
-/// Returns the probe build error if the bytecode program fails to
-/// assemble or verify — a builder bug, not an input condition.
+/// Returns the probe build error: a program failed to assemble or
+/// verify (a builder bug, not an input condition), or the
+/// `probe_cost_budget` registration gate rejected one.
 pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, BuildError> {
-    let horizon = config.horizon();
+    let probe = FleetProbe::build(config)?;
     let ids: Vec<u32> = (0..config.hosts as u32).collect();
-    let outcomes = map_indexed(&ids, jobs, |_, &id| simulate_host(config, id));
+    let outcomes = map_indexed(&ids, jobs, |_, &id| {
+        simulate_host(config, SimHost::with_probe(config, id, &probe))
+    });
+    Ok(collect(config, outcomes))
+}
 
+/// Feeds per-host outcomes, in host-id order, to a fresh collector.
+fn collect(config: &FleetConfig, outcomes: Vec<HostOutcome>) -> FleetRun {
     let mut collector = Collector::new(config.hosts, config.shift, config.min_send_samples);
     let mut truth = Vec::with_capacity(config.hosts);
     let mut entity_truth = vec![0u64; config.entities as usize];
     for outcome in outcomes {
-        let outcome = outcome?;
         for (at, envelope) in outcome.arrivals {
             collector.receive(envelope, at);
         }
@@ -245,13 +256,13 @@ pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, Bui
         truth.push(outcome.truth);
     }
 
-    Ok(FleetRun {
+    FleetRun {
         config: config.clone(),
         collector,
         truth,
         entity_truth,
-        horizon,
-    })
+        horizon: config.horizon(),
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +359,51 @@ mod tests {
         assert_eq!(serial.truth, parallel.truth);
         assert_eq!(serial.entity_truth, parallel.entity_truth);
         assert_eq!(serial.rollup(2), parallel.rollup(5));
+    }
+
+    #[test]
+    fn shared_probe_matches_a_probe_built_per_host() {
+        let mut config = FleetConfig::quick(9).with_loss(0.1).with_jit_probes();
+        config.seed = 37;
+        let outcomes = (0..config.hosts as u32)
+            .map(|id| match SimHost::new(&config, id) {
+                Ok(host) => simulate_host(&config, host),
+                Err(e) => panic!("host build failed: {e:?}"),
+            })
+            .collect();
+        let per_host = collect(&config, outcomes);
+        let expect = crate::report_to_json(&config, &per_host.rollup(1));
+        assert!(expect.contains("\"stack_delay\""));
+        for jobs in [1, 8] {
+            let shared = match run_fleet_jobs(&config, jobs) {
+                Ok(run) => run,
+                Err(e) => panic!("fleet build failed: {e:?}"),
+            };
+            assert_eq!(shared.truth, per_host.truth);
+            assert_eq!(crate::report_to_json(&config, &shared.rollup(jobs)), expect);
+        }
+    }
+
+    #[test]
+    fn registration_gate_rejects_a_probe_over_budget() {
+        let mut config = FleetConfig::quick(3);
+        config.probe_cost_budget = Some(8);
+        match run_fleet_jobs(&config, 2).map(|_| ()) {
+            Err(BuildError::CostBudget {
+                program,
+                bound,
+                budget,
+            }) => {
+                // The gate checks the programs in attach order, and the
+                // syscall-enter program alone needs more than 8 insns.
+                assert_eq!(program, "kscope_sys_enter");
+                assert_eq!(budget, 8);
+                assert!(bound.is_some_and(|b| b > 8), "bound {bound:?}");
+            }
+            other => panic!("expected a cost-budget rejection, got {other:?}"),
+        }
+        config.probe_cost_budget = None;
+        assert!(run_fleet_jobs(&config, 2).is_ok());
     }
 
     #[test]
