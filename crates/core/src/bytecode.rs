@@ -154,9 +154,10 @@ impl std::error::Error for BuildError {}
 ///   The same holds for the cost certificate, which reads only the
 ///   instructions.
 /// * JIT code binds no map instance. It reaches maps only through the
-///   descriptor table [`MapRegistry::refresh_runtime_descs`] rebuilds
-///   from the live registry on every program entry; nothing about map
-///   storage is baked in at compile time.
+///   descriptor table [`MapRegistry::runtime_descs`] of the registry it
+///   runs against, built from that registry's own storage as its maps
+///   are created; nothing about map storage is baked in at compile
+///   time.
 ///
 /// So each instance runs exactly the programs the registration checks
 /// passed, against maps those checks describe.

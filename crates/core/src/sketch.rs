@@ -141,18 +141,18 @@ impl TopKSketch {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        let union: std::collections::BTreeSet<Vec<u8>> =
-            keys.into_iter().map(<[u8]>::to_vec).collect();
-        let mut ranked: Vec<(Vec<u8>, u64)> = union
-            .into_iter()
-            .map(|key| {
-                let est = self.state.estimate(&key);
-                (key, est)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(self.state.capacity() as usize);
-        self.state.set_candidates(ranked.iter().map(|(key, _)| key.as_slice()));
+        let kept = self.select_keys(keys, self.state.capacity() as usize);
+        self.state.set_candidates(kept);
+    }
+
+    /// The first `limit` of `keys`, deduplicated and ranked by this
+    /// sketch's matrix estimate (desc, ties by key bytes asc) — the
+    /// order [`TopKSketch::reselect_candidates`] keeps candidates in.
+    pub fn select_keys<'a, I>(&self, keys: I, limit: usize) -> Vec<&'a [u8]>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+    {
+        select_keys(&self.state, keys, limit)
     }
 
     /// Merges any number of sketches into one, as if every input stream
@@ -176,29 +176,37 @@ impl TopKSketch {
         let first = iter.next()?;
         let mut merged = SketchState::new(first.state.key_size(), first.state.capacity());
         merged.merge_counts_from(&first.state);
-        // Union of candidate keys, deduplicated and order-erased: a
-        // BTreeSet makes the union independent of input order.
-        let mut union: std::collections::BTreeSet<Vec<u8>> =
-            first.state.candidate_keys().map(<[u8]>::to_vec).collect();
+        let mut union: Vec<&[u8]> = first.state.candidate_keys().collect();
         for sketch in iter {
             merged.merge_counts_from(&sketch.state);
-            union.extend(sketch.state.candidate_keys().map(<[u8]>::to_vec));
+            union.extend(sketch.state.candidate_keys());
         }
-        // Rank the union by merged-matrix estimate (desc), then key
-        // bytes (asc), and keep the top `capacity` as the merged
-        // candidate table.
-        let mut ranked: Vec<(Vec<u8>, u64)> = union
-            .into_iter()
-            .map(|key| {
-                let est = merged.estimate(&key);
-                (key, est)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(merged.capacity() as usize);
-        merged.set_candidates(ranked.iter().map(|(key, _)| key.as_slice()));
+        // The union's top `capacity` under the merged matrix becomes the
+        // merged candidate table.
+        let kept = select_keys(&merged, union, merged.capacity() as usize);
+        merged.set_candidates(kept);
         Some(TopKSketch { state: merged })
     }
+}
+
+/// The first `limit` of `keys`, deduplicated and ranked by `state`'s
+/// matrix estimate (desc), then key bytes (asc). Deduplicating a sorted
+/// union makes the result independent of the order keys arrive in, and
+/// each key's estimate is computed once, not per comparison.
+fn select_keys<'a, I>(state: &SketchState, keys: I, limit: usize) -> Vec<&'a [u8]>
+where
+    I: IntoIterator<Item = &'a [u8]>,
+{
+    let mut union: Vec<&[u8]> = keys.into_iter().collect();
+    union.sort_unstable();
+    union.dedup();
+    let mut ranked: Vec<(u64, &[u8])> = union
+        .into_iter()
+        .map(|key| (state.estimate(key), key))
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+    ranked.truncate(limit);
+    ranked.into_iter().map(|(_, key)| key).collect()
 }
 
 #[cfg(test)]

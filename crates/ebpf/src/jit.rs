@@ -165,7 +165,7 @@ mod imp {
         slots_base: u64,
         slots_len: u64,
         slots_cap: u64,
-        /// `MapRegistry::refresh_runtime_descs` table: one 32-byte
+        /// `MapRegistry::runtime_descs` table: one 32-byte
         /// `MapRuntimeDesc` per fd, rechecked at run time by every
         /// inlined lookup (nothing about map shape is baked at compile
         /// time).
@@ -1770,11 +1770,12 @@ mod imp {
         scratch: &mut Vec<u8>,
         env: &mut ExecEnv,
     ) -> Result<ExecOutcome, ExecError> {
-        // Refresh the runtime map descriptors (stable for the duration
-        // of the run: helpers mutate map *contents*, never the arena or
-        // index allocations the descriptors point at) and snapshot the
-        // env + slot-vector state the inlined helpers operate on.
-        let (descs_base, descs_len) = mem.maps.refresh_runtime_descs();
+        // Hand over the runtime map descriptors (built at map creation
+        // and stable for the registry's lifetime: helpers mutate map
+        // *contents*, never the arena or index allocations the
+        // descriptors point at) and snapshot the env + slot-vector state
+        // the inlined helpers operate on.
+        let (descs_base, descs_len) = mem.maps.runtime_descs();
         let slots_base = mem.slots.as_mut_ptr() as u64;
         let slots_len = mem.slots.len() as u64;
         let slots_cap = mem.slots.capacity() as u64;

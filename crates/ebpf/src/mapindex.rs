@@ -18,8 +18,8 @@
 //!   hash map's key set. JIT code probes exactly one slot (the home
 //!   slot); anything but a definitive hit or a definitive miss falls
 //!   back to the trampoline.
-//! * [`MapRuntimeDesc`] — one 32-byte descriptor per map fd, rebuilt by
-//!   the registry before each JIT entry, telling the emitted guards what
+//! * [`MapRuntimeDesc`] — one 32-byte descriptor per map fd, built by
+//!   the registry when the map is created, telling the emitted guards what
 //!   shape the fd actually has *at run time*. Compiled programs bake in
 //!   no pointers and no shapes: a program compiled once runs correctly
 //!   against any registry because every assumption is re-checked against
@@ -389,8 +389,8 @@ pub enum HomeProbe {
     Fallback,
 }
 
-/// Per-fd runtime shape descriptor the JIT guards against. Rebuilt by
-/// `MapRegistry::refresh_runtime_descs` before every JIT entry; layout
+/// Per-fd runtime shape descriptor the JIT guards against. Built by
+/// `MapRegistry::create` and handed to every JIT entry; layout
 /// is load-bearing (kind `+0`, key_size `+4`, value_size `+8`,
 /// max_entries `+12`, base `+16`, aux `+24`; stride 32).
 #[repr(C)]

@@ -43,10 +43,12 @@
 //!   [`MapRegistry::update_in_place`] / [`MapRegistry::delete`].
 //!
 //! Neither allocation ever moves or resizes after creation, which is the
-//! pointer-stability argument that lets
-//! [`MapRegistry::refresh_runtime_descs`] hand base pointers to a JIT
-//! context once per program entry: in-place updates, deletes (tombstones),
-//! and even index rebuilds rewrite the same allocation.
+//! pointer-stability argument that lets the registry build each map's
+//! [`MapRuntimeDesc`] once, in [`MapRegistry::create`], and hand the
+//! table to every JIT entry ([`MapRegistry::runtime_descs`]): in-place
+//! updates, deletes (tombstones), and even index rebuilds rewrite the
+//! same allocation. Only a clone has storage of its own, so `Clone`
+//! rebuilds the table against the copy.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -362,6 +364,33 @@ struct MapEntry {
     storage: MapStorage,
 }
 
+impl MapEntry {
+    /// The JIT's runtime shape descriptor for this map's storage.
+    fn runtime_desc(&self) -> MapRuntimeDesc {
+        match &self.storage {
+            MapStorage::Array(arena) => MapRuntimeDesc {
+                kind: DESC_KIND_ARRAY,
+                key_size: self.def.key_size,
+                value_size: self.def.value_size,
+                max_entries: self.def.max_entries,
+                base: arena.base_ptr() as u64,
+                aux: 0,
+            },
+            MapStorage::Hash { index, .. } => MapRuntimeDesc {
+                kind: DESC_KIND_HASH,
+                key_size: self.def.key_size,
+                value_size: self.def.value_size,
+                max_entries: self.def.max_entries,
+                base: index.base_ptr() as u64,
+                aux: index.mask(),
+            },
+            // Ring buffers and sketches have no inline fast path; their
+            // helpers always take the trampoline.
+            MapStorage::RingBuf { .. } | MapStorage::Sketch(_) => MapRuntimeDesc::none(),
+        }
+    }
+}
+
 /// Owns all maps of one eBPF runtime instance.
 ///
 /// # Examples
@@ -375,19 +404,28 @@ struct MapEntry {
 /// let value = maps.lookup(fd, &7u64.to_le_bytes()).unwrap().unwrap();
 /// assert_eq!(value, 99u64.to_le_bytes());
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct MapRegistry {
     maps: Vec<MapEntry>,
-    /// Per-fd runtime shape descriptors for the JIT's inline guards,
-    /// rebuilt by [`MapRegistry::refresh_runtime_descs`] before each JIT
-    /// entry (pointers in here are only meaningful right after a
-    /// refresh — cloning the registry moves the storage they point at).
+    /// Per-fd runtime shape descriptors for the JIT's inline guards, one
+    /// per map, pushed by [`MapRegistry::create`]. The base pointers
+    /// inside point at this registry's own storage, which never moves.
     descs: Vec<MapRuntimeDesc>,
 }
 
-// Manual impl: `descs` is an ephemeral per-run cache (host pointers that
-// differ between otherwise-identical registries), so it must not leak
-// into debug dumps the differential suite compares.
+// Manual impl: a clone's maps have storage of their own, so its
+// descriptors must point there, not at the original's.
+impl Clone for MapRegistry {
+    fn clone(&self) -> MapRegistry {
+        let maps = self.maps.clone(); // cold path: registry copy, never per event
+        let descs = maps.iter().map(MapEntry::runtime_desc).collect();
+        MapRegistry { maps, descs }
+    }
+}
+
+// Manual impl: `descs` holds host pointers that differ between
+// otherwise-identical registries, so it must not leak into debug dumps
+// the differential suite compares.
 impl std::fmt::Debug for MapRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MapRegistry")
@@ -458,11 +496,13 @@ impl MapRegistry {
             }
         };
         let fd = MapFd(self.maps.len() as u32);
-        self.maps.push(MapEntry {
+        let entry = MapEntry {
             def,
             name: name.into(),
             storage,
-        });
+        };
+        self.descs.push(entry.runtime_desc());
+        self.maps.push(entry);
         fd
     }
 
@@ -871,39 +911,13 @@ impl MapRegistry {
         }
     }
 
-    /// Rebuilds the per-fd [`MapRuntimeDesc`] table and returns its base
-    /// pointer and length, for a JIT context to guard inline map accesses
-    /// against. Called once per JIT program entry; the descriptors (and
-    /// the base pointers inside them) stay valid for the registry's
-    /// lifetime because every storage allocation they reference is fixed
-    /// at map creation and only ever rewritten in place.
-    pub fn refresh_runtime_descs(&mut self) -> (*const MapRuntimeDesc, usize) {
-        self.descs.clear();
-        self.descs.reserve(self.maps.len());
-        for entry in &self.maps {
-            let desc = match &entry.storage {
-                MapStorage::Array(arena) => MapRuntimeDesc {
-                    kind: DESC_KIND_ARRAY,
-                    key_size: entry.def.key_size,
-                    value_size: entry.def.value_size,
-                    max_entries: entry.def.max_entries,
-                    base: arena.base_ptr() as u64,
-                    aux: 0,
-                },
-                MapStorage::Hash { index, .. } => MapRuntimeDesc {
-                    kind: DESC_KIND_HASH,
-                    key_size: entry.def.key_size,
-                    value_size: entry.def.value_size,
-                    max_entries: entry.def.max_entries,
-                    base: index.base_ptr() as u64,
-                    aux: index.mask(),
-                },
-                // Ring buffers and sketches have no inline fast path;
-                // their helpers always take the trampoline.
-                MapStorage::RingBuf { .. } | MapStorage::Sketch(_) => MapRuntimeDesc::none(),
-            };
-            self.descs.push(desc);
-        }
+    /// The per-fd [`MapRuntimeDesc`] table's base pointer and length, for
+    /// a JIT context to guard inline map accesses against. The table is
+    /// built as maps are created, and the descriptors (and the base
+    /// pointers inside them) stay valid for the registry's lifetime
+    /// because every storage allocation they reference is fixed at map
+    /// creation and only ever rewritten in place.
+    pub fn runtime_descs(&self) -> (*const MapRuntimeDesc, usize) {
         (self.descs.as_ptr(), self.descs.len())
     }
 
@@ -1086,10 +1100,12 @@ mod tests {
         let h = maps.create("h", MapDef::hash(8, 8, 1024));
         let a = maps.create("a", MapDef::array(8, 4));
         let r = maps.create("r", MapDef::ring_buf(8, 2));
-        let (ptr, len) = maps.refresh_runtime_descs();
-        assert_eq!(len, 3);
-        let descs: Vec<MapRuntimeDesc> =
-            (0..len).map(|i| unsafe { *ptr.add(i) }).collect();
+        let read = |maps: &MapRegistry| -> Vec<MapRuntimeDesc> {
+            let (ptr, len) = maps.runtime_descs();
+            (0..len).map(|i| unsafe { *ptr.add(i) }).collect()
+        };
+        let descs = read(&maps);
+        assert_eq!(descs.len(), 3);
         assert_eq!(descs[h.0 as usize].kind, DESC_KIND_HASH);
         assert_eq!(descs[h.0 as usize].key_size, 8);
         assert!(descs[h.0 as usize].aux >= 2047, "mask covers 2x entries");
@@ -1097,18 +1113,30 @@ mod tests {
         assert_eq!(descs[a.0 as usize].value_size, 8);
         assert_eq!(descs[a.0 as usize].max_entries, 4);
         assert_eq!(descs[r.0 as usize].kind, DESC_KIND_NONE);
-        // In-place churn must not move any base pointer.
+        // In-place churn (with index rebuilds) must not move any base
+        // pointer: the table built at creation still matches one built
+        // from the live storage now.
         for i in 0..1000u64 {
             maps.update(h, &i.to_le_bytes(), &i.to_le_bytes()).unwrap();
             maps.delete(h, &i.to_le_bytes()).unwrap();
             maps.set_array_u64(a, (i % 4) as u32, i).unwrap();
         }
-        let (ptr2, len2) = maps.refresh_runtime_descs();
-        assert_eq!(len2, 3);
-        let descs2: Vec<MapRuntimeDesc> =
-            (0..len2).map(|i| unsafe { *ptr2.add(i) }).collect();
-        assert_eq!(descs[h.0 as usize].base, descs2[h.0 as usize].base);
-        assert_eq!(descs[a.0 as usize].base, descs2[a.0 as usize].base);
+        let live: Vec<MapRuntimeDesc> = maps.maps.iter().map(MapEntry::runtime_desc).collect();
+        for (built, now) in read(&maps).iter().zip(&live) {
+            assert_eq!(
+                (built.kind, built.base, built.aux),
+                (now.kind, now.base, now.aux)
+            );
+        }
+        // A clone's table points at the clone's own storage.
+        let copy = maps.clone();
+        let copied = read(&copy);
+        for (fd, entry) in copy.maps.iter().enumerate() {
+            let own = entry.runtime_desc();
+            assert_eq!((copied[fd].kind, copied[fd].base), (own.kind, own.base));
+        }
+        assert_ne!(copied[h.0 as usize].base, descs[h.0 as usize].base);
+        assert_ne!(copied[a.0 as usize].base, descs[a.0 as usize].base);
     }
 
     #[test]
@@ -1281,7 +1309,7 @@ mod tests {
         use crate::mapindex::DESC_KIND_NONE;
         let mut maps = MapRegistry::new();
         let fd = maps.create("topk", MapDef::topk_sketch(8, 16));
-        let (ptr, len) = maps.refresh_runtime_descs();
+        let (ptr, len) = maps.runtime_descs();
         assert_eq!(len, 1);
         assert!(!ptr.is_null());
         // Safe read through the registry-owned cache.

@@ -21,7 +21,11 @@ use kscope_simcore::Nanos;
 use crate::host::ReportEnvelope;
 
 /// Collector-side state for one host.
-#[derive(Debug, Clone, Default)]
+///
+/// A slot's state depends only on its own host's arrival order, so a
+/// fleet run folds each host's arrivals into its slot on the worker
+/// that simulated the host, and the collector only places the slots.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostSlot {
     /// Highest sequence number accepted.
     pub last_seq: Option<u64>,
@@ -38,6 +42,28 @@ pub struct HostSlot {
     pub gaps: u64,
     /// Arrival time of the latest accepted envelope.
     pub last_arrival: Nanos,
+}
+
+impl HostSlot {
+    /// Folds one of this host's envelopes, arriving at `now`, into the
+    /// slot: accept forward progress, discard stale (reordered) reports
+    /// — safe because payloads are cumulative, so the newer report
+    /// already subsumes the older one.
+    pub fn receive(&mut self, envelope: ReportEnvelope, now: Nanos) {
+        match self.last_seq {
+            Some(last) if envelope.seq <= last => {
+                self.stale += 1;
+            }
+            _ => {
+                let expected = self.last_seq.map(|s| s + 1).unwrap_or(0);
+                self.gaps += envelope.seq - expected;
+                self.last_seq = Some(envelope.seq);
+                self.accepted += 1;
+                self.last_arrival = now;
+                self.latest = Some(envelope);
+            }
+        }
+    }
 }
 
 /// Fleet-level report accounting: what the senders and channel did
@@ -265,15 +291,23 @@ pub struct Collector {
     shift: u32,
     min_send_samples: u64,
     slots: Vec<HostSlot>,
+    unknown_host_reports: u64,
 }
 
 impl Collector {
     /// A collector expecting `hosts` hosts whose counters use `shift`.
     pub fn new(hosts: usize, shift: u32, min_send_samples: u64) -> Collector {
+        Collector::from_slots(vec![HostSlot::default(); hosts], shift, min_send_samples)
+    }
+
+    /// A collector over already-folded `slots`, one per host in host-id
+    /// order.
+    pub(crate) fn from_slots(slots: Vec<HostSlot>, shift: u32, min_send_samples: u64) -> Collector {
         Collector {
             shift,
             min_send_samples,
-            slots: vec![HostSlot::default(); hosts],
+            slots,
+            unknown_host_reports: 0,
         }
     }
 
@@ -282,23 +316,21 @@ impl Collector {
         &self.slots
     }
 
-    /// Handles one arriving envelope: accept forward progress, discard
-    /// stale (reordered) reports — safe because payloads are cumulative,
-    /// so the newer report already subsumes the older one.
+    /// Envelopes dropped because their host id was outside the fleet.
+    /// Kept out of the rollup, so a hostile sender cannot change the
+    /// report bytes.
+    pub fn unknown_host_reports(&self) -> u64 {
+        self.unknown_host_reports
+    }
+
+    /// Handles one arriving envelope by folding it into its host's slot
+    /// ([`HostSlot::receive`]). An envelope naming a host outside the
+    /// fleet is dropped and counted in
+    /// [`Collector::unknown_host_reports`].
     pub fn receive(&mut self, envelope: ReportEnvelope, now: Nanos) {
-        let slot = &mut self.slots[envelope.host as usize];
-        match slot.last_seq {
-            Some(last) if envelope.seq <= last => {
-                slot.stale += 1;
-            }
-            _ => {
-                let expected = slot.last_seq.map(|s| s + 1).unwrap_or(0);
-                slot.gaps += envelope.seq - expected;
-                slot.last_seq = Some(envelope.seq);
-                slot.accepted += 1;
-                slot.last_arrival = now;
-                slot.latest = Some(envelope);
-            }
+        match self.slots.get_mut(envelope.host as usize) {
+            Some(slot) => slot.receive(envelope, now),
+            None => self.unknown_host_reports += 1,
         }
     }
 
@@ -361,24 +393,14 @@ impl Collector {
         // host's keys, hence byte-identical at any fan-in and `jobs`.
         if let Some(mut sketch) = root.sketch.take() {
             let cap = sketch.state().capacity() as usize;
-            let by_global_order = |s: &TopKSketch, a: &Vec<u8>, b: &Vec<u8>| {
-                s.estimate(b).cmp(&s.estimate(a)).then_with(|| a.cmp(b))
-            };
-            let leaf_keys: Vec<Vec<Vec<u8>>> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
-                let mut union: std::collections::BTreeSet<Vec<u8>> = Default::default();
-                for slot in &self.slots[lo..hi] {
-                    if let Some(env) = &slot.latest {
-                        union.extend(env.sketch.state().candidate_keys().map(<[u8]>::to_vec));
-                    }
-                }
-                let mut kept: Vec<Vec<u8>> = union.into_iter().collect();
-                kept.sort_by(|a, b| by_global_order(&sketch, a, b));
-                kept.truncate(cap);
-                kept
+            let leaf_keys: Vec<Vec<&[u8]>> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
+                let keys = self.slots[lo..hi]
+                    .iter()
+                    .filter_map(|slot| slot.latest.as_ref())
+                    .flat_map(|env| env.sketch.state().candidate_keys());
+                sketch.select_keys(keys, cap)
             });
-            sketch.reselect_candidates(
-                leaf_keys.iter().flatten().map(Vec::as_slice),
-            );
+            sketch.reselect_candidates(leaf_keys.iter().flatten().copied());
             root.sketch = Some(sketch);
         }
 
@@ -574,6 +596,20 @@ mod tests {
         // Seq 0 was missing when seq 1 was accepted.
         assert_eq!(slot.gaps, 1);
         assert_eq!(slot.latest.as_ref().map(|e| e.seq), Some(1));
+    }
+
+    #[test]
+    fn unknown_host_reports_are_dropped_and_counted() {
+        let mut c = Collector::new(2, 0, 1);
+        c.receive(envelope(0, 0, 1_000, 10), Nanos::ZERO);
+        let before = c.rollup(1, 2, 2, 4);
+        c.receive(envelope(2, 0, 1_000, 10), Nanos::from_millis(1));
+        c.receive(envelope(u32::MAX, 5, 1_000, 10), Nanos::from_millis(2));
+        assert_eq!(c.unknown_host_reports(), 2);
+        assert_eq!(c.slots().len(), 2);
+        assert_eq!(c.slots()[1], HostSlot::default());
+        // The count stays out of the rollup.
+        assert_eq!(c.rollup(1, 2, 2, 4), before);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! One simulated fleet member: a full single-host kscope stack plus the
 //! report-producing side of the control channel.
 
+use std::sync::Arc;
+
 use kscope_core::{
     Agent, BuildError, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
     SaturationDetector, SlackAssessment, SlackEstimator, StackDelay, TopKSketch, WindowedObserver,
@@ -154,6 +156,23 @@ impl FleetProbe {
     }
 }
 
+/// The inverse-CDF table of the Zipf-skewed entity draw, built once per
+/// run and shared read-only by every host: `cdf[i]` is the cumulative
+/// weight of entities `0..=i`.
+///
+/// Zipf(s≈1.2) over the shared entity pool: entity i carries weight
+/// (i+1)^-1.2, so a handful of threads dominate — the heavy hitters the
+/// sketch must surface.
+pub(crate) fn entity_cdf(config: &FleetConfig) -> Arc<[f64]> {
+    let mut acc = 0.0f64;
+    (0..config.entities)
+        .map(|i| {
+            acc += f64::from(i + 1).powf(-1.2);
+            acc
+        })
+        .collect()
+}
+
 /// A fleet member: kernel + verified bytecode probe + windowed observer +
 /// agent, with a netem link to the collector.
 pub struct SimHost {
@@ -181,9 +200,8 @@ pub struct SimHost {
     next_seq: u64,
     cum: RawCounters,
     cum_hist: Log2Hist,
-    /// Inverse-CDF table for the Zipf-skewed entity draw: `entity_cdf[i]`
-    /// is the cumulative weight of entities `0..=i`.
-    entity_cdf: Vec<f64>,
+    /// The run's shared Zipf draw table ([`entity_cdf`]).
+    entity_cdf: Arc<[f64]>,
     /// Exact per-entity request counts (ground truth the sketch's Top-K
     /// is judged against).
     entity_counts: Vec<u64>,
@@ -210,9 +228,10 @@ impl SimHost {
     /// independently, in any order, on any worker count,
     /// bit-identically.
     ///
-    /// This builds the probe for this one host and then instantiates
-    /// it, the same two steps a fleet run takes, except that a run
-    /// builds the probe once and instantiates it for every host.
+    /// This builds the probe and the entity draw table for this one
+    /// host and then instantiates the host from them, the same steps a
+    /// fleet run takes, except that a run builds both once and shares
+    /// them with every host.
     ///
     /// # Errors
     ///
@@ -221,13 +240,21 @@ impl SimHost {
     /// [`FleetConfig::probe_cost_budget`] registration gate rejects a
     /// program's certified cost.
     pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, BuildError> {
-        Ok(SimHost::with_probe(config, id, &FleetProbe::build(config)?))
+        let probe = FleetProbe::build(config)?;
+        Ok(SimHost::with_probe(config, id, &probe, &entity_cdf(config)))
     }
 
-    /// Builds host `id`'s full stack around an instance of `probe`,
-    /// which must come from [`FleetProbe::build`] of the same `config`.
-    /// The host gets maps of its own; the programs stay shared.
-    pub(crate) fn with_probe(config: &FleetConfig, id: u32, probe: &FleetProbe) -> SimHost {
+    /// Builds host `id`'s full stack around an instance of `probe` and
+    /// the shared `entity_cdf`, which must come from
+    /// [`FleetProbe::build`] and [`entity_cdf`] of the same `config`.
+    /// The host gets maps of its own; the programs and the draw table
+    /// stay shared.
+    pub(crate) fn with_probe(
+        config: &FleetConfig,
+        id: u32,
+        probe: &FleetProbe,
+        entity_cdf: &Arc<[f64]>,
+    ) -> SimHost {
         let pid: Pid = SimHost::SERVER_PID;
         let observer = WindowedObserver::new(probe.0.instantiate(), config.window);
         let mut kernel = Kernel::for_host(HostSpec::amd_epyc_7302(), SchedConfig::default());
@@ -244,15 +271,6 @@ impl SimHost {
         // Stagger host start times slightly so per-host event streams are
         // not phase-locked.
         let cursor = Nanos::from_nanos(u64::from(id) * 1_000);
-        // Zipf(s≈1.2) over the shared entity pool: entity i carries
-        // weight (i+1)^-1.2, so a handful of threads dominate — the
-        // heavy hitters the sketch must surface.
-        let mut entity_cdf = Vec::with_capacity(config.entities as usize);
-        let mut acc = 0.0f64;
-        for i in 0..config.entities {
-            acc += f64::from(i + 1).powf(-1.2);
-            entity_cdf.push(acc);
-        }
         let mut master = SimRng::seed_from_u64(config.seed);
         let rng = master.fork(u64::from(id));
         let link_rng = master.fork(1_000_000 + u64::from(id));
@@ -276,7 +294,7 @@ impl SimHost {
             next_seq: 0,
             cum: RawCounters::new(config.shift),
             cum_hist: Log2Hist::new(config.shift),
-            entity_cdf,
+            entity_cdf: Arc::clone(entity_cdf),
             entity_counts: vec![0; config.entities as usize],
             inflight: 0,
             truth: HostTruth::default(),
@@ -296,6 +314,12 @@ impl SimHost {
     /// minus [`SimHost::FIRST_TID`]).
     pub fn entity_counts(&self) -> &[u64] {
         &self.entity_counts
+    }
+
+    /// Consumes the host, keeping only its exact per-entity request
+    /// counts.
+    pub(crate) fn into_entity_counts(self) -> Vec<u64> {
+        self.entity_counts
     }
 
     /// The first entity's tid; entity `i` serves as tid

@@ -12,18 +12,22 @@
 //! host-id order) and the peak memory is one host stack per worker plus
 //! the O(K) report envelopes, never 10⁵ live kernels at once.
 //!
-//! The probe is the one thing hosts share: a run builds, verifies,
-//! certifies and compiles it once ([`FleetProbe::build`]) before any
-//! host starts, and every worker instantiates hosts from it read-only.
+//! The probe and the entity draw table are the things hosts share: a
+//! run builds, verifies, certifies and compiles the probe once
+//! ([`FleetProbe::build`]) and builds the table once ([`entity_cdf`])
+//! before any host starts, and every worker instantiates hosts from
+//! them read-only. Each worker also folds its hosts' report arrivals
+//! into their collector slots ([`HostSlot::receive`]), so a superseded
+//! report is dropped where it arrives and the collector only places
+//! the finished slots.
 
 use kscope_core::BuildError;
-use kscope_netem::LinkStats;
 use kscope_simcore::parallel::map_indexed;
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 
-use crate::collector::{Accounting, Collector, FleetRollup, Transport};
+use crate::collector::{Accounting, Collector, FleetRollup, HostSlot, Transport};
 use crate::config::FleetConfig;
-use crate::host::{FleetProbe, HostTruth, ReportEnvelope, SimHost};
+use crate::host::{entity_cdf, FleetProbe, HostTruth, ReportEnvelope, SimHost};
 
 /// Events on one host's engine. Ties at the same instant resolve in
 /// schedule order (the engine's FIFO tie-break), so the interleaving of
@@ -41,13 +45,13 @@ enum HostEvent {
     Lost,
 }
 
-/// One host's simulation: its stack plus the arrivals it produced, in
-/// collector-arrival order.
+/// One host's simulation: its stack plus its collector slot, which
+/// folds the host's arrivals in collector-arrival order.
 struct HostSim {
     host: SimHost,
     max_inflight: usize,
     horizon: Nanos,
-    arrivals: Vec<(Nanos, ReportEnvelope)>,
+    slot: HostSlot,
 }
 
 impl Simulation for HostSim {
@@ -79,7 +83,7 @@ impl Simulation for HostSim {
             }
             HostEvent::Arrive { envelope } => {
                 self.host.release_inflight();
-                self.arrivals.push((now, *envelope));
+                self.slot.receive(*envelope, now);
             }
             HostEvent::Lost => {
                 self.host.release_inflight();
@@ -91,9 +95,8 @@ impl Simulation for HostSim {
 /// Everything one host's run leaves behind.
 struct HostOutcome {
     truth: HostTruth,
-    link: LinkStats,
     entity_counts: Vec<u64>,
-    arrivals: Vec<(Nanos, ReportEnvelope)>,
+    slot: HostSlot,
 }
 
 /// Runs `host` start to finish on its own engine. The event stream
@@ -120,14 +123,14 @@ fn simulate_host(config: &FleetConfig, mut host: SimHost) -> HostOutcome {
         host,
         max_inflight: config.max_inflight,
         horizon,
-        arrivals: Vec::new(),
+        slot: HostSlot::default(),
     };
     engine.run(&mut sim);
+    debug_assert_eq!(sim.host.link_stats().offered, sim.host.truth.offered);
     HostOutcome {
         truth: sim.host.truth,
-        link: *sim.host.link_stats(),
-        entity_counts: sim.host.entity_counts().to_vec(),
-        arrivals: sim.arrivals,
+        entity_counts: sim.host.into_entity_counts(),
+        slot: sim.slot,
     }
 }
 
@@ -220,11 +223,13 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
     run_fleet_jobs(config, 1)
 }
 
-/// Runs a fleet to completion on up to `jobs` workers: the probe is
-/// built once, then each host's stack is simulated independently
-/// (traffic, report ticks, channel transits), then the arrivals feed
-/// the collector in host-id order. Per-host outcomes are pure functions
-/// of `(config, id)`, so the run is bit-identical at any `jobs`.
+/// Runs a fleet to completion on up to `jobs` workers: the probe and
+/// the entity draw table are built once, then each host's stack is
+/// simulated independently (traffic, report ticks, channel transits,
+/// and the folding of its arrivals into its collector slot), then the
+/// slots are placed in the collector in host-id order. Per-host
+/// outcomes are pure functions of `(config, id)`, so the run is
+/// bit-identical at any `jobs`.
 ///
 /// # Errors
 ///
@@ -233,32 +238,30 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
 /// `probe_cost_budget` registration gate rejected one.
 pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, BuildError> {
     let probe = FleetProbe::build(config)?;
+    let entity_cdf = entity_cdf(config);
     let ids: Vec<u32> = (0..config.hosts as u32).collect();
     let outcomes = map_indexed(&ids, jobs, |_, &id| {
-        simulate_host(config, SimHost::with_probe(config, id, &probe))
+        simulate_host(config, SimHost::with_probe(config, id, &probe, &entity_cdf))
     });
     Ok(collect(config, outcomes))
 }
 
-/// Feeds per-host outcomes, in host-id order, to a fresh collector.
+/// Places per-host outcomes, in host-id order, in a fresh collector.
 fn collect(config: &FleetConfig, outcomes: Vec<HostOutcome>) -> FleetRun {
-    let mut collector = Collector::new(config.hosts, config.shift, config.min_send_samples);
+    let mut slots = Vec::with_capacity(config.hosts);
     let mut truth = Vec::with_capacity(config.hosts);
     let mut entity_truth = vec![0u64; config.entities as usize];
     for outcome in outcomes {
-        for (at, envelope) in outcome.arrivals {
-            collector.receive(envelope, at);
+        for (total, count) in entity_truth.iter_mut().zip(&outcome.entity_counts) {
+            *total += count;
         }
-        for (slot, count) in entity_truth.iter_mut().zip(&outcome.entity_counts) {
-            *slot += count;
-        }
-        debug_assert_eq!(outcome.link.offered, outcome.truth.offered);
+        slots.push(outcome.slot);
         truth.push(outcome.truth);
     }
 
     FleetRun {
         config: config.clone(),
-        collector,
+        collector: Collector::from_slots(slots, config.shift, config.min_send_samples),
         truth,
         entity_truth,
         horizon: config.horizon(),
@@ -374,12 +377,14 @@ mod tests {
         let per_host = collect(&config, outcomes);
         let expect = crate::report_to_json(&config, &per_host.rollup(1));
         assert!(expect.contains("\"stack_delay\""));
-        for jobs in [1, 8] {
+        for jobs in [1, 2, 8] {
             let shared = match run_fleet_jobs(&config, jobs) {
                 Ok(run) => run,
                 Err(e) => panic!("fleet build failed: {e:?}"),
             };
             assert_eq!(shared.truth, per_host.truth);
+            assert_eq!(shared.entity_truth, per_host.entity_truth);
+            assert_eq!(shared.collector.slots(), per_host.collector.slots());
             assert_eq!(crate::report_to_json(&config, &shared.rollup(jobs)), expect);
         }
     }

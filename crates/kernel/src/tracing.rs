@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use kscope_simcore::hash::FastBuildHasher;
 use kscope_simcore::Nanos;
 use kscope_syscalls::{
     pid_tgid, NetCtx, Pid, SyscallEvent, SyscallNo, Tid, Trace, TracePhase, TracepointCtx,
@@ -63,7 +64,9 @@ pub struct Tracing {
     next_probe: u32,
     collect_trace: bool,
     trace: Trace,
-    open: HashMap<Tid, (SyscallNo, Nanos)>,
+    /// Each thread's open `sys_enter`. Looked up on every syscall
+    /// firing and never iterated, so it uses the fast fixed-key hasher.
+    open: HashMap<Tid, (SyscallNo, Nanos), FastBuildHasher>,
     stats: TracingStats,
 }
 

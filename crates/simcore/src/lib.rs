@@ -55,6 +55,7 @@
 
 mod dist;
 mod engine;
+pub mod hash;
 pub mod parallel;
 mod rng;
 mod time;

@@ -9,9 +9,9 @@
 //! sharding; the acceptance bar is ≥500 seeded iterations over
 //! K ∈ {1, 4, 16}.
 
-use kscope_core::{Log2Hist, RawCounters};
-use kscope_fleet::{run_fleet, FleetConfig};
-use kscope_simcore::SimRng;
+use kscope_core::{Log2Hist, RawCounters, StackDelay, TopKSketch};
+use kscope_fleet::{run_fleet, Collector, FleetConfig, HostSlot, ReportEnvelope};
+use kscope_simcore::{Nanos, SimRng};
 use kscope_testkit::{gen, Config};
 
 /// One synthetic probe sample: which stream it lands in and its raw value.
@@ -205,6 +205,104 @@ fn fleet_accounting_conserves_under_any_loss() {
             assert_eq!(acc.offered, acc.channel_delivered + acc.channel_dropped);
             assert_eq!(acc.accepted + acc.stale, acc.channel_delivered);
             assert!(rollup.reporting_hosts + rollup.silent_hosts == hosts);
+        }
+    );
+}
+
+/// Host 0's report `seq`, with a payload that differs per sequence
+/// number so a slot holding the wrong envelope shows.
+fn host0_report(seq: u64) -> ReportEnvelope {
+    let mut cum = RawCounters::new(0);
+    cum.send.push(seq);
+    cum.events = seq;
+    ReportEnvelope {
+        host: 0,
+        seq,
+        sent_at: Nanos::from_nanos(seq),
+        windows_observed: seq,
+        cum,
+        hist: Log2Hist::new(0),
+        sketch: TopKSketch::new(8, 8),
+        stack: StackDelay::new(0),
+        latest_rps: None,
+        saturation: None,
+        slack: None,
+    }
+}
+
+/// Folding a host's arrivals into its slot on the worker that simulated
+/// it ([`HostSlot::receive`]) equals feeding the same arrivals to the
+/// collector ([`Collector::receive`]), for streams with drops,
+/// duplicates, replays, reordering, sequence numbers near `u64::MAX`,
+/// and interleaved envelopes from host ids outside the fleet. Either
+/// way every delivered report is accepted or stale, exactly once.
+#[test]
+fn worker_folding_equals_collector_receive() {
+    kscope_testkit::check!(
+        Config::cases(300),
+        |rng: &mut SimRng| {
+            let base = gen::pick(rng, &[0, 1_000, u64::MAX - 1_000]);
+            let n = gen::u64_in(rng, 0, 40);
+            // Sent in order, some lost on the way.
+            let mut seqs: Vec<u64> = (0..n)
+                .filter(|_| gen::u64_in(rng, 0, 4) != 0)
+                .map(|i| base + i)
+                .collect();
+            // Duplicates and replays: an earlier report again, later.
+            for _ in 0..gen::usize_in(rng, 0, seqs.len() / 2) {
+                let from = gen::usize_in(rng, 0, seqs.len() - 1);
+                let to = gen::usize_in(rng, from, seqs.len());
+                seqs.insert(to, seqs[from]);
+            }
+            // Reordering in flight.
+            for _ in 0..gen::usize_in(rng, 0, seqs.len() / 2) {
+                let a = gen::usize_in(rng, 0, seqs.len() - 1);
+                let b = gen::usize_in(rng, 0, seqs.len() - 1);
+                seqs.swap(a, b);
+            }
+            seqs.into_iter()
+                .map(|seq| (seq, gen::u64_in(rng, 0, 5_000), gen::u64_in(rng, 0, 9) == 0))
+                .collect::<Vec<(u64, u64, bool)>>()
+        },
+        |stream: &Vec<(u64, u64, bool)>| {
+            let mut slot = HostSlot::default();
+            let mut collector = Collector::new(1, 0, 1);
+            let mut now = Nanos::ZERO;
+            let mut hostile = 0;
+            for &(seq, gap_ns, from_unknown_host) in stream {
+                now += Nanos::from_nanos(gap_ns);
+                slot.receive(host0_report(seq), now);
+                if from_unknown_host {
+                    let mut stray = host0_report(seq);
+                    stray.host = 1 + seq as u32 % 7;
+                    collector.receive(stray, now);
+                    hostile += 1;
+                }
+                collector.receive(host0_report(seq), now);
+            }
+            let folded = &collector.slots()[0];
+            assert_eq!(slot.accepted, folded.accepted, "accepted");
+            assert_eq!(slot.stale, folded.stale, "stale");
+            assert_eq!(slot.gaps, folded.gaps, "gaps");
+            assert_eq!(slot.last_seq, folded.last_seq, "last_seq");
+            assert_eq!(slot.latest, folded.latest, "latest");
+            assert_eq!(&slot, folded);
+            assert_eq!(collector.unknown_host_reports(), hostile);
+            assert_eq!(slot.accepted + slot.stale, stream.len() as u64);
+            // A report is stale exactly when an earlier arrival carried a
+            // sequence number at least as new.
+            let stale = (0..stream.len())
+                .filter(|&i| stream[..i].iter().any(|e| e.0 >= stream[i].0))
+                .count();
+            assert_eq!(slot.stale, stale as u64, "stale by definition");
+            // The slot holds the newest report, and every sequence number
+            // up to it was either accepted or counted missing.
+            let newest = stream.iter().map(|&(seq, _, _)| seq).max();
+            assert_eq!(slot.last_seq, newest);
+            assert_eq!(slot.latest.as_ref().map(|e| e.seq), newest);
+            if let Some(last) = newest {
+                assert_eq!(u128::from(slot.accepted + slot.gaps), u128::from(last) + 1);
+            }
         }
     );
 }

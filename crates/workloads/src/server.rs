@@ -144,6 +144,28 @@ struct ThreadRt {
     state: TState,
     batch: Vec<ChannelId>,
     cur: Option<Work>,
+    /// In-flight fast syscall: (number, return value).
+    pending_syscall: Option<(SyscallNo, i64)>,
+    /// Forward destination while inside a handoff syscall.
+    pending_forward: Option<ChannelId>,
+}
+
+impl ThreadRt {
+    /// A thread of `pid` that starts inside its poll syscall `poll_no`
+    /// on `epoll`.
+    fn new(tid: Tid, pid: Pid, epoll: EpollId, poll_no: SyscallNo) -> ThreadRt {
+        ThreadRt {
+            tid,
+            pid,
+            epoll,
+            poll_no,
+            state: TState::Polling,
+            batch: Vec::new(),
+            cur: None,
+            pending_syscall: None,
+            pending_forward: None,
+        }
+    }
 }
 
 /// The assembled server simulation.
@@ -176,10 +198,6 @@ pub struct ServerSim {
     offered_count: u64,
     /// Wakeup latency from delivery to poll return.
     wake_cost: Nanos,
-    /// In-flight fast syscall per thread: (number, return value).
-    pending_syscall: HashMap<Tid, (SyscallNo, i64)>,
-    /// Forward destination for threads inside a handoff syscall.
-    pending_forward: HashMap<Tid, ChannelId>,
     /// End of the current contention convoy (see `begin_compute`).
     convoy_until: Nanos,
 }
@@ -220,8 +238,6 @@ impl ServerSim {
             completions: Vec::new(),
             offered_count: 0,
             wake_cost: Nanos::from_micros(1),
-            pending_syscall: HashMap::new(),
-            pending_forward: HashMap::new(),
             convoy_until: Nanos::ZERO,
             spec,
         };
@@ -301,18 +317,8 @@ impl ServerSim {
                     };
                     let ep = self.kernel.epolls.create();
                     epolls.push(ep);
-                    self.threads.insert(
-                        tid,
-                        ThreadRt {
-                            tid,
-                            pid,
-                            epoll: ep,
-                            poll_no,
-                            state: TState::Polling,
-                            batch: Vec::new(),
-                            cur: None,
-                        },
-                    );
+                    self.threads
+                        .insert(tid, ThreadRt::new(tid, pid, ep, poll_no));
                 }
                 for c in 0..n_conns {
                     let conn = self.kernel.channels.create();
@@ -357,18 +363,8 @@ impl ServerSim {
                     };
                     let ep = self.kernel.epolls.create();
                     fe_epolls.push(ep);
-                    self.threads.insert(
-                        tid,
-                        ThreadRt {
-                            tid,
-                            pid: fe_pid,
-                            epoll: ep,
-                            poll_no,
-                            state: TState::Polling,
-                            batch: Vec::new(),
-                            cur: None,
-                        },
-                    );
+                    self.threads
+                        .insert(tid, ThreadRt::new(tid, fe_pid, ep, poll_no));
                 }
                 self.kernel.epolls.watch(fe_epolls[0], reply_q);
                 // Back-end workers share one epoll on the stage socket.
@@ -383,18 +379,8 @@ impl ServerSim {
                             .spawn_thread(be_pid, format!("be-{w}"))
                             .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
                     };
-                    self.threads.insert(
-                        tid,
-                        ThreadRt {
-                            tid,
-                            pid: be_pid,
-                            epoll: be_ep,
-                            poll_no,
-                            state: TState::Polling,
-                            batch: Vec::new(),
-                            cur: None,
-                        },
-                    );
+                    self.threads
+                        .insert(tid, ThreadRt::new(tid, be_pid, be_ep, poll_no));
                 }
                 for c in 0..n_conns {
                     let conn = self.kernel.channels.create();
@@ -451,18 +437,8 @@ impl ServerSim {
                     };
                     let ep = self.kernel.epolls.create();
                     net_epolls.push(ep);
-                    self.threads.insert(
-                        tid,
-                        ThreadRt {
-                            tid,
-                            pid,
-                            epoll: ep,
-                            poll_no,
-                            state: TState::Polling,
-                            batch: Vec::new(),
-                            cur: None,
-                        },
-                    );
+                    self.threads
+                        .insert(tid, ThreadRt::new(tid, pid, ep, poll_no));
                 }
                 // Workers share one wait queue, blocking via futex (their
                 // waits must not count toward the poll-family metrics).
@@ -474,18 +450,8 @@ impl ServerSim {
                         .tasks
                         .spawn_thread(pid, format!("compute-{w}"))
                         .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"));
-                    self.threads.insert(
-                        tid,
-                        ThreadRt {
-                            tid,
-                            pid,
-                            epoll: worker_ep,
-                            poll_no: SyscallNo::FUTEX,
-                            state: TState::Polling,
-                            batch: Vec::new(),
-                            cur: None,
-                        },
-                    );
+                    self.threads
+                        .insert(tid, ThreadRt::new(tid, pid, worker_ep, SyscallNo::FUTEX));
                 }
                 for c in 0..n_conns {
                     let conn = self.kernel.channels.create();
@@ -606,7 +572,7 @@ impl ServerSim {
                         .sys_exit(main_pid, main_tid, poll_no, 0, t);
                 }
                 TState::InSyscall => {
-                    if let Some((no, ret)) = self.pending_syscall.remove(&main_tid) {
+                    if let Some((no, ret)) = rt.pending_syscall.take() {
                         self.kernel.tracing.sys_exit(main_pid, main_tid, no, ret, t);
                     }
                 }
@@ -715,7 +681,7 @@ impl ServerSim {
                     rt.state = TState::InSyscall;
                     let oh = self.kernel.tracing.sys_enter(pid, tid, no, at);
                     sched.at(at + self.spec.syscall_cost + oh, Ev::SyscallExit { tid });
-                    self.pending_syscall.insert(tid, (no, msg.bytes as i64));
+                    rt.pending_syscall = Some((no, msg.bytes as i64));
                 }
                 Some(_) => {
                     // io_uring-style receive: same I/O time, no tracepoint.
@@ -825,10 +791,10 @@ impl ServerSim {
                         Nanos::ZERO
                     } else {
                         let oh = self.kernel.tracing.sys_enter(pid, tid, no, now);
-                        self.pending_syscall.insert(tid, (no, work.bytes as i64));
+                        rt.pending_syscall = Some((no, work.bytes as i64));
                         oh
                     };
-                    self.pending_forward.insert(tid, to);
+                    rt.pending_forward = Some(to);
                     sched.at(now + self.spec.syscall_cost + oh, Ev::SyscallExit { tid });
                 }
                 None => {
@@ -858,7 +824,7 @@ impl ServerSim {
             Nanos::ZERO
         } else {
             let oh = self.kernel.tracing.sys_enter(pid, tid, send_no, at);
-            self.pending_syscall.insert(tid, (send_no, bytes as i64));
+            rt.pending_syscall = Some((send_no, bytes as i64));
             oh
         };
         sched.at(
@@ -873,16 +839,15 @@ impl ServerSim {
         let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
         let pid = rt.pid;
         // Bypassed (io_uring) I/O has no tracepoint to exit from.
-        let oh = match self.pending_syscall.remove(&tid) {
+        let oh = match rt.pending_syscall.take() {
             Some((no, ret)) => self.kernel.tracing.sys_exit(pid, tid, no, ret, now),
             None => Nanos::ZERO,
         };
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
         let work = rt.cur.unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         match work.phase {
             Phase::Recv => self.begin_compute(tid, now + oh, sched),
             Phase::Forward => {
-                let to = self.pending_forward.remove(&tid).unwrap_or_else(|| unreachable!("the forward target was recorded before dispatch"));
+                let to = rt.pending_forward.take().unwrap_or_else(|| unreachable!("the forward target was recorded before dispatch"));
                 self.deliver_internal(to, work.request, work.bytes, now, sched);
                 self.start_next_item(tid, now + oh, sched);
             }
@@ -900,8 +865,7 @@ impl ServerSim {
                         Nanos::ZERO
                     } else {
                         let oh2 = self.kernel.tracing.sys_enter(pid, tid, send_no, now + oh);
-                        self.pending_syscall
-                            .insert(tid, (send_no, work.bytes as i64));
+                        rt.pending_syscall = Some((send_no, work.bytes as i64));
                         oh2
                     };
                     sched.at(now + oh + self.spec.syscall_cost + oh2, Ev::SyscallExit { tid });
@@ -984,8 +948,6 @@ impl ServerSim {
         }
     }
 
-    // Auxiliary per-thread in-flight syscall registers. These live on the
-    // struct (not per-thread) to keep `ThreadRt` copy-friendly.
     fn handle_arrival(&mut self, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
         if now >= self.offered_until {
@@ -1010,11 +972,7 @@ impl ServerSim {
         let gap = self.inter_arrival.sample_nanos(&mut self.rng_arrival);
         sched.after(gap, Ev::Arrival);
     }
-}
 
-// The two small per-thread registers used by the FSM. Declared outside the
-// main impl for readability; initialized in `new` via Default.
-impl ServerSim {
     fn handle_response(&mut self, request: u64, now: Nanos) {
         if let Some(created) = self.in_flight.remove(&request) {
             self.completions.push(Completion {
