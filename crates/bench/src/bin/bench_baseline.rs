@@ -4,40 +4,33 @@
 //! Metrics (all finite numbers, flat JSON object — see
 //! `kscope_microbench::Baseline`):
 //!
-//! * `vm_insns_per_sec_raw` / `vm_insns_per_sec_decoded` /
-//!   `vm_insns_per_sec_jit` — VM throughput executing the *real* probe
-//!   exit program (map lookups, ld_dw map-fd loads, branches, stat-cell
-//!   updates — the instruction mix per-event overhead is made of) under
-//!   raw-word fetch, the pre-decoded interpreter, and the template JIT,
-//!   plus the ratios `vm_decode_speedup` and `vm_jit_speedup`;
-//! * `vm_alu_insns_per_sec_raw` / `vm_alu_insns_per_sec_decoded` /
-//!   `vm_alu_insns_per_sec_jit` — the same dispatchers on a pure
-//!   64-instruction ALU body: the dispatch-loop floor, where the JIT's
-//!   native code replaces dispatch entirely (`vm_jit_alu_speedup` is the
-//!   metric the ≥3× CI gate is pinned on; the probe program is
-//!   helper-dominated so it compresses less);
+//! * `vm_insns_per_sec_raw` / `vm_insns_per_sec_jit` — VM throughput
+//!   executing the *real* probe exit program (map lookups, ld_dw map-fd
+//!   loads, branches, stat-cell updates — the instruction mix per-event
+//!   overhead is made of) on the raw-word interpreter and the template
+//!   JIT, plus the ratio `vm_jit_speedup`;
+//! * `vm_alu_insns_per_sec_raw` / `vm_alu_insns_per_sec_jit` — the same
+//!   dispatchers on a pure 64-instruction ALU body: the dispatch-loop
+//!   floor, where the JIT's native code replaces dispatch entirely
+//!   (`vm_jit_alu_speedup` is the metric the ≥3× CI gate is pinned on;
+//!   the probe program is helper-dominated so it compresses less);
 //! * `vm_jit_supported` — 1 when this target has the x86-64 template JIT
 //!   (0 elsewhere; JIT gates are skipped, execution falls back to the
-//!   decoded interpreter);
+//!   interpreter);
 //! * `map_ops_per_sec` — hash-map update+lookup pairs on the
 //!   zero-allocation inline-key path;
-//! * `probe_events_per_sec` / `probe_events_per_sec_jit` /
-//!   `probe_events_per_sec_opt` — full bytecode-probe `on_event` cost on
-//!   the send-exit path (the per-event figure §VI's overhead argument
-//!   rests on), interpreted vs. JIT vs. statically optimized;
+//! * `probe_events_per_sec` / `probe_events_per_sec_jit` — full
+//!   bytecode-probe `on_event` cost on the send-exit path (the per-event
+//!   figure §VI's overhead argument rests on), interpreted vs. JIT;
 //! * `probe_insns_static_bound` — the certified worst-case instruction
 //!   bound of the core probe (max over its enter/exit programs), from
 //!   the analysis cost certifier;
-//! * `probe_insns_optimized_delta` — total instruction slots the static
-//!   optimizer removes across the core probe's programs (the `--check`
-//!   gate holds this ≥ 0: the optimizer never grows the probe);
 //! * `engine_events_per_sec` — simulation-engine dispatch;
 //! * `sweep_quick_wall_ms` — wall clock of a reduced parallel sweep;
-//! * `hot_path_allocs_per_event` / `hot_path_allocs_per_event_jit` /
-//!   `hot_path_allocs_per_event_opt` — heap allocations per steady-state
-//!   probe event, counted by this binary's global allocator (the
-//!   zero-allocation claim, measured rather than asserted, for every
-//!   dispatcher including the optimized-program path).
+//! * `hot_path_allocs_per_event` / `hot_path_allocs_per_event_jit` —
+//!   heap allocations per steady-state probe event, counted by this
+//!   binary's global allocator (the zero-allocation claim, measured
+//!   rather than asserted, for both dispatchers).
 //!
 //! Every throughput metric is measured as **one discarded warm-up run
 //! followed by the median of `bench_repeats` repeats**. The warm-up
@@ -55,13 +48,10 @@
 //!
 //! Flags: `--quick` (shorter samples, for CI smoke), `--out PATH`
 //! (default `BENCH_baseline.json`), `--check PATH` (compare against a
-//! committed baseline; exit 1 if decoded VM throughput regressed more
-//! than 20%, the hot path allocated — interpreted or optimized — the
-//! static optimizer grew the core probe, the pre-decoded interpreter
-//! fell below the raw-word reference (`vm_decode_speedup < 1`), the
-//! repeat spread exceeded 25%, or — on JIT-capable targets — the JIT
-//! fails its ≥3× ALU gate or the ≥2× probe-event gate helper inlining
-//! is pinned by).
+//! committed baseline; exit 1 if interpreter throughput regressed more
+//! than 20%, the hot path allocated, the repeat spread exceeded 25%,
+//! or — on JIT-capable targets — the JIT fails its ≥3× ALU gate or the
+//! ≥2× probe-event gate helper inlining is pinned by).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,62 +129,36 @@ fn main() {
     let jit_supported = kscope_ebpf::jit::supported();
     baseline.set("vm_jit_supported", if jit_supported { 1.0 } else { 0.0 });
 
-    // raw vs decoded feeds the vm_decode_speedup >= 1 gate, so the two
-    // sides are measured in alternating rounds (contention on a shared
-    // runner then biases both equally) with extra repeats for the ratio.
-    let ratio_rounds = repeats + 2;
-    // Discarded warm-up pair before the timed rounds.
-    let _ = vm_probe_insns_per_sec(&criterion, Vm::new().with_raw_dispatch());
-    let _ = vm_probe_insns_per_sec(&criterion, Vm::new());
-    let mut raw_samples = Vec::with_capacity(ratio_rounds);
-    let mut decoded_samples = Vec::with_capacity(ratio_rounds);
-    for _ in 0..ratio_rounds {
-        raw_samples.push(vm_probe_insns_per_sec(&criterion, Vm::new().with_raw_dispatch()));
-        decoded_samples.push(vm_probe_insns_per_sec(&criterion, Vm::new()));
-    }
-    let raw = median_and_spread("vm raw", &mut raw_samples, &mut max_spread);
-    let decoded = median_and_spread("vm decoded", &mut decoded_samples, &mut max_spread);
+    let raw = median_of("vm raw", repeats, &mut max_spread, || {
+        vm_probe_insns_per_sec(&criterion, Vm::new())
+    });
     let jit = median_of("vm jit", repeats, &mut max_spread, || {
         vm_probe_insns_per_sec(&criterion, Vm::new().with_jit())
     });
+    let jit_speedup = if raw > 0.0 { jit / raw } else { 0.0 };
     baseline.set("vm_insns_per_sec_raw", raw);
-    baseline.set("vm_insns_per_sec_decoded", decoded);
     baseline.set("vm_insns_per_sec_jit", jit);
-    baseline.set("vm_decode_speedup", if raw > 0.0 { decoded / raw } else { 0.0 });
-    baseline.set("vm_jit_speedup", if decoded > 0.0 { jit / decoded } else { 0.0 });
+    baseline.set("vm_jit_speedup", jit_speedup);
     println!(
-        "vm probe program: raw {:.1}M insns/s, decoded {:.1}M insns/s ({:.2}x), \
-         jit {:.1}M insns/s ({:.2}x over decoded)",
+        "vm probe program: raw {:.1}M insns/s, jit {:.1}M insns/s ({jit_speedup:.2}x over raw)",
         raw / 1e6,
-        decoded / 1e6,
-        if raw > 0.0 { decoded / raw } else { 0.0 },
         jit / 1e6,
-        if decoded > 0.0 { jit / decoded } else { 0.0 }
     );
 
     let alu_raw = median_of("alu raw", repeats, &mut max_spread, || {
-        vm_alu_insns_per_sec(&criterion, Vm::new().with_raw_dispatch())
-    });
-    let alu_decoded = median_of("alu decoded", repeats, &mut max_spread, || {
         vm_alu_insns_per_sec(&criterion, Vm::new())
     });
     let alu_jit = median_of("alu jit", repeats, &mut max_spread, || {
         vm_alu_insns_per_sec(&criterion, Vm::new().with_jit())
     });
+    let alu_speedup = if alu_raw > 0.0 { alu_jit / alu_raw } else { 0.0 };
     baseline.set("vm_alu_insns_per_sec_raw", alu_raw);
-    baseline.set("vm_alu_insns_per_sec_decoded", alu_decoded);
     baseline.set("vm_alu_insns_per_sec_jit", alu_jit);
-    baseline.set(
-        "vm_jit_alu_speedup",
-        if alu_decoded > 0.0 { alu_jit / alu_decoded } else { 0.0 },
-    );
+    baseline.set("vm_jit_alu_speedup", alu_speedup);
     println!(
-        "vm ALU floor: raw {:.1}M insns/s, decoded {:.1}M insns/s, jit {:.1}M insns/s \
-         ({:.2}x over decoded)",
+        "vm ALU floor: raw {:.1}M insns/s, jit {:.1}M insns/s ({alu_speedup:.2}x over raw)",
         alu_raw / 1e6,
-        alu_decoded / 1e6,
         alu_jit / 1e6,
-        if alu_decoded > 0.0 { alu_jit / alu_decoded } else { 0.0 }
     );
 
     let map_ops = median_of("map ops", repeats, &mut max_spread, || {
@@ -209,26 +173,17 @@ fn main() {
     let probe_events_jit = median_of("probe jit", repeats, &mut max_spread, || {
         probe_events_per_sec(&criterion, ProbeMode::Jit)
     });
-    let probe_events_opt = median_of("probe opt", repeats, &mut max_spread, || {
-        probe_events_per_sec(&criterion, ProbeMode::Optimized)
-    });
     baseline.set("probe_events_per_sec", probe_events);
     baseline.set("probe_events_per_sec_jit", probe_events_jit);
-    baseline.set("probe_events_per_sec_opt", probe_events_opt);
     println!(
-        "probe events: interp {:.2}M events/s, jit {:.2}M events/s, opt {:.2}M events/s",
+        "probe events: interp {:.2}M events/s, jit {:.2}M events/s",
         probe_events / 1e6,
         probe_events_jit / 1e6,
-        probe_events_opt / 1e6
     );
 
-    let (static_bound, opt_delta) = probe_static_analysis();
+    let static_bound = probe_static_bound();
     baseline.set("probe_insns_static_bound", static_bound);
-    baseline.set("probe_insns_optimized_delta", opt_delta);
-    println!(
-        "probe static analysis: worst-case bound {static_bound:.0} insns, \
-         optimizer removes {opt_delta:.0} slots"
-    );
+    println!("probe static analysis: worst-case bound {static_bound:.0} insns");
 
     let engine_events = median_of("engine", repeats, &mut max_spread, || {
         engine_events_per_sec(&criterion)
@@ -238,14 +193,9 @@ fn main() {
 
     let allocs = hot_path_allocs_per_event(quick, ProbeMode::Interp);
     let allocs_jit = hot_path_allocs_per_event(quick, ProbeMode::Jit);
-    let allocs_opt = hot_path_allocs_per_event(quick, ProbeMode::Optimized);
     baseline.set("hot_path_allocs_per_event", allocs);
     baseline.set("hot_path_allocs_per_event_jit", allocs_jit);
-    baseline.set("hot_path_allocs_per_event_opt", allocs_opt);
-    println!(
-        "hot-path allocations: interp {allocs} per event, jit {allocs_jit} per event, \
-         opt {allocs_opt} per event"
-    );
+    println!("hot-path allocations: interp {allocs} per event, jit {allocs_jit} per event");
 
     let sweep_ms = sweep_quick_wall_ms(quick);
     baseline.set("sweep_quick_wall_ms", sweep_ms);
@@ -313,7 +263,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// Compares a fresh run against a committed baseline; exits non-zero on a
-/// >20% decoded-VM-throughput regression or any hot-path allocation.
+/// >20% interpreter-throughput regression or any hot-path allocation.
 fn check_against(path: &str, fresh: &Baseline) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -330,16 +280,16 @@ fn check_against(path: &str, fresh: &Baseline) {
         }
     };
     let (Some(was), Some(now)) = (
-        committed.get("vm_insns_per_sec_decoded"),
-        fresh.get("vm_insns_per_sec_decoded"),
+        committed.get("vm_insns_per_sec_raw"),
+        fresh.get("vm_insns_per_sec_raw"),
     ) else {
-        eprintln!("bench_baseline: --check {path}: missing vm_insns_per_sec_decoded");
+        eprintln!("bench_baseline: --check {path}: missing vm_insns_per_sec_raw");
         std::process::exit(1);
     };
     let mut failed = false;
     if now < 0.8 * was {
         eprintln!(
-            "bench_baseline: REGRESSION: decoded VM throughput {:.1}M insns/s is \
+            "bench_baseline: REGRESSION: interpreter throughput {:.1}M insns/s is \
              more than 20% below the committed baseline {:.1}M insns/s",
             now / 1e6,
             was / 1e6
@@ -347,22 +297,10 @@ fn check_against(path: &str, fresh: &Baseline) {
         failed = true;
     } else {
         println!(
-            "check: decoded VM throughput {:.1}M insns/s vs committed {:.1}M insns/s — ok",
+            "check: interpreter throughput {:.1}M insns/s vs committed {:.1}M insns/s — ok",
             now / 1e6,
             was / 1e6
         );
-    }
-    // Decode must pay for itself: predecoded dispatch below the raw-word
-    // reference means the decode cache has regressed into pure overhead.
-    let decode_speedup = fresh.get("vm_decode_speedup").unwrap_or(0.0);
-    if decode_speedup < 1.0 {
-        eprintln!(
-            "bench_baseline: REGRESSION: decoded dispatch is {decode_speedup:.2}x the \
-             raw-word interpreter — predecoding must never lose to re-decoding"
-        );
-        failed = true;
-    } else {
-        println!("check: decoded dispatch {decode_speedup:.2}x raw (gate: >= 1.0) — ok");
     }
     // A noisy measurement can't bless (or damn) anything: the warm-up +
     // median policy must hold repeat spread within 25%.
@@ -380,30 +318,6 @@ fn check_against(path: &str, fresh: &Baseline) {
         eprintln!("bench_baseline: REGRESSION: steady-state probe path allocated");
         failed = true;
     }
-    if fresh
-        .get("hot_path_allocs_per_event_opt")
-        .is_some_and(|a| a > 0.0)
-    {
-        eprintln!("bench_baseline: REGRESSION: steady-state optimized probe path allocated");
-        failed = true;
-    }
-    match fresh.get("probe_insns_optimized_delta") {
-        Some(delta) if delta < 0.0 => {
-            eprintln!(
-                "bench_baseline: REGRESSION: static optimizer GREW the core probe by \
-                 {:.0} instruction slots",
-                -delta
-            );
-            failed = true;
-        }
-        Some(delta) => {
-            println!("check: static optimizer removes {delta:.0} probe slots (gate: >= 0) — ok");
-        }
-        None => {
-            eprintln!("bench_baseline: missing probe_insns_optimized_delta");
-            failed = true;
-        }
-    }
     if fresh.get("vm_jit_supported") == Some(1.0) {
         // The JIT gate is pinned on the pure-ALU dispatch floor, where
         // native code genuinely replaces the dispatch loop; the real probe
@@ -414,14 +328,14 @@ fn check_against(path: &str, fresh: &Baseline) {
         if alu_speedup < 3.0 {
             eprintln!(
                 "bench_baseline: REGRESSION: JIT ALU speedup {alu_speedup:.2}x over the \
-                 decoded interpreter is below the 3x gate"
+                 interpreter is below the 3x gate"
             );
             failed = true;
         } else {
-            println!("check: JIT ALU speedup {alu_speedup:.2}x over decoded (gate: 3x) — ok");
+            println!("check: JIT ALU speedup {alu_speedup:.2}x over raw (gate: 3x) — ok");
         }
         // With env helpers and map lookups emitted inline the end-to-end
-        // probe path must clear 2x the decoded interpreter: the program is
+        // probe path must clear 2x the interpreter: the program is
         // no longer trampoline-dominated, so the gate is on real event
         // dispatch, not the synthetic ALU floor.
         let ev_interp = fresh.get("probe_events_per_sec").unwrap_or(0.0);
@@ -558,7 +472,6 @@ fn bytecode_probe() -> BytecodeBackend {
 enum ProbeMode {
     Interp,
     Jit,
-    Optimized,
 }
 
 fn probe_in_mode(mode: ProbeMode) -> BytecodeBackend {
@@ -566,9 +479,6 @@ fn probe_in_mode(mode: ProbeMode) -> BytecodeBackend {
     match mode {
         ProbeMode::Interp => probe,
         ProbeMode::Jit => probe.with_jit(),
-        ProbeMode::Optimized => probe
-            .with_optimizer()
-            .unwrap_or_else(|e| panic!("optimized probe programs must re-verify: {e}")),
     }
 }
 
@@ -589,27 +499,17 @@ fn probe_events_per_sec(criterion: &Criterion, mode: ProbeMode) -> f64 {
     stats.ops_per_sec(BATCH as f64)
 }
 
-/// Static-analysis figures for the core probe: the certified worst-case
-/// instruction bound (max over its programs) and the total slots the
-/// optimizer removes across them.
-fn probe_static_analysis() -> (f64, f64) {
-    let probe = bytecode_probe();
-    let (enter_cost, exit_cost) = probe.cost_reports();
-    let bound = [enter_cost, exit_cost]
+/// The core probe's certified worst-case instruction bound (max over its
+/// programs).
+fn probe_static_bound() -> f64 {
+    let (enter_cost, exit_cost) = bytecode_probe().cost_reports();
+    [enter_cost, exit_cost]
         .into_iter()
         .flatten()
         .map(|c| c.max_insns)
         .max()
-        .unwrap_or_else(|| panic!("shipped probe programs must have a finite cost bound"));
-    let (enter, exit) = probe.programs();
-    let delta: i64 = [enter, exit]
-        .into_iter()
-        .map(|p| match p.optimized() {
-            Some((opt, _)) => p.insns().len() as i64 - opt.insns().len() as i64,
-            None => 0,
-        })
-        .sum();
-    (bound as f64, delta as f64)
+        .unwrap_or_else(|| panic!("shipped probe programs must have a finite cost bound"))
+        as f64
 }
 
 /// Steady-state heap allocations per probe event: warm the probe (first

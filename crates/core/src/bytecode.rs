@@ -178,7 +178,6 @@ pub struct BytecodeBackend {
     tgids: Vec<Pid>,
     insns_executed: u64,
     faults: u64,
-    optimized: bool,
 }
 
 impl BytecodeBackend {
@@ -300,7 +299,6 @@ impl BytecodeBackend {
             tgids,
             insns_executed: 0,
             faults: 0,
-            optimized: false,
         })
     }
 
@@ -335,7 +333,6 @@ impl BytecodeBackend {
             tgids: self.tgids.clone(),
             insns_executed: 0,
             faults: 0,
-            optimized: self.optimized,
         }
     }
 
@@ -388,7 +385,7 @@ impl BytecodeBackend {
 
     /// Switches probe execution to the template JIT
     /// ([`Vm::with_jit`]): verified programs run as native x86-64 with
-    /// verifier-proof bounds-check elision, falling back to the decoded
+    /// verifier-proof bounds-check elision, falling back to the
     /// interpreter on unsupported programs or targets. Opting in never
     /// changes observable behavior — the differential suite holds the
     /// dispatchers bitwise-identical — only execution speed. The
@@ -430,64 +427,7 @@ impl BytecodeBackend {
         self.vm.uses_jit()
     }
 
-    /// Swaps both probe programs for their statically optimized forms
-    /// ([`Program::optimized`]): constant folding, dead-code/dead-store
-    /// elimination, branch pruning and inversion, jump threading. The
-    /// optimized programs are re-verified (attaching fresh access proofs,
-    /// so JIT bounds-check elision still applies under
-    /// [`BytecodeBackend::with_jit`]). Observable behavior is unchanged —
-    /// the four-way differential suite and the fleet's byte-exact rollup
-    /// test hold optimization invisible — only fewer instructions run
-    /// per event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Verify`] if an optimized program fails
-    /// re-verification, which would indicate an optimizer bug.
-    pub fn with_optimizer(mut self) -> Result<BytecodeBackend, BuildError> {
-        // cold path: one-time program swap at registration, not per-event
-        let optimize = |prog: &Program, ctx_size: usize, maps: &MapRegistry| -> Result<Option<Program>, BuildError> {
-            let verifier = Verifier::new(VerifierConfig {
-                ctx_size,
-                ..VerifierConfig::default()
-            });
-            match prog.optimized() {
-                Some((opt, _)) => {
-                    let opt = opt.clone();
-                    verifier.verify(&opt, maps).map_err(BuildError::Verify)?;
-                    Ok(Some(opt))
-                }
-                None => Ok(None),
-            }
-        };
-        if let Some(opt) = optimize(&self.enter, CTX_SIZE, &self.maps)? {
-            self.enter = Arc::new(opt);
-        }
-        if let Some(opt) = optimize(&self.exit, CTX_SIZE, &self.maps)? {
-            self.exit = Arc::new(opt);
-        }
-        if let Some(prog) = &self.net_rx {
-            if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.net_rx = Some(Arc::new(opt));
-            }
-        }
-        if let Some(prog) = &self.sock_drain {
-            if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.sock_drain = Some(Arc::new(opt));
-            }
-        }
-        self.optimized = true;
-        Ok(self.precompiled())
-    }
-
-    /// True when the probe runs statically optimized programs.
-    pub fn uses_optimizer(&self) -> bool {
-        self.optimized
-    }
-
-    /// Certified worst-case cost of the (enter, exit) programs, as the
-    /// probe will execute them (optimized forms when
-    /// [`BytecodeBackend::with_optimizer`] was applied).
+    /// Certified worst-case cost of the (enter, exit) programs.
     pub fn cost_reports(&self) -> (Option<CostReport>, Option<CostReport>) {
         (cost_report(&self.enter), cost_report(&self.exit))
     }
@@ -1587,15 +1527,13 @@ mod tests {
     }
 
     #[test]
-    fn netstack_matches_native_mirror_and_survives_optimizer_jit() {
+    fn netstack_matches_native_mirror_and_survives_jit() {
         use crate::native::NativeBackend;
         let shift = 6;
         let mut plain = netstack_probe(shift);
-        let mut opt = BytecodeBackend::new(1200, SyscallProfile::data_caching(), shift)
+        let mut jit = BytecodeBackend::new(1200, SyscallProfile::data_caching(), shift)
             .unwrap()
             .with_netstack()
-            .unwrap()
-            .with_optimizer()
             .unwrap()
             .with_jit();
         let mut native =
@@ -1612,14 +1550,14 @@ mod tests {
         ];
         for ev in &events {
             plain.on_event(ev);
-            opt.on_event(ev);
+            jit.on_event(ev);
             native.on_event(ev);
         }
         let expect = plain.stack_counters().unwrap();
-        assert_eq!(expect, opt.stack_counters().unwrap());
+        assert_eq!(expect, jit.stack_counters().unwrap());
         assert_eq!(Some(expect), native.stack_counters());
         let hist = BytecodeBackend::stack_histogram(&plain).unwrap();
-        assert_eq!(hist, BytecodeBackend::stack_histogram(&opt).unwrap());
+        assert_eq!(hist, BytecodeBackend::stack_histogram(&jit).unwrap());
         assert_eq!(Some(hist), MetricBackend::stack_histogram(&native));
         assert_eq!(expect.count, 3);
         assert_eq!(expect.misses, 1);

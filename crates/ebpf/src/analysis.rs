@@ -1,5 +1,5 @@
-//! Static analysis over probe bytecode: dataflow, a semantics-preserving
-//! optimizer, and a worst-case cost certifier.
+//! Static analysis over probe bytecode: dataflow and a worst-case cost
+//! certifier.
 //!
 //! Three consumers share the machinery in this module:
 //!
@@ -7,57 +7,29 @@
 //!   (unreachable instructions, dead stack stores) from the byte-granular
 //!   liveness pass here, so there is exactly one implementation of each
 //!   analysis.
-//! * **The optimizer** ([`optimize`]) runs classic forward/backward
-//!   dataflow — reaching constants over the [`Tnum`] domain, per-register
-//!   liveness, stack byte liveness, constant-branch reachability — and
-//!   uses the results for constant folding/propagation, dead-store and
-//!   dead-code elimination, branch pruning, branch-over-jump inversion,
-//!   and jump threading with offset re-resolution. The output is a new
-//!   [`Program`] with *identical observable behavior* on every input:
-//!   same return value, same trap (with pcs mapped through
-//!   [`OptReport::provenance`]), same helper side effects, same map and
-//!   environment state — it only executes fewer instructions.
+//! * **The JIT** ([`crate::jit`]) emits helper calls according to the
+//!   inline plan ([`helper_inline_plan`]): a forward must-dataflow over
+//!   register values on the [`Decoded`] stream decides which env helpers
+//!   and map lookups compile inline and which keep the trampoline.
 //! * **The cost certifier** ([`cost_report`]) bounds the worst-case work
 //!   of one invocation. Verified programs are loop-free forward DAGs, so
 //!   path maximization is exact: the reported bound is attained by some
 //!   input unless branch conditions are correlated, and is never
-//!   exceeded.
-//!
-//! # Preservation argument
-//!
-//! Every rewrite is justified by a *must* fact: the constant domain only
-//! reports a register as known when every execution path agrees on its
-//! value (joins are [`Tnum::union`], transfer functions are exact on
-//! constants because they call the interpreter's own ALU/branch
-//! evaluators), and the entry state is the interpreter's literal register
-//! file (`r1 = ctx`, `r10 = stack top`, everything else zero). Deletions
-//! are restricted to instructions that cannot trap and whose effect is
-//! provably unobservable (identity ALU ops, dead register definitions,
-//! exact in-bounds stack stores whose bytes are never read, unreachable
-//! code). Structurally suspect programs — unpaired `ld_dw`, backward or
-//! out-of-bounds jump targets — make [`optimize`] decline entirely rather
-//! than risk a semantic change.
+//!   exceeded. It prices plan-covered call sites at their inlined weight
+//!   for the JIT fast-path bound.
 
-use crate::decode::{decode_program, AluOp, Decoded};
+use crate::decode::{AluOp, Decoded};
 use crate::helpers::Helper;
 use crate::insn::{
-    Insn, CLS_JMP, CLS_JMP32, CLS_ST, MAX_INSNS, OP_CALL, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT,
-    OP_JLE, OP_JLT, OP_JNE, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_MOV, REG_COUNT, SRC_X,
-    STACK_SIZE,
+    Insn, CLS_JMP, CLS_JMP32, MAX_INSNS, OP_CALL, OP_EXIT, OP_JA, REG_COUNT, STACK_SIZE,
 };
-use crate::interp::{exec_alu32, exec_alu64, take_branch, CTX_BASE, MAP_HANDLE_BASE, STACK_BASE};
+use crate::interp::{exec_alu32, exec_alu64, CTX_BASE, MAP_HANDLE_BASE};
 use crate::program::Program;
-use crate::tnum::Tnum;
 use crate::verifier::VerifyWarning;
 
 /// Value the interpreter writes into caller-saved registers (`r1`–`r5`)
 /// after every helper call; the constant analysis models it exactly.
 const CLOBBER: u64 = 0xDEAD_BEEF_DEAD_BEEF;
-
-/// Bound on optimizer fixpoint iterations. Every productive pass either
-/// deletes a slot or moves an instruction toward a canonical form, so
-/// convergence is guaranteed well before this; the cap is a backstop.
-const MAX_PASSES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Cost certification
@@ -474,8 +446,8 @@ fn abs_states(decoded: &[Decoded]) -> Vec<Option<[AbsVal; REG_COUNT]>> {
     states
 }
 
-/// Transfer function of one decoded slot, mirroring
-/// `interp::run_decoded` exactly on the facts it tracks.
+/// Transfer function of one decoded slot, mirroring the interpreter
+/// exactly on the facts it tracks.
 fn abs_step(d: &Decoded, regs: &mut [AbsVal; REG_COUNT]) {
     let get = |regs: &[AbsVal; REG_COUNT], r: u8| {
         regs.get(r as usize).copied().unwrap_or(AbsVal::Unknown)
@@ -572,691 +544,6 @@ fn abs_step(d: &Decoded, regs: &mut [AbsVal; REG_COUNT]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Optimization report
-// ---------------------------------------------------------------------------
-
-/// What the optimizer did to a program, with enough provenance to map
-/// optimized pcs back to original ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptReport {
-    /// Instruction slots before optimization.
-    pub original_len: usize,
-    /// Instruction slots after optimization (never larger).
-    pub optimized_len: usize,
-    /// For each optimized slot, the original slot it descends from.
-    /// Differential harnesses use this to compare trap pcs.
-    pub provenance: Vec<usize>,
-    /// Fixpoint passes run (including the final no-change pass).
-    pub passes: usize,
-    /// Constant folds: reg→imm operand rewrites, constant-result
-    /// materializations, identity-op removals, store-immediate rewrites.
-    pub folded: usize,
-    /// Conditional branches with a statically known outcome (rewritten to
-    /// `ja` or removed).
-    pub branches_resolved: usize,
-    /// Jumps retargeted through `ja` chains or removed as jumps-to-next.
-    pub jumps_threaded: usize,
-    /// Branch-over-`ja` pairs inverted into a single conditional.
-    pub branches_inverted: usize,
-    /// Dead register definitions removed.
-    pub dead_defs: usize,
-    /// Dead stack stores removed.
-    pub dead_stores: usize,
-    /// Unreachable slots removed.
-    pub unreachable: usize,
-}
-
-impl OptReport {
-    /// Net slots removed.
-    pub fn removed(&self) -> usize {
-        self.original_len.saturating_sub(self.optimized_len)
-    }
-
-    /// True when optimization changed the instruction stream at all.
-    pub fn changed(&self) -> bool {
-        self.removed() > 0
-            || self.folded > 0
-            || self.branches_resolved > 0
-            || self.jumps_threaded > 0
-            || self.branches_inverted > 0
-    }
-
-    /// One-line human summary for audit tooling.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} -> {} slots ({} removed; {} folds, {} branches resolved, \
-             {} threaded, {} inverted, {} dead defs, {} dead stores, \
-             {} unreachable; {} passes)",
-            self.original_len,
-            self.optimized_len,
-            self.removed(),
-            self.folded,
-            self.branches_resolved,
-            self.jumps_threaded,
-            self.branches_inverted,
-            self.dead_defs,
-            self.dead_stores,
-            self.unreachable,
-            self.passes
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The optimizer
-// ---------------------------------------------------------------------------
-
-/// Optimizes `program`, returning the rewritten program and a report, or
-/// `None` when the program's structure makes optimization unsafe
-/// (unpaired `ld_dw`, backward/out-of-bounds jumps, empty or oversized
-/// stream). Declining is always sound: callers fall back to the original.
-///
-/// The result decodes, verifies, and executes exactly like the input on
-/// every context/map/environment triple; only the instruction count
-/// shrinks. Running [`optimize`] on its own output is a fixpoint.
-pub fn optimize(program: &Program) -> Option<(Program, OptReport)> {
-    let (insns, report) = optimize_insns(program.insns())?;
-    Some((Program::new(program.name(), insns), report))
-}
-
-/// The instruction-stream core of [`optimize`].
-fn optimize_insns(insns: &[Insn]) -> Option<(Vec<Insn>, OptReport)> {
-    structure(insns)?;
-    let mut work: Vec<Insn> = insns.to_vec(); // cold path: one-time copy at optimization
-    let mut prov: Vec<usize> = (0..work.len()).collect();
-    let mut report = OptReport {
-        original_len: insns.len(),
-        optimized_len: insns.len(),
-        provenance: Vec::new(),
-        passes: 0,
-        folded: 0,
-        branches_resolved: 0,
-        jumps_threaded: 0,
-        branches_inverted: 0,
-        dead_defs: 0,
-        dead_stores: 0,
-        unreachable: 0,
-    };
-    for _ in 0..MAX_PASSES {
-        report.passes += 1;
-        if !pass(&mut work, &mut prov, &mut report) {
-            break;
-        }
-        debug_assert!(structure(&work).is_some(), "pass broke program structure");
-    }
-    report.optimized_len = work.len();
-    report.provenance = prov;
-    Some((work, report))
-}
-
-/// One optimization pass: forward constant facts, in-place rewrites,
-/// backward liveness, deletions, compaction. Returns whether anything
-/// changed.
-fn pass(work: &mut Vec<Insn>, prov: &mut Vec<usize>, report: &mut OptReport) -> bool {
-    let len = work.len();
-    let Some(is_hi) = structure(work) else {
-        return false; // cannot happen after the entry gate; bail safely
-    };
-    let decoded = decode_program(work);
-    let facts = const_facts(&decoded, &is_hi, len);
-    let mut delete = vec![false; len];
-    let mut changed = rewrites(work, &decoded, &facts, &is_hi, &mut delete, report);
-
-    // Backward analyses run on the re-decoded, post-rewrite stream; the
-    // constant facts stay valid because rewrites preserve per-pc values.
-    let decoded = decode_program(work);
-    changed |= mark_unreachable(&facts, &is_hi, &mut delete, report);
-    changed |= mark_dead_defs(&decoded, &facts, &is_hi, &mut delete, report);
-    changed |= mark_dead_stores(work, &decoded, &facts, &is_hi, &mut delete, report);
-
-    // A deleted `ld_dw` lo slot takes its hi slot with it.
-    for pc in 0..len {
-        let lo_deleted = delete.get(pc).copied().unwrap_or(false)
-            && work.get(pc).is_some_and(|i| i.is_ld_dw());
-        if lo_deleted {
-            mark(&mut delete, pc + 1);
-        }
-    }
-
-    if delete.iter().any(|&d| d) {
-        compact(work, prov, &delete);
-    }
-    changed
-}
-
-/// Per-pc constant facts from a single forward walk (exact on the
-/// forward DAG: every predecessor of `pc` precedes it).
-struct Facts {
-    /// Join of the abstract register file over all inbound edges; `None`
-    /// for slots no (constant-pruned) path reaches.
-    states: Vec<Option<RegFile>>,
-    /// `Some(taken)` for conditional branches whose outcome is the same
-    /// on every path.
-    branch_known: Vec<Option<bool>>,
-}
-
-/// Abstract register file: one [`Tnum`] per register.
-type RegFile = [Tnum; REG_COUNT];
-
-fn reg(rf: &RegFile, r: u8) -> Tnum {
-    rf.get(r as usize).copied().unwrap_or(Tnum::UNKNOWN)
-}
-
-fn set_reg(rf: &mut RegFile, r: u8, v: Tnum) {
-    if let Some(slot) = rf.get_mut(r as usize) {
-        *slot = v;
-    }
-}
-
-fn flow(states: &mut [Option<RegFile>], next: usize, out: &RegFile) {
-    if let Some(slot) = states.get_mut(next) {
-        *slot = Some(match *slot {
-            None => *out,
-            Some(prev) => {
-                let mut joined = prev;
-                for (j, n) in joined.iter_mut().zip(out.iter()) {
-                    *j = j.union(*n);
-                }
-                joined
-            }
-        });
-    }
-}
-
-fn const_facts(decoded: &[Decoded], is_hi: &[bool], len: usize) -> Facts {
-    let mut states: Vec<Option<RegFile>> = vec![None; len];
-    let mut branch_known: Vec<Option<bool>> = vec![None; len];
-    // The interpreter's literal entry state: all registers zero except
-    // the context pointer and the stack frame pointer.
-    let mut entry = [Tnum::constant(0); REG_COUNT];
-    set_reg(&mut entry, 1, Tnum::constant(CTX_BASE));
-    set_reg(&mut entry, 10, Tnum::constant(STACK_BASE + STACK_SIZE as u64));
-    if let Some(slot) = states.get_mut(0) {
-        *slot = Some(entry);
-    }
-    for pc in 0..len {
-        if is_hi.get(pc).copied().unwrap_or(true) {
-            continue;
-        }
-        let Some(st) = states.get(pc).copied().flatten() else {
-            continue;
-        };
-        let Some(d) = decoded.get(pc) else { continue };
-        match *d {
-            Decoded::LdImm64 { dst, value } => {
-                let mut out = st;
-                set_reg(&mut out, dst, Tnum::constant(value));
-                flow(&mut states, pc + 2, &out);
-            }
-            Decoded::Load { dst, .. } => {
-                let mut out = st;
-                set_reg(&mut out, dst, Tnum::UNKNOWN);
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::StoreReg { .. } | Decoded::StoreImm { .. } => {
-                flow(&mut states, pc + 1, &st);
-            }
-            Decoded::Alu64Imm { op, dst, imm } => {
-                let mut out = st;
-                set_reg(&mut out, dst, alu64_tnum(op, reg(&st, dst), Tnum::constant(imm)));
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::Alu64Reg { op, dst, src } => {
-                let mut out = st;
-                set_reg(&mut out, dst, alu64_tnum(op, reg(&st, dst), reg(&st, src)));
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::Alu32Imm { op, dst, imm } => {
-                let mut out = st;
-                set_reg(
-                    &mut out,
-                    dst,
-                    alu32_tnum(op, reg(&st, dst), Tnum::constant(imm as u64)),
-                );
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::Alu32Reg { op, dst, src } => {
-                let mut out = st;
-                set_reg(&mut out, dst, alu32_tnum(op, reg(&st, dst), reg(&st, src)));
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::Ja { target } => {
-                flow(&mut states, target as usize, &st);
-            }
-            Decoded::JmpImm { op, w32, dst, rhs, target } => {
-                let known = branch_const(reg(&st, dst), w32).map(|l| take_branch(op, w32, l, rhs));
-                if let Some(slot) = branch_known.get_mut(pc) {
-                    *slot = known;
-                }
-                if known != Some(false) {
-                    flow(&mut states, target as usize, &st);
-                }
-                if known != Some(true) {
-                    flow(&mut states, pc + 1, &st);
-                }
-            }
-            Decoded::JmpReg { op, w32, dst, src, target } => {
-                let lhs = branch_const(reg(&st, dst), w32);
-                let rhs = branch_const(reg(&st, src), w32);
-                let known = match (lhs, rhs) {
-                    (Some(l), Some(r)) => Some(take_branch(op, w32, l, r)),
-                    _ => None,
-                };
-                if let Some(slot) = branch_known.get_mut(pc) {
-                    *slot = known;
-                }
-                if known != Some(false) {
-                    flow(&mut states, target as usize, &st);
-                }
-                if known != Some(true) {
-                    flow(&mut states, pc + 1, &st);
-                }
-            }
-            Decoded::Call { .. } | Decoded::UnknownHelper { .. } => {
-                if matches!(d, Decoded::UnknownHelper { .. }) {
-                    continue; // traps: no successor state
-                }
-                let mut out = st;
-                set_reg(&mut out, 0, Tnum::UNKNOWN);
-                for r in 1..=5u8 {
-                    set_reg(&mut out, r, Tnum::constant(CLOBBER));
-                }
-                flow(&mut states, pc + 1, &out);
-            }
-            Decoded::Exit | Decoded::BadOpcode { .. } | Decoded::MalformedLdDw => {}
-        }
-    }
-    Facts { states, branch_known }
-}
-
-/// Constant view of a branch operand: the full 64-bit value, or just the
-/// low 32 bits for `w32` compares ([`take_branch`] re-masks either way).
-fn branch_const(t: Tnum, w32: bool) -> Option<u64> {
-    if w32 {
-        t.cast32().const_val()
-    } else {
-        t.const_val()
-    }
-}
-
-/// 64-bit ALU transfer function: exact (via the interpreter's evaluator)
-/// on constants, tnum arithmetic otherwise.
-fn alu64_tnum(op: AluOp, a: Tnum, b: Tnum) -> Tnum {
-    if let (Some(x), Some(y)) = (a.const_val(), b.const_val()) {
-        return Tnum::constant(exec_alu64(op, x, y));
-    }
-    match op {
-        AluOp::Add => a.add(b),
-        AluOp::Sub => a.sub(b),
-        AluOp::And => a.and(b),
-        AluOp::Or => a.or(b),
-        AluOp::Xor => a.xor(b),
-        AluOp::Mul => a.mul(b),
-        AluOp::Lsh => b.const_val().map_or(Tnum::UNKNOWN, |s| a.lshift(s as u32 & 63)),
-        AluOp::Rsh => b.const_val().map_or(Tnum::UNKNOWN, |s| a.rshift(s as u32 & 63)),
-        AluOp::Arsh => b.const_val().map_or(Tnum::UNKNOWN, |s| a.arshift(s as u32 & 63)),
-        AluOp::Mov => b,
-        AluOp::Neg => Tnum::constant(0).sub(a),
-        AluOp::Div | AluOp::Mod => Tnum::UNKNOWN,
-    }
-}
-
-/// 32-bit ALU transfer function; the result is always zero-extended,
-/// mirroring the interpreter.
-fn alu32_tnum(op: AluOp, a: Tnum, b: Tnum) -> Tnum {
-    let a32 = a.cast32();
-    let b32 = b.cast32();
-    if let (Some(x), Some(y)) = (a32.const_val(), b32.const_val()) {
-        return Tnum::constant(exec_alu32(op, x as u32, y as u32) as u64);
-    }
-    let r = match op {
-        AluOp::Add => a32.add(b32),
-        AluOp::Sub => a32.sub(b32),
-        AluOp::And => a32.and(b32),
-        AluOp::Or => a32.or(b32),
-        AluOp::Xor => a32.xor(b32),
-        AluOp::Mul => a32.mul(b32),
-        AluOp::Lsh => b32.const_val().map_or(Tnum::UNKNOWN, |s| a32.lshift(s as u32 & 31)),
-        AluOp::Rsh => b32.const_val().map_or(Tnum::UNKNOWN, |s| a32.rshift(s as u32 & 31)),
-        AluOp::Mov => b32,
-        AluOp::Neg => Tnum::constant(0).sub(a32),
-        // 32-bit arithmetic shift needs the sign bit; only the constant
-        // case above is modeled.
-        AluOp::Arsh | AluOp::Div | AluOp::Mod => Tnum::UNKNOWN,
-    };
-    r.cast32()
-}
-
-/// In-place rewrites justified by the constant facts. May mark slots for
-/// deletion (identity ops, never-taken branches, inverted-over jumps).
-fn rewrites(
-    work: &mut [Insn],
-    decoded: &[Decoded],
-    facts: &Facts,
-    is_hi: &[bool],
-    delete: &mut [bool],
-    report: &mut OptReport,
-) -> bool {
-    let len = work.len();
-    let refs = jump_ref_counts(decoded, len);
-    let mut changed = false;
-    for pc in 0..len {
-        if is_hi.get(pc).copied().unwrap_or(true) || delete.get(pc).copied().unwrap_or(true) {
-            continue;
-        }
-        let Some(st) = facts.states.get(pc).copied().flatten() else {
-            continue; // unreachable: the deletion pass handles it
-        };
-        let Some(insn) = work.get(pc).copied() else { continue };
-        let Some(d) = decoded.get(pc) else { continue };
-        match *d {
-            Decoded::Alu64Imm { op, dst, imm } => {
-                if alu64_identity(op, imm) {
-                    if mark(delete, pc) {
-                        report.folded += 1;
-                        changed = true;
-                    }
-                    continue;
-                }
-                let out = alu64_tnum(op, reg(&st, dst), Tnum::constant(imm));
-                changed |= materialize(work, pc, dst, out, report);
-            }
-            Decoded::Alu64Reg { op, dst, src } => {
-                let identity =
-                    src == dst && matches!(op, AluOp::Mov | AluOp::And | AluOp::Or);
-                if identity {
-                    if mark(delete, pc) {
-                        report.folded += 1;
-                        changed = true;
-                    }
-                    continue;
-                }
-                let bv = reg(&st, src);
-                let out = alu64_tnum(op, reg(&st, dst), bv);
-                if materialize(work, pc, dst, out, report) {
-                    changed = true;
-                } else if let Some(c) = bv.const_val() {
-                    if fits_i32(c) {
-                        let folded = Insn { code: insn.code & !SRC_X, src: 0, imm: c as i32, ..insn };
-                        changed |= replace(work, pc, folded, report);
-                    }
-                }
-            }
-            Decoded::Alu32Imm { op, dst, imm } => {
-                let out = alu32_tnum(op, reg(&st, dst), Tnum::constant(imm as u64));
-                changed |= materialize(work, pc, dst, out, report);
-            }
-            Decoded::Alu32Reg { op, dst, src } => {
-                let bv32 = reg(&st, src).cast32();
-                let out = alu32_tnum(op, reg(&st, dst), reg(&st, src));
-                if materialize(work, pc, dst, out, report) {
-                    changed = true;
-                } else if let Some(c) = bv32.const_val() {
-                    let folded =
-                        Insn { code: insn.code & !SRC_X, src: 0, imm: c as u32 as i32, ..insn };
-                    changed |= replace(work, pc, folded, report);
-                }
-            }
-            Decoded::StoreReg { size, src, .. } => {
-                if let Some(v) = reg(&st, src).const_val() {
-                    if size < 8 || fits_i32(v) {
-                        let imm = v as u32 as i32;
-                        let folded =
-                            Insn { code: (insn.code & !0x07) | CLS_ST, src: 0, imm, ..insn };
-                        changed |= replace(work, pc, folded, report);
-                    }
-                }
-            }
-            Decoded::Ja { target } => {
-                let t = target as usize;
-                if t == pc + 1 {
-                    if mark(delete, pc) {
-                        report.jumps_threaded += 1;
-                        changed = true;
-                    }
-                    continue;
-                }
-                let ft = chase(decoded, t, len);
-                if ft != t {
-                    if let Some(off) = off_for(pc, ft) {
-                        if set_insn(work, pc, Insn::ja(off)) {
-                            report.jumps_threaded += 1;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            Decoded::JmpImm { target, .. } | Decoded::JmpReg { target, .. } => {
-                let t = target as usize;
-                match facts.branch_known.get(pc).copied().flatten() {
-                    Some(true) => {
-                        // Always taken: plain jump to the same target.
-                        if set_insn(work, pc, Insn::ja(insn.off)) {
-                            report.branches_resolved += 1;
-                            changed = true;
-                        }
-                        continue;
-                    }
-                    Some(false) => {
-                        // Never taken: the compare has no side effect.
-                        if mark(delete, pc) {
-                            report.branches_resolved += 1;
-                            changed = true;
-                        }
-                        continue;
-                    }
-                    None => {}
-                }
-                if t == pc + 1 {
-                    // Both edges fall through; the compare is a no-op.
-                    if mark(delete, pc) {
-                        report.branches_resolved += 1;
-                        changed = true;
-                    }
-                    continue;
-                }
-                // Fold a constant rhs register into the immediate form.
-                if let Decoded::JmpReg { w32, src, .. } = *d {
-                    let sv = reg(&st, src);
-                    let enc = if w32 {
-                        sv.cast32().const_val().map(|c| c as u32 as i32)
-                    } else {
-                        sv.const_val().filter(|&c| fits_i32(c)).map(|c| c as i32)
-                    };
-                    if let Some(imm) = enc {
-                        let folded = Insn { code: insn.code & !SRC_X, src: 0, imm, ..insn };
-                        changed |= replace(work, pc, folded, report);
-                    }
-                }
-                // Thread the taken edge through `ja` chains.
-                let ft = chase(decoded, t, len);
-                if ft != t {
-                    if let (Some(off), Some(cur)) = (off_for(pc, ft), work.get_mut(pc)) {
-                        if cur.off != off {
-                            cur.off = off;
-                            report.jumps_threaded += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                // Invert `cond +1; ja out` into `!cond out` when nothing
-                // else enters the `ja`.
-                let cur = work.get(pc).copied().unwrap_or(insn);
-                let cur_target = pc as i64 + 1 + cur.off as i64;
-                if cur_target == pc as i64 + 2 {
-                    let ja_free = refs.get(pc + 1).copied().unwrap_or(1) == 0
-                        && !delete.get(pc + 1).copied().unwrap_or(true);
-                    if let (true, Some(Decoded::Ja { target: jt })) = (ja_free, decoded.get(pc + 1))
-                    {
-                        if let (Some(inv), Some(off)) =
-                            (invert_bits(cur.op()), off_for(pc, *jt as usize))
-                        {
-                            let inverted = Insn { code: (cur.code & 0x0f) | inv, off, ..cur };
-                            if set_insn(work, pc, inverted) {
-                                mark(delete, pc + 1);
-                                report.branches_inverted += 1;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    changed
-}
-
-/// Replaces the instruction at `pc` with a constant-result `mov` when the
-/// post-state of its destination is a known, encodable value.
-fn materialize(
-    work: &mut [Insn],
-    pc: usize,
-    dst: u8,
-    out: Tnum,
-    report: &mut OptReport,
-) -> bool {
-    let Some(v) = out.const_val() else { return false };
-    let candidate = if fits_i32(v) {
-        Insn::mov64_imm(dst, v as i32)
-    } else if v <= u64::from(u32::MAX) {
-        // mov32 zero-extends, reaching constants a 64-bit imm can't.
-        Insn::alu32_imm(OP_MOV, dst, v as u32 as i32)
-    } else {
-        return false; // would need ld_dw: never grow the program
-    };
-    replace(work, pc, candidate, report)
-}
-
-/// Writes `insn` at `pc` if it differs, counting a fold.
-fn replace(work: &mut [Insn], pc: usize, insn: Insn, report: &mut OptReport) -> bool {
-    if set_insn(work, pc, insn) {
-        report.folded += 1;
-        true
-    } else {
-        false
-    }
-}
-
-/// Writes `insn` at `pc`; returns whether the slot actually changed.
-fn set_insn(work: &mut [Insn], pc: usize, insn: Insn) -> bool {
-    match work.get_mut(pc) {
-        Some(slot) if *slot != insn => {
-            *slot = insn;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Marks `pc` deleted; returns whether it was newly marked.
-fn mark(delete: &mut [bool], pc: usize) -> bool {
-    match delete.get_mut(pc) {
-        Some(d) if !*d => {
-            *d = true;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// True when a 64-bit immediate ALU op leaves its destination unchanged.
-fn alu64_identity(op: AluOp, imm: u64) -> bool {
-    match op {
-        AluOp::Add | AluOp::Sub | AluOp::Or | AluOp::Xor => imm == 0,
-        AluOp::Lsh | AluOp::Rsh | AluOp::Arsh => imm == 0,
-        AluOp::Mul | AluOp::Div => imm == 1,
-        // The VM defines `x mod 0` as `x`.
-        AluOp::Mod => imm == 0,
-        AluOp::And => imm == u64::MAX,
-        AluOp::Mov | AluOp::Neg => false,
-    }
-}
-
-/// `i32`-encodable check for a sign-extended 64-bit immediate.
-fn fits_i32(v: u64) -> bool {
-    v as i32 as i64 as u64 == v
-}
-
-/// Follows `ja` chains from `t` to their final destination (targets are
-/// strictly forward, so this terminates).
-fn chase(decoded: &[Decoded], mut t: usize, len: usize) -> usize {
-    let mut steps = 0usize;
-    while steps <= len {
-        match decoded.get(t) {
-            Some(Decoded::Ja { target }) if *target as usize > t => {
-                t = *target as usize;
-                steps += 1;
-            }
-            _ => break,
-        }
-    }
-    t
-}
-
-/// Branch offset encoding `pc -> target`, when it fits.
-fn off_for(pc: usize, target: usize) -> Option<i16> {
-    i16::try_from(target as i64 - pc as i64 - 1).ok()
-}
-
-/// Opcode operation bits of the logically inverted compare, or `None`
-/// for `jset` (which has no single-op inverse).
-fn invert_bits(op: u8) -> Option<u8> {
-    Some(match op {
-        OP_JEQ => OP_JNE,
-        OP_JNE => OP_JEQ,
-        OP_JGT => OP_JLE,
-        OP_JLE => OP_JGT,
-        OP_JGE => OP_JLT,
-        OP_JLT => OP_JGE,
-        OP_JSGT => OP_JSLE,
-        OP_JSLE => OP_JSGT,
-        OP_JSGE => OP_JSLT,
-        OP_JSLT => OP_JSGE,
-        _ => return None,
-    })
-}
-
-/// How many jump instructions target each pc (fall-through edges do not
-/// count; used to prove a slot has no inbound jumps).
-fn jump_ref_counts(decoded: &[Decoded], len: usize) -> Vec<u32> {
-    let mut refs = vec![0u32; len];
-    for d in decoded {
-        let t = match d {
-            Decoded::Ja { target } => Some(*target),
-            Decoded::JmpImm { target, .. } | Decoded::JmpReg { target, .. } => Some(*target),
-            _ => None,
-        };
-        if let Some(t) = t {
-            if let Some(slot) = refs.get_mut(t as usize) {
-                *slot += 1;
-            }
-        }
-    }
-    refs
-}
-
-/// Marks slots no constant-pruned path reaches.
-fn mark_unreachable(
-    facts: &Facts,
-    is_hi: &[bool],
-    delete: &mut [bool],
-    report: &mut OptReport,
-) -> bool {
-    let mut any = false;
-    for (pc, state) in facts.states.iter().enumerate() {
-        if is_hi.get(pc).copied().unwrap_or(true) {
-            continue; // hi slots ride with their lo slot
-        }
-        if state.is_none() && mark(delete, pc) {
-            report.unreachable += 1;
-            any = true;
-        }
-    }
-    any
-}
-
 /// Exact successors of a decoded slot (trap variants terminate the path;
 /// a successor equal to `len` — falling off the end — is omitted).
 fn decoded_succs(pc: usize, d: &Decoded, len: usize, out: &mut Vec<usize>) {
@@ -1281,263 +568,6 @@ fn decoded_succs(pc: usize, d: &Decoded, len: usize, out: &mut Vec<usize>) {
     }
 }
 
-/// Backward register liveness; marks dead, trap-free definitions.
-fn mark_dead_defs(
-    decoded: &[Decoded],
-    facts: &Facts,
-    is_hi: &[bool],
-    delete: &mut [bool],
-    report: &mut OptReport,
-) -> bool {
-    let len = decoded.len();
-    let mut live_in = vec![0u16; len];
-    let mut succ = Vec::new();
-    let mut any = false;
-    for pc in (0..len).rev() {
-        if is_hi.get(pc).copied().unwrap_or(true) {
-            continue;
-        }
-        if facts.states.get(pc).is_none_or(|s| s.is_none()) {
-            continue; // unreachable; live set stays empty
-        }
-        let Some(d) = decoded.get(pc) else { continue };
-        if delete.get(pc).copied().unwrap_or(false) {
-            // Already condemned: transparent to its fall-through (every
-            // deletable slot falls through; never-taken branches included).
-            let next = if matches!(d, Decoded::LdImm64 { .. }) { pc + 2 } else { pc + 1 };
-            let v = live_in.get(next).copied().unwrap_or(0);
-            if let Some(slot) = live_in.get_mut(pc) {
-                *slot = v;
-            }
-            continue;
-        }
-        decoded_succs(pc, d, len, &mut succ);
-        let mut out: u16 = 0;
-        for &s in &succ {
-            out |= live_in.get(s).copied().unwrap_or(0);
-        }
-        if let Some(dst) = deletable_def(d) {
-            if out & reg_bit(dst) == 0 {
-                if mark(delete, pc) {
-                    report.dead_defs += 1;
-                    any = true;
-                }
-                if let Some(slot) = live_in.get_mut(pc) {
-                    *slot = out; // transparent once deleted
-                }
-                continue;
-            }
-        }
-        let (uses, defs) = use_def(d);
-        let v = uses | (out & !defs);
-        if let Some(slot) = live_in.get_mut(pc) {
-            *slot = v;
-        }
-    }
-    any
-}
-
-fn reg_bit(r: u8) -> u16 {
-    1u16.checked_shl(u32::from(r)).unwrap_or(0)
-}
-
-/// The destination of a trap-free pure definition (deletable when dead).
-fn deletable_def(d: &Decoded) -> Option<u8> {
-    match d {
-        Decoded::LdImm64 { dst, .. }
-        | Decoded::Alu64Imm { dst, .. }
-        | Decoded::Alu64Reg { dst, .. }
-        | Decoded::Alu32Imm { dst, .. }
-        | Decoded::Alu32Reg { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-/// (used, defined) register bitmasks of one decoded slot. Helper calls
-/// conservatively use `r1`–`r5` and define `r0`–`r5` (the clobbers).
-fn use_def(d: &Decoded) -> (u16, u16) {
-    match *d {
-        Decoded::LdImm64 { dst, .. } => (0, reg_bit(dst)),
-        Decoded::Load { dst, src, .. } => (reg_bit(src), reg_bit(dst)),
-        Decoded::StoreReg { dst, src, .. } => (reg_bit(dst) | reg_bit(src), 0),
-        Decoded::StoreImm { dst, .. } => (reg_bit(dst), 0),
-        Decoded::Alu64Imm { op, dst, .. } | Decoded::Alu32Imm { op, dst, .. } => {
-            let uses = if matches!(op, AluOp::Mov) { 0 } else { reg_bit(dst) };
-            (uses, reg_bit(dst))
-        }
-        Decoded::Alu64Reg { op, dst, src } | Decoded::Alu32Reg { op, dst, src } => {
-            let dst_use = if matches!(op, AluOp::Mov) { 0 } else { reg_bit(dst) };
-            (reg_bit(src) | dst_use, reg_bit(dst))
-        }
-        Decoded::Ja { .. } => (0, 0),
-        Decoded::JmpImm { dst, .. } => (reg_bit(dst), 0),
-        Decoded::JmpReg { dst, src, .. } => (reg_bit(dst) | reg_bit(src), 0),
-        Decoded::Call { .. } => (0b0011_1110, 0b0011_1111),
-        Decoded::Exit => (0b1, 0),
-        Decoded::UnknownHelper { .. } | Decoded::BadOpcode { .. } | Decoded::MalformedLdDw => {
-            (0, 0)
-        }
-    }
-}
-
-/// Stack accesses of one slot, resolved through the constant facts.
-#[derive(Debug, Default)]
-struct StackAccess {
-    reads: Vec<(usize, usize)>,
-    store: Option<(usize, usize)>,
-}
-
-/// Marks exact, in-bounds stack stores whose bytes are never read.
-fn mark_dead_stores(
-    work: &[Insn],
-    decoded: &[Decoded],
-    facts: &Facts,
-    is_hi: &[bool],
-    delete: &mut [bool],
-    report: &mut OptReport,
-) -> bool {
-    let len = decoded.len();
-    let mut uses: Vec<StackAccess> = Vec::with_capacity(len);
-    for pc in 0..len {
-        let mut acc = StackAccess::default();
-        let skip = is_hi.get(pc).copied().unwrap_or(true)
-            || delete.get(pc).copied().unwrap_or(true)
-            || facts.states.get(pc).is_none_or(|s| s.is_none());
-        if !skip {
-            let st = facts.states.get(pc).copied().flatten().unwrap_or_default_regs();
-            match decoded.get(pc) {
-                Some(Decoded::Load { size, src, off, .. }) => {
-                    match known_addr(&st, *src, *off) {
-                        Some(addr) => {
-                            if let Some(win) = stack_read_window(addr, *size) {
-                                acc.reads.push(win);
-                            }
-                        }
-                        // Unknown base: assume it may read anywhere.
-                        None => acc.reads.push((0, STACK_SIZE)),
-                    }
-                }
-                Some(Decoded::StoreReg { size, dst, off, .. })
-                | Some(Decoded::StoreImm { size, dst, off, .. }) => {
-                    if let Some(addr) = known_addr(&st, *dst, *off) {
-                        acc.store = stack_store_window(addr, *size);
-                    }
-                }
-                // Helpers may read any stack byte through pointer args.
-                Some(Decoded::Call { .. }) => acc.reads.push((0, STACK_SIZE)),
-                _ => {}
-            }
-        }
-        uses.push(acc);
-    }
-    let reachable: Vec<bool> = facts.states.iter().map(|s| s.is_some()).collect();
-    let dead = dead_stack_stores(work, is_hi, &reachable, |pc| {
-        uses.get(pc)
-            .map(|u| (u.reads.as_slice(), u.store))
-            .unwrap_or((&[], None))
-    });
-    let mut any = false;
-    for (pc, _, _) in dead {
-        if mark(delete, pc) {
-            report.dead_stores += 1;
-            any = true;
-        }
-    }
-    any
-}
-
-/// Helper trait to keep `mark_dead_stores` panic-free without indexing.
-trait RegFileOrUnknown {
-    fn unwrap_or_default_regs(self) -> RegFile;
-}
-
-impl RegFileOrUnknown for Option<RegFile> {
-    fn unwrap_or_default_regs(self) -> RegFile {
-        self.unwrap_or([Tnum::UNKNOWN; REG_COUNT])
-    }
-}
-
-/// Absolute address of a base-plus-offset access when the base register
-/// is exactly known.
-fn known_addr(st: &RegFile, base: u8, off: i16) -> Option<u64> {
-    reg(st, base)
-        .const_val()
-        .map(|b| b.wrapping_add(off as i64 as u64))
-}
-
-/// Bytes of the stack window a known-address read touches, if any.
-fn stack_read_window(addr: u64, size: u8) -> Option<(usize, usize)> {
-    let lo = STACK_BASE;
-    let hi = STACK_BASE + STACK_SIZE as u64;
-    let end = addr.checked_add(u64::from(size))?;
-    if end <= lo || addr >= hi {
-        return None;
-    }
-    let s = addr.max(lo) - lo;
-    let e = end.min(hi) - lo;
-    Some((s as usize, (e - s) as usize))
-}
-
-/// An exact, fully in-bounds (hence trap-free) stack store window.
-fn stack_store_window(addr: u64, size: u8) -> Option<(usize, usize)> {
-    let end = addr.checked_add(u64::from(size))?;
-    if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE as u64 {
-        Some(((addr - STACK_BASE) as usize, size as usize))
-    } else {
-        None
-    }
-}
-
-/// Removes delete-marked slots and re-resolves every surviving jump
-/// offset (remapping a deleted target to the next surviving slot, which
-/// is sound because deleted slots are execution-transparent).
-fn compact(work: &mut Vec<Insn>, prov: &mut Vec<usize>, delete: &[bool]) {
-    let len = work.len();
-    let mut new_index = vec![usize::MAX; len];
-    let mut survivors = 0usize;
-    for (pc, del) in delete.iter().enumerate() {
-        if !del {
-            if let Some(slot) = new_index.get_mut(pc) {
-                *slot = survivors;
-            }
-            survivors += 1;
-        }
-    }
-    // next_new[t] = new index of the first surviving slot at or after t
-    // (or the new length when none remain).
-    let mut next_new = vec![survivors; len + 1];
-    for pc in (0..len).rev() {
-        let v = if delete.get(pc).copied().unwrap_or(true) {
-            next_new.get(pc + 1).copied().unwrap_or(survivors)
-        } else {
-            new_index.get(pc).copied().unwrap_or(survivors)
-        };
-        if let Some(slot) = next_new.get_mut(pc) {
-            *slot = v;
-        }
-    }
-    let mut new_work = Vec::with_capacity(survivors);
-    let mut new_prov = Vec::with_capacity(survivors);
-    for (pc, insn) in work.iter().enumerate() {
-        if delete.get(pc).copied().unwrap_or(true) {
-            continue;
-        }
-        let mut insn = *insn;
-        if is_resolvable_jump(insn) {
-            let old_target = pc as i64 + 1 + insn.off as i64;
-            if old_target >= 0 && old_target as usize <= len {
-                let new_target = next_new.get(old_target as usize).copied().unwrap_or(survivors);
-                let new_pc = new_index.get(pc).copied().unwrap_or(0);
-                insn.off = (new_target as i64 - new_pc as i64 - 1) as i16;
-            }
-        }
-        new_work.push(insn);
-        new_prov.push(prov.get(pc).copied().unwrap_or(pc));
-    }
-    *work = new_work;
-    *prov = new_prov;
-}
-
 /// Jump instructions whose `off` field is a pc-relative branch target.
 fn is_resolvable_jump(insn: Insn) -> bool {
     let cls = insn.class();
@@ -1548,7 +578,7 @@ fn is_resolvable_jump(insn: Insn) -> bool {
     op != OP_CALL && op != OP_EXIT
 }
 
-/// Structural precondition shared by the optimizer and cost certifier:
+/// Structural precondition of the cost certifier:
 /// non-empty, within [`MAX_INSNS`], every `ld_dw` lo slot paired with a
 /// zero-coded hi slot, and every jump target strictly forward, in
 /// bounds, and not into a hi slot. Returns the hi-slot map on success.
@@ -1750,9 +780,9 @@ pub(crate) fn dead_stack_stores<'a>(
     dead
 }
 
-/// Dead-store warnings in pc order, over the same core the optimizer
-/// uses (the verifier supplies accesses from its abstract interpretation
-/// log; offsets are reported relative to `r10`).
+/// Dead-store warnings in pc order (the verifier supplies accesses from
+/// its abstract interpretation log; offsets are reported relative to
+/// `r10`).
 pub(crate) fn dead_store_warnings<'a>(
     insns: &[Insn],
     is_ld_dw_hi: &[bool],
@@ -1772,157 +802,16 @@ pub(crate) fn dead_store_warnings<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{Insn, OP_ADD, OP_JLT, R0, R1, R2, R3, SZ_DW, SZ_W};
-    use crate::interp::{ExecEnv, Vm};
-    use crate::maps::MapRegistry;
-
-    fn opt(insns: Vec<Insn>) -> (Program, OptReport) {
-        let prog = Program::new("t", insns);
-        match optimize(&prog) {
-            Some(pair) => pair,
-            None => panic!("optimizer declined a structurally sound program"),
-        }
-    }
-
-    fn run(prog: &Program, ctx: &[u8]) -> u64 {
-        let mut maps = MapRegistry::new();
-        let mut env = ExecEnv::default();
-        match Vm::new().execute(prog, ctx, &mut maps, &mut env) {
-            Ok(out) => out.ret,
-            Err(e) => panic!("execution failed: {e:?}"),
-        }
-    }
+    use crate::insn::{Insn, OP_JEQ, R0, R1, R2, SZ_DW};
 
     #[test]
-    fn constant_chain_folds_to_a_single_mov() {
-        let (optimized, report) = opt(vec![
-            Insn::mov64_imm(R0, 5),
-            Insn::alu64_imm(OP_ADD, R0, 7),
-            Insn::exit(),
-        ]);
-        assert_eq!(optimized.insns(), &[Insn::mov64_imm(R0, 12), Insn::exit()]);
-        assert!(report.folded >= 1);
-        assert!(report.dead_defs >= 1);
-        assert_eq!(report.provenance.len(), 2);
-        assert_eq!(run(&optimized, &[0u8; 16]), 12);
-    }
-
-    #[test]
-    fn known_branch_prunes_the_dead_arm() {
-        let (optimized, report) = opt(vec![
-            Insn::mov64_imm(R1, 1),
-            Insn::jmp_imm(OP_JEQ, R1, 1, 1), // always taken -> pc 3
-            Insn::mov64_imm(R0, 99),         // unreachable
-            Insn::mov64_imm(R0, 0),
-            Insn::exit(),
-        ]);
-        assert_eq!(optimized.insns(), &[Insn::mov64_imm(R0, 0), Insn::exit()]);
-        assert!(report.branches_resolved >= 1);
-        assert!(report.unreachable >= 1);
-        assert_eq!(run(&optimized, &[0u8; 16]), 0);
-    }
-
-    #[test]
-    fn branch_over_ja_inverts_and_drops_the_ja() {
-        let original = vec![
-            Insn::load(SZ_DW, R2, R1, 0), // unknown value from ctx
-            Insn::jmp_imm(OP_JEQ, R2, 0, 1), // -> pc 3
-            Insn::ja(2),                  // -> pc 5
-            Insn::mov64_imm(R0, 1),
-            Insn::exit(),
-            Insn::mov64_imm(R0, 0),
-            Insn::exit(),
-        ];
-        let prog = Program::new("t", original);
-        let (optimized, report) = match optimize(&prog) {
-            Some(pair) => pair,
-            None => panic!("declined"),
-        };
-        assert_eq!(report.branches_inverted, 1);
-        assert_eq!(optimized.len(), prog.len() - 1);
-        // jne r2, 0 -> the old "out" block
-        assert_eq!(
-            optimized.insns().get(1).copied(),
-            Some(Insn::jmp_imm(OP_JNE, R2, 0, 2))
-        );
-        for ctx in [[0u8; 16], [7u8; 16]] {
-            assert_eq!(run(&prog, &ctx), run(&optimized, &ctx));
-        }
-    }
-
-    #[test]
-    fn dead_stack_store_is_removed() {
-        let (optimized, report) = opt(vec![
-            Insn::store_imm(SZ_W, 10, -8, 7),
-            Insn::mov64_imm(R0, 0),
-            Insn::exit(),
-        ]);
-        assert_eq!(optimized.insns(), &[Insn::mov64_imm(R0, 0), Insn::exit()]);
-        assert_eq!(report.dead_stores, 1);
-    }
-
-    #[test]
-    fn ja_chains_thread_to_the_final_target() {
-        let (optimized, report) = opt(vec![
-            Insn::ja(1),            // -> 2
-            Insn::mov64_imm(R0, 9), // unreachable
-            Insn::ja(1),            // -> 4
-            Insn::mov64_imm(R0, 8), // unreachable
-            Insn::mov64_imm(R0, 0),
-            Insn::exit(),
-        ]);
-        assert_eq!(optimized.insns(), &[Insn::mov64_imm(R0, 0), Insn::exit()]);
-        assert!(report.jumps_threaded >= 1);
-    }
-
-    #[test]
-    fn reg_operand_with_known_value_folds_to_imm() {
-        let (optimized, _) = opt(vec![
-            Insn::load(SZ_DW, R2, R1, 0),
-            Insn::mov64_imm(R3, 40),
-            Insn::alu64_reg(OP_ADD, R2, R3),
-            Insn::mov64_reg(R0, R2),
-            Insn::exit(),
-        ]);
-        // r3's constant folds into the add; r3's def then dies.
-        assert!(optimized
-            .insns()
-            .iter()
-            .any(|i| *i == Insn::alu64_imm(OP_ADD, R2, 40)));
-        assert!(!optimized.insns().iter().any(|i| i.dst == R3));
-        let ctx = 2u64.to_le_bytes();
-        let mut full = [0u8; 16];
-        full[..8].copy_from_slice(&ctx);
-        assert_eq!(run(&optimized, &full), 42);
-    }
-
-    #[test]
-    fn optimizer_declines_malformed_structure() {
+    fn cost_report_declines_malformed_structure() {
         // Backward jump.
         let back = Program::new("b", vec![Insn::mov64_imm(R0, 0), Insn::ja(-2), Insn::exit()]);
-        assert!(optimize(&back).is_none());
+        assert!(cost_report(&back).is_none());
         // Lone trailing ld_dw lo slot.
         let lone = Program::new("l", vec![Insn::ld_dw_lo(R0, 1)]);
-        assert!(optimize(&lone).is_none());
         assert!(cost_report(&lone).is_none());
-    }
-
-    #[test]
-    fn optimizing_twice_is_a_fixpoint() {
-        let (once, _) = opt(vec![
-            Insn::mov64_imm(R1, 3),
-            Insn::alu64_imm(OP_ADD, R1, 4),
-            Insn::mov64_reg(R0, R1),
-            Insn::jmp_imm(OP_JLT, R0, 100, 1),
-            Insn::exit(),
-            Insn::exit(),
-        ]);
-        let (twice, report) = match optimize(&once) {
-            Some(pair) => pair,
-            None => panic!("declined"),
-        };
-        assert_eq!(once.insns(), twice.insns());
-        assert!(!report.changed());
     }
 
     #[test]
@@ -1977,16 +866,5 @@ mod tests {
         assert!(!s.intersects_range(0, STACK_SIZE));
         s.set_range(508, 16); // clipped at the stack end
         assert!(s.intersects_range(511, 1));
-    }
-
-    #[test]
-    fn provenance_maps_back_to_original_slots() {
-        let (optimized, report) = opt(vec![
-            Insn::mov64_imm(R2, 1), // dead def
-            Insn::mov64_imm(R0, 7),
-            Insn::exit(),
-        ]);
-        assert_eq!(optimized.len(), 2);
-        assert_eq!(report.provenance, vec![1, 2]);
     }
 }

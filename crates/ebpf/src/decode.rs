@@ -1,19 +1,21 @@
-//! Pre-decoded instruction representation for the interpreter hot path.
+//! Pre-decoded instruction representation: the input of the JIT and of
+//! the static analyses.
 //!
-//! The raw [`Insn`] word is compact but expensive to
-//! execute: every step re-extracts the class, operation, source flag, and
-//! access size from the opcode byte, re-sign-extends immediates, and
-//! re-fuses `ld_dw` pairs. [`decode_program`] performs all of that work
-//! once, at [`Program`](crate::Program) construction time, producing one
-//! [`Decoded`] entry per instruction *slot* that the interpreter dispatches
-//! on directly — the same pre-decode strategy production eBPF runtimes
-//! (rbpf, the kernel JIT) use to keep the per-instruction step cheap.
+//! The raw [`Insn`] word is compact but awkward to consume: every reader
+//! would re-extract the class, operation, source flag, and access size
+//! from the opcode byte, re-sign-extend immediates, and re-fuse `ld_dw`
+//! pairs. [`decode_program`] performs all of that work once, at
+//! [`Program`](crate::Program) construction time, producing one
+//! [`Decoded`] entry per instruction *slot*. The template JIT
+//! ([`crate::jit`]) emits machine code from it, and [`crate::analysis`]
+//! runs its dataflow (inline plan, cost certifier) over it.
 //!
 //! # Slot-for-slot decoding
 //!
 //! Every slot decodes independently, including the second slot of a
-//! `ld_dw` pair and slots holding invalid opcodes. This is what makes the
-//! decoded executor behave *byte-for-byte* like the raw-word executor:
+//! `ld_dw` pair and slots holding invalid opcodes. This is what makes
+//! JIT-compiled code behave *byte-for-byte* like the raw-word
+//! interpreter:
 //!
 //! * a jump **into** the high slot of a `ld_dw` executes that slot as its
 //!   own (almost always invalid) instruction, exactly as the raw loop
@@ -23,8 +25,8 @@
 //!   raise their error when actually executed — a dead invalid
 //!   instruction costs nothing, as before.
 //!
-//! The testkit's `interp_decode_differential` suite holds the two
-//! executors to identical [`ExecOutcome`](crate::interp::ExecOutcome)s
+//! The testkit's `interp_decode_differential` suite holds the JIT tiers
+//! to the interpreter's [`ExecOutcome`](crate::interp::ExecOutcome)s
 //! (return value, instruction count, faults) over thousands of generated
 //! programs and every committed fixture probe.
 
@@ -143,7 +145,7 @@ impl CmpOp {
 ///
 /// Operand widths, sign extensions, fused `ld_dw` immediates, map handles,
 /// helper identities, and jump targets are all resolved at decode time;
-/// the interpreter's step loop only matches on the variant and moves data.
+/// the JIT emitter and the analyses only match on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decoded {
     /// Fused two-slot 64-bit immediate load (`ld_dw` / `ld_map_fd`); the

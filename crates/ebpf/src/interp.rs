@@ -7,15 +7,14 @@
 //! predicts, and an unverified program faults with a descriptive
 //! [`ExecError`] instead of corrupting memory.
 //!
-//! # Two dispatch paths, one semantics
+//! # One interpreter, one JIT
 //!
-//! The default step loop dispatches on the [`Decoded`] representation the
-//! [`Program`] pre-computes at construction time — opcode fields, sign
-//! extensions, `ld_dw` fusion, helper identities, and jump targets are all
-//! resolved once instead of on every executed instruction. The original
-//! raw-word loop is retained behind [`Vm::with_raw_dispatch`] as the
-//! reference semantics; the testkit's differential suite holds the two to
-//! byte-identical [`ExecOutcome`]s over thousands of programs.
+//! The interpreter steps the raw instruction words, re-extracting the
+//! opcode fields on every step. It is the reference semantics and the
+//! fallback for programs or platforms the template JIT ([`crate::jit`],
+//! opt in via [`Vm::with_jit`]) declines. The testkit's differential
+//! suite holds the JIT tiers to byte-identical [`ExecOutcome`]s over
+//! thousands of programs.
 //!
 //! # Allocation discipline
 //!
@@ -27,7 +26,7 @@
 //! lint gate enforces this file stays free of `to_vec()`/`clone()` outside
 //! annotated cold paths.
 
-use crate::decode::{AluOp, CmpOp, Decoded};
+use crate::decode::{AluOp, CmpOp};
 use crate::helpers::Helper;
 use crate::insn::{
     CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, OP_CALL, OP_EXIT,
@@ -190,9 +189,6 @@ pub struct Vm {
     insn_budget: u64,
     /// Which executor steps the program.
     dispatch: Dispatch,
-    /// Run [`Program::optimized`] streams instead of the originals
-    /// (identical observable behavior, fewer executed instructions).
-    optimize: bool,
     /// Live map-value slots handed out by `map_lookup_elem`, reset per
     /// invocation; owned here so repeated invocations reuse the storage.
     /// `#[repr(C)]` entries because the JIT's inline lookup fast path
@@ -203,15 +199,13 @@ pub struct Vm {
     scratch: Vec<u8>,
 }
 
-/// Executor selection. All three produce byte-identical [`ExecOutcome`]s;
-/// they differ only in speed (raw < decoded < JIT).
+/// Executor selection. Both produce byte-identical [`ExecOutcome`]s;
+/// they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dispatch {
-    /// Re-decode every raw instruction word per step (reference).
+    /// Re-decode every raw instruction word per step (reference, default).
     Raw,
-    /// Dispatch on the pre-decoded representation (default).
-    Decoded,
-    /// Native code compiled by [`crate::jit`], falling back to `Decoded`
+    /// Native code compiled by [`crate::jit`], falling back to `Raw`
     /// when the program or platform is unsupported.
     Jit {
         /// Elide bounds checks the verifier proved redundant.
@@ -400,13 +394,11 @@ impl Memory<'_> {
 }
 
 impl Vm {
-    /// Creates a VM with the default instruction budget and pre-decoded
-    /// dispatch.
+    /// Creates an interpreting VM with the default instruction budget.
     pub fn new() -> Vm {
         Vm {
             insn_budget: DEFAULT_INSN_BUDGET,
-            dispatch: Dispatch::Decoded,
-            optimize: false,
+            dispatch: Dispatch::Raw,
             slots: Vec::new(),
             scratch: Vec::new(),
         }
@@ -425,18 +417,8 @@ impl Vm {
         }
     }
 
-    /// Switches this VM to the raw-instruction-word reference executor.
-    ///
-    /// The raw loop re-extracts every opcode field on each step; it exists
-    /// as the reference semantics the pre-decoded path is differentially
-    /// tested against, and for debugging suspected decode bugs.
-    pub fn with_raw_dispatch(mut self) -> Vm {
-        self.dispatch = Dispatch::Raw;
-        self
-    }
-
     /// Switches this VM to JIT-compiled native code (with verifier-proof
-    /// bounds-check elision), falling back to the decoded interpreter for
+    /// bounds-check elision), falling back to the interpreter for
     /// programs or platforms the JIT declines — so opting in never
     /// changes behavior, only speed.
     pub fn with_jit(mut self) -> Vm {
@@ -445,35 +427,12 @@ impl Vm {
     }
 
     /// Keeps every runtime bounds check in JIT-compiled code, even those
-    /// the verifier proved redundant. No effect on the interpreter paths.
+    /// the verifier proved redundant. No effect on the interpreter.
     pub fn without_bounds_elision(mut self) -> Vm {
         if let Dispatch::Jit { elide } = &mut self.dispatch {
             *elide = false;
         }
         self
-    }
-
-    /// Runs each program's statically optimized form
-    /// ([`Program::optimized`]) instead of the original stream. The
-    /// optimizer is semantics-preserving (held by the four-way
-    /// differential suite), so opting in never changes observable
-    /// behavior — only the instruction count. Programs the optimizer
-    /// declines run unmodified. Composes with [`Vm::with_jit`]: the
-    /// optimized stream is what gets compiled.
-    pub fn with_optimizer(mut self) -> Vm {
-        self.optimize = true;
-        self
-    }
-
-    /// True when this VM executes optimized program streams.
-    pub fn uses_optimizer(&self) -> bool {
-        self.optimize
-    }
-
-    /// True when this VM dispatches on the pre-decoded representation
-    /// (directly, or as the JIT's fallback).
-    pub fn uses_predecode(&self) -> bool {
-        self.dispatch != Dispatch::Raw
     }
 
     /// True when this VM attempts JIT execution.
@@ -486,10 +445,10 @@ impl Vm {
     /// pays it.
     /// The native code is cached on the program itself, so every VM of
     /// the same tier that later runs it shares the compilation. A no-op
-    /// on the interpreter tiers.
+    /// on the interpreter.
     pub fn precompile(&self, program: &Program) {
         if let Dispatch::Jit { elide } = self.dispatch {
-            stream(program, self.optimize).jit_for(elide);
+            program.jit_for(elide);
         }
     }
 
@@ -520,11 +479,9 @@ impl Vm {
         let Vm {
             insn_budget,
             dispatch,
-            optimize,
             slots,
             scratch,
         } = self;
-        let program = stream(program, *optimize);
         let mut mem = Memory {
             ctx,
             stack: [0; STACK_SIZE],
@@ -533,7 +490,6 @@ impl Vm {
         };
         match *dispatch {
             Dispatch::Raw => run_raw(*insn_budget, program, &mut mem, scratch, env),
-            Dispatch::Decoded => run_decoded(*insn_budget, program, &mut mem, scratch, env),
             Dispatch::Jit { elide } => {
                 // Compile lazily (cached on the Program). Elided code is
                 // only sound when the runtime context is at least as long
@@ -546,149 +502,16 @@ impl Vm {
                 match jit {
                     Some(j) => crate::jit::run(j, *insn_budget, &mut mem, scratch, env),
                     // Unsupported program or platform: graceful fallback.
-                    None => run_decoded(*insn_budget, program, &mut mem, scratch, env),
+                    None => run_raw(*insn_budget, program, &mut mem, scratch, env),
                 }
             }
         }
     }
 }
 
-/// The instruction stream a VM runs for `program`: its statically
-/// optimized form when `optimize` is set and the optimizer accepted it,
-/// the program itself otherwise.
-fn stream(program: &Program, optimize: bool) -> &Program {
-    if optimize {
-        program.optimized().map(|(p, _)| p).unwrap_or(program)
-    } else {
-        program
-    }
-}
-
-/// The hot step loop: dispatch on the pre-decoded representation.
-fn run_decoded(
-    budget: u64,
-    program: &Program,
-    mem: &mut Memory<'_>,
-    scratch: &mut Vec<u8>,
-    env: &mut ExecEnv,
-) -> Result<ExecOutcome, ExecError> {
-    let code = program.decoded();
-    // Hoisted: `mem` is mutably borrowed across the loop, so reloading
-    // `code.len()` on every taken branch is not optimized away for free.
-    let code_len = code.len();
-    let mut regs = [0u64; REG_COUNT];
-    regs[1] = CTX_BASE;
-    regs[10] = STACK_BASE + STACK_SIZE as u64;
-    let mut trace_output = Vec::new();
-    // Count the budget down instead of up: the hot-loop guard becomes a
-    // test against zero (no second live `budget` operand), and
-    // `insns_executed` is recovered on exit.
-    let mut remaining: u64 = budget;
-    let mut pc: usize = 0;
-
-    loop {
-        if remaining == 0 {
-            return Err(ExecError::BudgetExhausted { budget });
-        }
-        let Some(&step) = code.get(pc) else {
-            return Err(ExecError::FellOffEnd);
-        };
-        remaining -= 1;
-
-        match step {
-            Decoded::LdImm64 { dst, value } => {
-                regs[dst as usize] = value;
-                pc += 2;
-                continue;
-            }
-            Decoded::Load { size, dst, src, off } => {
-                let addr = regs[src as usize].wrapping_add(off as i64 as u64);
-                regs[dst as usize] = mem.read(pc, addr, size as usize)?;
-            }
-            Decoded::StoreReg { size, dst, src, off } => {
-                let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
-                mem.write(pc, addr, size as usize, regs[src as usize])?;
-            }
-            Decoded::StoreImm { size, dst, off, imm } => {
-                let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
-                mem.write(pc, addr, size as usize, imm)?;
-            }
-            Decoded::Alu64Imm { op, dst, imm } => {
-                let dst = &mut regs[dst as usize];
-                *dst = exec_alu64(op, *dst, imm);
-            }
-            Decoded::Alu64Reg { op, dst, src } => {
-                let rhs = regs[src as usize];
-                let dst = &mut regs[dst as usize];
-                *dst = exec_alu64(op, *dst, rhs);
-            }
-            Decoded::Alu32Imm { op, dst, imm } => {
-                let dst = &mut regs[dst as usize];
-                *dst = exec_alu32(op, *dst as u32, imm) as u64;
-            }
-            Decoded::Alu32Reg { op, dst, src } => {
-                let rhs = regs[src as usize] as u32;
-                let dst = &mut regs[dst as usize];
-                *dst = exec_alu32(op, *dst as u32, rhs) as u64;
-            }
-            Decoded::Ja { target } => {
-                if target < 0 || target as usize > code_len {
-                    return Err(ExecError::BadJumpTarget { pc, target });
-                }
-                pc = target as usize;
-                continue;
-            }
-            Decoded::JmpImm {
-                op,
-                w32,
-                dst,
-                rhs,
-                target,
-            } => {
-                if take_branch(op, w32, regs[dst as usize], rhs) {
-                    if target < 0 || target as usize > code_len {
-                        return Err(ExecError::BadJumpTarget { pc, target });
-                    }
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Decoded::JmpReg {
-                op,
-                w32,
-                dst,
-                src,
-                target,
-            } => {
-                if take_branch(op, w32, regs[dst as usize], regs[src as usize]) {
-                    if target < 0 || target as usize > code_len {
-                        return Err(ExecError::BadJumpTarget { pc, target });
-                    }
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Decoded::Call { helper } => {
-                call_helper(pc, helper, &mut regs, mem, scratch, env, &mut trace_output)?;
-            }
-            Decoded::Exit => {
-                return Ok(ExecOutcome {
-                    ret: regs[0],
-                    insns_executed: budget - remaining,
-                    trace_output,
-                });
-            }
-            Decoded::UnknownHelper { id } => return Err(ExecError::UnknownHelper { pc, id }),
-            Decoded::BadOpcode { code } => return Err(ExecError::BadOpcode { pc, code }),
-            Decoded::MalformedLdDw => return Err(ExecError::MalformedLdDw { pc }),
-        }
-        pc += 1;
-    }
-}
-
-/// The reference step loop: re-decode every raw instruction word on each
-/// step. Kept verbatim from the original interpreter as the semantics the
-/// decoded path must match byte for byte.
+/// The interpreter's step loop: re-decode every raw instruction word on
+/// each step. This is the reference semantics the JIT must match byte for
+/// byte.
 fn run_raw(
     budget: u64,
     program: &Program,
@@ -819,7 +642,8 @@ fn run_raw(
     }
 }
 
-/// Shared helper-call implementation for both dispatch paths.
+/// Shared helper-call implementation for the interpreter and the JIT's
+/// trampolines.
 ///
 /// Keys are read into a fixed stack buffer (map creation caps hash keys at
 /// [`MAX_KEY_SIZE`]); value payloads go through the `Vm`-owned `scratch`
@@ -966,11 +790,11 @@ pub(crate) fn call_helper(
     Ok(())
 }
 
-/// Executes a 64-bit ALU operation (total: invalid encodings were already
-/// rejected as [`Decoded::BadOpcode`] at decode time).
+/// Executes a 64-bit ALU operation (total: invalid encodings are rejected
+/// before an [`AluOp`] exists).
 ///
-/// `pub(crate)` so the static analyzer's constant-folding transfer
-/// functions evaluate with the interpreter's exact semantics.
+/// `pub(crate)` so the static analyzer's constant transfer functions
+/// evaluate with the interpreter's exact semantics.
 #[inline(always)]
 pub(crate) fn exec_alu64(op: AluOp, a: u64, b: u64) -> u64 {
     match op {

@@ -2,8 +2,8 @@
 //! x86-64 machine code.
 //!
 //! Each [`Decoded`](crate::decode::Decoded) slot expands to a fixed
-//! template of x86-64 instructions that replicates the decoded
-//! interpreter's semantics exactly: wrapping arithmetic, div/mod-by-zero
+//! template of x86-64 instructions that replicates the interpreter's
+//! semantics exactly: wrapping arithmetic, div/mod-by-zero
 //! results, 32-bit zero extension, shift-count masking, per-instruction
 //! budget accounting, and the tagged-region memory model. Memory accesses
 //! and helper calls that the verifier could not prove safe trampoline back
@@ -16,8 +16,8 @@
 //!
 //! # Semantics contract
 //!
-//! The JIT is held to the three-way differential suite (raw vs decoded vs
-//! JIT) in `crates/testkit/tests/interp_decode_differential.rs`: identical
+//! The JIT is held to the differential suite (interpreter vs JIT vs
+//! unelided JIT) in `crates/testkit/tests/interp_decode_differential.rs`: identical
 //! return values, instruction budgets, fault shapes, map contents, and
 //! `ExecEnv` state over generated, fixture, and backend-probe programs.
 //!
@@ -39,8 +39,8 @@
 //!
 //! # Fallback rules
 //!
-//! `compile` returns `None` (and the VM falls back to the decoded
-//! interpreter) when: the target is not x86-64 Linux, the program exceeds
+//! `compile` returns `None` (and the VM falls back to the interpreter)
+//! when: the target is not x86-64 Linux, the program exceeds
 //! `MAX_INSNS` slots, any slot names a register above r10 (raw encodings
 //! allow r11–r15; the interpreter panics on them, so they never execute),
 //! or the executable buffer cannot be mapped.
@@ -1761,8 +1761,8 @@ mod imp {
     // ---------------------------------------------------------------
 
     /// Runs compiled code against the interpreter's execution state.
-    /// Semantics (outcome, budget accounting, fault shapes) match
-    /// `run_decoded` exactly.
+    /// Semantics (outcome, budget accounting, fault shapes) match the
+    /// interpreter's `run_raw` exactly.
     pub(crate) fn run(
         jit: &JitProgram,
         budget: u64,

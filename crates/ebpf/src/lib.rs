@@ -11,12 +11,11 @@
 //! tracepoints — not just as Rust closures standing in for them.
 //!
 //! * [`insn`] — the real x86-64 eBPF instruction encoding;
-//! * [`decode`] — the pre-decoded representation the interpreter's hot
-//!   loop dispatches on (fields resolved once at program load);
-//! * [`analysis`] — dataflow analyses over the decoded stream, a
-//!   semantics-preserving bytecode optimizer (opt in via
-//!   [`interp::Vm::with_optimizer`]), and a worst-case per-event cost
-//!   certifier ([`analysis::CostReport`]);
+//! * [`decode`] — the pre-decoded representation the JIT compiles and
+//!   the static analyses read (fields resolved once at program load);
+//! * [`analysis`] — dataflow analyses over the decoded stream (the JIT's
+//!   helper-inline plan, the verifier's warnings) and a worst-case
+//!   per-event cost certifier ([`analysis::CostReport`]);
 //! * [`asm::Asm`] — a label-resolving builder (the "clang" of this stack);
 //! * [`tnum::Tnum`] — the known-bits (tristate number) abstract domain;
 //! * [`verifier::Verifier`] — bounded size, no back-edges, uninitialized
@@ -25,7 +24,8 @@
 //!   null-check enforcement for map values, helper signature checking,
 //!   and a [`verifier::VerifierReport`] collecting every error with
 //!   register dumps plus unreachable/dead-store warnings;
-//! * [`interp::Vm`] — the interpreter with tagged address regions;
+//! * [`interp::Vm`] — the reference interpreter with tagged address
+//!   regions, stepping the raw instruction words;
 //! * [`jit`] — a template JIT compiling verified programs to native
 //!   x86-64 (opt in via [`interp::Vm::with_jit`]; falls back to the
 //!   interpreter on unsupported programs or targets);
@@ -82,8 +82,8 @@ pub mod tnum;
 pub mod verifier;
 
 pub use analysis::{
-    cost_report, helper_inline_plan, helper_weight, inlined_helper_weight, optimize, CostReport,
-    HelperInline, InlinePlan, OptReport,
+    cost_report, helper_inline_plan, helper_weight, inlined_helper_weight, CostReport,
+    HelperInline, InlinePlan,
 };
 pub use asm::Asm;
 pub use decode::Decoded;

@@ -2,7 +2,6 @@
 
 use std::sync::OnceLock;
 
-use crate::analysis::OptReport;
 use crate::decode::{decode_program, Decoded};
 use crate::insn::Insn;
 use crate::jit::JitProgram;
@@ -15,9 +14,8 @@ use crate::verifier::AccessProofs;
 /// with [`Vm`](crate::interp::Vm).
 ///
 /// Construction eagerly pre-decodes the instruction stream into the
-/// [`Decoded`] representation the interpreter's hot loop dispatches on, so
-/// the per-instruction field extraction cost is paid once per program load
-/// rather than once per executed instruction.
+/// [`Decoded`] representation the JIT compiles and the static analyses
+/// read, so field extraction is paid once per program load.
 ///
 /// Verification attaches per-pc memory-access proofs
 /// ([`AccessProofs`]) as a side effect, and the first JIT execution
@@ -38,10 +36,6 @@ pub struct Program {
     jit_plain: OnceLock<Option<JitProgram>>,
     /// Lazily compiled native code with verifier-proof-driven elision.
     jit_elided: OnceLock<Option<JitProgram>>,
-    /// Lazily computed statically optimized form. `None` inside means the
-    /// optimizer declined (structurally unsound stream) — don't retry.
-    /// Boxed so the recursive type has a finite size.
-    optimized: OnceLock<Option<Box<(Program, OptReport)>>>,
 }
 
 // `decoded` is a pure function of `insns`; identity is (name, insns).
@@ -66,14 +60,13 @@ impl Clone for Program {
             // Native code buffers are not cloneable; recompile on demand.
             jit_plain: OnceLock::new(),
             jit_elided: OnceLock::new(),
-            // Recomputed on demand (pure function of `insns`).
-            optimized: OnceLock::new(),
         }
     }
 }
 
 impl Program {
-    /// Wraps a raw instruction sequence, pre-decoding it for execution.
+    /// Wraps a raw instruction sequence, pre-decoding it for the JIT and
+    /// the analyses.
     pub fn new(name: impl Into<String>, insns: Vec<Insn>) -> Program {
         let decoded = decode_program(&insns);
         Program {
@@ -83,7 +76,6 @@ impl Program {
             analysis: OnceLock::new(),
             jit_plain: OnceLock::new(),
             jit_elided: OnceLock::new(),
-            optimized: OnceLock::new(),
         }
     }
 
@@ -129,7 +121,7 @@ impl Program {
     /// value-tracking pass are omitted (a no-op unless
     /// [`access_proofs`](Program::access_proofs) are attached). Returns
     /// `None` when the program or platform is unsupported; callers fall
-    /// back to the decoded interpreter.
+    /// back to the interpreter.
     pub fn jit_for(&self, elide: bool) -> Option<&JitProgram> {
         let cache = if elide { &self.jit_elided } else { &self.jit_plain };
         cache
@@ -138,18 +130,6 @@ impl Program {
                 crate::jit::compile(&self.decoded, proofs)
             })
             .as_ref()
-    }
-
-    /// The statically optimized form of this program and the report of
-    /// what changed, computing and caching it on first use. Returns
-    /// `None` when the optimizer declined (the stream is not a
-    /// structurally sound forward DAG); callers fall back to the
-    /// original. The optimized program is semantics-preserving — see
-    /// [`crate::analysis::optimize`].
-    pub fn optimized(&self) -> Option<&(Program, OptReport)> {
-        self.optimized
-            .get_or_init(|| crate::analysis::optimize(self).map(Box::new))
-            .as_deref()
     }
 
     /// Renders a human-readable disassembly listing.

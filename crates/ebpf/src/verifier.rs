@@ -1893,9 +1893,8 @@ impl Verifier {
                     }
                     // A bounded unknown scalar is fine: the pointer keeps
                     // an offset interval and every later access is checked
-                    // against it. Saturating endpoints never panic; a
-                    // saturated offset is simply out of bounds at access
-                    // time.
+                    // against it. An offset that may have wrapped becomes
+                    // the full interval, which no access check admits.
                     adjust_ptr_range(ptr, op, s)
                 }
                 _ => return Err(VerifyError::PointerArith { pc }),
@@ -2292,15 +2291,21 @@ fn is_ptr(t: RegType) -> bool {
 }
 
 /// Pointer ± scalar: shifts the offset interval by the scalar's signed
-/// range. Saturating endpoints never panic; any overflowed interval is
-/// rejected at the next access check.
+/// range. If negating the range or shifting either endpoint overflows,
+/// the concrete offset may have wrapped, so the interval widens to
+/// `[i64::MIN, i64::MAX]`: it contains every offset mod 2⁶⁴, stays full
+/// under further shifts, and fails every access check.
 fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> RegType {
-    let (dmin, dmax) = if op == OP_ADD {
-        (s.smin, s.smax)
+    let delta = if op == OP_ADD {
+        Some((s.smin, s.smax))
     } else {
-        (s.smax.saturating_neg(), s.smin.saturating_neg())
+        s.smax.checked_neg().zip(s.smin.checked_neg())
     };
-    let shift = |lo: i64, hi: i64| (lo.saturating_add(dmin), hi.saturating_add(dmax));
+    let shift = |lo: i64, hi: i64| {
+        delta
+            .and_then(|(dmin, dmax)| lo.checked_add(dmin).zip(hi.checked_add(dmax)))
+            .unwrap_or((i64::MIN, i64::MAX))
+    };
     match ptr {
         RegType::PtrCtx { lo, hi } => {
             let (lo, hi) = shift(lo, hi);
@@ -2425,6 +2430,69 @@ mod tests {
             if let Some(v) = exact32(op, x, y) {
                 let r = alu32_transfer(op, a, b);
                 assert!(contains(r, v), "32-bit {op:#x}: {r} !∋ {v} ({x} op {y})");
+            }
+        }
+    }
+
+    /// Pointer-offset transfer soundness at the signed wrap: for offset
+    /// intervals and scalar ranges near `i64::MIN`/`i64::MAX`, every
+    /// concrete `off ± d` (wrapping, as the machine computes it) lies
+    /// inside the abstract result.
+    #[test]
+    fn ptr_offset_transfer_is_sound_at_wrap() {
+        fn edge(rng: &mut Rng) -> i64 {
+            let k = (rng.next() % 8) as i64;
+            match rng.next() % 3 {
+                0 => i64::MIN + k,
+                1 => i64::MAX - k,
+                _ => k - 4,
+            }
+        }
+        fn sorted(a: i64, b: i64) -> (i64, i64) {
+            (a.min(b), a.max(b))
+        }
+        /// The endpoints and one interior point of `[lo, hi]`.
+        fn members(rng: &mut Rng, lo: i64, hi: i64) -> [i64; 3] {
+            let span = (hi as i128 - lo as i128) as u128 + 1;
+            let mid = (lo as i128 + (rng.next() as u128 % span) as i128) as i64;
+            [lo, mid, hi]
+        }
+        let mut rng = Rng(0x5EED_0003);
+        for _ in 0..20_000 {
+            let (lo, hi) = sorted(edge(&mut rng), edge(&mut rng));
+            let (smin, smax) = sorted(edge(&mut rng), edge(&mut rng));
+            let s = Scalar {
+                smin,
+                smax,
+                ..Scalar::unknown()
+            };
+            let ptr = RegType::PtrMapValue {
+                lo,
+                hi,
+                value_size: 8,
+                nullable: false,
+            };
+            for op in [OP_ADD, OP_SUB] {
+                let RegType::PtrMapValue {
+                    lo: rlo, hi: rhi, ..
+                } = adjust_ptr_range(ptr, op, s)
+                else {
+                    panic!("pointer arithmetic changed the region");
+                };
+                for off in members(&mut rng, lo, hi) {
+                    for d in members(&mut rng, smin, smax) {
+                        let v = if op == OP_ADD {
+                            off.wrapping_add(d)
+                        } else {
+                            off.wrapping_sub(d)
+                        };
+                        assert!(
+                            rlo <= v && v <= rhi,
+                            "[{lo}, {hi}] {op:#x} [{smin}, {smax}] = [{rlo}, {rhi}] !∋ {v} \
+                             ({off} op {d})"
+                        );
+                    }
+                }
             }
         }
     }

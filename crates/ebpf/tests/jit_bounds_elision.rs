@@ -7,7 +7,7 @@
 //! loads/stores. These tests pin the contract from both sides:
 //!
 //! * **Identity**: for verified programs, the elided JIT, the unelided
-//!   JIT, and the decoded interpreter produce bitwise-identical outcomes
+//!   JIT, and the interpreter produce bitwise-identical outcomes
 //!   and map state — elision may never change observable behavior.
 //! * **Effectiveness**: a stack/context-heavy verified program actually
 //!   compiles with `elided_accesses() > 0`, and the same program
@@ -29,7 +29,7 @@ use kscope_simcore::SimRng;
 use kscope_testkit::ebpf_gen::{bounded_offset_program, valid_program};
 use kscope_testkit::{check, Config};
 
-/// Executes `prog` on the decoded interpreter, the elided JIT, and the
+/// Executes `prog` on the interpreter, the elided JIT, and the
 /// unelided JIT from identical states and asserts all three agree on
 /// the `Result`, the helper environment, and the full map state.
 fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapRegistry) {
@@ -39,9 +39,9 @@ fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapR
         prandom_state: 7,
     };
 
-    let mut maps_decoded = base.clone();
-    let mut env_decoded = env;
-    let decoded = Vm::new().execute(prog, ctx, &mut maps_decoded, &mut env_decoded);
+    let mut maps_interp = base.clone();
+    let mut env_interp = env;
+    let interp = Vm::new().execute(prog, ctx, &mut maps_interp, &mut env_interp);
 
     for (arm, mut vm) in [
         ("jit", Vm::new().with_jit()),
@@ -51,16 +51,16 @@ fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapR
         let mut env_jit = env;
         let jit = vm.execute(prog, ctx, &mut maps_jit, &mut env_jit);
         assert_eq!(
-            decoded,
+            interp,
             jit,
-            "{label}: decoded vs {arm} outcomes diverge\n{}",
+            "{label}: interpreter vs {arm} outcomes diverge\n{}",
             prog.disassemble()
         );
-        assert_eq!(env_decoded, env_jit, "{label}: decoded vs {arm} env diverges");
+        assert_eq!(env_interp, env_jit, "{label}: interpreter vs {arm} env diverges");
         assert_eq!(
-            format!("{maps_decoded:?}"),
+            format!("{maps_interp:?}"),
             format!("{maps_jit:?}"),
-            "{label}: decoded vs {arm} map state diverges\n{}",
+            "{label}: interpreter vs {arm} map state diverges\n{}",
             prog.disassemble()
         );
     }

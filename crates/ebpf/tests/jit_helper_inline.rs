@@ -26,7 +26,7 @@ use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::verifier::Verifier;
 use kscope_ebpf::{ExecError, Helper, Program};
 
-/// Runs `prog` on the decoded interpreter and the JIT from identical
+/// Runs `prog` on the interpreter and the JIT from identical
 /// states; asserts the result, helper environment, and full map state
 /// agree bit-for-bit, then returns the interpreter's view.
 fn run_both(

@@ -1,10 +1,10 @@
 //! The Top-K sketch map behaves identically on every execution engine.
 //!
-//! `bpf_sketch_update` (id 200) is a trampolined helper: the raw
-//! interpreter, the pre-decoded interpreter, and the JIT all route it
-//! through the same `call_helper` implementation, so a probe stream fed
-//! through any engine must leave a bit-identical sketch. These tests pin
-//! that three-way agreement, the verifier's map-kind admission rules,
+//! `bpf_sketch_update` (id 200) is a trampolined helper: the interpreter
+//! and the JIT both route it through the same `call_helper`
+//! implementation, so a probe stream fed through either engine must
+//! leave a bit-identical sketch. These tests pin that agreement, the
+//! verifier's map-kind admission rules,
 //! and the exact probe-vs-userspace replay equivalence the fleet's
 //! report merging depends on.
 
@@ -100,8 +100,7 @@ fn three_engines_leave_bit_identical_sketches() {
         maps
     };
 
-    let raw = run(|| Vm::new().with_raw_dispatch());
-    let decoded = run(Vm::new);
+    let interp = run(Vm::new);
     let jit = run(|| Vm::new().with_jit());
 
     let state = |m: &MapRegistry| -> SketchState {
@@ -109,8 +108,7 @@ fn three_engines_leave_bit_identical_sketches() {
             .unwrap_or_else(|e| panic!("sketch state: {e}"))
             .clone()
     };
-    assert_eq!(state(&raw), state(&decoded), "raw vs decoded diverged");
-    assert_eq!(state(&decoded), state(&jit), "decoded vs jit diverged");
+    assert_eq!(state(&interp), state(&jit), "interpreter vs jit diverged");
 
     // And a userspace replay of the same stream through the same type
     // produces the same sketch — probe and agent can never disagree.

@@ -498,11 +498,34 @@ fn unproven_register_offsets_stay_rejected() {
         .assemble()
         .unwrap();
 
-    let maps = MapRegistry::new();
+    // Two subtractions whose offsets sum to 2⁶⁴ + 1: the pointer wraps
+    // back to base + 1, so an interval that lost the wrap would admit
+    // the 8-byte load at "offset 0" past the end of the 8-byte value.
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("v", MapDef::array(8, 1));
+    let wrapped = Asm::new("wrapped-offset")
+        .store_imm(SZ_W, R10, -4, 0)
+        .ld_map_fd(R1, fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "out")
+        .ld_dw(R2, 0x7FFF_FFFF_FFFF_FFFF)
+        .sub64_reg(R0, R2)
+        .ld_dw(R2, 0x8000_0000_0000_0000)
+        .sub64_reg(R0, R2)
+        .load(SZ_DW, R1, R0, 0)
+        .label("out")
+        .mov64_imm(R0, 0)
+        .exit()
+        .assemble()
+        .unwrap();
+
     for (name, prog) in [
         ("unclamped", &unclamped),
         ("too-wide", &too_wide),
         ("jmp32-guard", &jmp32_guard),
+        ("wrapped-offset", &wrapped),
     ] {
         let err = Verifier::default().verify(prog, &maps).unwrap_err();
         assert!(

@@ -54,19 +54,14 @@ pub struct FleetConfig {
     /// (the paper's 2048-sample guidance scaled to simulated windows).
     pub min_send_samples: u64,
     /// Run each host's probe through the template JIT instead of the
-    /// decoded interpreter (identical observable behavior, held by the
+    /// interpreter (identical observable behavior, held by the
     /// differential suite; falls back to the interpreter on unsupported
     /// targets).
     pub jit_probes: bool,
-    /// Run each host's probe programs through the static optimizer
-    /// before execution (identical observable behavior — the fleet's
-    /// byte-exact rollup test holds optimization invisible — fewer
-    /// instructions per event). Composes with `jit_probes`.
-    pub optimized_probes: bool,
     /// Registration gate: every host's probe programs must carry a
     /// certified worst-case instruction bound at or under this budget
-    /// (`None` disables the gate). Checked at host construction, after
-    /// any optimization.
+    /// (`None` disables the gate). Checked once per run, when the fleet
+    /// probe is built.
     pub probe_cost_budget: Option<u64>,
 }
 
@@ -92,7 +87,6 @@ impl FleetConfig {
             top_entities: 16,
             min_send_samples: 64,
             jit_probes: false,
-            optimized_probes: false,
             // Shipped probes certify in the low hundreds of instructions;
             // 1024 leaves headroom while still catching runaway programs.
             probe_cost_budget: Some(1024),
@@ -154,12 +148,6 @@ impl FleetConfig {
     /// Opts every host's probe into JIT execution.
     pub fn with_jit_probes(mut self) -> FleetConfig {
         self.jit_probes = true;
-        self
-    }
-
-    /// Opts every host's probe into statically optimized programs.
-    pub fn with_optimized_probes(mut self) -> FleetConfig {
-        self.optimized_probes = true;
         self
     }
 

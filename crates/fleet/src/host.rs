@@ -106,7 +106,7 @@ pub struct HostTruth {
 /// The paper's probe is one fixed set of programs — the syscall pair
 /// plus the netstack pair — and every host runs it against the same map
 /// layout. So the work that makes it trustworthy happens once, here:
-/// assembly, verification of each program, the optional optimizer, the
+/// assembly, verification of each program, the
 /// [`FleetConfig::probe_cost_budget`] registration gate, and, with
 /// [`FleetConfig::jit_probes`], the JIT compile. Each host then takes
 /// an instance ([`BytecodeBackend::instantiate`]): the same verified,
@@ -141,9 +141,6 @@ impl FleetProbe {
             config.sketch_capacity,
         )?
         .with_netstack()?;
-        if config.optimized_probes {
-            backend = backend.with_optimizer()?;
-        }
         if config.jit_probes {
             backend = backend.with_jit();
         }

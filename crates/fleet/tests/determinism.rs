@@ -37,7 +37,7 @@ fn rerun_same_seed_is_byte_identical() {
 
 #[test]
 fn jit_probes_do_not_change_a_byte() {
-    // Switching every host's probe from the decoded interpreter to the
+    // Switching every host's probe from the interpreter to the
     // template JIT is a pure execution-engine swap: the rolled-up fleet
     // report must be byte-identical. (Both rollups are serialized under
     // the same config so only the probe outputs are compared.)
@@ -47,22 +47,6 @@ fn jit_probes_do_not_change_a_byte() {
     let a = report_to_json(&interp, &run(&interp).rollup(4));
     let b = report_to_json(&interp, &run(&jit).rollup(4));
     assert_eq!(a, b, "JIT probes changed a byte of the fleet report");
-}
-
-#[test]
-fn optimized_probes_do_not_change_a_byte() {
-    // Running every host's probe through the static optimizer is a pure
-    // instruction-stream rewrite: the rolled-up fleet report must be
-    // byte-identical, alone and composed with the JIT.
-    let base = FleetConfig::quick(8).with_loss(0.1);
-    let opt = base.clone().with_optimized_probes();
-    let opt_jit = base.clone().with_optimized_probes().with_jit_probes();
-    assert!(opt.optimized_probes && !base.optimized_probes);
-    let a = report_to_json(&base, &run(&base).rollup(4));
-    let b = report_to_json(&base, &run(&opt).rollup(4));
-    assert_eq!(a, b, "optimized probes changed a byte of the fleet report");
-    let c = report_to_json(&base, &run(&opt_jit).rollup(4));
-    assert_eq!(a, c, "optimized+JIT probes changed a byte of the fleet report");
 }
 
 #[test]

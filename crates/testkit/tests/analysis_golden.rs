@@ -3,26 +3,23 @@
 //! Three drift detectors, each backed by a committed golden file that a
 //! human reviews when it changes (regenerate with `UPDATE_GOLDEN=1`):
 //!
-//! 1. `analysis.golden` — per precision fixture: the optimizer's full
-//!    pass summary (slot counts before/after, what each pass did) and
-//!    the certified worst-case cost of both the original and optimized
-//!    programs. Any change to pass ordering, fold rules, or the cost
-//!    model shows up as a diff here before it shows up in production.
+//! 1. `analysis.golden` — per precision fixture: the certified
+//!    worst-case cost. Any change to the cost model or the inline plan
+//!    shows up as a diff here before it shows up in production.
 //! 2. `warnings.golden` — the exact rendered verifier warnings for a
 //!    program carrying one of every advisory kind. The discovery logic
 //!    lives in the analysis module now; this file proves the move kept
 //!    the report byte-stable.
-//! 3. Text-layer round-trip (no golden file): optimize → emit →
-//!    re-parse reproduces the optimized stream instruction-for-
-//!    instruction, re-optimizing it is a fixpoint, and the optimized
-//!    output still verifies cleanly — covering the shipped backend
-//!    probes as well as the corpus.
+//! 3. Text-layer round-trip (no golden file): emit → re-parse
+//!    reproduces the stream instruction-for-instruction, and the
+//!    re-parsed program still verifies cleanly — covering the shipped
+//!    backend probes as well as the corpus.
 
 use kscope_core::BytecodeBackend;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::{emit_program, parse_program};
 use kscope_ebpf::verifier::{Verifier, VerifierConfig};
-use kscope_ebpf::{cost_report, optimize, CostReport, Program};
+use kscope_ebpf::{cost_report, CostReport, Program};
 use kscope_syscalls::SyscallProfile;
 
 /// The precision corpus, in `precision_corpus.rs` order.
@@ -89,17 +86,7 @@ fn precision_corpus_analysis_matches_golden() {
         let prog = parse_program(name, text)
             .unwrap_or_else(|e| panic!("fixture `{name}` failed to parse: {e}"));
         out.push_str(&format!("fixture: {name}\n"));
-        match optimize(&prog) {
-            Some((opt, report)) => {
-                out.push_str(&format!("  opt:  {}\n", report.summary()));
-                out.push_str(&format!("  cost: {}\n", render_cost(cost_report(&prog))));
-                out.push_str(&format!("  cost(opt): {}\n", render_cost(cost_report(&opt))));
-            }
-            None => {
-                out.push_str("  opt:  declined\n");
-                out.push_str(&format!("  cost: {}\n", render_cost(cost_report(&prog))));
-            }
-        }
+        out.push_str(&format!("  cost: {}\n", render_cost(cost_report(&prog))));
     }
     assert_matches_golden("tests/fixtures/precision/analysis.golden", &out);
 }
@@ -153,51 +140,29 @@ fn round_trip_programs() -> Vec<(String, Program, MapRegistry, usize)> {
 }
 
 #[test]
-fn optimized_programs_round_trip_through_text() {
-    let mut optimized_any = false;
+fn programs_round_trip_through_text() {
     for (name, prog, maps, ctx_size) in round_trip_programs() {
+        let text = emit_program(&prog)
+            .unwrap_or_else(|e| panic!("`{name}` failed to emit: {e:?}"));
+        let reparsed = parse_program(&name, &text)
+            .unwrap_or_else(|e| panic!("`{name}` emitted text failed to parse: {e}\n{text}"));
+        assert_eq!(
+            prog.insns(),
+            reparsed.insns(),
+            "`{name}` emit -> parse is not the identity\n{text}"
+        );
+
+        // The re-parsed program still verifies cleanly against the same
+        // maps the original was built for.
         let verifier = Verifier::new(VerifierConfig {
             ctx_size,
             ..VerifierConfig::default()
         });
-        let Some((opt, report)) = optimize(&prog) else {
-            continue;
-        };
-        optimized_any = true;
-        let text = emit_program(&opt)
-            .unwrap_or_else(|e| panic!("`{name}` optimized output failed to emit: {e:?}"));
-        let reparsed = parse_program(&name, &text)
-            .unwrap_or_else(|e| panic!("`{name}` emitted text failed to parse: {e}\n{text}"));
-        assert_eq!(
-            opt.insns(),
-            reparsed.insns(),
-            "`{name}` optimize -> emit -> parse is not the identity\n{text}"
-        );
-
-        // Re-optimizing the optimized stream must be a fixpoint: either
-        // the optimizer declines, or it reports no change.
-        if let Some((again, report2)) = optimize(&reparsed) {
-            assert!(
-                !report2.changed(),
-                "`{name}` re-optimization is not a fixpoint: {} then {}",
-                report.summary(),
-                report2.summary()
-            );
-            assert_eq!(
-                again.insns(),
-                reparsed.insns(),
-                "`{name}` re-optimization altered a fixpoint stream"
-            );
-        }
-
-        // The optimized output still verifies cleanly against the same
-        // maps the original was built for.
-        let opt_report = verifier.verify_report(&reparsed, &maps);
+        let report = verifier.verify_report(&reparsed, &maps);
         assert!(
-            opt_report.is_ok(),
-            "`{name}` optimized output fails verification:\n{opt_report}\n{}",
+            report.is_ok(),
+            "`{name}` re-parsed program fails verification:\n{report}\n{}",
             reparsed.disassemble()
         );
     }
-    assert!(optimized_any, "optimizer declined every covered program");
 }

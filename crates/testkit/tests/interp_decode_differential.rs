@@ -1,10 +1,10 @@
-//! Differential identity of every VM dispatcher: raw, decoded, and JIT.
+//! Differential identity of every VM dispatcher: the interpreter and the
+//! JIT.
 //!
-//! The VM executes programs from the pre-decoded representation
-//! (`Vm::new()`, the hot path), by re-decoding raw instruction words on
-//! every step (`Vm::new().with_raw_dispatch()`, the reference kept
-//! verbatim from the original interpreter), or as native x86-64 machine
-//! code (`Vm::new().with_jit()`, with and without verifier-proof-driven
+//! The VM executes programs by decoding raw instruction words on every
+//! step (`Vm::new()`, the reference interpreter), or as native x86-64
+//! machine code compiled from the pre-decoded representation
+//! (`Vm::new().with_jit()`, with and without verifier-proof-driven
 //! bounds-check elision). The tests here hold all of them byte-for-byte
 //! equal — same `ExecOutcome` (return value, instruction count, trace
 //! output) or same `ExecError`, same final map state, same final helper
@@ -34,10 +34,9 @@
 //!   `kscope_sock_drain`), run as a stateful stream of 24-byte `NetCtx`
 //!   events including drains with no matching arrival.
 //!
-//! On targets without JIT support the JIT arms fall back to the decoded
-//! interpreter inside `Vm::execute`, so the identity still holds (and
-//! still checks raw vs decoded); the `is_compilable` assertions are
-//! gated to x86-64.
+//! On targets without JIT support the JIT arms fall back to the
+//! interpreter inside `Vm::execute`, so the identity holds trivially;
+//! the `is_compilable` assertions are gated to x86-64.
 
 use kscope_core::BytecodeBackend;
 use kscope_ebpf::asm::Asm;
@@ -46,7 +45,7 @@ use kscope_ebpf::insn::{
     Insn, OP_ADD, OP_ARSH, OP_DIV, OP_JEQ, OP_JGT, OP_JSET, OP_JSGT, OP_JSLT, OP_LSH, OP_MOD,
     OP_MOV, OP_MUL, OP_NEG, OP_RSH, SZ_B, SZ_DW, SZ_H, SZ_W,
 };
-use kscope_ebpf::interp::{ExecEnv, ExecError, Vm};
+use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::parse_program;
 use kscope_ebpf::verifier::Verifier;
@@ -58,36 +57,12 @@ use kscope_testkit::ebpf_gen::{
 };
 use kscope_testkit::{check, gen, Config};
 
-/// Maps an optimized-program error back into original-program
-/// coordinates through the optimizer's provenance table, so trap pcs
-/// compare against the unoptimized run.
-fn remap_error(e: &ExecError, provenance: &[usize]) -> ExecError {
-    let m = |pc: usize| provenance.get(pc).copied().unwrap_or(pc);
-    match *e {
-        ExecError::BadMemAccess { pc, addr, size } => ExecError::BadMemAccess {
-            pc: m(pc),
-            addr,
-            size,
-        },
-        ExecError::BadOpcode { pc, code } => ExecError::BadOpcode { pc: m(pc), code },
-        ExecError::BadJumpTarget { pc, target } => ExecError::BadJumpTarget { pc: m(pc), target },
-        ExecError::UnknownHelper { pc, id } => ExecError::UnknownHelper { pc: m(pc), id },
-        ExecError::MalformedLdDw { pc } => ExecError::MalformedLdDw { pc: m(pc) },
-        ref other => other.clone(),
-    }
-}
-
-/// Runs `prog` through all six dispatch arms from identical starting
+/// Runs `prog` through all three dispatch arms from identical starting
 /// states and asserts the observable results are equal: the `Result`
 /// itself (outcome or error), the mutated helper environment, and the
-/// full map registry state. The decoded interpreter is the pivot; raw,
-/// JIT-with-elision, and JIT-without-elision are each held strictly to
-/// it. The optimized and optimized+JIT arms are held to the optimizer's
-/// contract: identical return/trace/env/map observables, never *more*
-/// executed instructions, and traps at the provenance-equivalent pc —
-/// with budget exhaustion on the pivot releasing the optimized arms
-/// (fewer instructions may legitimately make more progress). Also
-/// asserts the static cost certificate bounds every successful run.
+/// full map registry state. The interpreter is the base; JIT-with-elision
+/// and JIT-without-elision are each held strictly to it. Also asserts the
+/// static cost certificate bounds every successful run.
 fn assert_dispatch_identical(
     label: &str,
     prog: &Program,
@@ -100,21 +75,19 @@ fn assert_dispatch_identical(
         Some(b) => Vm::with_insn_budget(b),
         None => Vm::new(),
     };
-    let mut vm_decoded = make_vm();
-    let mut vm_raw = make_vm().with_raw_dispatch();
+    let mut vm_interp = make_vm();
     let mut vm_jit = make_vm().with_jit();
     let mut vm_jit_checked = make_vm().with_jit().without_bounds_elision();
-    assert!(vm_decoded.uses_predecode());
-    assert!(!vm_raw.uses_predecode());
+    assert!(!vm_interp.uses_jit());
     assert!(vm_jit.uses_jit());
     assert!(vm_jit_checked.uses_jit());
 
-    let mut maps_decoded = base.clone();
-    let mut env_decoded = env;
-    let decoded = vm_decoded.execute(prog, ctx, &mut maps_decoded, &mut env_decoded);
+    let mut maps_interp = base.clone();
+    let mut env_interp = env;
+    let interp = vm_interp.execute(prog, ctx, &mut maps_interp, &mut env_interp);
 
     // Soundness of the cost certificate: no successful run may exceed it.
-    if let (Some(cost), Ok(out)) = (cost_report(prog), &decoded) {
+    if let (Some(cost), Ok(out)) = (cost_report(prog), &interp) {
         assert!(
             out.insns_executed <= cost.max_insns,
             "{label}: executed {} insns > certified bound {}\n{}",
@@ -124,116 +97,25 @@ fn assert_dispatch_identical(
         );
     }
 
-    for (arm, vm) in [
-        ("raw", &mut vm_raw),
-        ("jit", &mut vm_jit),
-        ("jit-no-elide", &mut vm_jit_checked),
-    ] {
+    for (arm, vm) in [("jit", &mut vm_jit), ("jit-no-elide", &mut vm_jit_checked)] {
         let mut maps_other = base.clone();
         let mut env_other = env;
         let other = vm.execute(prog, ctx, &mut maps_other, &mut env_other);
         assert_eq!(
-            decoded,
+            interp,
             other,
-            "{label}: decoded vs {arm} outcomes diverge\n{}",
+            "{label}: interpreter vs {arm} outcomes diverge\n{}",
             prog.disassemble()
         );
         assert_eq!(
-            env_decoded, env_other,
-            "{label}: decoded vs {arm} helper env diverges"
+            env_interp, env_other,
+            "{label}: interpreter vs {arm} helper env diverges"
         );
         assert_eq!(
-            format!("{maps_decoded:?}"),
+            format!("{maps_interp:?}"),
             format!("{maps_other:?}"),
-            "{label}: decoded vs {arm} map state diverges\n{}",
+            "{label}: interpreter vs {arm} map state diverges\n{}",
             prog.disassemble()
-        );
-    }
-
-    // The optimized arms. `Vm::with_optimizer` runs `prog.optimized()`
-    // when the optimizer accepted the program, and the original stream
-    // (strict identity, like the arms above) when it declined.
-    let opt_info = prog.optimized();
-    for (arm, vm) in [
-        ("opt", &mut make_vm().with_optimizer()),
-        ("opt-jit", &mut make_vm().with_optimizer().with_jit()),
-    ] {
-        assert!(vm.uses_optimizer());
-        let mut maps_other = base.clone();
-        let mut env_other = env;
-        let other = vm.execute(prog, ctx, &mut maps_other, &mut env_other);
-        let Some((opt_prog, report)) = opt_info else {
-            assert_eq!(
-                decoded,
-                other,
-                "{label}: decoded vs {arm} (optimizer declined) outcomes diverge\n{}",
-                prog.disassemble()
-            );
-            assert_eq!(env_decoded, env_other, "{label}: {arm} helper env diverges");
-            assert_eq!(
-                format!("{maps_decoded:?}"),
-                format!("{maps_other:?}"),
-                "{label}: {arm} map state diverges"
-            );
-            continue;
-        };
-        assert!(
-            opt_prog.len() <= prog.len(),
-            "{label}: optimizer grew the program ({} -> {} slots)",
-            prog.len(),
-            opt_prog.len()
-        );
-        if matches!(decoded, Err(ExecError::BudgetExhausted { .. })) {
-            // The optimized stream executes fewer instructions, so it may
-            // legitimately get further (finish, or reach a later trap)
-            // under the same budget. Nothing more to compare.
-            continue;
-        }
-        let diverged = || {
-            format!(
-                "{label}: decoded {decoded:?} vs {arm} {other:?} diverge\noriginal:\n{}optimized:\n{}",
-                prog.disassemble(),
-                opt_prog.disassemble()
-            )
-        };
-        match (&decoded, &other) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.ret, b.ret, "{}", diverged());
-                assert_eq!(a.trace_output, b.trace_output, "{}", diverged());
-                assert!(
-                    b.insns_executed <= a.insns_executed,
-                    "{label}: {arm} executed more instructions ({} > {})\n{}",
-                    b.insns_executed,
-                    a.insns_executed,
-                    diverged()
-                );
-                if let Some(cost) = cost_report(opt_prog) {
-                    assert!(
-                        b.insns_executed <= cost.max_insns,
-                        "{label}: {arm} executed {} insns > optimized bound {}",
-                        b.insns_executed,
-                        cost.max_insns
-                    );
-                }
-            }
-            (Err(ea), Err(eb)) => {
-                // Optimized code never executes more instructions, so it
-                // cannot exhaust a budget the original survived to a trap.
-                assert!(
-                    !matches!(eb, ExecError::BudgetExhausted { .. }),
-                    "{}",
-                    diverged()
-                );
-                assert_eq!(*ea, remap_error(eb, &report.provenance), "{}", diverged());
-            }
-            _ => panic!("{}", diverged()),
-        }
-        assert_eq!(env_decoded, env_other, "{label}: {arm} helper env diverges");
-        assert_eq!(
-            format!("{maps_decoded:?}"),
-            format!("{maps_other:?}"),
-            "{label}: {arm} map state diverges\n{}",
-            diverged()
         );
     }
 }
@@ -423,8 +305,8 @@ fn directed_jit_edge_cases_execute_identically() {
         (
             "jump-into-ld-dw-hi-slot",
             // `ja +1` lands on the hi slot of the following fused
-            // `ld_dw`; the decoded stream and the JIT must fault exactly
-            // like the raw interpreter does.
+            // `ld_dw`; the JIT must fault exactly like the interpreter
+            // does.
             (
                 Program::new(
                     "ld_dw_hi_jump",
@@ -800,11 +682,9 @@ fn backend_probe_programs_execute_identically() {
             "the {which} probe program must be JIT-compilable on x86-64"
         );
     }
-    let mut maps_decoded = backend.map_registry().clone();
-    let mut maps_raw = backend.map_registry().clone();
+    let mut maps_interp = backend.map_registry().clone();
     let mut maps_jit = backend.map_registry().clone();
-    let mut vm_decoded = Vm::new();
-    let mut vm_raw = Vm::new().with_raw_dispatch();
+    let mut vm_interp = Vm::new();
     let mut vm_jit = Vm::new().with_jit();
 
     let profile = SyscallProfile::data_caching();
@@ -839,24 +719,15 @@ fn backend_probe_programs_execute_identically() {
         };
         let prog = if is_enter { enter } else { exit };
 
-        let mut env_decoded = env;
-        let mut env_raw = env;
+        let mut env_interp = env;
         let mut env_jit = env;
-        let decoded = vm_decoded.execute(prog, &ctx, &mut maps_decoded, &mut env_decoded);
-        let raw = vm_raw.execute(prog, &ctx, &mut maps_raw, &mut env_raw);
+        let interp = vm_interp.execute(prog, &ctx, &mut maps_interp, &mut env_interp);
         let jit = vm_jit.execute(prog, &ctx, &mut maps_jit, &mut env_jit);
-        assert_eq!(decoded, raw, "event {i}: decoded vs raw probe outcomes diverge");
-        assert_eq!(decoded, jit, "event {i}: decoded vs jit probe outcomes diverge");
-        assert_eq!(env_decoded, env_raw, "event {i}: decoded vs raw probe env diverges");
-        assert_eq!(env_decoded, env_jit, "event {i}: decoded vs jit probe env diverges");
+        assert_eq!(interp, jit, "event {i}: interpreter vs jit probe outcomes diverge");
+        assert_eq!(env_interp, env_jit, "event {i}: interpreter vs jit probe env diverges");
     }
     assert_eq!(
-        format!("{maps_decoded:?}"),
-        format!("{maps_raw:?}"),
-        "raw probe map state diverges after the stream"
-    );
-    assert_eq!(
-        format!("{maps_decoded:?}"),
+        format!("{maps_interp:?}"),
         format!("{maps_jit:?}"),
         "jit probe map state diverges after the stream"
     );
@@ -883,11 +754,9 @@ fn netstack_probe_programs_execute_identically() {
             "the {which} probe program must be JIT-compilable on x86-64"
         );
     }
-    let mut maps_decoded = backend.map_registry().clone();
-    let mut maps_raw = backend.map_registry().clone();
+    let mut maps_interp = backend.map_registry().clone();
     let mut maps_jit = backend.map_registry().clone();
-    let mut vm_decoded = Vm::new();
-    let mut vm_raw = Vm::new().with_raw_dispatch();
+    let mut vm_interp = Vm::new();
     let mut vm_jit = Vm::new().with_jit();
 
     let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0x7E7_57ACC);
@@ -917,24 +786,15 @@ fn netstack_probe_programs_execute_identically() {
         };
         let prog = if is_rx { rx } else { drain };
 
-        let mut env_decoded = env;
-        let mut env_raw = env;
+        let mut env_interp = env;
         let mut env_jit = env;
-        let decoded = vm_decoded.execute(prog, &ctx, &mut maps_decoded, &mut env_decoded);
-        let raw = vm_raw.execute(prog, &ctx, &mut maps_raw, &mut env_raw);
+        let interp = vm_interp.execute(prog, &ctx, &mut maps_interp, &mut env_interp);
         let jit = vm_jit.execute(prog, &ctx, &mut maps_jit, &mut env_jit);
-        assert_eq!(decoded, raw, "event {i}: decoded vs raw net outcomes diverge");
-        assert_eq!(decoded, jit, "event {i}: decoded vs jit net outcomes diverge");
-        assert_eq!(env_decoded, env_raw, "event {i}: decoded vs raw net env diverges");
-        assert_eq!(env_decoded, env_jit, "event {i}: decoded vs jit net env diverges");
+        assert_eq!(interp, jit, "event {i}: interpreter vs jit net outcomes diverge");
+        assert_eq!(env_interp, env_jit, "event {i}: interpreter vs jit net env diverges");
     }
     assert_eq!(
-        format!("{maps_decoded:?}"),
-        format!("{maps_raw:?}"),
-        "raw netstack map state diverges after the stream"
-    );
-    assert_eq!(
-        format!("{maps_decoded:?}"),
+        format!("{maps_interp:?}"),
         format!("{maps_jit:?}"),
         "jit netstack map state diverges after the stream"
     );

@@ -24,7 +24,7 @@
 //!   in the non-test code of the static-analysis module
 //!   (`crates/ebpf/src/analysis.rs`): every lookup there goes through
 //!   `.get()`/`.get_mut()`/iterators, so a pass bug surfaces as a
-//!   handled `None`, never as a panic inside the optimizer.
+//!   handled `None`, never as a panic inside the analysis.
 //!
 //! `#[cfg(test)]` items (and everything nested inside them) are exempt
 //! from the unwrap/expect ban, as are doc comments, line/block

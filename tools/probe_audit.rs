@@ -9,15 +9,15 @@
 //! * the JIT helper-inline plan ([`kscope_ebpf::helper_inline_plan`]):
 //!   how many call sites compile to inline fast paths versus the sysv64
 //!   trampoline round-trip;
-//! * what the optimizer did ([`kscope_ebpf::OptReport`]) and the
-//!   optimized program's own cost bound.
+//! * whether the template JIT compiles the verified program, with and
+//!   without bounds-check elision.
 //!
 //! Exit status is non-zero when any audit invariant fails:
 //!
 //! * a program has no finite cost bound;
-//! * the optimizer *increases* a program's slot count;
-//! * an optimized program fails re-verification, or its cost bound
-//!   exceeds the original's (optimization must never certify worse);
+//! * on a platform the JIT supports, a verified program does not
+//!   compile with or without elision — so the probe would run on the
+//!   interpreter fallback instead of native code;
 //! * the shipped probes' inline plans regress: fewer than three env
 //!   helper sites or no map lookup compiles to an inline fast path;
 //! * the fleet's sketch probe regresses: its `sketch_update` site is
@@ -28,13 +28,10 @@
 //!   `kscope_sock_drain`, verified against the 24-byte `NetCtx`) is
 //!   absent or loses its finite cost bound.
 //!
-//! CI runs this as the `analysis-smoke` job. Usage: `probe_audit [-v]`
-//! (`-v` additionally prints disassemblies of programs the optimizer
-//! changed).
+//! CI runs this as the `analysis-smoke` job. Usage: `probe_audit`.
 
-use kscope_core::{BytecodeBackend, CTX_SIZE, NET_CTX_SIZE};
-use kscope_ebpf::verifier::{Verifier, VerifierConfig};
-use kscope_ebpf::{cost_report, helper_inline_plan, HelperInline, Program};
+use kscope_core::BytecodeBackend;
+use kscope_ebpf::{cost_report, helper_inline_plan, jit, HelperInline, Program};
 use kscope_syscalls::SyscallProfile;
 
 /// Inline-plan tallies accumulated across every audited program.
@@ -93,14 +90,7 @@ fn shipped_backends() -> Vec<(String, BytecodeBackend)> {
     out
 }
 
-fn audit_program(
-    label: &str,
-    prog: &Program,
-    ctx_size: usize,
-    backend: &BytecodeBackend,
-    verbose: bool,
-    tally: &mut InlineTally,
-) -> Result<(), String> {
+fn audit_program(label: &str, prog: &Program, tally: &mut InlineTally) -> Result<(), String> {
     let cost = cost_report(prog)
         .ok_or_else(|| format!("{label}: no finite cost bound for '{}'", prog.name()))?;
     println!("  {} [{} slots]", prog.name(), prog.len());
@@ -136,74 +126,41 @@ fn audit_program(
     tally.env += env;
     tally.lookup_fast += fast;
     tally.trampolined += tramp;
-    let Some((opt, report)) = prog.optimized() else {
-        return Err(format!(
-            "{label}: optimizer declined shipped program '{}'",
-            prog.name()
-        ));
-    };
-    println!("    optimizer: {}", report.summary());
-    if opt.len() > prog.len() {
-        return Err(format!(
-            "{label}: optimizer grew '{}' from {} to {} slots",
-            prog.name(),
-            prog.len(),
-            opt.len()
-        ));
-    }
-    let opt_cost = cost_report(opt)
-        .ok_or_else(|| format!("{label}: optimized '{}' has no finite bound", prog.name()))?;
-    println!("    optimized: {opt_cost}");
-    if opt_cost.max_insns > cost.max_insns {
-        return Err(format!(
-            "{label}: optimization raised the certified bound of '{}' ({} -> {})",
-            prog.name(),
-            cost.max_insns,
-            opt_cost.max_insns
-        ));
-    }
-    let verifier = Verifier::new(VerifierConfig {
-        ctx_size,
-        ..VerifierConfig::default()
-    });
-    let verdict = verifier.verify_report(opt, backend.map_registry());
-    if !verdict.is_ok() {
-        return Err(format!(
-            "{label}: optimized '{}' failed re-verification:\n{verdict}",
-            prog.name()
-        ));
-    }
-    if verbose && report.changed() {
-        println!("--- optimized disassembly ---\n{}", opt.disassemble());
+    // The backend verified every program when it was built, so the
+    // elided compile sees the verifier's access proofs.
+    if jit::supported() {
+        for elide in [true, false] {
+            if prog.jit_for(elide).is_none() {
+                return Err(format!(
+                    "{label}: the JIT declined '{}' (elide = {elide})",
+                    prog.name()
+                ));
+            }
+        }
+        println!("    jit:       compiles with and without bounds elision");
     }
     Ok(())
 }
 
 fn main() {
-    let verbose = std::env::args().any(|a| a == "-v" || a == "--verbose");
     let mut failures: Vec<String> = Vec::new();
     let mut audited = 0usize;
-    let mut reduced = 0usize;
     let mut tally = InlineTally::default();
     let mut net_audited = 0usize;
     for (label, backend) in shipped_backends() {
         println!("probe configuration: {label}");
         let (enter, exit) = backend.programs();
-        let mut queue: Vec<(&Program, usize, bool)> =
-            vec![(enter, CTX_SIZE, false), (exit, CTX_SIZE, false)];
+        let mut queue: Vec<(&Program, bool)> = vec![(enter, false), (exit, false)];
         if let Some((rx, drain)) = backend.net_programs() {
-            queue.push((rx, NET_CTX_SIZE, true));
-            queue.push((drain, NET_CTX_SIZE, true));
+            queue.push((rx, true));
+            queue.push((drain, true));
         }
-        for (prog, ctx_size, is_net) in queue {
-            match audit_program(&label, prog, ctx_size, &backend, verbose, &mut tally) {
+        for (prog, is_net) in queue {
+            match audit_program(&label, prog, &mut tally) {
                 Ok(()) => {
                     audited += 1;
                     if is_net {
                         net_audited += 1;
-                    }
-                    if prog.optimized().is_some_and(|(opt, _)| opt.len() < prog.len()) {
-                        reduced += 1;
                     }
                 }
                 Err(e) => failures.push(e),
@@ -211,14 +168,11 @@ fn main() {
         }
     }
     println!(
-        "\naudited {audited} programs ({net_audited} netstack); optimizer reduced {reduced}; \
+        "\naudited {audited} programs ({net_audited} netstack); \
          inline plan: {} env + {} map-lookup fast path, {} trampolined \
          ({} sketch-update)",
         tally.env, tally.lookup_fast, tally.trampolined, tally.sketch_sites
     );
-    if reduced == 0 {
-        failures.push("optimizer reduced no shipped program (regression)".to_string());
-    }
     if tally.env < 3 {
         failures.push(format!(
             "inline plan covers only {} env helper sites (expected >= 3)",
