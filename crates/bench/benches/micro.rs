@@ -3,7 +3,7 @@
 //! throughput, map operations, and the event engine itself.
 
 use kscope_microbench::{criterion_group, criterion_main, Criterion};
-use kscope_core::{BytecodeBackend, MetricBackend, NativeBackend, DEFAULT_SHIFT};
+use kscope_core::{BytecodeBackend, MetricBackend, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{R0, R1, SZ_DW};
 use kscope_ebpf::interp::{ExecEnv, Vm};
@@ -26,25 +26,9 @@ fn send_exit(i: u64) -> TracepointCtx {
 
 fn bench_probe_event_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_on_event");
-    group.bench_function("native", |b| {
-        let mut probe = NativeBackend::new(1200, SyscallProfile::data_caching(), DEFAULT_SHIFT);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(probe.on_event(&send_exit(i)))
-        })
-    });
     group.bench_function("bytecode", |b| {
         let mut probe =
             BytecodeBackend::new(1200, SyscallProfile::data_caching(), DEFAULT_SHIFT).unwrap();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(probe.on_event(&send_exit(i)))
-        })
-    });
-    group.bench_function("native_filtered_out", |b| {
-        let mut probe = NativeBackend::new(42, SyscallProfile::data_caching(), DEFAULT_SHIFT);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;

@@ -26,7 +26,8 @@
 //!   bound of the core probe (max over its enter/exit programs), from
 //!   the analysis cost certifier;
 //! * `engine_events_per_sec` — simulation-engine dispatch;
-//! * `sweep_quick_wall_ms` — wall clock of a reduced parallel sweep;
+//! * `sweep_quick_wall_ms` — wall clock of a reduced parallel sweep on
+//!   the JIT-compiled probe;
 //! * `hot_path_allocs_per_event` / `hot_path_allocs_per_event_jit` —
 //!   heap allocations per steady-state probe event, counted by this
 //!   binary's global allocator (the zero-allocation claim, measured
@@ -565,7 +566,7 @@ fn sweep_quick_wall_ms(quick: bool) -> f64 {
             min_send_samples: 96,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::Native,
+            backend: BackendKind::BytecodeJit,
         }
     } else {
         SweepConfig::quick()

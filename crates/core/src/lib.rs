@@ -11,10 +11,11 @@
 //!    maintain twelve integer cells ([`RawCounters`]): inter-send and
 //!    inter-recv delta statistics (count/sum/sum-of-squares, scaled —
 //!    everything eBPF's no-float arithmetic allows) and poll-duration
-//!    statistics. Two interchangeable backends exist: [`NativeBackend`]
-//!    (the logic as plain Rust — a stand-in for a JIT-compiled program) and
-//!    [`BytecodeBackend`] (actual verified eBPF bytecode interpreted by
-//!    `kscope-ebpf`).
+//!    statistics. The probe is [`BytecodeBackend`]: verified eBPF
+//!    bytecode that `kscope-ebpf` runs on its JIT or its interpreter, at
+//!    one per-instruction cost ([`NS_PER_INSN`]) on either tier.
+//!    [`NativeBackend`] is the same logic as plain Rust, kept only as the
+//!    reference oracle of the differential tests.
 //! 2. A [`WindowedObserver`] plays the userspace collector: it rolls the
 //!    cells into per-window [`WindowMetrics`] snapshots.
 //! 3. The [`Agent`] applies the paper's three estimators per window:
@@ -84,7 +85,7 @@ pub use estimators::{
 };
 pub use fixed::{ScaledAcc, DEFAULT_SHIFT};
 pub use hist::Log2Hist;
-pub use native::{NativeBackend, FILTER_COST, UPDATE_COST};
+pub use native::NativeBackend;
 pub use observer::{MetricBackend, WindowedObserver};
 pub use sketch::TopKSketch;
 pub use stack::StackDelay;

@@ -1,10 +1,11 @@
-//! The native metric backend: the paper's eBPF logic as a plain Rust probe.
+//! The reference oracle: the paper's eBPF logic as plain Rust.
 //!
-//! Semantically identical to the bytecode backend (`crate::bytecode`) —
-//! same filtering, same integer arithmetic, same cell layout — but executed
-//! directly. This is what a JIT-compiled eBPF program effectively is; the
-//! per-event costs model a compiled probe, while the bytecode backend
-//! models an interpreted one.
+//! Reference semantics for differential tests; nothing in production
+//! attaches it. It mirrors the bytecode backend (`crate::bytecode`) —
+//! same filtering, same integer arithmetic, same cell layout — so tests
+//! can hold the verified programs, on either tier, cell-identical to an
+//! independent implementation. It charges no probe cost: the bytecode
+//! backend's `NS_PER_INSN` model is the only cost model.
 
 use std::collections::HashMap;
 
@@ -14,11 +15,6 @@ use kscope_syscalls::{Pid, SyscallProfile, SyscallRole, TracePhase, TracepointCt
 use crate::bytecode::StackCounters;
 use crate::counters::RawCounters;
 use crate::observer::MetricBackend;
-
-/// Cost charged for a tracepoint firing that fails the pid/syscall filter.
-pub const FILTER_COST: Nanos = Nanos::from_nanos(40);
-/// Additional cost charged when an event matches and updates the cells.
-pub const UPDATE_COST: Nanos = Nanos::from_nanos(160);
 
 /// Native mirror of the netstack probe pair's state (the `inflight_stack`
 /// hash plus the cumulative `stack_stats`/`stack_hist` cells of the
@@ -43,7 +39,8 @@ impl NetStackState {
     }
 }
 
-/// Native implementation of the observability probe.
+/// Plain-Rust mirror of the observability probe, kept as the oracle the
+/// bytecode backend is tested against.
 ///
 /// # Examples
 ///
@@ -125,11 +122,11 @@ impl NativeBackend {
     }
 
     /// Handles one net-phase firing (the two netstack tracepoints).
-    fn on_net_event(&mut self, ctx: &TracepointCtx) -> Nanos {
+    fn on_net_event(&mut self, ctx: &TracepointCtx) {
         // No netstack programs attached: in real eBPF nothing runs at an
-        // un-attached tracepoint, so no cost either.
+        // un-attached tracepoint.
         let Some(ns) = self.netstack.as_mut() else {
-            return Nanos::ZERO;
+            return;
         };
         let now = ctx.ktime.as_nanos();
         let shift = self.counters.send.shift();
@@ -139,7 +136,6 @@ impl NativeBackend {
                 // bytecode rx program computes it.
                 ns.inflight
                     .insert(ctx.net.request, now.wrapping_sub(ctx.net.stage_ns));
-                FILTER_COST + UPDATE_COST
             }
             TracePhase::SockQueueDrain => match ns.inflight.remove(&ctx.net.request) {
                 Some(nic_at) => {
@@ -150,11 +146,9 @@ impl NativeBackend {
                         ns.counters.sumsq.wrapping_add(scaled.wrapping_mul(scaled));
                     // floor(log2(max(scaled, 1))), the bit ladder's result.
                     ns.hist[63 - (scaled | 1).leading_zeros() as usize] += 1;
-                    FILTER_COST + UPDATE_COST
                 }
                 None => {
                     ns.counters.misses = ns.counters.misses.wrapping_add(1);
-                    FILTER_COST
                 }
             },
             TracePhase::Enter | TracePhase::Exit => {
@@ -165,23 +159,24 @@ impl NativeBackend {
 }
 
 impl MetricBackend for NativeBackend {
+    /// Updates the cells; the oracle charges no probe cost.
     fn on_event(&mut self, ctx: &TracepointCtx) -> Nanos {
         if ctx.phase.is_net() {
-            return self.on_net_event(ctx);
+            self.on_net_event(ctx);
+            return Nanos::ZERO;
         }
         if !self.tgids.contains(&ctx.tgid()) {
-            return FILTER_COST;
+            return Nanos::ZERO;
         }
         let Some(role) = self.profile.role_of(ctx.no) else {
-            return FILTER_COST;
+            return Nanos::ZERO;
         };
         let now = ctx.ktime.as_nanos();
         match (ctx.phase, role) {
             (TracePhase::Enter, SyscallRole::Poll) => {
                 self.poll_start.insert(ctx.pid_tgid, now);
-                FILTER_COST + UPDATE_COST
             }
-            (TracePhase::Enter, _) => FILTER_COST,
+            (TracePhase::Enter, _) => {}
             // Net phases were dispatched above before the tgid filter.
             (TracePhase::NetRxSoftirq | TracePhase::SockQueueDrain, _) => {
                 unreachable!("net phases handled before the filter")
@@ -214,9 +209,9 @@ impl MetricBackend for NativeBackend {
                         }
                     }
                 }
-                FILTER_COST + UPDATE_COST
             }
         }
+        Nanos::ZERO
     }
 
     fn counters(&self) -> RawCounters {
@@ -265,17 +260,14 @@ mod tests {
         let mut p = probe();
         let mut foreign = ctx(TracePhase::Exit, SyscallNo::SENDMSG, 1, 10);
         foreign.pid_tgid = pid_tgid(9999, 1);
-        assert_eq!(p.on_event(&foreign), FILTER_COST);
+        p.on_event(&foreign);
         assert_eq!(p.counters().events, 0);
     }
 
     #[test]
     fn unrelated_syscalls_are_filtered() {
         let mut p = probe();
-        assert_eq!(
-            p.on_event(&ctx(TracePhase::Exit, SyscallNo::FUTEX, 1, 10)),
-            FILTER_COST
-        );
+        p.on_event(&ctx(TracePhase::Exit, SyscallNo::FUTEX, 1, 10));
         assert_eq!(p.counters().events, 0);
     }
 

@@ -14,7 +14,8 @@ use kscope_syscalls::TracepointCtx;
 use crate::bytecode::StackCounters;
 use crate::counters::{RawCounters, WindowMetrics};
 
-/// One metric-maintaining implementation (native Rust or eBPF bytecode).
+/// One metric-maintaining implementation: the eBPF bytecode probe, or
+/// the plain-Rust oracle the tests hold it to.
 pub trait MetricBackend {
     /// Handles one tracepoint firing, returning its execution cost.
     fn on_event(&mut self, ctx: &TracepointCtx) -> Nanos;
@@ -61,13 +62,14 @@ pub trait MetricBackend {
 /// # Examples
 ///
 /// ```
-/// use kscope_core::{NativeBackend, WindowedObserver};
+/// use kscope_core::{BytecodeBackend, WindowedObserver};
 /// use kscope_simcore::Nanos;
 /// use kscope_syscalls::SyscallProfile;
 ///
-/// let backend = NativeBackend::new(1200, SyscallProfile::data_caching(), 10);
+/// let backend = BytecodeBackend::new(1200, SyscallProfile::data_caching(), 10)?.with_jit();
 /// let observer = WindowedObserver::new(backend, Nanos::from_millis(200));
 /// assert_eq!(observer.windows().len(), 0);
+/// # Ok::<(), kscope_core::BuildError>(())
 /// ```
 #[derive(Debug)]
 pub struct WindowedObserver<B> {

@@ -19,14 +19,12 @@
 //! artifact is byte-identical at any `--jobs`.
 
 use kscope_analysis::{log2_bucket_quantile, AsciiChart, TextTable};
-use kscope_core::{
-    BytecodeBackend, RpsEstimator, StackDelay, WindowMetrics, WindowedObserver, DEFAULT_SHIFT,
-};
-use kscope_kernel::TracepointProbe;
+use kscope_core::{BytecodeBackend, RpsEstimator, StackDelay, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
 use kscope_simcore::{Dist, Nanos};
-use kscope_workloads::{data_caching, run_workload_with, RunConfig, WorkloadSpec};
+use kscope_workloads::{data_caching, RunConfig, WorkloadSpec};
 
+use crate::observe::observe_run;
 use crate::Scale;
 
 /// One netem condition of the sweep (`tc netem delay D J loss L%`).
@@ -156,32 +154,18 @@ pub fn run_condition(
     let window = measure / 8;
 
     let shift = DEFAULT_SHIFT;
-    let outcome = run_workload_with(spec, &run_cfg, |sim| {
-        let probe = BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), shift)
-            .and_then(BytecodeBackend::with_netstack)
-            .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
-        vec![Box::new(WindowedObserver::new(probe, window)) as Box<dyn TracepointProbe>]
+    let mut run = observe_run(spec, &run_cfg, window, |sim| {
+        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), shift)?
+            .with_netstack()?
+            .with_jit())
     });
-
-    let mut kernel = outcome.kernel;
-    let mut probe = match kernel.tracing.detach(outcome.probes[0]) {
-        Some(probe) => probe,
-        None => unreachable!("probe id came from this run's attach"),
-    };
-    let observer = match probe
-        .as_any_mut()
-        .downcast_mut::<WindowedObserver<BytecodeBackend>>()
-    {
-        Some(observer) => observer,
-        None => unreachable!("this run attached a bytecode windowed observer"),
-    };
-    observer.finish(outcome.end);
-
+    let (warmup_end, end) = (run.warmup_end, run.end);
+    let observer = run.observer();
     let windows: Vec<WindowMetrics> = observer
         .windows()
         .iter()
         .copied()
-        .filter(|w| w.start >= outcome.warmup_end && w.end <= outcome.end)
+        .filter(|w| w.start >= warmup_end && w.end <= end)
         .collect();
     let rps_obsv = RpsEstimator::with_min_samples(64)
         .from_windows(&windows)
@@ -197,7 +181,7 @@ pub fn run_condition(
     let q = |p: f64| log2_bucket_quantile(stack.hist().buckets(), shift, p).unwrap_or(0.0);
     ConditionResult {
         condition: condition.clone(),
-        p99_ms: outcome.client.p99_latency.as_millis_f64(),
+        p99_ms: run.client.p99_latency.as_millis_f64(),
         rps_obsv,
         poll_mean_ns,
         stack_samples: stack.count(),

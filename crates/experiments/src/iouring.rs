@@ -9,11 +9,11 @@
 //! — while client throughput is unchanged.
 
 use kscope_analysis::TextTable;
-use kscope_core::{NativeBackend, RpsEstimator, WindowedObserver, DEFAULT_SHIFT};
-use kscope_kernel::TracepointProbe;
+use kscope_core::{BytecodeBackend, RpsEstimator, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
-use kscope_workloads::{data_caching, run_workload_with, RunConfig};
+use kscope_workloads::{data_caching, RunConfig};
 
+use crate::observe::observe_run;
 use crate::Scale;
 
 /// One bypass level's measurement.
@@ -51,37 +51,24 @@ pub fn run(scale: Scale) -> Vec<BypassRow> {
         if scale == Scale::Quick {
             config = config.quick();
         }
-        let outcome = run_workload_with(&spec, &config, |sim| {
-            vec![Box::new(WindowedObserver::new(
-                NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT),
-                Nanos::from_millis(200),
-            )) as Box<dyn TracepointProbe>]
+        let mut run = observe_run(&spec, &config, Nanos::from_millis(200), |sim| {
+            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+                .with_jit())
         });
-        let mut kernel = outcome.kernel;
-        let mut probe = match kernel.tracing.detach(outcome.probes[0]) {
-            Some(probe) => probe,
-            None => unreachable!("probe id came from this run's attach"),
-        };
-        let observer = match probe
-            .as_any_mut()
-            .downcast_mut::<WindowedObserver<NativeBackend>>()
-        {
-            Some(observer) => observer,
-            None => unreachable!("this run attached a native windowed observer"),
-        };
-        observer.finish(outcome.end);
-        let windows: Vec<_> = observer
+        let warmup_end = run.warmup_end;
+        let windows: Vec<_> = run
+            .observer()
             .windows()
             .iter()
             .copied()
-            .filter(|w| w.start >= outcome.warmup_end)
+            .filter(|w| w.start >= warmup_end)
             .collect();
         let rps_obsv = RpsEstimator::with_min_samples(64)
             .from_windows(&windows)
             .unwrap_or(0.0);
         rows.push(BypassRow {
             bypass_fraction: bypass,
-            rps_real: outcome.client.achieved_rps,
+            rps_real: run.client.achieved_rps,
             rps_obsv,
         });
     }

@@ -39,6 +39,7 @@ pub mod fig_netstack;
 pub mod fleet;
 pub mod hosts;
 pub mod iouring;
+pub mod observe;
 pub mod overhead;
 pub mod parallel;
 pub mod sweep;
@@ -46,6 +47,7 @@ pub mod table1;
 pub mod table2;
 pub mod windows;
 
+pub use observe::{observe_run, ObservedRun};
 pub use parallel::{default_jobs, map_indexed};
 pub use sweep::{
     run_level, send_events_per_request, sweep, sweep_jobs, BackendKind, LevelResult, SweepConfig,

@@ -1,12 +1,12 @@
 //! §VI overhead study: what does the probe cost the application?
 //!
-//! Runs each workload at a moderate and a near-knee load three times with
-//! identical seeds — no probe, native probe, bytecode probe — and compares
-//! p99 tail latency. The paper reports median and upper-quartile overhead
-//! below 1% (typically below 0.5%).
+//! Runs each workload at a moderate and a near-knee load twice with
+//! identical seeds — no probe, then the JIT-compiled bytecode probe — and
+//! compares p99 tail latency. The paper reports median and upper-quartile
+//! overhead below 1% (typically below 0.5%).
 
-use kscope_analysis::TextTable;
-use kscope_core::{BytecodeBackend, NativeBackend, WindowedObserver, DEFAULT_SHIFT};
+use kscope_analysis::{percentile, TextTable};
+use kscope_core::{BytecodeBackend, WindowedObserver, DEFAULT_SHIFT};
 use kscope_kernel::TracepointProbe;
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
@@ -19,9 +19,7 @@ use crate::Scale;
 pub enum ProbeSetup {
     /// Tracepoints fire with no probe attached.
     None,
-    /// Native (JIT-model) probe.
-    Native,
-    /// Interpreted bytecode probe.
+    /// The bytecode probe on the JIT tier.
     Bytecode,
 }
 
@@ -34,12 +32,8 @@ pub struct OverheadRow {
     pub load_fraction: f64,
     /// Baseline p99 (no probe), ms.
     pub p99_base_ms: f64,
-    /// p99 with the native probe, ms.
-    pub p99_native_ms: f64,
     /// p99 with the bytecode probe, ms.
     pub p99_bytecode_ms: f64,
-    /// Total probe time charged by the native probe (ns).
-    pub native_probe_ns: u64,
     /// Total probe time charged by the bytecode probe (ns).
     pub bytecode_probe_ns: u64,
     /// Tracepoint firings during the probed run.
@@ -47,11 +41,6 @@ pub struct OverheadRow {
 }
 
 impl OverheadRow {
-    /// Native-probe p99 overhead, relative.
-    pub fn native_overhead(&self) -> f64 {
-        (self.p99_native_ms - self.p99_base_ms) / self.p99_base_ms
-    }
-
     /// Bytecode-probe p99 overhead, relative.
     pub fn bytecode_overhead(&self) -> f64 {
         (self.p99_bytecode_ms - self.p99_base_ms) / self.p99_base_ms
@@ -73,13 +62,10 @@ fn run_once(spec: &WorkloadSpec, fraction: f64, setup: ProbeSetup, scale: Scale)
         let window = Nanos::from_secs(3_600); // effectively one window
         match setup {
             ProbeSetup::None => Vec::new(),
-            ProbeSetup::Native => vec![Box::new(WindowedObserver::new(
-                NativeBackend::new_multi(pids, profile, DEFAULT_SHIFT),
-                window,
-            )) as Box<dyn TracepointProbe>],
             ProbeSetup::Bytecode => vec![Box::new(WindowedObserver::new(
                 BytecodeBackend::new_multi(pids, profile, DEFAULT_SHIFT)
-                    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}")),
+                    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
+                    .with_jit(),
                 window,
             )) as Box<dyn TracepointProbe>],
         }
@@ -104,15 +90,13 @@ pub fn run(scale: Scale) -> Vec<OverheadRow> {
     for spec in &specs {
         for &fraction in fractions {
             let (p99_base, _, _) = run_once(spec, fraction, ProbeSetup::None, scale);
-            let (p99_native, native_ns, events) = run_once(spec, fraction, ProbeSetup::Native, scale);
-            let (p99_bytecode, bytecode_ns, _) = run_once(spec, fraction, ProbeSetup::Bytecode, scale);
+            let (p99_bytecode, bytecode_ns, events) =
+                run_once(spec, fraction, ProbeSetup::Bytecode, scale);
             rows.push(OverheadRow {
                 workload: spec.name.clone(),
                 load_fraction: fraction,
                 p99_base_ms: p99_base,
-                p99_native_ms: p99_native,
                 p99_bytecode_ms: p99_bytecode,
-                native_probe_ns: native_ns,
                 bytecode_probe_ns: bytecode_ns,
                 tracepoint_firings: events,
             });
@@ -121,25 +105,13 @@ pub fn run(scale: Scale) -> Vec<OverheadRow> {
     rows
 }
 
-/// Median of a slice (not necessarily sorted).
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    if values.is_empty() {
-        0.0
-    } else {
-        values[values.len() / 2]
-    }
-}
-
 /// Renders the study.
 pub fn render(rows: &[OverheadRow]) -> String {
     let mut table = TextTable::new(vec![
         "workload",
         "load",
         "p99 base (ms)",
-        "native Δ%",
         "bytecode Δ%",
-        "native ns/event",
         "bytecode ns/event",
     ]);
     for row in rows {
@@ -154,20 +126,19 @@ pub fn render(rows: &[OverheadRow]) -> String {
             row.workload.clone(),
             format!("{:.0}%", row.load_fraction * 100.0),
             format!("{:.3}", row.p99_base_ms),
-            format!("{:+.3}%", row.native_overhead() * 100.0),
             format!("{:+.3}%", row.bytecode_overhead() * 100.0),
-            per_event(row.native_probe_ns),
             per_event(row.bytecode_probe_ns),
         ]);
     }
-    let mut native: Vec<f64> = rows.iter().map(|r| r.native_overhead().abs()).collect();
-    let mut bytecode: Vec<f64> = rows.iter().map(|r| r.bytecode_overhead().abs()).collect();
+    let overheads: Vec<f64> = rows.iter().map(|r| r.bytecode_overhead().abs()).collect();
+    let pct = |q: f64| percentile(&overheads, q).unwrap_or(0.0) * 100.0;
     let mut out = String::from("§VI — probe overhead on p99 tail latency\n\n");
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nmedian |Δp99|: native {:.2}%, bytecode {:.2}% (paper: < 1%, typically < 0.5%)\n",
-        median(&mut native) * 100.0,
-        median(&mut bytecode) * 100.0
+        "\n|Δp99|: median {:.2}%, p75 {:.2}% (paper: median and upper quartile < 1%, \
+         typically < 0.5%)\n",
+        pct(50.0),
+        pct(75.0)
     ));
     out
 }
@@ -178,7 +149,6 @@ pub fn to_csv(rows: &[OverheadRow]) -> String {
         "workload",
         "load_fraction",
         "p99_base_ms",
-        "p99_native_ms",
         "p99_bytecode_ms",
     ]);
     for row in rows {
@@ -186,7 +156,6 @@ pub fn to_csv(rows: &[OverheadRow]) -> String {
             row.workload.clone(),
             format!("{}", row.load_fraction),
             format!("{:.4}", row.p99_base_ms),
-            format!("{:.4}", row.p99_native_ms),
             format!("{:.4}", row.p99_bytecode_ms),
         ]);
     }
@@ -202,10 +171,10 @@ mod tests {
     fn probe_overhead_is_small_at_moderate_load() {
         let spec = data_caching();
         let (base, _, _) = run_once(&spec, 0.6, ProbeSetup::None, Scale::Quick);
-        let (native, native_ns, events) = run_once(&spec, 0.6, ProbeSetup::Native, Scale::Quick);
+        let (probed, probe_ns, events) = run_once(&spec, 0.6, ProbeSetup::Bytecode, Scale::Quick);
         assert!(events > 0);
-        assert!(native_ns > 0, "probe charged no time");
-        let overhead = (native - base).abs() / base;
-        assert!(overhead < 0.05, "overhead {overhead:.3} (base {base}, probed {native})");
+        assert!(probe_ns > 0, "probe charged no time");
+        let overhead = (probed - base).abs() / base;
+        assert!(overhead < 0.05, "overhead {overhead:.3} (base {base}, probed {probed})");
     }
 }

@@ -5,17 +5,17 @@
 //! level both the client-side ground truth and the probe's window metrics —
 //! the two sides whose relationship every experiment measures.
 
-use kscope_core::{BytecodeBackend, NativeBackend, WindowedObserver, WindowMetrics, DEFAULT_SHIFT};
-use kscope_kernel::TracepointProbe;
+use kscope_core::{BytecodeBackend, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
-use kscope_workloads::{run_workload_with, ClientStats, RunConfig, ThreadingModel, WorkloadSpec};
+use kscope_workloads::{ClientStats, RunConfig, ThreadingModel, WorkloadSpec};
 
-/// Which probe implementation to attach.
+use crate::observe::observe_run;
+
+/// Which execution tier runs the paper's eBPF probe. Both tiers charge
+/// the same per-instruction cost, so they produce identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Plain-Rust probe (models a JIT-compiled eBPF program).
-    Native,
     /// Verified eBPF bytecode run in the interpreter.
     Bytecode,
     /// Verified eBPF bytecode JIT-compiled to native machine code
@@ -36,7 +36,7 @@ pub struct SweepConfig {
     pub netem: NetemConfig,
     /// Base seed (levels use `seed + level index`).
     pub seed: u64,
-    /// Probe implementation.
+    /// Probe execution tier.
     pub backend: BackendKind,
 }
 
@@ -51,7 +51,7 @@ impl SweepConfig {
             min_send_samples: 2048,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::Native,
+            backend: BackendKind::BytecodeJit,
         }
     }
 
@@ -63,7 +63,7 @@ impl SweepConfig {
             min_send_samples: 192,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::Native,
+            backend: BackendKind::BytecodeJit,
         }
     }
 
@@ -73,7 +73,7 @@ impl SweepConfig {
         self
     }
 
-    /// Replaces the probe backend.
+    /// Replaces the probe execution tier.
     pub fn with_backend(mut self, backend: BackendKind) -> SweepConfig {
         self.backend = backend;
         self
@@ -189,64 +189,24 @@ pub fn run_level(spec: &WorkloadSpec, offered_rps: f64, config: &SweepConfig, se
         collect_trace: false,
     };
 
-    let backend = config.backend;
-    let shift = DEFAULT_SHIFT;
-    let outcome = run_workload_with(spec, &run_cfg, |sim| {
-        let pids = sim.server_pids();
-        let probe: Box<dyn TracepointProbe> = match backend {
-            BackendKind::Native => Box::new(WindowedObserver::new(
-                NativeBackend::new_multi(pids, sim.spec().profile.clone(), shift),
-                window,
-            )),
-            BackendKind::Bytecode | BackendKind::BytecodeJit => {
-                let mut probe = BytecodeBackend::new_multi(pids, sim.spec().profile.clone(), shift)
-                    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
-                if backend == BackendKind::BytecodeJit {
-                    probe = probe.with_jit();
-                }
-                Box::new(WindowedObserver::new(probe, window))
-            }
-        };
-        vec![probe]
+    let jit = config.backend == BackendKind::BytecodeJit;
+    let mut run = observe_run(spec, &run_cfg, window, |sim| {
+        let probe =
+            BytecodeBackend::new_multi(sim.server_pids(), sim.spec().profile.clone(), DEFAULT_SHIFT)?;
+        Ok(if jit { probe.with_jit() } else { probe })
     });
-
-    let mut kernel = outcome.kernel;
-    let mut probe = match kernel.tracing.detach(outcome.probes[0]) {
-        Some(probe) => probe,
-        None => unreachable!("probe id came from this run's attach"),
-    };
-    let windows = match backend {
-        BackendKind::Native => {
-            let observer = match probe
-                .as_any_mut()
-                .downcast_mut::<WindowedObserver<NativeBackend>>()
-            {
-                Some(observer) => observer,
-                None => unreachable!("this run attached a native windowed observer"),
-            };
-            observer.finish(outcome.end);
-            observer.windows().to_vec()
-        }
-        BackendKind::Bytecode | BackendKind::BytecodeJit => {
-            let observer = match probe
-                .as_any_mut()
-                .downcast_mut::<WindowedObserver<BytecodeBackend>>()
-            {
-                Some(observer) => observer,
-                None => unreachable!("this run attached a bytecode windowed observer"),
-            };
-            observer.finish(outcome.end);
-            observer.windows().to_vec()
-        }
-    };
-    let windows = windows
-        .into_iter()
-        .filter(|w| w.start >= outcome.warmup_end && w.end <= outcome.end)
+    let (warmup_end, end) = (run.warmup_end, run.end);
+    let windows = run
+        .observer()
+        .windows()
+        .iter()
+        .copied()
+        .filter(|w| w.start >= warmup_end && w.end <= end)
         .collect();
 
     LevelResult {
         offered_rps,
-        client: outcome.client,
+        client: run.client,
         windows,
     }
 }

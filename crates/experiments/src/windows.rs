@@ -9,11 +9,11 @@
 //! around the paper's 2048-sample recommendation.
 
 use kscope_analysis::TextTable;
-use kscope_core::{NativeBackend, WindowedObserver, DEFAULT_SHIFT};
-use kscope_kernel::TracepointProbe;
+use kscope_core::{BytecodeBackend, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
-use kscope_workloads::{data_caching, run_workload_with, RunConfig};
+use kscope_workloads::{data_caching, RunConfig};
 
+use crate::observe::observe_run;
 use crate::Scale;
 
 /// Error statistics for one window size.
@@ -45,30 +45,16 @@ pub fn run(scale: Scale) -> Vec<WindowRow> {
         config.collect_trace = false;
         // Enough total time for at least 20 windows.
         config.measure = window * 24;
-        let outcome = run_workload_with(&spec, &config, |sim| {
-            vec![Box::new(WindowedObserver::new(
-                NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT),
-                window,
-            )) as Box<dyn TracepointProbe>]
+        let mut run = observe_run(&spec, &config, window, |sim| {
+            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+                .with_jit())
         });
-        let truth = outcome.client.achieved_rps;
-        let mut kernel = outcome.kernel;
-        let mut probe = match kernel.tracing.detach(outcome.probes[0]) {
-            Some(probe) => probe,
-            None => unreachable!("probe id came from this run's attach"),
-        };
-        let observer = match probe
-            .as_any_mut()
-            .downcast_mut::<WindowedObserver<NativeBackend>>()
-        {
-            Some(observer) => observer,
-            None => unreachable!("this run attached a native windowed observer"),
-        };
-        observer.finish(outcome.end);
-        let errors: Vec<f64> = observer
+        let (truth, warmup_end, end) = (run.client.achieved_rps, run.warmup_end, run.end);
+        let errors: Vec<f64> = run
+            .observer()
             .windows()
             .iter()
-            .filter(|w| w.start >= outcome.warmup_end && w.end <= outcome.end)
+            .filter(|w| w.start >= warmup_end && w.end <= end)
             .filter_map(|w| w.rps_obsv)
             .map(|obsv| (obsv - truth).abs() / truth)
             .collect();

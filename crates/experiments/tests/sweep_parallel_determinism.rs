@@ -21,7 +21,7 @@ fn reduced_config() -> SweepConfig {
         min_send_samples: 96,
         netem: NetemConfig::loopback(),
         seed: 7,
-        backend: BackendKind::Native,
+        backend: BackendKind::BytecodeJit,
     }
 }
 

@@ -27,10 +27,13 @@ const TGID: u32 = 1200;
 /// All fixtures are laid out on a 64ms observation window.
 const WINDOW_MS: u64 = 64;
 
-/// Replays a trace fixture through the native probe with 64ms windows.
+/// Replays a trace fixture through the JIT-compiled bytecode probe —
+/// the probe every experiment attaches — with 64ms windows.
 fn replay(trace: &str, finish_ms: u64) -> Vec<WindowMetrics> {
     let ctxs = parse_trace(trace).expect("fixture must parse");
-    let backend = NativeBackend::new(TGID, SyscallProfile::data_caching(), 0);
+    let backend = BytecodeBackend::new(TGID, SyscallProfile::data_caching(), 0)
+        .expect("probe program must build")
+        .with_jit();
     let mut observer = WindowedObserver::new(backend, Nanos::from_millis(WINDOW_MS));
     for ctx in &ctxs {
         observer.fire(ctx);

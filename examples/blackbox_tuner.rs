@@ -17,6 +17,7 @@
 //! ```
 
 use kscope::core::DEFAULT_SHIFT;
+use kscope::experiments::observe_run;
 use kscope::prelude::*;
 
 /// What the runtime decides from the in-kernel signals alone.
@@ -66,26 +67,19 @@ fn main() {
         let offered = spec.paper_failure_rps * fraction;
         let mut config = RunConfig::new(offered, 500 + step as u64);
         config.measure = Nanos::from_secs(3);
-        let outcome = run_workload_with(&spec, &config, |sim| {
-            let backend =
-                NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT);
-            vec![Box::new(WindowedObserver::new(backend, Nanos::from_millis(750)))
-                as Box<dyn TracepointProbe>]
+        let mut run = observe_run(&spec, &config, Nanos::from_millis(750), |sim| {
+            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+                .with_jit())
         });
-        let mut kernel = outcome.kernel;
-        let mut probe = kernel.tracing.detach(outcome.probes[0]).expect("attached");
-        let observer = probe
-            .as_any_mut()
-            .downcast_mut::<WindowedObserver<NativeBackend>>()
-            .expect("native observer");
-        observer.finish(outcome.end);
+        let warmup_end = run.warmup_end;
 
         let mut headroom = 1.0;
         let mut var_saturated = false;
-        for w in observer
+        for w in run
+            .observer()
             .windows()
             .iter()
-            .filter(|w| w.start >= outcome.warmup_end)
+            .filter(|w| w.start >= warmup_end)
         {
             let report = agent.ingest(*w);
             if let Some(slack) = report.slack {
@@ -98,7 +92,7 @@ fn main() {
         let action = decide(headroom, var_saturated);
 
         // Ground truth the runtime never sees: utilization of the knee.
-        let utilization = outcome.client.achieved_rps / spec.paper_failure_rps;
+        let utilization = run.client.achieved_rps / spec.paper_failure_rps;
         let truth = if utilization > 0.85 {
             Action::ScaleUp
         } else if utilization < 0.45 {
@@ -116,7 +110,7 @@ fn main() {
             headroom * 100.0,
             if var_saturated { "yes" } else { "no" },
             format!("{action:?}"),
-            outcome.client.p99_latency.as_millis_f64(),
+            run.client.p99_latency.as_millis_f64(),
             format!("{truth:?}"),
         );
     }

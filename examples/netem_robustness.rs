@@ -13,7 +13,8 @@
 //! cargo run --release --example netem_robustness
 //! ```
 
-use kscope::core::{NativeBackend, StackDelay, DEFAULT_SHIFT};
+use kscope::core::DEFAULT_SHIFT;
+use kscope::experiments::observe_run;
 use kscope::prelude::*;
 
 struct Row {
@@ -32,27 +33,20 @@ fn measure(spec: &WorkloadSpec, netem: NetemConfig, label: &str) -> Row {
     config.measure = Nanos::from_secs_f64(4_000.0 / offered);
     let window = config.measure / 8;
 
-    let outcome = run_workload_with(spec, &config, |sim| {
-        let backend =
-            NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .with_netstack();
-        vec![Box::new(WindowedObserver::new(backend, window)) as Box<dyn TracepointProbe>]
+    let mut run = observe_run(spec, &config, window, |sim| {
+        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+            .with_netstack()?
+            .with_jit())
     });
-    let mut kernel = outcome.kernel;
-    let mut probe = kernel.tracing.detach(outcome.probes[0]).expect("attached");
-    let observer = probe
-        .as_any_mut()
-        .downcast_mut::<WindowedObserver<NativeBackend>>()
-        .expect("native observer");
-    observer.finish(outcome.end);
-
+    let warmup_end = run.warmup_end;
+    let observer = run.observer();
     let stack = StackDelay::from_backend(DEFAULT_SHIFT, observer.backend())
         .expect("netstack probes attached");
     let windows: Vec<WindowMetrics> = observer
         .windows()
         .iter()
         .copied()
-        .filter(|w| w.start >= outcome.warmup_end)
+        .filter(|w| w.start >= warmup_end)
         .collect();
     let rps_obsv = RpsEstimator::with_min_samples(256)
         .from_windows(&windows)
@@ -65,7 +59,7 @@ fn measure(spec: &WorkloadSpec, netem: NetemConfig, label: &str) -> Row {
         / 1_000.0;
     Row {
         label: label.to_string(),
-        p99_ms: outcome.client.p99_latency.as_millis_f64(),
+        p99_ms: run.client.p99_latency.as_millis_f64(),
         rps_obsv,
         poll_us,
         stack_us: stack.mean_ns().unwrap_or(0.0) / 1_000.0,

@@ -11,6 +11,7 @@
 //! ```
 
 use kscope::core::DEFAULT_SHIFT;
+use kscope::experiments::observe_run;
 use kscope::prelude::*;
 
 fn main() {
@@ -37,32 +38,25 @@ fn main() {
         let offered = spec.paper_failure_rps * fraction;
         let mut config = RunConfig::new(offered, 100 + step as u64);
         config.measure = Nanos::from_secs(4);
-        let outcome = run_workload_with(&spec, &config, |sim| {
-            let backend =
-                NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT);
-            vec![Box::new(WindowedObserver::new(backend, Nanos::from_secs(1)))
-                as Box<dyn TracepointProbe>]
+        let mut run = observe_run(&spec, &config, Nanos::from_secs(1), |sim| {
+            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+                .with_jit())
         });
-        let mut kernel = outcome.kernel;
-        let mut probe = kernel.tracing.detach(outcome.probes[0]).expect("attached");
-        let observer = probe
-            .as_any_mut()
-            .downcast_mut::<WindowedObserver<NativeBackend>>()
-            .expect("native observer");
-        observer.finish(outcome.end);
+        let warmup_end = run.warmup_end;
 
         let mut last = None;
-        for w in observer
+        for w in run
+            .observer()
             .windows()
             .iter()
-            .filter(|w| w.start >= outcome.warmup_end)
+            .filter(|w| w.start >= warmup_end)
         {
             last = Some(agent.ingest(*w));
         }
         let Some(report) = last else { continue };
 
         let saturated = report.any_saturation();
-        let qos_violated = outcome.client.p99_latency > spec.qos_p99;
+        let qos_violated = run.client.p99_latency > spec.qos_p99;
         println!(
             "{:>8.0}  {:>9.0}  {:>12.3}  {:>8.0}%  {:>9}  {:>8.1}  {:>12}",
             offered,
@@ -73,7 +67,7 @@ fn main() {
                 .unwrap_or(0.0),
             report.slack.map(|s| s.headroom * 100.0).unwrap_or(0.0),
             if saturated { "SATURATED" } else { "ok" },
-            outcome.client.p99_latency.as_millis_f64(),
+            run.client.p99_latency.as_millis_f64(),
             if qos_violated { "QoS VIOLATED" } else { "within QoS" },
         );
     }

@@ -15,7 +15,7 @@
 //! * [`netem`] — tc-netem-style delay/jitter/loss with retransmission;
 //! * [`ebpf`] — a real eBPF VM: ISA, assembler, verifier, interpreter, maps;
 //! * [`workloads`] — the paper's nine latency-sensitive applications;
-//! * [`core`] — **the contribution**: probes (native + bytecode), window
+//! * [`core`] — **the contribution**: the eBPF bytecode probe, window
 //!   metrics, and the three estimators (RPS / saturation / slack);
 //! * [`analysis`] — regression, percentiles, charts for the harness;
 //! * [`experiments`] — one module per paper table/figure.
@@ -58,8 +58,8 @@ pub use kscope_workloads as workloads;
 /// The items most programs need.
 pub mod prelude {
     pub use kscope_core::{
-        Agent, BytecodeBackend, MetricBackend, NativeBackend, RpsEstimator, SaturationDetector,
-        SlackEstimator, StackDelay, WindowMetrics, WindowedObserver,
+        Agent, BytecodeBackend, MetricBackend, RpsEstimator, SaturationDetector, SlackEstimator,
+        StackDelay, WindowMetrics, WindowedObserver,
     };
     pub use kscope_kernel::TracepointProbe;
     pub use kscope_netem::NetemConfig;

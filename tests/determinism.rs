@@ -3,32 +3,24 @@
 //! must diverge. This is what makes every experiment in the repository
 //! reproducible.
 
-use kscope::core::{MetricBackend, NativeBackend, DEFAULT_SHIFT};
+use kscope::core::DEFAULT_SHIFT;
+use kscope::experiments::observe_run;
 use kscope::prelude::*;
 
 fn run_probed(seed: u64) -> (u64, u64, u64, Nanos, usize) {
     let spec = kscope::workloads::data_caching();
     let config = RunConfig::new(spec.paper_failure_rps * 0.7, seed).quick();
-    let outcome = run_workload_with(&spec, &config, |sim| {
-        vec![Box::new(WindowedObserver::new(
-            NativeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT),
-            Nanos::from_secs(3_600),
-        )) as Box<dyn TracepointProbe>]
+    let mut run = observe_run(&spec, &config, Nanos::from_secs(3_600), |sim| {
+        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
+            .with_jit())
     });
-    let mut kernel = outcome.kernel;
-    let mut probe = kernel.tracing.detach(outcome.probes[0]).unwrap();
-    let counters = probe
-        .as_any_mut()
-        .downcast_mut::<WindowedObserver<NativeBackend>>()
-        .unwrap()
-        .backend()
-        .counters();
+    let counters = run.observer().backend().counters();
     (
         counters.send.count,
         counters.send.sum,
         counters.send.sum_sq,
-        outcome.client.p99_latency,
-        outcome.trace.len(),
+        run.client.p99_latency,
+        run.trace.len(),
     )
 }
 

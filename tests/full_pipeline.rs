@@ -1,70 +1,40 @@
 //! End-to-end pipeline tests: workload → kernel tracepoints → probe →
 //! windows → estimators, validated against client ground truth, for one
-//! workload of each threading archetype — parameterized over every probe
-//! backend (native Rust, bytecode interpreter, bytecode JIT).
+//! workload of each threading archetype — parameterized over both tiers
+//! of the bytecode probe (interpreter and JIT).
 
-use kscope::core::{BytecodeBackend, NativeBackend, DEFAULT_SHIFT};
-use kscope::experiments::BackendKind;
+use kscope::core::DEFAULT_SHIFT;
+use kscope::experiments::{observe_run, BackendKind};
 use kscope::prelude::*;
+use kscope::workloads::ClientStats;
 
-const ALL_BACKENDS: [BackendKind; 3] = [
-    BackendKind::Native,
-    BackendKind::Bytecode,
-    BackendKind::BytecodeJit,
-];
+const ALL_BACKENDS: [BackendKind; 2] = [BackendKind::Bytecode, BackendKind::BytecodeJit];
 
-/// Builds the probe for `backend` observing `pids`.
-fn make_probe(
-    backend: BackendKind,
-    pids: Vec<u32>,
-    profile: SyscallProfile,
+/// Runs `spec` under `config` with the probe on `backend`'s tier and
+/// returns the run's ground truth and its measurement-period windows.
+fn observe_windows(
+    spec: &WorkloadSpec,
+    config: &RunConfig,
     window: Nanos,
-) -> Box<dyn TracepointProbe> {
-    match backend {
-        BackendKind::Native => Box::new(WindowedObserver::new(
-            NativeBackend::new_multi(pids, profile, DEFAULT_SHIFT),
-            window,
-        )),
-        BackendKind::Bytecode | BackendKind::BytecodeJit => {
-            let mut probe = BytecodeBackend::new_multi(pids, profile, DEFAULT_SHIFT)
-                .expect("generated probe programs must verify");
-            if backend == BackendKind::BytecodeJit {
-                probe = probe.with_jit();
-            }
-            Box::new(WindowedObserver::new(probe, window))
-        }
-    }
-}
-
-/// Detaches the probe and returns its measurement-period windows.
-fn take_windows(
     backend: BackendKind,
-    mut probe: Box<dyn TracepointProbe>,
-    end: Nanos,
-    warmup_end: Nanos,
-) -> Vec<WindowMetrics> {
-    let windows = match backend {
-        BackendKind::Native => {
-            let observer = probe
-                .as_any_mut()
-                .downcast_mut::<WindowedObserver<NativeBackend>>()
-                .unwrap();
-            observer.finish(end);
-            observer.windows().to_vec()
-        }
-        BackendKind::Bytecode | BackendKind::BytecodeJit => {
-            let observer = probe
-                .as_any_mut()
-                .downcast_mut::<WindowedObserver<BytecodeBackend>>()
-                .unwrap();
-            observer.finish(end);
-            observer.windows().to_vec()
-        }
-    };
-    windows
-        .into_iter()
+) -> (ClientStats, Vec<WindowMetrics>) {
+    let mut run = observe_run(spec, config, window, |sim| {
+        let probe =
+            BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?;
+        Ok(match backend {
+            BackendKind::Bytecode => probe,
+            BackendKind::BytecodeJit => probe.with_jit(),
+        })
+    });
+    let warmup_end = run.warmup_end;
+    let windows = run
+        .observer()
+        .windows()
+        .iter()
+        .copied()
         .filter(|w| w.start >= warmup_end)
-        .collect()
+        .collect();
+    (run.client, windows)
 }
 
 /// Runs one level under `backend` and returns (ground-truth rps, pooled
@@ -77,23 +47,13 @@ fn observe(spec: &WorkloadSpec, fraction: f64, seed: u64, backend: BackendKind) 
     config.warmup = Nanos::from_secs_f64((spec.service_time.mean() / 1e9 * 30.0).max(0.2));
     config.collect_trace = false;
     let window = config.measure / 4;
-    let outcome = run_workload_with(spec, &config, |sim| {
-        vec![make_probe(
-            backend,
-            sim.server_pids(),
-            spec.profile.clone(),
-            window,
-        )]
-    });
-    let mut kernel = outcome.kernel;
-    let probe = kernel.tracing.detach(outcome.probes[0]).unwrap();
-    let windows = take_windows(backend, probe, outcome.end, outcome.warmup_end);
+    let (client, windows) = observe_windows(spec, &config, window, backend);
     let rps_obsv = RpsEstimator::with_min_samples(64)
         .from_windows(&windows)
         .expect("enough samples");
     let polls: Vec<f64> = windows.iter().filter_map(|w| w.poll_mean_ns).collect();
     let poll_mean = polls.iter().sum::<f64>() / polls.len().max(1) as f64;
-    (outcome.client.achieved_rps, rps_obsv, poll_mean)
+    (client.achieved_rps, rps_obsv, poll_mean)
 }
 
 /// Eq. 1 tracks ground truth for each threading archetype, after dividing
@@ -122,14 +82,14 @@ fn rps_obsv_tracks_ground_truth_across_archetypes() {
 }
 
 /// Poll durations must collapse by an order of magnitude between light
-/// load and the knee, for every archetype and every probe backend.
+/// load and the knee, for every archetype and both probe tiers.
 #[test]
 fn poll_durations_collapse_toward_the_knee() {
     for (spec, backend) in [
-        // Pair each archetype with a different backend (every backend is
-        // still exercised; the full cross product lives in
-        // backend_equivalence.rs, which holds the backends bit-identical).
-        (kscope::workloads::img_dnn(), BackendKind::Native),
+        // Pair each archetype with one tier (both tiers are exercised;
+        // backend_equivalence.rs holds the tiers and the plain-Rust
+        // oracle bit-identical).
+        (kscope::workloads::img_dnn(), BackendKind::BytecodeJit),
         (kscope::workloads::data_caching(), BackendKind::BytecodeJit),
         (kscope::workloads::triton_http(), BackendKind::Bytecode),
     ] {
@@ -160,17 +120,8 @@ fn agent_flags_overload_but_not_light_load() {
         let offered = spec.paper_failure_rps * fraction;
         let mut config = RunConfig::new(offered, 40 + i as u64);
         config.collect_trace = false;
-        let outcome = run_workload_with(&spec, &config, |sim| {
-            vec![make_probe(
-                backend,
-                sim.server_pids(),
-                spec.profile.clone(),
-                Nanos::from_millis(250),
-            )]
-        });
-        let mut kernel = outcome.kernel;
-        let probe = kernel.tracing.detach(outcome.probes[0]).unwrap();
-        for w in take_windows(backend, probe, outcome.end, outcome.warmup_end) {
+        let (_, windows) = observe_windows(&spec, &config, Nanos::from_millis(250), backend);
+        for w in windows {
             let report = agent.ingest(w);
             if report.any_saturation() {
                 if *fraction <= 0.8 {

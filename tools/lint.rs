@@ -25,6 +25,10 @@
 //!   (`crates/ebpf/src/analysis.rs`): every lookup there goes through
 //!   `.get()`/`.get_mut()`/iterators, so a pass bug surfaces as a
 //!   handled `None`, never as a panic inside the analysis.
+//! * `NativeBackend` is banned in non-test code outside its own module
+//!   (`crates/core/src/native.rs`) and its `pub use` re-export in
+//!   `crates/core/src/lib.rs`: it is the differential tests' reference
+//!   oracle, and every experiment attaches the bytecode probe.
 //!
 //! `#[cfg(test)]` items (and everything nested inside them) are exempt
 //! from the unwrap/expect ban, as are doc comments, line/block
@@ -69,6 +73,15 @@ const NO_SLICE_INDEX_FILES: &[&str] = &[
     "crates/ebpf/src/analysis.rs",
     "crates/ebpf/src/mapindex.rs",
 ];
+
+/// The plain-Rust probe oracle: test code only, outside its own module.
+const ORACLE: &str = "NativeBackend";
+
+/// The oracle's module, where non-test code may name it.
+const ORACLE_HOME: &str = "crates/core/src/native.rs";
+
+/// The crate root, which may name the oracle in its `pub use` re-export.
+const ORACLE_REEXPORT_FILE: &str = "crates/core/src/lib.rs";
 
 /// Allocation patterns banned in hot-path modules outside annotated cold
 /// paths and test code.
@@ -146,6 +159,13 @@ fn is_hot_path(path: &Path) -> bool {
 fn is_no_slice_index(path: &Path) -> bool {
     let normalized = path.to_string_lossy().replace('\\', "/");
     NO_SLICE_INDEX_FILES.iter().any(|f| normalized.ends_with(f))
+}
+
+/// True when the non-test `line` of `path` may name the oracle.
+fn may_name_oracle(path: &Path, line: &str) -> bool {
+    let normalized = path.to_string_lossy().replace('\\', "/");
+    normalized.ends_with(ORACLE_HOME)
+        || (normalized.ends_with(ORACLE_REEXPORT_FILE) && line.trim_start().starts_with("pub use"))
 }
 
 /// Keywords that can legally precede a `[` without forming an index
@@ -272,6 +292,16 @@ fn scan_file(path: &Path, text: &str) -> usize {
                     count += 1;
                 }
             }
+        }
+
+        if !exempt && line.contains(ORACLE) && !may_name_oracle(path, line) {
+            println!(
+                "{}:{}: `{ORACLE}` in non-test code (it is the differential \
+                 tests' oracle; attach `BytecodeBackend`)",
+                path.display(),
+                lineno + 1
+            );
+            count += 1;
         }
 
         if no_index && !exempt {
