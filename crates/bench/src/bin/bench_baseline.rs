@@ -31,7 +31,11 @@
 //! * `hot_path_allocs_per_event` / `hot_path_allocs_per_event_jit` —
 //!   heap allocations per steady-state probe event, counted by this
 //!   binary's global allocator (the zero-allocation claim, measured
-//!   rather than asserted, for both dispatchers).
+//!   rather than asserted, for both dispatchers);
+//! * `sim_allocs_per_request` — heap allocations per request of a whole
+//!   simulated data-caching run (server setup included, no probe), the
+//!   worse of 0.3× and 0.9× the paper's failure load: the simulator's
+//!   request path reuses its buffers, so only setup is left to count.
 //!
 //! Every throughput metric is measured as **one discarded warm-up run
 //! followed by the median of `bench_repeats` repeats**. The warm-up
@@ -50,9 +54,10 @@
 //! Flags: `--quick` (shorter samples, for CI smoke), `--out PATH`
 //! (default `BENCH_baseline.json`), `--check PATH` (compare against a
 //! committed baseline; exit 1 if interpreter throughput regressed more
-//! than 20%, the hot path allocated, the repeat spread exceeded 25%,
-//! or — on JIT-capable targets — the JIT fails its ≥3× ALU gate or the
-//! ≥2× probe-event gate helper inlining is pinned by).
+//! than 20%, the hot path allocated, the simulator made more than 0.05
+//! allocations per request, the repeat spread exceeded 25%, or — on
+//! JIT-capable targets — the JIT fails its ≥3× ALU gate or the ≥2×
+//! probe-event gate helper inlining is pinned by).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +74,7 @@ use kscope_microbench::{Baseline, Criterion};
 use kscope_netem::NetemConfig;
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
-use kscope_workloads::data_caching;
+use kscope_workloads::{data_caching, run_workload, RunConfig};
 
 /// Counts every heap allocation the process makes, so the steady-state
 /// probe path can be shown to make none. A binary target is its own
@@ -98,6 +103,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Gate on `sim_allocs_per_request`: setup amortized over a run stays
+/// far below this, while one allocation per packet or poll exceeds it.
+const SIM_ALLOCS_PER_REQUEST_MAX: f64 = 0.05;
 
 /// Number of ALU instructions the VM-throughput program executes per run.
 const ALU_INSNS: f64 = 64.0;
@@ -198,6 +207,10 @@ fn main() {
     baseline.set("hot_path_allocs_per_event_jit", allocs_jit);
     println!("hot-path allocations: interp {allocs} per event, jit {allocs_jit} per event");
 
+    let sim_allocs = sim_allocs_per_request();
+    baseline.set("sim_allocs_per_request", sim_allocs);
+    println!("simulated request path: {sim_allocs:.4} allocations per request");
+
     let sweep_ms = sweep_quick_wall_ms(quick);
     baseline.set("sweep_quick_wall_ms", sweep_ms);
     println!("parallel quick sweep: {sweep_ms:.1} ms wall ({} jobs)", default_jobs());
@@ -263,8 +276,9 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Compares a fresh run against a committed baseline; exits non-zero on a
-/// >20% interpreter-throughput regression or any hot-path allocation.
+/// Compares a fresh run against a committed baseline; exits non-zero on an
+/// interpreter-throughput regression of more than 20%, any hot-path
+/// allocation, or a simulated request path above its allocation gate.
 fn check_against(path: &str, fresh: &Baseline) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -318,6 +332,19 @@ fn check_against(path: &str, fresh: &Baseline) {
     if fresh.get("hot_path_allocs_per_event").is_some_and(|a| a > 0.0) {
         eprintln!("bench_baseline: REGRESSION: steady-state probe path allocated");
         failed = true;
+    }
+    let sim_allocs = fresh.get("sim_allocs_per_request").unwrap_or(f64::MAX);
+    if sim_allocs > SIM_ALLOCS_PER_REQUEST_MAX {
+        eprintln!(
+            "bench_baseline: REGRESSION: the simulated request path made \
+             {sim_allocs:.4} allocations per request (gate: <= {SIM_ALLOCS_PER_REQUEST_MAX})"
+        );
+        failed = true;
+    } else {
+        println!(
+            "check: simulator {sim_allocs:.4} allocations per request \
+             (gate: <= {SIM_ALLOCS_PER_REQUEST_MAX}) — ok"
+        );
     }
     if fresh.get("vm_jit_supported") == Some(1.0) {
         // The JIT gate is pinned on the pure-ALU dispatch floor, where
@@ -529,6 +556,25 @@ fn hot_path_allocs_per_event(quick: bool, mode: ProbeMode) -> f64 {
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     delta as f64 / events as f64
+}
+
+/// Heap allocations per request over whole data-caching runs at 0.3× and
+/// 0.9× of the paper's failure load (the worse of the two), counted from
+/// server construction to the client statistics, with no probe and no
+/// trace collection; requests are the packets the NIC delivered.
+fn sim_allocs_per_request() -> f64 {
+    let spec = data_caching();
+    [0.3, 0.9]
+        .into_iter()
+        .map(|load| {
+            let mut config = RunConfig::new(load * spec.paper_failure_rps, 7).quick();
+            config.collect_trace = false;
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let outcome = run_workload(&spec, &config, Vec::new());
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            allocs as f64 / outcome.kernel.tracing.stats().net_rx.max(1) as f64
+        })
+        .fold(0.0, f64::max)
 }
 
 fn engine_events_per_sec(criterion: &Criterion) -> f64 {

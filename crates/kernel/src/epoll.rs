@@ -39,16 +39,23 @@ struct EpollInstance {
 /// epolls.watch(ep, conn);
 ///
 /// // Nothing readable: the caller must block.
-/// assert!(epolls.ready_channels(ep, &channels).is_empty());
+/// let mut ready = Vec::new();
+/// epolls.ready_into(ep, &channels, &mut ready);
+/// assert!(ready.is_empty());
 /// epolls.block(ep, 42);
 ///
 /// // Delivery wakes the blocked thread.
 /// channels.deliver(conn, Message::internal(1, 8, Nanos::ZERO));
-/// assert_eq!(epolls.on_readable(conn), vec![(ep, 42)]);
+/// let mut woken = Vec::new();
+/// epolls.wake(conn, |ep, tid| woken.push((ep, tid)));
+/// assert_eq!(woken, vec![(ep, 42)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EpollTable {
     instances: Vec<EpollInstance>,
+    /// Per channel id, the instances watching it in ascending id order
+    /// (the order a scan over every instance would find them in).
+    watchers: Vec<Vec<EpollId>>,
 }
 
 impl EpollTable {
@@ -86,6 +93,13 @@ impl EpollTable {
             "channel {channel:?} already watched by {ep:?}"
         );
         inst.watched.push(channel);
+        let idx = channel.0 as usize;
+        if self.watchers.len() <= idx {
+            self.watchers.resize_with(idx + 1, Vec::new);
+        }
+        let watchers = &mut self.watchers[idx];
+        let at = watchers.partition_point(|&w| w < ep);
+        watchers.insert(at, ep);
     }
 
     /// The watched channels of an instance.
@@ -97,25 +111,29 @@ impl EpollTable {
         &self.instances[ep.0 as usize].watched
     }
 
-    /// Channels of `ep` that are currently readable (level-triggered).
+    /// Refills `out` with the channels of `ep` that are currently readable
+    /// (level-triggered), in watch order. `out` is cleared first, so one
+    /// buffer serves every call without allocating.
     ///
     /// # Panics
     ///
     /// Panics on an unknown epoll id.
-    pub fn ready_channels(&self, ep: EpollId, channels: &ChannelTable) -> Vec<ChannelId> {
-        self.instances[ep.0 as usize]
-            .watched
-            .iter()
-            .copied()
-            .filter(|&c| channels.is_readable(c))
-            .collect()
+    pub fn ready_into(&self, ep: EpollId, channels: &ChannelTable, out: &mut Vec<ChannelId>) {
+        out.clear();
+        out.extend(
+            self.instances[ep.0 as usize]
+                .watched
+                .iter()
+                .copied()
+                .filter(|&c| channels.is_readable(c)),
+        );
     }
 
     /// Registers `tid` as blocked in `epoll_wait` on `ep`.
     ///
     /// The caller is responsible for first checking
-    /// [`ready_channels`](Self::ready_channels) — blocking with data pending
-    /// is a driver bug.
+    /// [`ready_into`](Self::ready_into) — blocking with data pending is a
+    /// driver bug.
     ///
     /// # Panics
     ///
@@ -142,18 +160,18 @@ impl EpollTable {
     /// Called when `channel` becomes readable: wakes at most one waiter per
     /// watching instance (no thundering herd, as with modern epoll).
     ///
-    /// Returns `(instance, thread)` pairs for every wakeup; the driver
-    /// completes those threads' `epoll_wait` calls.
-    pub fn on_readable(&mut self, channel: ChannelId) -> Vec<(EpollId, Tid)> {
-        let mut wakeups = Vec::new();
-        for (idx, inst) in self.instances.iter_mut().enumerate() {
-            if inst.watched.contains(&channel) {
-                if let Some(tid) = inst.waiters.pop_front() {
-                    wakeups.push((EpollId(idx as u32), tid));
-                }
+    /// Calls `woken(instance, thread)` for every wakeup, in ascending
+    /// instance order; the driver completes those threads' `epoll_wait`
+    /// calls.
+    pub fn wake(&mut self, channel: ChannelId, mut woken: impl FnMut(EpollId, Tid)) {
+        let Some(watchers) = self.watchers.get(channel.0 as usize) else {
+            return;
+        };
+        for &ep in watchers {
+            if let Some(tid) = self.instances[ep.0 as usize].waiters.pop_front() {
+                woken(ep, tid);
             }
         }
-        wakeups
     }
 }
 
@@ -167,6 +185,19 @@ mod tests {
         Message::internal(request, 16, Nanos::ZERO)
     }
 
+    fn ready(epolls: &EpollTable, ep: EpollId, channels: &ChannelTable) -> Vec<ChannelId> {
+        // A stale entry proves the buffer is refilled, not appended to.
+        let mut out = vec![ChannelId(99)];
+        epolls.ready_into(ep, channels, &mut out);
+        out
+    }
+
+    fn wake(epolls: &mut EpollTable, channel: ChannelId) -> Vec<(EpollId, Tid)> {
+        let mut woken = Vec::new();
+        epolls.wake(channel, |ep, tid| woken.push((ep, tid)));
+        woken
+    }
+
     #[test]
     fn ready_channels_is_level_triggered() {
         let mut channels = ChannelTable::new();
@@ -176,14 +207,14 @@ mod tests {
         let ep = epolls.create();
         epolls.watch(ep, a);
         epolls.watch(ep, b);
-        assert!(epolls.ready_channels(ep, &channels).is_empty());
+        assert!(ready(&epolls, ep, &channels).is_empty());
         channels.deliver(a, msg(1));
         channels.deliver(a, msg(2));
         channels.deliver(b, msg(3));
-        assert_eq!(epolls.ready_channels(ep, &channels), vec![a, b]);
+        assert_eq!(ready(&epolls, ep, &channels), vec![a, b]);
         channels.recv(a);
         // One message still pending on a: still ready (level-triggered).
-        assert_eq!(epolls.ready_channels(ep, &channels), vec![a, b]);
+        assert_eq!(ready(&epolls, ep, &channels), vec![a, b]);
     }
 
     #[test]
@@ -196,14 +227,14 @@ mod tests {
         epolls.block(ep, 10);
         epolls.block(ep, 11);
         channels.deliver(conn, msg(1));
-        assert_eq!(epolls.on_readable(conn), vec![(ep, 10)]);
+        assert_eq!(wake(&mut epolls, conn), vec![(ep, 10)]);
         assert_eq!(epolls.blocked_count(ep), 1);
         channels.deliver(conn, msg(2));
-        assert_eq!(epolls.on_readable(conn), vec![(ep, 11)]);
+        assert_eq!(wake(&mut epolls, conn), vec![(ep, 11)]);
         assert_eq!(epolls.blocked_count(ep), 0);
         // Nobody left to wake.
         channels.deliver(conn, msg(3));
-        assert!(epolls.on_readable(conn).is_empty());
+        assert!(wake(&mut epolls, conn).is_empty());
     }
 
     #[test]
@@ -218,8 +249,30 @@ mod tests {
         epolls.block(ep1, 20);
         epolls.block(ep2, 21);
         channels.deliver(conn, msg(1));
-        let wakeups = epolls.on_readable(conn);
+        let wakeups = wake(&mut epolls, conn);
         assert_eq!(wakeups, vec![(ep1, 20), (ep2, 21)]);
+    }
+
+    #[test]
+    fn wakeups_follow_instance_order_not_watch_order() {
+        let mut channels = ChannelTable::new();
+        let mut epolls = EpollTable::new();
+        let conn = channels.create();
+        let eps: Vec<EpollId> = (0..3).map(|_| epolls.create()).collect();
+        for &ep in eps.iter().rev() {
+            epolls.watch(ep, conn);
+        }
+        for (i, &ep) in eps.iter().enumerate() {
+            epolls.block(ep, 30 + i as Tid);
+        }
+        channels.deliver(conn, msg(1));
+        assert_eq!(
+            wake(&mut epolls, conn),
+            vec![(eps[0], 30), (eps[1], 31), (eps[2], 32)]
+        );
+        // A channel nobody watches wakes nobody.
+        let stray = channels.create();
+        assert!(wake(&mut epolls, stray).is_empty());
     }
 
     #[test]
@@ -233,9 +286,9 @@ mod tests {
             epolls.block(ep, tid);
         }
         channels.deliver(conn, msg(1));
-        assert_eq!(epolls.on_readable(conn)[0].1, 5);
+        assert_eq!(wake(&mut epolls, conn)[0].1, 5);
         channels.deliver(conn, msg(2));
-        assert_eq!(epolls.on_readable(conn)[0].1, 6);
+        assert_eq!(wake(&mut epolls, conn)[0].1, 6);
     }
 
     #[test]

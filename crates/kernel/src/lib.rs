@@ -39,8 +39,9 @@
 //! // A request arrives at t=1ms and wakes the worker.
 //! let t1 = Nanos::from_millis(1);
 //! kernel.channels.deliver(conn, Message::internal(1, 64, t1));
-//! let wakeups = kernel.epolls.on_readable(conn);
-//! assert_eq!(wakeups[0].1, worker);
+//! let mut wakeups = Vec::new();
+//! kernel.epolls.wake(conn, |_, tid| wakeups.push(tid));
+//! assert_eq!(wakeups[0], worker);
 //! kernel.tracing.sys_exit(pid, worker, SyscallNo::EPOLL_WAIT, 1, t1);
 //!
 //! // The epoll_wait duration in the trace is the idle slack: 1ms.
@@ -62,7 +63,7 @@ mod tracing;
 
 pub use epoll::{EpollId, EpollTable};
 pub use host::HostSpec;
-pub use netstack::{IngressConfig, IngressQueue, IngressStats, RxPacket, SoftirqDelivery, SoftirqRun};
+pub use netstack::{IngressConfig, IngressQueue, IngressStats, RxPacket, SoftirqDelivery};
 pub use sched::{ComputeGrant, CpuScheduler, SchedConfig, SchedStats};
 pub use socket::{ChannelId, ChannelTable, Message, StackStamps};
 pub use task::{TaskInfo, TaskTable};

@@ -17,11 +17,12 @@
 //! agnostic bookkeeping: [`IngressQueue::enqueue`] takes `now` and returns
 //! when a softirq should be raised; the driver schedules that event and
 //! calls [`IngressQueue::run_softirq`], which processes up to
-//! [`IngressConfig::napi_budget`] packets and returns per-packet delivery
-//! timestamps plus — when the budget was exhausted with packets still
-//! ringed — the time the deferred (ksoftirqd-style) follow-up run should
-//! happen. The driver stamps each delivered [`Message`](crate::Message)
-//! with its [`StackStamps`](crate::StackStamps) and fires the
+//! [`IngressConfig::napi_budget`] packets into a caller-owned buffer of
+//! per-packet delivery timestamps and returns — when the budget was
+//! exhausted with packets still ringed — the time the deferred
+//! (ksoftirqd-style) follow-up run should happen. The driver stamps each
+//! delivered [`Message`](crate::Message) with its
+//! [`StackStamps`](crate::StackStamps) and fires the
 //! `net_rx_softirq` tracepoint; the later `recvfrom`/`epoll_wait` drain
 //! fires `sock_queue_drain`.
 
@@ -105,17 +106,6 @@ pub struct IngressStats {
     pub ring_high_water: u64,
 }
 
-/// Result of one softirq invocation.
-#[derive(Debug, Clone)]
-pub struct SoftirqRun {
-    /// Packets processed this invocation, in ring (arrival) order with
-    /// monotonically non-decreasing `delivered_at`.
-    pub delivered: Vec<SoftirqDelivery>,
-    /// When the deferred follow-up run should execute, if the budget was
-    /// exhausted with packets still on the ring.
-    pub next: Option<Nanos>,
-}
-
 /// The per-host ingress pipeline: NIC ring plus softirq scheduling state.
 ///
 /// # Examples
@@ -129,11 +119,12 @@ pub struct SoftirqRun {
 /// let pkt = RxPacket { conn: ChannelId(0), request: 1, bytes: 64 };
 /// let raise = ingress.enqueue(pkt, Nanos::from_micros(10)).expect("softirq raised");
 /// assert!(raise > Nanos::from_micros(10));
-/// let run = ingress.run_softirq(raise, &mut rng);
-/// assert_eq!(run.delivered.len(), 1);
-/// assert_eq!(run.delivered[0].nic_at, Nanos::from_micros(10));
-/// assert!(run.delivered[0].delivered_at >= raise);
-/// assert!(run.next.is_none());
+/// let mut delivered = Vec::new();
+/// let next = ingress.run_softirq(raise, &mut rng, &mut delivered);
+/// assert_eq!(delivered.len(), 1);
+/// assert_eq!(delivered[0].nic_at, Nanos::from_micros(10));
+/// assert!(delivered[0].delivered_at >= raise);
+/// assert!(next.is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct IngressQueue {
@@ -201,11 +192,21 @@ impl IngressQueue {
     /// budget of ringed packets, charging per-packet protocol cost plus a
     /// per-invocation jitter sample from `rng`.
     ///
+    /// `delivered` is cleared and refilled with the processed packets, in
+    /// ring (arrival) order with monotonically non-decreasing
+    /// `delivered_at`; reusing one buffer keeps the ingress path free of
+    /// allocation.
+    ///
     /// When the budget is exhausted with packets still ringed, the
-    /// invocation defers: `next` carries the follow-up run time and the
-    /// softirq stays pending. Otherwise the pending flag clears and the
-    /// next arrival raises a fresh softirq.
-    pub fn run_softirq(&mut self, now: Nanos, rng: &mut SimRng) -> SoftirqRun {
+    /// invocation defers: it returns the follow-up run time and the
+    /// softirq stays pending. Otherwise it returns `None`, the pending
+    /// flag clears and the next arrival raises a fresh softirq.
+    pub fn run_softirq(
+        &mut self,
+        now: Nanos,
+        rng: &mut SimRng,
+        delivered: &mut Vec<SoftirqDelivery>,
+    ) -> Option<Nanos> {
         self.stats.softirq_runs += 1;
         let jitter = self
             .config
@@ -215,7 +216,7 @@ impl IngressQueue {
             .unwrap_or(Nanos::ZERO);
         let mut clock = now + jitter;
         let budget = self.config.napi_budget.max(1);
-        let mut delivered = Vec::with_capacity(self.ring.len().min(budget));
+        delivered.clear();
         while delivered.len() < budget {
             let Some((packet, nic_at)) = self.ring.pop_front() else {
                 break;
@@ -228,15 +229,14 @@ impl IngressQueue {
             });
         }
         self.stats.delivered += delivered.len() as u64;
-        let next = if self.ring.is_empty() {
+        if self.ring.is_empty() {
             self.softirq_pending = false;
             None
         } else {
             // Budget exhausted: hand the remainder to ksoftirqd.
             self.stats.deferrals += 1;
             Some(clock + self.config.defer_delay)
-        };
-        SoftirqRun { delivered, next }
+        }
     }
 }
 
@@ -250,6 +250,23 @@ mod tests {
             request,
             bytes: 128,
         }
+    }
+
+    /// One softirq run's outputs, gathered for assertions.
+    struct Run {
+        delivered: Vec<SoftirqDelivery>,
+        next: Option<Nanos>,
+    }
+
+    fn softirq(q: &mut IngressQueue, now: Nanos, rng: &mut SimRng) -> Run {
+        // A stale entry proves the buffer is refilled, not appended to.
+        let mut delivered = vec![SoftirqDelivery {
+            packet: pkt(u64::MAX),
+            nic_at: Nanos::ZERO,
+            delivered_at: Nanos::ZERO,
+        }];
+        let next = q.run_softirq(now, rng, &mut delivered);
+        Run { delivered, next }
     }
 
     fn quiet_config() -> IngressConfig {
@@ -266,7 +283,7 @@ mod tests {
         let t0 = Nanos::from_micros(100);
         let raise = q.enqueue(pkt(7), t0).expect("first arrival raises");
         assert_eq!(raise, t0 + q.config().softirq_latency);
-        let run = q.run_softirq(raise, &mut rng);
+        let run = softirq(&mut q, raise, &mut rng);
         assert_eq!(run.delivered.len(), 1);
         let d = run.delivered[0];
         assert_eq!(d.packet.request, 7);
@@ -284,7 +301,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let raise = q.enqueue(pkt(1), Nanos::from_micros(10)).expect("raised");
         assert!(q.enqueue(pkt(2), Nanos::from_micros(11)).is_none());
-        let run = q.run_softirq(raise, &mut rng);
+        let run = softirq(&mut q, raise, &mut rng);
         assert_eq!(run.delivered.len(), 2);
         // FIFO in arrival order, monotone completion times.
         assert_eq!(run.delivered[0].packet.request, 1);
@@ -305,7 +322,7 @@ mod tests {
         for i in 1..10u64 {
             assert!(q.enqueue(pkt(i), t0 + Nanos::from_nanos(i)).is_none());
         }
-        let first = q.run_softirq(raise, &mut rng);
+        let first = softirq(&mut q, raise, &mut rng);
         assert_eq!(first.delivered.len(), 4);
         let next = first.next.expect("budget exhausted defers");
         assert_eq!(
@@ -315,10 +332,10 @@ mod tests {
         assert_eq!(q.ring_depth(), 6);
         // Arrivals while deferred still must not raise a duplicate softirq.
         assert!(q.enqueue(pkt(100), next - Nanos::from_nanos(1)).is_none());
-        let second = q.run_softirq(next, &mut rng);
+        let second = softirq(&mut q, next, &mut rng);
         assert_eq!(second.delivered.len(), 4);
         let third_at = second.next.expect("still over budget");
-        let third = q.run_softirq(third_at, &mut rng);
+        let third = softirq(&mut q, third_at, &mut rng);
         assert_eq!(third.delivered.len(), 3);
         assert!(third.next.is_none());
         assert_eq!(q.stats().deferrals, 2);
@@ -347,7 +364,7 @@ mod tests {
         let mut q = IngressQueue::new(cfg);
         let mut rng = SimRng::seed_from_u64(4);
         let raise = q.enqueue(pkt(1), Nanos::ZERO).expect("raised");
-        let run = q.run_softirq(raise, &mut rng);
+        let run = softirq(&mut q, raise, &mut rng);
         assert_eq!(
             run.delivered[0].delivered_at,
             raise + Nanos::from_nanos(250) + q.config().per_packet
@@ -358,7 +375,7 @@ mod tests {
     fn empty_run_is_harmless() {
         let mut q = IngressQueue::new(quiet_config());
         let mut rng = SimRng::seed_from_u64(5);
-        let run = q.run_softirq(Nanos::from_micros(1), &mut rng);
+        let run = softirq(&mut q, Nanos::from_micros(1), &mut rng);
         assert!(run.delivered.is_empty());
         assert!(run.next.is_none());
     }
@@ -372,7 +389,7 @@ mod tests {
             q.enqueue(pkt(i), Nanos::from_nanos(i));
         }
         assert_eq!(q.stats().ring_high_water, 5);
-        q.run_softirq(raise, &mut rng);
+        softirq(&mut q, raise, &mut rng);
         assert_eq!(q.stats().ring_high_water, 5);
     }
 }

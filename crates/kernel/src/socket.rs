@@ -79,6 +79,8 @@ impl Message {
 #[derive(Debug, Clone, Default)]
 pub struct ChannelTable {
     queues: Vec<VecDeque<Message>>,
+    /// Sum of every queue's length, kept by `deliver` and `recv`.
+    total_pending: usize,
 }
 
 impl ChannelTable {
@@ -115,6 +117,7 @@ impl ChannelTable {
     /// Panics on an unknown channel id.
     pub fn deliver(&mut self, id: ChannelId, msg: Message) {
         self.queues[id.0 as usize].push_back(msg);
+        self.total_pending += 1;
     }
 
     /// Dequeues the oldest message, if any (`recv`/queue-pop semantics).
@@ -123,7 +126,9 @@ impl ChannelTable {
     ///
     /// Panics on an unknown channel id.
     pub fn recv(&mut self, id: ChannelId) -> Option<Message> {
-        self.queues[id.0 as usize].pop_front()
+        let msg = self.queues[id.0 as usize].pop_front()?;
+        self.total_pending -= 1;
+        Some(msg)
     }
 
     /// True when at least one message is pending.
@@ -155,9 +160,10 @@ impl ChannelTable {
             .map(|m| now.saturating_sub(m.enqueued_at))
     }
 
-    /// Total pending messages across every channel (queue-pressure metric).
+    /// Total pending messages across every channel (queue-pressure
+    /// metric), in constant time.
     pub fn total_pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.total_pending
     }
 }
 

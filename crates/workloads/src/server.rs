@@ -11,8 +11,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use kscope_kernel::{ChannelId, EpollId, Kernel, Message, RxPacket, SchedConfig, StackStamps};
+use kscope_kernel::{
+    ChannelId, EpollId, Kernel, Message, RxPacket, SchedConfig, SoftirqDelivery, StackStamps,
+};
 use kscope_netem::{NetemConfig, NetemPath};
+use kscope_simcore::hash::FastBuildHasher;
 use kscope_simcore::{Dist, Nanos, Scheduler, SimRng, Simulation};
 use kscope_syscalls::{Pid, SyscallNo, SyscallRole, Tid};
 
@@ -136,7 +139,6 @@ enum TState {
 
 #[derive(Debug)]
 struct ThreadRt {
-    #[allow(dead_code)] // kept for debugging dumps
     tid: Tid,
     pid: Pid,
     epoll: EpollId,
@@ -168,6 +170,33 @@ impl ThreadRt {
     }
 }
 
+/// Every server thread's runtime state, indexed by `tid - first`: the
+/// server spawns all of its tasks, and the task table hands out ids from
+/// one counter, so they form one dense range in ascending tid order.
+#[derive(Debug, Default)]
+struct ThreadTable {
+    first: Tid,
+    rts: Vec<ThreadRt>,
+}
+
+impl ThreadTable {
+    /// Lays out `threads`, checking their tids are one contiguous range.
+    fn dense(threads: BTreeMap<Tid, ThreadRt>) -> ThreadTable {
+        let rts: Vec<ThreadRt> = threads.into_values().collect();
+        let first = rts[0].tid;
+        assert_eq!(
+            rts[rts.len() - 1].tid - first,
+            rts.len() as Tid - 1,
+            "server tids are contiguous"
+        );
+        ThreadTable { first, rts }
+    }
+
+    fn thread_mut(&mut self, tid: Tid) -> &mut ThreadRt {
+        &mut self.rts[(tid - self.first) as usize]
+    }
+}
+
 /// The assembled server simulation.
 ///
 /// Construct with [`ServerSim::new`], seed the engine with
@@ -186,15 +215,18 @@ pub struct ServerSim {
     /// Softirq batch-processing jitter (separate stream so the ingress
     /// pipeline does not disturb netem/service sampling sequences).
     rng_softirq: SimRng,
-    threads: BTreeMap<Tid, ThreadRt>,
-    chan_cfg: HashMap<ChannelId, ChanCfg>,
+    threads: ThreadTable,
+    /// Per-channel behaviour, indexed by channel id.
+    chan_cfg: Vec<ChanCfg>,
     conns: Vec<ChannelId>,
     next_conn: usize,
     inter_arrival: Dist,
     offered_until: Nanos,
     next_request: u64,
-    in_flight: HashMap<u64, Nanos>,
+    in_flight: HashMap<u64, Nanos, FastBuildHasher>,
     completions: Vec<Completion>,
+    /// Reused output buffer of the softirq handler.
+    rx_batch: Vec<SoftirqDelivery>,
     offered_count: u64,
     /// Wakeup latency from delivery to poll return.
     wake_cost: Nanos,
@@ -227,15 +259,16 @@ impl ServerSim {
             rng_misc: root.fork(5),
             rng_softirq: root.fork(6),
             path: NetemPath::symmetric(netem),
-            threads: BTreeMap::new(),
-            chan_cfg: HashMap::new(),
+            threads: ThreadTable::default(),
+            chan_cfg: Vec::new(),
             conns: Vec::new(),
             next_conn: 0,
             inter_arrival: Dist::exponential(1e9 / offered_rps),
             offered_until,
             next_request: 0,
-            in_flight: HashMap::new(),
+            in_flight: HashMap::default(),
             completions: Vec::new(),
+            rx_batch: Vec::new(),
             offered_count: 0,
             wake_cost: Nanos::from_micros(1),
             convoy_until: Nanos::ZERO,
@@ -284,7 +317,7 @@ impl ServerSim {
     /// The process ids of the server application (one per process; two for
     /// the two-stage model). Probes filter on these.
     pub fn server_pids(&self) -> Vec<Pid> {
-        let mut pids: Vec<Pid> = self.threads.values().map(|t| t.pid).collect();
+        let mut pids: Vec<Pid> = self.threads.rts.iter().map(|t| t.pid).collect();
         pids.sort_unstable();
         pids.dedup();
         pids
@@ -296,44 +329,16 @@ impl ServerSim {
         let recv_no = self.spec.profile.primary(SyscallRole::Receive);
         let send_no = self.spec.profile.primary(SyscallRole::Send);
         let poll_no = self.spec.profile.primary(SyscallRole::Poll);
-        let n_conns = self.spec.connections;
+        let mut threads = BTreeMap::new();
         match self.spec.threading.clone() {
             ThreadingModel::SingleThreaded | ThreadingModel::WorkerPool { .. } => {
                 let workers = match self.spec.threading {
-                    ThreadingModel::SingleThreaded => 1,
                     ThreadingModel::WorkerPool { workers } => workers,
-                    _ => unreachable!(),
+                    _ => 1,
                 };
                 let pid = self.kernel.tasks.spawn_process(self.spec.name.clone());
-                let mut epolls = Vec::new();
-                for w in 0..workers {
-                    let tid = if w == 0 {
-                        pid
-                    } else {
-                        self.kernel
-                            .tasks
-                            .spawn_thread(pid, format!("worker-{w}"))
-                            .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
-                    };
-                    let ep = self.kernel.epolls.create();
-                    epolls.push(ep);
-                    self.threads
-                        .insert(tid, ThreadRt::new(tid, pid, ep, poll_no));
-                }
-                for c in 0..n_conns {
-                    let conn = self.kernel.channels.create();
-                    self.kernel
-                        .epolls
-                        .watch(epolls[(c % workers) as usize], conn);
-                    self.conns.push(conn);
-                    self.chan_cfg.insert(
-                        conn,
-                        ChanCfg {
-                            pop_syscall: Some(recv_no),
-                            after: AfterPop::ComputeAndRespond,
-                        },
-                    );
-                }
+                let epolls = self.spawn_pollers(&mut threads, pid, workers, "worker", poll_no);
+                self.add_conns(&epolls, AfterPop::ComputeAndRespond);
             }
             ThreadingModel::TwoStage {
                 frontend_threads,
@@ -349,23 +354,17 @@ impl ServerSim {
                     .spawn_process(format!("{}-backend", self.spec.name));
                 let stage_q = self.kernel.channels.create();
                 let reply_q = self.kernel.channels.create();
+                let forward = |to, parse| AfterPop::ComputeAndForward {
+                    to,
+                    via: Some(send_no),
+                    parse,
+                };
+                self.set_behaviour(stage_q, Some(recv_no), forward(reply_q, false));
+                self.set_behaviour(reply_q, Some(recv_no), AfterPop::Respond);
                 // Front-end threads: private epolls over conn partitions;
                 // thread 0 additionally watches the reply socket.
-                let mut fe_epolls = Vec::new();
-                for w in 0..frontend_threads {
-                    let tid = if w == 0 {
-                        fe_pid
-                    } else {
-                        self.kernel
-                            .tasks
-                            .spawn_thread(fe_pid, format!("fe-{w}"))
-                            .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
-                    };
-                    let ep = self.kernel.epolls.create();
-                    fe_epolls.push(ep);
-                    self.threads
-                        .insert(tid, ThreadRt::new(tid, fe_pid, ep, poll_no));
-                }
+                let fe_epolls =
+                    self.spawn_pollers(&mut threads, fe_pid, frontend_threads, "fe", poll_no);
                 self.kernel.epolls.watch(fe_epolls[0], reply_q);
                 // Back-end workers share one epoll on the stage socket.
                 let be_ep = self.kernel.epolls.create();
@@ -374,50 +373,11 @@ impl ServerSim {
                     let tid = if w == 0 {
                         be_pid
                     } else {
-                        self.kernel
-                            .tasks
-                            .spawn_thread(be_pid, format!("be-{w}"))
-                            .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
+                        self.spawn_thread(be_pid, format!("be-{w}"))
                     };
-                    self.threads
-                        .insert(tid, ThreadRt::new(tid, be_pid, be_ep, poll_no));
+                    threads.insert(tid, ThreadRt::new(tid, be_pid, be_ep, poll_no));
                 }
-                for c in 0..n_conns {
-                    let conn = self.kernel.channels.create();
-                    self.kernel
-                        .epolls
-                        .watch(fe_epolls[(c % frontend_threads) as usize], conn);
-                    self.conns.push(conn);
-                    self.chan_cfg.insert(
-                        conn,
-                        ChanCfg {
-                            pop_syscall: Some(recv_no),
-                            after: AfterPop::ComputeAndForward {
-                                to: stage_q,
-                                via: Some(send_no),
-                                parse: true,
-                            },
-                        },
-                    );
-                }
-                self.chan_cfg.insert(
-                    stage_q,
-                    ChanCfg {
-                        pop_syscall: Some(recv_no),
-                        after: AfterPop::ComputeAndForward {
-                            to: reply_q,
-                            via: Some(send_no),
-                            parse: false,
-                        },
-                    },
-                );
-                self.chan_cfg.insert(
-                    reply_q,
-                    ChanCfg {
-                        pop_syscall: Some(recv_no),
-                        after: AfterPop::Respond,
-                    },
-                );
+                self.add_conns(&fe_epolls, forward(stage_q, true));
             }
             ThreadingModel::DispatchPool {
                 network_threads,
@@ -425,61 +385,85 @@ impl ServerSim {
             } => {
                 let pid = self.kernel.tasks.spawn_process(self.spec.name.clone());
                 let worker_q = self.kernel.channels.create();
-                let mut net_epolls = Vec::new();
-                for w in 0..network_threads {
-                    let tid = if w == 0 {
-                        pid
-                    } else {
-                        self.kernel
-                            .tasks
-                            .spawn_thread(pid, format!("net-{w}"))
-                            .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
-                    };
-                    let ep = self.kernel.epolls.create();
-                    net_epolls.push(ep);
-                    self.threads
-                        .insert(tid, ThreadRt::new(tid, pid, ep, poll_no));
-                }
+                self.set_behaviour(worker_q, None, AfterPop::ComputeAndRespond);
+                let net_epolls =
+                    self.spawn_pollers(&mut threads, pid, network_threads, "net", poll_no);
                 // Workers share one wait queue, blocking via futex (their
                 // waits must not count toward the poll-family metrics).
                 let worker_ep = self.kernel.epolls.create();
                 self.kernel.epolls.watch(worker_ep, worker_q);
                 for w in 0..workers {
-                    let tid = self
-                        .kernel
-                        .tasks
-                        .spawn_thread(pid, format!("compute-{w}"))
-                        .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"));
-                    self.threads
-                        .insert(tid, ThreadRt::new(tid, pid, worker_ep, SyscallNo::FUTEX));
+                    let tid = self.spawn_thread(pid, format!("compute-{w}"));
+                    threads.insert(tid, ThreadRt::new(tid, pid, worker_ep, SyscallNo::FUTEX));
                 }
-                for c in 0..n_conns {
-                    let conn = self.kernel.channels.create();
-                    self.kernel
-                        .epolls
-                        .watch(net_epolls[(c % network_threads) as usize], conn);
-                    self.conns.push(conn);
-                    self.chan_cfg.insert(
-                        conn,
-                        ChanCfg {
-                            pop_syscall: Some(recv_no),
-                            after: AfterPop::ComputeAndForward {
-                                to: worker_q,
-                                via: None,
-                                parse: true,
-                            },
-                        },
-                    );
-                }
-                self.chan_cfg.insert(
-                    worker_q,
-                    ChanCfg {
-                        pop_syscall: None,
-                        after: AfterPop::ComputeAndRespond,
-                    },
-                );
+                let after = AfterPop::ComputeAndForward {
+                    to: worker_q,
+                    via: None,
+                    parse: true,
+                };
+                self.add_conns(&net_epolls, after);
             }
         }
+        self.threads = ThreadTable::dense(threads);
+    }
+
+    fn spawn_thread(&mut self, pid: Pid, name: String) -> Tid {
+        self.kernel
+            .tasks
+            .spawn_thread(pid, name)
+            .unwrap_or_else(|| unreachable!("the server pid was spawned at startup"))
+    }
+
+    /// Starts `count` threads of `pid` (thread 0 is its main thread), each
+    /// polling a private new epoll instance; returns those instances.
+    fn spawn_pollers(
+        &mut self,
+        threads: &mut BTreeMap<Tid, ThreadRt>,
+        pid: Pid,
+        count: u32,
+        name: &str,
+        poll_no: SyscallNo,
+    ) -> Vec<EpollId> {
+        (0..count)
+            .map(|w| {
+                let tid = if w == 0 {
+                    pid
+                } else {
+                    self.spawn_thread(pid, format!("{name}-{w}"))
+                };
+                let ep = self.kernel.epolls.create();
+                threads.insert(tid, ThreadRt::new(tid, pid, ep, poll_no));
+                ep
+            })
+            .collect()
+    }
+
+    /// Creates the client connections, spread round-robin over `epolls`;
+    /// each pops with the receive syscall, then does `after`.
+    fn add_conns(&mut self, epolls: &[EpollId], after: AfterPop) {
+        let recv_no = self.spec.profile.primary(SyscallRole::Receive);
+        for c in 0..self.spec.connections as usize {
+            let conn = self.kernel.channels.create();
+            self.kernel.epolls.watch(epolls[c % epolls.len()], conn);
+            self.conns.push(conn);
+            self.set_behaviour(conn, Some(recv_no), after);
+        }
+    }
+
+    /// Records a new channel's behaviour; channels register in creation
+    /// order, so `chan_cfg` stays indexed by channel id.
+    fn set_behaviour(
+        &mut self,
+        channel: ChannelId,
+        pop_syscall: Option<SyscallNo>,
+        after: AfterPop,
+    ) {
+        assert_eq!(
+            channel.0 as usize,
+            self.chan_cfg.len(),
+            "channels register in creation order"
+        );
+        self.chan_cfg.push(ChanCfg { pop_syscall, after });
     }
 
     /// Schedules the initial events: the setup-phase syscalls are emitted
@@ -490,14 +474,12 @@ impl ServerSim {
         engine.schedule(boot_end, Ev::Arrival);
         // Threads start polling after setup; do the bookkeeping directly
         // (nothing is readable yet, so every thread blocks).
-        let tids: Vec<Tid> = self.threads.keys().copied().collect();
-        for tid in tids {
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
-            rt.state = TState::Polling;
-            let (pid, poll_no, epoll) = (rt.pid, rt.poll_no, rt.epoll);
-            self.kernel.tracing.sys_enter(pid, tid, poll_no, boot_end);
-            self.kernel.epolls.block(epoll, tid);
-            self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads")).state = TState::Blocked;
+        for rt in &mut self.threads.rts {
+            self.kernel
+                .tracing
+                .sys_enter(rt.pid, rt.tid, rt.poll_no, boot_end);
+            self.kernel.epolls.block(rt.epoll, rt.tid);
+            rt.state = TState::Blocked;
         }
     }
 
@@ -519,31 +501,28 @@ impl ServerSim {
             *t += Nanos::from_nanos(200);
         };
         let mut seen_pids = Vec::new();
-        let threads: Vec<(Tid, Pid, EpollId)> = self
-            .threads
-            .iter()
-            .map(|(tid, rt)| (*tid, rt.pid, rt.epoll))
-            .collect();
-        for (tid, pid, _) in &threads {
-            if *tid == *pid && !seen_pids.contains(pid) {
-                seen_pids.push(*pid);
-                emit(&mut self.kernel.tracing, *pid, *tid, SyscallNo::SOCKET, 3, &mut t);
-                emit(&mut self.kernel.tracing, *pid, *tid, SyscallNo::BIND, 0, &mut t);
-                emit(&mut self.kernel.tracing, *pid, *tid, SyscallNo::LISTEN, 0, &mut t);
+        let tracing = &mut self.kernel.tracing;
+        for rt in &self.threads.rts {
+            let (tid, pid) = (rt.tid, rt.pid);
+            if tid == pid && !seen_pids.contains(&pid) {
+                seen_pids.push(pid);
+                emit(tracing, pid, tid, SyscallNo::SOCKET, 3, &mut t);
+                emit(tracing, pid, tid, SyscallNo::BIND, 0, &mut t);
+                emit(tracing, pid, tid, SyscallNo::LISTEN, 0, &mut t);
             }
         }
-        for (tid, pid, epoll) in &threads {
+        for rt in &self.threads.rts {
+            let (tid, pid) = (rt.tid, rt.pid);
             emit(
-                &mut self.kernel.tracing,
-                *pid,
-                *tid,
+                tracing,
+                pid,
+                tid,
                 SyscallNo::EPOLL_CREATE1,
-                epoll.0 as i64 + 4,
+                rt.epoll.0 as i64 + 4,
                 &mut t,
             );
-            let watched = self.kernel.epolls.watched(*epoll).len();
-            for _ in 0..watched {
-                emit(&mut self.kernel.tracing, *pid, *tid, SyscallNo::EPOLL_CTL, 0, &mut t);
+            for _ in self.kernel.epolls.watched(rt.epoll) {
+                emit(tracing, pid, tid, SyscallNo::EPOLL_CTL, 0, &mut t);
             }
         }
         t
@@ -557,29 +536,23 @@ impl ServerSim {
         let cost = self.spec.syscall_cost;
         let mut t = now;
         // Main thread of the first process closes every connection.
-        let (main_tid, main_pid) = {
-            let (tid, rt) = self.threads.iter().next().unwrap_or_else(|| unreachable!("the server always has at least one thread"));
-            (*tid, rt.pid)
-        };
+        let rt = &mut self.threads.rts[0];
+        let (main_tid, main_pid) = (rt.tid, rt.pid);
         // Terminate whatever syscall the main thread is inside.
-        {
-            let rt = self.threads.get_mut(&main_tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
-            match rt.state {
-                TState::Blocked | TState::Polling => {
-                    let poll_no = rt.poll_no;
-                    self.kernel
-                        .tracing
-                        .sys_exit(main_pid, main_tid, poll_no, 0, t);
-                }
-                TState::InSyscall => {
-                    if let Some((no, ret)) = rt.pending_syscall.take() {
-                        self.kernel.tracing.sys_exit(main_pid, main_tid, no, ret, t);
-                    }
-                }
-                _ => {}
+        match rt.state {
+            TState::Blocked | TState::Polling => {
+                self.kernel
+                    .tracing
+                    .sys_exit(main_pid, main_tid, rt.poll_no, 0, t);
             }
-            t += Nanos::from_nanos(200);
+            TState::InSyscall => {
+                if let Some((no, ret)) = rt.pending_syscall.take() {
+                    self.kernel.tracing.sys_exit(main_pid, main_tid, no, ret, t);
+                }
+            }
+            _ => {}
         }
+        t += Nanos::from_nanos(200);
         for _ in 0..self.conns.len() {
             self.kernel.tracing.sys_enter(main_pid, main_tid, SyscallNo::CLOSE, t);
             t += cost;
@@ -598,14 +571,14 @@ impl ServerSim {
 
     /// The thread (re-)enters its poll syscall at `at`.
     fn thread_poll(&mut self, tid: Tid, at: Nanos, sched: &mut Scheduler<'_, Ev>) {
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let rt = self.threads.thread_mut(tid);
         rt.cur = None;
-        rt.batch.clear();
         let (pid, poll_no, epoll) = (rt.pid, rt.poll_no, rt.epoll);
         let oh = self.kernel.tracing.sys_enter(pid, tid, poll_no, at);
-        let ready = self.kernel.epolls.ready_channels(epoll, &self.kernel.channels);
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
-        if ready.is_empty() {
+        self.kernel
+            .epolls
+            .ready_into(epoll, &self.kernel.channels, &mut rt.batch);
+        if rt.batch.is_empty() {
             self.kernel.epolls.block(epoll, tid);
             rt.state = TState::Blocked;
         } else {
@@ -619,16 +592,14 @@ impl ServerSim {
     /// next batch of work.
     fn handle_poll_exit(&mut self, tid: Tid, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let rt = self.threads.thread_mut(tid);
         debug_assert!(matches!(rt.state, TState::Polling));
         let (pid, poll_no, epoll) = (rt.pid, rt.poll_no, rt.epoll);
-        let ready = self.kernel.epolls.ready_channels(epoll, &self.kernel.channels);
-        let oh = self
-            .kernel
-            .tracing
-            .sys_exit(pid, tid, poll_no, ready.len() as i64, now);
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
-        rt.batch = ready;
+        self.kernel
+            .epolls
+            .ready_into(epoll, &self.kernel.channels, &mut rt.batch);
+        let ready = rt.batch.len() as i64;
+        let oh = self.kernel.tracing.sys_exit(pid, tid, poll_no, ready, now);
         self.start_next_item(tid, now + oh, sched);
     }
 
@@ -636,7 +607,8 @@ impl ServerSim {
     /// pop (recv) step; re-polls when the batch is drained.
     fn start_next_item(&mut self, tid: Tid, at: Nanos, sched: &mut Scheduler<'_, Ev>) {
         loop {
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+            let rt = self.threads.thread_mut(tid);
+            let pid = rt.pid;
             let Some(channel) = rt.batch.pop() else {
                 self.thread_poll(tid, at, sched);
                 return;
@@ -646,14 +618,13 @@ impl ServerSim {
             let Some(msg) = self.kernel.channels.recv(channel) else {
                 continue;
             };
-            let cfg = *self.chan_cfg.get(&channel).unwrap_or_else(|| unreachable!("every channel was registered at startup"));
+            let cfg = self.chan_cfg[channel.0 as usize];
             // Popping a network-delivered message drains the socket
             // receive queue: fire `sock_queue_drain` with the message's
             // queue residency (softirq delivery to now) and the depth
             // left behind. Internal handoffs (no stack stamps) are not
             // socket drains and stay silent.
             let at = if msg.stack.is_some() {
-                let pid = self.threads[&tid].pid;
                 let residency = at.saturating_sub(msg.enqueued_at);
                 let depth = self.kernel.channels.pending(channel) as u64;
                 let oh = self
@@ -673,11 +644,10 @@ impl ServerSim {
                 after: cfg.after,
                 bypass,
             };
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+            let rt = self.threads.thread_mut(tid);
             rt.cur = Some(work);
             match cfg.pop_syscall {
                 Some(no) if !bypass => {
-                    let pid = rt.pid;
                     rt.state = TState::InSyscall;
                     let oh = self.kernel.tracing.sys_enter(pid, tid, no, at);
                     sched.at(at + self.spec.syscall_cost + oh, Ev::SyscallExit { tid });
@@ -685,7 +655,6 @@ impl ServerSim {
                 }
                 Some(_) => {
                     // io_uring-style receive: same I/O time, no tracepoint.
-                    let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
                     rt.state = TState::InSyscall;
                     sched.at(at + self.spec.syscall_cost, Ev::SyscallExit { tid });
                 }
@@ -701,7 +670,7 @@ impl ServerSim {
     /// Submits the thread's compute demand to the scheduler.
     fn begin_compute(&mut self, tid: Tid, at: Nanos, sched: &mut Scheduler<'_, Ev>) {
         let work = {
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+            let rt = self.threads.thread_mut(tid);
             let work = rt.cur.as_mut().unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
             work.phase = Phase::Compute;
             *work
@@ -736,7 +705,7 @@ impl ServerSim {
                 // stays near zero below the knee and grows without bound
                 // past it, making it a clean saturation discriminator.
                 let pending = self.kernel.channels.total_pending() as f64;
-                let threads = self.threads.len() as f64;
+                let threads = self.threads.rts.len() as f64;
                 let cores = self.spec.cores as f64;
                 // Start probability is normalized by core count so convoy
                 // duty cycle is scale-free across workloads; only backlogs
@@ -752,13 +721,13 @@ impl ServerSim {
                 }
             }
         }
-        self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads")).state = TState::AwaitCpu;
+        self.threads.thread_mut(tid).state = TState::AwaitCpu;
         if let Some(grant) = self
             .kernel
             .sched
             .submit(tid, demand, at.max(sched.now()), &mut self.rng_sched)
         {
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+            let rt = self.threads.thread_mut(tid);
             rt.state = TState::Computing;
             sched.at(grant.finish, Ev::ComputeDone { tid });
         }
@@ -769,18 +738,18 @@ impl ServerSim {
     fn handle_compute_done(&mut self, tid: Tid, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
         if let Some(next) = self.kernel.sched.complete(tid, now, &mut self.rng_sched) {
-            let rt = self.threads.get_mut(&next.tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+            let rt = self.threads.thread_mut(next.tid);
             debug_assert_eq!(rt.state, TState::AwaitCpu);
             rt.state = TState::Computing;
             sched.at(next.finish, Ev::ComputeDone { tid: next.tid });
         }
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let rt = self.threads.thread_mut(tid);
         let work = rt.cur.unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         match work.after {
             AfterPop::ComputeAndRespond => self.begin_send(tid, now, sched),
             AfterPop::ComputeAndForward { to, via, .. } => match via {
                 Some(no) => {
-                    let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+                    let rt = self.threads.thread_mut(tid);
                     rt.state = TState::InSyscall;
                     rt.cur = Some(Work {
                         phase: Phase::Forward,
@@ -812,7 +781,7 @@ impl ServerSim {
             .spec
             .sends_per_request
             .sample_count(&mut self.rng_misc, 1) as u32;
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let rt = self.threads.thread_mut(tid);
         let work = rt.cur.as_mut().unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         work.phase = Phase::Send {
             remaining: sends - 1,
@@ -836,7 +805,7 @@ impl ServerSim {
     /// Completes the thread's in-flight fast syscall and advances its FSM.
     fn handle_syscall_exit(&mut self, tid: Tid, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let rt = self.threads.thread_mut(tid);
         let pid = rt.pid;
         // Bypassed (io_uring) I/O has no tracepoint to exit from.
         let oh = match rt.pending_syscall.take() {
@@ -853,7 +822,7 @@ impl ServerSim {
             }
             Phase::Send { remaining } => {
                 if remaining > 0 {
-                    let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+                    let rt = self.threads.thread_mut(tid);
                     rt.cur = Some(Work {
                         phase: Phase::Send {
                             remaining: remaining - 1,
@@ -891,8 +860,12 @@ impl ServerSim {
     /// Budget exhaustion re-schedules the remainder (ksoftirqd).
     fn handle_softirq(&mut self, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        let run = self.kernel.ingress.run_softirq(now, &mut self.rng_softirq);
-        for d in run.delivered {
+        let mut batch = std::mem::take(&mut self.rx_batch);
+        let next = self
+            .kernel
+            .ingress
+            .run_softirq(now, &mut self.rng_softirq, &mut batch);
+        for d in &batch {
             let nic_wait = d.delivered_at.saturating_sub(d.nic_at);
             let oh = self.kernel.tracing.net_rx_softirq(
                 d.packet.request,
@@ -916,7 +889,8 @@ impl ServerSim {
             // of the draining thread, not the enqueue itself.
             self.wake_watchers(d.packet.conn, d.delivered_at + oh, sched);
         }
-        if let Some(next) = run.next {
+        self.rx_batch = batch;
+        if let Some(next) = next {
             sched.at(next, Ev::Softirq);
         }
     }
@@ -940,12 +914,13 @@ impl ServerSim {
     }
 
     fn wake_watchers(&mut self, channel: ChannelId, now: Nanos, sched: &mut Scheduler<'_, Ev>) {
-        for (_, tid) in self.kernel.epolls.on_readable(channel) {
-            let rt = self.threads.get_mut(&tid).unwrap_or_else(|| unreachable!("tid is one of this server's threads"));
+        let (threads, wake_at) = (&mut self.threads, now + self.wake_cost);
+        self.kernel.epolls.wake(channel, |_, tid| {
+            let rt = threads.thread_mut(tid);
             debug_assert_eq!(rt.state, TState::Blocked);
             rt.state = TState::Polling;
-            sched.at(now + self.wake_cost, Ev::PollExit { tid });
-        }
+            sched.at(wake_at, Ev::PollExit { tid });
+        });
     }
 
     fn handle_arrival(&mut self, sched: &mut Scheduler<'_, Ev>) {
