@@ -3,7 +3,7 @@
 //! throughput, map operations, and the event engine itself.
 
 use kscope_microbench::{criterion_group, criterion_main, Criterion};
-use kscope_core::{BytecodeBackend, MetricBackend, DEFAULT_SHIFT};
+use kscope_core::{MetricBackend, ProbeSet, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{R0, R1, SZ_DW};
 use kscope_ebpf::interp::{ExecEnv, Vm};
@@ -27,8 +27,9 @@ fn send_exit(i: u64) -> TracepointCtx {
 fn bench_probe_event_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_on_event");
     group.bench_function("bytecode", |b| {
-        let mut probe =
-            BytecodeBackend::new(1200, SyscallProfile::data_caching(), DEFAULT_SHIFT).unwrap();
+        let mut probe = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), DEFAULT_SHIFT)
+            .build()
+            .unwrap();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -61,14 +62,13 @@ fn bench_vm_throughput(c: &mut Criterion) {
 }
 
 fn bench_verifier(c: &mut Criterion) {
-    let probe = BytecodeBackend::new(1, SyscallProfile::data_caching(), DEFAULT_SHIFT).unwrap();
+    let set = ProbeSet::new(vec![1], SyscallProfile::data_caching(), DEFAULT_SHIFT);
+    let probe = set.clone().build().unwrap();
     let dis_len = probe.disassembly().len();
     black_box(dis_len);
     c.bench_function("verify_observability_programs", |b| {
         b.iter(|| {
-            black_box(
-                BytecodeBackend::new(1, SyscallProfile::data_caching(), DEFAULT_SHIFT).unwrap(),
-            )
+            black_box(set.clone().build().unwrap())
         })
     });
 }
@@ -123,8 +123,9 @@ fn bench_engine(c: &mut Criterion) {
 
 fn bench_vm_map_program(c: &mut Criterion) {
     // The send-path of the real exit program: map lookup + 6 cell updates.
-    let mut probe =
-        BytecodeBackend::new(1200, SyscallProfile::data_caching(), DEFAULT_SHIFT).unwrap();
+    let mut probe = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), DEFAULT_SHIFT)
+        .build()
+        .unwrap();
     // Prime the delta chain so every event takes the full path.
     probe.on_event(&send_exit(1));
     c.bench_function("vm_full_send_update_path", |b| {

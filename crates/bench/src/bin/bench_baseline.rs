@@ -63,7 +63,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use kscope_core::{BytecodeBackend, MetricBackend, DEFAULT_SHIFT};
+use kscope_core::{BytecodeBackend, MetricBackend, ProbeSet, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
@@ -490,8 +490,13 @@ fn send_exit(i: u64) -> TracepointCtx {
     }
 }
 
+fn probe_set() -> ProbeSet {
+    ProbeSet::new(vec![1200], SyscallProfile::data_caching(), DEFAULT_SHIFT)
+}
+
 fn bytecode_probe() -> BytecodeBackend {
-    BytecodeBackend::new(1200, SyscallProfile::data_caching(), DEFAULT_SHIFT)
+    probe_set()
+        .build()
         .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
 }
 
@@ -503,11 +508,12 @@ enum ProbeMode {
 }
 
 fn probe_in_mode(mode: ProbeMode) -> BytecodeBackend {
-    let probe = bytecode_probe();
     match mode {
-        ProbeMode::Interp => probe,
-        ProbeMode::Jit => probe.with_jit(),
+        ProbeMode::Interp => probe_set(),
+        ProbeMode::Jit => probe_set().with_jit(),
     }
+    .build()
+    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
 }
 
 fn probe_events_per_sec(criterion: &Criterion, mode: ProbeMode) -> f64 {
@@ -530,10 +536,11 @@ fn probe_events_per_sec(criterion: &Criterion, mode: ProbeMode) -> f64 {
 /// The core probe's certified worst-case instruction bound (max over its
 /// programs).
 fn probe_static_bound() -> f64 {
-    let (enter_cost, exit_cost) = bytecode_probe().cost_reports();
-    [enter_cost, exit_cost]
+    let probe = bytecode_probe();
+    let (enter, exit) = probe.programs();
+    [enter, exit]
         .into_iter()
-        .flatten()
+        .filter_map(kscope_ebpf::cost_report)
         .map(|c| c.max_insns)
         .max()
         .unwrap_or_else(|| panic!("shipped probe programs must have a finite cost bound"))

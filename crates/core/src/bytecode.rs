@@ -1,8 +1,8 @@
 //! The bytecode metric backend: the paper's methodology as *actual eBPF
 //! programs*, assembled, verified, and interpreted by `kscope-ebpf`.
 //!
-//! Two programs are generated per observed process, mirroring Listing 1's
-//! structure:
+//! A [`ProbeSet`] describes the probe; [`ProbeSet::build`] turns it into a
+//! running [`BytecodeBackend`]. The core is Listing 1's program pair:
 //!
 //! * **sys_enter** — filter tgid, filter the poll syscall, store
 //!   `start[pid_tgid] = bpf_ktime_get_ns()`;
@@ -19,12 +19,12 @@
 
 use std::sync::Arc;
 
-use kscope_ebpf::asm::Asm;
+use kscope_ebpf::asm::{Asm, AsmError};
 use kscope_ebpf::insn::{OP_JLT, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, SZ_DW, SZ_W};
 use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
 use kscope_ebpf::verifier::{Verifier, VerifierConfig};
-use kscope_ebpf::{cost_report, CostReport, Helper, Program};
+use kscope_ebpf::{Helper, Program};
 use kscope_simcore::Nanos;
 use kscope_syscalls::{Pid, SyscallProfile, SyscallRole, TracePhase, TracepointCtx};
 
@@ -79,11 +79,11 @@ pub struct StackCounters {
 #[derive(Debug)]
 pub enum BuildError {
     /// The generated program failed to assemble (a builder bug).
-    Asm(kscope_ebpf::asm::AsmError),
+    Asm(AsmError),
     /// The generated program failed verification (a builder bug).
     Verify(kscope_ebpf::verifier::VerifyError),
-    /// The probe's certified worst-case cost exceeds the registration
-    /// budget (or no finite bound exists).
+    /// A program's certified worst-case cost exceeds
+    /// [`PROBE_COST_BUDGET`] (or no finite bound exists).
     CostBudget {
         /// Name of the offending program.
         program: String,
@@ -114,16 +114,256 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The eBPF-executed observability probe.
+/// The registration budget: the largest certified worst-case instruction
+/// count ([`max_insns`](kscope_ebpf::CostReport::max_insns)) a probe
+/// program may have. [`ProbeSet::build`] rejects any program over it, or
+/// without a finite bound. Shipped programs certify in the low hundreds
+/// of instructions; 1024 leaves headroom while still catching runaway
+/// programs.
+pub const PROBE_COST_BUDGET: u64 = 1024;
+
+/// The paper's probe as one declarative program set: Listing 1's
+/// `sys_enter`/`sys_exit` pair over the observed processes, plus the
+/// optional signals kscope adds to it. [`ProbeSet::build`] is the one
+/// path that turns a set into a running [`BytecodeBackend`].
+///
+/// The `with_*` steps only switch a signal on, so their order does not
+/// matter: `build` always lays out the maps and programs the same way.
 ///
 /// # Examples
 ///
 /// ```
-/// use kscope_core::{BytecodeBackend, MetricBackend};
+/// use kscope_core::{MetricBackend, ProbeSet};
+/// use kscope_syscalls::SyscallProfile;
+///
+/// let probe = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 10)
+///     .with_poll_histogram()
+///     .with_netstack()
+///     .build()
+///     .unwrap();
+/// assert!(probe.net_programs().is_some());
+/// assert_eq!(probe.poll_histogram(), Some([0; 64]));
+/// assert!(probe.entity_sketch().is_none());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeSet {
+    tgids: Vec<Pid>,
+    profile: SyscallProfile,
+    shift: u32,
+    poll_histogram: bool,
+    sketch_capacity: Option<u32>,
+    netstack: bool,
+    jit: bool,
+}
+
+impl ProbeSet {
+    /// The syscall pair alone, observing every process in `tgids`
+    /// (multi-stage applications like Web Search aggregate every process
+    /// into one stream, §V-B), with deltas and durations scaled by
+    /// `>> shift`, on the interpreter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tgids` is empty.
+    pub fn new(tgids: Vec<Pid>, profile: SyscallProfile, shift: u32) -> ProbeSet {
+        assert!(!tgids.is_empty(), "observe at least one process");
+        ProbeSet {
+            tgids,
+            profile,
+            shift,
+            poll_histogram: false,
+            sketch_capacity: None,
+            netstack: false,
+            jit: false,
+        }
+    }
+
+    /// Adds a [`HIST_BUCKETS`]-bucket log2 histogram of scaled poll
+    /// durations, kept by the exit program in its own array map and
+    /// cleared with each window. The bucket index is computed *in the
+    /// probe* with a loop-free bit ladder and used as a register offset
+    /// into the map value — the access pattern the value-tracking
+    /// verifier exists to admit.
+    pub fn with_poll_histogram(mut self) -> ProbeSet {
+        self.poll_histogram = true;
+        self
+    }
+
+    /// Adds a Top-K entity sketch: the exit program folds each completed
+    /// request (send exit) into a sketch map keyed by `pid_tgid` — the
+    /// in-probe per-entity heavy-hitter structure whose bounded summary
+    /// the fleet's O(K) reports carry. `capacity` is the candidate table
+    /// size (the map's `max_entries`). The sketch is cumulative across
+    /// windows.
+    pub fn with_entity_sketch(mut self, capacity: u32) -> ProbeSet {
+        self.sketch_capacity = Some(capacity);
+        self
+    }
+
+    /// Adds the network-stack probe pair: `kscope_net_rx` on the modeled
+    /// `net_rx_softirq` tracepoint records each request's NIC arrival
+    /// timestamp in an in-flight hash map; `kscope_sock_drain` on
+    /// `sock_queue_drain` looks it up, computes the request's total
+    /// time-in-stack (NIC arrival to socket-queue drain), deletes the
+    /// entry, and folds the scaled sample into a stats array and a
+    /// [`HIST_BUCKETS`]-bucket log2 histogram. Both are cumulative (never
+    /// reset by `reset_window`), like the entity sketch, so fleet report
+    /// envelopes can carry them directly.
+    ///
+    /// The netstack programs do **not** tgid-filter: `net_rx_softirq`
+    /// fires in softirq context where `bpf_get_current_pid_tgid` reports
+    /// whatever task the interrupt preempted, so a tgid filter there
+    /// would drop valid packets (see DESIGN.md §7b).
+    pub fn with_netstack(mut self) -> ProbeSet {
+        self.netstack = true;
+        self
+    }
+
+    /// Runs the programs on the template JIT ([`Vm::with_jit`]):
+    /// verified programs run as native x86-64 with verifier-proof
+    /// bounds-check elision, falling back to the interpreter on
+    /// unsupported programs or targets. The differential suite holds the
+    /// tiers bitwise-identical, so this changes only execution speed; the
+    /// [`NS_PER_INSN`] cost model is the same on both.
+    pub fn with_jit(mut self) -> ProbeSet {
+        self.jit = true;
+        self
+    }
+
+    /// Builds the probe. This is the only code that:
+    ///
+    /// 1. creates the probe's maps, always in the fd order `start`,
+    ///    `stats`, `poll_hist`, `topk`, `inflight_stack`, `stack_hist`,
+    ///    `stack_stats` (leaving out the maps of absent signals);
+    /// 2. assembles each program and verifies it against its context
+    ///    size ([`CTX_SIZE`] for the syscall pair, [`NET_CTX_SIZE`] for
+    ///    the netstack pair);
+    /// 3. rejects any program whose certified worst-case bound exceeds
+    ///    [`PROBE_COST_BUDGET`];
+    /// 4. compiles every program for the tier, so no event pays the
+    ///    compile.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Asm`] or [`BuildError::Verify`] when a generated
+    /// program fails to assemble or verify (a generator bug, not bad
+    /// input), and [`BuildError::CostBudget`] when a program has no
+    /// finite certified bound or one over [`PROBE_COST_BUDGET`] — the
+    /// `sys_enter` tgid filter costs one instruction per process, so
+    /// about a thousand processes are too many.
+    pub fn build(self) -> Result<BytecodeBackend, BuildError> {
+        let mut maps = MapRegistry::new();
+        let start_fd = maps.create("start", MapDef::hash(8, 8, 4096));
+        let stats_fd = maps.create("stats", MapDef::array(offsets::VALUE_SIZE as u32, 1));
+        let hist_fd = self
+            .poll_histogram
+            .then(|| maps.create("poll_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1)));
+        let sketch_fd = self
+            .sketch_capacity
+            .map(|cap| maps.create("topk", MapDef::topk_sketch(8, cap)));
+        let net_fds = self.netstack.then(|| {
+            let inflight = maps.create("inflight_stack", MapDef::hash(8, 8, 4096));
+            let hist = maps.create("stack_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1));
+            let stats = maps.create(
+                "stack_stats",
+                MapDef::array(stack_offsets::VALUE_SIZE as u32, 1),
+            );
+            (inflight, hist, stats)
+        });
+
+        let checked = |program: Result<Program, AsmError>, ctx_size: usize| {
+            let program = program.map_err(BuildError::Asm)?;
+            let verifier = Verifier::new(VerifierConfig {
+                ctx_size,
+                ..VerifierConfig::default()
+            });
+            // The report of a verified program carries its cost
+            // certificate.
+            let report = verifier.verify_report(&program, &maps);
+            if let Some(diagnostic) = report.errors.into_iter().next() {
+                return Err(BuildError::Verify(diagnostic.error));
+            }
+            match report.cost {
+                Some(cost) if cost.max_insns <= PROBE_COST_BUDGET => Ok(program),
+                cost => Err(BuildError::CostBudget {
+                    program: program.name().to_string(),
+                    bound: cost.map(|c| c.max_insns),
+                    budget: PROBE_COST_BUDGET,
+                }),
+            }
+        };
+        let enter = checked(emit_enter(&self, start_fd), CTX_SIZE)?;
+        let exit = checked(emit_exit(&self, start_fd, stats_fd, hist_fd, sketch_fd), CTX_SIZE)?;
+        let net = match net_fds {
+            Some((inflight, hist, stats)) => Some((
+                checked(emit_net_rx(inflight), NET_CTX_SIZE)?,
+                checked(emit_sock_drain(self.shift, inflight, stats, hist), NET_CTX_SIZE)?,
+            )),
+            None => None,
+        };
+
+        let vm = if self.jit { Vm::new().with_jit() } else { Vm::new() };
+        let probe = BuiltProbe {
+            set: self,
+            enter,
+            exit,
+            net,
+            stats_fd,
+            hist_fd,
+            sketch_fd,
+            stack_fds: net_fds.map(|(_, hist, stats)| (hist, stats)),
+        };
+        for program in probe.programs() {
+            vm.precompile(program);
+        }
+        Ok(BytecodeBackend {
+            maps,
+            vm,
+            probe: Arc::new(probe),
+            insns_executed: 0,
+            faults: 0,
+        })
+    }
+}
+
+/// A built [`ProbeSet`]: its verified, cost-certified programs and the
+/// fds of the maps they address. Every instance of the probe shares one.
+#[derive(Debug)]
+struct BuiltProbe {
+    set: ProbeSet,
+    enter: Program,
+    exit: Program,
+    /// `(kscope_net_rx, kscope_sock_drain)` with the netstack pair.
+    net: Option<(Program, Program)>,
+    stats_fd: MapFd,
+    hist_fd: Option<MapFd>,
+    sketch_fd: Option<MapFd>,
+    /// `(stack_hist, stack_stats)` with the netstack pair.
+    stack_fds: Option<(MapFd, MapFd)>,
+}
+
+impl BuiltProbe {
+    /// Every program: the syscall pair, then the netstack pair when
+    /// attached.
+    fn programs(&self) -> impl Iterator<Item = &Program> {
+        [&self.enter, &self.exit]
+            .into_iter()
+            .chain(self.net.iter().flat_map(|(rx, drain)| [rx, drain]))
+    }
+}
+
+/// The eBPF-executed observability probe, built by [`ProbeSet::build`].
+///
+/// # Examples
+///
+/// ```
+/// use kscope_core::{MetricBackend, ProbeSet};
 /// use kscope_simcore::Nanos;
 /// use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 ///
-/// let mut probe = BytecodeBackend::new(1200, SyscallProfile::data_caching(), 10).unwrap();
+/// let mut probe = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 10)
+///     .build()
+///     .unwrap();
 /// for i in 1..=3u64 {
 ///     probe.on_event(&TracepointCtx {
 ///         phase: TracePhase::Exit,
@@ -139,10 +379,11 @@ impl std::error::Error for BuildError {}
 ///
 /// # Sharing one probe between instances
 ///
-/// The programs sit behind [`Arc`]s, and [`BytecodeBackend::instantiate`]
-/// makes a new instance that shares them — with their verifier proofs
-/// and JIT code — but owns fresh, zeroed maps. That is sound because
-/// nothing a built program carries depends on a map *instance*:
+/// The built programs sit behind an [`Arc`], and
+/// [`BytecodeBackend::instantiate`] makes a new instance that shares
+/// them — with their verifier proofs and JIT code — but owns fresh,
+/// zeroed maps. That is sound because nothing a built program carries
+/// depends on a map *instance*:
 ///
 /// * Verification is a pure function of three inputs: the instructions,
 ///   the map definitions in fd order, and the verifier's `ctx_size`
@@ -165,79 +406,17 @@ impl std::error::Error for BuildError {}
 pub struct BytecodeBackend {
     maps: MapRegistry,
     vm: Vm,
-    enter: Arc<Program>,
-    exit: Arc<Program>,
-    net_rx: Option<Arc<Program>>,
-    sock_drain: Option<Arc<Program>>,
-    stats_fd: MapFd,
-    hist_fd: Option<MapFd>,
-    sketch_fd: Option<MapFd>,
-    stack_hist_fd: Option<MapFd>,
-    stack_stats_fd: Option<MapFd>,
-    shift: u32,
-    tgids: Vec<Pid>,
+    probe: Arc<BuiltProbe>,
     insns_executed: u64,
     faults: u64,
 }
 
 impl BytecodeBackend {
-    /// Assembles and verifies the probe programs for one process.
+    /// Shorthand for `ProbeSet::new(tgids, profile, shift).build()`.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly or verification fails — which
-    /// would indicate a bug in the program generator, not bad input.
-    pub fn new(tgid: Pid, profile: SyscallProfile, shift: u32) -> Result<BytecodeBackend, BuildError> {
-        BytecodeBackend::build(vec![tgid], profile, shift, false, None)
-    }
-
-    /// Like [`BytecodeBackend::new`], but the exit program additionally
-    /// maintains a [`HIST_BUCKETS`]-bucket log2 histogram of scaled poll
-    /// durations in its own array map. The bucket index is computed *in
-    /// the probe* with a branch-free-of-loops bit ladder and used as a
-    /// register offset into the map value — the access pattern the
-    /// value-tracking verifier exists to admit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] on generator bugs, as for
-    /// [`BytecodeBackend::new`].
-    pub fn new_with_histogram(
-        tgid: Pid,
-        profile: SyscallProfile,
-        shift: u32,
-    ) -> Result<BytecodeBackend, BuildError> {
-        BytecodeBackend::build(vec![tgid], profile, shift, true, None)
-    }
-
-    /// Like [`BytecodeBackend::new_with_histogram`], but the exit
-    /// program additionally folds each completed request (send exit)
-    /// into a Top-K sketch map keyed by `pid_tgid` — the in-probe
-    /// per-entity heavy-hitter structure whose bounded summary the
-    /// fleet's O(K) reports carry. `sketch_capacity` is the candidate
-    /// table size (the map's `max_entries`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] on generator bugs, as for
-    /// [`BytecodeBackend::new`].
-    pub fn new_with_histogram_and_sketch(
-        tgid: Pid,
-        profile: SyscallProfile,
-        shift: u32,
-        sketch_capacity: u32,
-    ) -> Result<BytecodeBackend, BuildError> {
-        BytecodeBackend::build(vec![tgid], profile, shift, true, Some(sketch_capacity))
-    }
-
-    /// Builds a probe observing several processes at once (multi-stage
-    /// applications like Web Search aggregate every process into one
-    /// stream, §V-B).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] on generator bugs, as for
-    /// [`BytecodeBackend::new`].
+    /// As for [`ProbeSet::build`].
     ///
     /// # Panics
     ///
@@ -247,59 +426,32 @@ impl BytecodeBackend {
         profile: SyscallProfile,
         shift: u32,
     ) -> Result<BytecodeBackend, BuildError> {
-        BytecodeBackend::build(tgids, profile, shift, false, None)
+        ProbeSet::new(tgids, profile, shift).build()
     }
 
-    fn build(
-        tgids: Vec<Pid>,
-        profile: SyscallProfile,
-        shift: u32,
-        histogram: bool,
-        sketch_capacity: Option<u32>,
-    ) -> Result<BytecodeBackend, BuildError> {
-        assert!(!tgids.is_empty(), "observe at least one process");
-        let mut maps = MapRegistry::new();
-        let start_fd = maps.create("start", MapDef::hash(8, 8, 4096));
-        let stats_fd = maps.create("stats", MapDef::array(offsets::VALUE_SIZE as u32, 1));
-        let hist_fd = histogram
-            .then(|| maps.create("poll_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1)));
-        let sketch_fd =
-            sketch_capacity.map(|cap| maps.create("topk", MapDef::topk_sketch(8, cap)));
+    /// This probe's set with [`ProbeSet::with_netstack`] added, built
+    /// afresh on the same tier. Map contents are not carried over.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ProbeSet::build`].
+    pub fn with_netstack(self) -> Result<BytecodeBackend, BuildError> {
+        self.into_set().with_netstack().build()
+    }
 
-        let send_no = profile.primary(SyscallRole::Send).raw() as i32;
-        let recv_no = profile.primary(SyscallRole::Receive).raw() as i32;
-        let poll_no = profile.primary(SyscallRole::Poll).raw() as i32;
+    /// This probe's set with [`ProbeSet::with_jit`] added, built afresh.
+    /// Map contents are not carried over.
+    pub fn with_jit(self) -> BytecodeBackend {
+        match self.into_set().with_jit().build() {
+            Ok(jit) => jit,
+            Err(e) => unreachable!("a probe set that built once builds again: {e}"),
+        }
+    }
 
-        let enter = build_enter(&tgids, poll_no, start_fd).map_err(BuildError::Asm)?;
-        let exit = build_exit(
-            &tgids, send_no, recv_no, poll_no, shift, start_fd, stats_fd, hist_fd, sketch_fd,
-        )
-        .map_err(BuildError::Asm)?;
-
-        let verifier = Verifier::new(VerifierConfig {
-            ctx_size: CTX_SIZE,
-            ..VerifierConfig::default()
-        });
-        verifier.verify(&enter, &maps).map_err(BuildError::Verify)?;
-        verifier.verify(&exit, &maps).map_err(BuildError::Verify)?;
-
-        Ok(BytecodeBackend {
-            maps,
-            vm: Vm::new(),
-            enter: Arc::new(enter),
-            exit: Arc::new(exit),
-            net_rx: None,
-            sock_drain: None,
-            stats_fd,
-            hist_fd,
-            sketch_fd,
-            stack_hist_fd: None,
-            stack_stats_fd: None,
-            shift,
-            tgids,
-            insns_executed: 0,
-            faults: 0,
-        })
+    /// The set this probe was built from. The probe and its maps are
+    /// dropped here, before a rebuild allocates new ones.
+    fn into_set(self) -> ProbeSet {
+        self.probe.set.clone()
     }
 
     /// A new instance of this probe: the same programs — shared, not
@@ -320,146 +472,15 @@ impl BytecodeBackend {
             // The VM holds the tier plus per-invocation scratch that
             // every execution resets.
             vm: self.vm.clone(),
-            enter: Arc::clone(&self.enter),
-            exit: Arc::clone(&self.exit),
-            net_rx: self.net_rx.clone(),
-            sock_drain: self.sock_drain.clone(),
-            stats_fd: self.stats_fd,
-            hist_fd: self.hist_fd,
-            sketch_fd: self.sketch_fd,
-            stack_hist_fd: self.stack_hist_fd,
-            stack_stats_fd: self.stack_stats_fd,
-            shift: self.shift,
-            tgids: self.tgids.clone(),
+            probe: Arc::clone(&self.probe),
             insns_executed: 0,
             faults: 0,
         }
     }
 
-    /// Attaches the network-stack probe pair: `kscope_net_rx` on the
-    /// modeled `net_rx_softirq` tracepoint records each request's NIC
-    /// arrival timestamp in an in-flight hash map; `kscope_sock_drain` on
-    /// `sock_queue_drain` looks it up, computes the request's total
-    /// time-in-stack (NIC arrival to socket-queue drain), deletes the
-    /// entry, and folds the scaled sample into a stats array and a
-    /// [`HIST_BUCKETS`]-bucket log2 histogram — the same register-offset
-    /// bit-ladder idiom as the poll histogram. Both the histogram and the
-    /// stats cells are cumulative (never reset by `reset_window`), like
-    /// the entity sketch, so fleet report envelopes can carry them
-    /// directly.
-    ///
-    /// The netstack programs do **not** tgid-filter: `net_rx_softirq`
-    /// fires in softirq context where `bpf_get_current_pid_tgid` reports
-    /// whatever task the interrupt preempted, so a tgid filter there
-    /// would drop valid packets (see DESIGN.md §7b).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] if assembly or verification of the netstack
-    /// programs fails — a generator bug, as for [`BytecodeBackend::new`].
-    pub fn with_netstack(mut self) -> Result<BytecodeBackend, BuildError> {
-        let inflight_fd = self.maps.create("inflight_stack", MapDef::hash(8, 8, 4096));
-        let stack_hist_fd = self
-            .maps
-            .create("stack_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1));
-        let stack_stats_fd = self
-            .maps
-            .create("stack_stats", MapDef::array(stack_offsets::VALUE_SIZE as u32, 1));
-        let net_rx = build_net_rx(inflight_fd).map_err(BuildError::Asm)?;
-        let sock_drain = build_sock_drain(self.shift, inflight_fd, stack_stats_fd, stack_hist_fd)
-            .map_err(BuildError::Asm)?;
-        let verifier = Verifier::new(VerifierConfig {
-            ctx_size: NET_CTX_SIZE,
-            ..VerifierConfig::default()
-        });
-        verifier.verify(&net_rx, &self.maps).map_err(BuildError::Verify)?;
-        verifier
-            .verify(&sock_drain, &self.maps)
-            .map_err(BuildError::Verify)?;
-        self.net_rx = Some(Arc::new(net_rx));
-        self.sock_drain = Some(Arc::new(sock_drain));
-        self.stack_hist_fd = Some(stack_hist_fd);
-        self.stack_stats_fd = Some(stack_stats_fd);
-        Ok(self.precompiled())
-    }
-
-    /// Switches probe execution to the template JIT
-    /// ([`Vm::with_jit`]): verified programs run as native x86-64 with
-    /// verifier-proof bounds-check elision, falling back to the
-    /// interpreter on unsupported programs or targets. Opting in never
-    /// changes observable behavior — the differential suite holds the
-    /// dispatchers bitwise-identical — only execution speed. The
-    /// `NS_PER_INSN` cost model is unchanged: modeled probe cost stays
-    /// comparable across dispatchers.
-    ///
-    /// Every attached program is compiled here, and so is any program a
-    /// later builder attaches or swaps in: no event pays the compile.
-    pub fn with_jit(mut self) -> BytecodeBackend {
-        self.vm = self.vm.with_jit();
-        self.precompiled()
-    }
-
-    /// Every attached program: the syscall pair, then the netstack pair
-    /// when attached.
-    fn all_programs(&self) -> impl Iterator<Item = &Program> {
-        [
-            Some(&self.enter),
-            Some(&self.exit),
-            self.net_rx.as_ref(),
-            self.sock_drain.as_ref(),
-        ]
-        .into_iter()
-        .flatten()
-        .map(|p| &**p)
-    }
-
-    /// Compiles every attached program for the VM's tier now (a no-op
-    /// off the JIT tier and for programs already compiled).
-    fn precompiled(self) -> BytecodeBackend {
-        for program in self.all_programs() {
-            self.vm.precompile(program);
-        }
-        self
-    }
-
     /// True when probe execution goes through the JIT dispatcher.
     pub fn uses_jit(&self) -> bool {
         self.vm.uses_jit()
-    }
-
-    /// Certified worst-case cost of the (enter, exit) programs.
-    pub fn cost_reports(&self) -> (Option<CostReport>, Option<CostReport>) {
-        (cost_report(&self.enter), cost_report(&self.exit))
-    }
-
-    /// Registration gate: checks both programs carry a finite certified
-    /// worst-case instruction bound within `budget_insns`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::CostBudget`] naming the offending program
-    /// when a bound is missing or exceeds the budget.
-    pub fn check_cost_budget(&self, budget_insns: u64) -> Result<(), BuildError> {
-        for prog in self.all_programs() {
-            let over = |bound| BuildError::CostBudget {
-                program: prog.name().to_string(),
-                bound,
-                budget: budget_insns,
-            };
-            match cost_report(prog) {
-                None => return Err(over(None)),
-                Some(c) if c.max_insns > budget_insns => {
-                    return Err(over(Some(c.max_insns)))
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// The processes being observed.
-    pub fn tgids(&self) -> &[Pid] {
-        &self.tgids
     }
 
     /// Total eBPF instructions executed so far (the interpreter cost model).
@@ -478,14 +499,14 @@ impl BytecodeBackend {
     /// The assembled `sys_enter` and `sys_exit` programs, in that order
     /// (for acceptance-corpus tests and tooling).
     pub fn programs(&self) -> (&Program, &Program) {
-        (&self.enter, &self.exit)
+        (&self.probe.enter, &self.probe.exit)
     }
 
     /// The assembled netstack programs `(kscope_net_rx,
-    /// kscope_sock_drain)`, or `None` when the backend was built without
-    /// [`BytecodeBackend::with_netstack`].
+    /// kscope_sock_drain)`, or `None` when the set has no
+    /// [`ProbeSet::with_netstack`].
     pub fn net_programs(&self) -> Option<(&Program, &Program)> {
-        Some((self.net_rx.as_ref()?, self.sock_drain.as_ref()?))
+        self.probe.net.as_ref().map(|(rx, drain)| (rx, drain))
     }
 
     /// The map registry backing the programs.
@@ -493,22 +514,27 @@ impl BytecodeBackend {
         &self.maps
     }
 
-    /// Disassembly of both programs (for documentation and debugging).
+    /// Disassembly of every attached program (for documentation and
+    /// debugging).
     pub fn disassembly(&self) -> String {
-        format!("{}\n{}", self.enter.disassemble(), self.exit.disassemble())
+        let listings: Vec<String> = self.probe.programs().map(Program::disassemble).collect();
+        listings.join("\n")
     }
 
     /// Replaces the exit program with `exit` *without verifying it*, so
     /// tests can make a program fault at run time.
     #[cfg(test)]
     fn with_unverified_exit(mut self, exit: Program) -> BytecodeBackend {
-        self.exit = Arc::new(exit);
+        match Arc::get_mut(&mut self.probe) {
+            Some(probe) => probe.exit = exit,
+            None => panic!("only a probe with no other instances can swap its exit program"),
+        }
         self
     }
 
-    /// Array-map slot 0 of one of this backend's own maps. Both the
-    /// stats and histogram maps are 1-entry arrays created in `build`,
-    /// so the slot exists by construction.
+    /// Array-map slot 0 of one of this probe's own maps. Every array map
+    /// `build` creates has exactly one entry, so the slot exists by
+    /// construction.
     fn slot0(maps: &MapRegistry, fd: MapFd) -> &[u8] {
         match maps.lookup(fd, &0u32.to_le_bytes()) {
             Ok(Some(value)) => value,
@@ -523,68 +549,23 @@ impl BytecodeBackend {
         }
     }
 
-    fn stats_value(&self) -> Vec<u8> {
-        Self::slot0(&self.maps, self.stats_fd).to_vec()
-    }
-
-    /// The in-probe log2 histogram of scaled poll durations, or `None`
-    /// when the backend was built without one. Bucket `i` counts polls
-    /// with `floor(log2(max(duration >> shift, 1))) == i`.
-    pub fn poll_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        let fd = self.hist_fd?;
-        let value = Self::slot0(&self.maps, fd);
-        let mut out = [0u64; HIST_BUCKETS];
-        for (i, chunk) in value.chunks_exact(8).enumerate() {
-            match chunk.try_into() {
-                Ok(bytes) => out[i] = u64::from_le_bytes(bytes),
-                Err(_) => unreachable!("chunks_exact(8) yields 8-byte chunks"),
-            }
+    /// The first `N` little-endian `u64` cells of array slot 0 of `fd`.
+    fn slot0_cells<const N: usize>(&self, fd: MapFd) -> [u64; N] {
+        let mut cells = [0u64; N];
+        for (cell, bytes) in cells.iter_mut().zip(Self::slot0(&self.maps, fd).chunks_exact(8)) {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(bytes);
+            *cell = u64::from_le_bytes(le);
         }
-        Some(out)
+        cells
     }
 
-    /// The in-probe log2 histogram of scaled time-in-stack samples, or
-    /// `None` when the backend was built without
-    /// [`BytecodeBackend::with_netstack`]. Cumulative across windows
-    /// (never reset by `reset_window`), like the entity sketch.
-    pub fn stack_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        let fd = self.stack_hist_fd?;
-        let value = Self::slot0(&self.maps, fd);
-        let mut out = [0u64; HIST_BUCKETS];
-        for (i, chunk) in value.chunks_exact(8).enumerate() {
-            match chunk.try_into() {
-                Ok(bytes) => out[i] = u64::from_le_bytes(bytes),
-                Err(_) => unreachable!("chunks_exact(8) yields 8-byte chunks"),
-            }
-        }
-        Some(out)
-    }
-
-    /// The netstack probe's scalar stats cells, or `None` without
-    /// [`BytecodeBackend::with_netstack`]. Cumulative across windows.
-    pub fn stack_counters(&self) -> Option<StackCounters> {
-        let fd = self.stack_stats_fd?;
-        let value = Self::slot0(&self.maps, fd);
-        let cell = |off: usize| -> u64 {
-            match value[off..off + 8].try_into() {
-                Ok(bytes) => u64::from_le_bytes(bytes),
-                Err(_) => unreachable!("stack_stats value is 32 bytes"),
-            }
-        };
-        Some(StackCounters {
-            count: cell(stack_offsets::COUNT),
-            sum: cell(stack_offsets::SUM),
-            sumsq: cell(stack_offsets::SUMSQ),
-            misses: cell(stack_offsets::MISSES),
-        })
-    }
-
-    /// The in-probe Top-K entity sketch, or `None` when the backend was
-    /// built without one. The sketch is cumulative across windows (it
-    /// is never reset by `reset_window`), matching the cumulative
-    /// counters the fleet's report envelopes carry.
+    /// The in-probe Top-K entity sketch, or `None` when the set has no
+    /// [`ProbeSet::with_entity_sketch`]. The sketch is cumulative across
+    /// windows (it is never reset by `reset_window`), matching the
+    /// cumulative counters the fleet's report envelopes carry.
     pub fn entity_sketch(&self) -> Option<&kscope_ebpf::SketchState> {
-        let fd = self.sketch_fd?;
+        let fd = self.probe.sketch_fd?;
         match self.maps.sketch_state(fd) {
             Ok(state) => Some(state),
             Err(e) => unreachable!("backend-owned sketch map missing: {e:?}"),
@@ -596,13 +577,14 @@ impl MetricBackend for BytecodeBackend {
     fn on_event(&mut self, ctx: &TracepointCtx) -> Nanos {
         let mut syscall_buf = [0u8; CTX_SIZE];
         let mut net_buf = [0u8; NET_CTX_SIZE];
+        let probe: &BuiltProbe = &self.probe;
         let (program, buf): (&Program, &[u8]) = match ctx.phase {
             TracePhase::Enter | TracePhase::Exit => {
                 syscall_buf[..8].copy_from_slice(&(ctx.no.raw() as u64).to_le_bytes());
                 syscall_buf[8..16].copy_from_slice(&(ctx.ret as u64).to_le_bytes());
                 let program = match ctx.phase {
-                    TracePhase::Enter => &self.enter,
-                    _ => &self.exit,
+                    TracePhase::Enter => &probe.enter,
+                    _ => &probe.exit,
                 };
                 (program, &syscall_buf)
             }
@@ -610,12 +592,12 @@ impl MetricBackend for BytecodeBackend {
                 // Without the netstack pair attached, these tracepoints
                 // have no program — real eBPF simply wouldn't be attached
                 // there, so the firing is free.
-                let program = match ctx.phase {
-                    TracePhase::NetRxSoftirq => self.net_rx.as_ref(),
-                    _ => self.sock_drain.as_ref(),
-                };
-                let Some(program) = program else {
+                let Some((net_rx, sock_drain)) = &probe.net else {
                     return Nanos::ZERO;
+                };
+                let program = match ctx.phase {
+                    TracePhase::NetRxSoftirq => net_rx,
+                    _ => sock_drain,
                 };
                 net_buf[..8].copy_from_slice(&ctx.net.request.to_le_bytes());
                 net_buf[8..16].copy_from_slice(&ctx.net.stage_ns.to_le_bytes());
@@ -640,11 +622,11 @@ impl MetricBackend for BytecodeBackend {
     }
 
     fn counters(&self) -> RawCounters {
-        RawCounters::decode(self.shift, &self.stats_value())
+        RawCounters::decode(self.probe.set.shift, Self::slot0(&self.maps, self.probe.stats_fd))
     }
 
     fn reset_window(&mut self) {
-        let value = Self::slot0_mut(&mut self.maps, self.stats_fd);
+        let value = Self::slot0_mut(&mut self.maps, self.probe.stats_fd);
         // Zero everything except the two last-timestamp cells, which chain
         // deltas across window boundaries.
         for off in [
@@ -661,7 +643,7 @@ impl MetricBackend for BytecodeBackend {
         ] {
             value[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
         }
-        if let Some(fd) = self.hist_fd {
+        if let Some(fd) = self.probe.hist_fd {
             Self::slot0_mut(&mut self.maps, fd).fill(0);
         }
     }
@@ -670,16 +652,27 @@ impl MetricBackend for BytecodeBackend {
         "ebpf-bytecode"
     }
 
+    /// Bucket `i` counts polls with
+    /// `floor(log2(max(duration >> shift, 1))) == i`.
     fn poll_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        BytecodeBackend::poll_histogram(self)
+        Some(self.slot0_cells(self.probe.hist_fd?))
     }
 
     fn stack_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        BytecodeBackend::stack_histogram(self)
+        let (hist_fd, _) = self.probe.stack_fds?;
+        Some(self.slot0_cells(hist_fd))
     }
 
     fn stack_counters(&self) -> Option<StackCounters> {
-        BytecodeBackend::stack_counters(self)
+        let (_, stats_fd) = self.probe.stack_fds?;
+        // The cells in `stack_offsets` order.
+        let [count, sum, sumsq, misses] = self.slot0_cells(stats_fd);
+        Some(StackCounters {
+            count,
+            sum,
+            sumsq,
+            misses,
+        })
     }
 }
 
@@ -692,17 +685,80 @@ fn filter_tgids(mut asm: Asm, tgids: &[Pid]) -> Asm {
     asm.ja("out").label("tgid_ok")
 }
 
-/// Builds the `sys_enter` program: store the poll-entry timestamp.
-fn build_enter(tgids: &[Pid], poll_no: i32, start_fd: MapFd) -> Result<Program, kscope_ebpf::asm::AsmError> {
+/// Emits the lookup of array slot 0 of `fd` (key `0u32` at `fp-4`):
+/// exit with 0 if it misses, else continue at label `ok` with the value
+/// pointer in `R0`.
+fn slot0_or_exit(asm: Asm, fd: MapFd, ok: &str) -> Asm {
+    asm.store_imm(SZ_W, R10, -4, 0)
+        .ld_map_fd(R1, fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(Helper::MapLookupElem)
+        .jne_imm(R0, 0, ok)
+        .mov64_imm(R0, 0)
+        .exit()
+        .label(ok)
+}
+
+/// Emits `hist[floor(log2(max(R8, 1)))] += 1` into the
+/// [`HIST_BUCKETS`]-cell slot 0 of the array map `hist_fd`. A loop-free
+/// bit ladder accumulates the bucket in `R6`: each rung tests one power
+/// of two with a forward jump, so the program stays a DAG. The bucket
+/// then becomes a *register offset* into the map value. Clobbers `R0`,
+/// `R1`, `R2`, `R5`, `R6` and `R8`; its labels are fixed, so emit it at
+/// most once per program.
+fn log2_bucket_increment(mut asm: Asm, hist_fd: MapFd) -> Asm {
+    asm = asm
+        .mov64_imm(R6, 0)
+        .ld_dw(R5, 1u64 << 32)
+        .jlt_reg(R8, R5, "hist_lt32")
+        .add64_imm(R6, 32)
+        .rsh64_imm(R8, 32)
+        .label("hist_lt32");
+    for k in [16, 8, 4, 2] {
+        let skip = format!("hist_lt{k}");
+        asm = asm
+            .jmp_imm(OP_JLT, R8, 1i32 << k, skip.clone())
+            .add64_imm(R6, k)
+            .rsh64_imm(R8, k)
+            .label(skip);
+    }
+    asm.jmp_imm(OP_JLT, R8, 2, "hist_lt1")
+        .add64_imm(R6, 1)
+        .label("hist_lt1")
+        // The ladder already bounds R6 to [0, 63]; the mask makes the
+        // proof local (AND pins the tnum) and guards future edits.
+        .and64_imm(R6, 63)
+        .lsh64_imm(R6, 3) // byte offset of the 8-byte bucket cell
+        .store_imm(SZ_W, R10, -4, 0)
+        .ld_map_fd(R1, hist_fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "hist_done")
+        .add64_reg(R0, R6)
+        .load(SZ_DW, R1, R0, 0)
+        .add64_imm(R1, 1)
+        .store_reg(SZ_DW, R0, R1, 0)
+        .label("hist_done")
+}
+
+/// The profile's primary syscall number for `role`, as a jump immediate.
+fn syscall_imm(set: &ProbeSet, role: SyscallRole) -> i32 {
+    set.profile.primary(role).raw() as i32
+}
+
+/// Emits the `sys_enter` program: store the poll-entry timestamp.
+fn emit_enter(set: &ProbeSet, start_fd: MapFd) -> Result<Program, AsmError> {
     let asm = Asm::new("kscope_sys_enter")
         .mov64_reg(R9, R1) // save ctx
         .call(Helper::GetCurrentPidTgid)
         .mov64_reg(R6, R0)
         .mov64_reg(R2, R6)
         .rsh64_imm(R2, 32);
-    filter_tgids(asm, tgids)
+    filter_tgids(asm, &set.tgids)
         .load(SZ_DW, R8, R9, 0) // args->id
-        .jne_imm(R8, poll_no, "out")
+        .jne_imm(R8, syscall_imm(set, SyscallRole::Poll), "out")
         // start[pid_tgid] = bpf_ktime_get_ns()
         .store_reg(SZ_DW, R10, R6, -8)
         .call(Helper::KtimeGetNs)
@@ -720,31 +776,27 @@ fn build_enter(tgids: &[Pid], poll_no: i32, start_fd: MapFd) -> Result<Program, 
         .assemble()
 }
 
-/// Builds the `sys_exit` program: classify and update the stats cells,
-/// plus the optional in-probe log2 histogram of poll durations.
-#[allow(clippy::too_many_arguments)]
-fn build_exit(
-    tgids: &[Pid],
-    send_no: i32,
-    recv_no: i32,
-    poll_no: i32,
-    shift: u32,
+/// Emits the `sys_exit` program: classify and update the stats cells,
+/// plus the optional entity sketch and poll histogram.
+fn emit_exit(
+    set: &ProbeSet,
     start_fd: MapFd,
     stats_fd: MapFd,
     hist_fd: Option<MapFd>,
     sketch_fd: Option<MapFd>,
-) -> Result<Program, kscope_ebpf::asm::AsmError> {
+) -> Result<Program, AsmError> {
+    let shift = set.shift as i32;
     let asm = Asm::new("kscope_sys_exit")
         .mov64_reg(R9, R1) // save ctx
         .call(Helper::GetCurrentPidTgid)
         .mov64_reg(R6, R0)
         .mov64_reg(R2, R6)
         .rsh64_imm(R2, 32);
-    let mut asm = filter_tgids(asm, tgids)
+    let mut asm = filter_tgids(asm, &set.tgids)
         .load(SZ_DW, R8, R9, 0) // args->id
-        .jeq_imm(R8, send_no, "send")
-        .jeq_imm(R8, recv_no, "recv")
-        .jeq_imm(R8, poll_no, "poll")
+        .jeq_imm(R8, syscall_imm(set, SyscallRole::Send), "send")
+        .jeq_imm(R8, syscall_imm(set, SyscallRole::Receive), "recv")
+        .jeq_imm(R8, syscall_imm(set, SyscallRole::Poll), "poll")
         .label("out")
         .mov64_imm(R0, 0)
         .exit();
@@ -766,9 +818,7 @@ fn build_exit(
             offsets::RECV_LAST_TS,
         ),
     ] {
-        let ok = format!("{label}_ok");
         let delta = format!("{label}_delta");
-        let fin = format!("{label}_done");
         asm = asm.label(label);
         if label == "send" {
             if let Some(sketch_fd) = sketch_fd {
@@ -786,18 +836,8 @@ fn build_exit(
                     .call(Helper::SketchUpdate);
             }
         }
-        asm = asm
-            // stats value pointer -> R7
-            .store_imm(SZ_W, R10, -4, 0)
-            .ld_map_fd(R1, stats_fd)
-            .mov64_reg(R2, R10)
-            .add64_imm(R2, -4)
-            .call(Helper::MapLookupElem)
-            .jne_imm(R0, 0, ok.clone())
-            .mov64_imm(R0, 0)
-            .exit()
-            .label(ok)
-            .mov64_reg(R7, R0)
+        asm = slot0_or_exit(asm, stats_fd, &format!("{label}_ok"))
+            .mov64_reg(R7, R0) // stats value pointer
             // events++
             .load(SZ_DW, R1, R7, offsets::EVENTS as i16)
             .add64_imm(R1, 1)
@@ -814,7 +854,7 @@ fn build_exit(
             // delta = now - last, scaled
             .mov64_reg(R2, R8)
             .sub64_reg(R2, R1)
-            .rsh64_imm(R2, shift as i32)
+            .rsh64_imm(R2, shift)
             // count++
             .load(SZ_DW, R3, R7, count_off as i16)
             .add64_imm(R3, 1)
@@ -829,7 +869,6 @@ fn build_exit(
             .load(SZ_DW, R3, R7, sumsq_off as i16)
             .add64_reg(R3, R4)
             .store_reg(SZ_DW, R7, R3, sumsq_off as i16)
-            .label(fin)
             .mov64_imm(R0, 0)
             .exit();
     }
@@ -851,19 +890,10 @@ fn build_exit(
         .load(SZ_DW, R2, R0, 0) // start ts
         .mov64_reg(R3, R8)
         .sub64_reg(R3, R2) // duration
-        .rsh64_imm(R3, shift as i32)
-        .mov64_reg(R8, R3) // duration survives the next call in R8
-        // stats value pointer -> R7
-        .store_imm(SZ_W, R10, -4, 0)
-        .ld_map_fd(R1, stats_fd)
-        .mov64_reg(R2, R10)
-        .add64_imm(R2, -4)
-        .call(Helper::MapLookupElem)
-        .jne_imm(R0, 0, "poll_ok")
-        .mov64_imm(R0, 0)
-        .exit()
-        .label("poll_ok")
-        .mov64_reg(R7, R0)
+        .rsh64_imm(R3, shift)
+        .mov64_reg(R8, R3); // duration survives the next call in R8
+    asm = slot0_or_exit(asm, stats_fd, "poll_ok")
+        .mov64_reg(R7, R0) // stats value pointer
         // events++
         .load(SZ_DW, R1, R7, offsets::EVENTS as i16)
         .add64_imm(R1, 1)
@@ -880,59 +910,19 @@ fn build_exit(
         .load(SZ_DW, R1, R7, offsets::POLL_SUMSQ as i16)
         .add64_reg(R1, R4)
         .store_reg(SZ_DW, R7, R1, offsets::POLL_SUMSQ as i16);
-
     if let Some(hist_fd) = hist_fd {
-        // bucket = floor(log2(duration)) via a loop-free bit ladder: the
-        // duration is still in R8, the bucket accumulates in R6 (the
-        // pid_tgid it held is dead by now). Each rung tests one power of
-        // two with a forward jump, so the program stays a DAG.
-        asm = asm.mov64_imm(R6, 0).ld_dw(R5, 1u64 << 32).jlt_reg(
-            R8,
-            R5,
-            "hist_lt32",
-        );
-        asm = asm.add64_imm(R6, 32).rsh64_imm(R8, 32).label("hist_lt32");
-        for k in [16, 8, 4, 2] {
-            let skip = format!("hist_lt{k}");
-            asm = asm
-                .jmp_imm(OP_JLT, R8, 1i32 << k, skip.clone())
-                .add64_imm(R6, k)
-                .rsh64_imm(R8, k)
-                .label(skip);
-        }
-        asm = asm
-            .jmp_imm(OP_JLT, R8, 2, "hist_lt1")
-            .add64_imm(R6, 1)
-            .label("hist_lt1")
-            // The ladder already bounds R6 to [0, 63]; the mask makes the
-            // proof local (AND pins the tnum) and guards future edits.
-            .and64_imm(R6, 63)
-            .lsh64_imm(R6, 3) // byte offset of the 8-byte bucket cell
-            // hist value pointer -> R0, then a *register-offset* increment.
-            .store_imm(SZ_W, R10, -4, 0)
-            .ld_map_fd(R1, hist_fd)
-            .mov64_reg(R2, R10)
-            .add64_imm(R2, -4)
-            .call(Helper::MapLookupElem)
-            .jeq_imm(R0, 0, "hist_done")
-            .add64_reg(R0, R6)
-            .load(SZ_DW, R1, R0, 0)
-            .add64_imm(R1, 1)
-            .store_reg(SZ_DW, R0, R1, 0)
-            .label("hist_done");
+        // The duration is still in R8; the pid_tgid R6 held is dead.
+        asm = log2_bucket_increment(asm, hist_fd);
     }
-
-    asm = asm.mov64_imm(R0, 0).exit();
-
-    asm.assemble()
+    asm.mov64_imm(R0, 0).exit().assemble()
 }
 
-/// Builds the `net_rx_softirq` program: reconstruct the request's NIC
+/// Emits the `net_rx_softirq` program: reconstruct the request's NIC
 /// arrival timestamp (`bpf_ktime_get_ns() - nic_wait`) and record it in
 /// the in-flight hash map keyed by request id. No tgid filter — softirq
 /// context has no meaningful current task (see
-/// [`BytecodeBackend::with_netstack`]).
-fn build_net_rx(inflight_fd: MapFd) -> Result<Program, kscope_ebpf::asm::AsmError> {
+/// [`ProbeSet::with_netstack`]).
+fn emit_net_rx(inflight_fd: MapFd) -> Result<Program, AsmError> {
     Asm::new("kscope_net_rx")
         .mov64_reg(R9, R1) // save ctx
         .load(SZ_DW, R6, R9, 0) // args->request
@@ -955,18 +945,17 @@ fn build_net_rx(inflight_fd: MapFd) -> Result<Program, kscope_ebpf::asm::AsmErro
         .assemble()
 }
 
-/// Builds the `sock_queue_drain` program: look up the request's NIC
+/// Emits the `sock_queue_drain` program: look up the request's NIC
 /// arrival, compute total time-in-stack (`now - nic_arrival`), delete the
 /// in-flight entry, and fold the scaled sample into the stats cells and
-/// the log2 histogram (the same register-offset bit-ladder idiom the poll
-/// histogram uses).
-fn build_sock_drain(
+/// the log2 histogram.
+fn emit_sock_drain(
     shift: u32,
     inflight_fd: MapFd,
     stack_stats_fd: MapFd,
     stack_hist_fd: MapFd,
-) -> Result<Program, kscope_ebpf::asm::AsmError> {
-    let mut asm = Asm::new("kscope_sock_drain")
+) -> Result<Program, AsmError> {
+    let asm = Asm::new("kscope_sock_drain")
         .mov64_reg(R9, R1) // save ctx
         .load(SZ_DW, R6, R9, 0) // args->request
         .store_reg(SZ_DW, R10, R6, -8)
@@ -974,18 +963,10 @@ fn build_sock_drain(
         .mov64_reg(R2, R10)
         .add64_imm(R2, -8)
         .call(Helper::MapLookupElem)
-        .jne_imm(R0, 0, "have_entry")
-        // Miss: the rx edge was never seen (or the entry was evicted);
-        // count it so the estimator can report coverage.
-        .store_imm(SZ_W, R10, -4, 0)
-        .ld_map_fd(R1, stack_stats_fd)
-        .mov64_reg(R2, R10)
-        .add64_imm(R2, -4)
-        .call(Helper::MapLookupElem)
-        .jne_imm(R0, 0, "miss_ok")
-        .mov64_imm(R0, 0)
-        .exit()
-        .label("miss_ok")
+        .jne_imm(R0, 0, "have_entry");
+    // Miss: the rx edge was never seen (or the entry was evicted); count
+    // it so the estimator can report coverage.
+    let asm = slot0_or_exit(asm, stack_stats_fd, "miss_ok")
         .load(SZ_DW, R1, R0, stack_offsets::MISSES as i16)
         .add64_imm(R1, 1)
         .store_reg(SZ_DW, R0, R1, stack_offsets::MISSES as i16)
@@ -1002,18 +983,9 @@ fn build_sock_drain(
         .mov64_reg(R2, R10)
         .add64_imm(R2, -8)
         .call(Helper::MapDeleteElem)
-        .rsh64_imm(R8, shift as i32) // scaled sample
-        // stats value pointer -> R7
-        .store_imm(SZ_W, R10, -4, 0)
-        .ld_map_fd(R1, stack_stats_fd)
-        .mov64_reg(R2, R10)
-        .add64_imm(R2, -4)
-        .call(Helper::MapLookupElem)
-        .jne_imm(R0, 0, "stats_ok")
-        .mov64_imm(R0, 0)
-        .exit()
-        .label("stats_ok")
-        .mov64_reg(R7, R0)
+        .rsh64_imm(R8, shift as i32); // scaled sample
+    let asm = slot0_or_exit(asm, stack_stats_fd, "stats_ok")
+        .mov64_reg(R7, R0) // stats value pointer
         // count++
         .load(SZ_DW, R1, R7, stack_offsets::COUNT as i16)
         .add64_imm(R1, 1)
@@ -1028,51 +1000,18 @@ fn build_sock_drain(
         .load(SZ_DW, R1, R7, stack_offsets::SUMSQ as i16)
         .add64_reg(R1, R4)
         .store_reg(SZ_DW, R7, R1, stack_offsets::SUMSQ as i16);
-
-    // bucket = floor(log2(max(sample, 1))) via the loop-free bit ladder;
-    // the sample is in R8, the bucket accumulates in R6 (the request id
-    // it held is dead by now).
-    asm = asm
-        .mov64_imm(R6, 0)
-        .ld_dw(R5, 1u64 << 32)
-        .jlt_reg(R8, R5, "shist_lt32")
-        .add64_imm(R6, 32)
-        .rsh64_imm(R8, 32)
-        .label("shist_lt32");
-    for k in [16, 8, 4, 2] {
-        let skip = format!("shist_lt{k}");
-        asm = asm
-            .jmp_imm(OP_JLT, R8, 1i32 << k, skip.clone())
-            .add64_imm(R6, k)
-            .rsh64_imm(R8, k)
-            .label(skip);
-    }
-    asm = asm
-        .jmp_imm(OP_JLT, R8, 2, "shist_lt1")
-        .add64_imm(R6, 1)
-        .label("shist_lt1")
-        .and64_imm(R6, 63)
-        .lsh64_imm(R6, 3) // byte offset of the 8-byte bucket cell
-        .store_imm(SZ_W, R10, -4, 0)
-        .ld_map_fd(R1, stack_hist_fd)
-        .mov64_reg(R2, R10)
-        .add64_imm(R2, -4)
-        .call(Helper::MapLookupElem)
-        .jeq_imm(R0, 0, "shist_done")
-        .add64_reg(R0, R6)
-        .load(SZ_DW, R1, R0, 0)
-        .add64_imm(R1, 1)
-        .store_reg(SZ_DW, R0, R1, 0)
-        .label("shist_done")
+    // The sample is still in R8; the request id R6 held is dead.
+    log2_bucket_increment(asm, stack_hist_fd)
         .mov64_imm(R0, 0)
-        .exit();
-
-    asm.assemble()
+        .exit()
+        .assemble()
 }
+
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kscope_ebpf::cost_report;
     use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo};
 
     fn ctx(phase: TracePhase, no: SyscallNo, tid: u32, t_us: u64) -> TracepointCtx {
@@ -1086,8 +1025,16 @@ mod tests {
         }
     }
 
+    fn set(shift: u32) -> ProbeSet {
+        ProbeSet::new(vec![1200], SyscallProfile::data_caching(), shift)
+    }
+
     fn probe() -> BytecodeBackend {
-        BytecodeBackend::new(1200, SyscallProfile::data_caching(), 0).unwrap()
+        set(0).build().unwrap()
+    }
+
+    fn hist_probe() -> BytecodeBackend {
+        set(0).with_poll_histogram().build().unwrap()
     }
 
     #[test]
@@ -1099,7 +1046,82 @@ mod tests {
             SyscallProfile::triton_grpc(),
             SyscallProfile::triton_http(),
         ] {
-            BytecodeBackend::new(42, profile, 10).expect("builds");
+            ProbeSet::new(vec![42], profile, 10).build().expect("builds");
+        }
+    }
+
+    /// Every subset of the optional signals builds, verifies and
+    /// certifies under the budget, and the order of the `with_*` steps
+    /// changes neither a program nor the map layout.
+    #[test]
+    fn every_signal_subset_builds_and_is_order_independent() {
+        let steps: [fn(ProbeSet) -> ProbeSet; 3] = [
+            ProbeSet::with_poll_histogram,
+            |set| set.with_entity_sketch(8),
+            ProbeSet::with_netstack,
+        ];
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for subset in 0..8u32 {
+            let has = |step: usize| subset & (1 << step) != 0;
+            let builds: Vec<BytecodeBackend> = orders
+                .iter()
+                .map(|order| {
+                    order
+                        .iter()
+                        .filter(|&&step| has(step))
+                        .fold(set(10), |set, &step| steps[step](set))
+                        .build()
+                        .unwrap_or_else(|e| panic!("subset {subset:03b} failed to build: {e}"))
+                })
+                .collect();
+            let first = &builds[0];
+            assert_eq!(first.poll_histogram().is_some(), has(0));
+            assert_eq!(first.entity_sketch().is_some(), has(1));
+            assert_eq!(first.net_programs().is_some(), has(2));
+            let programs: Vec<&Program> = first.probe.programs().collect();
+            assert_eq!(programs.len(), if has(2) { 4 } else { 2 });
+            for program in &programs {
+                let verifier = Verifier::new(VerifierConfig {
+                    ctx_size: if program.name().starts_with("kscope_sys") {
+                        CTX_SIZE
+                    } else {
+                        NET_CTX_SIZE
+                    },
+                    ..VerifierConfig::default()
+                });
+                assert!(verifier.verify(program, first.map_registry()).is_ok());
+                let bound = cost_report(program).map(|c| c.max_insns);
+                assert!(
+                    bound.is_some_and(|b| b <= PROBE_COST_BUDGET),
+                    "subset {subset:03b}: '{}' bound {bound:?}",
+                    program.name()
+                );
+            }
+            for other in &builds[1..] {
+                assert_eq!(other.probe.set, first.probe.set);
+                let insns: Vec<_> = other.probe.programs().map(Program::insns).collect();
+                assert_eq!(insns, programs.iter().map(|p| p.insns()).collect::<Vec<_>>());
+                assert_eq!(map_dump(other), map_dump(first), "subset {subset:03b}");
+            }
+        }
+    }
+
+    #[test]
+    fn cost_gate_rejects_a_filter_over_budget() {
+        // The tgid filter costs one instruction per process, so about a
+        // thousand processes push `sys_enter` past the budget.
+        let tgids: Vec<Pid> = (1..=1_010).collect();
+        match ProbeSet::new(tgids, SyscallProfile::data_caching(), 10).build() {
+            Err(BuildError::CostBudget {
+                program,
+                bound: Some(bound),
+                budget,
+            }) => {
+                assert_eq!(program, "kscope_sys_enter");
+                assert_eq!(budget, PROBE_COST_BUDGET);
+                assert!(bound > PROBE_COST_BUDGET, "bound {bound}");
+            }
+            other => panic!("expected a cost-budget rejection, got {other:?}"),
         }
     }
 
@@ -1138,18 +1160,23 @@ mod tests {
 
     #[test]
     fn disassembly_mentions_tracepoint_programs() {
-        let p = probe();
-        let dis = p.disassembly();
-        assert!(dis.contains("kscope_sys_enter"));
-        assert!(dis.contains("kscope_sys_exit"));
-        assert!(dis.contains("call 14")); // bpf_get_current_pid_tgid
-        assert!(dis.contains("call 5")); // bpf_ktime_get_ns
+        let net_programs = ["kscope_net_rx", "kscope_sock_drain"];
+        for netstack in [false, true] {
+            let p = if netstack { set(0).with_netstack() } else { set(0) }.build().unwrap();
+            let dis = p.disassembly();
+            assert!(dis.contains("kscope_sys_enter"));
+            assert!(dis.contains("kscope_sys_exit"));
+            assert!(dis.contains("call 14")); // bpf_get_current_pid_tgid
+            assert!(dis.contains("call 5")); // bpf_ktime_get_ns
+            for name in net_programs {
+                assert_eq!(dis.contains(name), netstack, "{name} with netstack={netstack}");
+            }
+        }
     }
 
     #[test]
     fn histogram_probe_verifies_and_buckets_poll_durations() {
-        let mut p =
-            BytecodeBackend::new_with_histogram(1200, SyscallProfile::data_caching(), 0).unwrap();
+        let mut p = hist_probe();
         // 350_000 ns: floor(log2) = 18 (2^18 = 262144 <= 350000 < 2^19).
         p.on_event(&ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, 1, 100));
         p.on_event(&ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, 1, 450));
@@ -1173,8 +1200,7 @@ mod tests {
 
     #[test]
     fn histogram_edge_buckets() {
-        let mut p =
-            BytecodeBackend::new_with_histogram(1200, SyscallProfile::data_caching(), 0).unwrap();
+        let mut p = hist_probe();
         // Zero-length poll: bucket 0 (log2 clamped up from -inf).
         p.on_event(&ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, 1, 100));
         p.on_event(&ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, 1, 100));
@@ -1196,13 +1222,11 @@ mod tests {
     fn histogram_absent_without_opt_in() {
         let p = probe();
         assert!(p.poll_histogram().is_none());
-        assert!(MetricBackend::poll_histogram(&p).is_none());
     }
 
     #[test]
     fn histogram_resets_with_window() {
-        let mut p =
-            BytecodeBackend::new_with_histogram(1200, SyscallProfile::data_caching(), 0).unwrap();
+        let mut p = hist_probe();
         p.on_event(&ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, 1, 100));
         p.on_event(&ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, 1, 450));
         p.reset_window();
@@ -1211,13 +1235,11 @@ mod tests {
     }
 
     fn sketch_probe(capacity: u32) -> BytecodeBackend {
-        BytecodeBackend::new_with_histogram_and_sketch(
-            1200,
-            SyscallProfile::data_caching(),
-            0,
-            capacity,
-        )
-        .unwrap()
+        set(0)
+            .with_poll_histogram()
+            .with_entity_sketch(capacity)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -1310,20 +1332,11 @@ mod tests {
 
     /// Every signal the probe has: histogram, sketch, netstack.
     fn full_probe(jit: bool) -> BytecodeBackend {
-        let p = BytecodeBackend::new_with_histogram_and_sketch(
-            1200,
-            SyscallProfile::data_caching(),
-            0,
-            8,
-        )
-        .unwrap()
-        .with_netstack()
-        .unwrap();
-        if jit {
-            p.with_jit()
-        } else {
-            p
-        }
+        let full = set(0)
+            .with_poll_histogram()
+            .with_entity_sketch(8)
+            .with_netstack();
+        if jit { full.with_jit() } else { full }.build().unwrap()
     }
 
     /// One request's tracepoints: poll, rx, drain, recv, send.
@@ -1435,10 +1448,7 @@ mod tests {
     }
 
     fn netstack_probe(shift: u32) -> BytecodeBackend {
-        BytecodeBackend::new(1200, SyscallProfile::data_caching(), shift)
-            .unwrap()
-            .with_netstack()
-            .unwrap()
+        set(shift).with_netstack().build().unwrap()
     }
 
     #[test]
@@ -1447,16 +1457,18 @@ mod tests {
         let (rx, drain) = p.net_programs().expect("netstack attached");
         assert_eq!(rx.name(), "kscope_net_rx");
         assert_eq!(drain.name(), "kscope_sock_drain");
-        // Both programs must carry a finite certified worst-case bound,
-        // together with the syscall pair (the registration gate).
-        p.check_cost_budget(10_000).expect("finite cost bound");
+        // The build verified both and certified them under the budget.
+        for program in [rx, drain] {
+            let bound = cost_report(program).map(|c| c.max_insns);
+            assert!(bound.is_some_and(|b| b <= PROBE_COST_BUDGET), "{bound:?}");
+        }
     }
 
     #[test]
     fn netstack_absent_without_opt_in() {
         let p = probe();
         assert!(p.net_programs().is_none());
-        assert!(BytecodeBackend::stack_histogram(&p).is_none());
+        assert!(p.stack_histogram().is_none());
         assert!(p.stack_counters().is_none());
         // Un-attached tracepoints cost nothing.
         let mut p = p;
@@ -1476,7 +1488,7 @@ mod tests {
         assert_eq!(c.sum, 35_000); // 130_000 - (100_000 - 5_000)
         assert_eq!(c.sumsq, 35_000 * 35_000);
         assert_eq!(c.misses, 0);
-        let hist = BytecodeBackend::stack_histogram(&p).expect("netstack attached");
+        let hist = p.stack_histogram().expect("netstack attached");
         // floor(log2(35_000)) == 15.
         assert_eq!(hist[15], 1);
         assert_eq!(hist.iter().sum::<u64>(), 1);
@@ -1494,7 +1506,7 @@ mod tests {
         p.on_event(&net_ctx(TracePhase::SockQueueDrain, 3, 0, 0, 130_000));
         let c = p.stack_counters().unwrap();
         assert_eq!(c.sum, 35_000 >> 10); // 34
-        let hist = BytecodeBackend::stack_histogram(&p).unwrap();
+        let hist = p.stack_histogram().unwrap();
         assert_eq!(hist[5], 1); // floor(log2(34)) == 5
     }
 
@@ -1506,7 +1518,7 @@ mod tests {
         assert_eq!(c.count, 0);
         assert_eq!(c.misses, 1);
         assert_eq!(
-            BytecodeBackend::stack_histogram(&p).unwrap().iter().sum::<u64>(),
+            p.stack_histogram().unwrap().iter().sum::<u64>(),
             0
         );
     }
@@ -1520,7 +1532,7 @@ mod tests {
         let c = p.stack_counters().unwrap();
         assert_eq!(c.count, 1, "reset_window must not clear stack stats");
         assert_eq!(
-            BytecodeBackend::stack_histogram(&p).unwrap().iter().sum::<u64>(),
+            p.stack_histogram().unwrap().iter().sum::<u64>(),
             1,
             "reset_window must not clear the stack histogram"
         );
@@ -1531,11 +1543,7 @@ mod tests {
         use crate::native::NativeBackend;
         let shift = 6;
         let mut plain = netstack_probe(shift);
-        let mut jit = BytecodeBackend::new(1200, SyscallProfile::data_caching(), shift)
-            .unwrap()
-            .with_netstack()
-            .unwrap()
-            .with_jit();
+        let mut jit = set(shift).with_netstack().with_jit().build().unwrap();
         let mut native =
             NativeBackend::new(1200, SyscallProfile::data_caching(), shift).with_netstack();
         // A stream with overlapping requests, misses, and reordering.
@@ -1556,8 +1564,8 @@ mod tests {
         let expect = plain.stack_counters().unwrap();
         assert_eq!(expect, jit.stack_counters().unwrap());
         assert_eq!(Some(expect), native.stack_counters());
-        let hist = BytecodeBackend::stack_histogram(&plain).unwrap();
-        assert_eq!(hist, BytecodeBackend::stack_histogram(&jit).unwrap());
+        let hist = plain.stack_histogram().unwrap();
+        assert_eq!(hist, jit.stack_histogram().unwrap());
         assert_eq!(Some(hist), MetricBackend::stack_histogram(&native));
         assert_eq!(expect.count, 3);
         assert_eq!(expect.misses, 1);

@@ -1,7 +1,7 @@
 //! Mergeable log2 histogram — the userspace twin of the in-probe one.
 //!
 //! The bytecode probe's optional poll-duration histogram
-//! ([`crate::BytecodeBackend::new_with_histogram`]) maintains
+//! ([`crate::ProbeSet::with_poll_histogram`]) maintains
 //! [`HIST_BUCKETS`] `u64` cells where bucket `i` counts polls whose scaled
 //! duration satisfies `floor(log2(max(duration >> shift, 1))) == i`.
 //! [`Log2Hist`] reproduces that exact bucketing in userspace so that:

@@ -31,11 +31,11 @@
 //! Attaching a bytecode probe to a simulated memcached and reading RPS:
 //!
 //! ```
-//! use kscope_core::{BytecodeBackend, MetricBackend, WindowedObserver};
+//! use kscope_core::{MetricBackend, ProbeSet, WindowedObserver};
 //! use kscope_simcore::Nanos;
 //! use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 //!
-//! let backend = BytecodeBackend::new(1000, SyscallProfile::data_caching(), 10)?;
+//! let backend = ProbeSet::new(vec![1000], SyscallProfile::data_caching(), 10).build()?;
 //! let mut observer = WindowedObserver::new(backend, Nanos::from_millis(100));
 //!
 //! // ... attach `observer` to a kernel's tracepoints; here, fire directly:
@@ -75,8 +75,8 @@ pub mod timeline;
 
 pub use agent::{Agent, AgentReport};
 pub use bytecode::{
-    stack_offsets, BuildError, BytecodeBackend, StackCounters, CTX_SIZE, HIST_BUCKETS,
-    NET_CTX_SIZE, NS_PER_INSN,
+    stack_offsets, BuildError, BytecodeBackend, ProbeSet, StackCounters, CTX_SIZE, HIST_BUCKETS,
+    NET_CTX_SIZE, NS_PER_INSN, PROBE_COST_BUDGET,
 };
 pub use counters::{offsets, RawCounters, WindowMetrics};
 pub use estimators::{

@@ -62,11 +62,13 @@ pub trait MetricBackend {
 /// # Examples
 ///
 /// ```
-/// use kscope_core::{BytecodeBackend, WindowedObserver};
+/// use kscope_core::{ProbeSet, WindowedObserver};
 /// use kscope_simcore::Nanos;
 /// use kscope_syscalls::SyscallProfile;
 ///
-/// let backend = BytecodeBackend::new(1200, SyscallProfile::data_caching(), 10)?.with_jit();
+/// let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 10)
+///     .with_jit()
+///     .build()?;
 /// let observer = WindowedObserver::new(backend, Nanos::from_millis(200));
 /// assert_eq!(observer.windows().len(), 0);
 /// # Ok::<(), kscope_core::BuildError>(())

@@ -1,7 +1,7 @@
 //! Mergeable time-in-stack estimator fed by the netstack probe pair.
 //!
 //! The `kscope_net_rx`/`kscope_sock_drain` programs (see
-//! [`BytecodeBackend::with_netstack`](crate::BytecodeBackend::with_netstack))
+//! [`ProbeSet::with_netstack`](crate::ProbeSet::with_netstack))
 //! maintain cumulative cells: a [`StackCounters`] scalar block and a
 //! 64-bucket log2 histogram of scaled time-in-stack per request.
 //! [`StackDelay`] is the userspace view of those cells — a snapshot that
@@ -159,7 +159,7 @@ impl StackDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::BytecodeBackend;
+    use crate::bytecode::ProbeSet;
     use crate::native::NativeBackend;
     use kscope_simcore::Nanos;
     use kscope_syscalls::{NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
@@ -242,9 +242,9 @@ mod tests {
         let pairs: Vec<(u64, u64, u64)> = (1..=8).map(|i| (i, 10_000 * i, 10_000 * i + 777 * i)).collect();
         let mut native = NativeBackend::new(7, SyscallProfile::data_caching(), 10).with_netstack();
         drive(&mut native, &pairs);
-        let mut bytecode = BytecodeBackend::new(7, SyscallProfile::data_caching(), 10)
-            .unwrap()
+        let mut bytecode = ProbeSet::new(vec![7], SyscallProfile::data_caching(), 10)
             .with_netstack()
+            .build()
             .unwrap();
         drive(&mut bytecode, &pairs);
         assert_eq!(

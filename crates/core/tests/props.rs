@@ -4,7 +4,7 @@
 //! the native probe and the generated-verified-interpreted eBPF probe
 //! produce identical metric cells.
 
-use kscope_core::{BytecodeBackend, MetricBackend, NativeBackend, ScaledAcc};
+use kscope_core::{MetricBackend, NativeBackend, ProbeSet, ScaledAcc};
 use kscope_simcore::{Nanos, SimRng};
 use kscope_syscalls::{NetCtx, pid_tgid, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 use kscope_testkit::{gen, Config};
@@ -54,7 +54,7 @@ fn backends_agree_on_any_stream() {
             let (ref events, shift) = *case;
             let profile = SyscallProfile::data_caching();
             let mut native = NativeBackend::new(1200, profile.clone(), shift);
-            let mut bytecode = BytecodeBackend::new(1200, profile, shift).unwrap();
+            let mut bytecode = ProbeSet::new(vec![1200], profile, shift).build().unwrap();
             let mut t = 0u64;
             for ev in events {
                 let mut ev = *ev;
@@ -81,7 +81,7 @@ fn backends_agree_across_window_resets() {
         |chunks: &Vec<Vec<TracepointCtx>>| {
             let profile = SyscallProfile::data_caching();
             let mut native = NativeBackend::new(1200, profile.clone(), 10);
-            let mut bytecode = BytecodeBackend::new(1200, profile, 10).unwrap();
+            let mut bytecode = ProbeSet::new(vec![1200], profile, 10).build().unwrap();
             let mut t = 0u64;
             for chunk in chunks {
                 for ev in chunk {

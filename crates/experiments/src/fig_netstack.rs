@@ -19,7 +19,7 @@
 //! artifact is byte-identical at any `--jobs`.
 
 use kscope_analysis::{log2_bucket_quantile, AsciiChart, TextTable};
-use kscope_core::{BytecodeBackend, RpsEstimator, StackDelay, WindowMetrics, DEFAULT_SHIFT};
+use kscope_core::{ProbeSet, RpsEstimator, StackDelay, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
 use kscope_simcore::{Dist, Nanos};
 use kscope_workloads::{data_caching, RunConfig, WorkloadSpec};
@@ -155,9 +155,10 @@ pub fn run_condition(
 
     let shift = DEFAULT_SHIFT;
     let mut run = observe_run(spec, &run_cfg, window, |sim| {
-        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), shift)?
-            .with_netstack()?
-            .with_jit())
+        ProbeSet::new(sim.server_pids(), spec.profile.clone(), shift)
+            .with_netstack()
+            .with_jit()
+            .build()
     });
     let (warmup_end, end) = (run.warmup_end, run.end);
     let observer = run.observer();

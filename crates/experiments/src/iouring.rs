@@ -9,7 +9,7 @@
 //! — while client throughput is unchanged.
 
 use kscope_analysis::TextTable;
-use kscope_core::{BytecodeBackend, RpsEstimator, DEFAULT_SHIFT};
+use kscope_core::{ProbeSet, RpsEstimator, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
 use kscope_workloads::{data_caching, RunConfig};
 
@@ -52,8 +52,9 @@ pub fn run(scale: Scale) -> Vec<BypassRow> {
             config = config.quick();
         }
         let mut run = observe_run(&spec, &config, Nanos::from_millis(200), |sim| {
-            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-                .with_jit())
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+                .with_jit()
+                .build()
         });
         let warmup_end = run.warmup_end;
         let windows: Vec<_> = run

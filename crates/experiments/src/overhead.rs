@@ -6,7 +6,7 @@
 //! overhead below 1% (typically below 0.5%).
 
 use kscope_analysis::{percentile, TextTable};
-use kscope_core::{BytecodeBackend, WindowedObserver, DEFAULT_SHIFT};
+use kscope_core::{ProbeSet, WindowedObserver, DEFAULT_SHIFT};
 use kscope_kernel::TracepointProbe;
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
@@ -63,9 +63,10 @@ fn run_once(spec: &WorkloadSpec, fraction: f64, setup: ProbeSetup, scale: Scale)
         match setup {
             ProbeSetup::None => Vec::new(),
             ProbeSetup::Bytecode => vec![Box::new(WindowedObserver::new(
-                BytecodeBackend::new_multi(pids, profile, DEFAULT_SHIFT)
-                    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
-                    .with_jit(),
+                ProbeSet::new(pids, profile, DEFAULT_SHIFT)
+                    .with_jit()
+                    .build()
+                    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}")),
                 window,
             )) as Box<dyn TracepointProbe>],
         }

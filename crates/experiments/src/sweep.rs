@@ -5,7 +5,7 @@
 //! level both the client-side ground truth and the probe's window metrics —
 //! the two sides whose relationship every experiment measures.
 
-use kscope_core::{BytecodeBackend, WindowMetrics, DEFAULT_SHIFT};
+use kscope_core::{ProbeSet, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
 use kscope_workloads::{ClientStats, RunConfig, ThreadingModel, WorkloadSpec};
@@ -191,9 +191,8 @@ pub fn run_level(spec: &WorkloadSpec, offered_rps: f64, config: &SweepConfig, se
 
     let jit = config.backend == BackendKind::BytecodeJit;
     let mut run = observe_run(spec, &run_cfg, window, |sim| {
-        let probe =
-            BytecodeBackend::new_multi(sim.server_pids(), sim.spec().profile.clone(), DEFAULT_SHIFT)?;
-        Ok(if jit { probe.with_jit() } else { probe })
+        let set = ProbeSet::new(sim.server_pids(), sim.spec().profile.clone(), DEFAULT_SHIFT);
+        if jit { set.with_jit() } else { set }.build()
     });
     let (warmup_end, end) = (run.warmup_end, run.end);
     let windows = run

@@ -9,7 +9,7 @@
 //! around the paper's 2048-sample recommendation.
 
 use kscope_analysis::TextTable;
-use kscope_core::{BytecodeBackend, DEFAULT_SHIFT};
+use kscope_core::{ProbeSet, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
 use kscope_workloads::{data_caching, RunConfig};
 
@@ -46,8 +46,9 @@ pub fn run(scale: Scale) -> Vec<WindowRow> {
         // Enough total time for at least 20 windows.
         config.measure = window * 24;
         let mut run = observe_run(&spec, &config, window, |sim| {
-            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-                .with_jit())
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+                .with_jit()
+                .build()
         });
         let (truth, warmup_end, end) = (run.client.achieved_rps, run.warmup_end, run.end);
         let errors: Vec<f64> = run

@@ -53,16 +53,11 @@ pub struct FleetConfig {
     /// Minimum send samples per window for the Eq. 1 / Eq. 2 estimators
     /// (the paper's 2048-sample guidance scaled to simulated windows).
     pub min_send_samples: u64,
-    /// Run each host's probe through the template JIT instead of the
-    /// interpreter (identical observable behavior, held by the
-    /// differential suite; falls back to the interpreter on unsupported
-    /// targets).
+    /// Run each host's probe through the template JIT (the default, the
+    /// tier every experiment runs) instead of the interpreter. Observable
+    /// behavior is identical, held by the differential suite; the JIT
+    /// falls back to the interpreter on unsupported targets.
     pub jit_probes: bool,
-    /// Registration gate: every host's probe programs must carry a
-    /// certified worst-case instruction bound at or under this budget
-    /// (`None` disables the gate). Checked once per run, when the fleet
-    /// probe is built.
-    pub probe_cost_budget: Option<u64>,
 }
 
 impl FleetConfig {
@@ -86,10 +81,7 @@ impl FleetConfig {
             sketch_capacity: 64,
             top_entities: 16,
             min_send_samples: 64,
-            jit_probes: false,
-            // Shipped probes certify in the low hundreds of instructions;
-            // 1024 leaves headroom while still catching runaway programs.
-            probe_cost_budget: Some(1024),
+            jit_probes: true,
         }
     }
 
@@ -145,7 +137,7 @@ impl FleetConfig {
         self
     }
 
-    /// Opts every host's probe into JIT execution.
+    /// Runs every host's probe on the JIT (already the default).
     pub fn with_jit_probes(mut self) -> FleetConfig {
         self.jit_probes = true;
         self

@@ -4,8 +4,9 @@
 use std::sync::Arc;
 
 use kscope_core::{
-    Agent, BuildError, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
-    SaturationDetector, SlackAssessment, SlackEstimator, StackDelay, TopKSketch, WindowedObserver,
+    Agent, BuildError, BytecodeBackend, Log2Hist, ProbeSet, RawCounters, RpsEstimator,
+    SaturationAssessment, SaturationDetector, SlackAssessment, SlackEstimator, StackDelay,
+    TopKSketch, WindowedObserver,
 };
 use kscope_kernel::{HostSpec, Kernel, ProbeId, SchedConfig};
 use kscope_netem::{DatagramTransit, NetemLink};
@@ -105,13 +106,13 @@ pub struct HostTruth {
 ///
 /// The paper's probe is one fixed set of programs — the syscall pair
 /// plus the netstack pair — and every host runs it against the same map
-/// layout. So the work that makes it trustworthy happens once, here:
-/// assembly, verification of each program, the
-/// [`FleetConfig::probe_cost_budget`] registration gate, and, with
-/// [`FleetConfig::jit_probes`], the JIT compile. Each host then takes
-/// an instance ([`BytecodeBackend::instantiate`]): the same verified,
-/// certified, compiled programs over maps of its own. Why the shared
-/// programs stay verified for every host's maps is argued on
+/// layout. So the work that makes it trustworthy happens once, here, in
+/// [`ProbeSet::build`]: assembly, verification of each program, the
+/// [`PROBE_COST_BUDGET`](kscope_core::PROBE_COST_BUDGET) registration
+/// gate, and, with [`FleetConfig::jit_probes`], the JIT compile. Each
+/// host then takes an instance ([`BytecodeBackend::instantiate`]): the
+/// same verified, certified, compiled programs over maps of its own. Why
+/// the shared programs stay verified for every host's maps is argued on
 /// [`BytecodeBackend`].
 #[derive(Debug)]
 pub(crate) struct FleetProbe(BytecodeBackend);
@@ -134,22 +135,13 @@ impl FleetProbe {
         // Every host runs the server under the same pid, so an entity
         // (`pid_tgid` of the serving thread, drawn from the shared pool)
         // has the same sketch key fleet-wide and merges across hosts.
-        let mut backend = BytecodeBackend::new_with_histogram_and_sketch(
-            SimHost::SERVER_PID,
-            SyscallProfile::data_caching(),
-            config.shift,
-            config.sketch_capacity,
-        )?
-        .with_netstack()?;
-        if config.jit_probes {
-            backend = backend.with_jit();
-        }
-        // Registration gate: a probe without a finite certified cost
-        // bound inside the budget never joins the fleet.
-        if let Some(budget) = config.probe_cost_budget {
-            backend.check_cost_budget(budget)?;
-        }
-        Ok(FleetProbe(backend))
+        let pids = vec![SimHost::SERVER_PID];
+        let set = ProbeSet::new(pids, SyscallProfile::data_caching(), config.shift)
+            .with_poll_histogram()
+            .with_entity_sketch(config.sketch_capacity)
+            .with_netstack();
+        let set = if config.jit_probes { set.with_jit() } else { set };
+        Ok(FleetProbe(set.build()?))
     }
 }
 
@@ -233,9 +225,8 @@ impl SimHost {
     /// # Errors
     ///
     /// Returns [`BuildError`] when a probe program fails to assemble
-    /// or verify (a generator bug), or when the
-    /// [`FleetConfig::probe_cost_budget`] registration gate rejects a
-    /// program's certified cost.
+    /// or verify (a generator bug), or when the registration gate rejects
+    /// a program's certified cost.
     pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, BuildError> {
         let probe = FleetProbe::build(config)?;
         Ok(SimHost::with_probe(config, id, &probe, &entity_cdf(config)))

@@ -41,7 +41,8 @@ fn jit_probes_do_not_change_a_byte() {
     // template JIT is a pure execution-engine swap: the rolled-up fleet
     // report must be byte-identical. (Both rollups are serialized under
     // the same config so only the probe outputs are compared.)
-    let interp = FleetConfig::quick(8).with_loss(0.1);
+    let mut interp = FleetConfig::quick(8).with_loss(0.1);
+    interp.jit_probes = false;
     let jit = interp.clone().with_jit_probes();
     assert!(jit.jit_probes && !interp.jit_probes);
     let a = report_to_json(&interp, &run(&interp).rollup(4));

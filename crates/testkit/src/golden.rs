@@ -25,6 +25,10 @@
 //!
 //! [`Expectations::check`] panics with the fixture key, both values, and
 //! the tolerance, so a red test names the drifted metric directly.
+//!
+//! **Exact goldens** (`*.golden`) — rendered text that must match byte
+//! for byte; [`assert_matches_golden`] compares it, or rewrites the file
+//! under `UPDATE_GOLDEN=1`.
 
 use std::collections::BTreeMap;
 
@@ -250,6 +254,28 @@ impl Expectations {
             (false, Some(got)) => self.check(key, got),
         }
     }
+}
+
+
+/// Compares `actual` with the committed golden file at `path`, or
+/// rewrites the file when the environment sets `UPDATE_GOLDEN=1`.
+///
+/// # Panics
+///
+/// Panics if the file cannot be read (or written), or if its contents
+/// differ from `actual`.
+#[track_caller]
+pub fn assert_matches_golden(path: &str, actual: &str) {
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(path, actual).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("reading {path}: {e} (run with UPDATE_GOLDEN=1 to create)"));
+    assert_eq!(
+        expected, actual,
+        "golden {path} drifted; review the diff and rerun with UPDATE_GOLDEN=1 if intended"
+    );
 }
 
 #[cfg(test)]

@@ -15,12 +15,13 @@
 //!    re-parsed program still verifies cleanly — covering the shipped
 //!    backend probes as well as the corpus.
 
-use kscope_core::BytecodeBackend;
+use kscope_core::ProbeSet;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::{emit_program, parse_program};
 use kscope_ebpf::verifier::{Verifier, VerifierConfig};
 use kscope_ebpf::{cost_report, CostReport, Program};
 use kscope_syscalls::SyscallProfile;
+use kscope_testkit::golden::assert_matches_golden;
 
 /// The precision corpus, in `precision_corpus.rs` order.
 const FIXTURES: &[(&str, &str)] = &[
@@ -56,22 +57,6 @@ fn corpus_maps() -> MapRegistry {
     maps
 }
 
-/// Compares `actual` against the committed golden at `path` (relative to
-/// the crate root), or rewrites the golden when `UPDATE_GOLDEN=1`.
-fn assert_matches_golden(path: &str, actual: &str) {
-    let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&full, actual).unwrap_or_else(|e| panic!("writing {full}: {e}"));
-        return;
-    }
-    let expected = std::fs::read_to_string(&full)
-        .unwrap_or_else(|e| panic!("reading {full}: {e} (run with UPDATE_GOLDEN=1 to create)"));
-    assert_eq!(
-        expected, actual,
-        "golden {path} drifted; review the diff and rerun with UPDATE_GOLDEN=1 if intended"
-    );
-}
-
 fn render_cost(cost: Option<CostReport>) -> String {
     match cost {
         Some(c) => format!("{c}"),
@@ -88,7 +73,10 @@ fn precision_corpus_analysis_matches_golden() {
         out.push_str(&format!("fixture: {name}\n"));
         out.push_str(&format!("  cost: {}\n", render_cost(cost_report(&prog))));
     }
-    assert_matches_golden("tests/fixtures/precision/analysis.golden", &out);
+    assert_matches_golden(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/precision/analysis.golden"),
+        &out,
+    );
 }
 
 #[test]
@@ -108,7 +96,10 @@ fn verifier_warning_rendering_is_stable() {
         rendered.contains("unreachable") && rendered.contains("dead store"),
         "fixture no longer carries both warning kinds:\n{rendered}"
     );
-    assert_matches_golden("tests/fixtures/analysis/warnings.golden", &rendered);
+    assert_matches_golden(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/analysis/warnings.golden"),
+        &rendered,
+    );
 }
 
 /// Every program the round-trip test covers: the precision corpus plus
@@ -125,7 +116,9 @@ fn round_trip_programs() -> Vec<(String, Program, MapRegistry, usize)> {
             ((*name).to_string(), prog, corpus_maps(), default_ctx)
         })
         .collect();
-    let backend = BytecodeBackend::new_with_histogram(1200, SyscallProfile::data_caching(), 10)
+    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 10)
+        .with_poll_histogram()
+        .build()
         .expect("histogram backend builds");
     let (enter, exit) = backend.programs();
     for prog in [enter, exit] {

@@ -7,7 +7,7 @@
 //! file documents the arithmetic behind its numbers.
 
 use kscope_core::{
-    BytecodeBackend, MetricBackend, NativeBackend, RpsEstimator, SaturationDetector,
+    MetricBackend, NativeBackend, ProbeSet, RpsEstimator, SaturationDetector,
     SlackEstimator, WindowMetrics, WindowedObserver,
 };
 use kscope_kernel::TracepointProbe;
@@ -31,9 +31,10 @@ const WINDOW_MS: u64 = 64;
 /// the probe every experiment attaches — with 64ms windows.
 fn replay(trace: &str, finish_ms: u64) -> Vec<WindowMetrics> {
     let ctxs = parse_trace(trace).expect("fixture must parse");
-    let backend = BytecodeBackend::new(TGID, SyscallProfile::data_caching(), 0)
-        .expect("probe program must build")
-        .with_jit();
+    let backend = ProbeSet::new(vec![TGID], SyscallProfile::data_caching(), 0)
+        .with_jit()
+        .build()
+        .expect("probe program must build");
     let mut observer = WindowedObserver::new(backend, Nanos::from_millis(WINDOW_MS));
     for ctx in &ctxs {
         observer.fire(ctx);
@@ -128,7 +129,8 @@ fn backends_agree_on_golden_traces() {
     ] {
         let ctxs = parse_trace(trace).expect("fixture must parse");
         let mut native = NativeBackend::new(TGID, SyscallProfile::data_caching(), 0);
-        let mut bytecode = BytecodeBackend::new(TGID, SyscallProfile::data_caching(), 0)
+        let mut bytecode = ProbeSet::new(vec![TGID], SyscallProfile::data_caching(), 0)
+            .build()
             .expect("probe program must build");
         for ctx in &ctxs {
             native.on_event(ctx);

@@ -38,7 +38,7 @@
 //! interpreter inside `Vm::execute`, so the identity holds trivially;
 //! the `is_compilable` assertions are gated to x86-64.
 
-use kscope_core::BytecodeBackend;
+use kscope_core::ProbeSet;
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::helpers::Helper;
 use kscope_ebpf::insn::{
@@ -672,7 +672,8 @@ fn fixture_probes_execute_identically() {
 /// `start` hash map carries state from enter to exit).
 #[test]
 fn backend_probe_programs_execute_identically() {
-    let backend = BytecodeBackend::new(1200, SyscallProfile::data_caching(), 6)
+    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 6)
+        .build()
         .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
     let (enter, exit) = backend.programs();
     #[cfg(target_arch = "x86_64")]
@@ -741,8 +742,9 @@ fn backend_probe_programs_execute_identically() {
 /// in lockstep throughout.
 #[test]
 fn netstack_probe_programs_execute_identically() {
-    let backend = BytecodeBackend::new(1200, SyscallProfile::data_caching(), 6)
-        .and_then(BytecodeBackend::with_netstack)
+    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 6)
+        .with_netstack()
+        .build()
         .unwrap_or_else(|e| panic!("netstack probe programs must verify: {e}"));
     let Some((rx, drain)) = backend.net_programs() else {
         panic!("with_netstack must attach the net program pair");

@@ -17,7 +17,7 @@
 //! The real histogram probe from `kscope-core` rides along as the
 //! corpus's capstone: built, old-rejected, new-accepted, end to end.
 
-use kscope_core::BytecodeBackend;
+use kscope_core::ProbeSet;
 use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::parse_program;
@@ -118,7 +118,9 @@ fn corpus_programs_run_clean_on_random_contexts() {
 /// value tracking is that this program now loads.
 #[test]
 fn histogram_probe_is_a_precision_win() {
-    let backend = BytecodeBackend::new_with_histogram(1200, SyscallProfile::data_caching(), 0)
+    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 0)
+        .with_poll_histogram()
+        .build()
         .expect("histogram probe builds under the value-tracking verifier");
     let (_, exit) = backend.programs();
     let old = type_only().verify(exit, backend.map_registry());
@@ -143,10 +145,11 @@ fn every_core_probe_program_verifies_cleanly() {
     for profile in profiles {
         for histogram in [false, true] {
             let backend = if histogram {
-                BytecodeBackend::new_with_histogram(42, profile.clone(), 10)
+                ProbeSet::new(vec![42], profile.clone(), 10).with_poll_histogram()
             } else {
-                BytecodeBackend::new_multi(vec![42, 43, 44], profile.clone(), 10)
+                ProbeSet::new(vec![42, 43, 44], profile.clone(), 10)
             }
+            .build()
             .expect("probe builds");
             let verifier = Verifier::new(VerifierConfig {
                 ctx_size: kscope_core::CTX_SIZE,

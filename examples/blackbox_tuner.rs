@@ -68,8 +68,9 @@ fn main() {
         let mut config = RunConfig::new(offered, 500 + step as u64);
         config.measure = Nanos::from_secs(3);
         let mut run = observe_run(&spec, &config, Nanos::from_millis(750), |sim| {
-            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-                .with_jit())
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+                .with_jit()
+                .build()
         });
         let warmup_end = run.warmup_end;
 

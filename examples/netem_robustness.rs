@@ -34,9 +34,10 @@ fn measure(spec: &WorkloadSpec, netem: NetemConfig, label: &str) -> Row {
     let window = config.measure / 8;
 
     let mut run = observe_run(spec, &config, window, |sim| {
-        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-            .with_netstack()?
-            .with_jit())
+        ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+            .with_netstack()
+            .with_jit()
+            .build()
     });
     let warmup_end = run.warmup_end;
     let observer = run.observer();

@@ -28,9 +28,9 @@ fn main() {
     //    polling period.
     let window = Nanos::from_millis(200);
     let outcome = run_workload_with(&spec, &config, |sim| {
-        let backend =
-            BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .expect("generated programs pass the verifier");
+        let backend = ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+            .build()
+            .expect("generated programs pass the verifier");
         println!("\nloaded eBPF programs:\n{}", backend.disassembly());
         vec![Box::new(WindowedObserver::new(backend, window)) as Box<dyn TracepointProbe>]
     });

@@ -39,8 +39,9 @@ fn main() {
         let mut config = RunConfig::new(offered, 100 + step as u64);
         config.measure = Nanos::from_secs(4);
         let mut run = observe_run(&spec, &config, Nanos::from_secs(1), |sim| {
-            Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-                .with_jit())
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+                .with_jit()
+                .build()
         });
         let warmup_end = run.warmup_end;
 

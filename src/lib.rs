@@ -33,7 +33,8 @@
 //!
 //! let outcome = run_workload_with(&spec, &config, |sim| {
 //!     let probe = WindowedObserver::new(
-//!         BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), 10)
+//!         ProbeSet::new(sim.server_pids(), spec.profile.clone(), 10)
+//!             .build()
 //!             .expect("generated programs verify"),
 //!         window,
 //!     );
@@ -58,8 +59,8 @@ pub use kscope_workloads as workloads;
 /// The items most programs need.
 pub mod prelude {
     pub use kscope_core::{
-        Agent, BytecodeBackend, MetricBackend, RpsEstimator, SaturationDetector, SlackEstimator,
-        StackDelay, WindowMetrics, WindowedObserver,
+        Agent, BytecodeBackend, MetricBackend, ProbeSet, RpsEstimator, SaturationDetector,
+        SlackEstimator, StackDelay, WindowMetrics, WindowedObserver,
     };
     pub use kscope_kernel::TracepointProbe;
     pub use kscope_netem::NetemConfig;

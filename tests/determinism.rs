@@ -11,8 +11,9 @@ fn run_probed(seed: u64) -> (u64, u64, u64, Nanos, usize) {
     let spec = kscope::workloads::data_caching();
     let config = RunConfig::new(spec.paper_failure_rps * 0.7, seed).quick();
     let mut run = observe_run(&spec, &config, Nanos::from_secs(3_600), |sim| {
-        Ok(BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?
-            .with_jit())
+        ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
+            .with_jit()
+            .build()
     });
     let counters = run.observer().backend().counters();
     (

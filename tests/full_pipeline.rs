@@ -19,12 +19,12 @@ fn observe_windows(
     backend: BackendKind,
 ) -> (ClientStats, Vec<WindowMetrics>) {
     let mut run = observe_run(spec, config, window, |sim| {
-        let probe =
-            BytecodeBackend::new_multi(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)?;
-        Ok(match backend {
-            BackendKind::Bytecode => probe,
-            BackendKind::BytecodeJit => probe.with_jit(),
-        })
+        let set = ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT);
+        match backend {
+            BackendKind::Bytecode => set,
+            BackendKind::BytecodeJit => set.with_jit(),
+        }
+        .build()
     });
     let warmup_end = run.warmup_end;
     let windows = run

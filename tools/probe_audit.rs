@@ -1,8 +1,8 @@
 //! `probe_audit` — static-analysis audit of every shipped probe program.
 //!
-//! Builds each probe configuration the repo ships (every syscall profile,
-//! the histogram variant the fleet runs, and the multi-process probe),
-//! then for each generated program reports:
+//! Builds each probe configuration the repo ships through [`ProbeSet`]
+//! (every syscall profile, the histogram variant the fleet runs, and the
+//! multi-process probe), then for each generated program reports:
 //!
 //! * the certified worst-case cost bound ([`kscope_ebpf::CostReport`]):
 //!   instructions, helper calls, and weighted cost per event;
@@ -14,7 +14,8 @@
 //!
 //! Exit status is non-zero when any audit invariant fails:
 //!
-//! * a program has no finite cost bound;
+//! * a program has no finite cost bound, or one over
+//!   [`PROBE_COST_BUDGET`] (the bound [`ProbeSet::build`] enforces);
 //! * on a platform the JIT supports, a verified program does not
 //!   compile with or without elision — so the probe would run on the
 //!   interpreter fallback instead of native code;
@@ -30,7 +31,7 @@
 //!
 //! CI runs this as the `analysis-smoke` job. Usage: `probe_audit`.
 
-use kscope_core::BytecodeBackend;
+use kscope_core::{ProbeSet, PROBE_COST_BUDGET};
 use kscope_ebpf::{cost_report, helper_inline_plan, jit, HelperInline, Program};
 use kscope_syscalls::SyscallProfile;
 
@@ -43,7 +44,8 @@ struct InlineTally {
     sketch_sites: usize,
 }
 
-fn shipped_backends() -> Vec<(String, BytecodeBackend)> {
+/// Every probe configuration the repo ships, as the set that builds it.
+fn shipped_sets() -> Vec<(String, ProbeSet)> {
     let profiles: [(&str, SyscallProfile); 5] = [
         ("tailbench", SyscallProfile::tailbench()),
         ("data_caching", SyscallProfile::data_caching()),
@@ -51,48 +53,44 @@ fn shipped_backends() -> Vec<(String, BytecodeBackend)> {
         ("triton_grpc", SyscallProfile::triton_grpc()),
         ("triton_http", SyscallProfile::triton_http()),
     ];
-    let mut out = Vec::new();
-    for (name, profile) in profiles {
-        let backend = BytecodeBackend::new(1_000, profile.clone(), 10)
-            .unwrap_or_else(|e| panic!("building probe for {name}: {e}"));
-        out.push((name.to_string(), backend));
-    }
+    let pair = |profile| ProbeSet::new(vec![1_000], profile, 10);
+    let mut out: Vec<(String, ProbeSet)> = profiles
+        .into_iter()
+        .map(|(name, profile)| (name.to_string(), pair(profile)))
+        .collect();
+    let data_caching = pair(SyscallProfile::data_caching());
     // The histogram variant (register-offset map access).
-    let hist = BytecodeBackend::new_with_histogram(1_000, SyscallProfile::data_caching(), 10)
-        .unwrap_or_else(|e| panic!("building histogram probe: {e}"));
-    out.push(("data_caching+hist".to_string(), hist));
+    let hist = data_caching.clone().with_poll_histogram();
+    out.push(("data_caching+hist".to_string(), hist.clone()));
     // The fleet's configuration: histogram plus the per-entity Top-K
     // sketch the collection tree merges (`bpf_sketch_update` site).
-    let sketch = BytecodeBackend::new_with_histogram_and_sketch(
-        1_000,
-        SyscallProfile::data_caching(),
-        10,
-        64,
-    )
-    .unwrap_or_else(|e| panic!("building sketch probe: {e}"));
-    out.push(("data_caching+hist+sketch".to_string(), sketch));
+    let sketch = hist.with_entity_sketch(64);
+    out.push(("data_caching+hist+sketch".to_string(), sketch.clone()));
     // The full fleet configuration: the above plus the netstack ingress
     // probe pair (`kscope_net_rx` / `kscope_sock_drain`) attached to the
     // `net_rx_softirq` and `sock_queue_drain` tracepoints.
-    let netstack = BytecodeBackend::new_with_histogram_and_sketch(
-        1_000,
-        SyscallProfile::data_caching(),
-        10,
-        64,
-    )
-    .and_then(BytecodeBackend::with_netstack)
-    .unwrap_or_else(|e| panic!("building netstack probe: {e}"));
-    out.push(("data_caching+hist+sketch+netstack".to_string(), netstack));
+    out.push((
+        "data_caching+hist+sketch+netstack".to_string(),
+        sketch.with_netstack(),
+    ));
     // Multi-process probe (Web Search aggregates every stage).
-    let multi = BytecodeBackend::new_multi(vec![1_000, 1_001, 1_002], SyscallProfile::web_search(), 10)
-        .unwrap_or_else(|e| panic!("building multi-tgid probe: {e}"));
-    out.push(("web_search+multi".to_string(), multi));
+    out.push((
+        "web_search+multi".to_string(),
+        ProbeSet::new(vec![1_000, 1_001, 1_002], SyscallProfile::web_search(), 10),
+    ));
     out
 }
 
 fn audit_program(label: &str, prog: &Program, tally: &mut InlineTally) -> Result<(), String> {
     let cost = cost_report(prog)
         .ok_or_else(|| format!("{label}: no finite cost bound for '{}'", prog.name()))?;
+    if cost.max_insns > PROBE_COST_BUDGET {
+        return Err(format!(
+            "{label}: '{}' certifies {} insns, over the {PROBE_COST_BUDGET}-insn budget",
+            prog.name(),
+            cost.max_insns
+        ));
+    }
     println!("  {} [{} slots]", prog.name(), prog.len());
     println!("    cost:      {cost}");
     let plan = helper_inline_plan(prog);
@@ -147,8 +145,15 @@ fn main() {
     let mut audited = 0usize;
     let mut tally = InlineTally::default();
     let mut net_audited = 0usize;
-    for (label, backend) in shipped_backends() {
+    for (label, set) in shipped_sets() {
         println!("probe configuration: {label}");
+        let backend = match set.build() {
+            Ok(backend) => backend,
+            Err(e) => {
+                failures.push(format!("{label}: {e}"));
+                continue;
+            }
+        };
         let (enter, exit) = backend.programs();
         let mut queue: Vec<(&Program, bool)> = vec![(enter, false), (exit, false)];
         if let Some((rx, drain)) = backend.net_programs() {
