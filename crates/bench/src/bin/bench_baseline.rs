@@ -32,6 +32,9 @@
 //!   heap allocations per steady-state probe event, counted by this
 //!   binary's global allocator (the zero-allocation claim, measured
 //!   rather than asserted, for both dispatchers);
+//! * `probe_instance_bytes` — heap bytes one `instantiate` of the fleet's
+//!   probe set (poll histogram, entity sketch, netstack pair, JIT)
+//!   allocates: what every host of a fleet pays for its probe;
 //! * `sim_allocs_per_request` — heap allocations per request of a whole
 //!   simulated data-caching run (server setup included, no probe), the
 //!   worse of 0.3× and 0.9× the paper's failure load: the simulator's
@@ -76,18 +79,20 @@ use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 use kscope_workloads::{data_caching, run_workload, RunConfig};
 
-/// Counts every heap allocation the process makes, so the steady-state
-/// probe path can be shown to make none. A binary target is its own
+/// Counts every heap allocation the process makes, and the bytes they
+/// ask for, so the steady-state probe path can be shown to make none. A binary target is its own
 /// crate root, so the bench *library*'s `forbid(unsafe_code)` does not
 /// extend here — this shim is the one place the workspace talks to the
 /// allocator directly.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -97,6 +102,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -206,6 +212,10 @@ fn main() {
     baseline.set("hot_path_allocs_per_event", allocs);
     baseline.set("hot_path_allocs_per_event_jit", allocs_jit);
     println!("hot-path allocations: interp {allocs} per event, jit {allocs_jit} per event");
+
+    let instance_bytes = probe_instance_bytes();
+    baseline.set("probe_instance_bytes", instance_bytes);
+    println!("fleet probe instance: {instance_bytes:.0} bytes allocated");
 
     let sim_allocs = sim_allocs_per_request();
     baseline.set("sim_allocs_per_request", sim_allocs);
@@ -563,6 +573,23 @@ fn hot_path_allocs_per_event(quick: bool, mode: ProbeMode) -> f64 {
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     delta as f64 / events as f64
+}
+
+/// Heap bytes one fleet-probe `instantiate` allocates (the set
+/// `FleetProbe::build` makes, at the fleet's default sketch capacity).
+fn probe_instance_bytes() -> f64 {
+    let probe = probe_set()
+        .with_poll_histogram()
+        .with_entity_sketch(64)
+        .with_netstack()
+        .with_jit()
+        .build()
+        .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
+    let before = BYTES.load(Ordering::Relaxed);
+    let instance = probe.instantiate();
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    drop(instance);
+    bytes as f64
 }
 
 /// Heap allocations per request over whole data-caching runs at 0.3× and

@@ -397,8 +397,8 @@ impl BuiltProbe {
 /// * JIT code binds no map instance. It reaches maps only through the
 ///   descriptor table [`MapRegistry::runtime_descs`] of the registry it
 ///   runs against, built from that registry's own storage as its maps
-///   are created; nothing about map storage is baked in at compile
-///   time.
+///   are created and republished whenever a hash table grows; nothing
+///   about map storage is baked in at compile time.
 ///
 /// So each instance runs exactly the programs the registration checks
 /// passed, against maps those checks describe.

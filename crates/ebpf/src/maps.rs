@@ -10,15 +10,17 @@
 //! # Hot-path storage model
 //!
 //! The per-syscall probe path (`map_lookup_elem` / `map_update_elem` /
-//! `map_delete_elem` on every traced event) performs no heap allocation in
-//! steady state, mirroring the kernel's preallocated BPF hash maps:
+//! `map_delete_elem` on every traced event) performs no heap allocation
+//! once a map's key set stops growing:
 //!
-//! * keys are stored inline in fixed-capacity [`InlineKey`] cells
-//!   (every probe key in this codebase is ≤ 8 bytes; the cap is
-//!   [`MAX_KEY_SIZE`] = 16 and enforced at map creation);
-//! * hash values live in `Box<[u8]>` cells that are recycled through a
-//!   per-map free pool on delete, so the enter-store / exit-delete cycle of
-//!   the `start` map reuses the same allocation forever;
+//! * a hash map is one [`HashIndex`]: an open-addressed slot array with
+//!   keys stored inline (the cap is [`MAX_KEY_SIZE`] = 16, enforced at
+//!   map creation) and a parallel value arena. A delete leaves a
+//!   tombstone the next insert on its chain reuses, so the enter-store /
+//!   exit-delete cycle of the `start` map touches the same slot forever;
+//! * the table is sized by content, not by `max_entries`: it doubles only
+//!   while the number of slots in use climbs, and compacts tombstones in
+//!   place;
 //! * [`MapRegistry::update_in_place`] overwrites existing values through a
 //!   borrowed slice instead of inserting fresh ones;
 //! * ring-buffer records are written into cells recycled from
@@ -26,36 +28,25 @@
 //!   produce/consume cycle (`ring_push` → `ring_consume`) allocates only
 //!   while the ring is growing toward its high-water mark.
 //!
-//! Hash maps use a fixed-seed FNV-1a hasher ([`DetState`]) instead of the
-//! standard library's `RandomState`, so iteration and dump order are
+//! Slots follow a fixed hash, so iteration and dump order are
 //! reproducible across runs and platforms — a requirement for golden
 //! fixtures, not just a nicety.
 //!
 //! # JIT-visible storage (DESIGN §6f)
 //!
-//! Two pieces of storage are laid out so the template JIT can address
-//! them directly, without trampolining into this module:
-//!
-//! * array-map values live in one contiguous [`ArrayArena`] allocation
-//!   (entry `i` at byte `i * value_size`), fixed at creation;
-//! * each hash map maintains a fixed-size open-addressed
-//!   [`HashIndex`] mirroring its key set, kept in sync by
-//!   [`MapRegistry::update_in_place`] / [`MapRegistry::delete`].
-//!
-//! Neither allocation ever moves or resizes after creation, which is the
-//! pointer-stability argument that lets the registry build each map's
-//! [`MapRuntimeDesc`] once, in [`MapRegistry::create`], and hand the
-//! table to every JIT entry ([`MapRegistry::runtime_descs`]): in-place
-//! updates, deletes (tombstones), and even index rebuilds rewrite the
-//! same allocation. Only a clone has storage of its own, so `Clone`
-//! rebuilds the table against the copy.
-
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+//! Array-map values live in one contiguous [`ArrayArena`] (entry `i` at
+//! byte `i * value_size`), fixed at creation; a hash map's [`HashIndex`]
+//! slot array is probed by the JIT's inline lookup exactly as
+//! [`MapRegistry::lookup`] probes it. The registry builds each map's
+//! [`MapRuntimeDesc`] in [`MapRegistry::create`] and hands the table to
+//! every JIT entry ([`MapRegistry::runtime_descs`]). A hash table moves
+//! when it grows, and the insert that grew it republishes the map's
+//! descriptor in place; JIT code reads the descriptor at every lookup
+//! site, so it always probes the live table. A clone has storage of its
+//! own, so `Clone` rebuilds the table against the copy.
 
 use crate::mapindex::{
-    ArrayArena, HashIndex, MapRuntimeDesc, DESC_KIND_ARRAY, DESC_KIND_HASH,
+    ArrayArena, DescCell, HashIndex, MapRuntimeDesc, DESC_KIND_ARRAY, DESC_KIND_HASH,
 };
 use crate::sketch::SketchState;
 
@@ -144,133 +135,6 @@ impl MapDef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MapFd(pub u32);
 
-/// A fixed-capacity inline map key.
-///
-/// Keys are copied into a `[u8; MAX_KEY_SIZE]` cell instead of a heap
-/// `Vec<u8>`, so storing, comparing, and hashing a key never allocates.
-/// The padding beyond `len` is always zero, but equality and hashing are
-/// defined over the live `as_slice()` prefix only, matching how a borrowed
-/// `&[u8]` key hashes — which is what makes `HashMap::get(&[u8])` find
-/// entries keyed by `InlineKey` through the `Borrow` impl.
-///
-/// # Examples
-///
-/// ```
-/// use kscope_ebpf::maps::InlineKey;
-///
-/// let key = InlineKey::new(&7u64.to_le_bytes());
-/// assert_eq!(key.as_slice(), &7u64.to_le_bytes());
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct InlineKey {
-    len: u8,
-    bytes: [u8; MAX_KEY_SIZE],
-}
-
-impl InlineKey {
-    /// Copies `key` into inline storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is longer than [`MAX_KEY_SIZE`]; map creation
-    /// rejects such definitions, so keys reaching this type always fit.
-    pub fn new(key: &[u8]) -> InlineKey {
-        assert!(
-            key.len() <= MAX_KEY_SIZE,
-            "map keys are limited to {MAX_KEY_SIZE} bytes, got {}",
-            key.len()
-        );
-        let mut bytes = [0u8; MAX_KEY_SIZE];
-        bytes[..key.len()].copy_from_slice(key);
-        InlineKey {
-            len: key.len() as u8,
-            bytes,
-        }
-    }
-
-    /// The live key bytes.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes[..self.len as usize]
-    }
-}
-
-impl PartialEq for InlineKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for InlineKey {}
-
-impl Hash for InlineKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must match `<[u8] as Hash>::hash` exactly so lookups by borrowed
-        // `&[u8]` hash to the same bucket (the `Borrow` contract).
-        self.as_slice().hash(state);
-    }
-}
-
-impl Borrow<[u8]> for InlineKey {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-/// Deterministic `BuildHasher` for map storage: seeded FNV-1a with a
-/// finalizer, identical on every run and platform.
-///
-/// `std::collections::HashMap`'s default `RandomState` draws a fresh seed
-/// per process, which makes iteration order — and therefore map dumps,
-/// golden fixtures, and any debug output derived from them — differ
-/// between runs. Simulated probes have no hash-flooding adversary, so a
-/// fixed seed trades nothing for reproducibility.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DetState;
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Fixed seed folded into the offset basis.
-const DET_SEED: u64 = 0x6b73_636f_7065_6d61;
-
-impl BuildHasher for DetState {
-    type Hasher = DetHasher;
-
-    fn build_hasher(&self) -> DetHasher {
-        DetHasher {
-            state: FNV_OFFSET ^ DET_SEED,
-        }
-    }
-}
-
-/// The hasher produced by [`DetState`].
-#[derive(Debug, Clone, Copy)]
-pub struct DetHasher {
-    state: u64,
-}
-
-impl Hasher for DetHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        // FNV mixes the low bits poorly; HashMap keys buckets off the high
-        // bits, so run a final avalanche (splitmix64 finalizer).
-        let mut x = self.state;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x
-    }
-}
-
 /// Errors returned by map operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapError {
@@ -330,25 +194,14 @@ pub type HashEntries<'a> = Vec<(&'a [u8], &'a [u8])>;
 
 #[derive(Debug, Clone)]
 enum MapStorage {
-    Hash {
-        entries: HashMap<InlineKey, Box<[u8]>, DetState>,
-        /// Value cells recycled from deleted entries — the kernel's
-        /// preallocated-elements free list, in miniature. `update` pops
-        /// here before touching the allocator, so the per-event
-        /// store/delete cycle of the `start` map allocates only on its
-        /// very first insertions.
-        free: Vec<Box<[u8]>>,
-        /// Open-addressed key index the JIT's inline lookup probes;
-        /// mirrors `entries`' key set exactly (see DESIGN §6f).
-        index: HashIndex,
-    },
+    /// Keys, values and the JIT-visible slot array, in one table.
+    Hash { table: HashIndex },
     Array(ArrayArena),
     RingBuf {
         records: std::collections::VecDeque<Vec<u8>>,
-        /// Record buffers recycled by `ring_consume` — the ring-buffer
-        /// twin of the hash map's free pool. `ring_push` refills these
-        /// instead of allocating, so the steady-state produce/consume
-        /// cycle performs no heap allocation.
+        /// Record buffers recycled by `ring_consume`. `ring_push`
+        /// refills these instead of allocating, so the steady-state
+        /// produce/consume cycle performs no heap allocation.
         free: Vec<Vec<u8>>,
         dropped: u64,
     },
@@ -376,13 +229,13 @@ impl MapEntry {
                 base: arena.base_ptr() as u64,
                 aux: 0,
             },
-            MapStorage::Hash { index, .. } => MapRuntimeDesc {
+            MapStorage::Hash { table } => MapRuntimeDesc {
                 kind: DESC_KIND_HASH,
                 key_size: self.def.key_size,
                 value_size: self.def.value_size,
                 max_entries: self.def.max_entries,
-                base: index.base_ptr() as u64,
-                aux: index.mask(),
+                base: table.base_ptr() as u64,
+                aux: table.mask(),
             },
             // Ring buffers and sketches have no inline fast path; their
             // helpers always take the trampoline.
@@ -408,9 +261,11 @@ impl MapEntry {
 pub struct MapRegistry {
     maps: Vec<MapEntry>,
     /// Per-fd runtime shape descriptors for the JIT's inline guards, one
-    /// per map, pushed by [`MapRegistry::create`]. The base pointers
-    /// inside point at this registry's own storage, which never moves.
-    descs: Vec<MapRuntimeDesc>,
+    /// per map, pushed by [`MapRegistry::create`] and republished in
+    /// place whenever a hash table moves. Cells, because JIT code holds
+    /// a pointer to this table while a helper it calls rewrites an entry
+    /// (see [`MapRegistry::runtime_descs`]).
+    descs: Vec<DescCell>,
 }
 
 // Manual impl: a clone's maps have storage of their own, so its
@@ -418,7 +273,7 @@ pub struct MapRegistry {
 impl Clone for MapRegistry {
     fn clone(&self) -> MapRegistry {
         let maps = self.maps.clone(); // cold path: registry copy, never per event
-        let descs = maps.iter().map(MapEntry::runtime_desc).collect();
+        let descs = maps.iter().map(|e| DescCell::new(e.runtime_desc())).collect();
         MapRegistry { maps, descs }
     }
 }
@@ -463,14 +318,7 @@ impl MapRegistry {
                     "hash keys are limited to {MAX_KEY_SIZE} bytes (inline storage)"
                 );
                 MapStorage::Hash {
-                    // Pre-size the table (bounded, like the kernel's
-                    // prealloc) so steady-state inserts never rehash.
-                    entries: HashMap::with_capacity_and_hasher(
-                        def.max_entries.min(4096) as usize,
-                        DetState,
-                    ),
-                    free: Vec::new(),
-                    index: HashIndex::new(def.max_entries),
+                    table: HashIndex::new(def.value_size, def.max_entries),
                 }
             }
             MapKind::Array => {
@@ -501,7 +349,7 @@ impl MapRegistry {
             name: name.into(),
             storage,
         };
-        self.descs.push(entry.runtime_desc());
+        self.descs.push(DescCell::new(entry.runtime_desc()));
         self.maps.push(entry);
         fd
     }
@@ -596,7 +444,7 @@ impl MapRegistry {
         let entry = self.entry(fd)?;
         Self::check_key(&entry.def, key)?;
         match &entry.storage {
-            MapStorage::Hash { entries, .. } => Ok(entries.get(key).map(|v| &v[..])),
+            MapStorage::Hash { table } => Ok(table.get(key)),
             MapStorage::Array(arena) => {
                 // Matches kernel semantics: OOB lookup is NULL (None).
                 Ok(arena.get(Self::array_index(key) as usize))
@@ -618,7 +466,7 @@ impl MapRegistry {
         let entry = self.entry_mut(fd)?;
         Self::check_key(&entry.def, key)?;
         match &mut entry.storage {
-            MapStorage::Hash { entries, .. } => Ok(entries.get_mut(key).map(|v| &mut v[..])),
+            MapStorage::Hash { table } => Ok(table.get_mut(key)),
             MapStorage::Array(arena) => Ok(arena.get_mut(Self::array_index(key) as usize)),
             MapStorage::RingBuf { .. } => Err(MapError::WrongKind(MapKind::RingBuf)),
             MapStorage::Sketch(_) => Err(MapError::WrongKind(MapKind::TopkSketch)),
@@ -641,9 +489,10 @@ impl MapRegistry {
     /// Inserts or overwrites a key/value pair without allocating on the
     /// overwrite path.
     ///
-    /// Existing values are overwritten through a borrowed slice; fresh
-    /// hash insertions reuse a value cell recycled from a prior delete
-    /// when one is available. This is the interpreter's
+    /// Existing values are overwritten in place. A fresh hash key takes a
+    /// slot of the map's table, which grows (and moves) only when the
+    /// key would push it past its load bound; the map's runtime
+    /// descriptor is then republished. This is the interpreter's
     /// `bpf_map_update_elem` entry point — the per-syscall hot path.
     ///
     /// # Errors
@@ -651,34 +500,20 @@ impl MapRegistry {
     /// Fails on bad fds, size mismatches, a full hash map, an
     /// out-of-bounds array index, or ring-buffer maps.
     pub fn update_in_place(&mut self, fd: MapFd, key: &[u8], value: &[u8]) -> Result<(), MapError> {
-        let entry = self.entry_mut(fd)?;
+        let entry = self.maps.get_mut(fd.0 as usize).ok_or(MapError::BadFd(fd))?;
         Self::check_key(&entry.def, key)?;
         Self::check_value(&entry.def, value)?;
         let def = entry.def;
         match &mut entry.storage {
-            MapStorage::Hash {
-                entries,
-                free,
-                index,
-            } => {
-                if let Some(slot) = entries.get_mut(key) {
-                    slot.copy_from_slice(value);
-                    return Ok(());
-                }
-                if entries.len() as u32 >= def.max_entries {
-                    return Err(MapError::Full);
-                }
-                let cell = match free.pop() {
-                    Some(mut cell) => {
-                        cell.copy_from_slice(value);
-                        cell
+            MapStorage::Hash { table } => {
+                let base = table.base_ptr();
+                table.insert(key, value)?;
+                if table.base_ptr() != base {
+                    // The table grew, so it moved: republish it.
+                    if let Some(desc) = self.descs.get(fd.0 as usize) {
+                        desc.publish(table.base_ptr() as u64, table.mask());
                     }
-                    // First-ever insertion for this cell count: the one
-                    // allocation each live entry costs over a map's life.
-                    None => Box::from(value),
-                };
-                entries.insert(InlineKey::new(key), cell);
-                index.insert(key);
+                }
                 Ok(())
             }
             MapStorage::Array(arena) => {
@@ -701,8 +536,8 @@ impl MapRegistry {
 
     /// Deletes a key from a hash map. `Ok(false)` when the key was absent.
     ///
-    /// The deleted value's cell is recycled for future insertions rather
-    /// than freed, so a store/delete cycle does not churn the allocator.
+    /// The table never moves on delete; the key's slot becomes a
+    /// tombstone (or empty again) that a later insert reuses.
     ///
     /// # Errors
     ///
@@ -712,32 +547,15 @@ impl MapRegistry {
         let entry = self.entry_mut(fd)?;
         Self::check_key(&entry.def, key)?;
         match &mut entry.storage {
-            MapStorage::Hash {
-                entries,
-                free,
-                index,
-            } => match entries.remove(key) {
-                Some(cell) => {
-                    free.push(cell);
-                    index.remove(key);
-                    if index.needs_rebuild() {
-                        // In place (same allocation): base pointers held
-                        // by an in-flight JIT context stay valid.
-                        index.rebuild(entries.keys().map(|k| k.as_slice()));
-                    }
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
+            MapStorage::Hash { table } => Ok(table.remove(key)),
             MapStorage::Array(_) => Err(MapError::WrongKind(MapKind::Array)),
             MapStorage::RingBuf { .. } => Err(MapError::WrongKind(MapKind::RingBuf)),
             MapStorage::Sketch(_) => Err(MapError::WrongKind(MapKind::TopkSketch)),
         }
     }
 
-    /// All live entries of a hash map, in the map's (deterministic)
-    /// iteration order — the same order on every run and platform thanks
-    /// to [`DetState`].
+    /// All live entries of a hash map in slot order — the same order on
+    /// every run and platform, since slots follow a fixed hash.
     ///
     /// # Errors
     ///
@@ -745,10 +563,7 @@ impl MapRegistry {
     pub fn hash_entries(&self, fd: MapFd) -> Result<HashEntries<'_>, MapError> {
         let entry = self.entry(fd)?;
         match &entry.storage {
-            MapStorage::Hash { entries, .. } => Ok(entries
-                .iter()
-                .map(|(k, v)| (k.as_slice(), &v[..]))
-                .collect()),
+            MapStorage::Hash { table } => Ok(table.iter().collect()),
             _ => Err(MapError::WrongKind(entry.def.kind)),
         }
     }
@@ -869,7 +684,7 @@ impl MapRegistry {
     pub fn len(&self, fd: MapFd) -> Result<u32, MapError> {
         let entry = self.entry(fd)?;
         Ok(match &entry.storage {
-            MapStorage::Hash { entries, .. } => entries.len() as u32,
+            MapStorage::Hash { table } => table.live() as u32,
             MapStorage::Array(arena) => arena.len() as u32,
             MapStorage::RingBuf { records, .. } => records.len() as u32,
             MapStorage::Sketch(state) => state.candidate_len(),
@@ -912,13 +727,17 @@ impl MapRegistry {
     }
 
     /// The per-fd [`MapRuntimeDesc`] table's base pointer and length, for
-    /// a JIT context to guard inline map accesses against. The table is
-    /// built as maps are created, and the descriptors (and the base
-    /// pointers inside them) stay valid for the registry's lifetime
-    /// because every storage allocation they reference is fixed at map
-    /// creation and only ever rewritten in place.
+    /// a JIT context to guard inline map accesses against. The table never
+    /// moves after the last [`MapRegistry::create`], but an insert that
+    /// grows a hash table rewrites that map's entry — possibly from a
+    /// helper the JIT code called while holding this pointer. That is
+    /// sound: the entries are atomic cells (a write through `&self` is a
+    /// permitted interior mutation), helpers run on the JIT code's own
+    /// thread, and JIT code re-reads `base`/`aux` at every lookup site and
+    /// keeps no table pointer across a helper call. Map-value pointers are
+    /// slot handles resolved by key on every access, never table pointers.
     pub fn runtime_descs(&self) -> (*const MapRuntimeDesc, usize) {
-        (self.descs.as_ptr(), self.descs.len())
+        (self.descs.as_ptr().cast::<MapRuntimeDesc>(), self.descs.len())
     }
 
     /// Convenience: reads a `u64` from an array map slot.
@@ -1045,26 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_key_matches_borrowed_slices() {
-        let key = InlineKey::new(&[1, 2, 3]);
-        assert_eq!(key.as_slice(), &[1, 2, 3]);
-        assert_eq!(key, InlineKey::new(&[1, 2, 3]));
-        assert_ne!(key, InlineKey::new(&[1, 2, 3, 0]));
-        let borrowed: &[u8] = key.borrow();
-        assert_eq!(borrowed, &[1, 2, 3]);
-        // Hashing an InlineKey and its borrowed slice must agree (the
-        // HashMap `Borrow` lookup contract).
-        let hash = |h: &dyn Fn(&mut DetHasher)| {
-            let mut state = DetState.build_hasher();
-            h(&mut state);
-            state.finish()
-        };
-        let a = hash(&|s| key.hash(s));
-        let b = hash(&|s| [1u8, 2, 3].as_slice().hash(s));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "limited to 16 bytes")]
     fn oversized_hash_keys_rejected_at_create() {
         let mut maps = MapRegistry::new();
@@ -1094,8 +893,8 @@ mod tests {
 
     #[test]
     #[allow(unsafe_code)] // reads the raw descriptor table like JIT code does
-    fn runtime_descs_report_shapes_and_stable_bases() {
-        use crate::mapindex::{DESC_KIND_ARRAY, DESC_KIND_HASH, DESC_KIND_NONE};
+    fn runtime_descs_follow_relayouts_and_clones() {
+        use crate::mapindex::{DESC_KIND_ARRAY, DESC_KIND_HASH, DESC_KIND_NONE, HASH_MIN_SLOTS};
         let mut maps = MapRegistry::new();
         let h = maps.create("h", MapDef::hash(8, 8, 1024));
         let a = maps.create("a", MapDef::array(8, 4));
@@ -1104,38 +903,52 @@ mod tests {
             let (ptr, len) = maps.runtime_descs();
             (0..len).map(|i| unsafe { *ptr.add(i) }).collect()
         };
+        let live = |maps: &MapRegistry| -> Vec<MapRuntimeDesc> {
+            maps.maps.iter().map(MapEntry::runtime_desc).collect()
+        };
+        let same = |x: &[MapRuntimeDesc], y: &[MapRuntimeDesc]| {
+            assert_eq!(x.len(), y.len());
+            for (x, y) in x.iter().zip(y) {
+                assert_eq!(
+                    (x.kind, x.key_size, x.value_size, x.max_entries, x.base, x.aux),
+                    (y.kind, y.key_size, y.value_size, y.max_entries, y.base, y.aux)
+                );
+            }
+        };
         let descs = read(&maps);
         assert_eq!(descs.len(), 3);
         assert_eq!(descs[h.0 as usize].kind, DESC_KIND_HASH);
         assert_eq!(descs[h.0 as usize].key_size, 8);
-        assert!(descs[h.0 as usize].aux >= 2047, "mask covers 2x entries");
+        assert_eq!(descs[h.0 as usize].aux, HASH_MIN_SLOTS as u64 - 1, "sized by content");
         assert_eq!(descs[a.0 as usize].kind, DESC_KIND_ARRAY);
         assert_eq!(descs[a.0 as usize].value_size, 8);
         assert_eq!(descs[a.0 as usize].max_entries, 4);
         assert_eq!(descs[r.0 as usize].kind, DESC_KIND_NONE);
-        // In-place churn (with index rebuilds) must not move any base
-        // pointer: the table built at creation still matches one built
-        // from the live storage now.
-        for i in 0..1000u64 {
+        // Growth moves the table: the published descriptor follows it.
+        for i in 0..600u64 {
             maps.update(h, &i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-            maps.delete(h, &i.to_le_bytes()).unwrap();
             maps.set_array_u64(a, (i % 4) as u32, i).unwrap();
+            same(&read(&maps), &live(&maps));
         }
-        let live: Vec<MapRuntimeDesc> = maps.maps.iter().map(MapEntry::runtime_desc).collect();
-        for (built, now) in read(&maps).iter().zip(&live) {
-            assert_eq!(
-                (built.kind, built.base, built.aux),
-                (now.kind, now.base, now.aux)
-            );
+        let grown = read(&maps)[h.0 as usize];
+        assert_eq!(grown.aux, 2047, "600 keys grow the table to its cap");
+        assert_ne!(grown.base, descs[h.0 as usize].base);
+        assert_eq!(read(&maps)[a.0 as usize].base, descs[a.0 as usize].base, "arrays never move");
+        // Churn that leaves tombstones and compacts: still the live table.
+        for i in 0..600u64 {
+            maps.delete(h, &i.to_le_bytes()).unwrap();
+            maps.update(h, &(10_000 + i).to_le_bytes(), &i.to_le_bytes()).unwrap();
+            if i % 2 == 0 {
+                maps.delete(h, &(10_000 + i).to_le_bytes()).unwrap();
+            }
+            same(&read(&maps), &live(&maps));
         }
+        assert_eq!(maps.len(h).unwrap(), 300);
         // A clone's table points at the clone's own storage.
         let copy = maps.clone();
         let copied = read(&copy);
-        for (fd, entry) in copy.maps.iter().enumerate() {
-            let own = entry.runtime_desc();
-            assert_eq!((copied[fd].kind, copied[fd].base), (own.kind, own.base));
-        }
-        assert_ne!(copied[h.0 as usize].base, descs[h.0 as usize].base);
+        same(&copied, &live(&copy));
+        assert_ne!(copied[h.0 as usize].base, read(&maps)[h.0 as usize].base);
         assert_ne!(copied[a.0 as usize].base, descs[a.0 as usize].base);
     }
 
@@ -1146,13 +959,13 @@ mod tests {
         let fd = maps.create("start", MapDef::hash(8, 8, 64));
         let probe = |maps: &MapRegistry, key: &[u8]| {
             let Some(MapEntry {
-                storage: MapStorage::Hash { index, .. },
+                storage: MapStorage::Hash { table },
                 ..
             }) = maps.maps.first()
             else {
                 panic!("hash map expected");
             };
-            index.home_probe(key)
+            table.home_probe(key)
         };
         for i in 0..2000u64 {
             let key = (i % 96).to_le_bytes();
@@ -1305,6 +1118,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(unsafe_code)] // reads the raw descriptor table like JIT code does
     fn sketch_runtime_desc_has_no_fast_path() {
         use crate::mapindex::DESC_KIND_NONE;
         let mut maps = MapRegistry::new();
@@ -1312,8 +1126,7 @@ mod tests {
         let (ptr, len) = maps.runtime_descs();
         assert_eq!(len, 1);
         assert!(!ptr.is_null());
-        // Safe read through the registry-owned cache.
-        let desc = maps.descs[fd.0 as usize];
+        let desc = unsafe { *ptr.add(fd.0 as usize) };
         assert_eq!(desc.kind, DESC_KIND_NONE);
     }
 

@@ -16,13 +16,17 @@
 //! * the hash-lookup single-probe rule falls back (rather than
 //!   mis-answering) when the home slot holds a colliding key;
 //! * proven map-value loads/stores of every width hit the arena
-//!   directly and leave bit-identical value bytes.
+//!   directly and leave bit-identical value bytes;
+//! * a hash table that grows and compacts in the middle of one run (its
+//!   runtime descriptor republished from inside a helper call) answers
+//!   every later inline lookup from its new layout, and a held value
+//!   pointer still faults once its key is deleted.
 
 use kscope_ebpf::asm::Asm;
-use kscope_ebpf::insn::{R0, R1, R2, R6, R10, SZ_B, SZ_DW, SZ_H, SZ_W};
+use kscope_ebpf::insn::{R0, R1, R2, R3, R4, R6, R7, R10, SZ_B, SZ_DW, SZ_H, SZ_W};
 use kscope_ebpf::interp::{ExecEnv, ExecOutcome, Vm};
-use kscope_ebpf::mapindex::index_hash;
-use kscope_ebpf::maps::{MapDef, MapRegistry};
+use kscope_ebpf::mapindex::{index_hash, HashIndex, MapRuntimeDesc};
+use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
 use kscope_ebpf::verifier::Verifier;
 use kscope_ebpf::{ExecError, Helper, Program};
 
@@ -316,4 +320,220 @@ fn map_value_access_every_width_matches_interp() {
         Some(0x5A | (0x1234 << 16) | (0x00C0_FFEE << 32)),
         "low quadword: byte at 0, half at 2, word at 4"
     );
+}
+
+/// One step of the relayout program.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// `update(key, key)`; the helper's return is summed.
+    Insert(u64),
+    /// `delete(key)`; the helper's return is summed.
+    Delete(u64),
+    /// Inline lookup; the value is summed when present.
+    Lookup(u64),
+    /// Looks `key` up into r6 (the program exits if it is absent).
+    Hold(u64),
+    /// Reads the held value through r6 and sums it.
+    ReadHeld,
+}
+
+/// Assembles `ops` as one straight-line program over the 8-byte hash
+/// map `fd`, summing into r7 what each step returns.
+fn relayout_program(fd: MapFd, ops: &[Op]) -> Program {
+    let key_at_fp8 = |asm: Asm, key: u64| {
+        asm.store_imm(SZ_W, R10, -8, key as i32)
+            .store_imm(SZ_W, R10, -4, 0)
+            .ld_map_fd(R1, fd)
+            .mov64_reg(R2, R10)
+            .add64_imm(R2, -8)
+    };
+    let mut asm = Asm::new("relayout").mov64_imm(R7, 0);
+    for (n, op) in ops.iter().enumerate() {
+        asm = match *op {
+            Op::Insert(key) => key_at_fp8(
+                asm.store_imm(SZ_W, R10, -16, key as i32)
+                    .store_imm(SZ_W, R10, -12, 0),
+                key,
+            )
+            .mov64_reg(R3, R10)
+            .add64_imm(R3, -16)
+            .mov64_imm(R4, 0)
+            .call(Helper::MapUpdateElem)
+            .add64_reg(R7, R0),
+            Op::Delete(key) => key_at_fp8(asm, key)
+                .call(Helper::MapDeleteElem)
+                .add64_reg(R7, R0),
+            Op::Lookup(key) => key_at_fp8(asm, key)
+                .call(Helper::MapLookupElem)
+                .jeq_imm(R0, 0, format!("miss{n}"))
+                .load(SZ_DW, R0, R0, 0)
+                .add64_reg(R7, R0)
+                .label(format!("miss{n}")),
+            Op::Hold(key) => key_at_fp8(asm, key)
+                .call(Helper::MapLookupElem)
+                .jeq_imm(R0, 0, "out")
+                .mov64_reg(R6, R0),
+            Op::ReadHeld => asm.load(SZ_DW, R0, R6, 0).add64_reg(R7, R0),
+        };
+    }
+    asm.label("out")
+        .mov64_reg(R0, R7)
+        .exit()
+        .assemble()
+        .expect("assembles")
+}
+
+/// Replays the map side of `ops` on a standalone table (the registry's
+/// own storage type); returns it with the growths and compactions seen.
+fn replay(ops: &[Op], max_entries: u32) -> (HashIndex, usize, usize) {
+    let mut table = HashIndex::new(8, max_entries);
+    let (mut growths, mut compactions) = (0, 0);
+    for op in ops {
+        let (slots, tombstones) = (table.capacity(), table.tombstones());
+        match *op {
+            Op::Insert(key) => {
+                table
+                    .insert(&key.to_le_bytes(), &key.to_le_bytes())
+                    .expect("under max_entries");
+                if table.capacity() > slots {
+                    growths += 1;
+                } else if tombstones >= 2 && table.tombstones() == 0 {
+                    // Reusing a tombstone clears one, not all of them.
+                    compactions += 1;
+                }
+            }
+            Op::Delete(key) => {
+                table.remove(&key.to_le_bytes());
+            }
+            _ => {}
+        }
+    }
+    (table, growths, compactions)
+}
+
+/// What the relayout program returns for `ops`, from a set model of the
+/// map (every value equals its key; the held key is 1 and stays live).
+fn model_sum(ops: &[Op]) -> u64 {
+    let mut live = std::collections::BTreeSet::new();
+    ops.iter().fold(0u64, |sum, op| match *op {
+        Op::Insert(key) => {
+            live.insert(key);
+            sum
+        }
+        Op::Delete(key) if live.remove(&key) => sum,
+        Op::Delete(_) => sum.wrapping_sub(2), // -ENOENT
+        Op::Lookup(key) if live.contains(&key) => sum.wrapping_add(key),
+        Op::Lookup(_) | Op::Hold(_) => sum,
+        Op::ReadHeld => sum.wrapping_add(1),
+    })
+}
+
+/// `ops` extended until an insert compacts the table: keys sharing one
+/// home slot fill a run of slots, all but the last are deleted (each
+/// leaves a tombstone, since a live key follows it), and fresh keys then
+/// take EMPTY slots until one passes the load bound.
+fn with_compaction(mut ops: Vec<Op>, max_entries: u32) -> Vec<Op> {
+    let (table, _, before) = replay(&ops, max_entries);
+    let home = |k: u64| index_hash(&k.to_le_bytes()) & table.mask();
+    let cluster: Vec<u64> = (5_000u64..).filter(|&k| home(k) == home(5_000)).take(20).collect();
+    for &key in &cluster {
+        ops.extend([Op::Insert(key), Op::Lookup(key)]);
+    }
+    for &key in cluster.iter().take(19) {
+        ops.extend([Op::Delete(key), Op::Lookup(cluster[19])]);
+    }
+    for fresh in 9_000u64..9_100 {
+        ops.extend([Op::Insert(fresh), Op::Lookup(fresh), Op::Lookup(1), Op::ReadHeld]);
+        if replay(&ops, max_entries).2 > before {
+            return ops;
+        }
+    }
+    panic!("no compaction within 100 fresh keys");
+}
+
+/// The hash table moves while one program runs: inserts grow it twice
+/// (each growth republishes its descriptor from inside the update
+/// helper), deletes plus fresh keys force an in-place compaction, and
+/// inline lookups of keys placed before and after every move keep
+/// answering as a model of the map says. The interpreter, the JIT and
+/// the JIT without bounds elision agree on the return value, the
+/// instruction count, the fault of a read through a pointer whose key
+/// was deleted, and the map's entries, which also match a standalone
+/// replay of the same steps.
+#[test]
+#[allow(unsafe_code)] // reads the raw descriptor table like JIT code does
+fn hash_table_moves_mid_run() {
+    const MAX_ENTRIES: u32 = 4096;
+    let mut ops = vec![Op::Insert(1), Op::Hold(1)];
+    for key in 2..=24u64 {
+        ops.extend([Op::Insert(key), Op::Lookup(1), Op::Lookup(key), Op::ReadHeld]);
+    }
+    for key in 2..=20u64 {
+        ops.extend([Op::Delete(key), Op::Lookup(key)]);
+    }
+    let mut ops = with_compaction(ops, MAX_ENTRIES);
+    // Every key the compaction may have moved, looked up from its new slot.
+    let (compacted, _, _) = replay(&ops, MAX_ENTRIES);
+    let keys: Vec<u64> =
+        compacted.iter().map(|(k, _)| u64::from_le_bytes(k.try_into().unwrap())).collect();
+    ops.extend(keys.into_iter().map(Op::Lookup));
+    let (table, growths, compactions) = replay(&ops, MAX_ENTRIES);
+    assert!(growths >= 2 && compactions >= 1, "{growths} growths, {compactions} compactions");
+    let lookups = ops.iter().filter(|op| matches!(op, Op::Lookup(_) | Op::Hold(_))).count();
+
+    let mut base = MapRegistry::new();
+    let fd = base.create("h", MapDef::hash(8, 8, MAX_ENTRIES));
+    let ok = relayout_program(fd, &ops);
+    let mut stale_ops = ops.clone();
+    stale_ops.extend([Op::Delete(1), Op::ReadHeld]);
+    let stale = relayout_program(fd, &stale_ops);
+    for prog in [&ok, &stale] {
+        verify(prog, &base);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let jit = prog.jit_for(true).expect("compilable on x86-64");
+            assert!(jit.inlined_calls() >= lookups, "lookups compile inline");
+        }
+    }
+
+    let arms = [
+        ("interp", Vm::new()),
+        ("jit", Vm::new().with_jit()),
+        ("jit-no-elide", Vm::new().with_jit().without_bounds_elision()),
+    ];
+    let mut results = Vec::new();
+    for (arm, vm) in arms {
+        let run = |prog: &Program| {
+            let mut maps = base.clone();
+            let out = vm.clone().execute(prog, &[], &mut maps, &mut ExecEnv::default());
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = maps
+                .hash_entries(fd)
+                .unwrap()
+                .into_iter()
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            let (ptr, len) = maps.runtime_descs();
+            assert_eq!(len, 1);
+            let desc: MapRuntimeDesc = unsafe { *ptr };
+            (out, entries, desc.aux)
+        };
+        let (out, entries, aux) = run(&ok);
+        let (stale_out, _, _) = run(&stale);
+        let want: Vec<(Vec<u8>, Vec<u8>)> =
+            table.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(entries, want, "{arm}: entries match the replay, in slot order");
+        assert_eq!(aux, table.mask(), "{arm}: the published mask is the live table's");
+        assert!(
+            matches!(stale_out, Err(ExecError::BadMemAccess { size: 0, .. })),
+            "{arm}: a deleted key's pointer faults: {stale_out:?}"
+        );
+        results.push((arm, out, stale_out, entries));
+    }
+    let (_, want_out, want_stale, want_entries) = &results[0];
+    assert_eq!(want_out.as_ref().map(|o| o.ret), Ok(model_sum(&ops)), "the map's answers");
+    for (arm, out, stale_out, entries) in &results[1..] {
+        assert_eq!(out, want_out, "{arm}: outcome diverged");
+        assert_eq!(stale_out, want_stale, "{arm}: fault diverged");
+        assert_eq!(entries, want_entries, "{arm}: entries diverged");
+    }
 }

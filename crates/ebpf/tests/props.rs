@@ -9,9 +9,13 @@
 //! differential fuzzer (`crates/testkit/tests/differential.rs`) drives
 //! the exact same distribution.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use kscope_ebpf::insn::{Insn, OP_ADD, OP_SUB};
 use kscope_ebpf::interp::{ExecEnv, Vm};
-use kscope_ebpf::maps::{MapDef, MapRegistry};
+use kscope_ebpf::mapindex::{HashIndex, HomeProbe};
+use kscope_ebpf::maps::{MapDef, MapError, MapRegistry};
 use kscope_ebpf::verifier::Verifier;
 use kscope_ebpf::{Helper, Program};
 use kscope_simcore::SimRng;
@@ -165,6 +169,85 @@ fn map_update_lookup_round_trip() {
             assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), value);
         }
     );
+}
+
+/// Keys the hash-table property draws from: few enough to collide,
+/// overwrite and delete often.
+const KEY_SPACE: u64 = 160;
+
+/// In-place compactions the hash-table property's cases went through.
+static COMPACTIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// A hash table against a `BTreeMap` model: random inserts (fresh keys
+/// and overwrites), deletes and lookups, on tables small enough to grow,
+/// fill up and compact (some case must compact). After every operation the two agree, the table
+/// stays within its cap, and the JIT's single home-slot probe is never
+/// wrong about any key: a present key is never a definitive miss, an
+/// absent one never a definitive hit.
+#[test]
+fn hash_table_matches_a_btreemap_model() {
+    kscope_testkit::check!(
+        Config::cases(100),
+        |rng: &mut SimRng| {
+            let max_entries = gen::u64_in(rng, 1, 128);
+            let ops = gen::vec_of(rng, 0, 400, |rng| {
+                (gen::u8_any(rng) % 8, gen::u64_in(rng, 0, KEY_SPACE - 1), gen::u64_any(rng))
+            });
+            (max_entries, ops)
+        },
+        |(max_entries, ops): &(u64, Vec<(u8, u64, u64)>)| {
+            let max = *max_entries as usize;
+            let cap = (2 * max).next_power_of_two().max(8);
+            let mut table = HashIndex::new(8, max as u32);
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for &(op, key, value) in ops {
+                let k = key.to_le_bytes();
+                let (slots, tombstones) = (table.capacity(), table.tombstones());
+                match op {
+                    0..=2 => {
+                        let got = table.insert(&k, &value.to_le_bytes());
+                        if model.contains_key(&key) || model.len() < max {
+                            assert_eq!(got, Ok(()));
+                            model.insert(key, value);
+                        } else {
+                            assert_eq!(got, Err(MapError::Full));
+                        }
+                    }
+                    3..=5 => assert_eq!(table.remove(&k), model.remove(&key).is_some()),
+                    _ => assert_eq!(
+                        table.get(&k),
+                        model.get(&key).map(|v| v.to_le_bytes()).as_ref().map(|v| &v[..])
+                    ),
+                }
+                assert_eq!(table.live(), model.len());
+                assert!(table.capacity() <= cap, "past the cap");
+                // Only a compaction clears several tombstones in one insert.
+                let cleared = op <= 2 && tombstones >= 2 && table.tombstones() == 0;
+                if cleared && table.capacity() == slots {
+                    COMPACTIONS.fetch_add(1, Ordering::Relaxed);
+                }
+                for probe in 0..KEY_SPACE {
+                    match table.home_probe(&probe.to_le_bytes()) {
+                        HomeProbe::Miss => assert!(!model.contains_key(&probe), "{probe} missed"),
+                        HomeProbe::Hit => assert!(model.contains_key(&probe), "{probe} hit"),
+                        HomeProbe::Fallback => {}
+                    }
+                }
+            }
+            let mut entries: Vec<(u64, u64)> = table
+                .iter()
+                .map(|(k, v)| {
+                    (
+                        u64::from_le_bytes(k.try_into().unwrap()),
+                        u64::from_le_bytes(v.try_into().unwrap()),
+                    )
+                })
+                .collect();
+            entries.sort_unstable();
+            assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
+        }
+    );
+    assert!(COMPACTIONS.load(Ordering::Relaxed) > 0, "no case compacted a table");
 }
 
 /// Helper ids round-trip through `from_id`.
