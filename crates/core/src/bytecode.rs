@@ -1,5 +1,6 @@
 //! The bytecode metric backend: the paper's methodology as *actual eBPF
-//! programs*, assembled, verified, and interpreted by `kscope-ebpf`.
+//! programs*, assembled by `kscope-ebpf` and run by the probe runtime
+//! ([`ProgramProbe`]) on its JIT or its interpreter.
 //!
 //! A [`ProbeSet`] describes the probe; [`ProbeSet::build`] turns it into a
 //! running [`BytecodeBackend`]. The core is Listing 1's program pair:
@@ -11,37 +12,24 @@
 //!   inter-exit deltas (scaled, with sum and sum-of-squares for Eq. 2) for
 //!   send and receive, durations for poll.
 //!
-//! The tracepoint context handed to the programs is 16 bytes:
-//! `[syscall id: u64][return value: u64]` — id and return value are the only
-//! tracepoint fields the methodology reads; timestamps and pid come from
-//! the `bpf_ktime_get_ns` / `bpf_get_current_pid_tgid` helpers, as in real
-//! eBPF.
+//! The programs read the runtime's tracepoint contexts (see
+//! [`ProgramProbe`]'s context ABI): syscall id and return value are the
+//! only syscall tracepoint fields the methodology reads; timestamps and
+//! pid come from the `bpf_ktime_get_ns` / `bpf_get_current_pid_tgid`
+//! helpers, as in real eBPF.
 
 use std::sync::Arc;
 
 use kscope_ebpf::asm::{Asm, AsmError};
 use kscope_ebpf::insn::{OP_JLT, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, SZ_DW, SZ_W};
-use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
-use kscope_ebpf::verifier::{Verifier, VerifierConfig};
 use kscope_ebpf::{Helper, Program};
 use kscope_simcore::Nanos;
 use kscope_syscalls::{Pid, SyscallProfile, SyscallRole, TracePhase, TracepointCtx};
 
 use crate::counters::{offsets, RawCounters};
 use crate::observer::MetricBackend;
-
-/// Modeled cost of one interpreted eBPF instruction.
-pub const NS_PER_INSN: f64 = 5.0;
-
-/// Size of the context buffer the syscall programs receive.
-pub const CTX_SIZE: usize = 16;
-
-/// Size of the context buffer the network-stack programs receive:
-/// `[request: u64][stage residency ns: u64][bytes or queue depth: u64]` —
-/// the fields of the modeled `net_rx_softirq`/`sock_queue_drain`
-/// tracepoints (see [`kscope_syscalls::NetCtx`]).
-pub const NET_CTX_SIZE: usize = 24;
+use crate::runtime::{BuildError, ProgramProbe};
 
 /// Buckets in the in-probe log2 histogram of poll durations.
 pub const HIST_BUCKETS: usize = 64;
@@ -74,53 +62,6 @@ pub struct StackCounters {
     /// Drain events with no matching rx entry.
     pub misses: u64,
 }
-
-/// Errors from building the bytecode probe.
-#[derive(Debug)]
-pub enum BuildError {
-    /// The generated program failed to assemble (a builder bug).
-    Asm(AsmError),
-    /// The generated program failed verification (a builder bug).
-    Verify(kscope_ebpf::verifier::VerifyError),
-    /// A program's certified worst-case cost exceeds
-    /// [`PROBE_COST_BUDGET`] (or no finite bound exists).
-    CostBudget {
-        /// Name of the offending program.
-        program: String,
-        /// Certified worst-case instruction bound (`None`: no finite
-        /// bound could be certified).
-        bound: Option<u64>,
-        /// The budget the probe was registered against.
-        budget: u64,
-    },
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BuildError::Asm(e) => write!(f, "assembly failed: {e}"),
-            BuildError::Verify(e) => write!(f, "verification failed: {e}"),
-            BuildError::CostBudget { program, bound: Some(bound), budget } => write!(
-                f,
-                "probe '{program}' worst-case cost {bound} insns exceeds budget {budget}"
-            ),
-            BuildError::CostBudget { program, bound: None, budget } => write!(
-                f,
-                "probe '{program}' has no finite cost bound (budget {budget})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-/// The registration budget: the largest certified worst-case instruction
-/// count ([`max_insns`](kscope_ebpf::CostReport::max_insns)) a probe
-/// program may have. [`ProbeSet::build`] rejects any program over it, or
-/// without a finite bound. Shipped programs certify in the low hundreds
-/// of instructions; 1024 leaves headroom while still catching runaway
-/// programs.
-pub const PROBE_COST_BUDGET: u64 = 1024;
 
 /// The paper's probe as one declarative program set: Listing 1's
 /// `sys_enter`/`sys_exit` pair over the observed processes, plus the
@@ -219,36 +160,37 @@ impl ProbeSet {
         self
     }
 
-    /// Runs the programs on the template JIT ([`Vm::with_jit`]):
+    /// Runs the programs on the template JIT
+    /// ([`Vm::with_jit`](kscope_ebpf::interp::Vm::with_jit)):
     /// verified programs run as native x86-64 with verifier-proof
     /// bounds-check elision, falling back to the interpreter on
     /// unsupported programs or targets. The differential suite holds the
     /// tiers bitwise-identical, so this changes only execution speed; the
-    /// [`NS_PER_INSN`] cost model is the same on both.
+    /// [`NS_PER_INSN`](crate::NS_PER_INSN) cost model is the same on
+    /// both.
     pub fn with_jit(mut self) -> ProbeSet {
         self.jit = true;
         self
     }
 
-    /// Builds the probe. This is the only code that:
-    ///
-    /// 1. creates the probe's maps, always in the fd order `start`,
-    ///    `stats`, `poll_hist`, `topk`, `inflight_stack`, `stack_hist`,
-    ///    `stack_stats` (leaving out the maps of absent signals);
-    /// 2. assembles each program and verifies it against its context
-    ///    size ([`CTX_SIZE`] for the syscall pair, [`NET_CTX_SIZE`] for
-    ///    the netstack pair);
-    /// 3. rejects any program whose certified worst-case bound exceeds
-    ///    [`PROBE_COST_BUDGET`];
-    /// 4. compiles every program for the tier, so no event pays the
-    ///    compile.
+    /// Builds the probe. This is the only code that creates the probe's
+    /// maps, always in the fd order `start`, `stats`, `poll_hist`,
+    /// `topk`, `inflight_stack`, `stack_hist`, `stack_stats` (leaving out
+    /// the maps of absent signals), and assembles its programs. It hands
+    /// them to the probe runtime's registration ([`ProgramProbe`]),
+    /// which verifies each against its tracepoint's context
+    /// ([`CTX_SIZE`](crate::CTX_SIZE) for the syscall pair,
+    /// [`NET_CTX_SIZE`](crate::NET_CTX_SIZE) for the netstack pair),
+    /// rejects any whose certified worst-case bound exceeds
+    /// [`PROBE_COST_BUDGET`](crate::PROBE_COST_BUDGET), and compiles every
+    /// program for the tier, so no event pays the compile.
     ///
     /// # Errors
     ///
     /// [`BuildError::Asm`] or [`BuildError::Verify`] when a generated
     /// program fails to assemble or verify (a generator bug, not bad
     /// input), and [`BuildError::CostBudget`] when a program has no
-    /// finite certified bound or one over [`PROBE_COST_BUDGET`] — the
+    /// finite certified bound or one over the budget — the
     /// `sys_enter` tgid filter costs one instruction per process, so
     /// about a thousand processes are too many.
     pub fn build(self) -> Result<BytecodeBackend, BuildError> {
@@ -271,85 +213,39 @@ impl ProbeSet {
             (inflight, hist, stats)
         });
 
-        let checked = |program: Result<Program, AsmError>, ctx_size: usize| {
-            let program = program.map_err(BuildError::Asm)?;
-            let verifier = Verifier::new(VerifierConfig {
-                ctx_size,
-                ..VerifierConfig::default()
-            });
-            // The report of a verified program carries its cost
-            // certificate.
-            let report = verifier.verify_report(&program, &maps);
-            if let Some(diagnostic) = report.errors.into_iter().next() {
-                return Err(BuildError::Verify(diagnostic.error));
-            }
-            match report.cost {
-                Some(cost) if cost.max_insns <= PROBE_COST_BUDGET => Ok(program),
-                cost => Err(BuildError::CostBudget {
-                    program: program.name().to_string(),
-                    bound: cost.map(|c| c.max_insns),
-                    budget: PROBE_COST_BUDGET,
-                }),
-            }
-        };
-        let enter = checked(emit_enter(&self, start_fd), CTX_SIZE)?;
-        let exit = checked(emit_exit(&self, start_fd, stats_fd, hist_fd, sketch_fd), CTX_SIZE)?;
-        let net = match net_fds {
-            Some((inflight, hist, stats)) => Some((
-                checked(emit_net_rx(inflight), NET_CTX_SIZE)?,
-                checked(emit_sock_drain(self.shift, inflight, stats, hist), NET_CTX_SIZE)?,
-            )),
-            None => None,
-        };
-
-        let vm = if self.jit { Vm::new().with_jit() } else { Vm::new() };
-        let probe = BuiltProbe {
+        // One slot per tracepoint, in `TracePhase` order.
+        let programs = [
+            Some(emit_enter(&self, start_fd)?),
+            Some(emit_exit(&self, start_fd, stats_fd, hist_fd, sketch_fd)?),
+            net_fds
+                .map(|(inflight, _, _)| emit_net_rx(inflight))
+                .transpose()?,
+            net_fds
+                .map(|(inflight, hist, stats)| emit_sock_drain(self.shift, inflight, stats, hist))
+                .transpose()?,
+        ];
+        let runtime = ProgramProbe::attach(programs, maps, self.jit)?;
+        let probe = Arc::new(BuiltProbe {
             set: self,
-            enter,
-            exit,
-            net,
             stats_fd,
             hist_fd,
             sketch_fd,
             stack_fds: net_fds.map(|(_, hist, stats)| (hist, stats)),
-        };
-        for program in probe.programs() {
-            vm.precompile(program);
-        }
-        Ok(BytecodeBackend {
-            maps,
-            vm,
-            probe: Arc::new(probe),
-            insns_executed: 0,
-            faults: 0,
-        })
+        });
+        Ok(BytecodeBackend { runtime, probe })
     }
 }
 
-/// A built [`ProbeSet`]: its verified, cost-certified programs and the
-/// fds of the maps they address. Every instance of the probe shares one.
+/// A built [`ProbeSet`]: the set and the fds of the signal maps its
+/// readouts decode. Every instance of the probe shares one.
 #[derive(Debug)]
 struct BuiltProbe {
     set: ProbeSet,
-    enter: Program,
-    exit: Program,
-    /// `(kscope_net_rx, kscope_sock_drain)` with the netstack pair.
-    net: Option<(Program, Program)>,
     stats_fd: MapFd,
     hist_fd: Option<MapFd>,
     sketch_fd: Option<MapFd>,
     /// `(stack_hist, stack_stats)` with the netstack pair.
     stack_fds: Option<(MapFd, MapFd)>,
-}
-
-impl BuiltProbe {
-    /// Every program: the syscall pair, then the netstack pair when
-    /// attached.
-    fn programs(&self) -> impl Iterator<Item = &Program> {
-        [&self.enter, &self.exit]
-            .into_iter()
-            .chain(self.net.iter().flat_map(|(rx, drain)| [rx, drain]))
-    }
 }
 
 /// The eBPF-executed observability probe, built by [`ProbeSet::build`].
@@ -376,39 +272,10 @@ impl BuiltProbe {
 /// }
 /// assert_eq!(probe.counters().send.count, 2);
 /// ```
-///
-/// # Sharing one probe between instances
-///
-/// The built programs sit behind an [`Arc`], and
-/// [`BytecodeBackend::instantiate`] makes a new instance that shares
-/// them — with their verifier proofs and JIT code — but owns fresh,
-/// zeroed maps. That is sound because nothing a built program carries
-/// depends on a map *instance*:
-///
-/// * Verification is a pure function of three inputs: the instructions,
-///   the map definitions in fd order, and the verifier's `ctx_size`
-///   ([`CTX_SIZE`] / [`NET_CTX_SIZE`]). The verifier reads no map
-///   contents, only [`MapRegistry::def`].
-/// * Every instance's registry is made by [`MapRegistry::fresh_like`]
-///   from the registry the programs were verified against, so it is
-///   layout-identical by construction: same definitions, same fds.
-///   The same holds for the cost certificate, which reads only the
-///   instructions.
-/// * JIT code binds no map instance. It reaches maps only through the
-///   descriptor table [`MapRegistry::runtime_descs`] of the registry it
-///   runs against, built from that registry's own storage as its maps
-///   are created and republished whenever a hash table grows; nothing
-///   about map storage is baked in at compile time.
-///
-/// So each instance runs exactly the programs the registration checks
-/// passed, against maps those checks describe.
 #[derive(Debug)]
 pub struct BytecodeBackend {
-    maps: MapRegistry,
-    vm: Vm,
+    runtime: ProgramProbe,
     probe: Arc<BuiltProbe>,
-    insns_executed: u64,
-    faults: u64,
 }
 
 impl BytecodeBackend {
@@ -454,96 +321,77 @@ impl BytecodeBackend {
         self.probe.set.clone()
     }
 
-    /// A new instance of this probe: the same programs — shared, not
-    /// copied, along with their verifier proofs and JIT code — over
-    /// fresh maps with the same layout and nothing in them. The
-    /// instance keeps this one's dispatch tier and starts with zero
-    /// executed instructions and zero faults. This instance's map
-    /// contents are never read. See the type-level docs for why the
-    /// shared programs stay verified for the new maps.
+    /// A new instance of this probe: the same programs over fresh,
+    /// empty maps, on the same tier (see [`ProgramProbe::instantiate`]
+    /// for why the shared programs stay verified for the new maps).
     pub fn instantiate(&self) -> BytecodeBackend {
-        let maps = self.maps.fresh_like();
-        debug_assert!(
-            maps.defs().eq(self.maps.defs()),
-            "an instance's maps must match the verified layout in fd order"
-        );
         BytecodeBackend {
-            maps,
-            // The VM holds the tier plus per-invocation scratch that
-            // every execution resets.
-            vm: self.vm.clone(),
+            runtime: self.runtime.instantiate(),
             probe: Arc::clone(&self.probe),
-            insns_executed: 0,
-            faults: 0,
         }
     }
 
     /// True when probe execution goes through the JIT dispatcher.
     pub fn uses_jit(&self) -> bool {
-        self.vm.uses_jit()
+        self.runtime.uses_jit()
     }
 
-    /// Total eBPF instructions executed so far (the interpreter cost model).
+    /// Total eBPF instructions executed so far (the cost model's input).
     pub fn insns_executed(&self) -> u64 {
-        self.insns_executed
+        self.runtime.insns_executed()
     }
 
-    /// Program runs that faulted. The kernel's semantics apply: a
-    /// faulting run is aborted where it faulted, charged nothing, and
-    /// counted here; map writes it made before the fault stay. The
+    /// Program runs that faulted (see [`ProgramProbe::faults`]); the
     /// verifier's soundness claim is that this stays 0.
     pub fn faults(&self) -> u64 {
-        self.faults
+        self.runtime.faults()
     }
 
     /// The assembled `sys_enter` and `sys_exit` programs, in that order
     /// (for acceptance-corpus tests and tooling).
     pub fn programs(&self) -> (&Program, &Program) {
-        (&self.probe.enter, &self.probe.exit)
+        match (
+            self.runtime.program(TracePhase::Enter),
+            self.runtime.program(TracePhase::Exit),
+        ) {
+            (Some(enter), Some(exit)) => (enter, exit),
+            _ => unreachable!("`ProbeSet::build` always attaches the syscall pair"),
+        }
     }
 
     /// The assembled netstack programs `(kscope_net_rx,
     /// kscope_sock_drain)`, or `None` when the set has no
     /// [`ProbeSet::with_netstack`].
     pub fn net_programs(&self) -> Option<(&Program, &Program)> {
-        self.probe.net.as_ref().map(|(rx, drain)| (rx, drain))
+        self.runtime
+            .program(TracePhase::NetRxSoftirq)
+            .zip(self.runtime.program(TracePhase::SockQueueDrain))
     }
 
     /// The map registry backing the programs.
     pub fn map_registry(&self) -> &MapRegistry {
-        &self.maps
+        self.runtime.maps()
     }
 
     /// Disassembly of every attached program (for documentation and
     /// debugging).
     pub fn disassembly(&self) -> String {
-        let listings: Vec<String> = self.probe.programs().map(Program::disassemble).collect();
+        let listings: Vec<String> = self.runtime.programs().map(Program::disassemble).collect();
         listings.join("\n")
-    }
-
-    /// Replaces the exit program with `exit` *without verifying it*, so
-    /// tests can make a program fault at run time.
-    #[cfg(test)]
-    fn with_unverified_exit(mut self, exit: Program) -> BytecodeBackend {
-        match Arc::get_mut(&mut self.probe) {
-            Some(probe) => probe.exit = exit,
-            None => panic!("only a probe with no other instances can swap its exit program"),
-        }
-        self
     }
 
     /// Array-map slot 0 of one of this probe's own maps. Every array map
     /// `build` creates has exactly one entry, so the slot exists by
     /// construction.
-    fn slot0(maps: &MapRegistry, fd: MapFd) -> &[u8] {
-        match maps.lookup(fd, &0u32.to_le_bytes()) {
+    fn slot0(&self, fd: MapFd) -> &[u8] {
+        match self.runtime.maps().lookup(fd, &0u32.to_le_bytes()) {
             Ok(Some(value)) => value,
             other => unreachable!("backend-owned array slot 0 missing: {other:?}"),
         }
     }
 
-    fn slot0_mut(maps: &mut MapRegistry, fd: MapFd) -> &mut [u8] {
-        match maps.lookup_mut(fd, &0u32.to_le_bytes()) {
+    fn slot0_mut(&mut self, fd: MapFd) -> &mut [u8] {
+        match self.runtime.maps_mut().lookup_mut(fd, &0u32.to_le_bytes()) {
             Ok(Some(value)) => value,
             other => unreachable!("backend-owned array slot 0 missing: {other:?}"),
         }
@@ -552,7 +400,7 @@ impl BytecodeBackend {
     /// The first `N` little-endian `u64` cells of array slot 0 of `fd`.
     fn slot0_cells<const N: usize>(&self, fd: MapFd) -> [u64; N] {
         let mut cells = [0u64; N];
-        for (cell, bytes) in cells.iter_mut().zip(Self::slot0(&self.maps, fd).chunks_exact(8)) {
+        for (cell, bytes) in cells.iter_mut().zip(self.slot0(fd).chunks_exact(8)) {
             let mut le = [0u8; 8];
             le.copy_from_slice(bytes);
             *cell = u64::from_le_bytes(le);
@@ -566,7 +414,7 @@ impl BytecodeBackend {
     /// cumulative counters the fleet's report envelopes carry.
     pub fn entity_sketch(&self) -> Option<&kscope_ebpf::SketchState> {
         let fd = self.probe.sketch_fd?;
-        match self.maps.sketch_state(fd) {
+        match self.runtime.maps().sketch_state(fd) {
             Ok(state) => Some(state),
             Err(e) => unreachable!("backend-owned sketch map missing: {e:?}"),
         }
@@ -575,58 +423,15 @@ impl BytecodeBackend {
 
 impl MetricBackend for BytecodeBackend {
     fn on_event(&mut self, ctx: &TracepointCtx) -> Nanos {
-        let mut syscall_buf = [0u8; CTX_SIZE];
-        let mut net_buf = [0u8; NET_CTX_SIZE];
-        let probe: &BuiltProbe = &self.probe;
-        let (program, buf): (&Program, &[u8]) = match ctx.phase {
-            TracePhase::Enter | TracePhase::Exit => {
-                syscall_buf[..8].copy_from_slice(&(ctx.no.raw() as u64).to_le_bytes());
-                syscall_buf[8..16].copy_from_slice(&(ctx.ret as u64).to_le_bytes());
-                let program = match ctx.phase {
-                    TracePhase::Enter => &probe.enter,
-                    _ => &probe.exit,
-                };
-                (program, &syscall_buf)
-            }
-            TracePhase::NetRxSoftirq | TracePhase::SockQueueDrain => {
-                // Without the netstack pair attached, these tracepoints
-                // have no program — real eBPF simply wouldn't be attached
-                // there, so the firing is free.
-                let Some((net_rx, sock_drain)) = &probe.net else {
-                    return Nanos::ZERO;
-                };
-                let program = match ctx.phase {
-                    TracePhase::NetRxSoftirq => net_rx,
-                    _ => sock_drain,
-                };
-                net_buf[..8].copy_from_slice(&ctx.net.request.to_le_bytes());
-                net_buf[8..16].copy_from_slice(&ctx.net.stage_ns.to_le_bytes());
-                net_buf[16..24].copy_from_slice(&ctx.net.arg.to_le_bytes());
-                (program, &net_buf)
-            }
-        };
-        let mut env = ExecEnv {
-            ktime_ns: ctx.ktime.as_nanos(),
-            pid_tgid: ctx.pid_tgid,
-            ..ExecEnv::default()
-        };
-        let Ok(outcome) = self.vm.execute(program, buf, &mut self.maps, &mut env) else {
-            // Verified programs should never get here; if one does, it
-            // is aborted and counted, as the kernel would, not allowed
-            // to take the host down.
-            self.faults += 1;
-            return Nanos::ZERO;
-        };
-        self.insns_executed += outcome.insns_executed;
-        Nanos::from_nanos((outcome.insns_executed as f64 * NS_PER_INSN).round() as u64)
+        self.runtime.run(ctx)
     }
 
     fn counters(&self) -> RawCounters {
-        RawCounters::decode(self.probe.set.shift, Self::slot0(&self.maps, self.probe.stats_fd))
+        RawCounters::decode(self.probe.set.shift, self.slot0(self.probe.stats_fd))
     }
 
     fn reset_window(&mut self) {
-        let value = Self::slot0_mut(&mut self.maps, self.probe.stats_fd);
+        let value = self.slot0_mut(self.probe.stats_fd);
         // Zero everything except the two last-timestamp cells, which chain
         // deltas across window boundaries.
         for off in [
@@ -644,7 +449,7 @@ impl MetricBackend for BytecodeBackend {
             value[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
         }
         if let Some(fd) = self.probe.hist_fd {
-            Self::slot0_mut(&mut self.maps, fd).fill(0);
+            self.slot0_mut(fd).fill(0);
         }
     }
 
@@ -1007,11 +812,13 @@ fn emit_sock_drain(
         .assemble()
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::tests::with_unchecked;
+    use crate::runtime::{CTX_SIZE, NET_CTX_SIZE, PROBE_COST_BUDGET};
     use kscope_ebpf::cost_report;
+    use kscope_ebpf::verifier::{Verifier, VerifierConfig};
     use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo};
 
     fn ctx(phase: TracePhase, no: SyscallNo, tid: u32, t_us: u64) -> TracepointCtx {
@@ -1078,7 +885,7 @@ mod tests {
             assert_eq!(first.poll_histogram().is_some(), has(0));
             assert_eq!(first.entity_sketch().is_some(), has(1));
             assert_eq!(first.net_programs().is_some(), has(2));
-            let programs: Vec<&Program> = first.probe.programs().collect();
+            let programs: Vec<&Program> = first.runtime.programs().collect();
             assert_eq!(programs.len(), if has(2) { 4 } else { 2 });
             for program in &programs {
                 let verifier = Verifier::new(VerifierConfig {
@@ -1099,7 +906,7 @@ mod tests {
             }
             for other in &builds[1..] {
                 assert_eq!(other.probe.set, first.probe.set);
-                let insns: Vec<_> = other.probe.programs().map(Program::insns).collect();
+                let insns: Vec<_> = other.runtime.programs().map(Program::insns).collect();
                 assert_eq!(insns, programs.iter().map(|p| p.insns()).collect::<Vec<_>>());
                 assert_eq!(map_dump(other), map_dump(first), "subset {subset:03b}");
             }
@@ -1427,7 +1234,7 @@ mod tests {
                 ..VerifierConfig::default()
             });
             assert!(verifier.verify(&faulting(), p.map_registry()).is_err());
-            p = p.with_unverified_exit(faulting());
+            p.runtime = with_unchecked(p.runtime, TracePhase::Exit, faulting());
             feed_request(&mut p, 1, 1, 100);
             // The request's three exits faulted; the verified enter and
             // netstack programs ran.

@@ -16,6 +16,11 @@
 //!    one per-instruction cost ([`NS_PER_INSN`]) on either tier.
 //!    [`NativeBackend`] is the same logic as plain Rust, kept only as the
 //!    reference oracle of the differential tests.
+//!
+//!    This probe, the §III ring-buffer [`streaming`] collector and user
+//!    programs all run on one runtime, [`ProgramProbe`]: one check
+//!    (verification plus the [`PROBE_COST_BUDGET`] gate) and one
+//!    per-event runner that counts a faulting run instead of panicking.
 //! 2. A [`WindowedObserver`] plays the userspace collector: it rolls the
 //!    cells into per-window [`WindowMetrics`] snapshots.
 //! 3. The [`Agent`] applies the paper's three estimators per window:
@@ -62,22 +67,19 @@
 mod agent;
 mod bytecode;
 mod counters;
-pub mod custom;
 mod estimators;
 mod fixed;
 mod hist;
 mod native;
 mod observer;
+mod runtime;
 pub mod sketch;
 mod stack;
 pub mod streaming;
 pub mod timeline;
 
 pub use agent::{Agent, AgentReport};
-pub use bytecode::{
-    stack_offsets, BuildError, BytecodeBackend, ProbeSet, StackCounters, CTX_SIZE, HIST_BUCKETS,
-    NET_CTX_SIZE, NS_PER_INSN, PROBE_COST_BUDGET,
-};
+pub use bytecode::{stack_offsets, BytecodeBackend, ProbeSet, StackCounters, HIST_BUCKETS};
 pub use counters::{offsets, RawCounters, WindowMetrics};
 pub use estimators::{
     RpsEstimator, SaturationAssessment, SaturationDetector, SlackAssessment, SlackEstimator,
@@ -87,5 +89,8 @@ pub use fixed::{ScaledAcc, DEFAULT_SHIFT};
 pub use hist::Log2Hist;
 pub use native::NativeBackend;
 pub use observer::{MetricBackend, WindowedObserver};
+pub use runtime::{
+    BuildError, ProgramProbe, CTX_SIZE, NET_CTX_SIZE, NS_PER_INSN, PROBE_COST_BUDGET,
+};
 pub use sketch::TopKSketch;
 pub use stack::StackDelay;

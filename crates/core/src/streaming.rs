@@ -3,10 +3,13 @@
 //! §III of the paper: "Initially, we streamed all available eBPF trace data
 //! to user space to explore potential correlations... Subsequently, we
 //! leveraged eBPF capabilities to compute these metrics directly within the
-//! eBPF space." This module is that first mode: a bytecode program that
-//! pushes one fixed-size record per matched tracepoint firing into a ring
-//! buffer, and a userspace side that drains the buffer and reconstructs
-//! [`SyscallEvent`]s by pairing enters with exits.
+//! eBPF space." This module is that first mode: a `sys_enter` /
+//! `sys_exit` program pair that pushes one fixed-size record per matched
+//! tracepoint firing into a ring buffer, and a userspace side that drains
+//! the buffer and reconstructs [`SyscallEvent`]s by pairing enters with
+//! exits. The pair registers and runs through the probe runtime
+//! ([`ProgramProbe`]), so it is cost-gated and runs on the JIT like every
+//! other probe program.
 //!
 //! It exists for two reasons: it validates the aggregating probes against
 //! an independent path (the streamed trace must equal the kernel's own
@@ -16,17 +19,15 @@
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{R0, R1, R2, R3, R4, R6, R8, R9, R10, SZ_DW};
-use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
-use kscope_ebpf::verifier::{Verifier, VerifierConfig};
 use kscope_ebpf::{Helper, Program};
 use kscope_kernel::TracepointProbe;
 use kscope_simcore::Nanos;
 use kscope_syscalls::{
-    Pid, SyscallEvent, SyscallNo, SyscallProfile, Trace, TracePhase, TracepointCtx,
+    Pid, SyscallEvent, SyscallNo, SyscallProfile, SyscallRole, Trace, TracePhase, TracepointCtx,
 };
 
-use crate::bytecode::{BuildError, CTX_SIZE, NS_PER_INSN};
+use crate::runtime::{BuildError, ProgramProbe};
 
 /// Size of one streamed record: `[phase][syscall id][pid_tgid][ktime]`.
 pub const RECORD_SIZE: usize = 32;
@@ -69,9 +70,7 @@ pub struct StreamedEvent {
 /// ```
 #[derive(Debug)]
 pub struct StreamingProbe {
-    maps: MapRegistry,
-    vm: Vm,
-    program: Program,
+    probe: ProgramProbe,
     ring_fd: MapFd,
     tgid: Pid,
 }
@@ -82,8 +81,8 @@ impl StreamingProbe {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the generated program fails assembly or
-    /// verification (a generator bug).
+    /// Returns [`BuildError`] if a generated program fails assembly,
+    /// verification or the cost gate (a generator bug).
     pub fn new(
         tgid: Pid,
         profile: SyscallProfile,
@@ -91,27 +90,20 @@ impl StreamingProbe {
     ) -> Result<StreamingProbe, BuildError> {
         let mut maps = MapRegistry::new();
         let ring_fd = maps.create("events", MapDef::ring_buf(RECORD_SIZE as u32, capacity));
-
-        let send_no = profile.primary(kscope_syscalls::SyscallRole::Send).raw() as i32;
-        let recv_no = profile.primary(kscope_syscalls::SyscallRole::Receive).raw() as i32;
-        let poll_no = profile.primary(kscope_syscalls::SyscallRole::Poll).raw() as i32;
-
-        let program = build_streamer(tgid, send_no, recv_no, poll_no, ring_fd)
-            .map_err(BuildError::Asm)?;
-        Verifier::new(VerifierConfig {
-            ctx_size: CTX_SIZE,
-            ..VerifierConfig::default()
-        })
-        .verify(&program, &maps)
-        .map_err(BuildError::Verify)?;
-
+        let streamer = |name, phase_word| build_streamer(name, phase_word, tgid, &profile, ring_fd);
+        let enter = streamer("kscope_stream_enter", 0)?;
+        let exit = streamer("kscope_stream_exit", 1)?;
         Ok(StreamingProbe {
-            maps,
-            vm: Vm::new(),
-            program,
+            probe: ProgramProbe::new(Some(enter), Some(exit), maps)?,
             ring_fd,
             tgid,
         })
+    }
+
+    /// The runtime running the program pair: its programs, tier,
+    /// instruction count and faults.
+    pub fn runtime(&self) -> &ProgramProbe {
+        &self.probe
     }
 
     /// The observed process.
@@ -122,7 +114,7 @@ impl StreamingProbe {
     /// Records dropped because the ring buffer was full — the reason the
     /// paper computes metrics in kernel space instead.
     pub fn dropped(&self) -> u64 {
-        match self.maps.ring_dropped(self.ring_fd) {
+        match self.probe.maps().ring_dropped(self.ring_fd) {
             Ok(dropped) => dropped,
             // `ring_fd` was created in `new` and fds are never closed.
             Err(e) => unreachable!("backend-owned ring buffer vanished: {e}"),
@@ -136,7 +128,7 @@ impl StreamingProbe {
     /// the only allocation here is the returned event vector itself.
     pub fn drain(&mut self) -> Vec<StreamedEvent> {
         let mut events = Vec::new();
-        let consumed = self.maps.ring_consume(self.ring_fd, |record| {
+        let consumed = self.probe.maps_mut().ring_consume(self.ring_fd, |record| {
             let cell = |i: usize| -> u64 {
                 match record[i * 8..(i + 1) * 8].try_into() {
                     Ok(bytes) => u64::from_le_bytes(bytes),
@@ -202,34 +194,7 @@ impl TracepointProbe for StreamingProbe {
     }
 
     fn fire(&mut self, ctx: &TracepointCtx) -> Nanos {
-        // Only attached to the raw_syscalls tracepoints: net-phase
-        // firings cost nothing here, as in real eBPF.
-        if ctx.phase.is_net() {
-            return Nanos::ZERO;
-        }
-        let mut buf = [0u8; CTX_SIZE];
-        buf[..8].copy_from_slice(&(ctx.no.raw() as u64).to_le_bytes());
-        // The streamer reads the phase from the second context word (our
-        // simulated tracepoint tells the program which edge it is on; real
-        // deployments attach two programs instead).
-        let phase = match ctx.phase {
-            TracePhase::Enter => 0u64,
-            TracePhase::Exit => 1u64,
-            TracePhase::NetRxSoftirq | TracePhase::SockQueueDrain => return Nanos::ZERO,
-        };
-        buf[8..16].copy_from_slice(&phase.to_le_bytes());
-        let mut env = ExecEnv {
-            ktime_ns: ctx.ktime.as_nanos(),
-            pid_tgid: ctx.pid_tgid,
-            ..ExecEnv::default()
-        };
-        let outcome = match self.vm.execute(&self.program, &buf, &mut self.maps, &mut env) {
-            Ok(outcome) => outcome,
-            // Construction verified the program; accepted programs
-            // cannot fault.
-            Err(e) => unreachable!("verified program faulted: {e:?}"),
-        };
-        Nanos::from_nanos((outcome.insns_executed as f64 * NS_PER_INSN).round() as u64)
+        self.probe.run(ctx)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -237,16 +202,18 @@ impl TracepointProbe for StreamingProbe {
     }
 }
 
-/// Builds the streaming program: filter tgid + profile syscalls, then
-/// `bpf_ringbuf_output` a 32-byte record.
+/// Builds one program of the streaming pair: filter tgid and profile
+/// syscalls, then `bpf_ringbuf_output` a 32-byte record whose phase word
+/// is the immediate `phase_word` (0 on `sys_enter`, 1 on `sys_exit`).
 fn build_streamer(
+    name: &str,
+    phase_word: i32,
     tgid: Pid,
-    send_no: i32,
-    recv_no: i32,
-    poll_no: i32,
+    profile: &SyscallProfile,
     ring_fd: MapFd,
 ) -> Result<Program, kscope_ebpf::asm::AsmError> {
-    Asm::new("kscope_streamer")
+    let syscall = |role| profile.primary(role).raw() as i32;
+    Asm::new(name)
         .mov64_reg(R9, R1) // save ctx
         .call(Helper::GetCurrentPidTgid)
         .mov64_reg(R6, R0)
@@ -254,16 +221,15 @@ fn build_streamer(
         .rsh64_imm(R2, 32)
         .jne_imm(R2, tgid as i32, "out")
         .load(SZ_DW, R8, R9, 0) // args->id
-        .jeq_imm(R8, send_no, "emit")
-        .jeq_imm(R8, recv_no, "emit")
-        .jeq_imm(R8, poll_no, "emit")
+        .jeq_imm(R8, syscall(SyscallRole::Send), "emit")
+        .jeq_imm(R8, syscall(SyscallRole::Receive), "emit")
+        .jeq_imm(R8, syscall(SyscallRole::Poll), "emit")
         .label("out")
         .mov64_imm(R0, 0)
         .exit()
         .label("emit")
         // Assemble the record on the stack: [phase][id][pid_tgid][ktime].
-        .load(SZ_DW, R2, R9, 8) // phase word from ctx
-        .store_reg(SZ_DW, R10, R2, -32)
+        .store_imm(SZ_DW, R10, -32, phase_word)
         .store_reg(SZ_DW, R10, R8, -24)
         .store_reg(SZ_DW, R10, R6, -16)
         .call(Helper::KtimeGetNs)
@@ -310,6 +276,22 @@ mod tests {
         assert_eq!(probe.dropped(), 0);
         // Drained: the buffer is empty now.
         assert!(probe.drain().is_empty());
+    }
+
+    #[test]
+    fn the_pair_is_cost_gated_and_runs_on_the_jit() {
+        let probe = StreamingProbe::new(7, SyscallProfile::data_caching(), 16).unwrap();
+        let runtime = probe.runtime();
+        let names: Vec<&str> = runtime.programs().map(Program::name).collect();
+        assert_eq!(names, ["kscope_stream_enter", "kscope_stream_exit"]);
+        assert!(runtime.uses_jit());
+        for program in runtime.programs() {
+            let bound = kscope_ebpf::cost_report(program).map(|c| c.max_insns);
+            assert!(
+                bound.is_some_and(|b| b <= crate::PROBE_COST_BUDGET),
+                "{bound:?}"
+            );
+        }
     }
 
     #[test]

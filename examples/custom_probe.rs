@@ -6,16 +6,16 @@
 //! bpftrace -e 'tracepoint:raw_syscalls:sys_exit /pid == $server/ { @[args->id] = count(); }'
 //! ```
 //!
-//! — a user-supplied eBPF program (text-assembled, verified, interpreted)
-//! attached to the simulated kernel's tracepoints via
-//! [`CustomProbe`](kscope::core::custom::CustomProbe), counting syscalls by
-//! id into a hash map that userspace reads afterwards.
+//! — a user-supplied eBPF program (text-assembled, then verified, cost-gated
+//! and JIT-compiled by the probe runtime) attached to the simulated kernel's
+//! tracepoints via [`ProgramProbe`](kscope::core::ProgramProbe), counting
+//! syscalls by id into a hash map that userspace reads afterwards.
 //!
 //! ```text
 //! cargo run --release --example custom_probe
 //! ```
 
-use kscope::core::custom::CustomProbe;
+use kscope::core::ProgramProbe;
 use kscope::ebpf::maps::{MapDef, MapRegistry};
 use kscope::ebpf::text::parse_program;
 use kscope::prelude::*;
@@ -65,7 +65,7 @@ fn main() {
         let _counts = maps.create("counts", MapDef::hash(8, 8, 512));
         let program = parse_program("syscall_top", SYSCALL_TOP).expect("program parses");
         println!("program listing:\n{}", program.disassemble());
-        let probe = CustomProbe::new(None, Some(program), maps).expect("program verifies");
+        let probe = ProgramProbe::new(None, Some(program), maps).expect("program passes the check");
         vec![Box::new(probe) as Box<dyn TracepointProbe>]
     });
 
@@ -73,8 +73,8 @@ fn main() {
     let mut probe = kernel.tracing.detach(outcome.probes[0]).expect("attached");
     let custom = probe
         .as_any_mut()
-        .downcast_mut::<CustomProbe>()
-        .expect("custom probe");
+        .downcast_mut::<ProgramProbe>()
+        .expect("program probe");
     let counts_fd = custom.maps().fd_by_name("counts").expect("map exists");
 
     // Userspace readout: walk the syscall table and look each id up.
@@ -93,7 +93,12 @@ fn main() {
         println!("    {no:<14} {count:>10}");
     }
     println!(
-        "\nclient processed {:.0} rps; the probe never touched the application.",
+        "\n{} eBPF instructions executed, {} faulted runs",
+        custom.insns_executed(),
+        custom.faults()
+    );
+    println!(
+        "client processed {:.0} rps; the probe never touched the application.",
         outcome.client.achieved_rps
     );
 }

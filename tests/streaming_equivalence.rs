@@ -28,6 +28,9 @@ fn streamed_trace_matches_kernel_trace() {
         .downcast_mut::<StreamingProbe>()
         .unwrap();
     assert_eq!(streaming.dropped(), 0, "buffer sized for the whole run");
+    // The pair ran through the shared runtime: checked, and no run faulted.
+    assert_eq!(streaming.runtime().faults(), 0);
+    assert!(streaming.runtime().insns_executed() > 0);
     let events = streaming.drain();
     assert!(!events.is_empty());
     let streamed = StreamingProbe::reconstruct(&events);

@@ -14,7 +14,7 @@
 //!   test modules — they are debugging residue, not shipping code.
 //! * `.to_vec()` and `.clone()` are banned in the interpreter/map/stream
 //!   hot-path modules (`crates/ebpf/src/{interp,decode,maps,analysis}.rs`
-//!   and `crates/core/src/streaming.rs`): the
+//!   and `crates/core/src/{runtime,streaming}.rs`): the
 //!   per-event path is allocation-free by measurement
 //!   (`hot_path_allocs_per_event` in `BENCH_baseline.json`), and this
 //!   keeps it that way by construction. Deliberate off-path allocations
@@ -29,6 +29,11 @@
 //!   (`crates/core/src/native.rs`) and its `pub use` re-export in
 //!   `crates/core/src/lib.rs`: it is the differential tests' reference
 //!   oracle, and every experiment attaches the bytecode probe.
+//! * `Verifier::new(`, `Vm::new(` and `.execute(` are banned in non-test
+//!   code of `crates/{core,experiments,fleet,workloads}/src` outside the
+//!   probe runtime (`crates/core/src/runtime.rs`): every attached program
+//!   is verified, cost-gated and run there, so no probe type can build
+//!   or run itself outside that check.
 //!
 //! `#[cfg(test)]` items (and everything nested inside them) are exempt
 //! from the unwrap/expect ban, as are doc comments, line/block
@@ -61,6 +66,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/ebpf/src/mapindex.rs",
     "crates/ebpf/src/sketch.rs",
     "crates/ebpf/src/analysis.rs",
+    "crates/core/src/runtime.rs",
     "crates/core/src/streaming.rs",
 ];
 
@@ -82,6 +88,20 @@ const ORACLE_HOME: &str = "crates/core/src/native.rs";
 
 /// The crate root, which may name the oracle in its `pub use` re-export.
 const ORACLE_REEXPORT_FILE: &str = "crates/core/src/lib.rs";
+
+/// Ways to verify or run an eBPF program outside the probe runtime.
+const BANNED_OUTSIDE_RUNTIME: &[&str] = &["Verifier::new(", "Vm::new(", ".execute("];
+
+/// The crates whose probes must go through the runtime.
+const RUNTIME_CLIENT_CRATES: &[&str] = &[
+    "crates/core/src/",
+    "crates/experiments/src/",
+    "crates/fleet/src/",
+    "crates/workloads/src/",
+];
+
+/// The probe runtime: the one module that verifies and runs programs.
+const RUNTIME_HOME: &str = "crates/core/src/runtime.rs";
 
 /// Allocation patterns banned in hot-path modules outside annotated cold
 /// paths and test code.
@@ -161,6 +181,14 @@ fn is_no_slice_index(path: &Path) -> bool {
     NO_SLICE_INDEX_FILES.iter().any(|f| normalized.ends_with(f))
 }
 
+/// True when `path` must verify and run programs only through the
+/// probe runtime.
+fn is_runtime_client(path: &Path) -> bool {
+    let normalized = path.to_string_lossy().replace('\\', "/");
+    !normalized.ends_with(RUNTIME_HOME)
+        && RUNTIME_CLIENT_CRATES.iter().any(|c| normalized.contains(c))
+}
+
 /// True when the non-test `line` of `path` may name the oracle.
 fn may_name_oracle(path: &Path, line: &str) -> bool {
     let normalized = path.to_string_lossy().replace('\\', "/");
@@ -229,6 +257,7 @@ fn scan_file(path: &Path, text: &str) -> usize {
     let stripped = strip_comments_and_strings(text);
     let hot = is_hot_path(path);
     let no_index = is_no_slice_index(path);
+    let runtime_client = is_runtime_client(path);
     let mut count = 0usize;
     let mut in_test_item = false;
     let mut pending_cfg_test = false;
@@ -302,6 +331,21 @@ fn scan_file(path: &Path, text: &str) -> usize {
                 lineno + 1
             );
             count += 1;
+        }
+
+        if runtime_client && !exempt {
+            for pat in BANNED_OUTSIDE_RUNTIME {
+                for _ in line.matches(pat) {
+                    println!(
+                        "{}:{}: banned `{pat}` outside the probe runtime (attach \
+                         programs through `ProgramProbe` so they are verified, \
+                         cost-gated and run on one path)",
+                        path.display(),
+                        lineno + 1
+                    );
+                    count += 1;
+                }
+            }
         }
 
         if no_index && !exempt {

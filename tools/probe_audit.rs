@@ -2,7 +2,8 @@
 //!
 //! Builds each probe configuration the repo ships through [`ProbeSet`]
 //! (every syscall profile, the histogram variant the fleet runs, and the
-//! multi-process probe), then for each generated program reports:
+//! multi-process probe) plus the §III streaming collector's program pair
+//! ([`StreamingProbe`]), then for each generated program reports:
 //!
 //! * the certified worst-case cost bound ([`kscope_ebpf::CostReport`]):
 //!   instructions, helper calls, and weighted cost per event;
@@ -27,10 +28,13 @@
 //!   interpreter and JIT semantics);
 //! * the netstack ingress probe pair (`kscope_net_rx` /
 //!   `kscope_sock_drain`, verified against the 24-byte `NetCtx`) is
-//!   absent or loses its finite cost bound.
+//!   absent or loses its finite cost bound;
+//! * the streaming pair (`kscope_stream_enter` / `kscope_stream_exit`)
+//!   is absent.
 //!
 //! CI runs this as the `analysis-smoke` job. Usage: `probe_audit`.
 
+use kscope_core::streaming::StreamingProbe;
 use kscope_core::{ProbeSet, PROBE_COST_BUDGET};
 use kscope_ebpf::{cost_report, helper_inline_plan, jit, HelperInline, Program};
 use kscope_syscalls::SyscallProfile;
@@ -145,6 +149,7 @@ fn main() {
     let mut audited = 0usize;
     let mut tally = InlineTally::default();
     let mut net_audited = 0usize;
+    let mut stream_audited = 0usize;
     for (label, set) in shipped_sets() {
         println!("probe configuration: {label}");
         let backend = match set.build() {
@@ -172,8 +177,25 @@ fn main() {
             }
         }
     }
+    // The streaming collector's pair registers through the same runtime
+    // check as the sets above.
+    println!("probe configuration: streaming");
+    match StreamingProbe::new(1_000, SyscallProfile::data_caching(), 4_096) {
+        Ok(streamer) => {
+            for prog in streamer.runtime().programs() {
+                match audit_program("streaming", prog, &mut tally) {
+                    Ok(()) => {
+                        audited += 1;
+                        stream_audited += 1;
+                    }
+                    Err(e) => failures.push(e),
+                }
+            }
+        }
+        Err(e) => failures.push(format!("streaming: {e}")),
+    }
     println!(
-        "\naudited {audited} programs ({net_audited} netstack); \
+        "\naudited {audited} programs ({net_audited} netstack, {stream_audited} streaming); \
          inline plan: {} env + {} map-lookup fast path, {} trampolined \
          ({} sketch-update)",
         tally.env, tally.lookup_fast, tally.trampolined, tally.sketch_sites
@@ -197,6 +219,12 @@ fn main() {
             "only {net_audited} netstack programs audited (expected the \
              kscope_net_rx / kscope_sock_drain pair) — the netstack probe \
              configuration is missing"
+        ));
+    }
+    if stream_audited < 2 {
+        failures.push(format!(
+            "only {stream_audited} streaming programs audited (expected the \
+             kscope_stream_enter / kscope_stream_exit pair)"
         ));
     }
     if failures.is_empty() {
