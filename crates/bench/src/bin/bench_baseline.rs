@@ -2,7 +2,7 @@
 //! baseline, measured on the current machine.
 //!
 //! Metrics (all finite numbers, flat JSON object — see
-//! `kscope_microbench::Baseline`):
+//! `kscope_bench::Baseline`):
 //!
 //! * `vm_insns_per_sec_raw` / `vm_insns_per_sec_jit` — VM throughput
 //!   executing the *real* probe exit program (map lookups, ld_dw map-fd
@@ -72,8 +72,8 @@ use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::program::Program;
 use kscope_ebpf::verifier::Verifier;
-use kscope_experiments::{default_jobs, sweep_jobs, BackendKind, SweepConfig};
-use kscope_microbench::{Baseline, Criterion};
+use kscope_bench::{Baseline, Criterion};
+use kscope_experiments::{default_jobs, sweep_jobs, SweepConfig};
 use kscope_netem::NetemConfig;
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
@@ -510,7 +510,9 @@ fn bytecode_probe() -> BytecodeBackend {
         .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
 }
 
-/// Which execution flavor a probe benchmark runs.
+/// Which execution flavor a probe benchmark runs: the JIT every probe
+/// is built on, or the interpreter it falls back to, the reference tier
+/// the ≥2× probe-event gate measures it against.
 #[derive(Clone, Copy)]
 enum ProbeMode {
     Interp,
@@ -518,12 +520,11 @@ enum ProbeMode {
 }
 
 fn probe_in_mode(mode: ProbeMode) -> BytecodeBackend {
+    let probe = bytecode_probe();
     match mode {
-        ProbeMode::Interp => probe_set(),
-        ProbeMode::Jit => probe_set().with_jit(),
+        ProbeMode::Interp => probe.interpreted(),
+        ProbeMode::Jit => probe,
     }
-    .build()
-    .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"))
 }
 
 fn probe_events_per_sec(criterion: &Criterion, mode: ProbeMode) -> f64 {
@@ -582,7 +583,6 @@ fn probe_instance_bytes() -> f64 {
         .with_poll_histogram()
         .with_entity_sketch(64)
         .with_netstack()
-        .with_jit()
         .build()
         .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
     let before = BYTES.load(Ordering::Relaxed);
@@ -646,7 +646,6 @@ fn sweep_quick_wall_ms(quick: bool) -> f64 {
             min_send_samples: 96,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::BytecodeJit,
         }
     } else {
         SweepConfig::quick()

@@ -1,6 +1,7 @@
 //! The bytecode metric backend: the paper's methodology as *actual eBPF
 //! programs*, assembled by `kscope-ebpf` and run by the probe runtime
-//! ([`ProgramProbe`]) on its JIT or its interpreter.
+//! ([`ProgramProbe`]) on the JIT, which falls back to the interpreter by
+//! itself where it cannot compile.
 //!
 //! A [`ProbeSet`] describes the probe; [`ProbeSet::build`] turns it into a
 //! running [`BytecodeBackend`]. The core is Listing 1's program pair:
@@ -94,14 +95,13 @@ pub struct ProbeSet {
     poll_histogram: bool,
     sketch_capacity: Option<u32>,
     netstack: bool,
-    jit: bool,
 }
 
 impl ProbeSet {
     /// The syscall pair alone, observing every process in `tgids`
     /// (multi-stage applications like Web Search aggregate every process
     /// into one stream, §V-B), with deltas and durations scaled by
-    /// `>> shift`, on the interpreter.
+    /// `>> shift`.
     ///
     /// # Panics
     ///
@@ -115,7 +115,6 @@ impl ProbeSet {
             poll_histogram: false,
             sketch_capacity: None,
             netstack: false,
-            jit: false,
         }
     }
 
@@ -160,19 +159,6 @@ impl ProbeSet {
         self
     }
 
-    /// Runs the programs on the template JIT
-    /// ([`Vm::with_jit`](kscope_ebpf::interp::Vm::with_jit)):
-    /// verified programs run as native x86-64 with verifier-proof
-    /// bounds-check elision, falling back to the interpreter on
-    /// unsupported programs or targets. The differential suite holds the
-    /// tiers bitwise-identical, so this changes only execution speed; the
-    /// [`NS_PER_INSN`](crate::NS_PER_INSN) cost model is the same on
-    /// both.
-    pub fn with_jit(mut self) -> ProbeSet {
-        self.jit = true;
-        self
-    }
-
     /// Builds the probe. This is the only code that creates the probe's
     /// maps, always in the fd order `start`, `stats`, `poll_hist`,
     /// `topk`, `inflight_stack`, `stack_hist`, `stack_stats` (leaving out
@@ -183,7 +169,14 @@ impl ProbeSet {
     /// [`NET_CTX_SIZE`](crate::NET_CTX_SIZE) for the netstack pair),
     /// rejects any whose certified worst-case bound exceeds
     /// [`PROBE_COST_BUDGET`](crate::PROBE_COST_BUDGET), and compiles every
-    /// program for the tier, so no event pays the compile.
+    /// program on the template JIT
+    /// ([`Vm::with_jit`](kscope_ebpf::interp::Vm::with_jit)), so no event
+    /// pays the compile. Verified programs run as native x86-64 with
+    /// verifier-proof bounds-check elision, and the JIT falls back to the
+    /// interpreter by itself on programs or targets it does not support,
+    /// as the kernel does. The differential suite holds the two tiers
+    /// bitwise-identical, and the [`NS_PER_INSN`](crate::NS_PER_INSN)
+    /// cost model is the same on both.
     ///
     /// # Errors
     ///
@@ -224,7 +217,7 @@ impl ProbeSet {
                 .map(|(inflight, hist, stats)| emit_sock_drain(self.shift, inflight, stats, hist))
                 .transpose()?,
         ];
-        let runtime = ProgramProbe::attach(programs, maps, self.jit)?;
+        let runtime = ProgramProbe::attach(programs, maps)?;
         let probe = Arc::new(BuiltProbe {
             set: self,
             stats_fd,
@@ -297,7 +290,7 @@ impl BytecodeBackend {
     }
 
     /// This probe's set with [`ProbeSet::with_netstack`] added, built
-    /// afresh on the same tier. Map contents are not carried over.
+    /// afresh. Map contents are not carried over.
     ///
     /// # Errors
     ///
@@ -306,13 +299,11 @@ impl BytecodeBackend {
         self.into_set().with_netstack().build()
     }
 
-    /// This probe's set with [`ProbeSet::with_jit`] added, built afresh.
-    /// Map contents are not carried over.
+    /// Returns the probe unchanged: it already runs on the JIT. Kept
+    /// only for the end-to-end benchmark harness, which still calls it.
+    #[doc(hidden)]
     pub fn with_jit(self) -> BytecodeBackend {
-        match self.into_set().with_jit().build() {
-            Ok(jit) => jit,
-            Err(e) => unreachable!("a probe set that built once builds again: {e}"),
-        }
+        self
     }
 
     /// The set this probe was built from. The probe and its maps are
@@ -322,11 +313,23 @@ impl BytecodeBackend {
     }
 
     /// A new instance of this probe: the same programs over fresh,
-    /// empty maps, on the same tier (see [`ProgramProbe::instantiate`]
-    /// for why the shared programs stay verified for the new maps).
+    /// empty maps (see [`ProgramProbe::instantiate`] for why the shared
+    /// programs stay verified for the new maps).
     pub fn instantiate(&self) -> BytecodeBackend {
         BytecodeBackend {
             runtime: self.runtime.instantiate(),
+            probe: Arc::clone(&self.probe),
+        }
+    }
+
+    /// A new instance of this probe, as [`BytecodeBackend::instantiate`],
+    /// that runs its programs on the interpreter: the reference tier the
+    /// JIT is benchmarked and differentially tested against. Nothing
+    /// attaches it; it exists for the benchmark baseline and the tests.
+    #[doc(hidden)]
+    pub fn interpreted(&self) -> BytecodeBackend {
+        BytecodeBackend {
+            runtime: self.runtime.interpreted(),
             probe: Arc::clone(&self.probe),
         }
     }
@@ -1137,13 +1140,20 @@ mod tests {
         }
     }
 
-    /// Every signal the probe has: histogram, sketch, netstack.
+    /// Every signal the probe has: histogram, sketch, netstack — on the
+    /// JIT, or on the interpreter (the reference tier) when `!jit`.
     fn full_probe(jit: bool) -> BytecodeBackend {
         let full = set(0)
             .with_poll_histogram()
             .with_entity_sketch(8)
-            .with_netstack();
-        if jit { full.with_jit() } else { full }.build().unwrap()
+            .with_netstack()
+            .build()
+            .unwrap();
+        if jit {
+            full
+        } else {
+            full.interpreted()
+        }
     }
 
     /// One request's tracepoints: poll, rx, drain, recv, send.
@@ -1349,8 +1359,8 @@ mod tests {
     fn netstack_matches_native_mirror_and_survives_jit() {
         use crate::native::NativeBackend;
         let shift = 6;
-        let mut plain = netstack_probe(shift);
-        let mut jit = set(shift).with_netstack().with_jit().build().unwrap();
+        let mut jit = netstack_probe(shift);
+        let mut plain = jit.interpreted();
         let mut native =
             NativeBackend::new(1200, SyscallProfile::data_caching(), shift).with_netstack();
         // A stream with overlapping requests, misses, and reordering.

@@ -12,8 +12,10 @@
 //!    inter-recv delta statistics (count/sum/sum-of-squares, scaled —
 //!    everything eBPF's no-float arithmetic allows) and poll-duration
 //!    statistics. The probe is [`BytecodeBackend`]: verified eBPF
-//!    bytecode that `kscope-ebpf` runs on its JIT or its interpreter, at
-//!    one per-instruction cost ([`NS_PER_INSN`]) on either tier.
+//!    bytecode that `kscope-ebpf` runs on its JIT, which falls back to
+//!    the interpreter by itself where it cannot compile, as the kernel
+//!    does. Callers choose no tier, and one per-instruction cost
+//!    ([`NS_PER_INSN`]) applies on either.
 //!    [`NativeBackend`] is the same logic as plain Rust, kept only as the
 //!    reference oracle of the differential tests.
 //!

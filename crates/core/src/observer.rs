@@ -67,7 +67,6 @@ pub trait MetricBackend {
 /// use kscope_syscalls::SyscallProfile;
 ///
 /// let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 10)
-///     .with_jit()
 ///     .build()?;
 /// let observer = WindowedObserver::new(backend, Nanos::from_millis(200));
 /// assert_eq!(observer.windows().len(), 0);

@@ -204,24 +204,23 @@ impl ProgramProbe {
         exit: Option<Program>,
         maps: MapRegistry,
     ) -> Result<ProgramProbe, BuildError> {
-        ProgramProbe::attach([enter, exit, None, None], maps, true)
+        ProgramProbe::attach([enter, exit, None, None], maps)
     }
 
     /// Checks each program against the context of the tracepoint its
-    /// slot attaches to, then compiles every program for the tier (the
-    /// JIT when `jit`, else the interpreter) so no event pays the
-    /// compile.
+    /// slot attaches to, then compiles every program on the JIT (which
+    /// falls back to the interpreter by itself where it cannot compile),
+    /// so no event pays the compile.
     pub(crate) fn attach(
         programs: PhasePrograms,
         maps: MapRegistry,
-        jit: bool,
     ) -> Result<ProgramProbe, BuildError> {
         for (program, &ctx_size) in programs.iter().zip(&SLOT_CTX_SIZES) {
             if let Some(program) = program {
                 check(program, ctx_size, &maps)?;
             }
         }
-        let vm = if jit { Vm::new().with_jit() } else { Vm::new() };
+        let vm = Vm::new().with_jit();
         for program in programs.iter().flatten() {
             vm.precompile(program);
         }
@@ -237,9 +236,8 @@ impl ProgramProbe {
     /// A new instance of this probe: the same programs — shared, not
     /// copied, along with their verifier proofs and JIT code — over
     /// fresh maps with the same layout and nothing in them. The
-    /// instance keeps this one's tier and starts with zero executed
-    /// instructions and zero faults. This instance's map contents are
-    /// never read.
+    /// instance starts with zero executed instructions and zero faults.
+    /// This instance's map contents are never read.
     ///
     /// The shared programs stay verified for the new maps because
     /// nothing a checked program carries depends on a map *instance*:
@@ -263,6 +261,21 @@ impl ProgramProbe {
     /// So each instance runs exactly the programs the registration
     /// check passed, against maps that check describes.
     pub fn instantiate(&self) -> ProgramProbe {
+        // The VM holds the tier plus per-invocation scratch that every
+        // execution resets.
+        self.instance_on(self.vm.clone()) // cold path: once per instance
+    }
+
+    /// As [`ProgramProbe::instantiate`], but the instance runs its
+    /// programs on the interpreter: the reference tier the JIT is
+    /// measured and differentially tested against, as the native probe
+    /// is the reference oracle for the programs themselves.
+    pub(crate) fn interpreted(&self) -> ProgramProbe {
+        self.instance_on(Vm::new())
+    }
+
+    /// An instance over fresh maps, running the shared programs on `vm`.
+    fn instance_on(&self, vm: Vm) -> ProgramProbe {
         let maps = self.maps.fresh_like();
         debug_assert!(
             maps.defs().eq(self.maps.defs()),
@@ -270,9 +283,7 @@ impl ProgramProbe {
         );
         ProgramProbe {
             maps,
-            // The VM holds the tier plus per-invocation scratch that
-            // every execution resets.
-            vm: self.vm.clone(), // cold path: once per instance
+            vm,
             programs: Arc::clone(&self.programs),
             insns_executed: 0,
             faults: 0,
@@ -492,7 +503,7 @@ pub(crate) mod tests {
         let exit = parse_program("count_all", COUNT_ALL).unwrap();
         let mut probe = ProgramProbe::new(None, Some(exit), maps).unwrap();
         assert!(probe.uses_jit());
-        // An instance shares the tier and the program, not the maps.
+        // An instance shares the JIT and the program, not the maps.
         let mut instance = probe.instantiate();
         assert!(instance.uses_jit());
         assert!(std::ptr::eq(

@@ -53,7 +53,6 @@ fn fleet_probe_instance_allocates_under_32_kib() {
         .with_poll_histogram()
         .with_entity_sketch(64)
         .with_netstack()
-        .with_jit()
         .build()
         .expect("the fleet probe builds");
     let before = BYTES.load(Ordering::Relaxed);

@@ -169,4 +169,20 @@ mod tests {
             curve.var_raw
         );
     }
+
+    /// The contention-convoy ablation: with `collision_p_max = 0` the
+    /// server never convoys on shared state, so variance stays flat past
+    /// the knee and the Fig. 3 signal disappears. The model, not the
+    /// load alone, makes the knee.
+    #[test]
+    fn variance_knee_vanishes_without_convoys() {
+        let mut spec = kscope_workloads::data_caching();
+        spec.collision_p_max = 0.0;
+        let curve = analyze_workload(&spec, &SweepConfig::quick());
+        assert!(
+            !curve.rises_past_failure,
+            "without convoys the variance knee should vanish: {:?}",
+            curve.var_raw
+        );
+    }
 }

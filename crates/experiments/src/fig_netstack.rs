@@ -157,7 +157,6 @@ pub fn run_condition(
     let mut run = observe_run(spec, &run_cfg, window, |sim| {
         ProbeSet::new(sim.server_pids(), spec.profile.clone(), shift)
             .with_netstack()
-            .with_jit()
             .build()
     });
     let (warmup_end, end) = (run.warmup_end, run.end);

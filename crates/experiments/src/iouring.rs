@@ -53,7 +53,6 @@ pub fn run(scale: Scale) -> Vec<BypassRow> {
         }
         let mut run = observe_run(&spec, &config, Nanos::from_millis(200), |sim| {
             ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .with_jit()
                 .build()
         });
         let warmup_end = run.warmup_end;

@@ -50,8 +50,7 @@ pub mod windows;
 pub use observe::{observe_run, ObservedRun};
 pub use parallel::{default_jobs, map_indexed};
 pub use sweep::{
-    run_level, send_events_per_request, sweep, sweep_jobs, BackendKind, LevelResult, SweepConfig,
-    SweepResult,
+    run_level, send_events_per_request, sweep, sweep_jobs, LevelResult, SweepConfig, SweepResult,
 };
 
 /// Experiment scale: quick smoke runs vs. paper-scale sweeps.

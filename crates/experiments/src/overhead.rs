@@ -64,7 +64,6 @@ fn run_once(spec: &WorkloadSpec, fraction: f64, setup: ProbeSetup, scale: Scale)
             ProbeSetup::None => Vec::new(),
             ProbeSetup::Bytecode => vec![Box::new(WindowedObserver::new(
                 ProbeSet::new(pids, profile, DEFAULT_SHIFT)
-                    .with_jit()
                     .build()
                     .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}")),
                 window,

@@ -12,14 +12,13 @@ use kscope_workloads::{ClientStats, RunConfig, ThreadingModel, WorkloadSpec};
 
 use crate::observe::observe_run;
 
-/// Which execution tier runs the paper's eBPF probe. Both tiers charge
-/// the same per-instruction cost, so they produce identical results.
+/// The probe's execution tier: always the JIT (which falls back to
+/// the interpreter by itself). Kept only for the end-to-end benchmark
+/// harness, which still names it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Verified eBPF bytecode run in the interpreter.
-    Bytecode,
-    /// Verified eBPF bytecode JIT-compiled to native machine code
-    /// (falls back to the interpreter on unsupported targets).
+    /// Verified eBPF bytecode on the JIT.
     BytecodeJit,
 }
 
@@ -36,8 +35,6 @@ pub struct SweepConfig {
     pub netem: NetemConfig,
     /// Base seed (levels use `seed + level index`).
     pub seed: u64,
-    /// Probe execution tier.
-    pub backend: BackendKind,
 }
 
 impl SweepConfig {
@@ -51,7 +48,6 @@ impl SweepConfig {
             min_send_samples: 2048,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::BytecodeJit,
         }
     }
 
@@ -63,7 +59,6 @@ impl SweepConfig {
             min_send_samples: 192,
             netem: NetemConfig::loopback(),
             seed: 7,
-            backend: BackendKind::BytecodeJit,
         }
     }
 
@@ -73,9 +68,11 @@ impl SweepConfig {
         self
     }
 
-    /// Replaces the probe execution tier.
-    pub fn with_backend(mut self, backend: BackendKind) -> SweepConfig {
-        self.backend = backend;
+    /// Returns the config unchanged: the probe always runs on the JIT.
+    /// Kept only for the end-to-end benchmark harness, which still calls
+    /// it.
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: BackendKind) -> SweepConfig {
         self
     }
 }
@@ -189,10 +186,8 @@ pub fn run_level(spec: &WorkloadSpec, offered_rps: f64, config: &SweepConfig, se
         collect_trace: false,
     };
 
-    let jit = config.backend == BackendKind::BytecodeJit;
     let mut run = observe_run(spec, &run_cfg, window, |sim| {
-        let set = ProbeSet::new(sim.server_pids(), sim.spec().profile.clone(), DEFAULT_SHIFT);
-        if jit { set.with_jit() } else { set }.build()
+        ProbeSet::new(sim.server_pids(), sim.spec().profile.clone(), DEFAULT_SHIFT).build()
     });
     let (warmup_end, end) = (run.warmup_end, run.end);
     let windows = run
@@ -289,7 +284,7 @@ mod tests {
     #[test]
     fn bytecode_backend_sweep_smoke() {
         let spec = data_caching();
-        let mut config = SweepConfig::quick().with_backend(BackendKind::Bytecode);
+        let mut config = SweepConfig::quick();
         config.fractions = vec![0.5];
         let result = sweep(&spec, &config);
         assert!(result.levels[0].mean_rps_obsv().is_some());

@@ -47,7 +47,6 @@ pub fn run(scale: Scale) -> Vec<WindowRow> {
         config.measure = window * 24;
         let mut run = observe_run(&spec, &config, window, |sim| {
             ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .with_jit()
                 .build()
         });
         let (truth, warmup_end, end) = (run.client.achieved_rps, run.warmup_end, run.end);

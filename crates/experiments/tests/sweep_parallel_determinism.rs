@@ -10,7 +10,7 @@
 //! shortest-roundtrip float rendering, so string equality here is
 //! bit-for-bit equality of every number in the structure.
 
-use kscope_experiments::{sweep_jobs, BackendKind, SweepConfig};
+use kscope_experiments::{sweep_jobs, SweepConfig};
 use kscope_netem::NetemConfig;
 use kscope_workloads::data_caching;
 
@@ -21,7 +21,6 @@ fn reduced_config() -> SweepConfig {
         min_send_samples: 96,
         netem: NetemConfig::loopback(),
         seed: 7,
-        backend: BackendKind::BytecodeJit,
     }
 }
 

@@ -53,11 +53,6 @@ pub struct FleetConfig {
     /// Minimum send samples per window for the Eq. 1 / Eq. 2 estimators
     /// (the paper's 2048-sample guidance scaled to simulated windows).
     pub min_send_samples: u64,
-    /// Run each host's probe through the template JIT (the default, the
-    /// tier every experiment runs) instead of the interpreter. Observable
-    /// behavior is identical, held by the differential suite; the JIT
-    /// falls back to the interpreter on unsupported targets.
-    pub jit_probes: bool,
 }
 
 impl FleetConfig {
@@ -81,7 +76,6 @@ impl FleetConfig {
             sketch_capacity: 64,
             top_entities: 16,
             min_send_samples: 64,
-            jit_probes: true,
         }
     }
 
@@ -137,9 +131,11 @@ impl FleetConfig {
         self
     }
 
-    /// Runs every host's probe on the JIT (already the default).
-    pub fn with_jit_probes(mut self) -> FleetConfig {
-        self.jit_probes = true;
+    /// Returns the config unchanged: every probe runs on the JIT, which
+    /// falls back to the interpreter by itself. Kept only for the
+    /// end-to-end benchmark harness, which still calls it.
+    #[doc(hidden)]
+    pub fn with_jit_probes(self) -> FleetConfig {
         self
     }
 

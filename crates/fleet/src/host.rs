@@ -1,4 +1,5 @@
-//! One simulated fleet member: a full single-host kscope stack plus the
+//! One simulated fleet member: a tracepoint dispatcher with the verified
+//! probe attached, the windowed observer and agent above it, plus the
 //! report-producing side of the control channel.
 
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use kscope_core::{
     SaturationAssessment, SaturationDetector, SlackAssessment, SlackEstimator, StackDelay,
     TopKSketch, WindowedObserver,
 };
-use kscope_kernel::{HostSpec, Kernel, ProbeId, SchedConfig};
+use kscope_kernel::{ProbeId, Tracing};
 use kscope_netem::{DatagramTransit, NetemLink};
 use kscope_simcore::{Nanos, SimRng};
 use kscope_syscalls::{Pid, SyscallNo, SyscallProfile};
@@ -109,7 +110,7 @@ pub struct HostTruth {
 /// layout. So the work that makes it trustworthy happens once, here, in
 /// [`ProbeSet::build`]: assembly, verification of each program, the
 /// [`PROBE_COST_BUDGET`](kscope_core::PROBE_COST_BUDGET) registration
-/// gate, and, with [`FleetConfig::jit_probes`], the JIT compile. Each
+/// gate, and the JIT compile. Each
 /// host then takes an instance ([`BytecodeBackend::instantiate`]): the
 /// same verified, certified, compiled programs over maps of its own. Why
 /// the shared programs stay verified for every host's maps is argued on
@@ -140,7 +141,6 @@ impl FleetProbe {
             .with_poll_histogram()
             .with_entity_sketch(config.sketch_capacity)
             .with_netstack();
-        let set = if config.jit_probes { set.with_jit() } else { set };
         Ok(FleetProbe(set.build()?))
     }
 }
@@ -162,12 +162,16 @@ pub(crate) fn entity_cdf(config: &FleetConfig) -> Arc<[f64]> {
         .collect()
 }
 
-/// A fleet member: kernel + verified bytecode probe + windowed observer +
-/// agent, with a netem link to the collector.
+/// A fleet member: tracepoint dispatcher + verified bytecode probe +
+/// windowed observer + agent, with a netem link to the collector.
+///
+/// A host fires its request's tracepoint edges straight into the
+/// dispatcher, so it holds the kernel's [`Tracing`] layer alone, not a
+/// scheduler, task, socket or ingress table it would never use.
 pub struct SimHost {
     id: u32,
     pid: Pid,
-    kernel: Kernel,
+    tracing: Tracing,
     probe: ProbeId,
     agent: Agent,
     rng: SimRng,
@@ -245,8 +249,8 @@ impl SimHost {
     ) -> SimHost {
         let pid: Pid = SimHost::SERVER_PID;
         let observer = WindowedObserver::new(probe.0.instantiate(), config.window);
-        let mut kernel = Kernel::for_host(HostSpec::amd_epyc_7302(), SchedConfig::default());
-        let probe = kernel.tracing.attach(Box::new(observer));
+        let mut tracing = Tracing::new();
+        let probe = tracing.attach(Box::new(observer));
 
         let mut saturation = SaturationDetector::default();
         saturation.min_samples = config.min_send_samples;
@@ -265,7 +269,7 @@ impl SimHost {
         SimHost {
             id,
             pid,
-            kernel,
+            tracing,
             probe,
             agent,
             rng,
@@ -399,7 +403,7 @@ impl SimHost {
         let drain_at = recv_enter + Nanos::from_nanos(300 + (request * 37) % 800);
 
         let tid = self.draw_entity();
-        let tr = &mut self.kernel.tracing;
+        let tr = &mut self.tracing;
         let pid = self.pid;
         tr.sys_enter(pid, tid, SyscallNo::EPOLL_WAIT, poll_enter);
         tr.net_rx_softirq(request, 64, softirq_at - now, softirq_at);
@@ -416,7 +420,7 @@ impl SimHost {
     }
 
     fn observer_mut(&mut self) -> &mut WindowedObserver<BytecodeBackend> {
-        let probe = match self.kernel.tracing.probe_mut(self.probe) {
+        let probe = match self.tracing.probe_mut(self.probe) {
             Some(p) => p,
             None => unreachable!("the fleet never detaches its probe"),
         };

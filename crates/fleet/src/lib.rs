@@ -9,9 +9,10 @@
 //! must cross an imperfect control channel and merge centrally without
 //! bias. This crate builds that layer out of the existing stack:
 //!
-//! * **Hosts** ([`SimHost`]): each fleet member is a full single-host
-//!   pipeline — `kscope-kernel` host, verified eBPF bytecode probe with
-//!   the in-probe poll histogram, `WindowedObserver`, and
+//! * **Hosts** ([`SimHost`]): each fleet member is the single-host
+//!   signal path — the `kscope-kernel` tracepoint dispatcher
+//!   (`Tracing`) firing into the verified eBPF bytecode probe with the
+//!   in-probe poll histogram, `WindowedObserver`, and
 //!   `kscope-core::Agent` — each on its own `kscope-simcore` engine.
 //!   A run verifies and compiles the probe once; every host shares
 //!   those programs over maps of its own.

@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn shared_probe_matches_a_probe_built_per_host() {
-        let mut config = FleetConfig::quick(9).with_loss(0.1).with_jit_probes();
+        let mut config = FleetConfig::quick(9).with_loss(0.1);
         config.seed = 37;
         let outcomes = (0..config.hosts as u32)
             .map(|id| match SimHost::new(&config, id) {

@@ -36,21 +36,6 @@ fn rerun_same_seed_is_byte_identical() {
 }
 
 #[test]
-fn jit_probes_do_not_change_a_byte() {
-    // Switching every host's probe from the interpreter to the
-    // template JIT is a pure execution-engine swap: the rolled-up fleet
-    // report must be byte-identical. (Both rollups are serialized under
-    // the same config so only the probe outputs are compared.)
-    let mut interp = FleetConfig::quick(8).with_loss(0.1);
-    interp.jit_probes = false;
-    let jit = interp.clone().with_jit_probes();
-    assert!(jit.jit_probes && !interp.jit_probes);
-    let a = report_to_json(&interp, &run(&interp).rollup(4));
-    let b = report_to_json(&interp, &run(&jit).rollup(4));
-    assert_eq!(a, b, "JIT probes changed a byte of the fleet report");
-}
-
-#[test]
 fn rollup_bytes_identical_across_fan_ins() {
     // The collection tree's shape is a deployment knob, not a result
     // knob: a flat tree (fan-in ≥ hosts), the default 8-ary tree, and a

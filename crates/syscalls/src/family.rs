@@ -80,7 +80,7 @@ impl fmt::Display for SyscallFamily {
             SyscallFamily::Lifecycle => "lifecycle",
             SyscallFamily::Other => "other",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 

@@ -105,11 +105,12 @@ impl SyscallNo {
 
 impl fmt::Display for SyscallNo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `pad`, not `write_str`, so width and alignment apply.
         let name = self.name();
         if name == "unknown" {
-            write!(f, "sys_{}", self.0)
+            f.pad(&format!("sys_{}", self.0))
         } else {
-            f.write_str(name)
+            f.pad(name)
         }
     }
 }
@@ -154,6 +155,17 @@ mod tests {
         let no = SyscallNo::from_raw(999);
         assert_eq!(no.name(), "unknown");
         assert_eq!(no.to_string(), "sys_999");
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        use crate::{SyscallFamily, SyscallRole};
+        assert_eq!(format!("{:<8}|", SyscallNo::READ), "read    |");
+        assert_eq!(format!("{:>9}|", SyscallNo::from_raw(999)), "  sys_999|");
+        assert_eq!(format!("{:^6}|", SyscallFamily::Poll), " poll |");
+        assert_eq!(format!("{:>7}|", SyscallRole::Send), "   send|");
+        // Precision truncates, as for `str`.
+        assert_eq!(format!("{:.3}", SyscallNo::EPOLL_WAIT), "epo");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum SyscallRole {
 
 impl fmt::Display for SyscallRole {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             SyscallRole::Receive => "receive",
             SyscallRole::Send => "send",
             SyscallRole::Poll => "poll",

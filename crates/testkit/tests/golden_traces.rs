@@ -32,7 +32,6 @@ const WINDOW_MS: u64 = 64;
 fn replay(trace: &str, finish_ms: u64) -> Vec<WindowMetrics> {
     let ctxs = parse_trace(trace).expect("fixture must parse");
     let backend = ProbeSet::new(vec![TGID], SyscallProfile::data_caching(), 0)
-        .with_jit()
         .build()
         .expect("probe program must build");
     let mut observer = WindowedObserver::new(backend, Nanos::from_millis(WINDOW_MS));

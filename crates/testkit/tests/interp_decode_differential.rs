@@ -28,17 +28,19 @@
 //! * a hand-written program exercising every helper the VM implements;
 //! * every committed precision fixture, *verified first* so the elided
 //!   JIT actually runs with bounds checks removed;
-//! * the real `BytecodeBackend` enter/exit probe programs, run as a
-//!   stateful event stream over persistent map registries;
-//! * the netstack ingress probe pair (`kscope_net_rx` /
-//!   `kscope_sock_drain`), run as a stateful stream of 24-byte `NetCtx`
-//!   events including drains with no matching arrival.
+//! * every probe shape `probe_golden.rs` pins (the data-caching pair,
+//!   web search over three processes, the pair plus netstack, the fleet
+//!   probe and the histogram-only probe), each run as one stateful
+//!   stream over persistent map registries that interleaves every
+//!   attached slot: 16-byte syscall contexts for enter/exit and 24-byte
+//!   `NetCtx` contexts for `net_rx`/`sock_drain`, including drains with
+//!   no matching arrival.
 //!
 //! On targets without JIT support the JIT arms fall back to the
 //! interpreter inside `Vm::execute`, so the identity holds trivially;
 //! the `is_compilable` assertions are gated to x86-64.
 
-use kscope_core::ProbeSet;
+use kscope_core::{ProbeSet, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::helpers::Helper;
 use kscope_ebpf::insn::{
@@ -51,7 +53,7 @@ use kscope_ebpf::text::parse_program;
 use kscope_ebpf::verifier::Verifier;
 use kscope_ebpf::{cost_report, Program};
 use kscope_simcore::SimRng;
-use kscope_syscalls::{pid_tgid, SyscallNo, SyscallProfile};
+use kscope_syscalls::{pid_tgid, Pid, SyscallNo, SyscallProfile, SyscallRole};
 use kscope_testkit::ebpf_gen::{
     bounded_offset_program, fuzz_program, straightline_program, valid_program,
 };
@@ -666,138 +668,250 @@ fn fixture_probes_execute_identically() {
     }
 }
 
-/// The real probe programs, run as a stateful stream: all dispatchers
-/// process the same 400-event enter/exit sequence against their own
-/// persistent registries, which must stay in lockstep throughout (the
-/// `start` hash map carries state from enter to exit).
-#[test]
-fn backend_probe_programs_execute_identically() {
-    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 6)
+/// One probe shape `probe_golden.rs` pins, with the processes it
+/// observes.
+struct Shape {
+    name: &'static str,
+    tgids: Vec<Pid>,
+    profile: SyscallProfile,
+    set: ProbeSet,
+}
+
+impl Shape {
+    fn new(name: &'static str, tgids: Vec<Pid>, profile: SyscallProfile) -> Shape {
+        let set = ProbeSet::new(tgids.clone(), profile.clone(), DEFAULT_SHIFT);
+        Shape {
+            name,
+            tgids,
+            profile,
+            set,
+        }
+    }
+
+    fn with(mut self, step: impl FnOnce(ProbeSet) -> ProbeSet) -> Shape {
+        self.set = step(self.set);
+        self
+    }
+}
+
+/// The syscall-pair-only shapes: the single-process sweep probe, the
+/// multi-process web-search probe, and the histogram-only probe.
+fn syscall_shapes() -> Vec<Shape> {
+    vec![
+        Shape::new("data_caching", vec![1000], SyscallProfile::data_caching()),
+        Shape::new(
+            "web_search_multi",
+            vec![1000, 1001, 1002],
+            SyscallProfile::web_search(),
+        ),
+        Shape::new(
+            "data_caching_hist",
+            vec![1200],
+            SyscallProfile::data_caching(),
+        )
+        .with(ProbeSet::with_poll_histogram),
+    ]
+}
+
+/// The shapes with the netstack pair attached: the `fig_netstack` probe
+/// and the fleet probe (poll histogram, entity sketch, netstack).
+fn netstack_shapes() -> Vec<Shape> {
+    vec![
+        Shape::new(
+            "data_caching_netstack",
+            vec![1000],
+            SyscallProfile::data_caching(),
+        )
+        .with(ProbeSet::with_netstack),
+        Shape::new("fleet", vec![1200], SyscallProfile::data_caching()).with(|set| {
+            set.with_poll_histogram()
+                .with_entity_sketch(64)
+                .with_netstack()
+        }),
+    ]
+}
+
+/// One tracepoint firing of a shape's stream: the slot it fires and the
+/// context bytes and helper environment the program sees there.
+struct Firing {
+    slot: &'static str,
+    ctx: Vec<u8>,
+    env: ExecEnv,
+}
+
+/// Runs `shape`'s built programs as one stateful stream of `events`
+/// firings that interleaves every attached slot: 16-byte syscall
+/// contexts for `sys_enter`/`sys_exit` (poll, send, receive and an
+/// unmatched syscall, from every observed process and a foreign one,
+/// over more threads than the entity sketch holds) and 24-byte `NetCtx`
+/// contexts for `net_rx`/`sock_drain` (matched pairs, duplicate
+/// arrivals and drains with no recorded arrival). The interpreter and
+/// the JIT each run the stream over their own clone of the probe's
+/// registry; every outcome, every helper environment and the final map
+/// state must match, and no verified program may fault.
+fn assert_shape_streams_identical(shape: &Shape, events: u64) {
+    let backend = shape
+        .set
+        .clone()
         .build()
-        .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
+        .unwrap_or_else(|e| panic!("{}: probe programs must verify: {e}", shape.name));
     let (enter, exit) = backend.programs();
+    let net = backend.net_programs();
+    let mut slots = vec![("enter", enter), ("exit", exit)];
+    if let Some((rx, drain)) = net {
+        slots.extend([("net_rx", rx), ("sock_drain", drain)]);
+    }
     #[cfg(target_arch = "x86_64")]
-    for (which, prog) in [("enter", enter), ("exit", exit)] {
+    for (slot, prog) in &slots {
         assert!(
             kscope_ebpf::jit::is_compilable(prog),
-            "the {which} probe program must be JIT-compilable on x86-64"
+            "{}: the {slot} program must be JIT-compilable on x86-64",
+            shape.name
         );
     }
-    let mut maps_interp = backend.map_registry().clone();
-    let mut maps_jit = backend.map_registry().clone();
-    let mut vm_interp = Vm::new();
-    let mut vm_jit = Vm::new().with_jit();
 
-    let profile = SyscallProfile::data_caching();
-    let send_no = profile.primary(kscope_syscalls::SyscallRole::Send).raw() as u64;
-    let recv_no = profile.primary(kscope_syscalls::SyscallRole::Receive).raw() as u64;
-    let poll_no = profile.primary(kscope_syscalls::SyscallRole::Poll).raw() as u64;
+    let role = |r| shape.profile.primary(r).raw() as u64;
+    let poll_no = role(SyscallRole::Poll);
+    let send_no = role(SyscallRole::Send);
+    let recv_no = role(SyscallRole::Receive);
     let wrong_no = SyscallNo::FUTEX.raw() as u64;
 
     let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0x9205E);
-    for i in 0..400u64 {
-        let (no, is_enter) = match i % 8 {
-            0 => (poll_no, true),
-            1 => (poll_no, false),
-            2..=4 => (send_no, false),
-            5 => (recv_no, false),
-            6 => (wrong_no, false),
-            // Same stream shape from a non-observed process below.
-            _ => (send_no, false),
-        };
-        let observed = i % 8 != 7;
-        let mut ctx = [0u8; 16];
-        ctx[..8].copy_from_slice(&no.to_le_bytes());
-        ctx[8..16].copy_from_slice(&(gen::u64_in(&mut rng, 1, 4096)).to_le_bytes());
-        let env = ExecEnv {
-            ktime_ns: 5_000 * (i + 1),
-            pid_tgid: if observed {
-                pid_tgid(1200, 1201)
+    let mut ktime = 1_000u64;
+    let mut net_seq = 0u64;
+    let mut stream = Vec::new();
+    for _ in 0..events {
+        ktime += gen::u64_in(&mut rng, 500, 2_000_000);
+        let firing = if net.is_some() && gen::u64_in(&mut rng, 0, 2) == 0 {
+            // Matched pairs, a duplicate arrival overwriting the inflight
+            // slot, and an orphan drain (an inflight miss).
+            let i = net_seq;
+            net_seq += 1;
+            let (slot, request) = match i % 8 {
+                0 | 2 | 6 => ("net_rx", i),
+                3 => ("net_rx", i - 1),
+                5 => ("sock_drain", i + 10_000),
+                _ => ("sock_drain", i - 1),
+            };
+            let mut ctx = vec![0u8; 24];
+            ctx[..8].copy_from_slice(&request.to_le_bytes());
+            ctx[8..16].copy_from_slice(&gen::u64_in(&mut rng, 0, 2_000_000).to_le_bytes());
+            ctx[16..24].copy_from_slice(&gen::u64_in(&mut rng, 0, 9_000).to_le_bytes());
+            // Softirq context: the current task is whatever it preempted.
+            let pid_tgid = pid_tgid(gen::pick(&mut rng, &[1200, 1000, 4242]), 7);
+            Firing {
+                slot,
+                ctx,
+                env: ExecEnv {
+                    ktime_ns: ktime,
+                    pid_tgid,
+                    ..ExecEnv::default()
+                },
+            }
+        } else {
+            let slot = if gen::u64_in(&mut rng, 0, 2) == 0 {
+                "enter"
             } else {
-                pid_tgid(4242, 4243)
-            },
-            ..ExecEnv::default()
+                "exit"
+            };
+            let no = gen::pick(
+                &mut rng,
+                &[
+                    poll_no, poll_no, send_no, send_no, send_no, recv_no, recv_no, wrong_no,
+                ],
+            );
+            let tgid = if gen::u64_in(&mut rng, 0, 7) == 0 {
+                4242 // not observed
+            } else {
+                gen::pick(&mut rng, &shape.tgids)
+            };
+            // Half the firings come from a few busy threads, so poll
+            // enters and exits pair up; the rest spread over more threads
+            // than the entity sketch has slots.
+            let tid = if gen::bool_any(&mut rng) {
+                gen::u64_in(&mut rng, 1, 4)
+            } else {
+                gen::u64_in(&mut rng, 1, 96)
+            };
+            let mut ctx = vec![0u8; 16];
+            ctx[..8].copy_from_slice(&no.to_le_bytes());
+            ctx[8..16].copy_from_slice(&gen::u64_in(&mut rng, 1, 4096).to_le_bytes());
+            Firing {
+                slot,
+                ctx,
+                env: ExecEnv {
+                    ktime_ns: ktime,
+                    pid_tgid: pid_tgid(tgid, tgid + tid as u32),
+                    ..ExecEnv::default()
+                },
+            }
         };
-        let prog = if is_enter { enter } else { exit };
-
-        let mut env_interp = env;
-        let mut env_jit = env;
-        let interp = vm_interp.execute(prog, &ctx, &mut maps_interp, &mut env_interp);
-        let jit = vm_jit.execute(prog, &ctx, &mut maps_jit, &mut env_jit);
-        assert_eq!(interp, jit, "event {i}: interpreter vs jit probe outcomes diverge");
-        assert_eq!(env_interp, env_jit, "event {i}: interpreter vs jit probe env diverges");
+        stream.push(firing);
     }
-    assert_eq!(
-        format!("{maps_interp:?}"),
-        format!("{maps_jit:?}"),
-        "jit probe map state diverges after the stream"
-    );
-}
 
-/// The netstack ingress probe pair, run as a stateful stream: every
-/// dispatcher processes the same 400-event `net_rx`/`sock_drain`
-/// sequence (matched pairs, drains with no recorded arrival, duplicate
-/// arrivals overwriting the inflight slot) against its own persistent
-/// registry, and the in-probe time-in-stack histogram states must stay
-/// in lockstep throughout.
-#[test]
-fn netstack_probe_programs_execute_identically() {
-    let backend = ProbeSet::new(vec![1200], SyscallProfile::data_caching(), 6)
-        .with_netstack()
-        .build()
-        .unwrap_or_else(|e| panic!("netstack probe programs must verify: {e}"));
-    let Some((rx, drain)) = backend.net_programs() else {
-        panic!("with_netstack must attach the net program pair");
-    };
-    #[cfg(target_arch = "x86_64")]
-    for (which, prog) in [("net_rx", rx), ("sock_drain", drain)] {
-        assert!(
-            kscope_ebpf::jit::is_compilable(prog),
-            "the {which} probe program must be JIT-compilable on x86-64"
-        );
-    }
     let mut maps_interp = backend.map_registry().clone();
     let mut maps_jit = backend.map_registry().clone();
     let mut vm_interp = Vm::new();
     let mut vm_jit = Vm::new().with_jit();
-
-    let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0x7E7_57ACC);
-    for i in 0..400u64 {
-        // A mix of matched pairs, orphan drains (no recorded arrival),
-        // and duplicate arrivals for the same request token.
-        let (is_rx, request) = match i % 8 {
-            0 => (true, i),
-            1 => (false, i - 1),          // matched drain
-            2 => (true, i),
-            3 => (true, i - 1),           // duplicate arrival, new token
-            4 => (false, i - 1),          // drains the overwrite
-            5 => (false, i + 10_000),     // orphan drain: inflight miss
-            6 => (true, i),
-            _ => (false, i - 1),          // matched drain
+    let mut fired = std::collections::BTreeMap::new();
+    for (i, firing) in stream.iter().enumerate() {
+        let Some(&(_, prog)) = slots.iter().find(|(slot, _)| *slot == firing.slot) else {
+            unreachable!("the stream fires only attached slots");
         };
-        let stage_ns = gen::u64_in(&mut rng, 0, 2_000_000);
-        let arg = gen::u64_in(&mut rng, 0, 9_000);
-        let mut ctx = [0u8; 24];
-        ctx[..8].copy_from_slice(&request.to_le_bytes());
-        ctx[8..16].copy_from_slice(&stage_ns.to_le_bytes());
-        ctx[16..24].copy_from_slice(&arg.to_le_bytes());
-        let env = ExecEnv {
-            ktime_ns: 3_000 * (i + 1),
-            pid_tgid: pid_tgid(1200, 1201),
-            ..ExecEnv::default()
-        };
-        let prog = if is_rx { rx } else { drain };
-
-        let mut env_interp = env;
-        let mut env_jit = env;
-        let interp = vm_interp.execute(prog, &ctx, &mut maps_interp, &mut env_interp);
-        let jit = vm_jit.execute(prog, &ctx, &mut maps_jit, &mut env_jit);
-        assert_eq!(interp, jit, "event {i}: interpreter vs jit net outcomes diverge");
-        assert_eq!(env_interp, env_jit, "event {i}: interpreter vs jit net env diverges");
+        *fired.entry(firing.slot).or_insert(0u32) += 1;
+        let mut env_interp = firing.env;
+        let mut env_jit = firing.env;
+        let interp = vm_interp.execute(prog, &firing.ctx, &mut maps_interp, &mut env_interp);
+        let jit = vm_jit.execute(prog, &firing.ctx, &mut maps_jit, &mut env_jit);
+        let label = format!("{} event {i} ({})", shape.name, firing.slot);
+        assert!(
+            interp.is_ok(),
+            "{label}: a verified program faulted: {interp:?}"
+        );
+        assert_eq!(interp, jit, "{label}: interpreter vs jit outcomes diverge");
+        assert_eq!(
+            env_interp, env_jit,
+            "{label}: interpreter vs jit env diverges"
+        );
     }
+    assert_eq!(
+        fired.len(),
+        slots.len(),
+        "{}: the stream fired every slot",
+        shape.name
+    );
+    assert_ne!(
+        format!("{maps_interp:?}"),
+        format!("{:?}", backend.map_registry()),
+        "{}: the stream left the maps as built",
+        shape.name
+    );
     assert_eq!(
         format!("{maps_interp:?}"),
         format!("{maps_jit:?}"),
-        "jit netstack map state diverges after the stream"
+        "{}: jit probe map state diverges after the stream",
+        shape.name
     );
+}
+
+/// The syscall-pair probe shapes, each run as a stateful enter/exit
+/// stream on the interpreter and the JIT (the `start` hash map carries
+/// state from enter to exit, the poll histogram from exit to exit).
+#[test]
+fn backend_probe_programs_execute_identically() {
+    for shape in syscall_shapes() {
+        assert_shape_streams_identical(&shape, 800);
+    }
+}
+
+/// The shapes with the netstack ingress pair, the fleet probe among
+/// them: one stream interleaves the syscall pair with `net_rx` /
+/// `sock_drain`, so the in-flight map, the time-in-stack histogram,
+/// the poll histogram and the entity sketch all evolve together on
+/// both tiers.
+#[test]
+fn netstack_probe_programs_execute_identically() {
+    for shape in netstack_shapes() {
+        assert_shape_streams_identical(&shape, 1_200);
+    }
 }

@@ -69,7 +69,6 @@ fn main() {
         config.measure = Nanos::from_secs(3);
         let mut run = observe_run(&spec, &config, Nanos::from_millis(750), |sim| {
             ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .with_jit()
                 .build()
         });
         let warmup_end = run.warmup_end;

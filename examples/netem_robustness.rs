@@ -36,7 +36,6 @@ fn measure(spec: &WorkloadSpec, netem: NetemConfig, label: &str) -> Row {
     let mut run = observe_run(spec, &config, window, |sim| {
         ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
             .with_netstack()
-            .with_jit()
             .build()
     });
     let warmup_end = run.warmup_end;

@@ -40,7 +40,6 @@ fn main() {
         config.measure = Nanos::from_secs(4);
         let mut run = observe_run(&spec, &config, Nanos::from_secs(1), |sim| {
             ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .with_jit()
                 .build()
         });
         let warmup_end = run.warmup_end;

@@ -11,10 +11,11 @@ use kscope::core::{BytecodeBackend, MetricBackend, NativeBackend, ProbeSet, DEFA
 use kscope::prelude::*;
 use kscope::syscalls::{pid_tgid, NetCtx, TracePhase, TracepointCtx};
 
-/// The bytecode probe of `set` in every available dispatch mode, labeled.
+/// The bytecode probe of `set` in every available dispatch mode, labeled:
+/// as built (the JIT) and on the interpreter, the reference tier.
 fn bytecode_variants(set: ProbeSet) -> Vec<(&'static str, BytecodeBackend)> {
-    let interp = set.clone().build().expect("programs verify");
-    let jit = set.with_jit().build().expect("programs verify");
+    let jit = set.build().expect("programs verify");
+    let interp = jit.interpreted();
     assert!(!interp.uses_jit());
     assert!(jit.uses_jit());
     vec![("bytecode-interp", interp), ("bytecode-jit", jit)]

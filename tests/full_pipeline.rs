@@ -4,11 +4,19 @@
 //! of the bytecode probe (interpreter and JIT).
 
 use kscope::core::DEFAULT_SHIFT;
-use kscope::experiments::{observe_run, BackendKind};
+use kscope::experiments::observe_run;
 use kscope::prelude::*;
 use kscope::workloads::ClientStats;
 
-const ALL_BACKENDS: [BackendKind; 2] = [BackendKind::Bytecode, BackendKind::BytecodeJit];
+/// The tier that runs the bytecode probe: the JIT every caller gets, or
+/// the interpreter it is held against.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Interp,
+    Jit,
+}
+
+const ALL_BACKENDS: [Tier; 2] = [Tier::Interp, Tier::Jit];
 
 /// Runs `spec` under `config` with the probe on `backend`'s tier and
 /// returns the run's ground truth and its measurement-period windows.
@@ -16,15 +24,15 @@ fn observe_windows(
     spec: &WorkloadSpec,
     config: &RunConfig,
     window: Nanos,
-    backend: BackendKind,
+    backend: Tier,
 ) -> (ClientStats, Vec<WindowMetrics>) {
     let mut run = observe_run(spec, config, window, |sim| {
-        let set = ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT);
-        match backend {
-            BackendKind::Bytecode => set,
-            BackendKind::BytecodeJit => set.with_jit(),
-        }
-        .build()
+        let probe =
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()?;
+        Ok(match backend {
+            Tier::Interp => probe.interpreted(),
+            Tier::Jit => probe,
+        })
     });
     let warmup_end = run.warmup_end;
     let windows = run
@@ -39,7 +47,7 @@ fn observe_windows(
 
 /// Runs one level under `backend` and returns (ground-truth rps, pooled
 /// RPS_obsv, mean poll duration ns).
-fn observe(spec: &WorkloadSpec, fraction: f64, seed: u64, backend: BackendKind) -> (f64, f64, f64) {
+fn observe(spec: &WorkloadSpec, fraction: f64, seed: u64, backend: Tier) -> (f64, f64, f64) {
     let offered = spec.paper_failure_rps * fraction;
     let mut config = RunConfig::new(offered, seed);
     // Enough requests for a stable estimate even for slow workloads.
@@ -89,9 +97,9 @@ fn poll_durations_collapse_toward_the_knee() {
         // Pair each archetype with one tier (both tiers are exercised;
         // backend_equivalence.rs holds the tiers and the plain-Rust
         // oracle bit-identical).
-        (kscope::workloads::img_dnn(), BackendKind::BytecodeJit),
-        (kscope::workloads::data_caching(), BackendKind::BytecodeJit),
-        (kscope::workloads::triton_http(), BackendKind::Bytecode),
+        (kscope::workloads::img_dnn(), Tier::Jit),
+        (kscope::workloads::data_caching(), Tier::Jit),
+        (kscope::workloads::triton_http(), Tier::Interp),
     ] {
         let (_, _, poll_light) = observe(&spec, 0.15, 23, backend);
         let (_, _, poll_heavy) = observe(&spec, 0.95, 23, backend);
@@ -108,7 +116,7 @@ fn poll_durations_collapse_toward_the_knee() {
 #[test]
 fn agent_flags_overload_but_not_light_load() {
     let spec = kscope::workloads::data_caching();
-    let backend = BackendKind::BytecodeJit;
+    let backend = Tier::Jit;
     let mut agent = Agent::new(
         RpsEstimator::with_min_samples(64),
         SaturationDetector::default(),

@@ -34,6 +34,18 @@
 //!   probe runtime (`crates/core/src/runtime.rs`): every attached program
 //!   is verified, cost-gated and run there, so no probe type can build
 //!   or run itself outside that check.
+//! * The probe's reference-tier constructor (`.interpreted(` /
+//!   `::interpreted(`, the interpreter instance the JIT is measured
+//!   against) is banned in non-test code outside the files that define
+//!   it (`crates/core/src/{bytecode,runtime}.rs`) and the benchmark
+//!   crate (`crates/bench/src/`): every probe runs on the JIT, which
+//!   falls back to the interpreter by itself, so nothing attaches the
+//!   interpreter on purpose.
+//! * The tier shims the end-to-end benchmark still calls
+//!   (`with_jit_probes(`, `with_backend(`, `BackendKind::`) are banned
+//!   everywhere outside the file that defines each, test modules
+//!   included, so they stay callerless until the benchmark moves off
+//!   them and they are deleted.
 //!
 //! `#[cfg(test)]` items (and everything nested inside them) are exempt
 //! from the unwrap/expect ban, as are doc comments, line/block
@@ -102,6 +114,25 @@ const RUNTIME_CLIENT_CRATES: &[&str] = &[
 
 /// The probe runtime: the one module that verifies and runs programs.
 const RUNTIME_HOME: &str = "crates/core/src/runtime.rs";
+
+/// Ways to name the probe's reference-tier (interpreter) constructor.
+const REFERENCE_TIER: &[&str] = &[".interpreted(", "::interpreted("];
+
+/// Where non-test code may name the reference tier: the files that
+/// define it, and the benchmark crate that measures the JIT against it.
+const REFERENCE_TIER_HOMES: &[&str] = &[
+    "crates/core/src/bytecode.rs",
+    "crates/core/src/runtime.rs",
+    "crates/bench/src/",
+];
+
+/// Tier shims kept only for the end-to-end benchmark, each with the one
+/// file that may name it (its definition).
+const BENCHMARK_SHIMS: &[(&str, &str)] = &[
+    ("with_jit_probes(", "crates/fleet/src/config.rs"),
+    ("with_backend(", "crates/experiments/src/sweep.rs"),
+    ("BackendKind::", "crates/experiments/src/sweep.rs"),
+];
 
 /// Allocation patterns banned in hot-path modules outside annotated cold
 /// paths and test code.
@@ -189,6 +220,17 @@ fn is_runtime_client(path: &Path) -> bool {
         && RUNTIME_CLIENT_CRATES.iter().any(|c| normalized.contains(c))
 }
 
+/// True when non-test code of `path` may name the reference tier.
+fn may_name_reference_tier(path: &Path) -> bool {
+    let normalized = path.to_string_lossy().replace('\\', "/");
+    REFERENCE_TIER_HOMES.iter().any(|home| normalized.contains(home))
+}
+
+/// True when `path` is the file that defines `home`'s shim.
+fn is_shim_home(path: &Path, home: &str) -> bool {
+    path.to_string_lossy().replace('\\', "/").ends_with(home)
+}
+
 /// True when the non-test `line` of `path` may name the oracle.
 fn may_name_oracle(path: &Path, line: &str) -> bool {
     let normalized = path.to_string_lossy().replace('\\', "/");
@@ -258,6 +300,7 @@ fn scan_file(path: &Path, text: &str) -> usize {
     let hot = is_hot_path(path);
     let no_index = is_no_slice_index(path);
     let runtime_client = is_runtime_client(path);
+    let reference_tier_home = may_name_reference_tier(path);
     let mut count = 0usize;
     let mut in_test_item = false;
     let mut pending_cfg_test = false;
@@ -331,6 +374,36 @@ fn scan_file(path: &Path, text: &str) -> usize {
                 lineno + 1
             );
             count += 1;
+        }
+
+        if !exempt && !reference_tier_home {
+            for pat in REFERENCE_TIER {
+                for _ in line.matches(pat) {
+                    println!(
+                        "{}:{}: `{pat}` outside its definition and the benchmark \
+                         crate (every probe runs on the JIT, which falls back \
+                         to the interpreter by itself)",
+                        path.display(),
+                        lineno + 1
+                    );
+                    count += 1;
+                }
+            }
+        }
+
+        for (pat, home) in BENCHMARK_SHIMS {
+            if is_shim_home(path, home) {
+                continue;
+            }
+            for _ in line.matches(pat) {
+                println!(
+                    "{}:{}: `{pat}` names a tier shim kept only for the \
+                     end-to-end benchmark (the probe always runs on the JIT)",
+                    path.display(),
+                    lineno + 1
+                );
+                count += 1;
+            }
         }
 
         if runtime_client && !exempt {
