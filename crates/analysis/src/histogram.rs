@@ -142,38 +142,6 @@ impl Histogram {
     }
 }
 
-/// Approximate quantile over log2 bucket cells, as maintained by the
-/// in-probe poll-duration histogram (`kscope-core`'s `Log2Hist` and the
-/// bytecode backend): bucket `i` counts samples whose scaled value
-/// satisfies `floor(log2(max(v >> shift, 1))) == i`.
-///
-/// Returns a representative *raw* (unscaled) value: the geometric
-/// midpoint `2^(i + 0.5)` of the bucket's scaled range, multiplied back
-/// by `2^shift` — except bucket 0, whose scaled range `[0, 2)` collapses
-/// to `1`. `None` when the buckets are all empty.
-///
-/// Because merged bucket cells are exact (integer addition), a quantile
-/// of K merged per-host histograms equals the quantile of the
-/// concatenated stream's histogram — within bucket resolution, the
-/// mergeable-percentile primitive the fleet rollup uses.
-pub fn log2_bucket_quantile(buckets: &[u64], shift: u32, q: f64) -> Option<f64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            let scaled_mid = if i == 0 { 1.0 } else { 2f64.powf(i as f64 + 0.5) };
-            return Some(scaled_mid * (1u64 << shift) as f64);
-        }
-    }
-    // Unreachable: `seen` reaches `total >= target` within the loop.
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,33 +228,6 @@ mod tests {
     fn merge_rejects_layout_mismatch() {
         let mut a = Histogram::new(0.0, 10.0, 5);
         a.merge(&Histogram::new(0.0, 10.0, 6));
-    }
-
-    #[test]
-    fn log2_quantile_walks_buckets() {
-        let mut buckets = [0u64; 64];
-        buckets[4] = 50; // scaled [16, 32)
-        buckets[10] = 49; // scaled [1024, 2048)
-        buckets[20] = 1;
-        let p50 = log2_bucket_quantile(&buckets, 0, 0.5).unwrap();
-        assert!((p50 - 2f64.powf(4.5)).abs() < 1e-9, "p50 {p50}");
-        let p99 = log2_bucket_quantile(&buckets, 0, 0.99).unwrap();
-        assert!((p99 - 2f64.powf(10.5)).abs() < 1e-9, "p99 {p99}");
-        let p100 = log2_bucket_quantile(&buckets, 0, 1.0).unwrap();
-        assert!((p100 - 2f64.powf(20.5)).abs() < 1e-6, "p100 {p100}");
-        // The shift is undone on the way out.
-        let shifted = log2_bucket_quantile(&buckets, 3, 0.5).unwrap();
-        assert!((shifted - 8.0 * 2f64.powf(4.5)).abs() < 1e-9, "{shifted}");
-    }
-
-    #[test]
-    fn log2_quantile_edge_cases() {
-        assert_eq!(log2_bucket_quantile(&[0; 64], 0, 0.5), None);
-        let mut buckets = [0u64; 64];
-        buckets[0] = 3;
-        // Bucket 0 represents scaled values in [0, 2): midpoint 1.
-        assert_eq!(log2_bucket_quantile(&buckets, 0, 0.5), Some(1.0));
-        assert_eq!(log2_bucket_quantile(&buckets, 10, 0.5), Some(1024.0));
     }
 
     #[test]

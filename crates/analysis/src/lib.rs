@@ -27,7 +27,7 @@ mod report;
 mod streaming;
 
 pub use chart::{sparkline, AsciiChart};
-pub use histogram::{log2_bucket_quantile, Histogram};
+pub use histogram::Histogram;
 pub use percentile::{percentile, percentile_of_sorted, P2Quantile};
 pub use regress::{r_squared, FitError, LinearFit};
 pub use report::{fmt_sig, TextTable};

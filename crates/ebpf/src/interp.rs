@@ -46,6 +46,8 @@ pub(crate) const MAP_SLOT_BASE: u64 = 0x3000_0000_0000;
 pub(crate) const MAP_SLOT_STRIDE: u64 = 1 << 20;
 /// Tag marking a register value as a map handle (`ld_map_fd` result).
 pub(crate) const MAP_HANDLE_BASE: u64 = 0x4000_0000_0000;
+/// Poison written into r1–r5 after every helper call.
+pub(crate) const CALLER_SAVED_POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 /// Default cap on executed instructions per invocation.
 pub const DEFAULT_INSN_BUDGET: u64 = 1 << 20;
 
@@ -784,7 +786,7 @@ pub(crate) fn call_helper(
     // Caller-saved registers are clobbered, as on real hardware; use a
     // recognizable poison value to surface verifier escapes early.
     for reg in &mut regs[1..=5] {
-        *reg = 0xDEAD_BEEF_DEAD_BEEF;
+        *reg = CALLER_SAVED_POISON;
     }
     regs[0] = ret;
     Ok(())

@@ -53,13 +53,13 @@ pub use stub::*;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
-    use crate::analysis::{inline_plan, HelperInline, InlinePlan, LookupSite};
+    use crate::analysis::{HelperInline, InlinePlan, LookupSite};
     use crate::decode::{AluOp, CmpOp, Decoded};
     use crate::helpers::Helper;
     use crate::insn::{MAX_INSNS, REG_COUNT, STACK_SIZE};
     use crate::interp::{
-        call_helper, ExecEnv, ExecError, ExecOutcome, Memory, CTX_BASE, MAP_SLOT_BASE,
-        MAP_SLOT_STRIDE, STACK_BASE,
+        call_helper, ExecEnv, ExecError, ExecOutcome, Memory, CALLER_SAVED_POISON, CTX_BASE,
+        MAP_SLOT_BASE, MAP_SLOT_STRIDE, STACK_BASE,
     };
     use crate::mapindex::{
         DESC_KIND_ARRAY, DESC_KIND_HASH, INDEX_OCCUPIED, INDEX_SEED, MIX64_MUL1, MIX64_MUL2,
@@ -119,10 +119,6 @@ mod imp {
     const OFF_SLOTS_CAP: i32 = 0xD8;
     const OFF_DESCS_BASE: i32 = 0xE0;
     const OFF_DESCS_LEN: i32 = 0xE8;
-
-    /// Poison written into r1–r5 after every helper call (the
-    /// interpreter's clobber value, reproduced by inlined helpers).
-    const CLOBBER: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 
     const STATUS_OK: i32 = 0;
     const STATUS_TRAMP_FAULT: i32 = 1;
@@ -862,7 +858,7 @@ mod imp {
         /// Writes the interpreter's clobber poison into r1–r5 (rax/r0
         /// holds the helper result and is preserved).
         fn poison_caller_saved(&mut self) {
-            self.mov_ri(RDI, CLOBBER);
+            self.mov_ri(RDI, CALLER_SAVED_POISON);
             for &reg in &X86[2..6] {
                 self.alu_rr(true, 0x89, RDI, reg);
             }
@@ -877,17 +873,20 @@ mod imp {
         (dst as u32) | ((size as u32) << 8) | ((proven_map as u32) << 14) | ((pc as u32) << 16)
     }
 
-    /// Compiles a decoded program to native code. `proofs` enables
+    /// Compiles a decoded program to native code. `plan` says which
+    /// helper-call sites inline (the platform-independent plan the cost
+    /// certifier and probe_audit report against). `proofs` enables
     /// bounds-check elision for accesses the verifier proved safe;
     /// `None` compiles every access through the checked trampoline.
-    pub(crate) fn compile(decoded: &[Decoded], proofs: Option<&AccessProofs>) -> Option<JitProgram> {
+    pub(crate) fn compile(
+        decoded: &[Decoded],
+        plan: &InlinePlan,
+        proofs: Option<&AccessProofs>,
+    ) -> Option<JitProgram> {
         if decoded.is_empty() || decoded.len() > MAX_INSNS || !regs_in_range(decoded) {
             return None;
         }
         let len = decoded.len();
-        // Which helper-call sites inline (the platform-independent plan
-        // the cost certifier and probe_audit report against).
-        let plan = inline_plan(decoded);
         let mut e = Emitter::new(len);
         let mut elided = 0usize;
         let mut needs_ctx_len = false;
@@ -914,7 +913,7 @@ mod imp {
             e.slot_offsets[pc] = e.code.len();
             e.budget_check();
             let proven = proofs.and_then(|p| p.proven(pc));
-            emit_slot(&mut e, pc, *d, len, proven, &plan, &mut elided, &mut needs_ctx_len);
+            emit_slot(&mut e, pc, *d, len, proven, plan, &mut elided, &mut needs_ctx_len);
         }
 
         // Fell-off-the-end pseudo-slot: the interpreter checks the budget
@@ -1134,7 +1133,7 @@ mod imp {
                 e.imul_rr(RAX, R9);
                 e.shift_ri(true, 5, RAX, 32); // shr rax, 32
             }
-            // inline_plan only classifies the three env helpers as Env.
+            // helper_inline_plan only classifies the three env helpers as Env.
             _ => unreachable!("helper {helper:?} is not an env helper"),
         }
         e.poison_caller_saved();
@@ -1924,12 +1923,12 @@ mod imp {
                 off: 0,
             }];
             assert!(!regs_in_range(&decoded));
-            assert!(compile(&decoded, None).is_none());
+            assert!(compile(&decoded, &InlinePlan::default(), None).is_none());
         }
 
         #[test]
         fn empty_programs_do_not_compile() {
-            assert!(compile(&[], None).is_none());
+            assert!(compile(&[], &InlinePlan::default(), None).is_none());
         }
 
         #[test]
@@ -1951,6 +1950,7 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod stub {
+    use crate::analysis::InlinePlan;
     use crate::decode::Decoded;
     use crate::interp::{ExecEnv, ExecError, ExecOutcome, Memory};
     use crate::program::Program;
@@ -1996,6 +1996,7 @@ mod stub {
 
     pub(crate) fn compile(
         _decoded: &[Decoded],
+        _plan: &InlinePlan,
         _proofs: Option<&AccessProofs>,
     ) -> Option<JitProgram> {
         None

@@ -17,8 +17,8 @@ use crate::verifier::AccessProofs;
 /// [`Decoded`] representation the JIT compiles and the static analyses
 /// read, so field extraction is paid once per program load.
 ///
-/// Verification attaches per-pc memory-access proofs
-/// ([`AccessProofs`]) as a side effect, and the first JIT execution
+/// Verification attaches per-pc memory-access proofs and map-lookup
+/// facts ([`AccessProofs`]) as a side effect, and the first JIT execution
 /// compiles and caches native code; both are interior-mutable caches
 /// that do not participate in the program's identity.
 #[derive(Debug)]
@@ -26,9 +26,9 @@ pub struct Program {
     name: String,
     insns: Vec<Insn>,
     decoded: Vec<Decoded>,
-    /// Verifier access proofs, attached by a successful value-tracking
-    /// verification. Write-once: the first verification wins (re-verifying
-    /// the same program yields the same proofs).
+    /// Verifier access proofs and lookup facts, attached by a successful
+    /// value-tracking verification. Write-once: the first verification
+    /// wins (re-verifying the same program yields the same proofs).
     analysis: OnceLock<AccessProofs>,
     /// Lazily compiled native code without bounds-check elision.
     /// `None` inside means compilation was attempted and declined
@@ -117,17 +117,19 @@ impl Program {
     }
 
     /// The cached JIT compilation for this program, compiling on first
-    /// use. With `elide` set, bounds checks proven safe by the verifier's
-    /// value-tracking pass are omitted (a no-op unless
-    /// [`access_proofs`](Program::access_proofs) are attached). Returns
-    /// `None` when the program or platform is unsupported; callers fall
-    /// back to the interpreter.
+    /// use. Helper calls follow [`helper_inline_plan`](crate::analysis::helper_inline_plan)
+    /// either way; with `elide` set, bounds checks proven safe by the
+    /// verifier's value-tracking pass are also omitted. Both read the
+    /// [`access_proofs`](Program::access_proofs) attached at the time of
+    /// the first call. Returns `None` when the program or platform is
+    /// unsupported; callers fall back to the interpreter.
     pub fn jit_for(&self, elide: bool) -> Option<&JitProgram> {
         let cache = if elide { &self.jit_elided } else { &self.jit_plain };
         cache
             .get_or_init(|| {
+                let plan = crate::analysis::helper_inline_plan(self);
                 let proofs = if elide { self.access_proofs() } else { None };
-                crate::jit::compile(&self.decoded, proofs)
+                crate::jit::compile(&self.decoded, &plan, proofs)
             })
             .as_ref()
     }

@@ -30,6 +30,7 @@
 //! path from the entry, plus structured warnings for unreachable
 //! instructions and dead stack stores.
 
+use crate::analysis::LookupSite;
 use crate::helpers::{ArgClass, Helper, RetClass};
 use crate::insn::{
     Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MAX_INSNS, OP_ADD,
@@ -1269,6 +1270,9 @@ struct AccessLog {
     /// bounds check on the *joined* abstract state succeeded. Consumed by
     /// the JIT's bounds-check elision.
     proven: Option<ProvenRegion>,
+    /// At a `map_lookup_elem` call: the constant map fd and fixed stack
+    /// key the joined state proves. Consumed by the JIT's inline lookup.
+    lookup: Option<LookupSite>,
 }
 
 /// Memory region a load/store was proven to stay inside by the
@@ -1285,14 +1289,17 @@ pub enum ProvenRegion {
     MapValue,
 }
 
-/// Per-pc bounds proofs exported by a successful value-tracking run.
+/// Per-pc bounds proofs and map-lookup facts exported by a successful
+/// value-tracking run.
 ///
 /// The verifier steps every reachable pc exactly once, on the join of all
 /// abstract states reaching it (the CFG is a forward DAG walked in pc
 /// order), so a proof recorded at a pc holds on *every* execution path.
 /// The JIT uses these proofs to elide the runtime region dispatch and
 /// bounds checks for stack and context accesses; unproven pcs keep the
-/// full checked path. Proofs are attached to the verified
+/// full checked path. The lookup facts are the JIT's inline plan
+/// ([`crate::analysis::helper_inline_plan`]): a `map_lookup_elem` site
+/// without one keeps the trampoline. Proofs are attached to the verified
 /// [`Program`] and only produced when
 /// [`VerifierConfig::value_tracking`] is enabled — disabling it forces
 /// every check back in.
@@ -1300,6 +1307,8 @@ pub enum ProvenRegion {
 pub struct AccessProofs {
     /// One entry per instruction slot.
     proofs: Vec<Option<ProvenRegion>>,
+    /// Inlineable `map_lookup_elem` sites as `(pc, facts)`, in pc order.
+    lookups: Vec<(usize, LookupSite)>,
     /// Minimum runtime context length for which the `Ctx` proofs hold
     /// (the `ctx_size` the program was verified against). Executing with
     /// a shorter context must fall back to the checked path.
@@ -1310,6 +1319,14 @@ impl AccessProofs {
     /// The proof recorded for `pc`, if any.
     pub fn proven(&self, pc: usize) -> Option<ProvenRegion> {
         self.proofs.get(pc).copied().flatten()
+    }
+
+    /// The lookup facts recorded for the `map_lookup_elem` site at `pc`.
+    pub(crate) fn lookup_site(&self, pc: usize) -> Option<LookupSite> {
+        self.lookups
+            .iter()
+            .find(|(p, _)| *p == pc)
+            .map(|(_, site)| *site)
     }
 
     /// Minimum runtime context length for which `Ctx` proofs are sound.
@@ -1337,6 +1354,7 @@ impl AccessProofs {
     pub(crate) fn empty_for_len(len: usize, min_ctx_len: usize) -> AccessProofs {
         AccessProofs {
             proofs: vec![None; len],
+            lookups: Vec::new(),
             min_ctx_len,
         }
     }
@@ -1414,50 +1432,17 @@ impl Verifier {
         // Structural pass: ld_dw pairing and jump-target validation. A
         // structurally broken program has no meaningful CFG, so these
         // errors short-circuit the value analysis.
-        let structural = |error: VerifyError| Diagnostic {
-            error,
-            path: Vec::new(),
-            regs: Vec::new(),
+        let is_ld_dw_hi = match crate::analysis::structure(insns) {
+            Ok(is_hi) => is_hi,
+            Err(errors) => {
+                report.errors.extend(errors.into_iter().map(|error| Diagnostic {
+                    error,
+                    path: Vec::new(),
+                    regs: Vec::new(),
+                }));
+                return report;
+            }
         };
-        let mut is_ld_dw_hi = vec![false; insns.len()];
-        let mut pc = 0;
-        while pc < insns.len() {
-            let insn = insns[pc];
-            if insn.is_ld_dw() {
-                if pc + 1 >= insns.len() || insns[pc + 1].code != 0 {
-                    report.errors.push(structural(VerifyError::MalformedLdDw { pc }));
-                    return report;
-                }
-                is_ld_dw_hi[pc + 1] = true;
-                pc += 2;
-            } else {
-                pc += 1;
-            }
-        }
-        for (pc, insn) in insns.iter().enumerate() {
-            if is_ld_dw_hi[pc] || (insn.class() != CLS_JMP && insn.class() != CLS_JMP32) {
-                continue;
-            }
-            let op = insn.op();
-            if insn.class() == CLS_JMP && (op == OP_CALL || op == OP_EXIT) {
-                continue;
-            }
-            let target = pc as i64 + 1 + insn.off as i64;
-            if target < 0 || target as usize >= insns.len() || is_ld_dw_hi[target as usize] {
-                report.errors.push(structural(VerifyError::BadJumpTarget {
-                    from: pc,
-                    to: target,
-                }));
-            } else if target as usize <= pc {
-                report.errors.push(structural(VerifyError::BackEdge {
-                    from: pc,
-                    to: target as usize,
-                }));
-            }
-        }
-        if !report.errors.is_empty() {
-            return report;
-        }
 
         // Abstract interpretation in pc order (valid because the CFG is a
         // DAG with edges only going forward). `pred` records the first
@@ -1555,15 +1540,15 @@ impl Verifier {
         }
 
         // Advisory warnings, only meaningful for accepted programs. Both
-        // analyses live in `crate::analysis` (shared with the optimizer);
-        // the verifier supplies reachability and its abstract access log.
+        // analyses live in `crate::analysis`; the verifier supplies
+        // reachability and its abstract access log.
         if report.errors.is_empty() {
             let reachable: Vec<bool> = states.iter().map(|s| s.is_some()).collect();
             report
                 .warnings
                 .extend(crate::analysis::unreachable_warnings(&is_ld_dw_hi, &reachable));
             report.warnings.extend(crate::analysis::dead_store_warnings(
-                insns,
+                program.decoded(),
                 &is_ld_dw_hi,
                 &reachable,
                 |pc| {
@@ -1571,19 +1556,25 @@ impl Verifier {
                     (log.reads.as_slice(), log.store)
                 },
             ));
-            report.cost = crate::analysis::cost_report(program);
-            // Publish per-pc access proofs for the JIT's bounds-check
-            // elision. Sound because the walk above steps each pc exactly
-            // once, on the join of every inbound path's state: a region
-            // proof recorded there holds on all executions. Gated on
-            // value tracking — without it the ranges that justify the
-            // proofs were never computed.
+            // Publish per-pc access proofs and lookup facts for the JIT.
+            // Sound because the walk above steps each pc exactly once, on
+            // the join of every inbound path's state: a fact recorded
+            // there holds on all executions. Gated on value tracking —
+            // without it the ranges that justify the proofs were never
+            // computed. Attached before pricing, so the certificate
+            // prices the plan the JIT will emit.
             if self.config.value_tracking {
                 program.attach_access_proofs(AccessProofs {
                     proofs: logs.iter().map(|l| l.proven).collect(),
+                    lookups: logs
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(pc, l)| Some((pc, l.lookup?)))
+                        .collect(),
                     min_ctx_len: self.config.ctx_size,
                 });
             }
+            report.cost = crate::analysis::cost_report(program);
         }
         report
     }
@@ -2176,6 +2167,18 @@ impl Verifier {
                     arg: 1,
                     expected: "a map kind this helper accepts",
                 });
+            }
+        }
+
+        // A lookup whose map and key address are the same on every path
+        // can compile inline (DESIGN §6f).
+        if helper == Helper::MapLookupElem {
+            if let (RegType::MapHandle { fd }, RegType::PtrStack { lo, hi }) =
+                (state.regs[1], state.regs[2])
+            {
+                if lo == hi {
+                    log.lookup = LookupSite::new(fd, lo);
+                }
             }
         }
 

@@ -13,6 +13,8 @@
 //!   state, and inlined ktime reads stay monotonic across events;
 //! * the array-lookup fast path agrees with the interpreter at the last
 //!   valid index and one past it (inline miss, not a fault);
+//! * a lookup inlines only when the verifier proved the same key address
+//!   on every path into it, and never before verification;
 //! * the hash-lookup single-probe rule falls back (rather than
 //!   mis-answering) when the home slot holds a colliding key;
 //! * proven map-value loads/stores of every width hit the arena
@@ -201,6 +203,69 @@ fn array_lookup_inline_at_boundary_indices() {
     verify(&miss, &maps);
     let (res, _, _) = run_both("array@4", &miss, &[], &maps, ExecEnv::default(), None);
     assert_eq!(res.expect("runs").ret, 0, "one past the end is NULL");
+}
+
+/// Looks up one of two array slots picked by the first context byte:
+/// `r2` reaches the call as `r10 - 4` (key 0) on one path and as
+/// `r10 - 4 - extra` on the other. Returns the value's first word, or 0
+/// on a miss.
+fn two_path_probe(fd: MapFd, extra: i32) -> Program {
+    Asm::new("two_path_probe")
+        .store_imm(SZ_W, R10, -4, 0)
+        .store_imm(SZ_W, R10, -8, 1)
+        .load(SZ_B, R6, R1, 0)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .jeq_imm(R6, 0, "lookup")
+        .add64_imm(R2, -extra)
+        .label("lookup")
+        .ld_map_fd(R1, fd)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "miss")
+        .load(SZ_DW, R0, R0, 0)
+        .exit()
+        .label("miss")
+        .mov64_imm(R0, 0)
+        .exit()
+        .assemble()
+        .expect("assembles")
+}
+
+/// The lookup facts come from the verifier's joined state: a key
+/// address that is the same on every path keeps the inline fast path,
+/// one that differs across paths keeps the trampoline, and both agree
+/// with the interpreter on each path.
+#[test]
+fn lookup_inlines_only_when_every_path_agrees_on_the_key() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("vals", MapDef::array(8, 2));
+    maps.set_array_u64(fd, 0, 0xA0).expect("seed cell 0");
+    maps.set_array_u64(fd, 1, 0xB1).expect("seed cell 1");
+    for (extra, inline, took_other) in [(0, true, 0xA0), (4, false, 0xB1)] {
+        let prog = two_path_probe(fd, extra);
+        let unverified = kscope_ebpf::helper_inline_plan(&prog);
+        assert_eq!(unverified.inlined(), 0, "an unverified lookup is trampolined");
+        verify(&prog, &maps);
+        let plan = kscope_ebpf::helper_inline_plan(&prog);
+        let lookup = plan
+            .sites()
+            .iter()
+            .find(|(_, h, _)| *h == Helper::MapLookupElem)
+            .map(|(pc, _, treatment)| (*treatment, plan.lookup_site(*pc)))
+            .expect("one lookup site");
+        if inline {
+            assert_eq!(lookup.0, kscope_ebpf::HelperInline::MapLookupFast);
+            let site = lookup.1.expect("an inline lookup carries its facts");
+            assert_eq!((site.fd, site.key_off), (fd.0, 508));
+        } else {
+            assert_eq!(lookup, (kscope_ebpf::HelperInline::Trampoline, None));
+        }
+        for (ctx, want) in [([0u8], 0xA0), ([1u8], took_other)] {
+            let label = format!("extra {extra}, ctx {}", ctx[0]);
+            let (res, _, _) = run_both(&label, &prog, &ctx, &maps, ExecEnv::default(), None);
+            assert_eq!(res.expect("runs").ret, want, "{label}");
+        }
+    }
 }
 
 /// Builds a hash-lookup probe for an 8-byte immediate key split into

@@ -18,8 +18,8 @@
 //! conditions fan out with [`crate::parallel::map_indexed`], so the CSV
 //! artifact is byte-identical at any `--jobs`.
 
-use kscope_analysis::{log2_bucket_quantile, AsciiChart, TextTable};
-use kscope_core::{ProbeSet, RpsEstimator, StackDelay, WindowMetrics, DEFAULT_SHIFT};
+use kscope_analysis::{AsciiChart, TextTable};
+use kscope_core::{Log2Hist, ProbeSet, RpsEstimator, StackDelay, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
 use kscope_simcore::{Dist, Nanos};
 use kscope_workloads::{data_caching, RunConfig, WorkloadSpec};
@@ -178,7 +178,7 @@ pub fn run_condition(
         Some(stack) => stack,
         None => unreachable!("the probe was built with_netstack"),
     };
-    let q = |p: f64| log2_bucket_quantile(stack.hist().buckets(), shift, p).unwrap_or(0.0);
+    let q = |p: f64| Log2Hist::quantile(stack.hist().buckets(), shift, p).unwrap_or(0.0);
     ConditionResult {
         condition: condition.clone(),
         p99_ms: run.client.p99_latency.as_millis_f64(),

@@ -13,7 +13,6 @@
 //! identical at any worker count, and the shipped configurations pin it
 //! byte-identical across fan-ins too.
 
-use kscope_analysis::log2_bucket_quantile;
 use kscope_core::{Log2Hist, RawCounters, StackDelay, TopKSketch};
 use kscope_simcore::parallel::map_indexed;
 use kscope_simcore::Nanos;
@@ -437,9 +436,9 @@ impl Collector {
             .map(|m| root.reporting as f64 * 1e9 / m)
             .unwrap_or(0.0);
 
-        let quantile = |q: f64| log2_bucket_quantile(root.hist.buckets(), self.shift, q);
+        let quantile = |q: f64| Log2Hist::quantile(root.hist.buckets(), self.shift, q);
         let stack_quantile =
-            |q: f64| log2_bucket_quantile(root.stack.hist().buckets(), self.shift, q);
+            |q: f64| Log2Hist::quantile(root.stack.hist().buckets(), self.shift, q);
         FleetRollup {
             hosts,
             reporting_hosts: root.reporting,

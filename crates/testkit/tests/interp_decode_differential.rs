@@ -51,7 +51,7 @@ use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::parse_program;
 use kscope_ebpf::verifier::Verifier;
-use kscope_ebpf::{cost_report, Program};
+use kscope_ebpf::{cost_report, helper_inline_plan, HelperInline, Program};
 use kscope_simcore::SimRng;
 use kscope_syscalls::{pid_tgid, Pid, SyscallNo, SyscallProfile, SyscallRole};
 use kscope_testkit::ebpf_gen::{
@@ -65,6 +65,11 @@ use kscope_testkit::{check, gen, Config};
 /// full map registry state. The interpreter is the base; JIT-with-elision
 /// and JIT-without-elision are each held strictly to it. Also asserts the
 /// static cost certificate bounds every successful run.
+///
+/// The program is verified first (the result is ignored), so one the
+/// default verifier accepts carries access proofs and lookup facts and
+/// the JIT arms run its elided accesses and inline map lookups. A
+/// program verified earlier keeps the facts of that verification.
 fn assert_dispatch_identical(
     label: &str,
     prog: &Program,
@@ -77,6 +82,7 @@ fn assert_dispatch_identical(
         Some(b) => Vm::with_insn_budget(b),
         None => Vm::new(),
     };
+    let _ = Verifier::default().verify_report(prog, base);
     let mut vm_interp = make_vm();
     let mut vm_jit = make_vm().with_jit();
     let mut vm_jit_checked = make_vm().with_jit().without_bounds_elision();
@@ -161,10 +167,13 @@ fn random_env(rng: &mut SimRng) -> ExecEnv {
 }
 
 /// 2000 generated programs (five families, 400 each) execute identically
-/// on all dispatchers, map traffic and helper state included.
+/// on all dispatchers, map traffic and helper state included. On x86-64
+/// the run must reach the proof-carrying JIT paths: accesses compiled
+/// without bounds checks and map lookups compiled inline.
 #[test]
 fn generated_programs_execute_identically() {
     let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0xDEC0DE);
+    let (mut elided, mut inlined, mut inline_lookups) = (0usize, 0usize, 0usize);
     for i in 0..2000 {
         let mut base = MapRegistry::new();
         base.create("h", MapDef::hash(8, 8, 64));
@@ -179,6 +188,20 @@ fn generated_programs_execute_identically() {
         let ctx = random_ctx(&mut rng);
         let env = random_env(&mut rng);
         assert_dispatch_identical(&format!("generated[{i}]"), &prog, &ctx, &base, env, None);
+        if let Some(jit) = prog.jit_for(true) {
+            elided += jit.elided_accesses();
+            inlined += jit.inlined_calls();
+            inline_lookups += helper_inline_plan(&prog)
+                .sites()
+                .iter()
+                .filter(|(_, _, t)| *t == HelperInline::MapLookupFast)
+                .count();
+        }
+    }
+    if cfg!(target_arch = "x86_64") {
+        assert!(elided > 0, "no generated program ran with elided bounds checks");
+        assert!(inlined > 0, "no generated program ran an inlined helper call");
+        assert!(inline_lookups > 0, "no generated program ran an inline map lookup");
     }
 }
 

@@ -32,7 +32,7 @@
 //! * the streaming pair (`kscope_stream_enter` / `kscope_stream_exit`)
 //!   is absent.
 //!
-//! CI runs this as the `analysis-smoke` job. Usage: `probe_audit`.
+//! CI runs this in the `jit-smoke` job. Usage: `probe_audit`.
 
 use kscope_core::streaming::StreamingProbe;
 use kscope_core::{ProbeSet, PROBE_COST_BUDGET};
