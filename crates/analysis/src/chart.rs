@@ -205,35 +205,6 @@ impl AsciiChart {
     }
 }
 
-/// Renders a compact one-line sparkline of `values` using eight block levels.
-///
-/// Returns an empty string for empty input.
-///
-/// # Examples
-///
-/// ```
-/// use kscope_analysis::sparkline;
-///
-/// let s = sparkline(&[0.0, 0.5, 1.0]);
-/// assert_eq!(s.chars().count(), 3);
-/// ```
-pub fn sparkline(values: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let range = if max > min { max - min } else { 1.0 };
-    values
-        .iter()
-        .map(|v| {
-            let idx = (((v - min) / range) * 7.0).round() as usize;
-            LEVELS[idx.min(7)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,14 +260,5 @@ mod tests {
         chart.series("s", &[5.0, 5.0], &[2.0, 2.0], '#');
         let out = chart.render();
         assert!(out.contains('#'));
-    }
-
-    #[test]
-    fn sparkline_levels() {
-        assert_eq!(sparkline(&[]), "");
-        let s = sparkline(&[0.0, 1.0]);
-        assert_eq!(s, "▁█");
-        let flat = sparkline(&[3.0, 3.0, 3.0]);
-        assert_eq!(flat.chars().count(), 3);
     }
 }

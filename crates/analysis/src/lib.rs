@@ -3,12 +3,12 @@
 //! Offline analysis toolkit for the kscope experiments: the statistics and
 //! rendering needed to regenerate the paper's figures and tables.
 //!
-//! * [`Welford`], [`Extrema`] — streaming moments for metric samples;
+//! * [`Welford`] — streaming moments for metric samples;
 //! * [`percentile`], [`P2Quantile`] — exact and constant-space tail-latency
 //!   percentiles (the paper's p99 QoS metric);
 //! * [`LinearFit`] — the OLS fit + R² + residuals of Fig. 2 / Table II;
 //! * [`Histogram`] — duration/delta distributions;
-//! * [`AsciiChart`], [`sparkline`], [`TextTable`] — terminal renderings of
+//! * [`AsciiChart`], [`TextTable`] — terminal renderings of
 //!   each figure and table, with CSV export.
 //!
 //! This crate is deliberately dependency-light and simulation-agnostic: it
@@ -26,9 +26,9 @@ mod regress;
 mod report;
 mod streaming;
 
-pub use chart::{sparkline, AsciiChart};
+pub use chart::AsciiChart;
 pub use histogram::Histogram;
 pub use percentile::{percentile, percentile_of_sorted, P2Quantile};
 pub use regress::{r_squared, FitError, LinearFit};
 pub use report::{fmt_sig, TextTable};
-pub use streaming::{normalize_by_max, normalize_min_max, Extrema, Welford};
+pub use streaming::{normalize_by_max, Welford};

@@ -117,79 +117,6 @@ impl FromIterator<f64> for Welford {
     }
 }
 
-/// Running minimum / maximum / sum tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Extrema {
-    count: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Default for Extrema {
-    fn default() -> Self {
-        Extrema {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-}
-
-impl Extrema {
-    /// Creates an empty tracker.
-    pub fn new() -> Extrema {
-        Extrema::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.sum += x;
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Minimum sample, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum sample, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Range `max − min`, `None` when empty.
-    pub fn range(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max - self.min)
-    }
-}
-
-impl Extend<f64> for Extrema {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
 /// Normalizes values to `[0, 1]` by dividing by the maximum magnitude.
 ///
 /// This is the normalization the paper uses for its figures ("normalized
@@ -201,18 +128,6 @@ pub fn normalize_by_max(values: &[f64]) -> Vec<f64> {
         return vec![0.0; values.len()];
     }
     values.iter().map(|v| v / max).collect()
-}
-
-/// Min–max normalizes values to `[0, 1]`; constant input maps to all-zero.
-pub fn normalize_min_max(values: &[f64]) -> Vec<f64> {
-    let mut ext = Extrema::new();
-    ext.extend(values.iter().copied());
-    match (ext.min(), ext.range()) {
-        (Some(min), Some(range)) if range > 0.0 => {
-            values.iter().map(|v| (v - min) / range).collect()
-        }
-        _ => vec![0.0; values.len()],
-    }
 }
 
 #[cfg(test)]
@@ -276,36 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn extrema_tracks_bounds() {
-        let mut ext = Extrema::new();
-        ext.extend([3.0, -1.0, 7.0, 2.0]);
-        assert_eq!(ext.min(), Some(-1.0));
-        assert_eq!(ext.max(), Some(7.0));
-        assert_eq!(ext.range(), Some(8.0));
-        assert_eq!(ext.mean(), Some(2.75));
-        assert_eq!(ext.count(), 4);
-    }
-
-    #[test]
-    fn extrema_empty_is_none() {
-        let ext = Extrema::new();
-        assert_eq!(ext.min(), None);
-        assert_eq!(ext.max(), None);
-        assert_eq!(ext.mean(), None);
-    }
-
-    #[test]
     fn normalize_by_max_scales_to_unit() {
         let normed = normalize_by_max(&[1.0, 2.0, 4.0]);
         assert_eq!(normed, vec![0.25, 0.5, 1.0]);
         assert_eq!(normalize_by_max(&[0.0, 0.0]), vec![0.0, 0.0]);
         assert!(normalize_by_max(&[]).is_empty());
-    }
-
-    #[test]
-    fn normalize_min_max_spans_unit_interval() {
-        let normed = normalize_min_max(&[10.0, 20.0, 30.0]);
-        assert_eq!(normed, vec![0.0, 0.5, 1.0]);
-        assert_eq!(normalize_min_max(&[5.0, 5.0]), vec![0.0, 0.0]);
     }
 }

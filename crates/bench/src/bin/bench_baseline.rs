@@ -22,23 +22,13 @@
 //! * `probe_events_per_sec` / `probe_events_per_sec_jit` — full
 //!   bytecode-probe `on_event` cost on the send-exit path (the per-event
 //!   figure §VI's overhead argument rests on), interpreted vs. JIT;
-//! * `probe_insns_static_bound` — the certified worst-case instruction
-//!   bound of the core probe (max over its enter/exit programs), from
-//!   the analysis cost certifier;
-//! * `engine_events_per_sec` — simulation-engine dispatch;
-//! * `sweep_quick_wall_ms` — wall clock of a reduced parallel sweep on
-//!   the JIT-compiled probe;
-//! * `hot_path_allocs_per_event` / `hot_path_allocs_per_event_jit` —
-//!   heap allocations per steady-state probe event, counted by this
-//!   binary's global allocator (the zero-allocation claim, measured
-//!   rather than asserted, for both dispatchers);
-//! * `probe_instance_bytes` — heap bytes one `instantiate` of the fleet's
-//!   probe set (poll histogram, entity sketch, netstack pair, JIT)
-//!   allocates: what every host of a fleet pays for its probe;
-//! * `sim_allocs_per_request` — heap allocations per request of a whole
-//!   simulated data-caching run (server setup included, no probe), the
-//!   worse of 0.3× and 0.9× the paper's failure load: the simulator's
-//!   request path reuses its buffers, so only setup is left to count.
+//! * `engine_events_per_sec` — simulation-engine dispatch.
+//!
+//! Only throughput lives here; the probe's other facts are Tier-1 tests:
+//! the zero-allocation event path and the instance size in
+//! `crates/core/tests/instance_allocs.rs`, the simulator's allocations
+//! per request in `crates/workloads/tests/request_path_allocs.rs`, and
+//! the certified instruction bound in the testkit's `plans.golden`.
 //!
 //! Every throughput metric is measured as **one discarded warm-up run
 //! followed by the median of `bench_repeats` repeats**. The warm-up
@@ -57,14 +47,11 @@
 //! Flags: `--quick` (shorter samples, for CI smoke), `--out PATH`
 //! (default `BENCH_baseline.json`), `--check PATH` (compare against a
 //! committed baseline; exit 1 if interpreter throughput regressed more
-//! than 20%, the hot path allocated, the simulator made more than 0.05
-//! allocations per request, the repeat spread exceeded 25%, or — on
-//! JIT-capable targets — the JIT fails its ≥3× ALU gate or the ≥2×
-//! probe-event gate helper inlining is pinned by).
+//! than 20%, the repeat spread exceeded 25%, or — on JIT-capable targets
+//! — the JIT fails its ≥3× ALU gate or the ≥2× probe-event gate helper
+//! inlining is pinned by).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use kscope_core::{BytecodeBackend, MetricBackend, ProbeSet, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
@@ -73,46 +60,8 @@ use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::program::Program;
 use kscope_ebpf::verifier::Verifier;
 use kscope_bench::{Baseline, Criterion};
-use kscope_experiments::{default_jobs, sweep_jobs, SweepConfig};
-use kscope_netem::NetemConfig;
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
-use kscope_workloads::{data_caching, run_workload, RunConfig};
-
-/// Counts every heap allocation the process makes, and the bytes they
-/// ask for, so the steady-state probe path can be shown to make none. A binary target is its own
-/// crate root, so the bench *library*'s `forbid(unsafe_code)` does not
-/// extend here — this shim is the one place the workspace talks to the
-/// allocator directly.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Gate on `sim_allocs_per_request`: setup amortized over a run stays
-/// far below this, while one allocation per packet or poll exceeds it.
-const SIM_ALLOCS_PER_REQUEST_MAX: f64 = 0.05;
 
 /// Number of ALU instructions the VM-throughput program executes per run.
 const ALU_INSNS: f64 = 64.0;
@@ -197,33 +146,11 @@ fn main() {
         probe_events_jit / 1e6,
     );
 
-    let static_bound = probe_static_bound();
-    baseline.set("probe_insns_static_bound", static_bound);
-    println!("probe static analysis: worst-case bound {static_bound:.0} insns");
-
     let engine_events = median_of("engine", repeats, &mut max_spread, || {
         engine_events_per_sec(&criterion)
     });
     baseline.set("engine_events_per_sec", engine_events);
     println!("engine dispatch: {:.1}M events/s", engine_events / 1e6);
-
-    let allocs = hot_path_allocs_per_event(quick, ProbeMode::Interp);
-    let allocs_jit = hot_path_allocs_per_event(quick, ProbeMode::Jit);
-    baseline.set("hot_path_allocs_per_event", allocs);
-    baseline.set("hot_path_allocs_per_event_jit", allocs_jit);
-    println!("hot-path allocations: interp {allocs} per event, jit {allocs_jit} per event");
-
-    let instance_bytes = probe_instance_bytes();
-    baseline.set("probe_instance_bytes", instance_bytes);
-    println!("fleet probe instance: {instance_bytes:.0} bytes allocated");
-
-    let sim_allocs = sim_allocs_per_request();
-    baseline.set("sim_allocs_per_request", sim_allocs);
-    println!("simulated request path: {sim_allocs:.4} allocations per request");
-
-    let sweep_ms = sweep_quick_wall_ms(quick);
-    baseline.set("sweep_quick_wall_ms", sweep_ms);
-    println!("parallel quick sweep: {sweep_ms:.1} ms wall ({} jobs)", default_jobs());
 
     baseline.set("bench_repeats", repeats as f64);
     baseline.set("bench_spread_max_pct", max_spread);
@@ -287,8 +214,8 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// Compares a fresh run against a committed baseline; exits non-zero on an
-/// interpreter-throughput regression of more than 20%, any hot-path
-/// allocation, or a simulated request path above its allocation gate.
+/// interpreter-throughput regression of more than 20%, a repeat spread
+/// over 25%, or a JIT below its speedup gates.
 fn check_against(path: &str, fresh: &Baseline) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -339,23 +266,6 @@ fn check_against(path: &str, fresh: &Baseline) {
     } else {
         println!("check: worst repeat spread {spread:.1}% (gate: <= 25%) — ok");
     }
-    if fresh.get("hot_path_allocs_per_event").is_some_and(|a| a > 0.0) {
-        eprintln!("bench_baseline: REGRESSION: steady-state probe path allocated");
-        failed = true;
-    }
-    let sim_allocs = fresh.get("sim_allocs_per_request").unwrap_or(f64::MAX);
-    if sim_allocs > SIM_ALLOCS_PER_REQUEST_MAX {
-        eprintln!(
-            "bench_baseline: REGRESSION: the simulated request path made \
-             {sim_allocs:.4} allocations per request (gate: <= {SIM_ALLOCS_PER_REQUEST_MAX})"
-        );
-        failed = true;
-    } else {
-        println!(
-            "check: simulator {sim_allocs:.4} allocations per request \
-             (gate: <= {SIM_ALLOCS_PER_REQUEST_MAX}) — ok"
-        );
-    }
     if fresh.get("vm_jit_supported") == Some(1.0) {
         // The JIT gate is pinned on the pure-ALU dispatch floor, where
         // native code genuinely replaces the dispatch loop; the real probe
@@ -394,10 +304,6 @@ fn check_against(path: &str, fresh: &Baseline) {
                 ev_jit / 1e6,
                 ev_interp / 1e6
             );
-        }
-        if fresh.get("hot_path_allocs_per_event_jit").is_some_and(|a| a > 0.0) {
-            eprintln!("bench_baseline: REGRESSION: steady-state JIT probe path allocated");
-            failed = true;
         }
     } else {
         println!("check: JIT unsupported on this target — JIT gates skipped");
@@ -544,73 +450,6 @@ fn probe_events_per_sec(criterion: &Criterion, mode: ProbeMode) -> f64 {
     stats.ops_per_sec(BATCH as f64)
 }
 
-/// The core probe's certified worst-case instruction bound (max over its
-/// programs).
-fn probe_static_bound() -> f64 {
-    let probe = bytecode_probe();
-    let (enter, exit) = probe.programs();
-    [enter, exit]
-        .into_iter()
-        .filter_map(kscope_ebpf::cost_report)
-        .map(|c| c.max_insns)
-        .max()
-        .unwrap_or_else(|| panic!("shipped probe programs must have a finite cost bound"))
-        as f64
-}
-
-/// Steady-state heap allocations per probe event: warm the probe (first
-/// touches populate map cells), then count allocator hits over a long
-/// event run. The hot path is allocation-free, so this is expected to be
-/// exactly zero.
-fn hot_path_allocs_per_event(quick: bool, mode: ProbeMode) -> f64 {
-    let mut probe = probe_in_mode(mode);
-    let events: u64 = if quick { 20_000 } else { 200_000 };
-    for i in 1..=1_000u64 {
-        probe.on_event(&send_exit(i));
-    }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 1_001..=(1_000 + events) {
-        probe.on_event(&send_exit(i));
-    }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
-    delta as f64 / events as f64
-}
-
-/// Heap bytes one fleet-probe `instantiate` allocates (the set
-/// `FleetProbe::build` makes, at the fleet's default sketch capacity).
-fn probe_instance_bytes() -> f64 {
-    let probe = probe_set()
-        .with_poll_histogram()
-        .with_entity_sketch(64)
-        .with_netstack()
-        .build()
-        .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
-    let before = BYTES.load(Ordering::Relaxed);
-    let instance = probe.instantiate();
-    let bytes = BYTES.load(Ordering::Relaxed) - before;
-    drop(instance);
-    bytes as f64
-}
-
-/// Heap allocations per request over whole data-caching runs at 0.3× and
-/// 0.9× of the paper's failure load (the worse of the two), counted from
-/// server construction to the client statistics, with no probe and no
-/// trace collection; requests are the packets the NIC delivered.
-fn sim_allocs_per_request() -> f64 {
-    let spec = data_caching();
-    [0.3, 0.9]
-        .into_iter()
-        .map(|load| {
-            let mut config = RunConfig::new(load * spec.paper_failure_rps, 7).quick();
-            config.collect_trace = false;
-            let before = ALLOCS.load(Ordering::Relaxed);
-            let outcome = run_workload(&spec, &config, Vec::new());
-            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-            allocs as f64 / outcome.kernel.tracing.stats().net_rx.max(1) as f64
-        })
-        .fold(0.0, f64::max)
-}
-
 fn engine_events_per_sec(criterion: &Criterion) -> f64 {
     struct Chain {
         left: u32,
@@ -633,26 +472,4 @@ fn engine_events_per_sec(criterion: &Criterion) -> f64 {
         engine.processed()
     });
     stats.ops_per_sec(CHAIN as f64 + 1.0)
-}
-
-/// Wall clock of a reduced sweep over the data-caching workload, run
-/// through the parallel level runner at the default worker count.
-fn sweep_quick_wall_ms(quick: bool) -> f64 {
-    let spec = data_caching();
-    let config = if quick {
-        SweepConfig {
-            fractions: vec![0.3, 0.7, 1.0],
-            windows_per_level: 2,
-            min_send_samples: 96,
-            netem: NetemConfig::loopback(),
-            seed: 7,
-        }
-    } else {
-        SweepConfig::quick()
-    };
-    let start = Instant::now();
-    let result = sweep_jobs(&spec, &config, default_jobs());
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(result.levels.len(), config.fractions.len());
-    elapsed
 }

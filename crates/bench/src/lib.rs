@@ -268,7 +268,7 @@ mod tests {
         let mut b = Baseline::new();
         b.set("vm_insns_per_sec_decoded", 123_456_789.25);
         b.set("map_ops_per_sec", 1e7);
-        b.set("sweep_quick_wall_ms", 431.0625);
+        b.set("engine_events_per_sec", 431.0625);
         let text = b.to_json();
         assert!(text.starts_with("{\n"));
         assert!(

@@ -123,14 +123,6 @@ impl Default for SaturationDetector {
 }
 
 impl SaturationDetector {
-    /// A detector with a custom rise factor.
-    pub fn with_rise_factor(rise_factor: f64) -> SaturationDetector {
-        SaturationDetector {
-            rise_factor,
-            ..SaturationDetector::default()
-        }
-    }
-
     /// Feeds one window; returns an assessment when the window carries
     /// enough signal.
     pub fn observe(&mut self, w: &WindowMetrics) -> Option<SaturationAssessment> {
@@ -200,14 +192,6 @@ impl Default for SlackEstimator {
 }
 
 impl SlackEstimator {
-    /// An estimator with a custom duration floor.
-    pub fn with_floor_ns(floor_ns: f64) -> SlackEstimator {
-        SlackEstimator {
-            floor_ns,
-            ..SlackEstimator::default()
-        }
-    }
-
     /// Feeds one window; returns an assessment when poll activity exists.
     pub fn observe(&mut self, w: &WindowMetrics) -> Option<SlackAssessment> {
         let mean = w.poll_mean_ns?;

@@ -125,11 +125,6 @@ impl<B: MetricBackend> WindowedObserver<B> {
         &self.backend
     }
 
-    /// Mutable access to the wrapped backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
     /// Closes the currently open window at `now` (end of run).
     pub fn finish(&mut self, now: Nanos) {
         self.roll_to(now, true);

@@ -281,7 +281,7 @@ impl LookupSite {
 
 /// The per-program inline plan: one entry per helper-call site. Shared
 /// by the JIT emitter (which implements exactly this plan on x86-64),
-/// the cost certifier, and `probe_audit` — so the accounting stays
+/// the cost certifier, and `plans.golden` — so the accounting stays
 /// platform-independent and in lockstep with what the emitter does.
 #[derive(Debug, Clone, Default)]
 pub struct InlinePlan {

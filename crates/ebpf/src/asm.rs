@@ -280,11 +280,6 @@ impl Asm {
         self.jmp_reg(OP_JEQ, dst, src, label)
     }
 
-    /// Jump to `label` if `dst != src`.
-    pub fn jne_reg(self, dst: Reg, src: Reg, label: impl Into<String>) -> Self {
-        self.jmp_reg(OP_JNE, dst, src, label)
-    }
-
     /// Jump to `label` if `dst > imm` (unsigned).
     pub fn jgt_imm(self, dst: Reg, imm: i32, label: impl Into<String>) -> Self {
         self.jmp_imm(OP_JGT, dst, imm, label)

@@ -209,10 +209,7 @@ enum Dispatch {
     Raw,
     /// Native code compiled by [`crate::jit`], falling back to `Raw`
     /// when the program or platform is unsupported.
-    Jit {
-        /// Elide bounds checks the verifier proved redundant.
-        elide: bool,
-    },
+    Jit,
 }
 
 impl Default for Vm {
@@ -242,9 +239,38 @@ impl Memory<'_> {
         Ok(u64::from_le_bytes(buf))
     }
 
+    /// The `size` value bytes a map-slot address points at. The slot's
+    /// `(fd, key)` is resolved again on every access, since a looked-up
+    /// value may since have been deleted. A slot or key that no longer
+    /// resolves faults with `unresolved_size`: reads report 0, as the
+    /// access never reached a concrete value (historical fault shape,
+    /// relied on by golden error fixtures), and writes the access size.
+    /// An access past the value's end faults with `size`.
+    fn map_value(
+        &mut self,
+        pc: usize,
+        addr: u64,
+        size: usize,
+        unresolved_size: usize,
+    ) -> Result<&mut [u8], ExecError> {
+        let bad = |size: usize| ExecError::BadMemAccess { pc, addr, size };
+        let slot = ((addr - MAP_SLOT_BASE) / MAP_SLOT_STRIDE) as usize;
+        let off = ((addr - MAP_SLOT_BASE) % MAP_SLOT_STRIDE) as usize;
+        let entry = *self.slots.get(slot).ok_or_else(|| bad(unresolved_size))?;
+        let value = self
+            .maps
+            .lookup_mut(MapFd(entry.fd), entry.key_bytes())
+            .ok()
+            .flatten()
+            .ok_or_else(|| bad(unresolved_size))?;
+        off.checked_add(size)
+            .and_then(|end| value.get_mut(off..end))
+            .ok_or_else(|| bad(size))
+    }
+
     /// Read for an access the verifier proved lands in a map value: skips
-    /// the region dispatch but keeps slot resolution (a looked-up value
-    /// may since have been deleted) with identical fault shapes.
+    /// the region dispatch but keeps slot resolution, with identical
+    /// fault shapes.
     pub(crate) fn read_map_value(
         &mut self,
         pc: usize,
@@ -252,21 +278,7 @@ impl Memory<'_> {
         size: usize,
     ) -> Result<u64, ExecError> {
         let mut buf = [0u8; 8];
-        let bad = |size: usize| ExecError::BadMemAccess { pc, addr, size };
-        let slot = ((addr - MAP_SLOT_BASE) / MAP_SLOT_STRIDE) as usize;
-        let off = ((addr - MAP_SLOT_BASE) % MAP_SLOT_STRIDE) as usize;
-        let entry = *self.slots.get(slot).ok_or_else(|| bad(0))?;
-        let value = self
-            .maps
-            .lookup(MapFd(entry.fd), entry.key_bytes())
-            .ok()
-            .flatten()
-            .ok_or_else(|| bad(0))?;
-        let end = off.checked_add(size).ok_or_else(|| bad(size))?;
-        if end > value.len() {
-            return Err(bad(size));
-        }
-        buf[..size].copy_from_slice(&value[off..end]);
+        buf[..size].copy_from_slice(self.map_value(pc, addr, size, 0)?);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -278,22 +290,8 @@ impl Memory<'_> {
         size: usize,
         value: u64,
     ) -> Result<(), ExecError> {
-        let bytes = value.to_le_bytes();
-        let bad = || ExecError::BadMemAccess { pc, addr, size };
-        let slot = ((addr - MAP_SLOT_BASE) / MAP_SLOT_STRIDE) as usize;
-        let off = ((addr - MAP_SLOT_BASE) % MAP_SLOT_STRIDE) as usize;
-        let entry = *self.slots.get(slot).ok_or_else(bad)?;
-        let dest = self
-            .maps
-            .lookup_mut(MapFd(entry.fd), entry.key_bytes())
-            .ok()
-            .flatten()
-            .ok_or_else(bad)?;
-        let end = off.checked_add(size).ok_or_else(bad)?;
-        if end > dest.len() {
-            return Err(bad());
-        }
-        dest[off..end].copy_from_slice(&bytes[..size]);
+        self.map_value(pc, addr, size, size)?
+            .copy_from_slice(&value.to_le_bytes()[..size]);
         Ok(())
     }
 
@@ -322,23 +320,7 @@ impl Memory<'_> {
             out.copy_from_slice(&self.stack[off..end]);
             Ok(())
         } else if (MAP_SLOT_BASE..MAP_HANDLE_BASE).contains(&addr) {
-            let slot = ((addr - MAP_SLOT_BASE) / MAP_SLOT_STRIDE) as usize;
-            let off = ((addr - MAP_SLOT_BASE) % MAP_SLOT_STRIDE) as usize;
-            // Slot-resolution failures report size 0: the access never
-            // reached a concrete value (historical fault shape, relied on
-            // by golden error fixtures).
-            let entry = *self.slots.get(slot).ok_or_else(|| bad(0))?;
-            let value = self
-                .maps
-                .lookup(MapFd(entry.fd), entry.key_bytes())
-                .ok()
-                .flatten()
-                .ok_or_else(|| bad(0))?;
-            let end = off.checked_add(size).ok_or_else(|| bad(size))?;
-            if end > value.len() {
-                return Err(bad(size));
-            }
-            out.copy_from_slice(&value[off..end]);
+            out.copy_from_slice(self.map_value(pc, addr, size, 0)?);
             Ok(())
         } else {
             Err(bad(size))
@@ -373,20 +355,7 @@ impl Memory<'_> {
             self.stack[off..end].copy_from_slice(data);
             Ok(())
         } else if (MAP_SLOT_BASE..MAP_HANDLE_BASE).contains(&addr) {
-            let slot = ((addr - MAP_SLOT_BASE) / MAP_SLOT_STRIDE) as usize;
-            let off = ((addr - MAP_SLOT_BASE) % MAP_SLOT_STRIDE) as usize;
-            let entry = *self.slots.get(slot).ok_or_else(bad)?;
-            let value = self
-                .maps
-                .lookup_mut(MapFd(entry.fd), entry.key_bytes())
-                .ok()
-                .flatten()
-                .ok_or_else(bad)?;
-            let end = off.checked_add(size).ok_or_else(bad)?;
-            if end > value.len() {
-                return Err(bad());
-            }
-            value[off..end].copy_from_slice(data);
+            self.map_value(pc, addr, size, size)?.copy_from_slice(data);
             Ok(())
         } else {
             // The context is read-only; everything else is unmapped.
@@ -419,38 +388,30 @@ impl Vm {
         }
     }
 
-    /// Switches this VM to JIT-compiled native code (with verifier-proof
-    /// bounds-check elision), falling back to the interpreter for
-    /// programs or platforms the JIT declines — so opting in never
-    /// changes behavior, only speed.
+    /// Switches this VM to the program's JIT-compiled native code (see
+    /// [`Program::jit`]), falling back to the interpreter for programs or
+    /// platforms the JIT declines and for a context shorter than the one
+    /// the program was verified against — so opting in never changes
+    /// behavior, only speed.
     pub fn with_jit(mut self) -> Vm {
-        self.dispatch = Dispatch::Jit { elide: true };
-        self
-    }
-
-    /// Keeps every runtime bounds check in JIT-compiled code, even those
-    /// the verifier proved redundant. No effect on the interpreter.
-    pub fn without_bounds_elision(mut self) -> Vm {
-        if let Dispatch::Jit { elide } = &mut self.dispatch {
-            *elide = false;
-        }
+        self.dispatch = Dispatch::Jit;
         self
     }
 
     /// True when this VM attempts JIT execution.
     pub fn uses_jit(&self) -> bool {
-        matches!(self.dispatch, Dispatch::Jit { .. })
+        self.dispatch == Dispatch::Jit
     }
 
     /// Runs, ahead of time, the one-time JIT compile that [`Vm::execute`]
     /// would otherwise do on `program`'s first run, so no invocation
     /// pays it.
-    /// The native code is cached on the program itself, so every VM of
-    /// the same tier that later runs it shares the compilation. A no-op
+    /// The native code is cached on the program itself, so every JIT VM
+    /// that later runs it shares the one compilation. A no-op
     /// on the interpreter.
     pub fn precompile(&self, program: &Program) {
-        if let Dispatch::Jit { elide } = self.dispatch {
-            program.jit_for(elide);
+        if self.dispatch == Dispatch::Jit {
+            program.jit();
         }
     }
 
@@ -492,21 +453,16 @@ impl Vm {
         };
         match *dispatch {
             Dispatch::Raw => run_raw(*insn_budget, program, &mut mem, scratch, env),
-            Dispatch::Jit { elide } => {
-                // Compile lazily (cached on the Program). Elided code is
-                // only sound when the runtime context is at least as long
-                // as the one the program was verified against; otherwise
-                // use the fully-checked compilation.
-                let jit = match program.jit_for(elide) {
-                    Some(j) if elide && ctx.len() < j.min_ctx_len() => program.jit_for(false),
-                    other => other,
-                };
-                match jit {
-                    Some(j) => crate::jit::run(j, *insn_budget, &mut mem, scratch, env),
-                    // Unsupported program or platform: graceful fallback.
-                    None => run_raw(*insn_budget, program, &mut mem, scratch, env),
+            // Compile lazily (cached on the Program). Elided code is only
+            // sound when the runtime context is at least as long as the one
+            // the program was verified against; a shorter context, like an
+            // unsupported program or platform, runs on the interpreter.
+            Dispatch::Jit => match program.jit() {
+                Some(j) if ctx.len() >= j.min_ctx_len() => {
+                    crate::jit::run(j, *insn_budget, &mut mem, scratch, env)
                 }
-            }
+                _ => run_raw(*insn_budget, program, &mut mem, scratch, env),
+            },
         }
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! # Semantics contract
 //!
-//! The JIT is held to the differential suite (interpreter vs JIT vs
-//! unelided JIT) in `crates/testkit/tests/interp_decode_differential.rs`: identical
+//! The JIT is held to the differential suite (interpreter vs JIT, on the
+//! verified program and on an unverified, fully checked copy) in
+//! `crates/testkit/tests/interp_decode_differential.rs`: identical
 //! return values, instruction budgets, fault shapes, map contents, and
 //! `ExecEnv` state over generated, fixture, and backend-probe programs.
 //!
@@ -875,7 +876,7 @@ mod imp {
 
     /// Compiles a decoded program to native code. `plan` says which
     /// helper-call sites inline (the platform-independent plan the cost
-    /// certifier and probe_audit report against). `proofs` enables
+    /// certifier and `plans.golden` report against). `proofs` enables
     /// bounds-check elision for accesses the verifier proved safe;
     /// `None` compiles every access through the checked trampoline.
     pub(crate) fn compile(

@@ -19,7 +19,7 @@ use crate::verifier::AccessProofs;
 ///
 /// Verification attaches per-pc memory-access proofs and map-lookup
 /// facts ([`AccessProofs`]) as a side effect, and the first JIT execution
-/// compiles and caches native code; both are interior-mutable caches
+/// compiles and caches native code once; both are interior-mutable caches
 /// that do not participate in the program's identity.
 #[derive(Debug)]
 pub struct Program {
@@ -30,12 +30,10 @@ pub struct Program {
     /// value-tracking verification. Write-once: the first verification
     /// wins (re-verifying the same program yields the same proofs).
     analysis: OnceLock<AccessProofs>,
-    /// Lazily compiled native code without bounds-check elision.
-    /// `None` inside means compilation was attempted and declined
-    /// (unsupported instruction or platform) — don't retry.
-    jit_plain: OnceLock<Option<JitProgram>>,
-    /// Lazily compiled native code with verifier-proof-driven elision.
-    jit_elided: OnceLock<Option<JitProgram>>,
+    /// Lazily compiled native code. `None` inside means compilation was
+    /// attempted and declined (unsupported instruction or platform) —
+    /// don't retry.
+    jit: OnceLock<Option<JitProgram>>,
 }
 
 // `decoded` is a pure function of `insns`; identity is (name, insns).
@@ -58,8 +56,7 @@ impl Clone for Program {
             // carrying them over keeps elision available on clones.
             analysis: self.analysis.clone(),
             // Native code buffers are not cloneable; recompile on demand.
-            jit_plain: OnceLock::new(),
-            jit_elided: OnceLock::new(),
+            jit: OnceLock::new(),
         }
     }
 }
@@ -74,8 +71,7 @@ impl Program {
             insns,
             decoded,
             analysis: OnceLock::new(),
-            jit_plain: OnceLock::new(),
-            jit_elided: OnceLock::new(),
+            jit: OnceLock::new(),
         }
     }
 
@@ -117,19 +113,18 @@ impl Program {
     }
 
     /// The cached JIT compilation for this program, compiling on first
-    /// use. Helper calls follow [`helper_inline_plan`](crate::analysis::helper_inline_plan)
-    /// either way; with `elide` set, bounds checks proven safe by the
-    /// verifier's value-tracking pass are also omitted. Both read the
-    /// [`access_proofs`](Program::access_proofs) attached at the time of
-    /// the first call. Returns `None` when the program or platform is
-    /// unsupported; callers fall back to the interpreter.
-    pub fn jit_for(&self, elide: bool) -> Option<&JitProgram> {
-        let cache = if elide { &self.jit_elided } else { &self.jit_plain };
-        cache
+    /// use. Helper calls follow [`helper_inline_plan`](crate::analysis::helper_inline_plan),
+    /// and bounds checks the verifier's value-tracking pass proved safe
+    /// are omitted; both read the [`access_proofs`](Program::access_proofs)
+    /// attached at the time of the first call, so an unverified program
+    /// compiles fully checked and trampolines every map lookup. Returns
+    /// `None` when the program or platform is unsupported; callers fall
+    /// back to the interpreter.
+    pub fn jit(&self) -> Option<&JitProgram> {
+        self.jit
             .get_or_init(|| {
                 let plan = crate::analysis::helper_inline_plan(self);
-                let proofs = if elide { self.access_proofs() } else { None };
-                crate::jit::compile(&self.decoded, &plan, proofs)
+                crate::jit::compile(&self.decoded, &plan, self.access_proofs())
             })
             .as_ref()
     }

@@ -360,11 +360,6 @@ impl VerifierReport {
     pub fn is_ok(&self) -> bool {
         self.errors.is_empty()
     }
-
-    /// The first error, if any — what [`Verifier::verify`] returns.
-    pub fn first_error(&self) -> Option<&VerifyError> {
-        self.errors.first().map(|d| &d.error)
-    }
 }
 
 impl std::fmt::Display for VerifierReport {

@@ -6,18 +6,18 @@
 //! (bounds-checked) stack and context accesses with direct machine
 //! loads/stores. These tests pin the contract from both sides:
 //!
-//! * **Identity**: for verified programs, the elided JIT, the unelided
-//!   JIT, and the interpreter produce bitwise-identical outcomes
-//!   and map state — elision may never change observable behavior.
+//! * **Identity**: for verified programs, the elided JIT, the JIT of an
+//!   unverified (fully checked) copy, and the interpreter produce
+//!   bitwise-identical outcomes and map state — elision may never change
+//!   observable behavior.
 //! * **Effectiveness**: a stack/context-heavy verified program actually
-//!   compiles with `elided_accesses() > 0`, and the same program
-//!   compiled without proofs keeps every check in.
+//!   compiles with `elided_accesses() > 0`, and an unverified copy of it
+//!   keeps every check in.
 //! * **Soundness knob**: verifying with `value_tracking: false` attaches
-//!   no proofs, so even an elision-requesting JIT emits the fully
-//!   checked code.
+//!   no proofs, so the JIT emits the fully checked code.
 //! * **Runtime guard**: context proofs are conditioned on the verified
-//!   `ctx_size`; executing with a shorter context must take the checked
-//!   path and fault exactly like the interpreter.
+//!   `ctx_size`; executing with a shorter context must run on the
+//!   interpreter and fault exactly like it.
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::SZ_DW;
@@ -29,9 +29,10 @@ use kscope_simcore::SimRng;
 use kscope_testkit::ebpf_gen::{bounded_offset_program, valid_program};
 use kscope_testkit::{check, Config};
 
-/// Executes `prog` on the interpreter, the elided JIT, and the
-/// unelided JIT from identical states and asserts all three agree on
-/// the `Result`, the helper environment, and the full map state.
+/// Executes `prog` on the interpreter, on the JIT, and an unverified
+/// copy of it (no proofs, so fully checked native code) on the JIT, from
+/// identical states, and asserts all three agree on the `Result`, the
+/// helper environment, and the full map state.
 fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapRegistry) {
     let env = ExecEnv {
         ktime_ns: 1_000_000,
@@ -43,13 +44,13 @@ fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapR
     let mut env_interp = env;
     let interp = Vm::new().execute(prog, ctx, &mut maps_interp, &mut env_interp);
 
-    for (arm, mut vm) in [
-        ("jit", Vm::new().with_jit()),
-        ("jit-no-elide", Vm::new().with_jit().without_bounds_elision()),
-    ] {
+    let checked = unverified_copy(prog);
+    for (arm, run) in [("jit", prog), ("jit-checked", &checked)] {
         let mut maps_jit = base.clone();
         let mut env_jit = env;
-        let jit = vm.execute(prog, ctx, &mut maps_jit, &mut env_jit);
+        let jit = Vm::new()
+            .with_jit()
+            .execute(run, ctx, &mut maps_jit, &mut env_jit);
         assert_eq!(
             interp,
             jit,
@@ -64,6 +65,12 @@ fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapR
             prog.disassemble()
         );
     }
+}
+
+/// The same instructions with no proofs attached: its JIT compilation
+/// keeps every bounds check and trampolines every map lookup.
+fn unverified_copy(prog: &Program) -> Program {
+    Program::new(prog.name(), prog.insns().to_vec())
 }
 
 /// A verified program dense with provable accesses: constant-offset
@@ -119,7 +126,7 @@ fn elision_on_off_identical_for_generated_programs() {
 }
 
 /// The stack/context-heavy program compiles with real elisions when
-/// proofs are attached — and with none when elision is declined.
+/// proofs are attached — and with none in an unverified copy.
 #[test]
 fn elided_jit_removes_proven_checks() {
     let prog = stack_ctx_heavy();
@@ -136,8 +143,9 @@ fn elided_jit_removes_proven_checks() {
 
     #[cfg(target_arch = "x86_64")]
     {
-        let elided = prog.jit_for(true).expect("compilable on x86-64");
-        let checked = prog.jit_for(false).expect("compilable on x86-64");
+        let elided = prog.jit().expect("compilable on x86-64");
+        let copy = unverified_copy(&prog);
+        let checked = copy.jit().expect("compilable on x86-64");
         assert!(
             elided.elided_accesses() >= 9,
             "elided JIT should drop the proven checks, got {}",
@@ -146,7 +154,7 @@ fn elided_jit_removes_proven_checks() {
         assert_eq!(
             checked.elided_accesses(),
             0,
-            "the unelided JIT must keep every check in"
+            "the unverified copy's JIT must keep every check in"
         );
         assert_eq!(
             elided.min_ctx_len(),
@@ -159,8 +167,8 @@ fn elided_jit_removes_proven_checks() {
     assert_elision_invisible("stack_ctx_heavy", &prog, &ctx, &maps);
 }
 
-/// `value_tracking: false` attaches no proofs, so the elision-requesting
-/// JIT cache compiles fully checked code: every bounds check is back in.
+/// `value_tracking: false` attaches no proofs, so the JIT compiles fully
+/// checked code: every bounds check is back in.
 #[test]
 fn disabling_value_tracking_forces_checks_back_in() {
     let prog = stack_ctx_heavy();
@@ -178,7 +186,7 @@ fn disabling_value_tracking_forces_checks_back_in() {
 
     #[cfg(target_arch = "x86_64")]
     {
-        let jit = prog.jit_for(true).expect("compilable on x86-64");
+        let jit = prog.jit().expect("compilable on x86-64");
         assert_eq!(
             jit.elided_accesses(),
             0,
@@ -191,8 +199,8 @@ fn disabling_value_tracking_forces_checks_back_in() {
 }
 
 /// A context shorter than the verified `ctx_size` must not be read
-/// through elided (unchecked) loads: the VM falls back to the checked
-/// compilation and faults exactly like the interpreter.
+/// through elided (unchecked) loads: the VM runs it on the interpreter,
+/// so it faults exactly like the interpreter.
 #[test]
 fn short_context_takes_the_checked_path() {
     let prog = stack_ctx_heavy();

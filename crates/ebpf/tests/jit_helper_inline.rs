@@ -369,7 +369,7 @@ fn map_value_access_every_width_matches_interp() {
 
     #[cfg(target_arch = "x86_64")]
     {
-        let jit = prog.jit_for(true).expect("compilable on x86-64");
+        let jit = prog.jit().expect("compilable on x86-64");
         assert!(
             jit.elided_accesses() >= 9,
             "map-value accesses should compile to the arena fast path, got {}",
@@ -521,10 +521,10 @@ fn with_compaction(mut ops: Vec<Op>, max_entries: u32) -> Vec<Op> {
 /// helper), deletes plus fresh keys force an in-place compaction, and
 /// inline lookups of keys placed before and after every move keep
 /// answering as a model of the map says. The interpreter, the JIT and
-/// the JIT without bounds elision agree on the return value, the
-/// instruction count, the fault of a read through a pointer whose key
-/// was deleted, and the map's entries, which also match a standalone
-/// replay of the same steps.
+/// the JIT of an unverified (fully checked, every lookup trampolined)
+/// copy agree on the return value, the instruction count, the fault of a
+/// read through a pointer whose key was deleted, and the map's entries,
+/// which also match a standalone replay of the same steps.
 #[test]
 #[allow(unsafe_code)] // reads the raw descriptor table like JIT code does
 fn hash_table_moves_mid_run() {
@@ -556,18 +556,20 @@ fn hash_table_moves_mid_run() {
         verify(prog, &base);
         #[cfg(target_arch = "x86_64")]
         {
-            let jit = prog.jit_for(true).expect("compilable on x86-64");
+            let jit = prog.jit().expect("compilable on x86-64");
             assert!(jit.inlined_calls() >= lookups, "lookups compile inline");
         }
     }
 
+    let unverified = |prog: &Program| Program::new(prog.name(), prog.insns().to_vec());
+    let (ok_checked, stale_checked) = (unverified(&ok), unverified(&stale));
     let arms = [
-        ("interp", Vm::new()),
-        ("jit", Vm::new().with_jit()),
-        ("jit-no-elide", Vm::new().with_jit().without_bounds_elision()),
+        ("interp", Vm::new(), [&ok, &stale]),
+        ("jit", Vm::new().with_jit(), [&ok, &stale]),
+        ("jit-checked", Vm::new().with_jit(), [&ok_checked, &stale_checked]),
     ];
     let mut results = Vec::new();
-    for (arm, vm) in arms {
+    for (arm, vm, [ok, stale]) in arms {
         let run = |prog: &Program| {
             let mut maps = base.clone();
             let out = vm.clone().execute(prog, &[], &mut maps, &mut ExecEnv::default());
@@ -582,8 +584,8 @@ fn hash_table_moves_mid_run() {
             let desc: MapRuntimeDesc = unsafe { *ptr };
             (out, entries, desc.aux)
         };
-        let (out, entries, aux) = run(&ok);
-        let (stale_out, _, _) = run(&stale);
+        let (out, entries, aux) = run(ok);
+        let (stale_out, _, _) = run(stale);
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             table.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         assert_eq!(entries, want, "{arm}: entries match the replay, in slot order");

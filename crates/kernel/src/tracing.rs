@@ -92,11 +92,6 @@ impl Tracing {
         self.collect_trace = collect;
     }
 
-    /// Whether full-trace collection is on.
-    pub fn collects_trace(&self) -> bool {
-        self.collect_trace
-    }
-
     /// Attaches a probe to both tracepoints; returns its handle.
     pub fn attach(&mut self, probe: Box<dyn TracepointProbe>) -> ProbeId {
         let id = ProbeId(self.next_probe);

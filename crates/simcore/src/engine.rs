@@ -177,12 +177,6 @@ impl<E> Engine<E> {
         self.heap.push(Pending { at, seq, event });
     }
 
-    /// Schedules `event` after a relative delay.
-    pub fn schedule_in(&mut self, delay: Nanos, event: E) {
-        let at = self.now.saturating_add(delay);
-        self.schedule(at, event);
-    }
-
     /// Dispatches the single earliest event into `model`.
     ///
     /// Returns `false` if the queue was empty.

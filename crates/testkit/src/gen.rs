@@ -39,11 +39,6 @@ pub fn u64_any(rng: &mut SimRng) -> u64 {
     rng.next_u64()
 }
 
-/// A fully random `i64`.
-pub fn i64_any(rng: &mut SimRng) -> i64 {
-    rng.next_u64() as i64
-}
-
 /// A fully random `i32`.
 pub fn i32_any(rng: &mut SimRng) -> i32 {
     rng.next_u32() as i32

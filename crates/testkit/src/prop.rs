@@ -57,11 +57,6 @@ impl Config {
         }
     }
 
-    /// Replaces the base seed.
-    pub fn with_seed(self, seed: u64) -> Config {
-        Config { seed, ..self }
-    }
-
     /// Applies the `KSCOPE_TESTKIT_SEED` / `KSCOPE_TESTKIT_CASES`
     /// environment overrides.
     fn with_env_overrides(self) -> Config {

@@ -10,10 +10,15 @@
 //!    program carrying one of every advisory kind. The discovery logic
 //!    lives in the analysis module now; this file proves the move kept
 //!    the report byte-stable.
-//! 3. `plans.golden` — for every verified program `probe_audit` audits
-//!    plus the precision corpus: each helper-call site's JIT treatment
-//!    and map-lookup facts, and the certified cost. The plan is what the
-//!    JIT emits, so a diff here is a change to native code.
+//! 3. `plans.golden` — for every program of every shipped probe
+//!    configuration plus the precision corpus: each helper-call site's
+//!    JIT treatment and map-lookup facts, and the certified cost. The
+//!    plan is what the JIT emits, so a diff here is a change to native
+//!    code. Before the diff, the shipped programs must also hold the
+//!    probe audit's invariants: each compiles on a JIT-supported
+//!    platform, the sketch update stays a trampoline call, env helpers
+//!    and map lookups inline, and the netstack and streaming pairs are
+//!    present.
 //! 4. Text-layer round-trip (no golden file): emit → re-parse
 //!    reproduces the stream instruction-for-instruction, and the
 //!    re-parsed program still verifies cleanly — covering the shipped
@@ -24,7 +29,9 @@ use kscope_core::ProbeSet;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::{emit_program, parse_program};
 use kscope_ebpf::verifier::{Verifier, VerifierConfig};
-use kscope_ebpf::{cost_report, helper_inline_plan, CostReport, Program};
+use kscope_ebpf::{
+    cost_report, helper_inline_plan, jit, CostReport, Helper, HelperInline, Program,
+};
 use kscope_syscalls::SyscallProfile;
 use kscope_testkit::golden::assert_matches_golden;
 
@@ -88,7 +95,9 @@ fn precision_corpus_analysis_matches_golden() {
     );
 }
 
-/// The probe configurations `probe_audit` audits, in its order.
+/// Every probe configuration the repo ships, as the set that builds it:
+/// each syscall profile's pair, the histogram variant, the fleet's
+/// sketch and netstack additions, and the multi-process probe.
 fn audited_sets() -> Vec<(&'static str, ProbeSet)> {
     let pair = |profile| ProbeSet::new(vec![1_000], profile, 10);
     let hist = pair(SyscallProfile::data_caching()).with_poll_histogram();
@@ -127,26 +136,112 @@ fn render_plan(label: &str, prog: &Program) -> String {
     out
 }
 
-#[test]
-fn inline_plans_match_golden() {
-    let mut out = String::new();
-    for (label, set) in audited_sets() {
-        let backend = set
-            .build()
-            .unwrap_or_else(|e| panic!("`{label}` does not build: {e}"));
-        let (enter, exit) = backend.programs();
-        let mut progs = vec![enter, exit];
-        if let Some((rx, drain)) = backend.net_programs() {
-            progs.extend([rx, drain]);
+/// Which tracepoint pair a shipped program belongs to.
+#[derive(Clone, Copy, PartialEq)]
+enum Pair {
+    Syscall,
+    Netstack,
+    Streaming,
+}
+
+/// The probe audit over every shipped `(label, program, pair)`. Building
+/// already refused any program over `PROBE_COST_BUDGET` or without a
+/// finite cost bound.
+fn assert_audit_invariants(shipped: &[(&str, &Program, Pair)]) {
+    let (mut env, mut lookup_fast, mut sketch_sites) = (0, 0, 0);
+    for &(label, prog, _) in shipped {
+        // On a platform the JIT supports, a program it declines would run
+        // on the interpreter fallback instead of native code.
+        if jit::supported() {
+            assert!(
+                prog.jit().is_some(),
+                "{label}: the JIT declined '{}'",
+                prog.name()
+            );
         }
-        for prog in progs {
-            out.push_str(&render_plan(label, prog));
+        for &(_, helper, treatment) in helper_inline_plan(prog).sites() {
+            match treatment {
+                HelperInline::Env => env += 1,
+                HelperInline::MapLookupFast => lookup_fast += 1,
+                HelperInline::Trampoline => {}
+            }
+            if helper == Helper::SketchUpdate {
+                // The sketch update mutates shared multi-word state, so
+                // inlining it would fork interpreter and JIT semantics.
+                assert_eq!(
+                    treatment,
+                    HelperInline::Trampoline,
+                    "{label}: sketch_update site in '{}' is not trampolined",
+                    prog.name()
+                );
+                sketch_sites += 1;
+            }
         }
     }
+    let count = |pair| shipped.iter().filter(|p| p.2 == pair).count();
+    let (net, stream) = (count(Pair::Netstack), count(Pair::Streaming));
+    assert!(
+        env >= 3,
+        "inline plan covers only {env} env helper sites (expected >= 3)"
+    );
+    assert!(
+        lookup_fast > 0,
+        "no shipped map lookup compiles to the inline fast path"
+    );
+    assert!(
+        sketch_sites > 0,
+        "no sketch_update site audited — the fleet probe configuration is missing"
+    );
+    assert!(
+        net >= 2,
+        "only {net} netstack programs audited (expected the kscope_net_rx / \
+         kscope_sock_drain pair) — the netstack probe configuration is missing"
+    );
+    assert!(
+        stream >= 2,
+        "only {stream} streaming programs audited (expected the \
+         kscope_stream_enter / kscope_stream_exit pair)"
+    );
+}
+
+#[test]
+fn inline_plans_match_golden() {
+    let built: Vec<_> = audited_sets()
+        .into_iter()
+        .map(|(label, set)| {
+            let backend = set
+                .build()
+                .unwrap_or_else(|e| panic!("`{label}` does not build: {e}"));
+            (label, backend)
+        })
+        .collect();
     let streamer = StreamingProbe::new(1_000, SyscallProfile::data_caching(), 4_096)
         .unwrap_or_else(|e| panic!("streaming pair does not build: {e}"));
-    for prog in streamer.runtime().programs() {
-        out.push_str(&render_plan("streaming", prog));
+    let mut shipped = Vec::new();
+    for (label, backend) in &built {
+        let (enter, exit) = backend.programs();
+        shipped.extend([
+            (*label, enter, Pair::Syscall),
+            (*label, exit, Pair::Syscall),
+        ]);
+        if let Some((rx, drain)) = backend.net_programs() {
+            shipped.extend([
+                (*label, rx, Pair::Netstack),
+                (*label, drain, Pair::Netstack),
+            ]);
+        }
+    }
+    shipped.extend(
+        streamer
+            .runtime()
+            .programs()
+            .map(|p| ("streaming", p, Pair::Streaming)),
+    );
+    assert_audit_invariants(&shipped);
+
+    let mut out = String::new();
+    for &(label, prog, _) in &shipped {
+        out.push_str(&render_plan(label, prog));
     }
     for (name, text) in FIXTURES {
         let prog = parse_program(name, text)

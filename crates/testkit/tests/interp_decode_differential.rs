@@ -4,8 +4,10 @@
 //! The VM executes programs by decoding raw instruction words on every
 //! step (`Vm::new()`, the reference interpreter), or as native x86-64
 //! machine code compiled from the pre-decoded representation
-//! (`Vm::new().with_jit()`, with and without verifier-proof-driven
-//! bounds-check elision). The tests here hold all of them byte-for-byte
+//! (`Vm::new().with_jit()`), both for the verified program, whose
+//! compilation elides proven bounds checks and inlines map lookups, and
+//! for an unverified copy of it, whose compilation keeps every check and
+//! trampolines every lookup. The tests here hold all of them byte-for-byte
 //! equal — same `ExecOutcome` (return value, instruction count, trace
 //! output) or same `ExecError`, same final map state, same final helper
 //! environment — across:
@@ -62,14 +64,17 @@ use kscope_testkit::{check, gen, Config};
 /// Runs `prog` through all three dispatch arms from identical starting
 /// states and asserts the observable results are equal: the `Result`
 /// itself (outcome or error), the mutated helper environment, and the
-/// full map registry state. The interpreter is the base; JIT-with-elision
-/// and JIT-without-elision are each held strictly to it. Also asserts the
-/// static cost certificate bounds every successful run.
+/// full map registry state. The interpreter is the base; the JIT of the
+/// program and the JIT of an unverified copy are each held strictly to
+/// it. Also asserts the static cost certificate bounds every successful
+/// run.
 ///
 /// The program is verified first (the result is ignored), so one the
 /// default verifier accepts carries access proofs and lookup facts and
-/// the JIT arms run its elided accesses and inline map lookups. A
-/// program verified earlier keeps the facts of that verification.
+/// the `jit` arm runs its elided accesses and inline map lookups. A
+/// program verified earlier keeps the facts of that verification. The
+/// copy, `Program::new` over the same instructions, carries none, so the
+/// `jit-checked` arm runs fully checked native code.
 fn assert_dispatch_identical(
     label: &str,
     prog: &Program,
@@ -83,12 +88,10 @@ fn assert_dispatch_identical(
         None => Vm::new(),
     };
     let _ = Verifier::default().verify_report(prog, base);
+    let checked = Program::new(prog.name(), prog.insns().to_vec());
     let mut vm_interp = make_vm();
-    let mut vm_jit = make_vm().with_jit();
-    let mut vm_jit_checked = make_vm().with_jit().without_bounds_elision();
     assert!(!vm_interp.uses_jit());
-    assert!(vm_jit.uses_jit());
-    assert!(vm_jit_checked.uses_jit());
+    assert!(make_vm().with_jit().uses_jit());
 
     let mut maps_interp = base.clone();
     let mut env_interp = env;
@@ -105,10 +108,12 @@ fn assert_dispatch_identical(
         );
     }
 
-    for (arm, vm) in [("jit", &mut vm_jit), ("jit-no-elide", &mut vm_jit_checked)] {
+    for (arm, run) in [("jit", prog), ("jit-checked", &checked)] {
         let mut maps_other = base.clone();
         let mut env_other = env;
-        let other = vm.execute(prog, ctx, &mut maps_other, &mut env_other);
+        let other = make_vm()
+            .with_jit()
+            .execute(run, ctx, &mut maps_other, &mut env_other);
         assert_eq!(
             interp,
             other,
@@ -188,7 +193,7 @@ fn generated_programs_execute_identically() {
         let ctx = random_ctx(&mut rng);
         let env = random_env(&mut rng);
         assert_dispatch_identical(&format!("generated[{i}]"), &prog, &ctx, &base, env, None);
-        if let Some(jit) = prog.jit_for(true) {
+        if let Some(jit) = prog.jit() {
             elided += jit.elided_accesses();
             inlined += jit.inlined_calls();
             inline_lookups += helper_inline_plan(&prog)
@@ -636,7 +641,7 @@ fn helper_surface_is_identical() {
 /// Every committed precision fixture runs identically on all paths, on
 /// randomized context bytes. The fixtures are verified first, so the
 /// value-tracking proofs attach and the default JIT arm executes with
-/// bounds checks actually elided (the `jit-no-elide` arm keeps them in).
+/// bounds checks actually elided (the `jit-checked` arm keeps them in).
 #[test]
 fn fixture_probes_execute_identically() {
     const FIXTURES: &[(&str, &str)] = &[

@@ -16,7 +16,7 @@
 //!   hot-path modules (`crates/ebpf/src/{interp,decode,maps,analysis}.rs`
 //!   and `crates/core/src/{runtime,streaming}.rs`): the
 //!   per-event path is allocation-free by measurement
-//!   (`hot_path_allocs_per_event` in `BENCH_baseline.json`), and this
+//!   (`crates/core/tests/instance_allocs.rs`, a Tier-1 test), and this
 //!   keeps it that way by construction. Deliberate off-path allocations
 //!   carry a `// cold path: ...` comment on the same line, which exempts
 //!   that line.
@@ -68,8 +68,8 @@ const BANNED_NON_TEST: &[&str] = &[".unwrap()", ".expect("];
 const BANNED_EVERYWHERE: &[&str] = &["dbg!(", "todo!("];
 
 /// Interpreter/map hot-path modules: per-event code where heap churn is
-/// a measured regression (`BENCH_baseline.json` pins
-/// `hot_path_allocs_per_event` at zero).
+/// a measured regression (`crates/core/tests/instance_allocs.rs` pins
+/// the probe's per-event allocations at zero).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/ebpf/src/interp.rs",
     "crates/ebpf/src/decode.rs",
