@@ -28,8 +28,14 @@ use crate::host::ReportEnvelope;
 pub struct HostSlot {
     /// Highest sequence number accepted.
     pub last_seq: Option<u64>,
-    /// The latest (by sequence) envelope accepted.
-    pub latest: Option<ReportEnvelope>,
+    /// The latest (by sequence) envelope accepted. Boxed so a slot is
+    /// 56 bytes rather than 1.4 KB: the per-host tables a slot passes
+    /// through (the workers' result table, the collected outcomes, the
+    /// collector's own table) then stay under 1 MB at 10⁴ hosts. Inline
+    /// envelopes would make each a 14 MB block, and how the allocator
+    /// reuses such blocks varies from one run to the next, and peak
+    /// memory with it.
+    pub latest: Option<Box<ReportEnvelope>>,
     /// Envelopes accepted (forward progress).
     pub accepted: u64,
     /// Envelopes that arrived with `seq <= last_seq` — reordered behind a
@@ -59,7 +65,7 @@ impl HostSlot {
                 self.last_seq = Some(envelope.seq);
                 self.accepted += 1;
                 self.last_arrival = now;
-                self.latest = Some(envelope);
+                self.latest = Some(Box::new(envelope));
             }
         }
     }
@@ -395,7 +401,7 @@ impl Collector {
             let leaf_keys: Vec<Vec<&[u8]>> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
                 let keys = self.slots[lo..hi]
                     .iter()
-                    .filter_map(|slot| slot.latest.as_ref())
+                    .filter_map(|slot| slot.latest.as_deref())
                     .flat_map(|env| env.sketch.state().candidate_keys());
                 sketch.select_keys(keys, cap)
             });
