@@ -82,7 +82,13 @@ impl AsciiChart {
     /// # Panics
     ///
     /// Panics if `xs` and `ys` differ in length.
-    pub fn series(&mut self, name: impl Into<String>, xs: &[f64], ys: &[f64], mark: char) -> &mut Self {
+    pub fn series(
+        &mut self,
+        name: impl Into<String>,
+        xs: &[f64],
+        ys: &[f64],
+        mark: char,
+    ) -> &mut Self {
         assert_eq!(xs.len(), ys.len(), "series xs/ys must have equal length");
         self.series.push(Series {
             name: name.into(),

@@ -92,11 +92,7 @@ impl Histogram {
     /// Index of the most populated bin, `None` when all in-range bins are
     /// empty.
     pub fn mode_bin(&self) -> Option<usize> {
-        let (idx, &count) = self
-            .bins
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)?;
+        let (idx, &count) = self.bins.iter().enumerate().max_by_key(|&(_, c)| *c)?;
         (count > 0).then_some(idx)
     }
 

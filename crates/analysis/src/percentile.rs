@@ -152,13 +152,12 @@ impl P2Quantile {
             if (d >= 1.0 && step_right > 1.0) || (d <= -1.0 && step_left < -1.0) {
                 let d = d.signum();
                 let candidate = self.parabolic(i, d);
-                self.heights[i] = if self.heights[i - 1] < candidate
-                    && candidate < self.heights[i + 1]
-                {
-                    candidate
-                } else {
-                    self.linear(i, d)
-                };
+                self.heights[i] =
+                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
+                        candidate
+                    } else {
+                        self.linear(i, d)
+                    };
                 self.positions[i] += d;
             }
         }

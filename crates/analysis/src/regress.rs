@@ -160,10 +160,7 @@ mod tests {
     fn noise_reduces_r_squared() {
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
         // Deterministic "noise".
-        let y: Vec<f64> = x
-            .iter()
-            .map(|v| v + 30.0 * ((v * 12.9898).sin()))
-            .collect();
+        let y: Vec<f64> = x.iter().map(|v| v + 30.0 * ((v * 12.9898).sin())).collect();
         let fit = LinearFit::fit(&x, &y).unwrap();
         assert!(fit.r_squared < 1.0);
         assert!(fit.r_squared > 0.5);

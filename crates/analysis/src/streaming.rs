@@ -95,7 +95,8 @@ impl Welford {
         }
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
     }
@@ -142,7 +143,9 @@ mod tests {
 
     #[test]
     fn welford_matches_naive() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0 + 50.0).collect();
+        let xs: Vec<f64> = (0..100)
+            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 50.0)
+            .collect();
         let acc: Welford = xs.iter().copied().collect();
         assert!((acc.population_variance() - naive_variance(&xs)).abs() < 1e-9);
         assert!((acc.mean() - xs.iter().sum::<f64>() / 100.0).abs() < 1e-12);

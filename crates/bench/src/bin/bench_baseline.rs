@@ -53,13 +53,13 @@
 
 use std::time::Duration;
 
+use kscope_bench::{Baseline, Criterion};
 use kscope_core::{BytecodeBackend, MetricBackend, ProbeSet, DEFAULT_SHIFT};
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::program::Program;
 use kscope_ebpf::verifier::Verifier;
-use kscope_bench::{Baseline, Criterion};
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 
@@ -69,7 +69,8 @@ const ALU_INSNS: f64 = 64.0;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| String::from("BENCH_baseline.json"));
+    let out_path =
+        flag_value(&args, "--out").unwrap_or_else(|| String::from("BENCH_baseline.json"));
     let check_path = flag_value(&args, "--check");
 
     let criterion = if quick {
@@ -116,7 +117,11 @@ fn main() {
     let alu_jit = median_of("alu jit", repeats, &mut max_spread, || {
         vm_alu_insns_per_sec(&criterion, Vm::new().with_jit())
     });
-    let alu_speedup = if alu_raw > 0.0 { alu_jit / alu_raw } else { 0.0 };
+    let alu_speedup = if alu_raw > 0.0 {
+        alu_jit / alu_raw
+    } else {
+        0.0
+    };
     baseline.set("vm_alu_insns_per_sec_raw", alu_raw);
     baseline.set("vm_alu_insns_per_sec_jit", alu_jit);
     baseline.set("vm_jit_alu_speedup", alu_speedup);
@@ -199,8 +204,15 @@ fn median_and_spread(label: &str, samples: &mut [f64], max_spread: &mut f64) -> 
     };
     let lo = core.first().copied().unwrap_or(0.0);
     let hi = core.last().copied().unwrap_or(0.0);
-    let spread = if hi > 0.0 { (hi - lo) / hi * 100.0 } else { 0.0 };
-    println!("  [{label}: median of {}, spread {spread:.1}%]", samples.len());
+    let spread = if hi > 0.0 {
+        (hi - lo) / hi * 100.0
+    } else {
+        0.0
+    };
+    println!(
+        "  [{label}: median of {}, spread {spread:.1}%]",
+        samples.len()
+    );
     *max_spread = max_spread.max(spread);
     samples[samples.len() / 2]
 }
@@ -288,7 +300,11 @@ fn check_against(path: &str, fresh: &Baseline) {
         // dispatch, not the synthetic ALU floor.
         let ev_interp = fresh.get("probe_events_per_sec").unwrap_or(0.0);
         let ev_jit = fresh.get("probe_events_per_sec_jit").unwrap_or(0.0);
-        let ev_ratio = if ev_interp > 0.0 { ev_jit / ev_interp } else { 0.0 };
+        let ev_ratio = if ev_interp > 0.0 {
+            ev_jit / ev_interp
+        } else {
+            0.0
+        };
         if ev_ratio < 2.0 {
             eprintln!(
                 "bench_baseline: REGRESSION: JIT probe events/s is only {ev_ratio:.2}x the \
@@ -331,11 +347,9 @@ fn vm_alu_insns_per_sec(criterion: &Criterion, mut vm: Vm) -> f64 {
         .verify(&prog, &maps)
         .unwrap_or_else(|e| panic!("static benchmark program must verify: {e}"));
     let mut env = ExecEnv::default();
-    let stats = criterion.measure(|| {
-        match vm.execute(&prog, &[], &mut maps, &mut env) {
-            Ok(outcome) => outcome.ret,
-            Err(e) => panic!("verified ALU program cannot fault: {e:?}"),
-        }
+    let stats = criterion.measure(|| match vm.execute(&prog, &[], &mut maps, &mut env) {
+        Ok(outcome) => outcome.ret,
+        Err(e) => panic!("verified ALU program cannot fault: {e:?}"),
     });
     stats.ops_per_sec(ALU_INSNS)
 }

@@ -59,11 +59,7 @@ pub struct Agent {
 
 impl Agent {
     /// Creates an agent with custom estimators.
-    pub fn new(
-        rps: RpsEstimator,
-        saturation: SaturationDetector,
-        slack: SlackEstimator,
-    ) -> Agent {
+    pub fn new(rps: RpsEstimator, saturation: SaturationDetector, slack: SlackEstimator) -> Agent {
         Agent {
             rps,
             saturation,

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use kscope_ebpf::asm::{Asm, AsmError};
-use kscope_ebpf::insn::{OP_JLT, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, SZ_DW, SZ_W};
+use kscope_ebpf::insn::{OP_JLT, R0, R1, R10, R2, R3, R4, R5, R6, R7, R8, R9, SZ_DW, SZ_W};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
 use kscope_ebpf::{Helper, Program};
 use kscope_simcore::Nanos;
@@ -856,7 +856,9 @@ mod tests {
             SyscallProfile::triton_grpc(),
             SyscallProfile::triton_http(),
         ] {
-            ProbeSet::new(vec![42], profile, 10).build().expect("builds");
+            ProbeSet::new(vec![42], profile, 10)
+                .build()
+                .expect("builds");
         }
     }
 
@@ -870,7 +872,14 @@ mod tests {
             |set| set.with_entity_sketch(8),
             ProbeSet::with_netstack,
         ];
-        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
         for subset in 0..8u32 {
             let has = |step: usize| subset & (1 << step) != 0;
             let builds: Vec<BytecodeBackend> = orders
@@ -910,7 +919,10 @@ mod tests {
             for other in &builds[1..] {
                 assert_eq!(other.probe.set, first.probe.set);
                 let insns: Vec<_> = other.runtime.programs().map(Program::insns).collect();
-                assert_eq!(insns, programs.iter().map(|p| p.insns()).collect::<Vec<_>>());
+                assert_eq!(
+                    insns,
+                    programs.iter().map(|p| p.insns()).collect::<Vec<_>>()
+                );
                 assert_eq!(map_dump(other), map_dump(first), "subset {subset:03b}");
             }
         }
@@ -972,14 +984,24 @@ mod tests {
     fn disassembly_mentions_tracepoint_programs() {
         let net_programs = ["kscope_net_rx", "kscope_sock_drain"];
         for netstack in [false, true] {
-            let p = if netstack { set(0).with_netstack() } else { set(0) }.build().unwrap();
+            let p = if netstack {
+                set(0).with_netstack()
+            } else {
+                set(0)
+            }
+            .build()
+            .unwrap();
             let dis = p.disassembly();
             assert!(dis.contains("kscope_sys_enter"));
             assert!(dis.contains("kscope_sys_exit"));
             assert!(dis.contains("call 14")); // bpf_get_current_pid_tgid
             assert!(dis.contains("call 5")); // bpf_ktime_get_ns
             for name in net_programs {
-                assert_eq!(dis.contains(name), netstack, "{name} with netstack={netstack}");
+                assert_eq!(
+                    dis.contains(name),
+                    netstack,
+                    "{name} with netstack={netstack}"
+                );
             }
         }
     }
@@ -1098,7 +1120,12 @@ mod tests {
         let mut p = sketch_probe(16);
         let tids: Vec<u32> = (0..24).map(|i| 1 + i % 6).collect();
         for (i, &tid) in tids.iter().enumerate() {
-            p.on_event(&ctx(TracePhase::Exit, SyscallNo::SENDMSG, tid, 100 * (i as u64 + 1)));
+            p.on_event(&ctx(
+                TracePhase::Exit,
+                SyscallNo::SENDMSG,
+                tid,
+                100 * (i as u64 + 1),
+            ));
         }
         let mut replay = kscope_ebpf::SketchState::new(8, 16);
         for &tid in &tids {
@@ -1123,7 +1150,13 @@ mod tests {
 
     use kscope_syscalls::NetCtx as Net;
 
-    fn net_ctx(phase: TracePhase, request: u64, stage_ns: u64, arg: u64, t_ns: u64) -> TracepointCtx {
+    fn net_ctx(
+        phase: TracePhase,
+        request: u64,
+        stage_ns: u64,
+        arg: u64,
+        t_ns: u64,
+    ) -> TracepointCtx {
         TracepointCtx {
             phase,
             // Net tracepoints are not syscalls; the kernel dispatches
@@ -1161,8 +1194,19 @@ mod tests {
         let (rx_ns, poll_exit, drain_ns) = ((t_us + 5) * 1_000, t_us + 10, (t_us + 12) * 1_000);
         p.on_event(&ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, tid, t_us));
         p.on_event(&net_ctx(TracePhase::NetRxSoftirq, request, 500, 64, rx_ns));
-        p.on_event(&ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, tid, poll_exit));
-        p.on_event(&net_ctx(TracePhase::SockQueueDrain, request, 0, 0, drain_ns));
+        p.on_event(&ctx(
+            TracePhase::Exit,
+            SyscallNo::EPOLL_WAIT,
+            tid,
+            poll_exit,
+        ));
+        p.on_event(&net_ctx(
+            TracePhase::SockQueueDrain,
+            request,
+            0,
+            0,
+            drain_ns,
+        ));
         p.on_event(&ctx(TracePhase::Exit, SyscallNo::RECVMSG, tid, t_us + 15));
         p.on_event(&ctx(TracePhase::Exit, SyscallNo::SENDMSG, tid, t_us + 20));
     }
@@ -1334,10 +1378,7 @@ mod tests {
         let c = p.stack_counters().unwrap();
         assert_eq!(c.count, 0);
         assert_eq!(c.misses, 1);
-        assert_eq!(
-            p.stack_histogram().unwrap().iter().sum::<u64>(),
-            0
-        );
+        assert_eq!(p.stack_histogram().unwrap().iter().sum::<u64>(), 0);
     }
 
     #[test]

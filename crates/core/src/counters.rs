@@ -253,7 +253,11 @@ mod tests {
     fn merge_equals_concatenated_stream() {
         let deltas: Vec<u64> = (0..200).map(|i| 100_000 + i * 977).collect();
         let mut whole = RawCounters::new(10);
-        let mut parts = [RawCounters::new(10), RawCounters::new(10), RawCounters::new(10)];
+        let mut parts = [
+            RawCounters::new(10),
+            RawCounters::new(10),
+            RawCounters::new(10),
+        ];
         for (i, &d) in deltas.iter().enumerate() {
             whole.send.push(d);
             whole.poll.push(d / 3);

@@ -294,7 +294,7 @@ mod tests {
             ..SaturationDetector::default()
         };
         det.observe(&window(&[1_000_000; 64], &[])).unwrap(); // 1000 rps
-        // Low load: huge variance but far from peak rps.
+                                                              // Low load: huge variance but far from peak rps.
         let mut sparse = Vec::new();
         for _ in 0..16 {
             sparse.push(1_000_000u64);

@@ -89,7 +89,11 @@ impl Log2Hist {
         for (i, &c) in buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                let scaled_mid = if i == 0 { 1.0 } else { 2f64.powf(i as f64 + 0.5) };
+                let scaled_mid = if i == 0 {
+                    1.0
+                } else {
+                    2f64.powf(i as f64 + 0.5)
+                };
                 return Some(scaled_mid * (1u64 << shift) as f64);
             }
         }
@@ -134,7 +138,9 @@ impl Log2Hist {
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().fold(0u64, |acc, &b| acc.wrapping_add(b))
+        self.buckets
+            .iter()
+            .fold(0u64, |acc, &b| acc.wrapping_add(b))
     }
 
     /// True when no samples were recorded.
@@ -206,7 +212,12 @@ mod tests {
     #[test]
     fn merge_equals_concatenated_stream() {
         let samples: Vec<u64> = (0..500).map(|i| (i * 7919) % 2_000_000).collect();
-        let mut parts = [Log2Hist::new(10), Log2Hist::new(10), Log2Hist::new(10), Log2Hist::new(10)];
+        let mut parts = [
+            Log2Hist::new(10),
+            Log2Hist::new(10),
+            Log2Hist::new(10),
+            Log2Hist::new(10),
+        ];
         let mut whole = Log2Hist::new(10);
         for (i, &s) in samples.iter().enumerate() {
             parts[i % 4].record(s);

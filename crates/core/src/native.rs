@@ -142,8 +142,7 @@ impl NativeBackend {
                     let scaled = now.wrapping_sub(nic_at) >> shift;
                     ns.counters.count = ns.counters.count.wrapping_add(1);
                     ns.counters.sum = ns.counters.sum.wrapping_add(scaled);
-                    ns.counters.sumsq =
-                        ns.counters.sumsq.wrapping_add(scaled.wrapping_mul(scaled));
+                    ns.counters.sumsq = ns.counters.sumsq.wrapping_add(scaled.wrapping_mul(scaled));
                     // floor(log2(max(scaled, 1))), the bit ladder's result.
                     ns.hist[63 - (scaled | 1).leading_zeros() as usize] += 1;
                 }

@@ -150,7 +150,8 @@ impl<B: MetricBackend> WindowedObserver<B> {
     /// into history, then resets the windowed state.
     fn close_window(&mut self, end: Nanos) {
         let raw = self.backend.counters();
-        self.history.push(WindowMetrics::from_counters(self.window_start, end, &raw));
+        self.history
+            .push(WindowMetrics::from_counters(self.window_start, end, &raw));
         self.raw_history.push(raw);
         self.hist_history.push(self.backend.poll_histogram());
         self.backend.reset_window();

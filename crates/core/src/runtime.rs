@@ -59,11 +59,19 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::Asm(e) => write!(f, "assembly failed: {e}"),
             BuildError::Verify(e) => write!(f, "verification failed: {e}"),
-            BuildError::CostBudget { program, bound: Some(bound), budget } => write!(
+            BuildError::CostBudget {
+                program,
+                bound: Some(bound),
+                budget,
+            } => write!(
                 f,
                 "probe '{program}' worst-case cost {bound} insns exceeds budget {budget}"
             ),
-            BuildError::CostBudget { program, bound: None, budget } => write!(
+            BuildError::CostBudget {
+                program,
+                bound: None,
+                budget,
+            } => write!(
                 f,
                 "probe '{program}' has no finite cost bound (budget {budget})"
             ),

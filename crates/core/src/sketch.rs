@@ -301,7 +301,11 @@ mod tests {
         let merged = TopKSketch::merge_all([&s]).expect("non-empty");
         // Same matrix and same candidate set (re-ranked, same keys).
         assert_eq!(merged.state().cells(), s.state().cells());
-        let mut a: Vec<Vec<u8>> = merged.state().candidate_keys().map(<[u8]>::to_vec).collect();
+        let mut a: Vec<Vec<u8>> = merged
+            .state()
+            .candidate_keys()
+            .map(<[u8]>::to_vec)
+            .collect();
         let mut b: Vec<Vec<u8>> = s.state().candidate_keys().map(<[u8]>::to_vec).collect();
         a.sort();
         b.sort();
@@ -330,7 +334,11 @@ mod tests {
         flat2.reselect_candidates(union.iter().map(Vec::as_slice));
         nested2.reselect_candidates(union.iter().map(Vec::as_slice));
         assert_eq!(flat2, nested2);
-        assert_eq!(flat2.state().cells(), flat.state().cells(), "matrix untouched");
+        assert_eq!(
+            flat2.state().cells(),
+            flat.state().cells(),
+            "matrix untouched"
+        );
     }
 
     #[test]

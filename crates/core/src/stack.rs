@@ -164,7 +164,13 @@ mod tests {
     use kscope_simcore::Nanos;
     use kscope_syscalls::{NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 
-    fn net_ctx(phase: TracePhase, request: u64, stage_ns: u64, arg: u64, t_ns: u64) -> TracepointCtx {
+    fn net_ctx(
+        phase: TracePhase,
+        request: u64,
+        stage_ns: u64,
+        arg: u64,
+        t_ns: u64,
+    ) -> TracepointCtx {
         TracepointCtx {
             phase,
             no: SyscallNo::from_raw(u32::MAX),
@@ -239,7 +245,9 @@ mod tests {
 
     #[test]
     fn bytecode_and_native_snapshots_agree() {
-        let pairs: Vec<(u64, u64, u64)> = (1..=8).map(|i| (i, 10_000 * i, 10_000 * i + 777 * i)).collect();
+        let pairs: Vec<(u64, u64, u64)> = (1..=8)
+            .map(|i| (i, 10_000 * i, 10_000 * i + 777 * i))
+            .collect();
         let mut native = NativeBackend::new(7, SyscallProfile::data_caching(), 10).with_netstack();
         drive(&mut native, &pairs);
         let mut bytecode = ProbeSet::new(vec![7], SyscallProfile::data_caching(), 10)

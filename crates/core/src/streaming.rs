@@ -18,7 +18,7 @@
 //! and [`StreamingProbe::dropped`] starts counting.
 
 use kscope_ebpf::asm::Asm;
-use kscope_ebpf::insn::{R0, R1, R2, R3, R4, R6, R8, R9, R10, SZ_DW};
+use kscope_ebpf::insn::{R0, R1, R10, R2, R3, R4, R6, R8, R9, SZ_DW};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
 use kscope_ebpf::{Helper, Program};
 use kscope_kernel::TracepointProbe;

@@ -160,12 +160,9 @@ mod tests {
     #[test]
     fn cross_thread_handoff_surfaces_as_orphans() {
         // Thread 1 reads; thread 2 sends the response.
-        let trace: Trace = vec![
-            ev(SyscallNo::READ, 1, 10),
-            ev(SyscallNo::SENDMSG, 2, 25),
-        ]
-        .into_iter()
-        .collect();
+        let trace: Trace = vec![ev(SyscallNo::READ, 1, 10), ev(SyscallNo::SENDMSG, 2, 25)]
+            .into_iter()
+            .collect();
         let report = reconstruct(&trace, &profile());
         assert_eq!(report.spans.len(), 0);
         assert_eq!(report.unmatched_recvs, 1);

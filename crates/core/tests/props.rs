@@ -6,7 +6,7 @@
 
 use kscope_core::{MetricBackend, NativeBackend, ProbeSet, ScaledAcc};
 use kscope_simcore::{Nanos, SimRng};
-use kscope_syscalls::{NetCtx, pid_tgid, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
+use kscope_syscalls::{pid_tgid, NetCtx, SyscallNo, SyscallProfile, TracePhase, TracepointCtx};
 use kscope_testkit::{gen, Config};
 
 fn arb_event(rng: &mut SimRng) -> TracepointCtx {
@@ -75,9 +75,7 @@ fn backends_agree_on_any_stream() {
 fn backends_agree_across_window_resets() {
     kscope_testkit::check!(
         Config::cases(64),
-        |rng: &mut SimRng| {
-            gen::vec_of(rng, 1, 5, |r| gen::vec_of(r, 1, 59, arb_event))
-        },
+        |rng: &mut SimRng| { gen::vec_of(rng, 1, 5, |r| gen::vec_of(r, 1, 59, arb_event)) },
         |chunks: &Vec<Vec<TracepointCtx>>| {
             let profile = SyscallProfile::data_caching();
             let mut native = NativeBackend::new(1200, profile.clone(), 10);

@@ -336,7 +336,9 @@ pub fn helper_inline_plan(program: &Program) -> InlinePlan {
     let proofs = program.access_proofs();
     let mut plan = InlinePlan::default();
     for (pc, d) in program.decoded().iter().enumerate() {
-        let Decoded::Call { helper } = d else { continue };
+        let Decoded::Call { helper } = d else {
+            continue;
+        };
         // The verifier records lookup facts only at `map_lookup_elem`.
         let class = if helper.is_env() {
             HelperInline::Env
@@ -413,7 +415,10 @@ pub(crate) fn structure(insns: &[Insn]) -> Result<Vec<bool>, Vec<VerifyError>> {
             .and_then(|t| is_hi.get(t).copied())
             .unwrap_or(true);
         if into_hi {
-            errors.push(VerifyError::BadJumpTarget { from: pc, to: target });
+            errors.push(VerifyError::BadJumpTarget {
+                from: pc,
+                to: target,
+            });
         } else if target as usize <= pc {
             errors.push(VerifyError::BackEdge {
                 from: pc,
@@ -442,7 +447,11 @@ fn word_mask(from: usize, to: usize) -> u64 {
         return 0;
     }
     let width = to - from;
-    let ones = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
+    let ones = if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
     ones << from
 }
 
@@ -567,7 +576,10 @@ mod tests {
     #[test]
     fn cost_report_declines_malformed_structure() {
         // Backward jump.
-        let back = Program::new("b", vec![Insn::mov64_imm(R0, 0), Insn::ja(-2), Insn::exit()]);
+        let back = Program::new(
+            "b",
+            vec![Insn::mov64_imm(R0, 0), Insn::ja(-2), Insn::exit()],
+        );
         assert!(cost_report(&back).is_none());
         // Lone trailing ld_dw lo slot.
         let lone = Program::new("l", vec![Insn::ld_dw_lo(R0, 1)]);
@@ -594,7 +606,10 @@ mod tests {
         assert_eq!(cost.max_insns, 6);
         assert_eq!(cost.max_helper_calls, 2);
         // 6 insns + 2 ktime calls at weight 2 each.
-        assert_eq!(cost.max_weighted_cost, 6 + 2 * helper_weight(Helper::KtimeGetNs));
+        assert_eq!(
+            cost.max_weighted_cost,
+            6 + 2 * helper_weight(Helper::KtimeGetNs)
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use std::collections::HashMap;
 
 use crate::insn::{
-    Insn, Reg, OP_ADD, OP_AND, OP_DIV, OP_JEQ, OP_JGT, OP_JLT,
-    OP_JNE, OP_LSH, OP_MUL, OP_RSH, OP_SUB,
+    Insn, Reg, OP_ADD, OP_AND, OP_DIV, OP_JEQ, OP_JGT, OP_JLT, OP_JNE, OP_LSH, OP_MUL, OP_RSH,
+    OP_SUB,
 };
 use crate::maps::MapFd;
 use crate::program::Program;
@@ -42,15 +42,33 @@ impl std::error::Error for AsmError {}
 enum Item {
     Fixed(Insn),
     /// Two-slot 64-bit immediate load.
-    LdDw { dst: Reg, value: u64 },
+    LdDw {
+        dst: Reg,
+        value: u64,
+    },
     /// Two-slot pseudo map-fd load.
-    LdMapFd { dst: Reg, fd: MapFd },
+    LdMapFd {
+        dst: Reg,
+        fd: MapFd,
+    },
     /// Conditional jump to a label (imm operand).
-    JmpImm { op: u8, dst: Reg, imm: i32, label: String },
+    JmpImm {
+        op: u8,
+        dst: Reg,
+        imm: i32,
+        label: String,
+    },
     /// Conditional jump to a label (register operand).
-    JmpReg { op: u8, dst: Reg, src: Reg, label: String },
+    JmpReg {
+        op: u8,
+        dst: Reg,
+        src: Reg,
+        label: String,
+    },
     /// Unconditional jump to a label.
-    Ja { label: String },
+    Ja {
+        label: String,
+    },
 }
 
 impl Item {
@@ -108,11 +126,7 @@ impl Asm {
     /// Defines a label at the current position.
     pub fn label(mut self, name: impl Into<String>) -> Self {
         let name = name.into();
-        if self
-            .labels
-            .insert(name.clone(), self.items.len())
-            .is_some()
-        {
+        if self.labels.insert(name.clone(), self.items.len()).is_some() {
             self.duplicate.get_or_insert(name);
         }
         self
@@ -251,10 +265,20 @@ impl Asm {
                     insns.push(Insn::ld_map_fd_lo(*dst, fd.0));
                     insns.push(Insn::ld_dw_hi(0));
                 }
-                Item::JmpImm { op, dst, imm, label } => {
+                Item::JmpImm {
+                    op,
+                    dst,
+                    imm,
+                    label,
+                } => {
                     insns.push(Insn::jmp_imm(*op, *dst, *imm, displacement(label)?));
                 }
-                Item::JmpReg { op, dst, src, label } => {
+                Item::JmpReg {
+                    op,
+                    dst,
+                    src,
+                    label,
+                } => {
                     insns.push(Insn::jmp_reg(*op, *dst, *src, displacement(label)?));
                 }
                 Item::Ja { label } => insns.push(Insn::ja(displacement(label)?)),
@@ -376,11 +400,7 @@ mod tests {
 
     #[test]
     fn label_at_end_points_past_last_insn() {
-        let prog = Asm::new("t")
-            .ja("end")
-            .label("end")
-            .assemble()
-            .unwrap();
+        let prog = Asm::new("t").ja("end").label("end").assemble().unwrap();
         assert_eq!(prog.insns()[0].off, 0);
     }
 

@@ -32,10 +32,10 @@
 
 use crate::helpers::Helper;
 use crate::insn::{
-    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, OP_ADD,
-    OP_AND, OP_ARSH, OP_CALL, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE, OP_JLT,
-    OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL, OP_NEG,
-    OP_OR, OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD,
+    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, OP_ADD, OP_AND,
+    OP_ARSH, OP_CALL, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE, OP_JLT, OP_JNE,
+    OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL, OP_NEG, OP_OR,
+    OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD,
 };
 use crate::interp::MAP_HANDLE_BASE;
 
@@ -411,7 +411,7 @@ fn decode_slot(insns: &[Insn], pc: usize, insn: Insn) -> Decoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{SZ_DW, SZ_W, R0, R1, R2};
+    use crate::insn::{R0, R1, R2, SZ_DW, SZ_W};
 
     #[test]
     fn one_entry_per_slot() {
@@ -437,11 +437,7 @@ mod tests {
 
     #[test]
     fn map_fd_loads_fold_in_the_handle_tag() {
-        let insns = vec![
-            Insn::ld_map_fd_lo(R1, 7),
-            Insn::ld_dw_hi(0),
-            Insn::exit(),
-        ];
+        let insns = vec![Insn::ld_map_fd_lo(R1, 7), Insn::ld_dw_hi(0), Insn::exit()];
         let decoded = decode_program(&insns);
         assert_eq!(
             decoded[0],
@@ -494,11 +490,8 @@ mod tests {
 
     #[test]
     fn jump_targets_are_absolute() {
-        let decoded = decode_program(&[
-            Insn::jmp_imm(OP_JEQ, R0, 5, 1),
-            Insn::ja(-2),
-            Insn::exit(),
-        ]);
+        let decoded =
+            decode_program(&[Insn::jmp_imm(OP_JEQ, R0, 5, 1), Insn::ja(-2), Insn::exit()]);
         assert_eq!(
             decoded[0],
             Decoded::JmpImm {

@@ -497,7 +497,10 @@ fn run_raw(
         match insn.class() {
             CLS_LD => {
                 if !insn.is_ld_dw() {
-                    return Err(ExecError::BadOpcode { pc, code: insn.code });
+                    return Err(ExecError::BadOpcode {
+                        pc,
+                        code: insn.code,
+                    });
                 }
                 let Some(&hi) = insns.get(pc + 1) else {
                     return Err(ExecError::MalformedLdDw { pc });
@@ -554,7 +557,10 @@ fn run_raw(
                 let op = insn.op();
                 // exit/call/ja are JMP-class only.
                 if is32 && matches!(op, OP_EXIT | OP_CALL | OP_JA) {
-                    return Err(ExecError::BadOpcode { pc, code: insn.code });
+                    return Err(ExecError::BadOpcode {
+                        pc,
+                        code: insn.code,
+                    });
                 }
                 if op == OP_EXIT {
                     return Ok(ExecOutcome {
@@ -594,7 +600,12 @@ fn run_raw(
                     continue;
                 }
             }
-            _ => return Err(ExecError::BadOpcode { pc, code: insn.code }),
+            _ => {
+                return Err(ExecError::BadOpcode {
+                    pc,
+                    code: insn.code,
+                })
+            }
         }
         pc += 1;
     }

@@ -914,7 +914,16 @@ mod imp {
             e.slot_offsets[pc] = e.code.len();
             e.budget_check();
             let proven = proofs.and_then(|p| p.proven(pc));
-            emit_slot(&mut e, pc, *d, len, proven, plan, &mut elided, &mut needs_ctx_len);
+            emit_slot(
+                &mut e,
+                pc,
+                *d,
+                len,
+                proven,
+                plan,
+                &mut elided,
+                &mut needs_ctx_len,
+            );
         }
 
         // Fell-off-the-end pseudo-slot: the interpreter checks the budget
@@ -999,7 +1008,12 @@ mod imp {
                 e.mov_ctxmem_imm(OFF_STATUS, STATUS_OK);
                 e.jmp(Label::Epilogue);
             }
-            Decoded::Load { size, dst, src, off } => match proven {
+            Decoded::Load {
+                size,
+                dst,
+                src,
+                off,
+            } => match proven {
                 Some(ProvenRegion::Stack) => {
                     emit_direct_load(e, size, dst, src, off, OFF_STACK_BIAS);
                     *elided += 1;
@@ -1015,24 +1029,48 @@ mod imp {
                 }
                 None => emit_tramp_load(e, pc, size, dst, src, off, false),
             },
-            Decoded::StoreReg { size, dst, src, off } => match proven {
+            Decoded::StoreReg {
+                size,
+                dst,
+                src,
+                off,
+            } => match proven {
                 Some(ProvenRegion::Stack) => {
                     emit_direct_store(e, size, dst, off, StoreVal::Reg(src));
                     *elided += 1;
                 }
                 Some(ProvenRegion::MapValue) => {
-                    emit_map_value_fast(e, pc, size, dst, off, MapAccess::Store(StoreVal::Reg(src)));
+                    emit_map_value_fast(
+                        e,
+                        pc,
+                        size,
+                        dst,
+                        off,
+                        MapAccess::Store(StoreVal::Reg(src)),
+                    );
                     *elided += 1;
                 }
                 _ => emit_tramp_store(e, pc, size, dst, off, StoreVal::Reg(src), false),
             },
-            Decoded::StoreImm { size, dst, off, imm } => match proven {
+            Decoded::StoreImm {
+                size,
+                dst,
+                off,
+                imm,
+            } => match proven {
                 Some(ProvenRegion::Stack) => {
                     emit_direct_store(e, size, dst, off, StoreVal::Imm(imm));
                     *elided += 1;
                 }
                 Some(ProvenRegion::MapValue) => {
-                    emit_map_value_fast(e, pc, size, dst, off, MapAccess::Store(StoreVal::Imm(imm)));
+                    emit_map_value_fast(
+                        e,
+                        pc,
+                        size,
+                        dst,
+                        off,
+                        MapAccess::Store(StoreVal::Imm(imm)),
+                    );
                     *elided += 1;
                 }
                 _ => emit_tramp_store(e, pc, size, dst, off, StoreVal::Imm(imm), false),
@@ -1240,16 +1278,16 @@ mod imp {
             e.cmp32_mi(R10, doff + 4, 8); // key_size == 8
             to_fb.push(e.jcc32_fwd(CC_NZ));
             emit_stack_key_load(e, site.key_off, true); // rax = key word
-            // rdi = mix64((INDEX_SEED ^ 8) ^ w0): the home slot hash.
+                                                        // rdi = mix64((INDEX_SEED ^ 8) ^ w0): the home slot hash.
             e.mov_ri(RDI, INDEX_SEED ^ 8);
             e.alu_rr(true, 0x31, RAX, RDI); // xor rdi, rax
             emit_mix64(e, RDI);
             e.and_rm(RDI, R10, doff + 24); // & index mask (desc.aux)
             e.imul_rri(RDX, RDI, 24);
             e.add_rm(RDX, R10, doff + 16); // entry = base + slot * 24
-            // Single-probe soundness (DESIGN §6f): an EMPTY home slot is
-            // a definitive miss, an OCCUPIED home slot with the exact
-            // key is a definitive hit, anything else falls back.
+                                           // Single-probe soundness (DESIGN §6f): an EMPTY home slot is
+                                           // a definitive miss, an OCCUPIED home slot with the exact
+                                           // key is a definitive hit, anything else falls back.
             e.cmp32_mi(RDX, 20, 0); // state == INDEX_EMPTY
             to_miss.push(e.jcc32_fwd(CC_Z));
             e.cmp32_mi(RDX, 20, INDEX_OCCUPIED as i32);
@@ -1266,7 +1304,7 @@ mod imp {
             e.patch32(p);
         }
         e.alu_rr(false, 0x31, RAX, RAX); // xor eax, eax
-        // Done: clobber r1-r5 exactly like a real helper call.
+                                         // Done: clobber r1-r5 exactly like a real helper call.
         for p in to_done {
             e.patch32(p);
         }
@@ -1368,7 +1406,7 @@ mod imp {
     ) {
         e.spill_caller_saved();
         e.lea(R9, X86[src as usize], off as i32); // before arg regs clobber
-        // mov rdi, r12
+                                                  // mov rdi, r12
         e.b(0x4C);
         e.b(0x89);
         e.b(0xE7);
@@ -1833,8 +1871,7 @@ mod imp {
         // call, and the code only touches memory through the ctx, the
         // trampolines, and proof-checked region biases.
         unsafe {
-            let entry: unsafe extern "sysv64" fn(*mut JitCtx) =
-                std::mem::transmute(jit.buf.ptr);
+            let entry: unsafe extern "sysv64" fn(*mut JitCtx) = std::mem::transmute(jit.buf.ptr);
             entry(&mut ctx);
         }
 

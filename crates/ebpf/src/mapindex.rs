@@ -178,7 +178,8 @@ impl ArrayArena {
         if idx >= self.max_entries {
             return None;
         }
-        self.data.get(idx * self.value_size..(idx + 1) * self.value_size)
+        self.data
+            .get(idx * self.value_size..(idx + 1) * self.value_size)
     }
 
     /// Mutable value bytes of entry `idx`, or `None` past the end.
@@ -476,7 +477,11 @@ impl HashIndex {
     /// change again, so no key ends up beyond an EMPTY slot.
     fn compact(&mut self) {
         for e in self.entries.iter_mut() {
-            e.state = if e.state == INDEX_OCCUPIED { INDEX_PENDING } else { INDEX_EMPTY };
+            e.state = if e.state == INDEX_OCCUPIED {
+                INDEX_PENDING
+            } else {
+                INDEX_EMPTY
+            };
         }
         self.tombstones = 0;
         let mask = self.mask() as usize;
@@ -584,7 +589,11 @@ const _: () = assert!(std::mem::size_of::<DescCell>() == std::mem::size_of::<Map
 impl DescCell {
     pub(crate) fn new(d: MapRuntimeDesc) -> Self {
         let shape = [d.kind, d.key_size, d.value_size, d.max_entries];
-        DescCell { shape, base: AtomicU64::new(d.base), aux: AtomicU64::new(d.aux) }
+        DescCell {
+            shape,
+            base: AtomicU64::new(d.base),
+            aux: AtomicU64::new(d.aux),
+        }
     }
 
     /// Points the descriptor at a hash map's moved table.
@@ -677,7 +686,11 @@ mod tests {
             put(&mut idx, k);
             assert_eq!(idx.get(&k.to_le_bytes()), Some(&k.to_le_bytes()[..]));
         }
-        assert_eq!(idx.capacity(), 8192, "never past (2 * max_entries).next_power_of_two()");
+        assert_eq!(
+            idx.capacity(),
+            8192,
+            "never past (2 * max_entries).next_power_of_two()"
+        );
         assert_eq!(idx.insert(&[0xFF; 8], &[0; 8]), Err(MapError::Full));
         for k in 0..4096u64 {
             assert!(reachable(&idx, &k.to_le_bytes()), "key {k} lost");
@@ -695,7 +708,9 @@ mod tests {
         // A key resting right after `a` keeps `a`'s slot a tombstone
         // once `a` is gone: the single probe can no longer decide.
         let home = |k: u64| index_hash(&k.to_le_bytes()) & idx.mask();
-        let b = (2u64..).find(|&k| home(k) == (home(a) + 1) & idx.mask()).unwrap();
+        let b = (2u64..)
+            .find(|&k| home(k) == (home(a) + 1) & idx.mask())
+            .unwrap();
         put(&mut idx, b);
         assert!(idx.remove(&a.to_le_bytes()));
         assert_eq!(idx.home_probe(&a.to_le_bytes()), HomeProbe::Fallback);
@@ -766,7 +781,10 @@ mod tests {
                 assert!(reachable(&idx, key));
             }
         }
-        assert!(compactions > 0, "fresh keys over tombstones force compactions");
+        assert!(
+            compactions > 0,
+            "fresh keys over tombstones force compactions"
+        );
     }
 
     #[test]

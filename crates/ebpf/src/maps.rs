@@ -195,7 +195,9 @@ pub type HashEntries<'a> = Vec<(&'a [u8], &'a [u8])>;
 #[derive(Debug, Clone)]
 enum MapStorage {
     /// Keys, values and the JIT-visible slot array, in one table.
-    Hash { table: HashIndex },
+    Hash {
+        table: HashIndex,
+    },
     Array(ArrayArena),
     RingBuf {
         records: std::collections::VecDeque<Vec<u8>>,
@@ -273,7 +275,10 @@ pub struct MapRegistry {
 impl Clone for MapRegistry {
     fn clone(&self) -> MapRegistry {
         let maps = self.maps.clone(); // cold path: registry copy, never per event
-        let descs = maps.iter().map(|e| DescCell::new(e.runtime_desc())).collect();
+        let descs = maps
+            .iter()
+            .map(|e| DescCell::new(e.runtime_desc()))
+            .collect();
         MapRegistry { maps, descs }
     }
 }
@@ -306,10 +311,7 @@ impl MapRegistry {
         assert!(def.value_size > 0, "map values must be non-empty");
         // The interpreter hands out map-value pointers in 1 MiB slots;
         // larger values would alias neighbouring slots.
-        assert!(
-            def.value_size <= 1 << 20,
-            "map values are limited to 1 MiB"
-        );
+        assert!(def.value_size <= 1 << 20, "map values are limited to 1 MiB");
         let storage = match def.kind {
             MapKind::Hash => {
                 assert!(def.key_size > 0, "hash maps need non-empty keys");
@@ -500,7 +502,10 @@ impl MapRegistry {
     /// Fails on bad fds, size mismatches, a full hash map, an
     /// out-of-bounds array index, or ring-buffer maps.
     pub fn update_in_place(&mut self, fd: MapFd, key: &[u8], value: &[u8]) -> Result<(), MapError> {
-        let entry = self.maps.get_mut(fd.0 as usize).ok_or(MapError::BadFd(fd))?;
+        let entry = self
+            .maps
+            .get_mut(fd.0 as usize)
+            .ok_or(MapError::BadFd(fd))?;
         Self::check_key(&entry.def, key)?;
         Self::check_value(&entry.def, value)?;
         let def = entry.def;
@@ -737,7 +742,10 @@ impl MapRegistry {
     /// keeps no table pointer across a helper call. Map-value pointers are
     /// slot handles resolved by key on every access, never table pointers.
     pub fn runtime_descs(&self) -> (*const MapRuntimeDesc, usize) {
-        (self.descs.as_ptr().cast::<MapRuntimeDesc>(), self.descs.len())
+        (
+            self.descs.as_ptr().cast::<MapRuntimeDesc>(),
+            self.descs.len(),
+        )
     }
 
     /// Convenience: reads a `u64` from an array map slot.
@@ -748,12 +756,10 @@ impl MapRegistry {
     /// narrower than 8 bytes.
     pub fn array_u64(&self, fd: MapFd, slot: u32) -> Result<u64, MapError> {
         let key = slot.to_le_bytes();
-        let value = self
-            .lookup(fd, &key)?
-            .ok_or(MapError::IndexOutOfBounds {
-                index: slot,
-                len: self.def(fd)?.max_entries,
-            })?;
+        let value = self.lookup(fd, &key)?.ok_or(MapError::IndexOutOfBounds {
+            index: slot,
+            len: self.def(fd)?.max_entries,
+        })?;
         if value.len() < 8 {
             return Err(MapError::ValueSize {
                 expected: 8,
@@ -831,8 +837,10 @@ mod tests {
     fn update_in_place_overwrites_existing_values() {
         let mut maps = MapRegistry::new();
         let fd = maps.create("h", MapDef::hash(4, 8, 4));
-        maps.update_in_place(fd, &[9, 0, 0, 0], &1u64.to_le_bytes()).unwrap();
-        maps.update_in_place(fd, &[9, 0, 0, 0], &2u64.to_le_bytes()).unwrap();
+        maps.update_in_place(fd, &[9, 0, 0, 0], &1u64.to_le_bytes())
+            .unwrap();
+        maps.update_in_place(fd, &[9, 0, 0, 0], &2u64.to_le_bytes())
+            .unwrap();
         assert_eq!(
             maps.lookup(fd, &[9, 0, 0, 0]).unwrap().unwrap(),
             2u64.to_le_bytes()
@@ -910,8 +918,22 @@ mod tests {
             assert_eq!(x.len(), y.len());
             for (x, y) in x.iter().zip(y) {
                 assert_eq!(
-                    (x.kind, x.key_size, x.value_size, x.max_entries, x.base, x.aux),
-                    (y.kind, y.key_size, y.value_size, y.max_entries, y.base, y.aux)
+                    (
+                        x.kind,
+                        x.key_size,
+                        x.value_size,
+                        x.max_entries,
+                        x.base,
+                        x.aux
+                    ),
+                    (
+                        y.kind,
+                        y.key_size,
+                        y.value_size,
+                        y.max_entries,
+                        y.base,
+                        y.aux
+                    )
                 );
             }
         };
@@ -919,7 +941,11 @@ mod tests {
         assert_eq!(descs.len(), 3);
         assert_eq!(descs[h.0 as usize].kind, DESC_KIND_HASH);
         assert_eq!(descs[h.0 as usize].key_size, 8);
-        assert_eq!(descs[h.0 as usize].aux, HASH_MIN_SLOTS as u64 - 1, "sized by content");
+        assert_eq!(
+            descs[h.0 as usize].aux,
+            HASH_MIN_SLOTS as u64 - 1,
+            "sized by content"
+        );
         assert_eq!(descs[a.0 as usize].kind, DESC_KIND_ARRAY);
         assert_eq!(descs[a.0 as usize].value_size, 8);
         assert_eq!(descs[a.0 as usize].max_entries, 4);
@@ -933,11 +959,16 @@ mod tests {
         let grown = read(&maps)[h.0 as usize];
         assert_eq!(grown.aux, 2047, "600 keys grow the table to its cap");
         assert_ne!(grown.base, descs[h.0 as usize].base);
-        assert_eq!(read(&maps)[a.0 as usize].base, descs[a.0 as usize].base, "arrays never move");
+        assert_eq!(
+            read(&maps)[a.0 as usize].base,
+            descs[a.0 as usize].base,
+            "arrays never move"
+        );
         // Churn that leaves tombstones and compacts: still the live table.
         for i in 0..600u64 {
             maps.delete(h, &i.to_le_bytes()).unwrap();
-            maps.update(h, &(10_000 + i).to_le_bytes(), &i.to_le_bytes()).unwrap();
+            maps.update(h, &(10_000 + i).to_le_bytes(), &i.to_le_bytes())
+                .unwrap();
             if i % 2 == 0 {
                 maps.delete(h, &(10_000 + i).to_le_bytes()).unwrap();
             }
@@ -985,11 +1016,17 @@ mod tests {
         let fd = maps.create("h", MapDef::hash(8, 8, 8));
         assert!(matches!(
             maps.lookup(fd, &[0; 4]),
-            Err(MapError::KeySize { expected: 8, got: 4 })
+            Err(MapError::KeySize {
+                expected: 8,
+                got: 4
+            })
         ));
         assert!(matches!(
             maps.update(fd, &[0; 8], &[0; 2]),
-            Err(MapError::ValueSize { expected: 8, got: 2 })
+            Err(MapError::ValueSize {
+                expected: 8,
+                got: 2
+            })
         ));
     }
 

@@ -213,7 +213,11 @@ impl SketchState {
     pub fn estimate(&self, key: &[u8]) -> u64 {
         let mut est = u64::MAX;
         for row in 0..SKETCH_ROWS {
-            let cell = self.cells.get(self.cell_index(row, key)).copied().unwrap_or(0);
+            let cell = self
+                .cells
+                .get(self.cell_index(row, key))
+                .copied()
+                .unwrap_or(0);
             est = est.min(cell);
         }
         est
@@ -345,10 +349,7 @@ mod tests {
             }
         }
         for i in 0..64u64 {
-            assert!(
-                s.estimate(&key(i)) > (i % 7),
-                "key {i} undercounted"
-            );
+            assert!(s.estimate(&key(i)) > (i % 7), "key {i} undercounted");
         }
     }
 

@@ -62,8 +62,14 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 #[derive(Debug)]
 enum Stmt {
     Fixed(Insn),
-    LdDw { dst: Reg, value: u64 },
-    LdMapFd { dst: Reg, fd: u32 },
+    LdDw {
+        dst: Reg,
+        value: u64,
+    },
+    LdMapFd {
+        dst: Reg,
+        fd: u32,
+    },
     Jump {
         op: u8,
         dst: Reg,
@@ -146,9 +152,7 @@ fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i16), ParseError> {
         .strip_prefix('[')
         .and_then(|t| t.strip_suffix(']'))
         .ok_or_else(|| err(line, format!("expected [reg+off], got `{tok}`")))?;
-    let split = inner
-        .find(['+', '-'])
-        .unwrap_or(inner.len());
+    let split = inner.find(['+', '-']).unwrap_or(inner.len());
     let reg = parse_reg(&inner[..split], line)?;
     let off = if split == inner.len() {
         0i16
@@ -475,7 +479,11 @@ pub struct EmitError {
 
 impl std::fmt::Display for EmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pc {}: opcode {:#04x} has no text form", self.pc, self.code)
+        write!(
+            f,
+            "pc {}: opcode {:#04x} has no text form",
+            self.pc, self.code
+        )
     }
 }
 

@@ -254,14 +254,20 @@ mod tests {
                         if bv & bm != 0 {
                             continue;
                         }
-                        let (a, b) = (Tnum { value: av, mask: am }, Tnum { value: bv, mask: bm });
+                        let (a, b) = (
+                            Tnum {
+                                value: av,
+                                mask: am,
+                            },
+                            Tnum {
+                                value: bv,
+                                mask: bm,
+                            },
+                        );
                         let sum = a.add(b);
                         for x in members(a, 4) {
                             for y in members(b, 4) {
-                                assert!(
-                                    sum.contains(x.wrapping_add(y)),
-                                    "{a} + {b} lost {x}+{y}"
-                                );
+                                assert!(sum.contains(x.wrapping_add(y)), "{a} + {b} lost {x}+{y}");
                             }
                         }
                     }
@@ -282,7 +288,16 @@ mod tests {
                         if bv & bm != 0 {
                             continue;
                         }
-                        let (a, b) = (Tnum { value: av, mask: am }, Tnum { value: bv, mask: bm });
+                        let (a, b) = (
+                            Tnum {
+                                value: av,
+                                mask: am,
+                            },
+                            Tnum {
+                                value: bv,
+                                mask: bm,
+                            },
+                        );
                         for x in members(a, 3) {
                             for y in members(b, 3) {
                                 assert!(a.and(b).contains(x & y));
@@ -338,8 +353,23 @@ mod tests {
 
     #[test]
     fn shifts_track_known_bits() {
-        let t = Tnum { value: 0b10, mask: 0b01 };
-        assert_eq!(t.lshift(3), Tnum { value: 0b10000, mask: 0b01000 });
-        assert_eq!(t.rshift(1), Tnum { value: 0b1, mask: 0 });
+        let t = Tnum {
+            value: 0b10,
+            mask: 0b01,
+        };
+        assert_eq!(
+            t.lshift(3),
+            Tnum {
+                value: 0b10000,
+                mask: 0b01000
+            }
+        );
+        assert_eq!(
+            t.rshift(1),
+            Tnum {
+                value: 0b1,
+                mask: 0
+            }
+        );
     }
 }

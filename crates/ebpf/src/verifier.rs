@@ -33,10 +33,10 @@
 use crate::analysis::LookupSite;
 use crate::helpers::{ArgClass, Helper, RetClass};
 use crate::insn::{
-    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MAX_INSNS, OP_ADD,
-    OP_AND, OP_ARSH, OP_CALL, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE, OP_JLT,
-    OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL, OP_NEG,
-    OP_OR, OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD, REG_COUNT, STACK_SIZE,
+    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MAX_INSNS,
+    OP_ADD, OP_AND, OP_ARSH, OP_CALL, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE,
+    OP_JLT, OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL,
+    OP_NEG, OP_OR, OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD, REG_COUNT, STACK_SIZE,
 };
 use crate::maps::{MapFd, MapKind, MapRegistry};
 use crate::program::Program;
@@ -229,7 +229,10 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "pc {pc}: read of uninitialized stack at {off}")
             }
             VerifyError::MaybeNullDeref { pc } => {
-                write!(f, "pc {pc}: map value pointer may be NULL; null-check first")
+                write!(
+                    f,
+                    "pc {pc}: map value pointer may be NULL; null-check first"
+                )
             }
             VerifyError::PointerArith { pc } => {
                 write!(f, "pc {pc}: forbidden arithmetic on pointer")
@@ -972,10 +975,7 @@ fn refine_jset_taken(d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
         }
         // A single-bit constant pins that bit of d to 1.
         if c.count_ones() == 1 {
-            d2.tn = d2.tn.intersect(Tnum {
-                value: c,
-                mask: !c,
-            })?;
+            d2.tn = d2.tn.intersect(Tnum { value: c, mask: !c })?;
         }
     }
     if let Some(c) = d.const_val() {
@@ -983,10 +983,7 @@ fn refine_jset_taken(d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
             return None;
         }
         if c.count_ones() == 1 {
-            s2.tn = s2.tn.intersect(Tnum {
-                value: c,
-                mask: !c,
-            })?;
+            s2.tn = s2.tn.intersect(Tnum { value: c, mask: !c })?;
         }
     }
     Some((d2.try_normalize()?, s2.try_normalize()?))
@@ -1038,7 +1035,10 @@ fn refine_branch(
         }
         // Unsigned 32-bit compares agree with the 64-bit compare when
         // both operands provably fit in 32 bits.
-        let unsigned = matches!(op, OP_JEQ | OP_JNE | OP_JGT | OP_JGE | OP_JLT | OP_JLE | OP_JSET);
+        let unsigned = matches!(
+            op,
+            OP_JEQ | OP_JNE | OP_JGT | OP_JGE | OP_JLT | OP_JLE | OP_JSET
+        );
         if !(unsigned && d.umax <= M32 && s.umax <= M32) {
             return Some((d, s));
         }
@@ -1080,9 +1080,15 @@ enum RegType {
     Uninit,
     Scalar(Scalar),
     /// Context pointer with a total-offset interval `[lo, hi]`.
-    PtrCtx { lo: i64, hi: i64 },
+    PtrCtx {
+        lo: i64,
+        hi: i64,
+    },
     /// Stack pointer (relative to `r10`) with offset interval `[lo, hi]`.
-    PtrStack { lo: i64, hi: i64 },
+    PtrStack {
+        lo: i64,
+        hi: i64,
+    },
     /// Map-value pointer with offset interval `[lo, hi]`.
     PtrMapValue {
         lo: i64,
@@ -1090,7 +1096,9 @@ enum RegType {
         value_size: u32,
         nullable: bool,
     },
-    MapHandle { fd: MapFd },
+    MapHandle {
+        fd: MapFd,
+    },
 }
 
 impl RegType {
@@ -1430,11 +1438,13 @@ impl Verifier {
         let is_ld_dw_hi = match crate::analysis::structure(insns) {
             Ok(is_hi) => is_hi,
             Err(errors) => {
-                report.errors.extend(errors.into_iter().map(|error| Diagnostic {
-                    error,
-                    path: Vec::new(),
-                    regs: Vec::new(),
-                }));
+                report
+                    .errors
+                    .extend(errors.into_iter().map(|error| Diagnostic {
+                        error,
+                        path: Vec::new(),
+                        regs: Vec::new(),
+                    }));
                 return report;
             }
         };
@@ -1541,7 +1551,10 @@ impl Verifier {
             let reachable: Vec<bool> = states.iter().map(|s| s.is_some()).collect();
             report
                 .warnings
-                .extend(crate::analysis::unreachable_warnings(&is_ld_dw_hi, &reachable));
+                .extend(crate::analysis::unreachable_warnings(
+                    &is_ld_dw_hi,
+                    &reachable,
+                ));
             report.warnings.extend(crate::analysis::dead_store_warnings(
                 program.decoded(),
                 &is_ld_dw_hi,
@@ -1602,7 +1615,10 @@ impl Verifier {
         match insn.class() {
             CLS_LD => {
                 if !insn.is_ld_dw() {
-                    return Err(VerifyError::BadOpcode { pc, code: insn.code });
+                    return Err(VerifyError::BadOpcode {
+                        pc,
+                        code: insn.code,
+                    });
                 }
                 if insn.src == PSEUDO_MAP_FD {
                     let fd = MapFd(insn.imm as u32);
@@ -1646,7 +1662,10 @@ impl Verifier {
             }
             CLS_JMP => self.jump(pc, insn, state, maps, false, log),
             CLS_JMP32 => self.jump(pc, insn, state, maps, true, log),
-            _ => Err(VerifyError::BadOpcode { pc, code: insn.code }),
+            _ => Err(VerifyError::BadOpcode {
+                pc,
+                code: insn.code,
+            }),
         }
     }
 
@@ -1812,13 +1831,7 @@ impl Verifier {
         }
     }
 
-    fn alu(
-        &self,
-        pc: usize,
-        insn: Insn,
-        state: &mut State,
-        is64: bool,
-    ) -> Result<(), VerifyError> {
+    fn alu(&self, pc: usize, insn: Insn, state: &mut State, is64: bool) -> Result<(), VerifyError> {
         if insn.dst == 10 {
             return Err(VerifyError::WriteToFp { pc });
         }
@@ -1897,7 +1910,12 @@ impl Verifier {
                 };
                 RegType::Scalar(alu64_transfer(op, a, b))
             }
-            _ => return Err(VerifyError::BadOpcode { pc, code: insn.code }),
+            _ => {
+                return Err(VerifyError::BadOpcode {
+                    pc,
+                    code: insn.code,
+                })
+            }
         };
         state.regs[insn.dst as usize] = result;
         Ok(())
@@ -1914,7 +1932,10 @@ impl Verifier {
     ) -> Result<Flow, VerifyError> {
         let op = insn.op();
         if is32 && matches!(op, OP_EXIT | OP_CALL | OP_JA) {
-            return Err(VerifyError::BadOpcode { pc, code: insn.code });
+            return Err(VerifyError::BadOpcode {
+                pc,
+                code: insn.code,
+            });
         }
         match op {
             OP_EXIT => {
@@ -1975,10 +1996,7 @@ impl Verifier {
 
                 // NULL-check refinement on map-value pointers.
                 if let RegType::PtrMapValue {
-                    lo,
-                    hi,
-                    value_size,
-                    ..
+                    lo, hi, value_size, ..
                 } = dst_t
                 {
                     if rhs_is_zero_imm {
@@ -2028,8 +2046,9 @@ impl Verifier {
                             fall_state,
                         });
                     }
-                    let apply = |edge: &mut Option<State>, refined: Option<(Scalar, Scalar)>| {
-                        match refined {
+                    let apply =
+                        |edge: &mut Option<State>, refined: Option<(Scalar, Scalar)>| match refined
+                        {
                             None => *edge = None,
                             Some((d2, s2)) => {
                                 if let Some(st) = edge {
@@ -2039,8 +2058,7 @@ impl Verifier {
                                     }
                                 }
                             }
-                        }
-                    };
+                        };
                     apply(&mut taken_state, refine_branch(op, true, is32, d, s));
                     apply(&mut fall_state, refine_branch(op, false, is32, d, s));
                 }
@@ -2052,7 +2070,10 @@ impl Verifier {
                     fall_state,
                 })
             }
-            _ => Err(VerifyError::BadOpcode { pc, code: insn.code }),
+            _ => Err(VerifyError::BadOpcode {
+                pc,
+                code: insn.code,
+            }),
         }
     }
 
@@ -2092,20 +2113,21 @@ impl Verifier {
                         arg: reg,
                         expected: "a map handle before key/value args",
                     })?;
-                    let def = maps.def(fd).map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
+                    let def = maps
+                        .def(fd)
+                        .map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
                     let needed = if *class == ArgClass::MapKeyPtr {
                         def.key_size
                     } else {
                         def.value_size
                     } as usize;
-                    self.check_readable(pc, state, t, needed, log).map_err(|_| {
-                        VerifyError::BadHelperArg {
+                    self.check_readable(pc, state, t, needed, log)
+                        .map_err(|_| VerifyError::BadHelperArg {
                             pc,
                             helper,
                             arg: reg,
                             expected: "a readable pointer covering the key/value size",
-                        }
-                    })?;
+                        })?;
                 }
                 ArgClass::MemPtr => {
                     mem_ptr_pending = Some((reg, t));
@@ -2147,7 +2169,9 @@ impl Verifier {
         // reject sketch maps (their storage is not key/value shaped),
         // and the sketch helper accepts only sketch maps.
         if let Some(fd) = map_fd {
-            let def = maps.def(fd).map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
+            let def = maps
+                .def(fd)
+                .map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
             let compatible = match helper {
                 Helper::SketchUpdate => def.kind == MapKind::TopkSketch,
                 Helper::MapLookupElem | Helper::MapUpdateElem | Helper::MapDeleteElem => {
@@ -2194,7 +2218,9 @@ impl Verifier {
                         expected: "a map handle (ld_map_fd)",
                     });
                 };
-                let def = maps.def(fd).map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
+                let def = maps
+                    .def(fd)
+                    .map_err(|_| VerifyError::BadMapFd { pc, fd: fd.0 })?;
                 RegType::PtrMapValue {
                     lo: 0,
                     hi: 0,
@@ -2402,7 +2428,11 @@ mod tests {
     }
 
     fn contains(s: Scalar, v: u64) -> bool {
-        s.tn.contains(v) && v >= s.umin && v <= s.umax && (v as i64) >= s.smin && (v as i64) <= s.smax
+        s.tn.contains(v)
+            && v >= s.umin
+            && v <= s.umax
+            && (v as i64) >= s.smin
+            && (v as i64) <= s.smax
     }
 
     const OPS: &[u8] = &[
@@ -2585,9 +2615,13 @@ mod tests {
     #[test]
     fn jset_refines_known_bits() {
         // fall edge of `if d & 0x8`: bit 3 is known clear.
-        let Some((d2, _)) =
-            refine_branch(OP_JSET, false, false, Scalar::unknown(), Scalar::constant(8))
-        else {
+        let Some((d2, _)) = refine_branch(
+            OP_JSET,
+            false,
+            false,
+            Scalar::unknown(),
+            Scalar::constant(8),
+        ) else {
             panic!("fall edge feasible");
         };
         assert_eq!(d2.tn.mask & 8, 0);

@@ -57,7 +57,10 @@ fn assert_elision_invisible(label: &str, prog: &Program, ctx: &[u8], base: &MapR
             "{label}: interpreter vs {arm} outcomes diverge\n{}",
             prog.disassemble()
         );
-        assert_eq!(env_interp, env_jit, "{label}: interpreter vs {arm} env diverges");
+        assert_eq!(
+            env_interp, env_jit,
+            "{label}: interpreter vs {arm} env diverges"
+        );
         assert_eq!(
             format!("{maps_interp:?}"),
             format!("{maps_jit:?}"),

@@ -25,7 +25,7 @@
 //!   pointer still faults once its key is deleted.
 
 use kscope_ebpf::asm::Asm;
-use kscope_ebpf::insn::{R0, R1, R2, R3, R4, R6, R7, R10, SZ_B, SZ_DW, SZ_H, SZ_W};
+use kscope_ebpf::insn::{R0, R1, R10, R2, R3, R4, R6, R7, SZ_B, SZ_DW, SZ_H, SZ_W};
 use kscope_ebpf::interp::{ExecEnv, ExecOutcome, Vm};
 use kscope_ebpf::mapindex::{index_hash, HashIndex, MapRuntimeDesc};
 use kscope_ebpf::maps::{MapDef, MapFd, MapRegistry};
@@ -161,7 +161,10 @@ fn ktime_monotonic_under_budget_exhaustion_mid_program() {
         }
         let recorded = maps_after.array_u64(fd, 0).expect("cell exists");
         assert_eq!(recorded, 1_000 * event, "stored ktime snapshot");
-        assert!(recorded > last, "ktime went backwards: {last} -> {recorded}");
+        assert!(
+            recorded > last,
+            "ktime went backwards: {last} -> {recorded}"
+        );
         last = recorded;
     }
 }
@@ -192,7 +195,8 @@ fn array_probe(fd: kscope_ebpf::MapFd, key: i32) -> Program {
 fn array_lookup_inline_at_boundary_indices() {
     let mut maps = MapRegistry::new();
     let fd = maps.create("vals", MapDef::array(8, 4));
-    maps.set_array_u64(fd, 3, 0xFEED_F00D).expect("seed last cell");
+    maps.set_array_u64(fd, 3, 0xFEED_F00D)
+        .expect("seed last cell");
 
     let hit = array_probe(fd, 3);
     verify(&hit, &maps);
@@ -244,7 +248,11 @@ fn lookup_inlines_only_when_every_path_agrees_on_the_key() {
     for (extra, inline, took_other) in [(0, true, 0xA0), (4, false, 0xB1)] {
         let prog = two_path_probe(fd, extra);
         let unverified = kscope_ebpf::helper_inline_plan(&prog);
-        assert_eq!(unverified.inlined(), 0, "an unverified lookup is trampolined");
+        assert_eq!(
+            unverified.inlined(),
+            0,
+            "an unverified lookup is trampolined"
+        );
         verify(&prog, &maps);
         let plan = kscope_ebpf::helper_inline_plan(&prog);
         let lookup = plan
@@ -500,7 +508,10 @@ fn model_sum(ops: &[Op]) -> u64 {
 fn with_compaction(mut ops: Vec<Op>, max_entries: u32) -> Vec<Op> {
     let (table, _, before) = replay(&ops, max_entries);
     let home = |k: u64| index_hash(&k.to_le_bytes()) & table.mask();
-    let cluster: Vec<u64> = (5_000u64..).filter(|&k| home(k) == home(5_000)).take(20).collect();
+    let cluster: Vec<u64> = (5_000u64..)
+        .filter(|&k| home(k) == home(5_000))
+        .take(20)
+        .collect();
     for &key in &cluster {
         ops.extend([Op::Insert(key), Op::Lookup(key)]);
     }
@@ -508,7 +519,12 @@ fn with_compaction(mut ops: Vec<Op>, max_entries: u32) -> Vec<Op> {
         ops.extend([Op::Delete(key), Op::Lookup(cluster[19])]);
     }
     for fresh in 9_000u64..9_100 {
-        ops.extend([Op::Insert(fresh), Op::Lookup(fresh), Op::Lookup(1), Op::ReadHeld]);
+        ops.extend([
+            Op::Insert(fresh),
+            Op::Lookup(fresh),
+            Op::Lookup(1),
+            Op::ReadHeld,
+        ]);
         if replay(&ops, max_entries).2 > before {
             return ops;
         }
@@ -531,7 +547,12 @@ fn hash_table_moves_mid_run() {
     const MAX_ENTRIES: u32 = 4096;
     let mut ops = vec![Op::Insert(1), Op::Hold(1)];
     for key in 2..=24u64 {
-        ops.extend([Op::Insert(key), Op::Lookup(1), Op::Lookup(key), Op::ReadHeld]);
+        ops.extend([
+            Op::Insert(key),
+            Op::Lookup(1),
+            Op::Lookup(key),
+            Op::ReadHeld,
+        ]);
     }
     for key in 2..=20u64 {
         ops.extend([Op::Delete(key), Op::Lookup(key)]);
@@ -539,12 +560,20 @@ fn hash_table_moves_mid_run() {
     let mut ops = with_compaction(ops, MAX_ENTRIES);
     // Every key the compaction may have moved, looked up from its new slot.
     let (compacted, _, _) = replay(&ops, MAX_ENTRIES);
-    let keys: Vec<u64> =
-        compacted.iter().map(|(k, _)| u64::from_le_bytes(k.try_into().unwrap())).collect();
+    let keys: Vec<u64> = compacted
+        .iter()
+        .map(|(k, _)| u64::from_le_bytes(k.try_into().unwrap()))
+        .collect();
     ops.extend(keys.into_iter().map(Op::Lookup));
     let (table, growths, compactions) = replay(&ops, MAX_ENTRIES);
-    assert!(growths >= 2 && compactions >= 1, "{growths} growths, {compactions} compactions");
-    let lookups = ops.iter().filter(|op| matches!(op, Op::Lookup(_) | Op::Hold(_))).count();
+    assert!(
+        growths >= 2 && compactions >= 1,
+        "{growths} growths, {compactions} compactions"
+    );
+    let lookups = ops
+        .iter()
+        .filter(|op| matches!(op, Op::Lookup(_) | Op::Hold(_)))
+        .count();
 
     let mut base = MapRegistry::new();
     let fd = base.create("h", MapDef::hash(8, 8, MAX_ENTRIES));
@@ -566,13 +595,19 @@ fn hash_table_moves_mid_run() {
     let arms = [
         ("interp", Vm::new(), [&ok, &stale]),
         ("jit", Vm::new().with_jit(), [&ok, &stale]),
-        ("jit-checked", Vm::new().with_jit(), [&ok_checked, &stale_checked]),
+        (
+            "jit-checked",
+            Vm::new().with_jit(),
+            [&ok_checked, &stale_checked],
+        ),
     ];
     let mut results = Vec::new();
     for (arm, vm, [ok, stale]) in arms {
         let run = |prog: &Program| {
             let mut maps = base.clone();
-            let out = vm.clone().execute(prog, &[], &mut maps, &mut ExecEnv::default());
+            let out = vm
+                .clone()
+                .execute(prog, &[], &mut maps, &mut ExecEnv::default());
             let entries: Vec<(Vec<u8>, Vec<u8>)> = maps
                 .hash_entries(fd)
                 .unwrap()
@@ -586,10 +621,19 @@ fn hash_table_moves_mid_run() {
         };
         let (out, entries, aux) = run(ok);
         let (stale_out, _, _) = run(stale);
-        let want: Vec<(Vec<u8>, Vec<u8>)> =
-            table.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        assert_eq!(entries, want, "{arm}: entries match the replay, in slot order");
-        assert_eq!(aux, table.mask(), "{arm}: the published mask is the live table's");
+        let want: Vec<(Vec<u8>, Vec<u8>)> = table
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        assert_eq!(
+            entries, want,
+            "{arm}: entries match the replay, in slot order"
+        );
+        assert_eq!(
+            aux,
+            table.mask(),
+            "{arm}: the published mask is the live table's"
+        );
         assert!(
             matches!(stale_out, Err(ExecError::BadMemAccess { size: 0, .. })),
             "{arm}: a deleted key's pointer faults: {stale_out:?}"
@@ -597,7 +641,11 @@ fn hash_table_moves_mid_run() {
         results.push((arm, out, stale_out, entries));
     }
     let (_, want_out, want_stale, want_entries) = &results[0];
-    assert_eq!(want_out.as_ref().map(|o| o.ret), Ok(model_sum(&ops)), "the map's answers");
+    assert_eq!(
+        want_out.as_ref().map(|o| o.ret),
+        Ok(model_sum(&ops)),
+        "the map's answers"
+    );
     for (arm, out, stale_out, entries) in &results[1..] {
         assert_eq!(out, want_out, "{arm}: outcome diverged");
         assert_eq!(stale_out, want_stale, "{arm}: fault diverged");

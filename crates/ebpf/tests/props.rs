@@ -40,12 +40,7 @@ fn encode_decode_round_trip() {
 fn verified_programs_never_fault() {
     kscope_testkit::check!(
         Config::cases(400),
-        |rng: &mut SimRng| {
-            (
-                gen::vec_of(rng, 0, 23, arb_insn),
-                gen::u8_any(rng),
-            )
-        },
+        |rng: &mut SimRng| { (gen::vec_of(rng, 0, 23, arb_insn), gen::u8_any(rng),) },
         |case: &(Vec<Insn>, u8)| {
             let (ref body, ctx_fill) = *case;
             // Seed r0 so `exit` is reachable-legal, then append the random
@@ -111,9 +106,7 @@ fn interpreter_never_panics_on_unverified_input() {
 fn fuzz_program_generator_is_sound() {
     kscope_testkit::check!(
         Config::cases(200),
-        |rng: &mut SimRng| {
-            fuzz_program(rng, 24).insns().to_vec()
-        },
+        |rng: &mut SimRng| { fuzz_program(rng, 24).insns().to_vec() },
         |insns: &Vec<Insn>| {
             let prog = Program::new("fuzz", insns.clone());
             let mut maps = MapRegistry::new();
@@ -191,7 +184,11 @@ fn hash_table_matches_a_btreemap_model() {
         |rng: &mut SimRng| {
             let max_entries = gen::u64_in(rng, 1, 128);
             let ops = gen::vec_of(rng, 0, 400, |rng| {
-                (gen::u8_any(rng) % 8, gen::u64_in(rng, 0, KEY_SPACE - 1), gen::u64_any(rng))
+                (
+                    gen::u8_any(rng) % 8,
+                    gen::u64_in(rng, 0, KEY_SPACE - 1),
+                    gen::u64_any(rng),
+                )
             });
             (max_entries, ops)
         },
@@ -216,7 +213,11 @@ fn hash_table_matches_a_btreemap_model() {
                     3..=5 => assert_eq!(table.remove(&k), model.remove(&key).is_some()),
                     _ => assert_eq!(
                         table.get(&k),
-                        model.get(&key).map(|v| v.to_le_bytes()).as_ref().map(|v| &v[..])
+                        model
+                            .get(&key)
+                            .map(|v| v.to_le_bytes())
+                            .as_ref()
+                            .map(|v| &v[..])
                     ),
                 }
                 assert_eq!(table.live(), model.len());
@@ -247,7 +248,10 @@ fn hash_table_matches_a_btreemap_model() {
             assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
         }
     );
-    assert!(COMPACTIONS.load(Ordering::Relaxed) > 0, "no case compacted a table");
+    assert!(
+        COMPACTIONS.load(Ordering::Relaxed) > 0,
+        "no case compacted a table"
+    );
 }
 
 /// Helper ids round-trip through `from_id`.

@@ -9,7 +9,7 @@
 //! report merging depends on.
 
 use kscope_ebpf::asm::Asm;
-use kscope_ebpf::insn::{R1, R2, R3, R10, SZ_DW};
+use kscope_ebpf::insn::{R1, R10, R2, R3, SZ_DW};
 use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::sketch::SketchState;
@@ -49,10 +49,7 @@ fn verifier_admits_sketch_update_on_sketch_maps_only() {
     assert!(matches!(err, VerifyError::BadHelperArg { .. }), "{err}");
 
     // ...and the generic lookup/update/delete must reject sketch fds.
-    for helper in [
-        Helper::MapLookupElem,
-        Helper::MapDeleteElem,
-    ] {
+    for helper in [Helper::MapLookupElem, Helper::MapDeleteElem] {
         let prog = Asm::new("generic_on_sketch")
             .mov64_imm(R1, 0)
             .store_reg(SZ_DW, R10, R1, -8)
@@ -66,7 +63,10 @@ fn verifier_admits_sketch_update_on_sketch_maps_only() {
         let err = Verifier::default()
             .verify(&prog, &maps)
             .expect_err("generic map op on a sketch map must not verify");
-        assert!(matches!(err, VerifyError::BadHelperArg { .. }), "{helper:?}: {err}");
+        assert!(
+            matches!(err, VerifyError::BadHelperArg { .. }),
+            "{helper:?}: {err}"
+        );
     }
 }
 

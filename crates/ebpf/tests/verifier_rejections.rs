@@ -10,7 +10,7 @@
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{
-    Insn, OP_ADD, OP_AND, OP_DIV, OP_MUL, R0, R1, R2, R6, R7, R10, SZ_DW, SZ_W,
+    Insn, OP_ADD, OP_AND, OP_DIV, OP_MUL, R0, R1, R10, R2, R6, R7, SZ_DW, SZ_W,
 };
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::verifier::{Verifier, VerifyError, VerifyWarning};

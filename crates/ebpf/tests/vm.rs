@@ -3,7 +3,7 @@
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{
     Insn, OP_ADD, OP_ARSH, OP_DIV, OP_JGE, OP_JSET, OP_JSGT, OP_JSLT, OP_LSH, OP_MOD, OP_MUL,
-    OP_RSH, OP_SUB, OP_XOR, R0, R1, R2, R3, R4, R6, R7, R9, R10, SZ_B, SZ_DW, SZ_H, SZ_W,
+    OP_RSH, OP_SUB, OP_XOR, R0, R1, R10, R2, R3, R4, R6, R7, R9, SZ_B, SZ_DW, SZ_H, SZ_W,
 };
 use kscope_ebpf::interp::ExecEnv;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
@@ -22,7 +22,10 @@ fn run(prog: &Program, ctx: &[u8], maps: &mut MapRegistry) -> u64 {
 
 fn run_env(prog: &Program, ctx: &[u8], maps: &mut MapRegistry, env: &mut ExecEnv) -> u64 {
     Verifier::default().verify(prog, maps).expect("verify");
-    Vm::new().execute(prog, ctx, maps, env).expect("execute").ret
+    Vm::new()
+        .execute(prog, ctx, maps, env)
+        .expect("execute")
+        .ret
 }
 
 // --- ALU semantics ---
@@ -240,7 +243,10 @@ fn rejects_back_edges() {
         .ja("top")
         .assemble()
         .unwrap();
-    assert!(matches!(verify_err(prog, &maps), VerifyError::BackEdge { .. }));
+    assert!(matches!(
+        verify_err(prog, &maps),
+        VerifyError::BackEdge { .. }
+    ));
 }
 
 #[test]
@@ -293,7 +299,10 @@ fn rejects_write_to_frame_pointer() {
         .exit()
         .assemble()
         .unwrap();
-    assert!(matches!(verify_err(prog, &maps), VerifyError::WriteToFp { .. }));
+    assert!(matches!(
+        verify_err(prog, &maps),
+        VerifyError::WriteToFp { .. }
+    ));
 }
 
 #[test]
@@ -306,7 +315,10 @@ fn rejects_ctx_out_of_bounds_read() {
         .unwrap();
     assert!(matches!(
         verify_err(prog, &maps),
-        VerifyError::OutOfBounds { region: "context", .. }
+        VerifyError::OutOfBounds {
+            region: "context",
+            ..
+        }
     ));
 }
 
@@ -423,7 +435,10 @@ fn rejects_oversized_program() {
     let mut insns = vec![Insn::mov64_imm(R0, 0); 5000];
     insns.push(Insn::exit());
     let prog = Program::new("huge", insns);
-    assert!(matches!(verify_err(prog, &maps), VerifyError::TooLarge { .. }));
+    assert!(matches!(
+        verify_err(prog, &maps),
+        VerifyError::TooLarge { .. }
+    ));
 }
 
 // --- branch refinement and joins ---
@@ -690,7 +705,10 @@ fn ringbuf_output_from_bytecode() {
     assert_eq!(run_env(&prog, &[], &mut maps, &mut env), 0);
     let records = maps.ring_drain(rb).unwrap();
     assert_eq!(records.len(), 1);
-    assert_eq!(u64::from_le_bytes(records[0][..8].try_into().unwrap()), 4242);
+    assert_eq!(
+        u64::from_le_bytes(records[0][..8].try_into().unwrap()),
+        4242
+    );
 }
 
 #[test]
@@ -735,10 +753,7 @@ fn prandom_advances_state() {
 fn insn_budget_stops_runaway_unverified_program() {
     // An infinite loop cannot pass the verifier, but the interpreter must
     // still defend against unverified programs.
-    let prog = Program::new(
-        "spin",
-        vec![Insn::mov64_imm(R0, 0), Insn::ja(-2)],
-    );
+    let prog = Program::new("spin", vec![Insn::mov64_imm(R0, 0), Insn::ja(-2)]);
     let err = Vm::with_insn_budget(1_000)
         .execute(&prog, &[], &mut MapRegistry::new(), &mut ExecEnv::default())
         .unwrap_err();

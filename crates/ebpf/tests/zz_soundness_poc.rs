@@ -1,6 +1,6 @@
 //! PoC: verifier accepts, interpreter faults (ptr - i64::MIN wrap).
 use kscope_ebpf::asm::Asm;
-use kscope_ebpf::insn::{R0, R1, R2, R10, SZ_DW, SZ_W};
+use kscope_ebpf::insn::{R0, R1, R10, R2, SZ_DW, SZ_W};
 use kscope_ebpf::interp::ExecEnv;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::verifier::Verifier;

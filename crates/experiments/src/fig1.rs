@@ -107,7 +107,6 @@ pub fn pairing_rate_floor() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    
 
     #[test]
     fn single_thread_demo_pairs_nearly_all_requests() {

@@ -163,11 +163,7 @@ mod tests {
         let curve = analyze_workload(&spec, &SweepConfig::quick());
         // First two levels (0.2, 0.5 of failure) are well below the knee:
         // variance must decrease between them.
-        assert!(
-            curve.var_raw[0] > curve.var_raw[1],
-            "{:?}",
-            curve.var_raw
-        );
+        assert!(curve.var_raw[0] > curve.var_raw[1], "{:?}", curve.var_raw);
     }
 
     /// The contention-convoy ablation: with `collision_p_max = 0` the

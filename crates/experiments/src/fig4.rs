@@ -44,9 +44,7 @@ pub fn curve_from_sweep(result: &SweepResult) -> SlackCurve {
         .iter()
         .position(|l| l.violates_qos(&result.spec));
     let up_to = failure_idx.unwrap_or(poll.len()).min(poll.len());
-    let monotone = poll[..up_to]
-        .windows(2)
-        .all(|w| w[1] <= w[0] * 1.15); // 15% tolerance for window noise
+    let monotone = poll[..up_to].windows(2).all(|w| w[1] <= w[0] * 1.15); // 15% tolerance for window noise
     SlackCurve {
         workload: result.spec.name.clone(),
         rps: rps.clone(),

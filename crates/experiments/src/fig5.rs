@@ -84,7 +84,9 @@ pub fn run(scale: Scale) -> Fig5Result {
     };
     let clean = sweep(
         &spec,
-        &base.clone().with_netem(NetemConfig::impaired(Nanos::ZERO, 0.0)),
+        &base
+            .clone()
+            .with_netem(NetemConfig::impaired(Nanos::ZERO, 0.0)),
     );
     let lossy = sweep(
         &spec,
@@ -113,7 +115,13 @@ pub fn run(scale: Scale) -> Fig5Result {
 
 /// Renders the two-row figure.
 pub fn render(result: &Fig5Result, with_charts: bool) -> String {
-    let mut table = TextTable::new(vec!["offered rps", "p99 0% (ms)", "p99 1% (ms)", "epoll 0% (us)", "epoll 1% (us)"]);
+    let mut table = TextTable::new(vec![
+        "offered rps",
+        "p99 0% (ms)",
+        "p99 1% (ms)",
+        "epoll 0% (us)",
+        "epoll 1% (us)",
+    ]);
     let c0 = &result.conditions[0];
     let c1 = &result.conditions[1];
     for i in 0..c0.offered.len() {

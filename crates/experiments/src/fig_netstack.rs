@@ -171,8 +171,8 @@ pub fn run_condition(
         .from_windows(&windows)
         .unwrap_or(0.0);
     let with_poll = windows.iter().filter(|w| w.poll_mean_ns.is_some()).count();
-    let poll_mean_ns = windows.iter().filter_map(|w| w.poll_mean_ns).sum::<f64>()
-        / with_poll.max(1) as f64;
+    let poll_mean_ns =
+        windows.iter().filter_map(|w| w.poll_mean_ns).sum::<f64>() / with_poll.max(1) as f64;
 
     let stack = match StackDelay::from_backend(shift, observer.backend()) {
         Some(stack) => stack,
@@ -240,9 +240,8 @@ pub fn render(result: &FigNetstackResult, with_charts: bool) -> String {
             format!("{}", c.stack_misses),
         ]);
     }
-    let mut out = String::from(
-        "Netstack figure — time-in-stack vs the syscall signal under impairment\n\n",
-    );
+    let mut out =
+        String::from("Netstack figure — time-in-stack vs the syscall signal under impairment\n\n");
     out.push_str(&table.render());
     out.push_str(&format!(
         "\nstack-delay inflation (worst impaired / clean): {:.2}x\n\
@@ -315,7 +314,12 @@ mod tests {
         let result = run(Scale::Quick);
         assert_eq!(result.conditions.len(), 3);
         for c in &result.conditions {
-            assert!(c.stack_samples > 100, "{}: {} samples", c.condition.label, c.stack_samples);
+            assert!(
+                c.stack_samples > 100,
+                "{}: {} samples",
+                c.condition.label,
+                c.stack_samples
+            );
         }
         // The stack-delay figure separates: impairment inflates
         // time-in-stack while the syscall-side signals hold.

@@ -120,7 +120,14 @@ pub fn run(scale: Scale) -> FleetResult {
 /// Renders the loss-robustness table (and chart).
 pub fn render(result: &FleetResult, with_charts: bool) -> String {
     let mut table = TextTable::new(vec![
-        "loss %", "fleet rps", "rps err %", "p99 err %", "dropped", "stale", "shed", "gaps",
+        "loss %",
+        "fleet rps",
+        "rps err %",
+        "p99 err %",
+        "dropped",
+        "stale",
+        "shed",
+        "gaps",
         "silent",
     ]);
     for p in &result.points {

@@ -82,9 +82,8 @@ pub fn render(rows: &[HostRow]) -> String {
                 .unwrap_or_else(|| "-".to_string()),
         ]);
     }
-    let mut out = String::from(
-        "Dual-host generalization — same signals, capacity-scaled knees\n\n",
-    );
+    let mut out =
+        String::from("Dual-host generalization — same signals, capacity-scaled knees\n\n");
     out.push_str(&table.render());
     out
 }

@@ -52,8 +52,7 @@ pub fn run(scale: Scale) -> Vec<BypassRow> {
             config = config.quick();
         }
         let mut run = observe_run(&spec, &config, Nanos::from_millis(200), |sim| {
-            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .build()
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()
         });
         let warmup_end = run.warmup_end;
         let windows: Vec<_> = run

@@ -60,13 +60,18 @@ impl ObservedRun {
 ///
 /// Panics if `build` fails: the generated probe programs always verify,
 /// so a [`BuildError`] is a generator bug.
-pub fn observe_run<F>(spec: &WorkloadSpec, config: &RunConfig, window: Nanos, build: F) -> ObservedRun
+pub fn observe_run<F>(
+    spec: &WorkloadSpec,
+    config: &RunConfig,
+    window: Nanos,
+    build: F,
+) -> ObservedRun
 where
     F: FnOnce(&ServerSim) -> Result<BytecodeBackend, BuildError>,
 {
     let outcome = run_workload_with(spec, config, |sim| {
-        let backend = build(sim)
-            .unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
+        let backend =
+            build(sim).unwrap_or_else(|e| panic!("generated probe programs must verify: {e}"));
         vec![Box::new(WindowedObserver::new(backend, window)) as Box<dyn TracepointProbe>]
     });
     let mut kernel = outcome.kernel;

@@ -47,12 +47,21 @@ impl OverheadRow {
     }
 }
 
-fn run_once(spec: &WorkloadSpec, fraction: f64, setup: ProbeSetup, scale: Scale) -> (f64, u64, u64) {
+fn run_once(
+    spec: &WorkloadSpec,
+    fraction: f64,
+    setup: ProbeSetup,
+    scale: Scale,
+) -> (f64, u64, u64) {
     let offered = spec.paper_failure_rps * fraction;
     let mut config = RunConfig::new(offered, 31);
     config.netem = NetemConfig::loopback();
     config.collect_trace = false;
-    let samples_target = if scale == Scale::Full { 6_000.0 } else { 1_200.0 };
+    let samples_target = if scale == Scale::Full {
+        6_000.0
+    } else {
+        1_200.0
+    };
     config.warmup = Nanos::from_secs_f64((spec.service_time.mean() / 1e9 * 30.0).max(0.3));
     config.measure = Nanos::from_secs_f64((samples_target / offered).clamp(1.0, 900.0));
 
@@ -175,6 +184,9 @@ mod tests {
         assert!(events > 0);
         assert!(probe_ns > 0, "probe charged no time");
         let overhead = (probed - base).abs() / base;
-        assert!(overhead < 0.05, "overhead {overhead:.3} (base {base}, probed {probed})");
+        assert!(
+            overhead < 0.05,
+            "overhead {overhead:.3} (base {base}, probed {probed})"
+        );
     }
 }

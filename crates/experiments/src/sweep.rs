@@ -169,7 +169,12 @@ pub fn send_events_per_request(spec: &WorkloadSpec) -> f64 {
 }
 
 /// Runs one level of a sweep.
-pub fn run_level(spec: &WorkloadSpec, offered_rps: f64, config: &SweepConfig, seed: u64) -> LevelResult {
+pub fn run_level(
+    spec: &WorkloadSpec,
+    offered_rps: f64,
+    config: &SweepConfig,
+    seed: u64,
+) -> LevelResult {
     let sends_per_req = send_events_per_request(spec);
     let window_secs =
         (config.min_send_samples as f64 * 1.3 / (offered_rps * sends_per_req)).max(0.05);

@@ -17,7 +17,11 @@ pub fn render() -> String {
     };
     row("CPU Model", amd.cpu_model.clone(), intel.cpu_model.clone());
     row("OS (Kernel)", amd.os.clone(), intel.os.clone());
-    row("Sockets", amd.sockets.to_string(), intel.sockets.to_string());
+    row(
+        "Sockets",
+        amd.sockets.to_string(),
+        intel.sockets.to_string(),
+    );
     row(
         "Cores/Socket",
         amd.cores_per_socket.to_string(),

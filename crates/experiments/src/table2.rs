@@ -94,8 +94,7 @@ pub fn render(rows: &[Table2Row]) -> String {
                 .unwrap_or_else(|| "-".into()),
         ]);
     }
-    let mut out =
-        String::from("Table II — effect of the network on approximated RPS (R²)\n\n");
+    let mut out = String::from("Table II — effect of the network on approximated RPS (R²)\n\n");
     out.push_str(&table.render());
     out
 }
@@ -124,7 +123,9 @@ mod tests {
         let base = SweepConfig::quick();
         let (clean, _) = analyze_workload(
             &spec,
-            &base.clone().with_netem(NetemConfig::impaired(Nanos::ZERO, 0.0)),
+            &base
+                .clone()
+                .with_netem(NetemConfig::impaired(Nanos::ZERO, 0.0)),
         );
         let (impaired, _) = analyze_workload(
             &spec,

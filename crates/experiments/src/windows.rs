@@ -46,8 +46,7 @@ pub fn run(scale: Scale) -> Vec<WindowRow> {
         // Enough total time for at least 20 windows.
         config.measure = window * 24;
         let mut run = observe_run(&spec, &config, window, |sim| {
-            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .build()
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()
         });
         let (truth, warmup_end, end) = (run.client.achieved_rps, run.warmup_end, run.end);
         let errors: Vec<f64> = run
@@ -96,7 +95,12 @@ pub fn render(rows: &[WindowRow]) -> String {
 
 /// CSV form.
 pub fn to_csv(rows: &[WindowRow]) -> String {
-    let mut table = TextTable::new(vec!["samples_per_window", "windows", "mean_rel_error", "max_rel_error"]);
+    let mut table = TextTable::new(vec![
+        "samples_per_window",
+        "windows",
+        "mean_rel_error",
+        "max_rel_error",
+    ]);
     for row in rows {
         table.row(vec![
             row.samples_per_window.to_string(),

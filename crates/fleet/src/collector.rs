@@ -214,7 +214,11 @@ impl AggregateReport {
     pub fn wire_bytes(&self) -> usize {
         const ROW_BYTES: usize = 4 + 8 + 8 + 8 + 8 + 1 + 8;
         crate::host::ENVELOPE_FIXED_BYTES
-            + self.sketch.as_ref().map(TopKSketch::wire_bytes).unwrap_or(0)
+            + self
+                .sketch
+                .as_ref()
+                .map(TopKSketch::wire_bytes)
+                .unwrap_or(0)
             + self.top_rows.len() * ROW_BYTES
     }
 }
@@ -362,8 +366,9 @@ impl Collector {
         let ranges: Vec<(usize, usize)> = (0..leaves)
             .map(|l| ((l * fan_in).min(hosts), ((l + 1) * fan_in).min(hosts)))
             .collect();
-        let mut level: Vec<AggregateReport> =
-            map_indexed(&ranges, jobs, |_, &(lo, hi)| self.aggregate_leaf(lo, hi, top_k));
+        let mut level: Vec<AggregateReport> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
+            self.aggregate_leaf(lo, hi, top_k)
+        });
 
         // Internal levels: merge `fan_in` children at a time until one
         // root remains. A fan-in of 1 still terminates (every level
@@ -489,7 +494,8 @@ impl Collector {
                 let headroom = env.slack.map(|s| s.headroom);
                 let sat_flag = env.saturation.map(|s| s.saturated).unwrap_or(false);
                 let slack_flag = env.slack.map(|s| s.saturated).unwrap_or(false);
-                let score = f64::from(u8::from(sat_flag)) + f64::from(u8::from(slack_flag))
+                let score = f64::from(u8::from(sat_flag))
+                    + f64::from(u8::from(slack_flag))
                     + headroom.map(|h| (1.0 - h).clamp(0.0, 1.0)).unwrap_or(0.0);
                 HostRow {
                     host: host as u32,

@@ -446,7 +446,13 @@ impl SimHost {
             return None;
         }
         let new_windows: Vec<_> = (reported..total)
-            .map(|i| (obs.windows()[i], obs.raw_windows()[i], obs.window_histograms()[i]))
+            .map(|i| {
+                (
+                    obs.windows()[i],
+                    obs.raw_windows()[i],
+                    obs.window_histograms()[i],
+                )
+            })
             .collect();
         for (metrics, raw, hist) in new_windows {
             self.cum.merge(&raw);

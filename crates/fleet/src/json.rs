@@ -21,7 +21,8 @@ fn opt_f64(v: Option<f64>) -> String {
 }
 
 fn opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".to_string())
+    v.map(|x| x.to_string())
+        .unwrap_or_else(|| "null".to_string())
 }
 
 fn host_row(row: &HostRow) -> String {
@@ -119,7 +120,10 @@ pub fn report_to_json(config: &FleetConfig, rollup: &FleetRollup) -> String {
         rollup.sketch_total_weight,
         entity_rows_json(&rollup.top_entities),
     ));
-    out.push_str(&format!(",\"top_saturated\":{}", rows_json(&rollup.top_saturated)));
+    out.push_str(&format!(
+        ",\"top_saturated\":{}",
+        rows_json(&rollup.top_saturated)
+    ));
     out.push_str(&format!(",\"per_host\":{}", rows_json(&rollup.per_host)));
     out.push_str("}}\n");
     out

@@ -13,9 +13,7 @@ use kscope_syscalls::Tid;
 use crate::socket::{ChannelId, ChannelTable};
 
 /// Identifier of an epoll (or select fd-set) instance.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EpollId(pub u32);
 
 #[derive(Debug, Clone, Default)]

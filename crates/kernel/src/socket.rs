@@ -12,9 +12,7 @@ use std::collections::VecDeque;
 use kscope_simcore::Nanos;
 
 /// Identifier of a connection or internal queue.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub u32);
 
 /// Per-stage ingress timestamps carried by a message that traversed the

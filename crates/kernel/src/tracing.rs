@@ -208,7 +208,13 @@ impl Tracing {
     ///
     /// Returns the total probe overhead; the driver charges it to the
     /// interrupted CPU rather than any thread.
-    pub fn net_rx_softirq(&mut self, request: u64, bytes: u32, nic_wait: Nanos, now: Nanos) -> Nanos {
+    pub fn net_rx_softirq(
+        &mut self,
+        request: u64,
+        bytes: u32,
+        nic_wait: Nanos,
+        now: Nanos,
+    ) -> Nanos {
         self.stats.net_rx += 1;
         let ctx = TracepointCtx {
             phase: TracePhase::NetRxSoftirq,
@@ -344,7 +350,8 @@ mod tests {
         let mut tracing = Tracing::new();
         let id = tracing.attach(Box::new(NetRecorder { seen: Vec::new() }));
         let o1 = tracing.net_rx_softirq(42, 256, Nanos::from_micros(3), Nanos::from_micros(10));
-        let o2 = tracing.sock_queue_drain(1, 2, 42, Nanos::from_micros(7), 4, Nanos::from_micros(20));
+        let o2 =
+            tracing.sock_queue_drain(1, 2, 42, Nanos::from_micros(7), 4, Nanos::from_micros(20));
         assert_eq!(o1, Nanos::from_nanos(50));
         assert_eq!(o2, Nanos::from_nanos(50));
         assert_eq!(tracing.stats().net_rx, 1);

@@ -129,10 +129,7 @@ fn epoll_wakes_at_most_one_waiter() {
             }
             let mut woken = Vec::new();
             for i in 0..deliveries {
-                channels.deliver(
-                    conn,
-                    Message::internal(i as u64, 1, Nanos::ZERO),
-                );
+                channels.deliver(conn, Message::internal(i as u64, 1, Nanos::ZERO));
                 let mut wakeups = Vec::new();
                 epolls.wake(conn, |ep, tid| wakeups.push((ep, tid)));
                 assert!(wakeups.len() <= 1);

@@ -438,7 +438,9 @@ mod tests {
         cfg.jitter = Some(Dist::uniform(0.0, 50_000.0));
         let mut link = NetemLink::new(cfg);
         let mut rng = SimRng::seed_from_u64(7);
-        let delays: Vec<u64> = (0..100).map(|_| link.send(&mut rng).delay.as_nanos()).collect();
+        let delays: Vec<u64> = (0..100)
+            .map(|_| link.send(&mut rng).delay.as_nanos())
+            .collect();
         assert!(delays.iter().all(|&d| d >= 100_000));
         assert!(delays.iter().any(|&d| d > 110_000));
     }
@@ -468,7 +470,10 @@ mod tests {
         assert_eq!(stats.delivered + stats.dropped, n);
         assert_eq!(stats.retransmissions, 0);
         let rate = stats.dropped as f64 / n as f64;
-        assert!((rate - 0.2).abs() < 0.01, "drop rate {rate}, expected ≈ 0.2");
+        assert!(
+            (rate - 0.2).abs() < 0.01,
+            "drop rate {rate}, expected ≈ 0.2"
+        );
     }
 
     #[test]
@@ -497,7 +502,10 @@ mod tests {
         let stats = link.stats();
         assert_eq!(stats.bytes_offered, n * 700);
         assert_eq!(stats.bytes_delivered, stats.delivered * 700);
-        assert!(stats.bytes_delivered < stats.bytes_offered, "30% loss drops bytes");
+        assert!(
+            stats.bytes_delivered < stats.bytes_offered,
+            "30% loss drops bytes"
+        );
         // The datagram counters and the byte ledger agree exactly.
         assert_eq!(
             stats.bytes_offered - stats.bytes_delivered,

@@ -61,8 +61,7 @@ fn lossless_links_never_retransmit() {
         Config::cases(128),
         |rng: &mut SimRng| (gen::u64_any(rng), gen::u64_in(rng, 0, 9_999)),
         |&(seed, delay_us): &(u64, u64)| {
-            let mut link =
-                NetemLink::new(NetemConfig::impaired(Nanos::from_micros(delay_us), 0.0));
+            let mut link = NetemLink::new(NetemConfig::impaired(Nanos::from_micros(delay_us), 0.0));
             let mut rng = SimRng::seed_from_u64(seed);
             for _ in 0..200 {
                 assert_eq!(link.send(&mut rng).transmissions, 1);

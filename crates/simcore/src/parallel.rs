@@ -84,7 +84,11 @@ where
     F: Fn(usize, &I) -> T + Sync,
 {
     if jobs <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
     }
 
     let workers = jobs.min(items.len());
@@ -149,7 +153,11 @@ mod tests {
             }
             x * 3 + i as u64
         });
-        let expected: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x * 3 + i as u64).collect();
+        let expected: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * 3 + i as u64)
+            .collect();
         assert_eq!(out, expected);
     }
 

@@ -26,9 +26,7 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let end = start + Nanos::from_micros(5);
 /// assert_eq!((end - start).as_nanos(), 5_000);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nanos(u64);
 
 impl Nanos {
@@ -228,9 +226,7 @@ impl From<Nanos> for u64 {
 ///
 /// Produced by [`Nanos::signed_delta`]; useful for residuals and jitter where
 /// the sign carries meaning.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NanoDelta(i64);
 
 impl NanoDelta {

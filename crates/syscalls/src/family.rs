@@ -12,9 +12,7 @@ use core::fmt;
 use crate::no::SyscallNo;
 
 /// The coarse role a syscall plays in a request-response server.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SyscallFamily {
     /// Receives request bytes: `read`, `recvfrom`, `recvmsg`.
     Receive,

@@ -48,7 +48,9 @@ mod phase;
 mod profile;
 mod trace;
 
-pub use event::{pid_tgid, split_pid_tgid, NetCtx, Pid, SyscallEvent, Tid, TracePhase, TracepointCtx};
+pub use event::{
+    pid_tgid, split_pid_tgid, NetCtx, Pid, SyscallEvent, Tid, TracePhase, TracepointCtx,
+};
 pub use family::SyscallFamily;
 pub use no::SyscallNo;
 pub use phase::{Phase, PhaseReport};

@@ -18,9 +18,7 @@ use core::fmt;
 /// assert_eq!(SyscallNo::EPOLL_WAIT.name(), "epoll_wait");
 /// assert_eq!(SyscallNo::from_name("sendto"), Some(SyscallNo::SENDTO));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SyscallNo(u32);
 
 macro_rules! syscall_table {

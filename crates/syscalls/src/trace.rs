@@ -63,7 +63,9 @@ impl Trace {
     /// Appends a completed event.
     pub fn push(&mut self, event: SyscallEvent) {
         debug_assert!(
-            self.events.last().is_none_or(|last| last.exit <= event.exit),
+            self.events
+                .last()
+                .is_none_or(|last| last.exit <= event.exit),
             "trace events must be pushed in completion order"
         );
         self.events.push(event);
@@ -288,9 +290,7 @@ mod tests {
     #[test]
     fn completion_rate_matches_eq1() {
         // 5 sends, one every 100us => 10_000 per second.
-        let t: Trace = (0..5)
-            .map(|i| ev(SyscallNo::SENDTO, 1, 100 * i))
-            .collect();
+        let t: Trace = (0..5).map(|i| ev(SyscallNo::SENDTO, 1, 100 * i)).collect();
         let rate = t.completion_rate().unwrap();
         assert!((rate - 10_000.0).abs() < 1e-6, "rate {rate}");
     }
@@ -304,9 +304,7 @@ mod tests {
 
     #[test]
     fn windows_partition_events() {
-        let t: Trace = (0..10)
-            .map(|i| ev(SyscallNo::SENDTO, 1, 7 * i))
-            .collect();
+        let t: Trace = (0..10).map(|i| ev(SyscallNo::SENDTO, 1, 7 * i)).collect();
         let windows = t.windows(Nanos::from_micros(20));
         let total: usize = windows.iter().map(Trace::len).sum();
         assert_eq!(total, t.len());

@@ -21,10 +21,10 @@
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{
-    Insn, Reg, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX,
-    MODE_IMM, MODE_MEM, OP_ADD, OP_AND, OP_ARSH, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT,
-    OP_JLE, OP_JLT, OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV,
-    OP_MUL, OP_NEG, OP_OR, OP_RSH, OP_SUB, OP_XOR, SRC_K, SRC_X, SZ_B, SZ_DW, SZ_H, SZ_W,
+    Insn, Reg, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MODE_IMM,
+    MODE_MEM, OP_ADD, OP_AND, OP_ARSH, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE,
+    OP_JLT, OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL,
+    OP_NEG, OP_OR, OP_RSH, OP_SUB, OP_XOR, SRC_K, SRC_X, SZ_B, SZ_DW, SZ_H, SZ_W,
 };
 use kscope_ebpf::maps::MapFd;
 use kscope_ebpf::Helper;
@@ -36,8 +36,8 @@ use crate::shrink::Shrink;
 
 /// All ALU operation codes.
 pub const ALU_OPS: [u8; 13] = [
-    OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_OR, OP_AND, OP_LSH, OP_RSH, OP_NEG, OP_MOD, OP_XOR,
-    OP_MOV, OP_ARSH,
+    OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_OR, OP_AND, OP_LSH, OP_RSH, OP_NEG, OP_MOD, OP_XOR, OP_MOV,
+    OP_ARSH,
 ];
 
 /// All conditional jump operation codes.
@@ -184,7 +184,13 @@ pub fn valid_program(rng: &mut SimRng, allow_branches: bool) -> Program {
     for _ in 0..body_len {
         let dst = arb_work_reg(rng);
         match gen::u64_in(rng, 0, 6) {
-            0 => asm = asm.insn(Insn::alu64_imm(arb_safe_alu(rng), dst, gen::i32_in(rng, -100, 100))),
+            0 => {
+                asm = asm.insn(Insn::alu64_imm(
+                    arb_safe_alu(rng),
+                    dst,
+                    gen::i32_in(rng, -100, 100),
+                ))
+            }
             1 => asm = asm.insn(Insn::alu64_reg(arb_safe_alu(rng), dst, arb_work_reg(rng))),
             2 => {
                 // Non-zero immediate division is verifier-legal.
@@ -214,7 +220,13 @@ pub fn valid_program(rng: &mut SimRng, allow_branches: bool) -> Program {
                     "end",
                 );
             }
-            _ => asm = asm.insn(Insn::alu32_imm(arb_safe_alu(rng), dst, gen::i32_in(rng, -100, 100))),
+            _ => {
+                asm = asm.insn(Insn::alu32_imm(
+                    arb_safe_alu(rng),
+                    dst,
+                    gen::i32_in(rng, -100, 100),
+                ))
+            }
         }
     }
     let asm = asm.label("end").exit();
@@ -496,20 +508,14 @@ mod tests {
 
     #[test]
     fn reference_eval_sign_extends_immediates() {
-        let prog = Program::new(
-            "t",
-            vec![Insn::mov64_imm(0, -1), Insn::exit()],
-        );
+        let prog = Program::new("t", vec![Insn::mov64_imm(0, -1), Insn::exit()]);
         assert_eq!(reference_eval(&prog), Some(u64::MAX));
     }
 
     #[test]
     fn reference_eval_rejects_uninitialized_reads() {
         // add r0, 1 reads r0 before any write.
-        let prog = Program::new(
-            "t",
-            vec![Insn::alu64_imm(OP_ADD, 0, 1), Insn::exit()],
-        );
+        let prog = Program::new("t", vec![Insn::alu64_imm(OP_ADD, 0, 1), Insn::exit()]);
         assert_eq!(reference_eval(&prog), None);
     }
 
@@ -531,7 +537,10 @@ mod tests {
         let mut a = SimRng::seed_from_u64(3);
         let mut b = SimRng::seed_from_u64(3);
         for _ in 0..20 {
-            assert_eq!(fuzz_program(&mut a, 8).insns(), fuzz_program(&mut b, 8).insns());
+            assert_eq!(
+                fuzz_program(&mut a, 8).insns(),
+                fuzz_program(&mut b, 8).insns()
+            );
         }
     }
 }

@@ -101,7 +101,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<TracepointCtx>, GoldenError> {
         if fields.len() != 6 {
             return Err(gerr(
                 line_no,
-                format!("expected 6 fields (phase syscall tgid tid ktime ret), got {}", fields.len()),
+                format!(
+                    "expected 6 fields (phase syscall tgid tid ktime ret), got {}",
+                    fields.len()
+                ),
             ));
         }
         let phase = match fields[0] {
@@ -256,7 +259,6 @@ impl Expectations {
     }
 }
 
-
 /// Compares `actual` with the committed golden file at `path`, or
 /// rewrites the file when the environment sets `UPDATE_GOLDEN=1`.
 ///
@@ -296,7 +298,8 @@ mod tests {
 
     #[test]
     fn trace_errors_carry_line_numbers() {
-        let err = parse_trace("exit sendmsg 1200 1201 500000 64\nexit nosuchcall 1 2 3 4").unwrap_err();
+        let err =
+            parse_trace("exit sendmsg 1200 1201 500000 64\nexit nosuchcall 1 2 3 4").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("nosuchcall"));
     }

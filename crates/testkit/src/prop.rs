@@ -149,7 +149,11 @@ impl fmt::Display for TestkitFailure {
             "property `{}` failed at case {} (seed {:#x})",
             self.property, self.case_index, self.case_seed
         )?;
-        writeln!(f, "  shrunk counterexample ({} steps): {}", self.shrink_steps, self.shrunk)?;
+        writeln!(
+            f,
+            "  shrunk counterexample ({} steps): {}",
+            self.shrink_steps, self.shrunk
+        )?;
         if self.shrunk != self.original {
             writeln!(f, "  original counterexample: {}", self.original)?;
         }
@@ -285,9 +289,15 @@ mod tests {
 
     #[test]
     fn passing_property_returns_ok() {
-        let r = run_result("p", "t", Config::cases(50), |rng| rng.next_below(10), |&x| {
-            assert!(x < 10);
-        });
+        let r = run_result(
+            "p",
+            "t",
+            Config::cases(50),
+            |rng| rng.next_below(10),
+            |&x| {
+                assert!(x < 10);
+            },
+        );
         assert!(r.is_ok());
     }
 
@@ -321,7 +331,10 @@ mod tests {
         // element makes the property pass.
         for (i, &element) in shrunk.iter().enumerate() {
             let without: u64 = sum - element;
-            assert!(without <= 1000, "not minimal: dropping index {i} still fails");
+            assert!(
+                without <= 1000,
+                "not minimal: dropping index {i} still fails"
+            );
         }
     }
 

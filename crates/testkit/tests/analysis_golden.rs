@@ -90,7 +90,10 @@ fn precision_corpus_analysis_matches_golden() {
         out.push_str(&format!("  cost: {}\n", render_cost(cost_report(&prog))));
     }
     assert_matches_golden(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/precision/analysis.golden"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/precision/analysis.golden"
+        ),
         &out,
     );
 }
@@ -251,7 +254,10 @@ fn inline_plans_match_golden() {
         out.push_str(&render_plan("precision", &prog));
     }
     assert_matches_golden(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/analysis/plans.golden"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/analysis/plans.golden"
+        ),
         &out,
     );
 }
@@ -274,7 +280,10 @@ fn verifier_warning_rendering_is_stable() {
         "fixture no longer carries both warning kinds:\n{rendered}"
     );
     assert_matches_golden(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/analysis/warnings.golden"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/analysis/warnings.golden"
+        ),
         &rendered,
     );
 }
@@ -312,8 +321,7 @@ fn round_trip_programs() -> Vec<(String, Program, MapRegistry, usize)> {
 #[test]
 fn programs_round_trip_through_text() {
     for (name, prog, maps, ctx_size) in round_trip_programs() {
-        let text = emit_program(&prog)
-            .unwrap_or_else(|e| panic!("`{name}` failed to emit: {e:?}"));
+        let text = emit_program(&prog).unwrap_or_else(|e| panic!("`{name}` failed to emit: {e:?}"));
         let reparsed = parse_program(&name, &text)
             .unwrap_or_else(|e| panic!("`{name}` emitted text failed to parse: {e}\n{text}"));
         assert_eq!(

@@ -88,12 +88,14 @@ fn structured_generator_keeps_its_validity_promise() {
     let maps = MapRegistry::new();
     for i in 0..400 {
         let prog = valid_program(&mut rng, true);
-        Verifier::default().verify(&prog, &maps).unwrap_or_else(|e| {
-            panic!(
-                "iteration {i}: generator emitted a rejected program: {e}\n{}",
-                prog.disassemble()
-            )
-        });
+        Verifier::default()
+            .verify(&prog, &maps)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "iteration {i}: generator emitted a rejected program: {e}\n{}",
+                    prog.disassemble()
+                )
+            });
     }
 }
 
@@ -171,12 +173,14 @@ fn bounded_offset_programs_verify_and_never_fault() {
         let mut maps = MapRegistry::new();
         let fd = maps.create("vals", MapDef::array(128, 1));
         let prog = bounded_offset_program(&mut rng, (i % 2 == 0).then_some(fd));
-        Verifier::default().verify(&prog, &maps).unwrap_or_else(|e| {
-            panic!(
-                "iteration {i}: bounded-offset program rejected: {e}\n{}",
-                prog.disassemble()
-            )
-        });
+        Verifier::default()
+            .verify(&prog, &maps)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "iteration {i}: bounded-offset program rejected: {e}\n{}",
+                    prog.disassemble()
+                )
+            });
         let mut ctx = [0u8; 64];
         for b in ctx.iter_mut() {
             *b = rng.next_u64() as u8;

@@ -7,8 +7,8 @@
 //! file documents the arithmetic behind its numbers.
 
 use kscope_core::{
-    MetricBackend, NativeBackend, ProbeSet, RpsEstimator, SaturationDetector,
-    SlackEstimator, WindowMetrics, WindowedObserver,
+    MetricBackend, NativeBackend, ProbeSet, RpsEstimator, SaturationDetector, SlackEstimator,
+    WindowMetrics, WindowedObserver,
 };
 use kscope_kernel::TracepointProbe;
 use kscope_simcore::Nanos;
@@ -110,7 +110,9 @@ fn poll_slack_ramp_matches_goldens() {
 
     let mut slack = SlackEstimator::default();
     for (i, w) in windows.iter().enumerate() {
-        let a = slack.observe(w).unwrap_or_else(|| panic!("window {i} carries signal"));
+        let a = slack
+            .observe(w)
+            .unwrap_or_else(|| panic!("window {i} carries signal"));
         exp.check(&format!("w{i}_poll_mean_ns"), a.poll_mean_ns);
         exp.check(&format!("w{i}_headroom"), a.headroom);
         exp.check(&format!("w{i}_saturated"), as_flag(a.saturated));

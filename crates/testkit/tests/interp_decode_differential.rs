@@ -204,9 +204,18 @@ fn generated_programs_execute_identically() {
         }
     }
     if cfg!(target_arch = "x86_64") {
-        assert!(elided > 0, "no generated program ran with elided bounds checks");
-        assert!(inlined > 0, "no generated program ran an inlined helper call");
-        assert!(inline_lookups > 0, "no generated program ran an inline map lookup");
+        assert!(
+            elided > 0,
+            "no generated program ran with elided bounds checks"
+        );
+        assert!(
+            inlined > 0,
+            "no generated program ran an inlined helper call"
+        );
+        assert!(
+            inline_lookups > 0,
+            "no generated program ran an inline map lookup"
+        );
     }
 }
 
@@ -337,18 +346,16 @@ fn directed_jit_edge_cases_execute_identically() {
             // `ja +1` lands on the hi slot of the following fused
             // `ld_dw`; the JIT must fault exactly like the interpreter
             // does.
-            (
-                Program::new(
-                    "ld_dw_hi_jump",
-                    vec![
-                        Insn::mov64_imm(0, 7),
-                        Insn::ja(1),
-                        Insn::ld_dw_lo(6, 0xAABB_CCDD_EEFF_0011),
-                        Insn::ld_dw_hi(0xAABB_CCDD_EEFF_0011),
-                        Insn::exit(),
-                    ],
-                )
-            ),
+            (Program::new(
+                "ld_dw_hi_jump",
+                vec![
+                    Insn::mov64_imm(0, 7),
+                    Insn::ja(1),
+                    Insn::ld_dw_lo(6, 0xAABB_CCDD_EEFF_0011),
+                    Insn::ld_dw_hi(0xAABB_CCDD_EEFF_0011),
+                    Insn::exit(),
+                ],
+            )),
         ),
         (
             "truncated-ld-dw",

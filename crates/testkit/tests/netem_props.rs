@@ -30,7 +30,9 @@ fn ge_config(loss: LossModel) -> NetemConfig {
 fn loss_sequence(model: LossModel, seed: u64, n: usize) -> Vec<bool> {
     let mut link = NetemLink::new(ge_config(model));
     let mut rng = SimRng::seed_from_u64(seed);
-    (0..n).map(|_| !link.send_datagram(&mut rng).delivered).collect()
+    (0..n)
+        .map(|_| !link.send_datagram(&mut rng).delivered)
+        .collect()
 }
 
 /// Consecutive-loss run lengths of a loss sequence.

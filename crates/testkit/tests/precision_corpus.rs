@@ -155,8 +155,10 @@ fn every_core_probe_program_verifies_cleanly() {
                 ctx_size: kscope_core::CTX_SIZE,
                 ..VerifierConfig::default()
             });
-            for (which, prog) in [("enter", backend.programs().0), ("exit", backend.programs().1)]
-            {
+            for (which, prog) in [
+                ("enter", backend.programs().0),
+                ("exit", backend.programs().1),
+            ] {
                 let report = verifier.verify_report(prog, backend.map_registry());
                 assert!(
                     report.is_ok(),

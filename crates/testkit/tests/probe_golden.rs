@@ -38,7 +38,10 @@ fn check(name: &str, set: ProbeSet) {
     let probe = set
         .build()
         .unwrap_or_else(|e| panic!("probe '{name}' failed to build: {e}"));
-    let path = format!("{}/tests/fixtures/probes/{name}.golden", env!("CARGO_MANIFEST_DIR"));
+    let path = format!(
+        "{}/tests/fixtures/probes/{name}.golden",
+        env!("CARGO_MANIFEST_DIR")
+    );
     assert_matches_golden(&path, &render(&probe));
 }
 
@@ -49,7 +52,10 @@ fn syscall_pair(tgids: Vec<Pid>, profile: SyscallProfile) -> ProbeSet {
 /// The sweep probe of a single-process workload.
 #[test]
 fn data_caching_pair() {
-    check("data_caching", syscall_pair(vec![1000], SyscallProfile::data_caching()));
+    check(
+        "data_caching",
+        syscall_pair(vec![1000], SyscallProfile::data_caching()),
+    );
 }
 
 /// A multi-process probe: one filter over every stage.

@@ -104,11 +104,9 @@ fn merge_is_order_invariant() {
         },
         |(stream, ranks): &(Vec<u64>, Vec<u64>)| {
             let chunk = stream.len().div_ceil(ranks.len()).max(1);
-            let shards: Vec<TopKSketch> =
-                stream.chunks(chunk).map(|c| sketch_of(c, 8)).collect();
-            let forward = TopKSketch::merge_all(&shards).unwrap_or_else(|| {
-                panic!("non-empty shard list must merge")
-            });
+            let shards: Vec<TopKSketch> = stream.chunks(chunk).map(|c| sketch_of(c, 8)).collect();
+            let forward = TopKSketch::merge_all(&shards)
+                .unwrap_or_else(|| panic!("non-empty shard list must merge"));
             let mut order: Vec<usize> = (0..shards.len()).collect();
             order.sort_by_key(|&i| ranks.get(i).copied().unwrap_or(0));
             let permuted = TopKSketch::merge_all(order.iter().map(|&i| &shards[i]))
@@ -192,8 +190,11 @@ fn adversarially_skewed_streams_yield_exact_top_k() {
                 })
                 .collect();
             if expect.iter().all(|key| tabled.contains(key)) {
-                let got: Vec<u64> =
-                    sketch.top_k_u64(k).into_iter().map(|(key, _)| key).collect();
+                let got: Vec<u64> = sketch
+                    .top_k_u64(k)
+                    .into_iter()
+                    .map(|(key, _)| key)
+                    .collect();
                 assert_eq!(got, expect, "sketch top-{k} must name the true top-{k}");
                 exact_cases.set(exact_cases.get() + 1);
             }

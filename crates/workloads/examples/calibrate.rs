@@ -16,17 +16,33 @@ fn p99_at(spec: &kscope_workloads::WorkloadSpec, rps: f64, seed: u64) -> f64 {
 }
 
 fn main() {
-    println!("{:<14} {:>10} {:>10} {:>7}", "workload", "paper", "measured", "ratio");
+    println!(
+        "{:<14} {:>10} {:>10} {:>7}",
+        "workload", "paper", "measured", "ratio"
+    );
     for spec in all_paper_workloads() {
         let qos = spec.qos_p99.as_nanos() as f64;
         let (mut lo, mut hi) = (spec.paper_failure_rps * 0.4, spec.paper_failure_rps * 1.5);
         // ensure bracket
-        if p99_at(&spec, hi, 9) < qos { lo = hi; hi *= 2.0; }
+        if p99_at(&spec, hi, 9) < qos {
+            lo = hi;
+            hi *= 2.0;
+        }
         for _ in 0..9 {
             let mid = (lo + hi) / 2.0;
-            if p99_at(&spec, mid, 9) > qos { hi = mid } else { lo = mid }
+            if p99_at(&spec, mid, 9) > qos {
+                hi = mid
+            } else {
+                lo = mid
+            }
         }
         let fail = (lo + hi) / 2.0;
-        println!("{:<14} {:>10.0} {:>10.0} {:>7.2}", spec.name, spec.paper_failure_rps, fail, fail / spec.paper_failure_rps);
+        println!(
+            "{:<14} {:>10.0} {:>10.0} {:>7.2}",
+            spec.name,
+            spec.paper_failure_rps,
+            fail,
+            fail / spec.paper_failure_rps
+        );
     }
 }

@@ -72,11 +72,12 @@ pub struct ClientStats {
 }
 
 impl ClientStats {
-    fn from_completions(offered_rps: f64, window: Nanos, completions: &[Completion]) -> ClientStats {
-        let mut lat: Vec<u64> = completions
-            .iter()
-            .map(|c| c.latency().as_nanos())
-            .collect();
+    fn from_completions(
+        offered_rps: f64,
+        window: Nanos,
+        completions: &[Completion],
+    ) -> ClientStats {
+        let mut lat: Vec<u64> = completions.iter().map(|c| c.latency().as_nanos()).collect();
         lat.sort_unstable();
         let pct = |q: f64| -> Nanos {
             if lat.is_empty() {
@@ -149,7 +150,9 @@ where
         config.end(),
     );
     let probes = make_probes(&sim);
-    sim.kernel_mut().tracing.set_collect_trace(config.collect_trace);
+    sim.kernel_mut()
+        .tracing
+        .set_collect_trace(config.collect_trace);
     let mut probe_ids = Vec::new();
     for probe in probes {
         probe_ids.push(sim.kernel_mut().tracing.attach(probe));

@@ -490,11 +490,11 @@ impl ServerSim {
         let cost = self.spec.syscall_cost;
         let mut t = Nanos::ZERO;
         let emit = |tracing: &mut kscope_kernel::Tracing,
-                        pid: Pid,
-                        tid: Tid,
-                        no: SyscallNo,
-                        ret: i64,
-                        t: &mut Nanos| {
+                    pid: Pid,
+                    tid: Tid,
+                    no: SyscallNo,
+                    ret: i64,
+                    t: &mut Nanos| {
             tracing.sys_enter(pid, tid, no, *t);
             *t += cost;
             tracing.sys_exit(pid, tid, no, ret, *t);
@@ -554,14 +554,18 @@ impl ServerSim {
         }
         t += Nanos::from_nanos(200);
         for _ in 0..self.conns.len() {
-            self.kernel.tracing.sys_enter(main_pid, main_tid, SyscallNo::CLOSE, t);
+            self.kernel
+                .tracing
+                .sys_enter(main_pid, main_tid, SyscallNo::CLOSE, t);
             t += cost;
             self.kernel
                 .tracing
                 .sys_exit(main_pid, main_tid, SyscallNo::CLOSE, 0, t);
             t += Nanos::from_nanos(200);
         }
-        self.kernel.tracing.sys_enter(main_pid, main_tid, SyscallNo::EXIT, t);
+        self.kernel
+            .tracing
+            .sys_enter(main_pid, main_tid, SyscallNo::EXIT, t);
         self.kernel
             .tracing
             .sys_exit(main_pid, main_tid, SyscallNo::EXIT, 0, t + cost);
@@ -627,10 +631,14 @@ impl ServerSim {
             let at = if msg.stack.is_some() {
                 let residency = at.saturating_sub(msg.enqueued_at);
                 let depth = self.kernel.channels.pending(channel) as u64;
-                let oh = self
-                    .kernel
-                    .tracing
-                    .sock_queue_drain(pid, tid, msg.request, residency, depth, at);
+                let oh = self.kernel.tracing.sock_queue_drain(
+                    pid,
+                    tid,
+                    msg.request,
+                    residency,
+                    depth,
+                    at,
+                );
                 at + oh
             } else {
                 at
@@ -671,7 +679,10 @@ impl ServerSim {
     fn begin_compute(&mut self, tid: Tid, at: Nanos, sched: &mut Scheduler<'_, Ev>) {
         let work = {
             let rt = self.threads.thread_mut(tid);
-            let work = rt.cur.as_mut().unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
+            let work = rt
+                .cur
+                .as_mut()
+                .unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
             work.phase = Phase::Compute;
             *work
         };
@@ -680,10 +691,7 @@ impl ServerSim {
             self.begin_send(tid, at, sched);
             return;
         }
-        let parse = matches!(
-            work.after,
-            AfterPop::ComputeAndForward { parse: true, .. }
-        );
+        let parse = matches!(work.after, AfterPop::ComputeAndForward { parse: true, .. });
         let mut demand = if parse {
             self.spec.parse_cost.sample_nanos(&mut self.rng_service)
         } else {
@@ -722,10 +730,10 @@ impl ServerSim {
             }
         }
         self.threads.thread_mut(tid).state = TState::AwaitCpu;
-        if let Some(grant) = self
-            .kernel
-            .sched
-            .submit(tid, demand, at.max(sched.now()), &mut self.rng_sched)
+        if let Some(grant) =
+            self.kernel
+                .sched
+                .submit(tid, demand, at.max(sched.now()), &mut self.rng_sched)
         {
             let rt = self.threads.thread_mut(tid);
             rt.state = TState::Computing;
@@ -744,7 +752,9 @@ impl ServerSim {
             sched.at(next.finish, Ev::ComputeDone { tid: next.tid });
         }
         let rt = self.threads.thread_mut(tid);
-        let work = rt.cur.unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
+        let work = rt
+            .cur
+            .unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         match work.after {
             AfterPop::ComputeAndRespond => self.begin_send(tid, now, sched),
             AfterPop::ComputeAndForward { to, via, .. } => match via {
@@ -782,7 +792,10 @@ impl ServerSim {
             .sends_per_request
             .sample_count(&mut self.rng_misc, 1) as u32;
         let rt = self.threads.thread_mut(tid);
-        let work = rt.cur.as_mut().unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
+        let work = rt
+            .cur
+            .as_mut()
+            .unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         work.phase = Phase::Send {
             remaining: sends - 1,
         };
@@ -812,11 +825,15 @@ impl ServerSim {
             Some((no, ret)) => self.kernel.tracing.sys_exit(pid, tid, no, ret, now),
             None => Nanos::ZERO,
         };
-        let work = rt.cur.unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
+        let work = rt
+            .cur
+            .unwrap_or_else(|| unreachable!("the scheduler only runs threads holding work"));
         match work.phase {
             Phase::Recv => self.begin_compute(tid, now + oh, sched),
             Phase::Forward => {
-                let to = rt.pending_forward.take().unwrap_or_else(|| unreachable!("the forward target was recorded before dispatch"));
+                let to = rt.pending_forward.take().unwrap_or_else(|| {
+                    unreachable!("the forward target was recorded before dispatch")
+                });
                 self.deliver_internal(to, work.request, work.bytes, now, sched);
                 self.start_next_item(tid, now + oh, sched);
             }
@@ -837,7 +854,10 @@ impl ServerSim {
                         rt.pending_syscall = Some((send_no, work.bytes as i64));
                         oh2
                     };
-                    sched.at(now + oh + self.spec.syscall_cost + oh2, Ev::SyscallExit { tid });
+                    sched.at(
+                        now + oh + self.spec.syscall_cost + oh2,
+                        Ev::SyscallExit { tid },
+                    );
                 } else {
                     // Response leaves the server.
                     let transit = self.path.response.send(&mut self.rng_net);

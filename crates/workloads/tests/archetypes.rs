@@ -115,7 +115,9 @@ fn syscall_bypass_removes_traced_io_but_not_throughput() {
     // ...but the traced recv/send I/O is gone (polls remain).
     assert_eq!(bypass_trace.filter_syscall(SyscallNo::READ).len(), 0);
     assert_eq!(bypass_trace.filter_syscall(SyscallNo::SENDMSG).len(), 0);
-    assert!(!bypass_trace.filter_syscall(SyscallNo::EPOLL_WAIT).is_empty());
+    assert!(!bypass_trace
+        .filter_syscall(SyscallNo::EPOLL_WAIT)
+        .is_empty());
     assert!(!clean_trace.filter_syscall(SyscallNo::READ).is_empty());
 }
 

@@ -68,8 +68,7 @@ fn main() {
         let mut config = RunConfig::new(offered, 500 + step as u64);
         config.measure = Nanos::from_secs(3);
         let mut run = observe_run(&spec, &config, Nanos::from_millis(750), |sim| {
-            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .build()
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()
         });
         let warmup_end = run.warmup_end;
 

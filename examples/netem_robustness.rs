@@ -51,11 +51,12 @@ fn measure(spec: &WorkloadSpec, netem: NetemConfig, label: &str) -> Row {
     let rps_obsv = RpsEstimator::with_min_samples(256)
         .from_windows(&windows)
         .unwrap_or(0.0);
-    let poll_us = windows
-        .iter()
-        .filter_map(|w| w.poll_mean_ns)
-        .sum::<f64>()
-        / windows.iter().filter(|w| w.poll_mean_ns.is_some()).count().max(1) as f64
+    let poll_us = windows.iter().filter_map(|w| w.poll_mean_ns).sum::<f64>()
+        / windows
+            .iter()
+            .filter(|w| w.poll_mean_ns.is_some())
+            .count()
+            .max(1) as f64
         / 1_000.0;
     Row {
         label: label.to_string(),
@@ -80,11 +81,7 @@ fn main() {
             NetemConfig::impaired(Nanos::from_millis(10), 0.0),
             "10ms delay",
         ),
-        measure(
-            &spec,
-            NetemConfig::impaired(Nanos::ZERO, 0.01),
-            "1% loss",
-        ),
+        measure(&spec, NetemConfig::impaired(Nanos::ZERO, 0.01), "1% loss"),
     ];
     println!(
         "{:<12} {:>12} {:>14} {:>16} {:>15} {:>14}",

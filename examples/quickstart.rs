@@ -59,7 +59,10 @@ fn main() {
 
     // 5. Compare with ground truth.
     let rps_obsv = agent.overall_rps().expect("enough samples");
-    println!("\nclient ground truth: {:>10.0} rps", outcome.client.achieved_rps);
+    println!(
+        "\nclient ground truth: {:>10.0} rps",
+        outcome.client.achieved_rps
+    );
     println!("eBPF RPS_obsv (Eq.1): {:>9.0} rps", rps_obsv);
     println!(
         "estimation error:     {:>9.2}%",

@@ -39,8 +39,7 @@ fn main() {
         let mut config = RunConfig::new(offered, 100 + step as u64);
         config.measure = Nanos::from_secs(4);
         let mut run = observe_run(&spec, &config, Nanos::from_secs(1), |sim| {
-            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-                .build()
+            ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()
         });
         let warmup_end = run.warmup_end;
 
@@ -68,7 +67,11 @@ fn main() {
             report.slack.map(|s| s.headroom * 100.0).unwrap_or(0.0),
             if saturated { "SATURATED" } else { "ok" },
             run.client.p99_latency.as_millis_f64(),
-            if qos_violated { "QoS VIOLATED" } else { "within QoS" },
+            if qos_violated {
+                "QoS VIOLATED"
+            } else {
+                "within QoS"
+            },
         );
     }
 

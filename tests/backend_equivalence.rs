@@ -83,8 +83,16 @@ fn backends_agree_on_netstack_stream() {
         t += rng.next_range(500, 2_000_000);
         let (phase, no, request) = match rng.next_below(6) {
             0 => (TracePhase::NetRxSoftirq, SyscallNo::from_raw(u32::MAX), i),
-            1 => (TracePhase::SockQueueDrain, SyscallNo::from_raw(u32::MAX), i - 1),
-            2 => (TracePhase::SockQueueDrain, SyscallNo::from_raw(u32::MAX), i + 7), // orphan
+            1 => (
+                TracePhase::SockQueueDrain,
+                SyscallNo::from_raw(u32::MAX),
+                i - 1,
+            ),
+            2 => (
+                TracePhase::SockQueueDrain,
+                SyscallNo::from_raw(u32::MAX),
+                i + 7,
+            ), // orphan
             3 => (TracePhase::Enter, SyscallNo::EPOLL_WAIT, 0),
             4 => (TracePhase::Exit, SyscallNo::EPOLL_WAIT, 0),
             _ => (TracePhase::Exit, SyscallNo::SENDMSG, 0),

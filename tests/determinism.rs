@@ -11,8 +11,7 @@ fn run_probed(seed: u64) -> (u64, u64, u64, Nanos, usize) {
     let spec = kscope::workloads::data_caching();
     let config = RunConfig::new(spec.paper_failure_rps * 0.7, seed).quick();
     let mut run = observe_run(&spec, &config, Nanos::from_secs(3_600), |sim| {
-        ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT)
-            .build()
+        ProbeSet::new(sim.server_pids(), spec.profile.clone(), DEFAULT_SHIFT).build()
     });
     let counters = run.observer().backend().counters();
     (

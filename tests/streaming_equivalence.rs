@@ -16,17 +16,15 @@ fn streamed_trace_matches_kernel_trace() {
 
     let outcome = run_workload_with(&spec, &config, |sim| {
         let pid = sim.server_pids()[0];
-        vec![Box::new(
-            StreamingProbe::new(pid, profile.clone(), 1 << 22).expect("program verifies"),
-        ) as Box<dyn TracepointProbe>]
+        vec![
+            Box::new(StreamingProbe::new(pid, profile.clone(), 1 << 22).expect("program verifies"))
+                as Box<dyn TracepointProbe>,
+        ]
     });
 
     let mut kernel = outcome.kernel;
     let mut probe = kernel.tracing.detach(outcome.probes[0]).unwrap();
-    let streaming = probe
-        .as_any_mut()
-        .downcast_mut::<StreamingProbe>()
-        .unwrap();
+    let streaming = probe.as_any_mut().downcast_mut::<StreamingProbe>().unwrap();
     assert_eq!(streaming.dropped(), 0, "buffer sized for the whole run");
     // The pair ran through the shared runtime: checked, and no run faulted.
     assert_eq!(streaming.runtime().faults(), 0);
@@ -75,10 +73,7 @@ fn undersized_ring_buffer_drops_under_load() {
     });
     let mut kernel = outcome.kernel;
     let mut probe = kernel.tracing.detach(outcome.probes[0]).unwrap();
-    let streaming = probe
-        .as_any_mut()
-        .downcast_mut::<StreamingProbe>()
-        .unwrap();
+    let streaming = probe.as_any_mut().downcast_mut::<StreamingProbe>().unwrap();
     assert!(
         streaming.dropped() > 1_000,
         "expected heavy drops, got {}",
