@@ -4,8 +4,8 @@
 //! rendering needed to regenerate the paper's figures and tables.
 //!
 //! * [`Welford`] — streaming moments for metric samples;
-//! * [`percentile`], [`P2Quantile`] — exact and constant-space tail-latency
-//!   percentiles (the paper's p99 QoS metric);
+//! * [`percentile`] — exact tail-latency percentiles (the paper's p99 QoS
+//!   metric);
 //! * [`LinearFit`] — the OLS fit + R² + residuals of Fig. 2 / Table II;
 //! * [`Histogram`] — duration/delta distributions;
 //! * [`AsciiChart`], [`TextTable`] — terminal renderings of
@@ -28,7 +28,7 @@ mod streaming;
 
 pub use chart::AsciiChart;
 pub use histogram::Histogram;
-pub use percentile::{percentile, percentile_of_sorted, P2Quantile};
+pub use percentile::{percentile, percentile_of_sorted};
 pub use regress::{r_squared, FitError, LinearFit};
 pub use report::{fmt_sig, TextTable};
 pub use streaming::{normalize_by_max, Welford};

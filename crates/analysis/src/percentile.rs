@@ -1,9 +1,8 @@
-//! Percentile estimation — exact and streaming.
+//! Exact percentile estimation.
 //!
 //! Tail latency (p99) is the paper's ground-truth QoS metric. The harness
 //! computes it exactly from recorded client latencies
-//! ([`percentile_of_sorted`]); long-running monitors can instead use the
-//! constant-space P² estimator ([`P2Quantile`], Jain & Chlamtac 1985).
+//! ([`percentile_of_sorted`]).
 
 /// Exact percentile of a **sorted ascending** slice with linear
 /// interpolation between closest ranks.
@@ -48,152 +47,6 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     percentile_of_sorted(&sorted, q)
 }
 
-/// Streaming quantile estimator using the P² algorithm.
-///
-/// Maintains five markers and adjusts them with piecewise-parabolic
-/// interpolation; O(1) space and time per observation. Accuracy is within a
-/// few percent for smooth distributions, which is ample for dashboard-style
-/// saturation monitoring.
-///
-/// # Examples
-///
-/// ```
-/// use kscope_analysis::P2Quantile;
-///
-/// let mut p99 = P2Quantile::new(0.99);
-/// for i in 0..10_000 {
-///     p99.push(i as f64);
-/// }
-/// let est = p99.estimate().unwrap();
-/// assert!((est - 9_900.0).abs() < 150.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    /// Observations seen so far (first five are buffered in `heights`).
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> P2Quantile {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0, 1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// The targeted quantile.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 && x >= self.heights[k + 1] {
-                k += 1;
-            }
-            k
-        };
-
-        for marker in (k + 1)..5 {
-            self.positions[marker] += 1.0;
-        }
-        for marker in 0..5 {
-            self.desired[marker] += self.increments[marker];
-        }
-
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let step_right = self.positions[i + 1] - self.positions[i];
-            let step_left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && step_right > 1.0) || (d <= -1.0 && step_left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate, `None` until at least one observation.
-    ///
-    /// With fewer than five observations the estimate is the exact
-    /// percentile of the buffered samples.
-    pub fn estimate(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            n @ 1..=4 => {
-                let mut buf = self.heights[..n].to_vec();
-                buf.sort_by(f64::total_cmp);
-                percentile_of_sorted(&buf, self.q * 100.0)
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,61 +81,5 @@ mod tests {
     #[should_panic(expected = "in [0, 100]")]
     fn percentile_rejects_out_of_range_q() {
         percentile_of_sorted(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_median() {
-        let mut est = P2Quantile::new(0.5);
-        // Deterministic low-discrepancy-ish stream.
-        let mut x = 0.0f64;
-        for _ in 0..50_000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            est.push(x);
-        }
-        let m = est.estimate().unwrap();
-        assert!((m - 0.5).abs() < 0.02, "median estimate {m}");
-    }
-
-    #[test]
-    fn p2_tracks_p99_of_linear_ramp() {
-        let mut est = P2Quantile::new(0.99);
-        for i in 0..100_000u64 {
-            // Scramble order deterministically to avoid a sorted stream.
-            let v = ((i * 48_271) % 100_000) as f64;
-            est.push(v);
-        }
-        let p99 = est.estimate().unwrap();
-        assert!((p99 - 99_000.0).abs() < 2_000.0, "p99 estimate {p99}");
-    }
-
-    #[test]
-    fn p2_small_counts_fall_back_to_exact() {
-        let mut est = P2Quantile::new(0.9);
-        assert_eq!(est.estimate(), None);
-        est.push(1.0);
-        assert_eq!(est.estimate(), Some(1.0));
-        est.push(3.0);
-        est.push(2.0);
-        let e = est.estimate().unwrap();
-        assert!((2.0..=3.0).contains(&e), "estimate {e}");
-        assert_eq!(est.count(), 3);
-    }
-
-    #[test]
-    fn p2_handles_extreme_inserts() {
-        let mut est = P2Quantile::new(0.5);
-        for x in [5.0, 6.0, 7.0, 8.0, 9.0] {
-            est.push(x);
-        }
-        est.push(-100.0);
-        est.push(100.0);
-        let m = est.estimate().unwrap();
-        assert!((5.0..=9.0).contains(&m), "median {m}");
-    }
-
-    #[test]
-    #[should_panic(expected = "in (0, 1)")]
-    fn p2_rejects_degenerate_quantile() {
-        P2Quantile::new(1.0);
     }
 }

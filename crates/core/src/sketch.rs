@@ -125,9 +125,18 @@ impl TopKSketch {
             .collect()
     }
 
-    /// Replaces the candidate table: deduplicates `keys`, ranks them by
-    /// *this* sketch's matrix estimate (desc, ties by key bytes asc),
-    /// and keeps the top `capacity`.
+    /// The candidate keys as integers: each key's bytes read big-endian.
+    /// A sketch's keys all share one `key_size`, so integer order is
+    /// key-byte order, and ranking or deduplicating integers is cheaper
+    /// than comparing byte slices.
+    pub fn candidate_words(&self) -> impl Iterator<Item = u128> + '_ {
+        self.state.candidate_keys().map(key_word)
+    }
+
+    /// Replaces the candidate table: deduplicates `words` (keys as
+    /// [`TopKSketch::candidate_words`] gives them), ranks them by *this*
+    /// sketch's matrix estimate (desc, ties by key bytes asc), and keeps
+    /// the top `capacity`.
     ///
     /// This is the collection tree's second round. Pass 1 merges
     /// matrices up the tree exactly, but candidate truncation at inner
@@ -137,22 +146,22 @@ impl TopKSketch {
     /// selection under one total order equals the flat selection over
     /// the union of every leaf's keys, so the result is identical at
     /// any fan-in and any worker count.
-    pub fn reselect_candidates<'a, I>(&mut self, keys: I)
+    pub fn reselect_candidates<I>(&mut self, words: I)
     where
-        I: IntoIterator<Item = &'a [u8]>,
+        I: IntoIterator<Item = u128>,
     {
-        let kept = self.select_keys(keys, self.state.capacity() as usize);
-        self.state.set_candidates(kept);
+        let kept = self.select_keys(words, self.state.capacity() as usize);
+        set_candidate_words(&mut self.state, &kept);
     }
 
-    /// The first `limit` of `keys`, deduplicated and ranked by this
+    /// The first `limit` of `words`, deduplicated and ranked by this
     /// sketch's matrix estimate (desc, ties by key bytes asc) — the
     /// order [`TopKSketch::reselect_candidates`] keeps candidates in.
-    pub fn select_keys<'a, I>(&self, keys: I, limit: usize) -> Vec<&'a [u8]>
+    pub fn select_keys<I>(&self, words: I, limit: usize) -> Vec<u128>
     where
-        I: IntoIterator<Item = &'a [u8]>,
+        I: IntoIterator<Item = u128>,
     {
-        select_keys(&self.state, keys, limit)
+        select_keys(&self.state, words, limit)
     }
 
     /// Merges any number of sketches into one, as if every input stream
@@ -176,37 +185,53 @@ impl TopKSketch {
         let first = iter.next()?;
         let mut merged = SketchState::new(first.state.key_size(), first.state.capacity());
         merged.merge_counts_from(&first.state);
-        let mut union: Vec<&[u8]> = first.state.candidate_keys().collect();
+        let mut union: Vec<u128> = first.candidate_words().collect();
         for sketch in iter {
             merged.merge_counts_from(&sketch.state);
-            union.extend(sketch.state.candidate_keys());
+            union.extend(sketch.candidate_words());
         }
         // The union's top `capacity` under the merged matrix becomes the
         // merged candidate table.
         let kept = select_keys(&merged, union, merged.capacity() as usize);
-        merged.set_candidates(kept);
+        set_candidate_words(&mut merged, &kept);
         Some(TopKSketch { state: merged })
     }
 }
 
-/// The first `limit` of `keys`, deduplicated and ranked by `state`'s
-/// matrix estimate (desc), then key bytes (asc). Deduplicating a sorted
-/// union makes the result independent of the order keys arrive in, and
-/// each key's estimate is computed once, not per comparison.
-fn select_keys<'a, I>(state: &SketchState, keys: I, limit: usize) -> Vec<&'a [u8]>
+/// `key`'s bytes read as a big-endian integer (keys are at most 16
+/// bytes).
+fn key_word(key: &[u8]) -> u128 {
+    key.iter()
+        .fold(0, |word, &byte| word << 8 | u128::from(byte))
+}
+
+/// Replaces `state`'s candidate table with `words`, each turned back
+/// into `key_size` bytes.
+fn set_candidate_words(state: &mut SketchState, words: &[u128]) {
+    let skip = 16 - state.key_size() as usize;
+    let bytes: Vec<[u8; 16]> = words.iter().map(|w| w.to_be_bytes()).collect();
+    state.set_candidates(bytes.iter().map(|b| &b[skip..]));
+}
+
+/// The first `limit` of `words`, deduplicated and ranked by `state`'s
+/// matrix estimate (desc), then key (asc). Deduplicating a sorted union
+/// makes the result independent of the order keys arrive in, and each
+/// key's estimate is computed once, not per comparison.
+fn select_keys<I>(state: &SketchState, words: I, limit: usize) -> Vec<u128>
 where
-    I: IntoIterator<Item = &'a [u8]>,
+    I: IntoIterator<Item = u128>,
 {
-    let mut union: Vec<&[u8]> = keys.into_iter().collect();
+    let skip = 16 - state.key_size() as usize;
+    let mut union: Vec<u128> = words.into_iter().collect();
     union.sort_unstable();
     union.dedup();
-    let mut ranked: Vec<(u64, &[u8])> = union
+    let mut ranked: Vec<(u64, u128)> = union
         .into_iter()
-        .map(|key| (state.estimate(key), key))
+        .map(|word| (state.estimate(&word.to_be_bytes()[skip..]), word))
         .collect();
-    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     ranked.truncate(limit);
-    ranked.into_iter().map(|(_, key)| key).collect()
+    ranked.into_iter().map(|(_, word)| word).collect()
 }
 
 #[cfg(test)]
@@ -325,14 +350,14 @@ mod tests {
         let nested = TopKSketch::merge_all([&ab, &c]).expect("non-empty");
         // Re-selecting both roots over the same key union under their
         // (identical) matrices converges them bit-for-bit.
-        let union: Vec<Vec<u8>> = [&a, &b, &c]
+        let union: Vec<u128> = [&a, &b, &c]
             .iter()
-            .flat_map(|s| s.state().candidate_keys().map(<[u8]>::to_vec))
+            .flat_map(|s| s.candidate_words())
             .collect();
         let mut flat2 = flat.clone();
         let mut nested2 = nested.clone();
-        flat2.reselect_candidates(union.iter().map(Vec::as_slice));
-        nested2.reselect_candidates(union.iter().map(Vec::as_slice));
+        flat2.reselect_candidates(union.iter().copied());
+        nested2.reselect_candidates(union.iter().copied());
         assert_eq!(flat2, nested2);
         assert_eq!(
             flat2.state().cells(),

@@ -29,12 +29,10 @@ pub struct HostSlot {
     /// Highest sequence number accepted.
     pub last_seq: Option<u64>,
     /// The latest (by sequence) envelope accepted. Boxed so a slot is
-    /// 56 bytes rather than 1.4 KB: the per-host tables a slot passes
-    /// through (the workers' result table, the collected outcomes, the
-    /// collector's own table) then stay under 1 MB at 10⁴ hosts. Inline
-    /// envelopes would make each a 14 MB block, and how the allocator
-    /// reuses such blocks varies from one run to the next, and peak
-    /// memory with it.
+    /// 56 bytes rather than 1.4 KB: the collector's per-host table then
+    /// stays under 1 MB at 10⁴ hosts. Inline envelopes would make it a
+    /// 14 MB block, and how the allocator reuses such blocks varies from
+    /// one run to the next, and peak memory with it.
     pub latest: Option<Box<ReportEnvelope>>,
     /// Envelopes accepted (forward progress).
     pub accepted: u64,
@@ -235,6 +233,14 @@ fn rank_rows(rows: &mut Vec<HostRow>, top_k: usize) {
     rows.truncate(top_k);
 }
 
+/// Splits `0..len` into consecutive `(lo, hi)` groups of `size` (the
+/// last one possibly shorter).
+fn groups(len: usize, size: usize) -> Vec<(usize, usize)> {
+    (0..len.div_ceil(size))
+        .map(|g| (g * size, ((g + 1) * size).min(len)))
+        .collect()
+}
+
 /// The drop-aware fleet rollup (the root of the collection tree, plus
 /// locally-derived per-host detail).
 #[derive(Debug, Clone, PartialEq)]
@@ -363,27 +369,34 @@ impl Collector {
         let fan_in = fan_in.max(1);
         let hosts = self.slots.len();
         let leaves = hosts.div_ceil(fan_in).max(1);
-        let ranges: Vec<(usize, usize)> = (0..leaves)
-            .map(|l| ((l * fan_in).min(hosts), ((l + 1) * fan_in).min(hosts)))
-            .collect();
-        let mut level: Vec<AggregateReport> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
-            self.aggregate_leaf(lo, hi, top_k)
-        });
+        let leaf_hosts = |l: usize| ((l * fan_in).min(hosts), ((l + 1) * fan_in).min(hosts));
 
-        // Internal levels: merge `fan_in` children at a time until one
-        // root remains. A fan-in of 1 still terminates (every level
-        // merges at least pairs).
+        // Level 1: each node's work item builds its `node_fan_in` leaves
+        // and merges them at once, so at most `jobs × node_fan_in` leaf
+        // aggregates are live, never one per leaf. The grouping is the
+        // one every internal level uses; a lone leaf is the root itself.
+        // A fan-in of 1 still terminates (every level merges at least
+        // pairs).
         let node_fan_in = fan_in.max(2);
+        let nodes = groups(leaves, node_fan_in);
+        let mut level: Vec<AggregateReport> = if leaves == 1 {
+            vec![self.aggregate_leaf(0, hosts, top_k)]
+        } else {
+            map_indexed(&nodes, jobs, |_, &(lo, hi)| {
+                let children: Vec<AggregateReport> = (lo..hi)
+                    .map(|l| {
+                        let (first, end) = leaf_hosts(l);
+                        self.aggregate_leaf(first, end, top_k)
+                    })
+                    .collect();
+                AggregateReport::merge(&children, self.shift, top_k)
+            })
+        };
+
+        // Internal levels: merge `node_fan_in` children at a time until
+        // one root remains.
         while level.len() > 1 {
-            let groups = level.len().div_ceil(node_fan_in);
-            let bounds: Vec<(usize, usize)> = (0..groups)
-                .map(|g| {
-                    (
-                        (g * node_fan_in).min(level.len()),
-                        ((g + 1) * node_fan_in).min(level.len()),
-                    )
-                })
-                .collect();
+            let bounds = groups(level.len(), node_fan_in);
             level = map_indexed(&bounds, jobs, |_, &(lo, hi)| {
                 AggregateReport::merge(&level[lo..hi], self.shift, top_k)
             });
@@ -401,16 +414,26 @@ impl Collector {
         // by that order (still O(K) per edge), and the root selects over
         // the leaf unions — provably equal to flat selection over every
         // host's keys, hence byte-identical at any fan-in and `jobs`.
+        // Keys travel as integers, and each level-1 node deduplicates
+        // its leaves' picks before the root ranks the union.
         if let Some(mut sketch) = root.sketch.take() {
             let cap = sketch.state().capacity() as usize;
-            let leaf_keys: Vec<Vec<&[u8]>> = map_indexed(&ranges, jobs, |_, &(lo, hi)| {
-                let keys = self.slots[lo..hi]
-                    .iter()
-                    .filter_map(|slot| slot.latest.as_deref())
-                    .flat_map(|env| env.sketch.state().candidate_keys());
-                sketch.select_keys(keys, cap)
+            let node_keys: Vec<Vec<u128>> = map_indexed(&nodes, jobs, |_, &(lo, hi)| {
+                let mut keys: Vec<u128> = (lo..hi)
+                    .flat_map(|l| {
+                        let (first, end) = leaf_hosts(l);
+                        let candidates = self.slots[first..end]
+                            .iter()
+                            .filter_map(|slot| slot.latest.as_deref())
+                            .flat_map(|env| env.sketch.candidate_words());
+                        sketch.select_keys(candidates, cap)
+                    })
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys
             });
-            sketch.reselect_candidates(leaf_keys.iter().flatten().copied());
+            sketch.reselect_candidates(node_keys.into_iter().flatten());
             root.sketch = Some(sketch);
         }
 

@@ -308,12 +308,6 @@ impl SimHost {
         &self.entity_counts
     }
 
-    /// Consumes the host, keeping only its exact per-entity request
-    /// counts.
-    pub(crate) fn into_entity_counts(self) -> Vec<u64> {
-        self.entity_counts
-    }
-
     /// The first entity's tid; entity `i` serves as tid
     /// `FIRST_TID + i`.
     pub const FIRST_TID: u32 = 2_000;

@@ -9,8 +9,7 @@
 //! can execute in any order on any number of workers. That is what
 //! makes 10⁵-host sweeps tractable: the work is embarrassingly
 //! parallel (`kscope_simcore::parallel::map_indexed`, deterministic in
-//! host-id order) and the peak memory is one host stack per worker plus
-//! the O(K) report envelopes, never 10⁵ live kernels at once.
+//! input order), never 10⁵ live kernels at once.
 //!
 //! The probe and the entity draw table are the things hosts share: a
 //! run builds, verifies, certifies and compiles the probe once
@@ -20,6 +19,14 @@
 //! into their collector slots ([`HostSlot::receive`]), so a superseded
 //! report is dropped where it arrives and the collector only places
 //! the finished slots.
+//!
+//! A work item is a chunk of [`HOST_CHUNK`] consecutive hosts. It adds
+//! each host's exact per-entity counts into one vector for the chunk as
+//! soon as the host finishes, so what outlives a host is its slot and
+//! its ground truth, nothing of the size of the entity pool. The peak
+//! memory is one host stack per worker plus the O(K) report envelopes
+//! the slots hold: at 10⁴ hosts of the scale preset, about 125 MB of
+//! resident memory, of which the envelopes are about 104 MiB.
 
 use kscope_core::BuildError;
 use kscope_simcore::parallel::map_indexed;
@@ -92,45 +99,83 @@ impl Simulation for HostSim {
     }
 }
 
-/// Everything one host's run leaves behind.
-struct HostOutcome {
-    truth: HostTruth,
+/// Hosts one work item simulates.
+const HOST_CHUNK: usize = 64;
+
+/// What a run of consecutive hosts leaves behind: each host's collector
+/// slot and ground truth, in host-id order, and their per-entity
+/// request counts summed into one vector. Sums of integers, so the
+/// totals are exact whatever the chunking.
+struct Outcomes {
+    slots: Vec<HostSlot>,
+    truth: Vec<HostTruth>,
     entity_counts: Vec<u64>,
-    slot: HostSlot,
 }
 
-/// Runs `host` start to finish on its own engine. The event stream
-/// (and thus the outcome) is a pure function of `config` and the host's
-/// id.
-fn simulate_host(config: &FleetConfig, mut host: SimHost) -> HostOutcome {
-    let id = host.id();
-    let horizon = config.horizon();
-    let mut engine: Engine<HostEvent> = Engine::new();
-    engine.schedule(host.first_request_at(), HostEvent::Request);
-    // Report ticks sit just past each window boundary, staggered per
-    // host (same offsets as the original fleet-wide schedule).
-    let offset = Nanos::from_nanos(1_000_000 + 7_000 * u64::from(id));
-    for w in 0..config.windows {
-        let boundary = Nanos::from_nanos(config.window.as_nanos() * (w as u64 + 1));
-        engine.schedule(
-            boundary + offset,
-            HostEvent::Tick {
-                last: w + 1 == config.windows,
-            },
-        );
+impl Outcomes {
+    /// Room for `hosts` hosts of `config`'s fleet.
+    fn new(config: &FleetConfig, hosts: usize) -> Outcomes {
+        Outcomes {
+            slots: Vec::with_capacity(hosts),
+            truth: Vec::with_capacity(hosts),
+            entity_counts: vec![0; config.entities as usize],
+        }
     }
-    let mut sim = HostSim {
-        host,
-        max_inflight: config.max_inflight,
-        horizon,
-        slot: HostSlot::default(),
-    };
-    engine.run(&mut sim);
-    debug_assert_eq!(sim.host.link_stats().offered, sim.host.truth.offered);
-    HostOutcome {
-        truth: sim.host.truth,
-        entity_counts: sim.host.into_entity_counts(),
-        slot: sim.slot,
+
+    /// Runs `host`, the next host in id order, start to finish on its
+    /// own engine and keeps what it leaves behind. The event stream (and
+    /// thus the outcome) is a pure function of `config` and the host's
+    /// id.
+    fn simulate(&mut self, config: &FleetConfig, mut host: SimHost) {
+        let id = host.id();
+        let horizon = config.horizon();
+        let mut engine: Engine<HostEvent> = Engine::new();
+        engine.schedule(host.first_request_at(), HostEvent::Request);
+        // Report ticks sit just past each window boundary, staggered per
+        // host (same offsets as the original fleet-wide schedule).
+        let offset = Nanos::from_nanos(1_000_000 + 7_000 * u64::from(id));
+        for w in 0..config.windows {
+            let boundary = Nanos::from_nanos(config.window.as_nanos() * (w as u64 + 1));
+            engine.schedule(
+                boundary + offset,
+                HostEvent::Tick {
+                    last: w + 1 == config.windows,
+                },
+            );
+        }
+        let mut sim = HostSim {
+            host,
+            max_inflight: config.max_inflight,
+            horizon,
+            slot: HostSlot::default(),
+        };
+        engine.run(&mut sim);
+        debug_assert_eq!(sim.host.link_stats().offered, sim.host.truth.offered);
+        for (total, count) in self.entity_counts.iter_mut().zip(sim.host.entity_counts()) {
+            *total += count;
+        }
+        self.slots.push(sim.slot);
+        self.truth.push(sim.host.truth);
+    }
+
+    /// Appends `next`, which covers the hosts right after these.
+    fn append(&mut self, mut next: Outcomes) {
+        self.slots.append(&mut next.slots);
+        self.truth.append(&mut next.truth);
+        for (total, count) in self.entity_counts.iter_mut().zip(&next.entity_counts) {
+            *total += count;
+        }
+    }
+
+    /// The completed run: the slots placed in a fresh collector.
+    fn into_run(self, config: &FleetConfig) -> FleetRun {
+        FleetRun {
+            config: config.clone(),
+            collector: Collector::from_slots(self.slots, config.shift, config.min_send_samples),
+            truth: self.truth,
+            entity_truth: self.entity_counts,
+            horizon: config.horizon(),
+        }
     }
 }
 
@@ -226,10 +271,11 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
 /// Runs a fleet to completion on up to `jobs` workers: the probe and
 /// the entity draw table are built once, then each host's stack is
 /// simulated independently (traffic, report ticks, channel transits,
-/// and the folding of its arrivals into its collector slot), then the
-/// slots are placed in the collector in host-id order. Per-host
-/// outcomes are pure functions of `(config, id)`, so the run is
-/// bit-identical at any `jobs`.
+/// and the folding of its arrivals into its collector slot), in chunks
+/// of consecutive hosts that each sum their hosts' entity counts, then
+/// the slots are placed in the collector in host-id order. Per-host
+/// outcomes are pure functions of `(config, id)` and the entity totals
+/// are integer sums, so the run is bit-identical at any `jobs`.
 ///
 /// # Errors
 ///
@@ -239,33 +285,25 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
 pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, BuildError> {
     let probe = FleetProbe::build(config)?;
     let entity_cdf = entity_cdf(config);
-    let ids: Vec<u32> = (0..config.hosts as u32).collect();
-    let outcomes = map_indexed(&ids, jobs, |_, &id| {
-        simulate_host(config, SimHost::with_probe(config, id, &probe, &entity_cdf))
-    });
-    Ok(collect(config, outcomes))
-}
-
-/// Places per-host outcomes, in host-id order, in a fresh collector.
-fn collect(config: &FleetConfig, outcomes: Vec<HostOutcome>) -> FleetRun {
-    let mut slots = Vec::with_capacity(config.hosts);
-    let mut truth = Vec::with_capacity(config.hosts);
-    let mut entity_truth = vec![0u64; config.entities as usize];
-    for outcome in outcomes {
-        for (total, count) in entity_truth.iter_mut().zip(&outcome.entity_counts) {
-            *total += count;
+    let chunks: Vec<(usize, usize)> = (0..config.hosts)
+        .step_by(HOST_CHUNK)
+        .map(|lo| (lo, (lo + HOST_CHUNK).min(config.hosts)))
+        .collect();
+    let parts = map_indexed(&chunks, jobs, |_, &(lo, hi)| {
+        let mut part = Outcomes::new(config, hi - lo);
+        for id in lo..hi {
+            part.simulate(
+                config,
+                SimHost::with_probe(config, id as u32, &probe, &entity_cdf),
+            );
         }
-        slots.push(outcome.slot);
-        truth.push(outcome.truth);
+        part
+    });
+    let mut run = Outcomes::new(config, config.hosts);
+    for part in parts {
+        run.append(part);
     }
-
-    FleetRun {
-        config: config.clone(),
-        collector: Collector::from_slots(slots, config.shift, config.min_send_samples),
-        truth,
-        entity_truth,
-        horizon: config.horizon(),
-    }
+    Ok(run.into_run(config))
 }
 
 #[cfg(test)]
@@ -364,29 +402,48 @@ mod tests {
         assert_eq!(serial.rollup(2), parallel.rollup(5));
     }
 
-    #[test]
-    fn shared_probe_matches_a_probe_built_per_host() {
-        let mut config = FleetConfig::quick(9).with_loss(0.1);
-        config.seed = 37;
-        let outcomes = (0..config.hosts as u32)
-            .map(|id| match SimHost::new(&config, id) {
-                Ok(host) => simulate_host(&config, host),
+    /// Runs `config` host by host, each with a probe of its own and in
+    /// one run of outcomes, then checks that the chunked run over the
+    /// shared probe matches it at several worker counts.
+    fn assert_shared_probe_matches_per_host(config: &FleetConfig) {
+        let mut outcomes = Outcomes::new(config, config.hosts);
+        for id in 0..config.hosts as u32 {
+            match SimHost::new(config, id) {
+                Ok(host) => outcomes.simulate(config, host),
                 Err(e) => panic!("host build failed: {e:?}"),
-            })
-            .collect();
-        let per_host = collect(&config, outcomes);
-        let expect = crate::report_to_json(&config, &per_host.rollup(1));
+            }
+        }
+        let per_host = outcomes.into_run(config);
+        let expect = crate::report_to_json(config, &per_host.rollup(1));
         assert!(expect.contains("\"stack_delay\""));
         for jobs in [1, 2, 8] {
-            let shared = match run_fleet_jobs(&config, jobs) {
+            let shared = match run_fleet_jobs(config, jobs) {
                 Ok(run) => run,
                 Err(e) => panic!("fleet build failed: {e:?}"),
             };
             assert_eq!(shared.truth, per_host.truth);
             assert_eq!(shared.entity_truth, per_host.entity_truth);
             assert_eq!(shared.collector.slots(), per_host.collector.slots());
-            assert_eq!(crate::report_to_json(&config, &shared.rollup(jobs)), expect);
+            assert_eq!(crate::report_to_json(config, &shared.rollup(jobs)), expect);
         }
+    }
+
+    #[test]
+    fn shared_probe_matches_a_probe_built_per_host() {
+        let mut config = FleetConfig::quick(9).with_loss(0.1);
+        config.seed = 37;
+        assert_shared_probe_matches_per_host(&config);
+    }
+
+    #[test]
+    fn chunked_run_matches_a_probe_built_per_host() {
+        // Three chunks, the last one partial.
+        let hosts = 2 * HOST_CHUNK + HOST_CHUNK / 3;
+        assert_eq!(hosts.div_ceil(HOST_CHUNK), 3);
+        assert_ne!(hosts % HOST_CHUNK, 0);
+        let mut config = FleetConfig::scale(hosts).with_loss(0.1);
+        config.seed = 41;
+        assert_shared_probe_matches_per_host(&config);
     }
 
     #[test]
