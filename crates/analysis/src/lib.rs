@@ -3,7 +3,6 @@
 //! Offline analysis toolkit for the kscope experiments: the statistics and
 //! rendering needed to regenerate the paper's figures and tables.
 //!
-//! * [`Welford`] — streaming moments for metric samples;
 //! * [`percentile`] — exact tail-latency percentiles (the paper's p99 QoS
 //!   metric);
 //! * [`LinearFit`] — the OLS fit + R² + residuals of Fig. 2 / Table II;
@@ -31,4 +30,4 @@ pub use histogram::Histogram;
 pub use percentile::{percentile, percentile_of_sorted};
 pub use regress::{r_squared, FitError, LinearFit};
 pub use report::{fmt_sig, TextTable};
-pub use streaming::{normalize_by_max, Welford};
+pub use streaming::normalize_by_max;

@@ -1,53 +1,8 @@
 //! Property-based tests for the analysis toolkit.
 
-use kscope_analysis::{
-    normalize_by_max, percentile_of_sorted, r_squared, Histogram, LinearFit, Welford,
-};
+use kscope_analysis::{normalize_by_max, percentile_of_sorted, r_squared, Histogram, LinearFit};
 use kscope_simcore::SimRng;
 use kscope_testkit::{gen, Config};
-
-fn naive_variance(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n
-}
-
-/// Welford equals the two-pass naive variance.
-#[test]
-fn welford_matches_naive() {
-    kscope_testkit::check!(
-        Config::cases(256),
-        |rng: &mut SimRng| gen::vec_of(rng, 1, 199, |r| gen::f64_in(r, -1e6, 1e6)),
-        |xs: &Vec<f64>| {
-            let acc: Welford = xs.iter().copied().collect();
-            let naive = naive_variance(xs);
-            assert!((acc.population_variance() - naive).abs() <= 1e-6 * naive.abs().max(1.0));
-        }
-    );
-}
-
-/// Merging two accumulators equals accumulating the concatenation.
-#[test]
-fn welford_merge_is_concatenation() {
-    kscope_testkit::check!(
-        Config::cases(256),
-        |rng: &mut SimRng| {
-            (
-                gen::vec_of(rng, 0, 99, |r| gen::f64_in(r, -1e5, 1e5)),
-                gen::vec_of(rng, 0, 99, |r| gen::f64_in(r, -1e5, 1e5)),
-            )
-        },
-        |case: &(Vec<f64>, Vec<f64>)| {
-            let (ref xs, ref ys) = *case;
-            let mut merged: Welford = xs.iter().copied().collect();
-            merged.merge(&ys.iter().copied().collect());
-            let all: Welford = xs.iter().chain(ys).copied().collect();
-            assert_eq!(merged.count(), all.count());
-            assert!((merged.mean() - all.mean()).abs() < 1e-6);
-            assert!((merged.population_variance() - all.population_variance()).abs() < 1e-4);
-        }
-    );
-}
 
 /// Exact percentiles are monotone in q and bounded by min/max.
 #[test]

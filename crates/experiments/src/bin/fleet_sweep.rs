@@ -18,9 +18,11 @@
 //! Scale-sweep mode (`--scale`): runs the scale preset at 10², 10³,
 //! 10⁴, 10⁵ hosts (capped by `--max-hosts`) and emits one JSON line per
 //! point — wall time, wire bytes offered/delivered, the constant O(K)
-//! per-report wire size, and the sketch-vs-exact Top-K agreement
-//! (the collector never sees per-entity ground truth; the simulation
-//! does, which is the point of measuring agreement here).
+//! per-report wire size, the sketch-vs-exact Top-K agreement (the
+//! collector never sees per-entity ground truth; the simulation does,
+//! which is the point of measuring agreement here), and the process's
+//! peak resident memory so far (`VmHWM`; the points run smallest first,
+//! so each line's peak is its own run's, or `null` off Linux).
 
 use std::time::Instant;
 
@@ -55,6 +57,21 @@ fn write_or_print(out: Option<std::path::PathBuf>, body: &str) {
     }
 }
 
+/// Peak resident memory of this process (MB), from `VmHWM` in
+/// `/proc/self/status`; `None` where that is unavailable.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 fn scale_sweep(jobs: usize) {
     let max_hosts: usize = flag_value("--max-hosts").unwrap_or(100_000);
     let seed: u64 = flag_value("--seed").unwrap_or(42);
@@ -84,16 +101,18 @@ fn scale_sweep(jobs: usize) {
             .count();
         let agreement = matched as f64 / k.max(1) as f64;
         let t = &rollup.transport;
+        let peak_rss_mb = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
         eprintln!(
             "fleet_sweep: {hosts} hosts in {wall_ms} ms (jobs {jobs}): \
-             {} B/report, {} B delivered, top-{k} agreement {agreement:.3}",
+             {} B/report, {} B delivered, top-{k} agreement {agreement:.3}, \
+             peak RSS {peak_rss_mb} MB",
             t.report_wire_bytes, t.bytes_delivered
         );
         lines.push_str(&format!(
             "{{\"hosts\":{hosts},\"jobs\":{jobs},\"wall_ms\":{wall_ms},\
              \"report_wire_bytes\":{},\"bytes_offered\":{},\"bytes_delivered\":{},\
              \"bytes_per_host_per_window\":{},\"reporting_hosts\":{},\
-             \"fleet_rps\":{},\"topk_agreement\":{agreement}}}\n",
+             \"fleet_rps\":{},\"topk_agreement\":{agreement},\"peak_rss_mb\":{peak_rss_mb}}}\n",
             t.report_wire_bytes,
             t.bytes_offered,
             t.bytes_delivered,

@@ -12,6 +12,16 @@
 //! a sketch whose matrix sums exactly, the root report is bitwise
 //! identical at any worker count, and the shipped configurations pin it
 //! byte-identical across fan-ins too.
+//!
+//! The tree's first internal level is built where the reports are. A
+//! level-1 `Node` covers `fan_in × max(fan_in, 2)` consecutive hosts;
+//! it holds their merged aggregate, their [`HostRow`]s and the union of
+//! their sketches' candidate keys, which is everything the rollup reads
+//! of them. A fleet run builds each node on the worker that simulated
+//! its hosts and then drops their reports, so its collector arrives
+//! *sealed*: slots keep only their bookkeeping. A collector fed through
+//! [`Collector::receive`] builds the same nodes from its slots when it
+//! rolls up, with the same function.
 
 use kscope_core::{Log2Hist, RawCounters, StackDelay, TopKSketch};
 use kscope_simcore::parallel::map_indexed;
@@ -28,11 +38,10 @@ use crate::host::ReportEnvelope;
 pub struct HostSlot {
     /// Highest sequence number accepted.
     pub last_seq: Option<u64>,
-    /// The latest (by sequence) envelope accepted. Boxed so a slot is
-    /// 56 bytes rather than 1.4 KB: the collector's per-host table then
-    /// stays under 1 MB at 10⁴ hosts. Inline envelopes would make it a
-    /// 14 MB block, and how the allocator reuses such blocks varies from
-    /// one run to the next, and peak memory with it.
+    /// The latest (by sequence) envelope accepted, until the slot's
+    /// level-1 node is sealed: a fleet run's collector holds `None` here,
+    /// and the envelope's contribution lives in the node. Boxed so a slot
+    /// is 56 bytes rather than 1.4 KB.
     pub latest: Option<Box<ReportEnvelope>>,
     /// Envelopes accepted (forward progress).
     pub accepted: u64,
@@ -189,8 +198,13 @@ impl AggregateReport {
     /// Merges `children` into one aggregate, keeping the row Top-K at
     /// `top_k`. Order- and grouping-invariant in every integer-derived
     /// field.
-    pub fn merge(children: &[AggregateReport], shift: u32, top_k: usize) -> AggregateReport {
+    pub fn merge<'a>(
+        children: impl IntoIterator<Item = &'a AggregateReport>,
+        shift: u32,
+        top_k: usize,
+    ) -> AggregateReport {
         let mut out = AggregateReport::empty(shift);
+        let mut sketches: Vec<&TopKSketch> = Vec::new();
         for child in children {
             out.hosts += child.hosts;
             out.reporting += child.reporting;
@@ -201,8 +215,9 @@ impl AggregateReport {
             out.stale += child.stale;
             out.gaps += child.gaps;
             out.top_rows.extend(child.top_rows.iter().copied());
+            sketches.extend(child.sketch.as_ref());
         }
-        out.sketch = TopKSketch::merge_all(children.iter().filter_map(|c| c.sketch.as_ref()));
+        out.sketch = TopKSketch::merge_all(sketches);
         rank_rows(&mut out.top_rows, top_k);
         out
     }
@@ -239,6 +254,161 @@ fn groups(len: usize, size: usize) -> Vec<(usize, usize)> {
     (0..len.div_ceil(size))
         .map(|g| (g * size, ((g + 1) * size).min(len)))
         .collect()
+}
+
+/// One internal tree level: `children` merged `node_fan_in` at a time,
+/// in index order, on up to `jobs` workers.
+fn merge_level<C: Sync>(
+    children: &[C],
+    aggregate: impl Fn(&C) -> &AggregateReport + Sync,
+    jobs: usize,
+    shape: NodeShape,
+) -> Vec<AggregateReport> {
+    let size = shape.node_fan_in();
+    map_indexed(&groups(children.len(), size), jobs, |_, &(lo, hi)| {
+        AggregateReport::merge(
+            children[lo..hi].iter().map(&aggregate),
+            shape.shift,
+            shape.top_k,
+        )
+    })
+}
+
+/// What building a level-1 node takes besides its hosts' slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodeShape {
+    shift: u32,
+    min_send_samples: u64,
+    fan_in: usize,
+    top_k: usize,
+}
+
+impl NodeShape {
+    /// The shape of a tree of `fan_in` (at least 1) keeping `top_k` host
+    /// rows, over counters that use `shift`.
+    pub(crate) fn new(shift: u32, min_send_samples: u64, fan_in: usize, top_k: usize) -> NodeShape {
+        NodeShape {
+            shift,
+            min_send_samples,
+            fan_in: fan_in.max(1),
+            top_k,
+        }
+    }
+
+    /// Internal nodes' fan-in: a fan-in of 1 still merges pairs, so the
+    /// tree terminates.
+    fn node_fan_in(&self) -> usize {
+        self.fan_in.max(2)
+    }
+
+    /// Each level-1 node's hosts `(lo, hi)` in a fleet of `hosts`:
+    /// `node_fan_in` leaves of `fan_in` consecutive hosts each.
+    pub(crate) fn nodes(&self, hosts: usize) -> Vec<(usize, usize)> {
+        groups(hosts, self.fan_in * self.node_fan_in())
+    }
+}
+
+/// One level-1 node of the collection tree: what the rollup needs from
+/// its hosts, in O(K) space plus one row per host.
+#[derive(Debug, Clone)]
+pub(crate) struct Node {
+    /// Its leaves' aggregates, merged.
+    aggregate: AggregateReport,
+    /// Each host's row, in host-id order.
+    rows: Vec<HostRow>,
+    /// Every reporting host's sketch candidates as
+    /// [`TopKSketch::candidate_words`], sorted and deduplicated: the
+    /// second round picks from these under the root matrix.
+    keys: Vec<u128>,
+}
+
+impl Node {
+    /// Builds the node over `slots`, the hosts from `first` on: one leaf
+    /// aggregate per `fan_in` hosts, merged at once.
+    pub(crate) fn build(slots: &[HostSlot], first: usize, shape: NodeShape) -> Node {
+        let rows: Vec<HostRow> = slots
+            .iter()
+            .zip(first..)
+            .map(|(slot, host)| host_row(slot, host, shape.min_send_samples))
+            .collect();
+        let leaves: Vec<AggregateReport> = groups(slots.len(), shape.fan_in)
+            .into_iter()
+            .map(|(lo, hi)| aggregate_leaf(&slots[lo..hi], &rows[lo..hi], shape))
+            .collect();
+        let mut keys: Vec<u128> = slots
+            .iter()
+            .filter_map(|slot| slot.latest.as_deref())
+            .flat_map(|env| env.sketch.candidate_words())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Node {
+            aggregate: AggregateReport::merge(&leaves, shape.shift, shape.top_k),
+            rows,
+            keys,
+        }
+    }
+}
+
+/// Host `host`'s row, read from its slot's latest envelope.
+fn host_row(slot: &HostSlot, host: usize, min_send_samples: u64) -> HostRow {
+    match &slot.latest {
+        Some(env) => {
+            let rps = (env.cum.send.count >= min_send_samples)
+                .then(|| env.cum.send.mean())
+                .flatten()
+                .filter(|&m| m > 0.0)
+                .map(|m| 1e9 / m);
+            let headroom = env.slack.map(|s| s.headroom);
+            let sat_flag = env.saturation.map(|s| s.saturated).unwrap_or(false);
+            let slack_flag = env.slack.map(|s| s.saturated).unwrap_or(false);
+            let score = f64::from(u8::from(sat_flag))
+                + f64::from(u8::from(slack_flag))
+                + headroom.map(|h| (1.0 - h).clamp(0.0, 1.0)).unwrap_or(0.0);
+            HostRow {
+                host: host as u32,
+                seq: slot.last_seq,
+                windows: env.windows_observed,
+                rps,
+                headroom,
+                saturated: sat_flag || slack_flag,
+                score,
+            }
+        }
+        None => HostRow {
+            host: host as u32,
+            seq: None,
+            windows: 0,
+            rps: None,
+            headroom: None,
+            saturated: false,
+            score: 0.0,
+        },
+    }
+}
+
+/// A leaf aggregator: merges `slots` (whose rows are `rows`) into one
+/// O(K) aggregate.
+fn aggregate_leaf(slots: &[HostSlot], rows: &[HostRow], shape: NodeShape) -> AggregateReport {
+    let mut out = AggregateReport::empty(shape.shift);
+    out.hosts = slots.len();
+    let mut sketches: Vec<&TopKSketch> = Vec::new();
+    for slot in slots {
+        out.accepted += slot.accepted;
+        out.stale += slot.stale;
+        out.gaps += slot.gaps;
+        if let Some(env) = &slot.latest {
+            out.reporting += 1;
+            out.merged.merge(&env.cum);
+            out.hist.merge(&env.hist);
+            out.stack.merge(&env.stack);
+            sketches.push(&env.sketch);
+        }
+    }
+    out.sketch = TopKSketch::merge_all(sketches);
+    out.top_rows = rows.to_vec();
+    rank_rows(&mut out.top_rows, shape.top_k);
+    out
 }
 
 /// The drop-aware fleet rollup (the root of the collection tree, plus
@@ -306,6 +476,9 @@ pub struct Collector {
     shift: u32,
     min_send_samples: u64,
     slots: Vec<HostSlot>,
+    /// The level-1 nodes a fleet run built from the slots, and the shape
+    /// they were built to; `None` while the slots hold the envelopes.
+    sealed: Option<(NodeShape, Vec<Node>)>,
     unknown_host_reports: u64,
 }
 
@@ -322,7 +495,17 @@ impl Collector {
             shift,
             min_send_samples,
             slots,
+            sealed: None,
             unknown_host_reports: 0,
+        }
+    }
+
+    /// A collector over sealed `slots`, one per host in host-id order,
+    /// whose level-1 `nodes` were built to `shape`.
+    pub(crate) fn sealed(slots: Vec<HostSlot>, nodes: Vec<Node>, shape: NodeShape) -> Collector {
+        Collector {
+            sealed: Some((shape, nodes)),
+            ..Collector::from_slots(slots, shape.shift, shape.min_send_samples)
         }
     }
 
@@ -342,7 +525,16 @@ impl Collector {
     /// ([`HostSlot::receive`]). An envelope naming a host outside the
     /// fleet is dropped and counted in
     /// [`Collector::unknown_host_reports`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sealed collector (one a fleet run returned): its
+    /// nodes no longer hold the reports an arrival would supersede.
     pub fn receive(&mut self, envelope: ReportEnvelope, now: Nanos) {
+        assert!(
+            self.sealed.is_none(),
+            "a sealed collector takes no further arrivals"
+        );
         match self.slots.get_mut(envelope.host as usize) {
             Some(slot) => slot.receive(envelope, now),
             None => self.unknown_host_reports += 1,
@@ -353,12 +545,18 @@ impl Collector {
     /// `fan_in` on up to `jobs` worker threads, reporting the
     /// `top_entities` heaviest entities of the merged sketch.
     ///
-    /// Determinism: hosts map to leaf aggregators by id range, each
-    /// tree level is built with `map_indexed` (deterministic in input
-    /// order) and merged child-group by child-group in index order, and
-    /// every floating-point value is derived from exactly-merged
-    /// integer cells — so the result (and its JSON rendering) is
-    /// bitwise identical for any `jobs`, including 1.
+    /// Determinism: hosts map to level-1 nodes and their leaves by id
+    /// range, each tree level is built with `map_indexed` (deterministic
+    /// in input order) and merged child-group by child-group in index
+    /// order, and every floating-point value is derived from
+    /// exactly-merged integer cells — so the result (and its JSON
+    /// rendering) is bitwise identical for any `jobs`, including 1, and
+    /// whether the nodes were sealed by a fleet run or are built here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sealed collector asked for another `fan_in` or
+    /// `top_k` than its nodes were built to.
     pub fn rollup(
         &self,
         jobs: usize,
@@ -366,40 +564,34 @@ impl Collector {
         top_k: usize,
         top_entities: usize,
     ) -> FleetRollup {
-        let fan_in = fan_in.max(1);
+        let shape = NodeShape::new(self.shift, self.min_send_samples, fan_in, top_k);
         let hosts = self.slots.len();
-        let leaves = hosts.div_ceil(fan_in).max(1);
-        let leaf_hosts = |l: usize| ((l * fan_in).min(hosts), ((l + 1) * fan_in).min(hosts));
 
-        // Level 1: each node's work item builds its `node_fan_in` leaves
-        // and merges them at once, so at most `jobs × node_fan_in` leaf
-        // aggregates are live, never one per leaf. The grouping is the
-        // one every internal level uses; a lone leaf is the root itself.
-        // A fan-in of 1 still terminates (every level merges at least
-        // pairs).
-        let node_fan_in = fan_in.max(2);
-        let nodes = groups(leaves, node_fan_in);
-        let mut level: Vec<AggregateReport> = if leaves == 1 {
-            vec![self.aggregate_leaf(0, hosts, top_k)]
-        } else {
-            map_indexed(&nodes, jobs, |_, &(lo, hi)| {
-                let children: Vec<AggregateReport> = (lo..hi)
-                    .map(|l| {
-                        let (first, end) = leaf_hosts(l);
-                        self.aggregate_leaf(first, end, top_k)
-                    })
-                    .collect();
-                AggregateReport::merge(&children, self.shift, top_k)
-            })
+        // Level 1: the sealed nodes, or each node's work item builds its
+        // leaves and merges them at once, so at most `jobs × fan_in` leaf
+        // aggregates are live, never one per leaf.
+        let built: Vec<Node>;
+        let nodes: &[Node] = match &self.sealed {
+            Some((sealed, nodes)) => {
+                assert_eq!(
+                    *sealed, shape,
+                    "the collector's level-1 nodes were sealed to another tree shape"
+                );
+                nodes
+            }
+            None => {
+                built = map_indexed(&shape.nodes(hosts), jobs, |_, &(lo, hi)| {
+                    Node::build(&self.slots[lo..hi], lo, shape)
+                });
+                &built
+            }
         };
 
         // Internal levels: merge `node_fan_in` children at a time until
         // one root remains.
+        let mut level = merge_level(nodes, |node| &node.aggregate, jobs, shape);
         while level.len() > 1 {
-            let bounds = groups(level.len(), node_fan_in);
-            level = map_indexed(&bounds, jobs, |_, &(lo, hi)| {
-                AggregateReport::merge(&level[lo..hi], self.shift, top_k)
-            });
+            level = merge_level(&level, |child| child, jobs, shape);
         }
         let mut root = match level.pop() {
             Some(root) => root,
@@ -410,35 +602,25 @@ impl Collector {
         // grouping, but candidate truncation at inner nodes used
         // subtree-local estimates, so the surviving key set can depend
         // on the fan-in. Re-select the root candidates under the global
-        // (root-matrix) order: each leaf keeps its top-`capacity` keys
-        // by that order (still O(K) per edge), and the root selects over
-        // the leaf unions — provably equal to flat selection over every
-        // host's keys, hence byte-identical at any fan-in and `jobs`.
-        // Keys travel as integers, and each level-1 node deduplicates
-        // its leaves' picks before the root ranks the union.
+        // (root-matrix) order: each level-1 node keeps its top-`capacity`
+        // keys by that order (still O(K) per edge), and the root selects
+        // over the node unions — provably equal to flat selection over
+        // every host's keys, hence byte-identical at any fan-in and
+        // `jobs`.
         if let Some(mut sketch) = root.sketch.take() {
             let cap = sketch.state().capacity() as usize;
-            let node_keys: Vec<Vec<u128>> = map_indexed(&nodes, jobs, |_, &(lo, hi)| {
-                let mut keys: Vec<u128> = (lo..hi)
-                    .flat_map(|l| {
-                        let (first, end) = leaf_hosts(l);
-                        let candidates = self.slots[first..end]
-                            .iter()
-                            .filter_map(|slot| slot.latest.as_deref())
-                            .flat_map(|env| env.sketch.candidate_words());
-                        sketch.select_keys(candidates, cap)
-                    })
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys
+            let node_keys: Vec<Vec<u128>> = map_indexed(nodes, jobs, |_, node| {
+                sketch.select_keys(node.keys.iter().copied(), cap)
             });
             sketch.reselect_candidates(node_keys.into_iter().flatten());
             root.sketch = Some(sketch);
         }
 
         // Collector-local detail: every host's row (never on the wire).
-        let per_host: Vec<HostRow> = (0..hosts).map(|h| self.host_row(h)).collect();
+        let per_host: Vec<HostRow> = nodes
+            .iter()
+            .flat_map(|node| node.rows.iter().copied())
+            .collect();
 
         let top_entity_rows: Vec<EntityRow> = root
             .sketch
@@ -503,68 +685,6 @@ impl Collector {
             },
             transport: Transport::default(),
         }
-    }
-
-    fn host_row(&self, host: usize) -> HostRow {
-        let slot = &self.slots[host];
-        match &slot.latest {
-            Some(env) => {
-                let rps = (env.cum.send.count >= self.min_send_samples)
-                    .then(|| env.cum.send.mean())
-                    .flatten()
-                    .filter(|&m| m > 0.0)
-                    .map(|m| 1e9 / m);
-                let headroom = env.slack.map(|s| s.headroom);
-                let sat_flag = env.saturation.map(|s| s.saturated).unwrap_or(false);
-                let slack_flag = env.slack.map(|s| s.saturated).unwrap_or(false);
-                let score = f64::from(u8::from(sat_flag))
-                    + f64::from(u8::from(slack_flag))
-                    + headroom.map(|h| (1.0 - h).clamp(0.0, 1.0)).unwrap_or(0.0);
-                HostRow {
-                    host: host as u32,
-                    seq: slot.last_seq,
-                    windows: env.windows_observed,
-                    rps,
-                    headroom,
-                    saturated: sat_flag || slack_flag,
-                    score,
-                }
-            }
-            None => HostRow {
-                host: host as u32,
-                seq: None,
-                windows: 0,
-                rps: None,
-                headroom: None,
-                saturated: false,
-                score: 0.0,
-            },
-        }
-    }
-
-    /// A leaf aggregator: merges the slots of hosts `lo..hi` into one
-    /// O(K) aggregate.
-    fn aggregate_leaf(&self, lo: usize, hi: usize, top_k: usize) -> AggregateReport {
-        let mut out = AggregateReport::empty(self.shift);
-        out.hosts = hi - lo;
-        let mut sketches: Vec<&TopKSketch> = Vec::new();
-        for (idx, slot) in self.slots[lo..hi].iter().enumerate() {
-            let host = lo + idx;
-            out.accepted += slot.accepted;
-            out.stale += slot.stale;
-            out.gaps += slot.gaps;
-            if let Some(env) = &slot.latest {
-                out.reporting += 1;
-                out.merged.merge(&env.cum);
-                out.hist.merge(&env.hist);
-                out.stack.merge(&env.stack);
-                sketches.push(&env.sketch);
-            }
-            out.top_rows.push(self.host_row(host));
-        }
-        out.sketch = TopKSketch::merge_all(sketches);
-        rank_rows(&mut out.top_rows, top_k);
-        out
     }
 }
 
@@ -724,8 +844,14 @@ mod tests {
         for h in 0..32u32 {
             c.receive(envelope(h, 0, 1_000_000, 60), Nanos::ZERO);
         }
-        let small = c.aggregate_leaf(0, 4, 3);
-        let large = c.aggregate_leaf(0, 32, 3);
+        let shape = NodeShape::new(0, 1, 8, 3);
+        let leaf = |hosts: usize| {
+            let slots = &c.slots()[..hosts];
+            let rows: Vec<HostRow> = (0..hosts).map(|h| host_row(&slots[h], h, 1)).collect();
+            aggregate_leaf(slots, &rows, shape)
+        };
+        let small = leaf(4);
+        let large = leaf(32);
         assert_eq!(small.top_rows.len(), 3, "rows truncate to top_k");
         assert_eq!(small.wire_bytes(), large.wire_bytes());
         assert_eq!(large.hosts, 32);

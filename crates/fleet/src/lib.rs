@@ -38,7 +38,10 @@
 //!   hosts group into leaf aggregators of `fan_in`, aggregates merge
 //!   `fan_in`-at-a-time up to one root, and every tree edge carries a
 //!   single O(K) [`AggregateReport`] (merged counters, merged histogram,
-//!   one merged sketch, an exact host Top-K selection). The root
+//!   one merged sketch, an exact host Top-K selection). A fleet run
+//!   builds each first-level node on the worker that simulated its
+//!   hosts and drops their reports there, so the collector holds one
+//!   aggregate per node rather than one report per host. The root
 //!   [`FleetRollup`] — fleet RPS from the merged stream, slack
 //!   percentiles, saturated-host Top-K, heavy-entity Top-K, drop/stale
 //!   accounting, the byte ledger — is bitwise identical at any `--jobs`

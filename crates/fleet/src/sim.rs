@@ -20,19 +20,25 @@
 //! report is dropped where it arrives and the collector only places
 //! the finished slots.
 //!
-//! A work item is a chunk of [`HOST_CHUNK`] consecutive hosts. It adds
-//! each host's exact per-entity counts into one vector for the chunk as
-//! soon as the host finishes, so what outlives a host is its slot and
-//! its ground truth, nothing of the size of the entity pool. The peak
-//! memory is one host stack per worker plus the O(K) report envelopes
-//! the slots hold: at 10⁴ hosts of the scale preset, about 125 MB of
-//! resident memory, of which the envelopes are about 104 MiB.
+//! A work item is one level-1 node of the collection tree: its
+//! `fan_in × max(fan_in, 2)` consecutive hosts (64 at the default fan-in
+//! of 8). It adds each host's exact per-entity counts into one vector for
+//! the node as soon as the host finishes, and once the last host is done
+//! it seals the node: builds its aggregate, host rows and sketch keys
+//! (`Node::build`, the function a rollup of unsealed slots runs) and
+//! drops the hosts' report envelopes. What outlives a host is then its
+//! slot's bookkeeping, its row and its ground truth; what outlives a node
+//! is one O(K) aggregate and its hosts' sketch keys. The peak memory is
+//! one host stack and one node's envelopes per worker plus that per
+//! node: at 10⁴ hosts of the scale preset about 22 MB of resident
+//! memory, where holding every host's ~10 KB envelope until the rollup
+//! took 120–140 MB.
 
 use kscope_core::BuildError;
 use kscope_simcore::parallel::map_indexed;
 use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 
-use crate::collector::{Accounting, Collector, FleetRollup, HostSlot, Transport};
+use crate::collector::{Accounting, Collector, FleetRollup, HostSlot, Node, NodeShape, Transport};
 use crate::config::FleetConfig;
 use crate::host::{entity_cdf, FleetProbe, HostTruth, ReportEnvelope, SimHost};
 
@@ -99,16 +105,14 @@ impl Simulation for HostSim {
     }
 }
 
-/// Hosts one work item simulates.
-const HOST_CHUNK: usize = 64;
-
 /// What a run of consecutive hosts leaves behind: each host's collector
-/// slot and ground truth, in host-id order, and their per-entity
-/// request counts summed into one vector. Sums of integers, so the
-/// totals are exact whatever the chunking.
+/// slot and ground truth, in host-id order, the level-1 nodes sealed over
+/// them, and their per-entity request counts summed into one vector.
+/// Sums of integers, so the totals are exact whatever the grouping.
 struct Outcomes {
     slots: Vec<HostSlot>,
     truth: Vec<HostTruth>,
+    nodes: Vec<Node>,
     entity_counts: Vec<u64>,
 }
 
@@ -118,6 +122,7 @@ impl Outcomes {
         Outcomes {
             slots: Vec::with_capacity(hosts),
             truth: Vec::with_capacity(hosts),
+            nodes: Vec::new(),
             entity_counts: vec![0; config.entities as usize],
         }
     }
@@ -158,25 +163,46 @@ impl Outcomes {
         self.truth.push(sim.host.truth);
     }
 
+    /// Seals the level-1 node these outcomes cover, hosts `first` on:
+    /// builds it from the slots, then drops their envelopes.
+    fn seal(&mut self, first: usize, shape: NodeShape) {
+        self.nodes.push(Node::build(&self.slots, first, shape));
+        for slot in &mut self.slots {
+            slot.latest = None;
+        }
+    }
+
     /// Appends `next`, which covers the hosts right after these.
     fn append(&mut self, mut next: Outcomes) {
         self.slots.append(&mut next.slots);
         self.truth.append(&mut next.truth);
+        self.nodes.append(&mut next.nodes);
         for (total, count) in self.entity_counts.iter_mut().zip(&next.entity_counts) {
             *total += count;
         }
     }
 
-    /// The completed run: the slots placed in a fresh collector.
+    /// The completed run: the slots and their sealed nodes placed in a
+    /// fresh collector.
     fn into_run(self, config: &FleetConfig) -> FleetRun {
         FleetRun {
             config: config.clone(),
-            collector: Collector::from_slots(self.slots, config.shift, config.min_send_samples),
+            collector: Collector::sealed(self.slots, self.nodes, node_shape(config)),
             truth: self.truth,
             entity_truth: self.entity_counts,
             horizon: config.horizon(),
         }
     }
+}
+
+/// The level-1 node shape `config`'s rollup uses.
+fn node_shape(config: &FleetConfig) -> NodeShape {
+    NodeShape::new(
+        config.shift,
+        config.min_send_samples,
+        config.fan_in,
+        config.top_k,
+    )
 }
 
 /// A completed fleet run: the collector's state plus per-host ground
@@ -271,11 +297,13 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
 /// Runs a fleet to completion on up to `jobs` workers: the probe and
 /// the entity draw table are built once, then each host's stack is
 /// simulated independently (traffic, report ticks, channel transits,
-/// and the folding of its arrivals into its collector slot), in chunks
-/// of consecutive hosts that each sum their hosts' entity counts, then
-/// the slots are placed in the collector in host-id order. Per-host
-/// outcomes are pure functions of `(config, id)` and the entity totals
-/// are integer sums, so the run is bit-identical at any `jobs`.
+/// and the folding of its arrivals into its collector slot), one
+/// level-1 node of consecutive hosts per work item, which sums its
+/// hosts' entity counts and seals the node, then the slots and nodes are
+/// placed in the collector in host-id order. Per-host outcomes are pure
+/// functions of `(config, id)`, a node is a pure function of its hosts,
+/// and the entity totals are integer sums, so the run is bit-identical
+/// at any `jobs`.
 ///
 /// # Errors
 ///
@@ -285,11 +313,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
 pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, BuildError> {
     let probe = FleetProbe::build(config)?;
     let entity_cdf = entity_cdf(config);
-    let chunks: Vec<(usize, usize)> = (0..config.hosts)
-        .step_by(HOST_CHUNK)
-        .map(|lo| (lo, (lo + HOST_CHUNK).min(config.hosts)))
-        .collect();
-    let parts = map_indexed(&chunks, jobs, |_, &(lo, hi)| {
+    let shape = node_shape(config);
+    let parts = map_indexed(&shape.nodes(config.hosts), jobs, |_, &(lo, hi)| {
         let mut part = Outcomes::new(config, hi - lo);
         for id in lo..hi {
             part.simulate(
@@ -297,6 +322,7 @@ pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, Bui
                 SimHost::with_probe(config, id as u32, &probe, &entity_cdf),
             );
         }
+        part.seal(lo, shape);
         part
     });
     let mut run = Outcomes::new(config, config.hosts);
@@ -403,8 +429,10 @@ mod tests {
     }
 
     /// Runs `config` host by host, each with a probe of its own and in
-    /// one run of outcomes, then checks that the chunked run over the
-    /// shared probe matches it at several worker counts.
+    /// one run of outcomes left unsealed, then checks that the run over
+    /// the shared probe, sealed node by node, matches it at several
+    /// worker counts: the same slot bookkeeping, and the same report
+    /// from nodes sealed on the workers as from nodes built at rollup.
     fn assert_shared_probe_matches_per_host(config: &FleetConfig) {
         let mut outcomes = Outcomes::new(config, config.hosts);
         for id in 0..config.hosts as u32 {
@@ -413,7 +441,23 @@ mod tests {
                 Err(e) => panic!("host build failed: {e:?}"),
             }
         }
-        let per_host = outcomes.into_run(config);
+        let per_host = FleetRun {
+            config: config.clone(),
+            collector: Collector::from_slots(outcomes.slots, config.shift, config.min_send_samples),
+            truth: outcomes.truth,
+            entity_truth: outcomes.entity_counts,
+            horizon: config.horizon(),
+        };
+        let bookkeeping = |slots: &[HostSlot]| -> Vec<HostSlot> {
+            slots
+                .iter()
+                .map(|slot| HostSlot {
+                    latest: None,
+                    ..slot.clone()
+                })
+                .collect()
+        };
+        let expect_slots = bookkeeping(per_host.collector.slots());
         let expect = crate::report_to_json(config, &per_host.rollup(1));
         assert!(expect.contains("\"stack_delay\""));
         for jobs in [1, 2, 8] {
@@ -423,7 +467,8 @@ mod tests {
             };
             assert_eq!(shared.truth, per_host.truth);
             assert_eq!(shared.entity_truth, per_host.entity_truth);
-            assert_eq!(shared.collector.slots(), per_host.collector.slots());
+            assert!(shared.collector.slots().iter().all(|s| s.latest.is_none()));
+            assert_eq!(shared.collector.slots(), expect_slots);
             assert_eq!(crate::report_to_json(config, &shared.rollup(jobs)), expect);
         }
     }
@@ -437,12 +482,11 @@ mod tests {
 
     #[test]
     fn chunked_run_matches_a_probe_built_per_host() {
-        // Three chunks, the last one partial.
-        let hosts = 2 * HOST_CHUNK + HOST_CHUNK / 3;
-        assert_eq!(hosts.div_ceil(HOST_CHUNK), 3);
-        assert_ne!(hosts % HOST_CHUNK, 0);
-        let mut config = FleetConfig::scale(hosts).with_loss(0.1);
+        // Three level-1 nodes of 64 hosts, the last one partial.
+        let mut config = FleetConfig::scale(2 * 64 + 21).with_loss(0.1);
         config.seed = 41;
+        let nodes = node_shape(&config).nodes(config.hosts);
+        assert_eq!(nodes, [(0, 64), (64, 128), (128, 149)]);
         assert_shared_probe_matches_per_host(&config);
     }
 
