@@ -16,8 +16,10 @@ use kscope_kernel::TracepointProbe;
 use kscope_simcore::Nanos;
 use kscope_syscalls::{TracePhase, TracepointCtx};
 
-/// Modeled cost of one executed eBPF instruction, on either tier.
-pub const NS_PER_INSN: f64 = 5.0;
+/// Modeled cost in nanoseconds of one executed eBPF instruction, on
+/// either tier: a firing is charged `insns_executed * NS_PER_INSN`.
+/// An integer, so charging a firing costs one multiply.
+pub const NS_PER_INSN: u64 = 5;
 
 /// Size of the context buffer the syscall programs receive.
 pub const CTX_SIZE: usize = 16;
@@ -337,7 +339,7 @@ impl ProgramProbe {
             return Nanos::ZERO;
         };
         self.insns_executed += outcome.insns_executed;
-        Nanos::from_nanos((outcome.insns_executed as f64 * NS_PER_INSN).round() as u64)
+        Nanos::from_nanos(outcome.insns_executed * NS_PER_INSN)
     }
 
     /// The program attached at `phase`, if any.

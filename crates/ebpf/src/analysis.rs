@@ -248,7 +248,7 @@ pub struct LookupSite {
 }
 
 /// Largest constant fd the lookup fast path will specialize on; keeps
-/// `fd * 32` comfortably inside a signed displacement and the fd inside
+/// `fd * DESC_SIZE` comfortably inside a signed displacement and the fd inside
 /// a guard's 32-bit immediate. Real registries hold a handful of maps.
 const MAX_INLINE_FD: u32 = 0xFFFF;
 

@@ -1,30 +1,34 @@
-//! JIT-visible runtime layouts backing the inline map-lookup fast path.
+//! JIT-visible runtime layouts backing the inline map-lookup and
+//! map-value fast paths.
 //!
 //! The template JIT (DESIGN §6f) wants to answer `bpf_map_lookup_elem`
-//! without round-tripping through the sysv64 trampoline. That requires
-//! three things to have a stable, `#[repr(C)]` layout the emitter can
-//! hard-code offsets against:
+//! without round-tripping through the sysv64 trampoline, and to reach a
+//! looked-up value without resolving its key again. That requires these
+//! to have a stable, `#[repr(C)]` layout the emitter addresses through
+//! the named offsets beside each type (`SLOT_*`, `DESC_*`):
 //!
-//! * [`SlotEntry`] — one resolved lookup (fd + key bytes). The VM's slot
-//!   list is a `Vec<SlotEntry>`; JIT code appends to it in place when a
-//!   fast-path lookup hits and falls back to the trampoline when the
-//!   vector is full.
+//! * [`SlotEntry`] — one resolved lookup: fd, key bytes, and the value's
+//!   host address and size. The VM's slot list is a `Vec<SlotEntry>`;
+//!   JIT code appends to it in place when a fast-path lookup hits (and
+//!   falls back to the trampoline when the vector is full), and a proven
+//!   map-value access goes straight through the recorded address. The
+//!   update and delete helpers clear the address in every slot of a hash
+//!   map they change, so an access after them resolves the key again.
 //! * [`ArrayArena`] — the contiguous value storage of an array map. One
 //!   allocation sized `value_size * max_entries` at map creation, never
-//!   reallocated, so a base pointer captured before program entry stays
-//!   valid across every in-place update the program performs (the same
-//!   pointer-stability argument DESIGN §6d makes for the recycling pool).
+//!   reallocated, so a value address stays valid across every in-place
+//!   update the program performs.
 //! * [`HashIndex`] — a hash map's only storage: an open-addressed slot
 //!   array plus a parallel value arena, sized by content. JIT code
 //!   probes exactly one slot (the home slot); anything but a definitive
 //!   hit or a definitive miss falls back to the trampoline.
-//! * [`MapRuntimeDesc`] — one 32-byte descriptor per map fd, built by
-//!   the registry when the map is created and republished whenever a
-//!   hash table moves, telling the emitted guards what shape the fd
-//!   actually has *at run time*. Compiled programs bake in no pointers
-//!   and no shapes: a program compiled once runs correctly against any
-//!   registry because every assumption is re-checked against this table
-//!   at every lookup site.
+//! * [`MapRuntimeDesc`] — one [`DESC_SIZE`]-byte descriptor per map fd,
+//!   built by the registry when the map is created and republished
+//!   whenever a hash table moves, telling the emitted guards what shape
+//!   the fd actually has *at run time* and where its values live.
+//!   Compiled programs bake in no pointers and no shapes: a program
+//!   compiled once runs correctly against any registry because every
+//!   assumption is re-checked against this table at every lookup site.
 //!
 //! ## Single-probe soundness
 //!
@@ -112,11 +116,35 @@ pub fn index_hash(key: &[u8]) -> u64 {
     h
 }
 
-/// One resolved map lookup: which fd it hit and the exact key bytes.
+/// Byte offset of [`SlotEntry::fd`].
+pub const SLOT_FD_OFF: usize = 0;
+/// Byte offset of [`SlotEntry::key_len`].
+pub const SLOT_KEY_LEN_OFF: usize = 4;
+/// Byte offset of [`SlotEntry::key`].
+pub const SLOT_KEY_OFF: usize = 8;
+/// Byte offset of [`SlotEntry::value`].
+pub const SLOT_VALUE_OFF: usize = 24;
+/// Byte offset of [`SlotEntry::value_size`].
+pub const SLOT_VALUE_SIZE_OFF: usize = 32;
+/// Size of one [`SlotEntry`]: the stride of the slot vector.
+pub const SLOT_ENTRY_SIZE: usize = 40;
+
+/// One resolved map lookup: which fd it hit, the exact key bytes, and
+/// where the value lives.
 ///
-/// Layout is load-bearing: JIT code writes entries at
-/// `slots_base + slot * 24` with hard-coded field offsets (fd `+0`,
-/// key_len `+4`, key `+8`).
+/// The key is what the interpreter resolves a map-value access by, on
+/// every access. The value's host address and size are recorded when
+/// the lookup resolves them, so JIT code can reach a proven map-value
+/// access through the address directly (DESIGN §6f). `value` is 0 once
+/// the address may no longer hold: a helper that inserts into or
+/// deletes from a hash map clears it in every slot of that map, since
+/// those are the only operations that move or free a hash table's
+/// storage during a run; an access through a cleared slot resolves the
+/// key again, as the interpreter does.
+///
+/// Layout is load-bearing: JIT code reads and writes entries at
+/// `slots_base + slot * SLOT_ENTRY_SIZE` with the `SLOT_*_OFF` field
+/// offsets.
 #[repr(C)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotEntry {
@@ -126,14 +154,25 @@ pub struct SlotEntry {
     pub key_len: u32,
     /// Key bytes, zero-padded to [`INDEX_KEY_MAX`].
     pub key: [u8; INDEX_KEY_MAX],
+    /// Host address of the value bytes, or 0 when the value must be
+    /// resolved by key again.
+    pub value: u64,
+    /// Length of the value bytes at `value`.
+    pub value_size: u32,
 }
 
 impl SlotEntry {
-    /// Builds an entry from raw key bytes; `key` must be at most
-    /// [`INDEX_KEY_MAX`] long (map creation enforces this).
-    pub fn new(fd: u32, key: &[u8]) -> Self {
+    /// Builds an entry for `key` resolved to `value`; `key` must be at
+    /// most [`INDEX_KEY_MAX`] long (map creation enforces this).
+    pub fn new(fd: u32, key: &[u8], value: &mut [u8]) -> Self {
         let IndexEntry { key, key_len, .. } = IndexEntry::live(key);
-        SlotEntry { fd, key_len, key }
+        SlotEntry {
+            fd,
+            key_len,
+            key,
+            value: value.as_mut_ptr() as u64,
+            value_size: value.len() as u32,
+        }
     }
 
     /// The live key bytes.
@@ -301,6 +340,12 @@ impl HashIndex {
     /// Base pointer of the slot array; valid until the next insert.
     pub fn base_ptr(&self) -> *const IndexEntry {
         self.entries.as_ptr()
+    }
+
+    /// Base pointer of the value arena (slot `i`'s value at byte
+    /// `i * value_size`); valid until the next insert.
+    pub fn values_ptr(&self) -> *const u8 {
+        self.values.as_ptr()
     }
 
     /// Total slots (power of two).
@@ -535,11 +580,27 @@ pub enum HomeProbe {
     Fallback,
 }
 
+/// Byte offset of [`MapRuntimeDesc::kind`].
+pub const DESC_KIND_OFF: usize = 0;
+/// Byte offset of [`MapRuntimeDesc::key_size`].
+pub const DESC_KEY_SIZE_OFF: usize = 4;
+/// Byte offset of [`MapRuntimeDesc::value_size`].
+pub const DESC_VALUE_SIZE_OFF: usize = 8;
+/// Byte offset of [`MapRuntimeDesc::max_entries`].
+pub const DESC_MAX_ENTRIES_OFF: usize = 12;
+/// Byte offset of [`MapRuntimeDesc::base`].
+pub const DESC_BASE_OFF: usize = 16;
+/// Byte offset of [`MapRuntimeDesc::aux`].
+pub const DESC_AUX_OFF: usize = 24;
+/// Byte offset of [`MapRuntimeDesc::values`].
+pub const DESC_VALUES_OFF: usize = 32;
+/// Size of one [`MapRuntimeDesc`]: the stride of the descriptor table.
+pub const DESC_SIZE: usize = 40;
+
 /// Per-fd runtime shape descriptor the JIT guards against. Built by
 /// `MapRegistry::create`, republished when a hash table moves, and
-/// handed to every JIT entry; layout
-/// is load-bearing (kind `+0`, key_size `+4`, value_size `+8`,
-/// max_entries `+12`, base `+16`, aux `+24`; stride 32).
+/// handed to every JIT entry; layout is load-bearing (the `DESC_*_OFF`
+/// offsets, stride [`DESC_SIZE`]).
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]
 pub struct MapRuntimeDesc {
@@ -555,6 +616,9 @@ pub struct MapRuntimeDesc {
     pub base: u64,
     /// Hash: slot array mask. Array: 0.
     pub aux: u64,
+    /// Value arena base: entry or slot `i`'s value at byte
+    /// `i * value_size` (an array's is its `base`).
+    pub values: u64,
 }
 
 impl MapRuntimeDesc {
@@ -567,13 +631,14 @@ impl MapRuntimeDesc {
             max_entries: 0,
             base: 0,
             aux: 0,
+            values: 0,
         }
     }
 }
 
 /// A [`MapRuntimeDesc`] the registry republishes through a shared
 /// reference while JIT code holds a pointer to it, laid out exactly like
-/// one so the JIT reads it as one. Only `base` and `aux` ever change;
+/// one so the JIT reads it as one. Only `base`, `aux` and `values` ever change;
 /// atomics make that a permitted interior mutation and keep the registry
 /// `Sync` (`Relaxed`: helpers run on the JIT code's own thread).
 #[repr(C)]
@@ -582,6 +647,7 @@ pub(crate) struct DescCell {
     shape: [u32; 4],
     base: AtomicU64,
     aux: AtomicU64,
+    values: AtomicU64,
 }
 
 const _: () = assert!(std::mem::size_of::<DescCell>() == std::mem::size_of::<MapRuntimeDesc>());
@@ -593,13 +659,15 @@ impl DescCell {
             shape,
             base: AtomicU64::new(d.base),
             aux: AtomicU64::new(d.aux),
+            values: AtomicU64::new(d.values),
         }
     }
 
     /// Points the descriptor at a hash map's moved table.
-    pub(crate) fn publish(&self, base: u64, aux: u64) {
-        self.base.store(base, Relaxed);
-        self.aux.store(aux, Relaxed);
+    pub(crate) fn publish(&self, table: &HashIndex) {
+        self.base.store(table.base_ptr() as u64, Relaxed);
+        self.aux.store(table.mask(), Relaxed);
+        self.values.store(table.values_ptr() as u64, Relaxed);
     }
 }
 
@@ -610,27 +678,35 @@ mod tests {
 
     #[test]
     fn layouts_match_jit_offsets() {
-        assert_eq!(size_of::<SlotEntry>(), 24);
-        assert_eq!(offset_of!(SlotEntry, fd), 0);
-        assert_eq!(offset_of!(SlotEntry, key_len), 4);
-        assert_eq!(offset_of!(SlotEntry, key), 8);
+        assert_eq!(size_of::<SlotEntry>(), SLOT_ENTRY_SIZE);
+        assert_eq!(offset_of!(SlotEntry, fd), SLOT_FD_OFF);
+        assert_eq!(offset_of!(SlotEntry, key_len), SLOT_KEY_LEN_OFF);
+        assert_eq!(offset_of!(SlotEntry, key), SLOT_KEY_OFF);
+        assert_eq!(offset_of!(SlotEntry, value), SLOT_VALUE_OFF);
+        assert_eq!(offset_of!(SlotEntry, value_size), SLOT_VALUE_SIZE_OFF);
 
         assert_eq!(size_of::<IndexEntry>(), 24);
         assert_eq!(offset_of!(IndexEntry, key), 0);
         assert_eq!(offset_of!(IndexEntry, key_len), 16);
         assert_eq!(offset_of!(IndexEntry, state), 20);
 
-        assert_eq!(size_of::<MapRuntimeDesc>(), 32);
-        assert_eq!(offset_of!(MapRuntimeDesc, kind), 0);
-        assert_eq!(offset_of!(MapRuntimeDesc, key_size), 4);
-        assert_eq!(offset_of!(MapRuntimeDesc, value_size), 8);
-        assert_eq!(offset_of!(MapRuntimeDesc, max_entries), 12);
-        assert_eq!(offset_of!(MapRuntimeDesc, base), 16);
-        assert_eq!(offset_of!(MapRuntimeDesc, aux), 24);
+        assert_eq!(size_of::<MapRuntimeDesc>(), DESC_SIZE);
+        assert_eq!(offset_of!(MapRuntimeDesc, kind), DESC_KIND_OFF);
+        assert_eq!(offset_of!(MapRuntimeDesc, key_size), DESC_KEY_SIZE_OFF);
+        assert_eq!(offset_of!(MapRuntimeDesc, value_size), DESC_VALUE_SIZE_OFF);
+        assert_eq!(
+            offset_of!(MapRuntimeDesc, max_entries),
+            DESC_MAX_ENTRIES_OFF
+        );
+        assert_eq!(offset_of!(MapRuntimeDesc, base), DESC_BASE_OFF);
+        assert_eq!(offset_of!(MapRuntimeDesc, aux), DESC_AUX_OFF);
+        assert_eq!(offset_of!(MapRuntimeDesc, values), DESC_VALUES_OFF);
         // The registry's cells are read by the JIT as descriptors.
-        assert_eq!(offset_of!(DescCell, shape), 0);
-        assert_eq!(offset_of!(DescCell, base), 16);
-        assert_eq!(offset_of!(DescCell, aux), 24);
+        assert_eq!(size_of::<DescCell>(), DESC_SIZE);
+        assert_eq!(offset_of!(DescCell, shape), DESC_KIND_OFF);
+        assert_eq!(offset_of!(DescCell, base), DESC_BASE_OFF);
+        assert_eq!(offset_of!(DescCell, aux), DESC_AUX_OFF);
+        assert_eq!(offset_of!(DescCell, values), DESC_VALUES_OFF);
     }
 
     #[test]
@@ -803,10 +879,12 @@ mod tests {
 
     #[test]
     fn slot_entry_round_trips_keys() {
-        let e = SlotEntry::new(3, &[1, 2, 3, 4]);
+        let mut value = [0u8; 12];
+        let e = SlotEntry::new(3, &[1, 2, 3, 4], &mut value);
         assert_eq!(e.fd, 3);
         assert_eq!(e.key_bytes(), &[1, 2, 3, 4]);
-        let full = SlotEntry::new(9, &[0xAA; 16]);
+        assert_eq!((e.value, e.value_size), (value.as_ptr() as u64, 12));
+        let full = SlotEntry::new(9, &[0xAA; 16], &mut value);
         assert_eq!(full.key_bytes(), &[0xAA; 16]);
     }
 }

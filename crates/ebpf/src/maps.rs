@@ -230,6 +230,7 @@ impl MapEntry {
                 max_entries: self.def.max_entries,
                 base: arena.base_ptr() as u64,
                 aux: 0,
+                values: arena.base_ptr() as u64,
             },
             MapStorage::Hash { table } => MapRuntimeDesc {
                 kind: DESC_KIND_HASH,
@@ -238,6 +239,7 @@ impl MapEntry {
                 max_entries: self.def.max_entries,
                 base: table.base_ptr() as u64,
                 aux: table.mask(),
+                values: table.values_ptr() as u64,
             },
             // Ring buffers and sketches have no inline fast path; their
             // helpers always take the trampoline.
@@ -516,7 +518,7 @@ impl MapRegistry {
                 if table.base_ptr() != base {
                     // The table grew, so it moved: republish it.
                     if let Some(desc) = self.descs.get(fd.0 as usize) {
-                        desc.publish(table.base_ptr() as u64, table.mask());
+                        desc.publish(table);
                     }
                 }
                 Ok(())
@@ -739,8 +741,10 @@ impl MapRegistry {
     /// sound: the entries are atomic cells (a write through `&self` is a
     /// permitted interior mutation), helpers run on the JIT code's own
     /// thread, and JIT code re-reads `base`/`aux` at every lookup site and
-    /// keeps no table pointer across a helper call. Map-value pointers are
-    /// slot handles resolved by key on every access, never table pointers.
+    /// keeps no table pointer across a helper call. A map-value pointer
+    /// is a slot handle whose cached host address the update and delete
+    /// helpers clear for every slot of the hash map they change (see
+    /// [`SlotEntry`](crate::mapindex::SlotEntry)).
     pub fn runtime_descs(&self) -> (*const MapRuntimeDesc, usize) {
         (
             self.descs.as_ptr().cast::<MapRuntimeDesc>(),
@@ -924,7 +928,8 @@ mod tests {
                         x.value_size,
                         x.max_entries,
                         x.base,
-                        x.aux
+                        x.aux,
+                        x.values
                     ),
                     (
                         y.kind,
@@ -932,7 +937,8 @@ mod tests {
                         y.value_size,
                         y.max_entries,
                         y.base,
-                        y.aux
+                        y.aux,
+                        y.values
                     )
                 );
             }

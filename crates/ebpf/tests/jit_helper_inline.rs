@@ -652,3 +652,226 @@ fn hash_table_moves_mid_run() {
         assert_eq!(entries, want_entries, "{arm}: entries diverged");
     }
 }
+
+/// Stores the 8-byte key `key` at `r10 - 8` and sets up `r1`/`r2` for a
+/// map helper on `fd`.
+fn key_args(asm: Asm, fd: MapFd, key: i32) -> Asm {
+    asm.store_imm(SZ_DW, R10, -8, key)
+        .ld_map_fd(R1, fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -8)
+}
+
+/// Looks `key` up in `fd` and holds the value pointer in r6; the
+/// program returns 0 when the key is absent.
+fn hold(asm: Asm, fd: MapFd, key: i32) -> Asm {
+    key_args(asm, fd, key)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "absent")
+        .mov64_reg(R6, R0)
+}
+
+/// `update(fd, key, value)` with the value staged at `r10 - 16`; the
+/// helper's return lands in r7.
+fn update(asm: Asm, fd: MapFd, key: i32, value: i32) -> Asm {
+    key_args(asm.store_imm(SZ_DW, R10, -16, value), fd, key)
+        .mov64_reg(R3, R10)
+        .add64_imm(R3, -16)
+        .mov64_imm(R4, 0)
+        .call(Helper::MapUpdateElem)
+        .mov64_reg(R7, R0)
+}
+
+/// Ends a held-pointer program: `r0` already holds the result, and the
+/// `absent` arm returns 0.
+fn finish(asm: Asm) -> Program {
+    asm.exit()
+        .label("absent")
+        .mov64_imm(R0, 0)
+        .exit()
+        .assemble()
+        .expect("assembles")
+}
+
+/// Asserts the JIT compiled at least `n` proven map-value accesses
+/// (those go through the resolved-pointer path).
+fn assert_resolved_accesses(prog: &Program, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let jit = prog.jit().expect("compilable on x86-64");
+        assert!(
+            jit.elided_accesses() >= n,
+            "{}: {} accesses compiled without checks, want {n}",
+            prog.name(),
+            jit.elided_accesses()
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (prog, n);
+}
+
+/// An array value written and read back through the pointer its lookup
+/// resolved, at both ends of the value: the JIT touches the arena
+/// through the slot's cached address and matches the interpreter on the
+/// return, the instruction count and the value bytes.
+#[test]
+fn array_value_round_trips_through_a_held_pointer() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("cells", MapDef::array(16, 4));
+    let mut cell = [0u8; 16];
+    cell[..8].copy_from_slice(&40u64.to_le_bytes());
+    maps.update(fd, &2u32.to_le_bytes(), &cell)
+        .expect("seed cell 2");
+    let prog = Asm::new("array_held")
+        .store_imm(SZ_W, R10, -4, 2)
+        .ld_map_fd(R1, fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "absent")
+        .mov64_reg(R6, R0)
+        .load(SZ_DW, R0, R6, 0)
+        .add64_imm(R0, 2)
+        .store_reg(SZ_DW, R6, R0, 0)
+        .store_imm(SZ_B, R6, 15, 0x7F)
+        .load(SZ_B, R1, R6, 15)
+        .add64_reg(R0, R1);
+    let prog = finish(prog);
+    verify(&prog, &maps);
+    assert_resolved_accesses(&prog, 4);
+    let (res, after, _) = run_both("array_held", &prog, &[], &maps, ExecEnv::default(), None);
+    assert_eq!(res.expect("runs").ret, 42 + 0x7F);
+    let cell = after.lookup(fd, &2u32.to_le_bytes()).unwrap().unwrap();
+    assert_eq!(cell[..8], 42u64.to_le_bytes());
+    assert_eq!(cell[15], 0x7F);
+}
+
+/// A hash value written and read back through the pointer its inline
+/// lookup resolved: no access re-resolves the key on the JIT, and both
+/// tiers agree on the return and the stored value.
+#[test]
+fn hash_value_round_trips_through_a_held_pointer() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("h", MapDef::hash(8, 16, 64));
+    maps.update(fd, &9u64.to_le_bytes(), &[1u8; 16])
+        .expect("seed key 9");
+    let prog = hold(Asm::new("hash_held"), fd, 9)
+        .store_imm(SZ_DW, R6, 8, 0x55)
+        .load(SZ_DW, R0, R6, 8)
+        .load(SZ_W, R1, R6, 0)
+        .add64_reg(R0, R1)
+        .store_reg(SZ_DW, R6, R0, 0);
+    let prog = finish(prog);
+    verify(&prog, &maps);
+    assert_resolved_accesses(&prog, 4);
+    let (res, after, _) = run_both("hash_held", &prog, &[], &maps, ExecEnv::default(), None);
+    let want = 0x55 + 0x0101_0101;
+    assert_eq!(res.expect("runs").ret, want);
+    let value = after.lookup(fd, &9u64.to_le_bytes()).unwrap().unwrap();
+    assert_eq!(value[..8], want.to_le_bytes());
+    assert_eq!(value[8..], 0x55u64.to_le_bytes());
+}
+
+/// Looks key 1 up, inserts other keys until the table grows (and so
+/// moves), then writes and reads through key 1's old pointer. The
+/// inserts clear the pointer the lookup cached, so the JIT resolves the
+/// key again in the moved table, as the interpreter does on every
+/// access; both see the value key 1 holds after the move.
+#[test]
+fn held_hash_pointer_follows_its_key_when_the_table_grows() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("h", MapDef::hash(8, 8, 4096));
+    maps.update(fd, &1u64.to_le_bytes(), &100u64.to_le_bytes())
+        .expect("seed key 1");
+    let desc_mask = |maps: &MapRegistry| {
+        let (ptr, _) = maps.runtime_descs();
+        // SAFETY: the registry has one map, so its table has one entry.
+        #[allow(unsafe_code)]
+        let desc: MapRuntimeDesc = unsafe { *ptr };
+        desc.aux
+    };
+    let before = desc_mask(&maps);
+    let mut asm = hold(Asm::new("grow_held"), fd, 1);
+    for key in 2..=12 {
+        asm = update(asm, fd, key, key);
+    }
+    let prog = asm
+        .load(SZ_DW, R0, R6, 0)
+        .add64_imm(R0, 5)
+        .store_reg(SZ_DW, R6, R0, 0)
+        .load(SZ_DW, R0, R6, 0)
+        .add64_reg(R0, R7);
+    let prog = finish(prog);
+    verify(&prog, &maps);
+    assert_resolved_accesses(&prog, 3);
+    let (res, after, _) = run_both("grow_held", &prog, &[], &maps, ExecEnv::default(), None);
+    assert_eq!(
+        res.expect("runs").ret,
+        105,
+        "key 1's value, update returned 0"
+    );
+    assert!(
+        desc_mask(&after) > before,
+        "the inserts grew the table: mask {before} -> {}",
+        desc_mask(&after)
+    );
+    assert_eq!(
+        after.lookup(fd, &1u64.to_le_bytes()).unwrap().unwrap(),
+        105u64.to_le_bytes()
+    );
+}
+
+/// Looks key 3 up, deletes it, then reads (or writes) through the held
+/// pointer: the delete clears the cached address, and both tiers fault
+/// with the interpreter's unresolved-slot shape — a read reports size
+/// 0, a write its access size — after the same map effects.
+#[test]
+fn deleted_key_pointer_faults_on_both_tiers() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("h", MapDef::hash(8, 8, 64));
+    maps.update(fd, &3u64.to_le_bytes(), &33u64.to_le_bytes())
+        .expect("seed key 3");
+    let deleted = |name: &str| {
+        key_args(hold(Asm::new(name), fd, 3), fd, 3)
+            .call(Helper::MapDeleteElem)
+            .mov64_reg(R7, R0)
+    };
+    let read = finish(deleted("read_deleted").load(SZ_DW, R0, R6, 0));
+    let write = finish(
+        deleted("write_deleted")
+            .store_imm(SZ_W, R6, 4, 1)
+            .mov64_imm(R0, 1),
+    );
+    for (prog, size) in [(&read, 0), (&write, 4)] {
+        verify(prog, &maps);
+        assert_resolved_accesses(prog, 1);
+        let (res, after, _) = run_both(prog.name(), prog, &[], &maps, ExecEnv::default(), None);
+        match res {
+            Err(ExecError::BadMemAccess { size: got, .. }) => assert_eq!(got, size),
+            other => panic!("{}: expected BadMemAccess, got {other:?}", prog.name()),
+        }
+        assert_eq!(after.len(fd), Ok(0), "the delete happened before the fault");
+    }
+}
+
+/// Looks key 5 up, overwrites its value with `map_update_elem`, then
+/// reads through the held pointer: both tiers see the new value.
+#[test]
+fn update_in_place_is_seen_through_a_held_pointer() {
+    let mut maps = MapRegistry::new();
+    let fd = maps.create("h", MapDef::hash(8, 8, 64));
+    maps.update(fd, &5u64.to_le_bytes(), &50u64.to_le_bytes())
+        .expect("seed key 5");
+    let prog = update(hold(Asm::new("update_held"), fd, 5), fd, 5, 77)
+        .load(SZ_DW, R0, R6, 0)
+        .add64_reg(R0, R7);
+    let prog = finish(prog);
+    verify(&prog, &maps);
+    assert_resolved_accesses(&prog, 1);
+    let (res, after, _) = run_both("update_held", &prog, &[], &maps, ExecEnv::default(), None);
+    assert_eq!(res.expect("runs").ret, 77);
+    assert_eq!(
+        after.lookup(fd, &5u64.to_le_bytes()).unwrap().unwrap(),
+        77u64.to_le_bytes()
+    );
+}

@@ -10,7 +10,9 @@
 //!   reachable-legal (`r0` seeded, trailing `exit`).
 //! * [`valid_program`] / [`straightline_program`] — programs authored
 //!   through [`kscope_ebpf::asm::Asm`] that the verifier accepts with
-//!   high probability, used for interpreter/text-format differentials.
+//!   high probability, used for interpreter/text-format differentials;
+//!   [`bounded_offset_program`] and [`map_churn_program`] add register
+//!   offsets and map-value pointers held across map updates and deletes.
 //!
 //! [`reference_eval`] is an independent straight-line evaluator written
 //! directly from the eBPF instruction-set semantics (wrapping arithmetic,
@@ -342,6 +344,74 @@ pub fn bounded_offset_program(rng: &mut SimRng, map_fd: Option<MapFd>) -> Progra
     match asm.assemble() {
         Ok(prog) => prog,
         Err(e) => unreachable!("bounded-offset generator emitted an unassemblable program: {e}"),
+    }
+}
+
+/// A random program that holds map-value pointers across the helpers
+/// that change a map: it looks keys up (into `r6`/`r7`), inserts and
+/// deletes keys of the hash map between a lookup and later reads and
+/// writes through the held pointers, and sums what it reads and what the
+/// helpers return into `r8`, which it returns.
+///
+/// `hash` must have 8-byte keys and 8-byte values, `array` values of at
+/// least 8 bytes. Inserting up to twelve keys grows a small hash table,
+/// so a held hash pointer may outlive its table's move; deleting a held
+/// key makes a later access through it fault. The verifier accepts
+/// every such program (a held pointer keeps its type across calls), so
+/// the faults are runtime facts each tier must reproduce exactly.
+pub fn map_churn_program(rng: &mut SimRng, hash: MapFd, array: MapFd) -> Program {
+    let key_at_fp8 = |asm: Asm, fd: MapFd, key: i32| {
+        asm.store_imm(SZ_DW, 10, -8, key)
+            .ld_map_fd(1, fd)
+            .mov64_reg(2, 10)
+            .add64_imm(2, -8)
+    };
+    let insert = |asm: Asm, key: i32, value: i32| {
+        key_at_fp8(asm.store_imm(SZ_DW, 10, -16, value), hash, key)
+            .mov64_reg(3, 10)
+            .add64_imm(3, -16)
+            .mov64_imm(4, 0)
+            .call(Helper::MapUpdateElem)
+            .add64_reg(8, 0)
+    };
+    // A lookup into `reg`; a miss ends the program.
+    let hold = |asm: Asm, reg: u8, fd: MapFd, key: i32| {
+        key_at_fp8(asm, fd, key)
+            .call(Helper::MapLookupElem)
+            .jeq_imm(0, 0, "end")
+            .mov64_reg(reg, 0)
+    };
+    // r6 holds a hash value, r7 the array value, then the body churns.
+    let key = gen::i32_in(rng, 1, 4);
+    let mut asm = insert(Asm::new("map_churn").mov64_imm(8, 0), key, 1);
+    asm = hold(hold(asm, 6, hash, key), 7, array, 0);
+    for _ in 0..gen::usize_in(rng, 1, 8) {
+        let reg = gen::pick(rng, &[6u8, 7]);
+        asm = match gen::u64_in(rng, 0, 5) {
+            0 | 1 => {
+                // Mostly the keys lookups and deletes draw; otherwise a
+                // fresh key, which may grow the table.
+                let key = match gen::bool_any(rng) {
+                    true => gen::i32_in(rng, 1, 4),
+                    false => gen::i32_in(rng, 5, 12),
+                };
+                insert(asm, key, gen::i32_in(rng, -100, 100))
+            }
+            2 => key_at_fp8(asm, hash, gen::i32_in(rng, 1, 4))
+                .call(Helper::MapDeleteElem)
+                .add64_reg(8, 0),
+            3 => asm.load(SZ_DW, 9, reg, 0).add64_reg(8, 9),
+            4 => match gen::bool_any(rng) {
+                true => asm.store_reg(SZ_DW, reg, 8, 0),
+                false => asm.store_imm(SZ_W, reg, 4, gen::i32_in(rng, -100, 100)),
+            },
+            _ => hold(asm, 6, hash, gen::i32_in(rng, 1, 4)),
+        };
+    }
+    let asm = asm.label("end").mov64_reg(0, 8).exit();
+    match asm.assemble() {
+        Ok(prog) => prog,
+        Err(e) => unreachable!("map-churn generator emitted an unassemblable program: {e}"),
     }
 }
 

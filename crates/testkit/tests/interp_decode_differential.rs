@@ -53,11 +53,11 @@ use kscope_ebpf::interp::{ExecEnv, Vm};
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::text::parse_program;
 use kscope_ebpf::verifier::Verifier;
-use kscope_ebpf::{cost_report, helper_inline_plan, HelperInline, Program};
+use kscope_ebpf::{cost_report, helper_inline_plan, ExecError, HelperInline, Program};
 use kscope_simcore::SimRng;
 use kscope_syscalls::{pid_tgid, Pid, SyscallNo, SyscallProfile, SyscallRole};
 use kscope_testkit::ebpf_gen::{
-    bounded_offset_program, fuzz_program, straightline_program, valid_program,
+    bounded_offset_program, fuzz_program, map_churn_program, straightline_program, valid_program,
 };
 use kscope_testkit::{check, gen, Config};
 
@@ -217,6 +217,39 @@ fn generated_programs_execute_identically() {
             "no generated program ran an inline map lookup"
         );
     }
+}
+
+/// 600 generated programs that hold map-value pointers across hash
+/// inserts and deletes execute identically on all dispatchers: accesses
+/// through a pointer whose table grew since its lookup, through one whose
+/// value was overwritten, and through one whose key was deleted, which
+/// faults. The run must reach both clean exits and such faults.
+#[test]
+fn generated_map_churn_executes_identically() {
+    let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0xC4A5E);
+    let (mut clean, mut faulted) = (0usize, 0usize);
+    for i in 0..600 {
+        let mut base = MapRegistry::new();
+        let hash = base.create("h", MapDef::hash(8, 8, 64));
+        let vals = base.create("vals", MapDef::array(128, 1));
+        let prog = map_churn_program(&mut rng, hash, vals);
+        Verifier::default()
+            .verify(&prog, &base)
+            .unwrap_or_else(|e| panic!("churn[{i}] must verify: {e}\n{}", prog.disassemble()));
+        let ctx = random_ctx(&mut rng);
+        let env = random_env(&mut rng);
+        assert_dispatch_identical(&format!("churn[{i}]"), &prog, &ctx, &base, env, None);
+        let mut maps = base.clone();
+        match Vm::new().execute(&prog, &ctx, &mut maps, &mut env.clone()) {
+            Ok(_) => clean += 1,
+            Err(ExecError::BadMemAccess { .. }) => faulted += 1,
+            Err(e) => panic!("churn[{i}]: unexpected fault {e}\n{}", prog.disassemble()),
+        }
+    }
+    assert!(
+        clean > 0 && faulted > 0,
+        "{clean} clean runs, {faulted} faults through deleted keys"
+    );
 }
 
 /// Seed-addressed fuzzing with shrinking: any diverging wild instruction
