@@ -6,9 +6,11 @@
 //! and report R² plus residual spread. The paper finds R² > 0.94 for every
 //! workload except Web Search (0.86).
 
-use kscope_analysis::{fmt_sig, normalize_by_max, AsciiChart, LinearFit, TextTable};
 use kscope_workloads::{all_paper_workloads, WorkloadSpec};
 
+use crate::chart::{normalize_by_max, AsciiChart};
+use crate::regress::LinearFit;
+use crate::report::{fmt_sig, TextTable};
 use crate::sweep::{sweep, SweepConfig};
 use crate::Scale;
 

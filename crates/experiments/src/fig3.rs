@@ -5,9 +5,10 @@
 //! variance falls with load below the knee, then turns upward as the QoS
 //! threshold is breached — contention makes the completion stream bursty.
 
-use kscope_analysis::{normalize_by_max, AsciiChart, TextTable};
 use kscope_workloads::{all_paper_workloads, WorkloadSpec};
 
+use crate::chart::{normalize_by_max, AsciiChart};
+use crate::report::TextTable;
 use crate::sweep::{sweep, SweepConfig, SweepResult};
 use crate::Scale;
 

@@ -5,9 +5,10 @@
 //! the duration shrinks as load rises (idleness is consumed) and
 //! stabilizes at a floor once the server saturates.
 
-use kscope_analysis::{normalize_by_max, AsciiChart, TextTable};
 use kscope_workloads::{all_paper_workloads, WorkloadSpec};
 
+use crate::chart::{normalize_by_max, AsciiChart};
+use crate::report::TextTable;
 use crate::sweep::{sweep, SweepConfig, SweepResult};
 use crate::Scale;
 

@@ -5,11 +5,12 @@
 //! the normalized `epoll_wait` duration — which barely moves, because the
 //! server-side syscall stream does not see the retransmissions.
 
-use kscope_analysis::{normalize_by_max, AsciiChart, TextTable};
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
 use kscope_workloads::triton_grpc;
 
+use crate::chart::{normalize_by_max, AsciiChart};
+use crate::report::TextTable;
 use crate::sweep::{sweep, SweepConfig, SweepResult};
 use crate::Scale;
 

@@ -10,9 +10,10 @@
 //! and stale report surfaced in the accounting rather than silently
 //! absorbed.
 
-use kscope_analysis::{AsciiChart, TextTable};
 use kscope_fleet::{run_fleet, FleetConfig, FleetRollup};
 
+use crate::chart::AsciiChart;
+use crate::report::TextTable;
 use crate::Scale;
 
 /// Documented bound on the fleet observed-RPS relative error at ≤20%

@@ -7,11 +7,11 @@
 //! the Intel profile's core count keep their R² and their signal shapes;
 //! only the knee position moves with capacity.
 
-use kscope_analysis::TextTable;
 use kscope_kernel::HostSpec;
 use kscope_workloads::{data_caching, img_dnn, WorkloadSpec};
 
 use crate::fig2::analyze_workload;
+use crate::report::TextTable;
 use crate::sweep::SweepConfig;
 use crate::Scale;
 

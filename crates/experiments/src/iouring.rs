@@ -8,12 +8,12 @@
 //! through syscalls, and the Eq. 1 estimate degrades in direct proportion
 //! — while client throughput is unchanged.
 
-use kscope_analysis::TextTable;
 use kscope_core::{ProbeSet, RpsEstimator, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
 use kscope_workloads::{data_caching, RunConfig};
 
 use crate::observe::observe_run;
+use crate::report::TextTable;
 use crate::Scale;
 
 /// One bypass level's measurement.

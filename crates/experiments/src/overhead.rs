@@ -5,13 +5,14 @@
 //! compares p99 tail latency. The paper reports median and upper-quartile
 //! overhead below 1% (typically below 0.5%).
 
-use kscope_analysis::{percentile, TextTable};
 use kscope_core::{ProbeSet, WindowedObserver, DEFAULT_SHIFT};
 use kscope_kernel::TracepointProbe;
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
 use kscope_workloads::{all_paper_workloads, run_workload_with, RunConfig, WorkloadSpec};
 
+use crate::percentile::percentile;
+use crate::report::TextTable;
 use crate::Scale;
 
 /// Probe configurations compared.

@@ -4,8 +4,9 @@
 //! host *profiles* whose core counts bound server capacity. This experiment
 //! prints the same table shape, documenting the substitution.
 
-use kscope_analysis::TextTable;
 use kscope_kernel::HostSpec;
+
+use crate::report::TextTable;
 
 /// Renders the Table I equivalent for the simulated hosts.
 pub fn render() -> String {

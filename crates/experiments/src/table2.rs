@@ -6,12 +6,12 @@
 //! network barely moves R², because Eq. 1 counts server-side syscalls, not
 //! client-perceived latency.
 
-use kscope_analysis::TextTable;
 use kscope_netem::NetemConfig;
 use kscope_simcore::Nanos;
 use kscope_workloads::all_paper_workloads;
 
 use crate::fig2::{analyze_workload, paper_r_squared};
+use crate::report::TextTable;
 use crate::sweep::SweepConfig;
 use crate::Scale;
 

@@ -8,12 +8,12 @@
 //! `1/√n` with the window's sample count, crossing the few-percent mark
 //! around the paper's 2048-sample recommendation.
 
-use kscope_analysis::TextTable;
 use kscope_core::{ProbeSet, DEFAULT_SHIFT};
 use kscope_simcore::Nanos;
 use kscope_workloads::{data_caching, RunConfig};
 
 use crate::observe::observe_run;
+use crate::report::TextTable;
 use crate::Scale;
 
 /// Error statistics for one window size.

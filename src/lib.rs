@@ -17,8 +17,8 @@
 //! * [`workloads`] — the paper's nine latency-sensitive applications;
 //! * [`core`] — **the contribution**: the eBPF bytecode probe, window
 //!   metrics, and the three estimators (RPS / saturation / slack);
-//! * [`analysis`] — regression, percentiles, charts for the harness;
-//! * [`experiments`] — one module per paper table/figure.
+//! * [`experiments`] — one module per paper table/figure, with the
+//!   regression, percentiles, charts and tables it renders them with.
 //!
 //! # Examples
 //!
@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use kscope_analysis as analysis;
 pub use kscope_core as core;
 pub use kscope_ebpf as ebpf;
 pub use kscope_experiments as experiments;
