@@ -26,8 +26,8 @@
 
 use std::time::Instant;
 
-use kscope_experiments::default_jobs;
 use kscope_fleet::{report_to_json, run_fleet_jobs, FleetConfig};
+use kscope_simcore::parallel::default_jobs;
 
 fn flag_value<T: std::str::FromStr>(name: &str) -> Option<T> {
     let mut args = std::env::args().peekable();

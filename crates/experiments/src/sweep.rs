@@ -7,7 +7,7 @@
 
 use kscope_core::{ProbeSet, WindowMetrics, DEFAULT_SHIFT};
 use kscope_netem::NetemConfig;
-use kscope_simcore::Nanos;
+use kscope_simcore::{parallel, Nanos};
 use kscope_workloads::{ClientStats, RunConfig, ThreadingModel, WorkloadSpec};
 
 use crate::observe::observe_run;
@@ -217,7 +217,7 @@ pub fn run_level(
 /// value — `jobs = 1` is the serial reference, and the
 /// `sweep_parallel_determinism` test holds higher values to it.
 pub fn sweep_jobs(spec: &WorkloadSpec, config: &SweepConfig, jobs: usize) -> SweepResult {
-    let levels = crate::parallel::map_indexed(&config.fractions, jobs, |i, frac| {
+    let levels = parallel::map_indexed(&config.fractions, jobs, |i, frac| {
         run_level(
             spec,
             spec.paper_failure_rps * frac,
@@ -234,7 +234,7 @@ pub fn sweep_jobs(spec: &WorkloadSpec, config: &SweepConfig, jobs: usize) -> Swe
 /// Runs a full sweep of `spec` with the default worker count
 /// (`--jobs` / `KSCOPE_JOBS` / available parallelism).
 pub fn sweep(spec: &WorkloadSpec, config: &SweepConfig) -> SweepResult {
-    sweep_jobs(spec, config, crate::parallel::default_jobs())
+    sweep_jobs(spec, config, parallel::default_jobs())
 }
 
 #[cfg(test)]

@@ -19,10 +19,8 @@
 //! rollups; [`default_jobs`] wires the pool width to `--jobs N` /
 //! `KSCOPE_JOBS` with `available_parallelism` as the default.
 //!
-//! This module lives in `kscope-simcore` (rather than the experiments
-//! crate where it started) so that library crates such as `kscope-fleet`
-//! can share the pool without depending on the binaries crate;
-//! `kscope_experiments::parallel` re-exports it for compatibility.
+//! This module lives in `kscope-simcore` so that the experiments, the
+//! fleet collector and the end-to-end benchmark share one pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
