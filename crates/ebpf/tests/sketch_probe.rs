@@ -132,9 +132,7 @@ fn sketch_probe_has_a_finite_certified_cost() {
     let prog = sketch_probe(fd);
     let cost = kscope_ebpf::cost_report(&prog).expect("finite bound");
     assert!(cost.max_insns >= prog.len() as u64 - 1);
-    // The helper is priced between a map update (12) and ringbuf (15).
-    assert!(cost.max_weighted_cost > cost.max_insns);
-    // And the inline plan sends it through the trampoline.
+    // The inline plan sends the helper through the trampoline.
     let plan = kscope_ebpf::helper_inline_plan(&prog);
     let treatments: Vec<_> = plan.sites().iter().map(|(_, _, t)| *t).collect();
     assert_eq!(treatments, vec![kscope_ebpf::HelperInline::Trampoline]);
