@@ -706,7 +706,7 @@ pub(crate) fn call_helper(
             let read = mem.read_bytes(pc, regs[3], &mut value);
             let ret = match read {
                 Ok(()) => {
-                    let updated = mem.maps.update_in_place(fd, key, &value);
+                    let updated = mem.maps.update(fd, key, &value);
                     forget_values(mem.slots, fd, def.kind);
                     match updated {
                         Ok(()) => 0,

@@ -21,7 +21,7 @@
 //! * the table is sized by content, not by `max_entries`: it doubles only
 //!   while the number of slots in use climbs, and compacts tombstones in
 //!   place;
-//! * [`MapRegistry::update_in_place`] overwrites existing values through a
+//! * [`MapRegistry::update`] overwrites existing values through a
 //!   borrowed slice instead of inserting fresh ones;
 //! * ring-buffer records are written into cells recycled from
 //!   [`MapRegistry::ring_consume`]'s free pool, so the streaming
@@ -477,19 +477,6 @@ impl MapRegistry {
         }
     }
 
-    /// Inserts or overwrites a key/value pair.
-    ///
-    /// Equivalent to [`MapRegistry::update_in_place`]; kept as the
-    /// long-standing name used by userspace-side code and tests.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad fds, size mismatches, a full hash map, an
-    /// out-of-bounds array index, or ring-buffer maps.
-    pub fn update(&mut self, fd: MapFd, key: &[u8], value: &[u8]) -> Result<(), MapError> {
-        self.update_in_place(fd, key, value)
-    }
-
     /// Inserts or overwrites a key/value pair without allocating on the
     /// overwrite path.
     ///
@@ -503,7 +490,7 @@ impl MapRegistry {
     ///
     /// Fails on bad fds, size mismatches, a full hash map, an
     /// out-of-bounds array index, or ring-buffer maps.
-    pub fn update_in_place(&mut self, fd: MapFd, key: &[u8], value: &[u8]) -> Result<(), MapError> {
+    pub fn update(&mut self, fd: MapFd, key: &[u8], value: &[u8]) -> Result<(), MapError> {
         let entry = self
             .maps
             .get_mut(fd.0 as usize)
@@ -648,23 +635,6 @@ impl MapRegistry {
                 }
                 Ok(consumed)
             }
-            _ => Err(MapError::WrongKind(entry.def.kind)),
-        }
-    }
-
-    /// Drains all pending ring-buffer records as owned buffers.
-    ///
-    /// The drained cells leave the map (and its free pool) for good, so
-    /// every later push re-allocates; prefer [`MapRegistry::ring_consume`]
-    /// on any recurring path.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad fds or non-ringbuf maps.
-    pub fn ring_drain(&mut self, fd: MapFd) -> Result<Vec<Vec<u8>>, MapError> {
-        let entry = self.entry_mut(fd)?;
-        match &mut entry.storage {
-            MapStorage::RingBuf { records, .. } => Ok(records.drain(..).collect()),
             _ => Err(MapError::WrongKind(entry.def.kind)),
         }
     }
@@ -838,13 +808,11 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_overwrites_existing_values() {
+    fn update_overwrites_existing_values() {
         let mut maps = MapRegistry::new();
         let fd = maps.create("h", MapDef::hash(4, 8, 4));
-        maps.update_in_place(fd, &[9, 0, 0, 0], &1u64.to_le_bytes())
-            .unwrap();
-        maps.update_in_place(fd, &[9, 0, 0, 0], &2u64.to_le_bytes())
-            .unwrap();
+        maps.update(fd, &[9, 0, 0, 0], &1u64.to_le_bytes()).unwrap();
+        maps.update(fd, &[9, 0, 0, 0], &2u64.to_le_bytes()).unwrap();
         assert_eq!(
             maps.lookup(fd, &[9, 0, 0, 0]).unwrap().unwrap(),
             2u64.to_le_bytes()
@@ -1059,7 +1027,8 @@ mod tests {
         assert!(maps.ring_push(fd, b"two").unwrap());
         assert!(!maps.ring_push(fd, b"three").unwrap());
         assert_eq!(maps.ring_dropped(fd).unwrap(), 1);
-        let drained = maps.ring_drain(fd).unwrap();
+        let mut drained = Vec::new();
+        maps.ring_consume(fd, |r| drained.push(r.to_vec())).unwrap();
         assert_eq!(drained, vec![b"one".to_vec(), b"two".to_vec()]);
         assert!(maps.ring_push(fd, b"four").unwrap());
     }

@@ -703,7 +703,8 @@ fn ringbuf_output_from_bytecode() {
         ..ExecEnv::default()
     };
     assert_eq!(run_env(&prog, &[], &mut maps, &mut env), 0);
-    let records = maps.ring_drain(rb).unwrap();
+    let mut records = Vec::new();
+    maps.ring_consume(rb, |r| records.push(r.to_vec())).unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(
         u64::from_le_bytes(records[0][..8].try_into().unwrap()),
