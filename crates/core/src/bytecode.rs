@@ -344,6 +344,13 @@ impl BytecodeBackend {
         self.runtime.insns_executed()
     }
 
+    /// Calls of `helper` that the JIT-compiled programs made through
+    /// the checked trampoline instead of inline code (see
+    /// [`ProgramProbe::trampoline_entries`]).
+    pub fn trampoline_entries(&self, helper: Helper) -> u64 {
+        self.runtime.trampoline_entries(helper)
+    }
+
     /// Program runs that faulted (see [`ProgramProbe::faults`]); the
     /// verifier's soundness claim is that this stays 0.
     pub fn faults(&self) -> u64 {

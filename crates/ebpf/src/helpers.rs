@@ -33,6 +33,35 @@ pub enum Helper {
 }
 
 impl Helper {
+    /// Every helper, in id order; [`Helper::index`] is a position here.
+    pub const ALL: [Helper; 9] = [
+        Helper::MapLookupElem,
+        Helper::MapUpdateElem,
+        Helper::MapDeleteElem,
+        Helper::KtimeGetNs,
+        Helper::TracePrintk,
+        Helper::GetPrandomU32,
+        Helper::GetCurrentPidTgid,
+        Helper::RingbufOutput,
+        Helper::SketchUpdate,
+    ];
+
+    /// This helper's position in [`Helper::ALL`]: a dense index for
+    /// per-helper tables.
+    pub fn index(self) -> usize {
+        match self {
+            Helper::MapLookupElem => 0,
+            Helper::MapUpdateElem => 1,
+            Helper::MapDeleteElem => 2,
+            Helper::KtimeGetNs => 3,
+            Helper::TracePrintk => 4,
+            Helper::GetPrandomU32 => 5,
+            Helper::GetCurrentPidTgid => 6,
+            Helper::RingbufOutput => 7,
+            Helper::SketchUpdate => 8,
+        }
+    }
+
     /// Decodes a call immediate into a helper, if known.
     pub fn from_id(id: i32) -> Option<Helper> {
         Some(match id {
@@ -165,35 +194,22 @@ mod tests {
 
     #[test]
     fn from_id_round_trips() {
-        for helper in [
-            Helper::MapLookupElem,
-            Helper::MapUpdateElem,
-            Helper::MapDeleteElem,
-            Helper::KtimeGetNs,
-            Helper::TracePrintk,
-            Helper::GetPrandomU32,
-            Helper::GetCurrentPidTgid,
-            Helper::RingbufOutput,
-            Helper::SketchUpdate,
-        ] {
+        for helper in Helper::ALL {
             assert_eq!(Helper::from_id(helper.id()), Some(helper));
         }
         assert_eq!(Helper::from_id(9999), None);
     }
 
     #[test]
+    fn index_is_the_position_in_all() {
+        for (i, helper) in Helper::ALL.into_iter().enumerate() {
+            assert_eq!(helper.index(), i, "{helper:?}");
+        }
+    }
+
+    #[test]
     fn signatures_match_arg_counts() {
-        for helper in [
-            Helper::MapLookupElem,
-            Helper::MapUpdateElem,
-            Helper::MapDeleteElem,
-            Helper::KtimeGetNs,
-            Helper::TracePrintk,
-            Helper::GetPrandomU32,
-            Helper::GetCurrentPidTgid,
-            Helper::RingbufOutput,
-            Helper::SketchUpdate,
-        ] {
+        for helper in Helper::ALL {
             assert_eq!(helper.signature().len(), helper.arg_count(), "{helper:?}");
         }
     }

@@ -207,6 +207,10 @@ pub struct Vm {
     /// buffer bytes it hands to helpers), so it runs on the stack as the
     /// last run left it.
     stack: [u8; STACK_SIZE],
+    /// Helper calls JIT code made through its trampoline, per
+    /// [`Helper::index`], over every run of this VM (see
+    /// [`Vm::trampoline_entries`]).
+    tramp_entries: [u64; Helper::ALL.len()],
 }
 
 // Manual impl: the stack's bytes are leftovers of earlier runs.
@@ -394,6 +398,7 @@ impl Vm {
             slots: Vec::new(),
             scratch: Vec::new(),
             stack: [0; STACK_SIZE],
+            tramp_entries: [0; Helper::ALL.len()],
         }
     }
 
@@ -423,6 +428,15 @@ impl Vm {
     /// True when this VM attempts JIT execution.
     pub fn uses_jit(&self) -> bool {
         self.dispatch == Dispatch::Jit
+    }
+
+    /// How many times JIT code run by this VM called `helper` through
+    /// the checked trampoline rather than inline code: every call at a
+    /// site the inline plan leaves on the trampoline, plus every inline
+    /// fast path that fell back to it. The interpreter makes no
+    /// trampoline calls, so an interpreting VM reads 0.
+    pub fn trampoline_entries(&self, helper: Helper) -> u64 {
+        self.tramp_entries.get(helper.index()).copied().unwrap_or(0)
     }
 
     /// Runs, ahead of time, the one-time JIT compile that [`Vm::execute`]
@@ -467,6 +481,7 @@ impl Vm {
             slots,
             scratch,
             stack,
+            tramp_entries,
         } = self;
         if program.access_proofs().is_none() {
             stack.fill(0);
@@ -485,7 +500,7 @@ impl Vm {
             // unsupported program or platform, runs on the interpreter.
             Dispatch::Jit => match program.jit() {
                 Some(j) if ctx.len() >= j.min_ctx_len() => {
-                    crate::jit::run(j, *insn_budget, &mut mem, scratch, env)
+                    crate::jit::run(j, *insn_budget, &mut mem, scratch, env, tramp_entries)
                 }
                 _ => run_raw(*insn_budget, program, &mut mem, scratch, env),
             },

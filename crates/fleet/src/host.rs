@@ -424,6 +424,13 @@ impl SimHost {
         }
     }
 
+    /// This host's probe instance, for its execution counts
+    /// ([`BytecodeBackend::insns_executed`],
+    /// [`BytecodeBackend::trampoline_entries`]).
+    pub fn backend(&mut self) -> &BytecodeBackend {
+        self.observer_mut().backend()
+    }
+
     /// Report tick: folds any newly completed windows into the cumulative
     /// state and, when there are any, produces the next envelope. The
     /// final tick (`finish_at`) force-closes the observer at the horizon
