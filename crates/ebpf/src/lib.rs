@@ -83,7 +83,7 @@ pub mod tnum;
 pub mod verifier;
 
 pub use analysis::{
-    cost_report, helper_inline_plan, CostReport, HelperInline, InlinePlan, LookupSite,
+    cost_report, helper_inline_plan, CostReport, HelperInline, InlinePlan, MapSite,
 };
 pub use asm::Asm;
 pub use decode::Decoded;

@@ -12,7 +12,9 @@
 //!   through [`kscope_ebpf::asm::Asm`] that the verifier accepts with
 //!   high probability, used for interpreter/text-format differentials;
 //!   [`bounded_offset_program`] and [`map_churn_program`] add register
-//!   offsets and map-value pointers held across map updates and deletes.
+//!   offsets and map-value pointers held across map updates and deletes,
+//!   and [`hash_write_ops`] / [`hash_write_program`] drive colliding
+//!   hash writes through every case of the JIT's inline write paths.
 //!
 //! [`reference_eval`] is an independent straight-line evaluator written
 //! directly from the eBPF instruction-set semantics (wrapping arithmetic,
@@ -412,6 +414,122 @@ pub fn map_churn_program(rng: &mut SimRng, hash: MapFd, array: MapFd) -> Program
     match asm.assemble() {
         Ok(prog) => prog,
         Err(e) => unreachable!("map-churn generator emitted an unassemblable program: {e}"),
+    }
+}
+
+/// One step of a [`hash_write_program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HashOp {
+    /// `map_update_elem(key, value)`; the helper's return is summed.
+    Update {
+        /// The 8-byte key.
+        key: u64,
+        /// Seeds the value bytes (see [`hash_write_program`]).
+        value: i32,
+    },
+    /// `map_delete_elem(key)`; the helper's return is summed.
+    Delete {
+        /// The 8-byte key.
+        key: u64,
+    },
+    /// Looks a live key up and holds its value pointer in `r6`.
+    Hold {
+        /// The 8-byte key.
+        key: u64,
+    },
+    /// Reads the held value through `r6` and sums it.
+    ReadHeld,
+}
+
+/// A random sequence of colliding hash writes for a map of
+/// `max_entries` 8-byte keys: updates and deletes over a key pool three
+/// times `max_entries` wide, so a small table sees home-slot collisions,
+/// tombstoned homes, deletes behind a tombstone, relayouts and inserts
+/// refused at `max_entries`. Every write is followed by a read through
+/// the held pointer while its key is live (a set model of the map
+/// decides), else by a hold of a live key; half the sequences end by
+/// deleting the held key and reading through its pointer, which faults
+/// on every tier.
+pub fn hash_write_ops(rng: &mut SimRng, max_entries: u32) -> Vec<HashOp> {
+    let pool = 3 * u64::from(max_entries.max(1));
+    let mut live = std::collections::BTreeSet::new();
+    let first = gen::u64_in(rng, 1, pool);
+    live.insert(first);
+    let mut ops = vec![
+        HashOp::Update {
+            key: first,
+            value: 1,
+        },
+        HashOp::Hold { key: first },
+    ];
+    let mut held = first;
+    for _ in 0..gen::usize_in(rng, 8, 40) {
+        let key = gen::u64_in(rng, 1, pool);
+        if gen::u64_in(rng, 0, 2) == 0 {
+            ops.push(HashOp::Delete { key });
+            live.remove(&key);
+        } else {
+            let value = gen::i32_in(rng, -1_000, 1_000);
+            ops.push(HashOp::Update { key, value });
+            if live.len() < max_entries as usize {
+                live.insert(key);
+            }
+        }
+        if live.contains(&held) {
+            ops.push(HashOp::ReadHeld);
+        } else if !live.is_empty() {
+            let pick = gen::usize_in(rng, 0, live.len() - 1);
+            if let Some(&key) = live.iter().nth(pick) {
+                ops.push(HashOp::Hold { key });
+                held = key;
+            }
+        }
+    }
+    if gen::bool_any(rng) {
+        ops.extend([HashOp::Delete { key: held }, HashOp::ReadHeld]);
+    }
+    ops
+}
+
+/// Assembles [`hash_write_ops`] over the hash map `hash` (8-byte keys,
+/// `value_size` of at most 16 bytes), summing what each step returns
+/// into `r8`, which the program returns. The key is staged at `r10 - 8`
+/// and the value at `r10 - 32`: the step's `value` in its first word and
+/// `value ^ key` in its second, so a value reads back distinct per key.
+pub fn hash_write_program(ops: &[HashOp], hash: MapFd) -> Program {
+    let key_args = |asm: Asm, key: u64| {
+        asm.store_imm(SZ_DW, 10, -8, key as i32)
+            .ld_map_fd(1, hash)
+            .mov64_reg(2, 10)
+            .add64_imm(2, -8)
+    };
+    let mut asm = Asm::new("hash_writes").mov64_imm(8, 0);
+    for op in ops {
+        asm = match *op {
+            HashOp::Update { key, value } => key_args(
+                asm.store_imm(SZ_DW, 10, -32, value)
+                    .store_imm(SZ_DW, 10, -24, value ^ key as i32),
+                key,
+            )
+            .mov64_reg(3, 10)
+            .add64_imm(3, -32)
+            .mov64_imm(4, 0)
+            .call(Helper::MapUpdateElem)
+            .add64_reg(8, 0),
+            HashOp::Delete { key } => key_args(asm, key)
+                .call(Helper::MapDeleteElem)
+                .add64_reg(8, 0),
+            HashOp::Hold { key } => key_args(asm, key)
+                .call(Helper::MapLookupElem)
+                .jeq_imm(0, 0, "end")
+                .mov64_reg(6, 0),
+            HashOp::ReadHeld => asm.load(SZ_DW, 9, 6, 0).add64_reg(8, 9),
+        };
+    }
+    let asm = asm.label("end").mov64_reg(0, 8).exit();
+    match asm.assemble() {
+        Ok(prog) => prog,
+        Err(e) => unreachable!("hash-write generator emitted an unassemblable program: {e}"),
     }
 }
 

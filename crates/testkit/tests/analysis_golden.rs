@@ -128,7 +128,12 @@ fn render_plan(label: &str, prog: &Program) -> String {
     let plan = helper_inline_plan(prog);
     for &(pc, helper, treatment) in plan.sites() {
         out.push_str(&format!("  pc {pc:3}: {helper:?} -> {treatment:?}"));
-        if let Some(site) = plan.lookup_site(pc) {
+        // Only lookups print their facts: an update or delete site shows
+        // its treatment alone.
+        if let Some(site) = plan
+            .map_site(pc)
+            .filter(|_| helper == Helper::MapLookupElem)
+        {
             out.push_str(&format!(
                 " (fd {}, key_off {}, array_ok {}, hash8_ok {})",
                 site.fd, site.key_off, site.array_ok, site.hash8_ok
@@ -151,7 +156,7 @@ enum Pair {
 /// already refused any program over `PROBE_COST_BUDGET` or without a
 /// finite cost bound.
 fn assert_audit_invariants(shipped: &[(&str, &Program, Pair)]) {
-    let (mut env, mut lookup_fast, mut sketch_sites) = (0, 0, 0);
+    let (mut env, mut lookup_fast, mut write_fast, mut sketch_sites) = (0, 0, 0, 0);
     for &(label, prog, _) in shipped {
         // On a platform the JIT supports, a program it declines would run
         // on the interpreter fallback instead of native code.
@@ -166,7 +171,18 @@ fn assert_audit_invariants(shipped: &[(&str, &Program, Pair)]) {
             match treatment {
                 HelperInline::Env => env += 1,
                 HelperInline::MapLookupFast => lookup_fast += 1,
+                HelperInline::MapUpdateFast | HelperInline::MapDeleteFast => write_fast += 1,
                 HelperInline::Trampoline => {}
+            }
+            if matches!(helper, Helper::MapUpdateElem | Helper::MapDeleteElem) {
+                // Every shipped hash write keys on a fixed stack slot, so
+                // it compiles to its fast path.
+                assert_ne!(
+                    treatment,
+                    HelperInline::Trampoline,
+                    "{label}: {helper:?} site in '{}' is trampolined",
+                    prog.name()
+                );
             }
             if helper == Helper::SketchUpdate {
                 // The sketch update mutates shared multi-word state, so
@@ -190,6 +206,10 @@ fn assert_audit_invariants(shipped: &[(&str, &Program, Pair)]) {
     assert!(
         lookup_fast > 0,
         "no shipped map lookup compiles to the inline fast path"
+    );
+    assert!(
+        write_fast > 0,
+        "no shipped map update or delete compiles to its fast path"
     );
     assert!(
         sketch_sites > 0,

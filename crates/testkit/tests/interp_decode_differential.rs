@@ -50,14 +50,16 @@ use kscope_ebpf::insn::{
     OP_MOV, OP_MUL, OP_NEG, OP_RSH, SZ_B, SZ_DW, SZ_H, SZ_W,
 };
 use kscope_ebpf::interp::{ExecEnv, Vm};
-use kscope_ebpf::maps::{MapDef, MapRegistry};
+use kscope_ebpf::mapindex::{index_hash, HashIndex, HomeProbe, HomeRemove, HomeWrite};
+use kscope_ebpf::maps::{MapDef, MapError, MapRegistry};
 use kscope_ebpf::text::parse_program;
 use kscope_ebpf::verifier::Verifier;
 use kscope_ebpf::{cost_report, helper_inline_plan, ExecError, HelperInline, Program};
 use kscope_simcore::SimRng;
 use kscope_syscalls::{pid_tgid, Pid, SyscallNo, SyscallProfile, SyscallRole};
 use kscope_testkit::ebpf_gen::{
-    bounded_offset_program, fuzz_program, map_churn_program, straightline_program, valid_program,
+    bounded_offset_program, fuzz_program, hash_write_ops, hash_write_program, map_churn_program,
+    straightline_program, valid_program, HashOp,
 };
 use kscope_testkit::{check, gen, Config};
 
@@ -249,6 +251,150 @@ fn generated_map_churn_executes_identically() {
     assert!(
         clean > 0 && faulted > 0,
         "{clean} clean runs, {faulted} faults through deleted keys"
+    );
+}
+
+/// What a standalone replay of [`HashOp`]s saw, classified by the
+/// table's own home-slot oracles before each write.
+#[derive(Debug, Default)]
+struct WriteCases {
+    /// Writes `home_write`/`home_remove` send to the trampoline, per
+    /// helper: what the JIT's trampoline counts must equal.
+    update_fallbacks: u64,
+    delete_fallbacks: u64,
+    /// Writes that fell back because another live key rests at home.
+    collisions: u64,
+    /// Writes that fell back because home holds a tombstone.
+    tombstoned_homes: u64,
+    /// Inserts that relaid the table out (growth or compaction).
+    relayouts: u64,
+    /// Inserts refused at `max_entries`.
+    full: u64,
+    /// Deletes of a key at home that fell back because the slot before
+    /// it is a tombstone.
+    tombstoned_predecessors: u64,
+}
+
+/// Replays the map side of `ops` on a standalone table, classifying
+/// every write before applying it.
+fn replay_writes(ops: &[HashOp], value_size: u32, max_entries: u32) -> WriteCases {
+    let mut table = HashIndex::new(value_size, max_entries);
+    let mut cases = WriteCases::default();
+    let value = vec![0u8; value_size as usize];
+    for op in ops {
+        let (key, update) = match *op {
+            HashOp::Update { key, .. } => (key.to_le_bytes(), true),
+            HashOp::Delete { key } => (key.to_le_bytes(), false),
+            HashOp::Hold { .. } | HashOp::ReadHeld => continue,
+        };
+        let at_home = table.home_probe(&key);
+        let fell_back = if update {
+            table.home_write(&key) == HomeWrite::Fallback
+        } else {
+            table.home_remove(&key) == HomeRemove::Fallback
+        };
+        if fell_back && at_home == HomeProbe::Fallback {
+            let home = |k: &[u8]| index_hash(k) & table.mask();
+            let taken = table.iter().any(|(other, _)| {
+                home(other) == home(&key) && table.home_probe(other) == HomeProbe::Hit
+            });
+            if taken {
+                cases.collisions += 1;
+            } else {
+                cases.tombstoned_homes += 1;
+            }
+        }
+        if update {
+            cases.update_fallbacks += u64::from(fell_back);
+            match table.insert(&key, &value) {
+                Err(MapError::Full) => cases.full += 1,
+                Ok(()) if fell_back && at_home == HomeProbe::Miss => cases.relayouts += 1,
+                _ => {}
+            }
+        } else {
+            cases.delete_fallbacks += u64::from(fell_back);
+            if fell_back && at_home == HomeProbe::Hit {
+                cases.tombstoned_predecessors += 1;
+            }
+            table.remove(&key);
+        }
+    }
+    cases
+}
+
+/// 600 generated programs update and delete colliding keys in small
+/// hash tables and read through held pointers after every write; they
+/// execute identically on all dispatchers. The table's own oracles
+/// (`HashIndex::home_write` / `home_remove`) name, write by write,
+/// which calls the JIT answers inline and which it sends to the
+/// trampoline: the JIT's trampoline counts must equal their fallbacks.
+/// Across the run the writes reach every case the inline paths leave to
+/// the trampoline: home collisions, tombstoned homes, relayouts, `Full`
+/// and deletes behind a tombstone.
+#[test]
+fn generated_hash_writes_execute_identically() {
+    let mut rng = SimRng::seed_from_u64(Config::default().seed ^ 0x4A5_417E);
+    let mut seen = WriteCases::default();
+    let (mut inline_writes, mut faulted) = (0u64, 0usize);
+    for i in 0..600 {
+        // A capped 8-slot table, a 16-slot one, and one that grows.
+        let (max_entries, value_size) = [(4, 8), (8, 12), (64, 16)][i % 3];
+        let mut base = MapRegistry::new();
+        let hash = base.create("h", MapDef::hash(8, value_size, max_entries));
+        let ops = hash_write_ops(&mut rng, max_entries);
+        let prog = hash_write_program(&ops, hash);
+        Verifier::default()
+            .verify(&prog, &base)
+            .unwrap_or_else(|e| panic!("writes[{i}] must verify: {e}\n{}", prog.disassemble()));
+        let plan = helper_inline_plan(&prog);
+        for &(_, helper, treatment) in plan.sites() {
+            let want = match helper {
+                Helper::MapUpdateElem => HelperInline::MapUpdateFast,
+                Helper::MapDeleteElem => HelperInline::MapDeleteFast,
+                _ => continue,
+            };
+            assert_eq!(treatment, want, "writes[{i}]: {helper:?} is not inline");
+        }
+        let env = random_env(&mut rng);
+        assert_dispatch_identical(&format!("writes[{i}]"), &prog, &[], &base, env, None);
+
+        let cases = replay_writes(&ops, value_size, max_entries);
+        let mut vm = Vm::new().with_jit();
+        let mut maps = base.clone();
+        if vm.execute(&prog, &[], &mut maps, &mut env.clone()).is_err() {
+            faulted += 1;
+        }
+        if cfg!(target_arch = "x86_64") {
+            assert_eq!(
+                (
+                    vm.trampoline_entries(Helper::MapUpdateElem),
+                    vm.trampoline_entries(Helper::MapDeleteElem)
+                ),
+                (cases.update_fallbacks, cases.delete_fallbacks),
+                "writes[{i}]: the JIT's fallbacks are not the oracle's\n{}",
+                prog.disassemble()
+            );
+        }
+        let writes = ops
+            .iter()
+            .filter(|op| matches!(op, HashOp::Update { .. } | HashOp::Delete { .. }))
+            .count() as u64;
+        inline_writes += writes - cases.update_fallbacks - cases.delete_fallbacks;
+        seen.collisions += cases.collisions;
+        seen.tombstoned_homes += cases.tombstoned_homes;
+        seen.relayouts += cases.relayouts;
+        seen.full += cases.full;
+        seen.tombstoned_predecessors += cases.tombstoned_predecessors;
+    }
+    assert!(inline_writes > 0, "no write took an inline path");
+    assert!(faulted > 0, "no read through a deleted key's pointer");
+    assert!(
+        seen.collisions > 0
+            && seen.tombstoned_homes > 0
+            && seen.relayouts > 0
+            && seen.full > 0
+            && seen.tombstoned_predecessors > 0,
+        "every fallback case is reached: {seen:?}"
     );
 }
 
