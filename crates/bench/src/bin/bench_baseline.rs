@@ -31,12 +31,14 @@
 //! the certified instruction bound in the testkit's `plans.golden`.
 //!
 //! Every throughput metric is measured as **one discarded warm-up run
-//! followed by the median of `bench_repeats` repeats**. The warm-up
-//! pays the one-time costs (page faults, branch-predictor and cache
-//! training, first-touch map population) that otherwise land inside the
-//! first timed repeat and inflate the spread; the median then rejects
-//! the occasional contention outlier a shared runner injects in either
-//! direction. The observed spread (`(best - worst) / best` over the
+//! followed by the median of `bench_repeats` repeats**, and the repeats
+//! are interleaved: each round times every series once, so a swing in a
+//! shared machine's speed lands on all series alike rather than on the
+//! back-to-back repeats of one. The warm-up pays the one-time costs
+//! (page faults, branch-predictor and cache training, first-touch map
+//! population) that otherwise land inside the first timed repeat and
+//! inflate the spread; the median then rejects the occasional
+//! contention outlier a shared runner injects in either direction. The observed spread (`(best - worst) / best` over the
 //! central samples — min and max dropped, mirroring what the median
 //! actually draws from) is printed per metric and its maximum is
 //! recorded as `bench_spread_max_pct`;
@@ -87,7 +89,7 @@ fn main() {
 
     let mut baseline = Baseline::new();
 
-    // Warm-up + median-of-N repeats: the discarded warm-up run absorbs
+    // Warm-up + median-of-N rounds: the discarded warm-up run absorbs
     // one-time costs, the median rejects contention outliers.
     let repeats: usize = 5;
     let mut max_spread = 0.0f64;
@@ -95,12 +97,33 @@ fn main() {
     let jit_supported = kscope_ebpf::jit::supported();
     baseline.set("vm_jit_supported", if jit_supported { 1.0 } else { 0.0 });
 
-    let raw = median_of("vm raw", repeats, &mut max_spread, || {
-        vm_probe_insns_per_sec(&criterion, Vm::new())
-    });
-    let jit = median_of("vm jit", repeats, &mut max_spread, || {
-        vm_probe_insns_per_sec(&criterion, Vm::new().with_jit())
-    });
+    // Every series runs in each round, so a swing in the machine's speed
+    // lands on all of them alike instead of on one series' repeats.
+    let mut series: [(&str, &mut dyn FnMut() -> f64); 8] = [
+        ("vm raw", &mut || {
+            vm_probe_insns_per_sec(&criterion, Vm::new())
+        }),
+        ("vm jit", &mut || {
+            vm_probe_insns_per_sec(&criterion, Vm::new().with_jit())
+        }),
+        ("alu raw", &mut || {
+            vm_alu_insns_per_sec(&criterion, Vm::new())
+        }),
+        ("alu jit", &mut || {
+            vm_alu_insns_per_sec(&criterion, Vm::new().with_jit())
+        }),
+        ("map ops", &mut || map_ops_per_sec(&criterion)),
+        ("probe interp", &mut || {
+            probe_events_per_sec(&criterion, ProbeMode::Interp)
+        }),
+        ("probe jit", &mut || {
+            probe_events_per_sec(&criterion, ProbeMode::Jit)
+        }),
+        ("engine", &mut || engine_events_per_sec(&criterion)),
+    ];
+    let [raw, jit, alu_raw, alu_jit, map_ops, probe_events, probe_events_jit, engine_events] =
+        interleaved_medians(&mut series, repeats, &mut max_spread);
+
     let jit_speedup = if raw > 0.0 { jit / raw } else { 0.0 };
     baseline.set("vm_insns_per_sec_raw", raw);
     baseline.set("vm_insns_per_sec_jit", jit);
@@ -111,12 +134,6 @@ fn main() {
         jit / 1e6,
     );
 
-    let alu_raw = median_of("alu raw", repeats, &mut max_spread, || {
-        vm_alu_insns_per_sec(&criterion, Vm::new())
-    });
-    let alu_jit = median_of("alu jit", repeats, &mut max_spread, || {
-        vm_alu_insns_per_sec(&criterion, Vm::new().with_jit())
-    });
     let alu_speedup = if alu_raw > 0.0 {
         alu_jit / alu_raw
     } else {
@@ -131,18 +148,9 @@ fn main() {
         alu_jit / 1e6,
     );
 
-    let map_ops = median_of("map ops", repeats, &mut max_spread, || {
-        map_ops_per_sec(&criterion)
-    });
     baseline.set("map_ops_per_sec", map_ops);
     println!("map ops: {:.1}M ops/s", map_ops / 1e6);
 
-    let probe_events = median_of("probe interp", repeats, &mut max_spread, || {
-        probe_events_per_sec(&criterion, ProbeMode::Interp)
-    });
-    let probe_events_jit = median_of("probe jit", repeats, &mut max_spread, || {
-        probe_events_per_sec(&criterion, ProbeMode::Jit)
-    });
     baseline.set("probe_events_per_sec", probe_events);
     baseline.set("probe_events_per_sec_jit", probe_events_jit);
     println!(
@@ -151,9 +159,6 @@ fn main() {
         probe_events_jit / 1e6,
     );
 
-    let engine_events = median_of("engine", repeats, &mut max_spread, || {
-        engine_events_per_sec(&criterion)
-    });
     baseline.set("engine_events_per_sec", engine_events);
     println!("engine dispatch: {:.1}M events/s", engine_events / 1e6);
 
@@ -174,15 +179,30 @@ fn main() {
     }
 }
 
-/// Runs `f` once discarded (warm-up: page faults, predictor and cache
-/// training, first-touch map population) and then `repeats` timed
-/// times, keeping the median sample. Reports the relative spread of the
-/// timed samples and folds it into the run-wide maximum so the emitted
-/// baseline carries a noise figure.
-fn median_of(label: &str, repeats: usize, max_spread: &mut f64, mut f: impl FnMut() -> f64) -> f64 {
-    let _ = f();
-    let mut samples: Vec<f64> = (0..repeats).map(|_| f()).collect();
-    median_and_spread(label, &mut samples, max_spread)
+/// Runs every series once discarded (warm-up: page faults, predictor
+/// and cache training, first-touch map population), then `repeats`
+/// rounds that each time every series once, in order, and keeps each
+/// series' median sample. Reports each series' spread and folds it into
+/// the run-wide maximum so the emitted baseline carries a noise figure.
+fn interleaved_medians<const N: usize>(
+    series: &mut [(&str, &mut dyn FnMut() -> f64); N],
+    repeats: usize,
+    max_spread: &mut f64,
+) -> [f64; N] {
+    for (_, run) in series.iter_mut() {
+        let _ = run();
+    }
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(repeats));
+    for _ in 0..repeats {
+        for ((_, run), out) in series.iter_mut().zip(samples.iter_mut()) {
+            out.push(run());
+        }
+    }
+    let mut medians = [0.0; N];
+    for (((label, _), s), median) in series.iter().zip(samples.iter_mut()).zip(&mut medians) {
+        *median = median_and_spread(label, s, max_spread);
+    }
+    medians
 }
 
 /// The median of `samples` (sorted in place); prints the spread and
