@@ -486,6 +486,23 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn out_of_range_registers_are_rejected_at_construction() {
+        use kscope_ebpf::insn::Insn;
+        use kscope_ebpf::verifier::VerifyError;
+        // The 4-bit register fields encode r11-r15; a `mov` into r11 and
+        // one reading r12 are refused, not run.
+        for (insn, reg) in [(Insn::mov64_imm(11, 1), 11), (Insn::mov64_reg(R0, 12), 12)] {
+            let program = Program::new("bad_reg", vec![insn, Insn::mov64_imm(R0, 0), Insn::exit()]);
+            match ProgramProbe::new(None, Some(program), MapRegistry::new()) {
+                Err(BuildError::Verify(VerifyError::BadRegister { pc: 0, reg: r })) => {
+                    assert_eq!(r, reg)
+                }
+                other => panic!("expected a bad-register rejection, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn missing_edges_cost_nothing() {
         let mut probe = ProgramProbe::new(None, None, MapRegistry::new()).unwrap();
         assert_eq!(

@@ -23,7 +23,7 @@
 
 use crate::decode::Decoded;
 use crate::helpers::Helper;
-use crate::insn::{Insn, CLS_JMP, CLS_JMP32, MAX_INSNS, OP_CALL, OP_EXIT, STACK_SIZE};
+use crate::insn::{Insn, CLS_JMP, CLS_JMP32, MAX_INSNS, OP_CALL, OP_EXIT, REG_COUNT, STACK_SIZE};
 use crate::maps::MapFd;
 use crate::program::Program;
 use crate::verifier::{VerifyError, VerifyWarning};
@@ -350,10 +350,11 @@ fn decoded_succs(pc: usize, d: &Decoded, len: usize, out: &mut Vec<usize>) {
 }
 
 /// The structural pass every analysis starts from: pairs each `ld_dw`
-/// lo slot with a zero-coded hi slot, then checks that every jump
-/// target is in bounds, not a hi slot, and strictly forward. Returns the
-/// hi-slot map, or the first `MalformedLdDw` alone, or every
-/// `BadJumpTarget`/`BackEdge` in pc order.
+/// lo slot with a zero-coded hi slot, then checks that every other slot
+/// names registers r0–r10 only and that every jump target is in bounds,
+/// not a hi slot, and strictly forward. Returns the hi-slot map, or the
+/// first `MalformedLdDw` alone, or every
+/// `BadRegister`/`BadJumpTarget`/`BackEdge` in pc order.
 pub(crate) fn structure(insns: &[Insn]) -> Result<Vec<bool>, Vec<VerifyError>> {
     let len = insns.len();
     let mut is_hi = vec![false; len];
@@ -373,9 +374,19 @@ pub(crate) fn structure(insns: &[Insn]) -> Result<Vec<bool>, Vec<VerifyError>> {
     }
     let mut errors = Vec::new();
     for (pc, (insn, &hi)) in insns.iter().zip(&is_hi).enumerate() {
+        if hi {
+            continue;
+        }
+        if let Some(reg) = [insn.dst, insn.src]
+            .into_iter()
+            .find(|&r| usize::from(r) >= REG_COUNT)
+        {
+            errors.push(VerifyError::BadRegister { pc, reg });
+            continue;
+        }
         let cls = insn.class();
         let op = insn.op();
-        if hi || (cls != CLS_JMP && cls != CLS_JMP32) {
+        if cls != CLS_JMP && cls != CLS_JMP32 {
             continue;
         }
         if cls == CLS_JMP && (op == OP_CALL || op == OP_EXIT) {

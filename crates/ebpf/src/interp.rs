@@ -10,11 +10,12 @@
 //! # One interpreter, one JIT
 //!
 //! The interpreter steps the raw instruction words, re-extracting the
-//! opcode fields on every step. It is the reference semantics and the
-//! fallback for programs or platforms the template JIT ([`crate::jit`],
-//! opt in via [`Vm::with_jit`]) declines. The testkit's differential
-//! suite holds the JIT tiers to byte-identical [`ExecOutcome`]s over
-//! thousands of programs.
+//! opcode fields on every step. It is the reference semantics, and it
+//! runs every program the template JIT ([`crate::jit`], opt in via
+//! [`Vm::with_jit`]) does not: unverified programs, runs under a budget
+//! below the certified bound, and platforms without a JIT. The testkit's
+//! differential suite holds the JIT to byte-identical [`ExecOutcome`]s
+//! over thousands of verified programs.
 //!
 //! # Allocation discipline
 //!
@@ -416,10 +417,11 @@ impl Vm {
     }
 
     /// Switches this VM to the program's JIT-compiled native code (see
-    /// [`Program::jit`]), falling back to the interpreter for programs or
-    /// platforms the JIT declines and for a context shorter than the one
-    /// the program was verified against — so opting in never changes
-    /// behavior, only speed.
+    /// [`Program::jit`]), which only a verified program has. The
+    /// interpreter runs every other program, and a verified one whose
+    /// certified bound exceeds this VM's budget or whose context is
+    /// shorter than the one it was verified against, so opting in never
+    /// changes behavior, only speed.
     pub fn with_jit(mut self) -> Vm {
         self.dispatch = Dispatch::Jit;
         self
@@ -462,6 +464,15 @@ impl Vm {
     /// Returns [`ExecError`] on memory faults, unknown opcodes/helpers, or
     /// budget exhaustion. Programs accepted by the
     /// [`Verifier`](crate::verifier::Verifier) never fault.
+    ///
+    /// A JIT VM runs native code only for a program with a compilation
+    /// ([`Program::jit`]) whose certified bound
+    /// ([`JitProgram::max_insns`](crate::jit::JitProgram::max_insns)) is
+    /// at most this VM's budget, with a context at least
+    /// [`JitProgram::min_ctx_len`](crate::jit::JitProgram::min_ctx_len)
+    /// long. The native code keeps no budget of its own, so a smaller
+    /// budget runs the interpreter, which reports `BudgetExhausted`
+    /// exactly. Every other case runs the interpreter too.
     pub fn execute(
         &mut self,
         program: &Program,
@@ -494,13 +505,10 @@ impl Vm {
         };
         match *dispatch {
             Dispatch::Raw => run_raw(*insn_budget, program, &mut mem, scratch, env),
-            // Compile lazily (cached on the Program). Elided code is only
-            // sound when the runtime context is at least as long as the one
-            // the program was verified against; a shorter context, like an
-            // unsupported program or platform, runs on the interpreter.
+            // Compile lazily (cached on the Program).
             Dispatch::Jit => match program.jit() {
-                Some(j) if ctx.len() >= j.min_ctx_len() => {
-                    crate::jit::run(j, *insn_budget, &mut mem, scratch, env, tramp_entries)
+                Some(j) if j.max_insns() <= *insn_budget && ctx.len() >= j.min_ctx_len() => {
+                    crate::jit::run(j, &mut mem, scratch, env, tramp_entries)
                 }
                 _ => run_raw(*insn_budget, program, &mut mem, scratch, env),
             },

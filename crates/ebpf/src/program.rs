@@ -17,10 +17,11 @@ use crate::verifier::AccessProofs;
 /// [`Decoded`] representation the JIT compiles and the static analyses
 /// read, so field extraction is paid once per program load.
 ///
-/// Verification attaches per-pc memory-access proofs and map-lookup
-/// facts ([`AccessProofs`]) as a side effect, and the first JIT execution
-/// compiles and caches native code once; both are interior-mutable caches
-/// that do not participate in the program's identity.
+/// A successful value-tracking verification attaches per-pc
+/// memory-access proofs and map-call facts ([`AccessProofs`]) as a side
+/// effect; they are the only way into the JIT, whose first execution
+/// compiles and caches native code once. Both are interior-mutable
+/// caches that do not participate in the program's identity.
 #[derive(Debug)]
 pub struct Program {
     name: String,
@@ -30,9 +31,9 @@ pub struct Program {
     /// value-tracking verification. Write-once: the first verification
     /// wins (re-verifying the same program yields the same proofs).
     analysis: OnceLock<AccessProofs>,
-    /// Lazily compiled native code. `None` inside means compilation was
-    /// attempted and declined (unsupported instruction or platform) —
-    /// don't retry.
+    /// Lazily compiled native code, once proofs are attached. `None`
+    /// inside means compilation was declined (no certified bound, or
+    /// the platform) — don't retry.
     jit: OnceLock<Option<JitProgram>>,
 }
 
@@ -53,7 +54,7 @@ impl Clone for Program {
             insns: self.insns.clone(),
             decoded: self.decoded.clone(),
             // Proofs are a pure function of (insns, verifier config) —
-            // carrying them over keeps elision available on clones.
+            // carrying them over lets a clone compile on the JIT.
             analysis: self.analysis.clone(),
             // Native code buffers are not cloneable; recompile on demand.
             jit: OnceLock::new(),
@@ -106,25 +107,32 @@ impl Program {
         self.analysis.get()
     }
 
-    /// Records verifier access proofs (called by the verifier on a
-    /// successful value-tracking pass). First write wins.
+    /// Records verifier access proofs. Only the verifier calls it, on a
+    /// successful value-tracking pass (`tools/lint.rs` keeps it so), so
+    /// attached proofs mean the program was verified. First write wins.
     pub(crate) fn attach_access_proofs(&self, proofs: AccessProofs) {
         let _ = self.analysis.set(proofs);
     }
 
     /// The cached JIT compilation for this program, compiling on first
-    /// use. Helper calls follow [`helper_inline_plan`](crate::analysis::helper_inline_plan),
-    /// and bounds checks the verifier's value-tracking pass proved safe
-    /// are omitted; both read the [`access_proofs`](Program::access_proofs)
-    /// attached at the time of the first call, so an unverified program
-    /// compiles fully checked and trampolines every map lookup. Returns
-    /// `None` when the program or platform is unsupported; callers fall
-    /// back to the interpreter.
+    /// use. Only a verified program compiles: `None` when no successful
+    /// value-tracking verification attached its
+    /// [`access_proofs`](Program::access_proofs) (an unverified program,
+    /// a `Program::new` copy of a verified one, or one verified with
+    /// `value_tracking: false`), when it has no certified bound
+    /// ([`cost_report`](crate::analysis::cost_report)), or off x86-64
+    /// Linux. Callers then run the interpreter. Memory accesses compile
+    /// without bounds checks on the proofs, and helper calls follow
+    /// [`helper_inline_plan`](crate::analysis::helper_inline_plan).
     pub fn jit(&self) -> Option<&JitProgram> {
+        // Checked before the cache, so a call ahead of verification
+        // does not pin `None`.
+        let proofs = self.access_proofs()?;
         self.jit
             .get_or_init(|| {
+                let cost = crate::analysis::cost_report(self)?;
                 let plan = crate::analysis::helper_inline_plan(self);
-                crate::jit::compile(&self.decoded, &plan, self.access_proofs())
+                crate::jit::compile(&self.decoded, &plan, proofs, cost.max_insns)
             })
             .as_ref()
     }

@@ -41,6 +41,11 @@
 //!   crate (`crates/bench/src/`): every probe runs on the JIT, which
 //!   falls back to the interpreter by itself, so nothing attaches the
 //!   interpreter on purpose.
+//! * `attach_access_proofs(` is banned in non-test code outside the
+//!   verifier (`crates/ebpf/src/verifier.rs`) and its definition in
+//!   `crates/ebpf/src/program.rs`: attached proofs are what lets a
+//!   program compile on the JIT, so a successful value-tracking
+//!   verification stays the only route to native code.
 //! * The tier shims the end-to-end benchmark still calls
 //!   (`with_jit_probes(`, `with_backend(`, `BackendKind::`) are banned
 //!   everywhere outside the file that defines each, test modules
@@ -125,6 +130,16 @@ const REFERENCE_TIER_HOMES: &[&str] = &[
     "crates/core/src/runtime.rs",
     "crates/bench/src/",
 ];
+
+/// The call that attaches verifier proofs, which admit a program to the
+/// JIT.
+const PROOF_ATTACH: &str = "attach_access_proofs(";
+
+/// The one file whose non-test code may attach proofs: the verifier.
+const PROOF_ATTACH_HOME: &str = "crates/ebpf/src/verifier.rs";
+
+/// The file that defines the call, on its `fn` line only.
+const PROOF_ATTACH_DEFINITION: &str = "crates/ebpf/src/program.rs";
 
 /// Tier shims kept only for the end-to-end benchmark, each with the one
 /// file that may name it (its definition).
@@ -229,6 +244,21 @@ fn may_name_reference_tier(path: &Path) -> bool {
 /// True when `path` is the file that defines `home`'s shim.
 fn is_shim_home(path: &Path, home: &str) -> bool {
     path.to_string_lossy().replace('\\', "/").ends_with(home)
+}
+
+/// How many of the `PROOF_ATTACH` occurrences on the non-test `line` of
+/// `path` are allowed: all of them in the verifier, the `fn` itself at
+/// its definition, none elsewhere.
+fn allowed_proof_attaches(path: &Path, line: &str) -> usize {
+    let normalized = path.to_string_lossy().replace('\\', "/");
+    if normalized.ends_with(PROOF_ATTACH_HOME) {
+        usize::MAX
+    } else {
+        usize::from(
+            normalized.ends_with(PROOF_ATTACH_DEFINITION)
+                && line.contains(&format!("fn {PROOF_ATTACH}")),
+        )
+    }
 }
 
 /// True when the non-test `line` of `path` may name the oracle.
@@ -374,6 +404,20 @@ fn scan_file(path: &Path, text: &str) -> usize {
                 lineno + 1
             );
             count += 1;
+        }
+
+        if !exempt {
+            let allowed = allowed_proof_attaches(path, line);
+            for _ in line.matches(PROOF_ATTACH).skip(allowed) {
+                println!(
+                    "{}:{}: `{PROOF_ATTACH}` outside the verifier (attached \
+                     proofs admit a program to the JIT; only a successful \
+                     verification may attach them)",
+                    path.display(),
+                    lineno + 1
+                );
+                count += 1;
+            }
         }
 
         if !exempt && !reference_tier_home {
