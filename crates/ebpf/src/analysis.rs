@@ -335,7 +335,7 @@ fn decoded_succs(pc: usize, d: &Decoded, len: usize, out: &mut Vec<usize>) {
         }
     };
     match d {
-        Decoded::LdImm64 { .. } => push(pc + 2),
+        Decoded::LdImm64 { .. } | Decoded::LdMapFd { .. } => push(pc + 2),
         Decoded::Ja { target } => push(*target as usize),
         Decoded::JmpImm { target, .. } | Decoded::JmpReg { target, .. } => {
             push(*target as usize);

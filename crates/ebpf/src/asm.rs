@@ -51,22 +51,9 @@ enum Item {
         dst: Reg,
         fd: MapFd,
     },
-    /// Conditional jump to a label (imm operand).
-    JmpImm {
-        op: u8,
-        dst: Reg,
-        imm: i32,
-        label: String,
-    },
-    /// Conditional jump to a label (register operand).
-    JmpReg {
-        op: u8,
-        dst: Reg,
-        src: Reg,
-        label: String,
-    },
-    /// Unconditional jump to a label.
-    Ja {
+    /// A jump whose offset [`Asm::assemble`] sets to reach `label`.
+    Jump {
+        insn: Insn,
         label: String,
     },
 }
@@ -185,34 +172,34 @@ impl Asm {
         self.insn(Insn::exit())
     }
 
-    /// Conditional jump (immediate comparison) to `label`.
-    pub fn jmp_imm(mut self, op: u8, dst: Reg, imm: i32, label: impl Into<String>) -> Self {
-        self.items.push(Item::JmpImm {
-            op,
-            dst,
-            imm,
+    /// Emits the jump `insn` (of any class), with its offset set at
+    /// assembly to reach `label`.
+    pub(crate) fn jump(mut self, insn: Insn, label: impl Into<String>) -> Self {
+        self.items.push(Item::Jump {
+            insn,
             label: label.into(),
         });
         self
+    }
+
+    /// Conditional jump (immediate comparison) to `label`.
+    pub fn jmp_imm(self, op: u8, dst: Reg, imm: i32, label: impl Into<String>) -> Self {
+        self.jump(Insn::jmp_imm(op, dst, imm, 0), label)
     }
 
     /// Conditional jump (register comparison) to `label`.
-    pub fn jmp_reg(mut self, op: u8, dst: Reg, src: Reg, label: impl Into<String>) -> Self {
-        self.items.push(Item::JmpReg {
-            op,
-            dst,
-            src,
-            label: label.into(),
-        });
-        self
+    pub fn jmp_reg(self, op: u8, dst: Reg, src: Reg, label: impl Into<String>) -> Self {
+        self.jump(Insn::jmp_reg(op, dst, src, 0), label)
     }
 
     /// Unconditional jump to `label`.
-    pub fn ja(mut self, label: impl Into<String>) -> Self {
-        self.items.push(Item::Ja {
-            label: label.into(),
-        });
-        self
+    pub fn ja(self, label: impl Into<String>) -> Self {
+        self.jump(Insn::ja(0), label)
+    }
+
+    /// True once `label` is defined.
+    pub(crate) fn has_label(&self, label: &str) -> bool {
+        self.labels.contains_key(label)
     }
 
     /// Resolves labels and produces the final [`Program`].
@@ -225,6 +212,12 @@ impl Asm {
         if let Some(label) = self.duplicate {
             return Err(AsmError::DuplicateLabel(label));
         }
+        self.resolve().map_err(|(_, e)| e)
+    }
+
+    /// Lays out the items and patches every jump, naming with an error
+    /// the index of the jump item it is about.
+    pub(crate) fn resolve(self) -> Result<Program, (usize, AsmError)> {
         // First pass: slot index of every item.
         let mut slot_of_item = Vec::with_capacity(self.items.len());
         let mut slot = 0usize;
@@ -249,12 +242,6 @@ impl Asm {
 
         let mut insns = Vec::with_capacity(total_slots);
         for (idx, item) in self.items.iter().enumerate() {
-            let here = slot_of_item[idx];
-            let displacement = |label: &str| -> Result<i16, AsmError> {
-                let target = label_slot(label)? as i64;
-                let off = target - here as i64 - 1;
-                i16::try_from(off).map_err(|_| AsmError::JumpOutOfRange(label.to_string()))
-            };
             match item {
                 Item::Fixed(insn) => insns.push(*insn),
                 Item::LdDw { dst, value } => {
@@ -265,23 +252,15 @@ impl Asm {
                     insns.push(Insn::ld_map_fd_lo(*dst, fd.0));
                     insns.push(Insn::ld_dw_hi(0));
                 }
-                Item::JmpImm {
-                    op,
-                    dst,
-                    imm,
-                    label,
-                } => {
-                    insns.push(Insn::jmp_imm(*op, *dst, *imm, displacement(label)?));
+                Item::Jump { insn, label } => {
+                    let off = label_slot(label)
+                        .and_then(|target| {
+                            i16::try_from(target as i64 - slot_of_item[idx] as i64 - 1)
+                                .map_err(|_| AsmError::JumpOutOfRange(label.to_string()))
+                        })
+                        .map_err(|e| (idx, e))?;
+                    insns.push(Insn { off, ..*insn });
                 }
-                Item::JmpReg {
-                    op,
-                    dst,
-                    src,
-                    label,
-                } => {
-                    insns.push(Insn::jmp_reg(*op, *dst, *src, displacement(label)?));
-                }
-                Item::Ja { label } => insns.push(Insn::ja(displacement(label)?)),
             }
         }
         Ok(Program::new(self.name, insns))

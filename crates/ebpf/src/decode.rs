@@ -1,14 +1,18 @@
-//! Pre-decoded instruction representation: the input of the JIT and of
-//! the static analyses.
+//! Pre-decoded instruction representation: the one place an eBPF word
+//! is decoded, and the input of the verifier, the JIT and the static
+//! analyses.
 //!
 //! The raw [`Insn`] word is compact but awkward to consume: every reader
 //! would re-extract the class, operation, source flag, and access size
 //! from the opcode byte, re-sign-extend immediates, and re-fuse `ld_dw`
 //! pairs. [`decode_program`] performs all of that work once, at
 //! [`Program`](crate::Program) construction time, producing one
-//! [`Decoded`] entry per instruction *slot*. The template JIT
+//! [`Decoded`] entry per instruction *slot*. The verifier
+//! ([`crate::verifier`]) abstractly interprets it, the template JIT
 //! ([`crate::jit`]) emits machine code from it, and [`crate::analysis`]
-//! runs its dataflow (inline plan, cost certifier) over it.
+//! runs its dataflow (inline plan, cost certifier) over it. So the JIT
+//! compiles exactly the instructions the verifier checked, and an
+//! encoding that decodes to a trap variant is one the verifier rejects.
 //!
 //! # Slot-for-slot decoding
 //!
@@ -37,7 +41,6 @@ use crate::insn::{
     OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL, OP_NEG, OP_OR,
     OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD,
 };
-use crate::interp::MAP_HANDLE_BASE;
 
 /// ALU operation, resolved from the opcode's operation bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,19 +146,27 @@ impl CmpOp {
 
 /// One pre-decoded instruction slot.
 ///
-/// Operand widths, sign extensions, fused `ld_dw` immediates, map handles,
+/// Operand widths, sign extensions, fused `ld_dw` immediates, map fds,
 /// helper identities, and jump targets are all resolved at decode time;
-/// the JIT emitter and the analyses only match on the variant.
+/// the verifier, the JIT emitter and the analyses only match on the
+/// variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decoded {
-    /// Fused two-slot 64-bit immediate load (`ld_dw` / `ld_map_fd`); the
-    /// map-handle tag is already folded into `value` for pseudo map-fd
-    /// loads. Advances the pc by two slots.
+    /// Fused two-slot 64-bit immediate load (`ld_dw`). Advances the pc
+    /// by two slots.
     LdImm64 {
         /// Destination register.
         dst: u8,
-        /// The full 64-bit value (or tagged map handle).
+        /// The full 64-bit value.
         value: u64,
+    },
+    /// Fused two-slot pseudo map-fd load (`ld_map_fd`): `dst` becomes the
+    /// handle of map `fd`. Advances the pc by two slots.
+    LdMapFd {
+        /// Destination register.
+        dst: u8,
+        /// The map's file descriptor (the low slot's immediate).
+        fd: u32,
     },
     /// `ld_dw` whose second slot is past the end of the program.
     MalformedLdDw,
@@ -302,14 +313,15 @@ fn decode_slot(insns: &[Insn], pc: usize, insn: Insn) -> Decoded {
             let Some(&hi) = insns.get(pc + 1) else {
                 return Decoded::MalformedLdDw;
             };
-            let value = if insn.src == PSEUDO_MAP_FD {
-                MAP_HANDLE_BASE | insn.imm as u32 as u64
-            } else {
-                (insn.imm as u32 as u64) | ((hi.imm as u32 as u64) << 32)
-            };
+            if insn.src == PSEUDO_MAP_FD {
+                return Decoded::LdMapFd {
+                    dst: insn.dst,
+                    fd: insn.imm as u32,
+                };
+            }
             Decoded::LdImm64 {
                 dst: insn.dst,
-                value,
+                value: (insn.imm as u32 as u64) | ((hi.imm as u32 as u64) << 32),
             }
         }
         CLS_LDX => Decoded::Load {
@@ -436,16 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn map_fd_loads_fold_in_the_handle_tag() {
+    fn map_fd_loads_keep_the_fd() {
         let insns = vec![Insn::ld_map_fd_lo(R1, 7), Insn::ld_dw_hi(0), Insn::exit()];
         let decoded = decode_program(&insns);
-        assert_eq!(
-            decoded[0],
-            Decoded::LdImm64 {
-                dst: R1,
-                value: MAP_HANDLE_BASE | 7
-            }
-        );
+        assert_eq!(decoded[0], Decoded::LdMapFd { dst: R1, fd: 7 });
     }
 
     #[test]

@@ -147,6 +147,63 @@ pub const SRC_X: u8 = 0x08;
 /// (`BPF_PSEUDO_MAP_FD`).
 pub const PSEUDO_MAP_FD: u8 = 1;
 
+// --- Mnemonics: one table per field, shared by `Display`, the text
+// parser and `emit_program` ---
+
+/// ALU operation bits and their mnemonics.
+pub(crate) const ALU_MNEMONICS: [(u8, &str); 13] = [
+    (OP_ADD, "add"),
+    (OP_SUB, "sub"),
+    (OP_MUL, "mul"),
+    (OP_DIV, "div"),
+    (OP_OR, "or"),
+    (OP_AND, "and"),
+    (OP_LSH, "lsh"),
+    (OP_RSH, "rsh"),
+    (OP_NEG, "neg"),
+    (OP_MOD, "mod"),
+    (OP_XOR, "xor"),
+    (OP_MOV, "mov"),
+    (OP_ARSH, "arsh"),
+];
+
+/// Conditional-jump operation bits and their mnemonics.
+pub(crate) const JMP_MNEMONICS: [(u8, &str); 11] = [
+    (OP_JEQ, "jeq"),
+    (OP_JGT, "jgt"),
+    (OP_JGE, "jge"),
+    (OP_JSET, "jset"),
+    (OP_JNE, "jne"),
+    (OP_JSGT, "jsgt"),
+    (OP_JSGE, "jsge"),
+    (OP_JLT, "jlt"),
+    (OP_JLE, "jle"),
+    (OP_JSLT, "jslt"),
+    (OP_JSLE, "jsle"),
+];
+
+/// Load/store size bits and their mnemonic suffixes.
+pub(crate) const SIZE_SUFFIXES: [(u8, &str); 4] =
+    [(SZ_B, "b"), (SZ_H, "h"), (SZ_W, "w"), (SZ_DW, "dw")];
+
+/// The mnemonic `table` gives the field value `bits`.
+pub(crate) fn mnemonic(table: &[(u8, &'static str)], bits: u8) -> Option<&'static str> {
+    table
+        .iter()
+        .find(|(b, _)| *b == bits)
+        .map(|(_, name)| *name)
+}
+
+/// The field value `table` gives the mnemonic `name`.
+pub(crate) fn field_bits(table: &[(u8, &str)], name: &str) -> Option<u8> {
+    table.iter().find(|(_, n)| *n == name).map(|(b, _)| *b)
+}
+
+/// The size suffix of a load/store's size bits.
+pub(crate) fn size_suffix(size: u8) -> &'static str {
+    mnemonic(&SIZE_SUFFIXES, size).unwrap_or("?")
+}
+
 /// One eBPF instruction slot.
 ///
 /// # Examples
@@ -457,22 +514,7 @@ impl fmt::Display for Insn {
         match self.class() {
             CLS_ALU64 | CLS_ALU => {
                 let width = if self.class() == CLS_ALU64 { "" } else { "32" };
-                let name = match self.op() {
-                    OP_ADD => "add",
-                    OP_SUB => "sub",
-                    OP_MUL => "mul",
-                    OP_DIV => "div",
-                    OP_OR => "or",
-                    OP_AND => "and",
-                    OP_LSH => "lsh",
-                    OP_RSH => "rsh",
-                    OP_NEG => "neg",
-                    OP_MOD => "mod",
-                    OP_XOR => "xor",
-                    OP_MOV => "mov",
-                    OP_ARSH => "arsh",
-                    _ => "alu?",
-                };
+                let name = mnemonic(&ALU_MNEMONICS, self.op()).unwrap_or("alu?");
                 if self.is_src_reg() {
                     write!(f, "{name}{width} r{dst}, r{src}")
                 } else {
@@ -484,20 +526,7 @@ impl fmt::Display for Insn {
                 OP_CALL if self.class() == CLS_JMP => write!(f, "call {imm}"),
                 OP_JA if self.class() == CLS_JMP => write!(f, "ja {off:+}"),
                 op => {
-                    let name = match op {
-                        OP_JEQ => "jeq",
-                        OP_JGT => "jgt",
-                        OP_JGE => "jge",
-                        OP_JSET => "jset",
-                        OP_JNE => "jne",
-                        OP_JSGT => "jsgt",
-                        OP_JSGE => "jsge",
-                        OP_JLT => "jlt",
-                        OP_JLE => "jle",
-                        OP_JSLT => "jslt",
-                        OP_JSLE => "jsle",
-                        _ => "jmp?",
-                    };
+                    let name = mnemonic(&JMP_MNEMONICS, op).unwrap_or("jmp?");
                     let width = if self.class() == CLS_JMP32 { "32" } else { "" };
                     if self.is_src_reg() {
                         write!(f, "{name}{width} r{dst}, r{src}, {off:+}")
@@ -530,16 +559,6 @@ impl fmt::Display for Insn {
             }
             _ => write!(f, "raw {code:#04x} dst={dst} src={src} off={off} imm={imm}"),
         }
-    }
-}
-
-fn size_suffix(size: u8) -> &'static str {
-    match size {
-        SZ_B => "b",
-        SZ_H => "h",
-        SZ_W => "w",
-        SZ_DW => "dw",
-        _ => "?",
     }
 }
 

@@ -294,33 +294,6 @@ impl Memory<'_> {
             .ok_or_else(|| bad(size))
     }
 
-    /// Read for an access the verifier proved lands in a map value: skips
-    /// the region dispatch but keeps slot resolution, with identical
-    /// fault shapes.
-    pub(crate) fn read_map_value(
-        &mut self,
-        pc: usize,
-        addr: u64,
-        size: usize,
-    ) -> Result<u64, ExecError> {
-        let mut buf = [0u8; 8];
-        buf[..size].copy_from_slice(self.map_value(pc, addr, size, 0)?);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Write counterpart of [`Memory::read_map_value`].
-    pub(crate) fn write_map_value(
-        &mut self,
-        pc: usize,
-        addr: u64,
-        size: usize,
-        value: u64,
-    ) -> Result<(), ExecError> {
-        self.map_value(pc, addr, size, size)?
-            .copy_from_slice(&value.to_le_bytes()[..size]);
-        Ok(())
-    }
-
     pub(crate) fn read_bytes(
         &mut self,
         pc: usize,

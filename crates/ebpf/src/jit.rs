@@ -90,7 +90,7 @@ mod imp {
     use crate::insn::{REG_COUNT, STACK_SIZE};
     use crate::interp::{
         call_helper, ExecEnv, ExecError, ExecOutcome, Memory, CALLER_SAVED_POISON, CTX_BASE,
-        MAP_SLOT_BASE, MAP_SLOT_STRIDE, STACK_BASE,
+        MAP_HANDLE_BASE, MAP_SLOT_BASE, MAP_SLOT_STRIDE, STACK_BASE,
     };
     use crate::mapindex::{
         COUNTS_LIMIT_OFF, COUNTS_LIVE_OFF, COUNTS_TOMBSTONES_OFF, DESC_AUX_OFF, DESC_BASE_OFF,
@@ -229,7 +229,7 @@ mod imp {
     }
 
     /// The map-value load of a cold stub: resolves the slot's key again
-    /// through the interpreter's accessor.
+    /// through the interpreter's memory model.
     ///
     /// # Safety
     ///
@@ -243,7 +243,7 @@ mod imp {
         let dst = (meta & 0x1f) as usize;
         let size = ((meta >> 8) & 0xf) as usize;
         let pc = (meta >> 16) as usize;
-        match mem.read_map_value(pc, addr, size) {
+        match mem.read(pc, addr, size) {
             Ok(v) => {
                 ctx.regs[dst] = v;
                 0
@@ -272,7 +272,7 @@ mod imp {
         slots_sync_in(ctx, mem);
         let size = ((meta >> 8) & 0xf) as usize;
         let pc = (meta >> 16) as usize;
-        match mem.write_map_value(pc, addr, size, value) {
+        match mem.write(pc, addr, size, value) {
             Ok(()) => 0,
             Err(e) => {
                 st.fault = Some(e);
@@ -1061,8 +1061,12 @@ mod imp {
         }
         match d {
             Decoded::MalformedLdDw | Decoded::BadOpcode { .. } | Decoded::UnknownHelper { .. } => {}
-            // Falls through the (empty) hi slot into the next instruction.
+            // Both fall through the (empty) hi slot into the next
+            // instruction.
             Decoded::LdImm64 { dst, value } => e.mov_ri(X86[dst as usize], value),
+            Decoded::LdMapFd { dst, fd } => {
+                e.mov_ri(X86[dst as usize], MAP_HANDLE_BASE | fd as u64)
+            }
             Decoded::Exit => e.jmp(Label::Epilogue),
             Decoded::Load {
                 size,

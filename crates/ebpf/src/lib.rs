@@ -11,13 +11,15 @@
 //! tracepoints — not just as Rust closures standing in for them.
 //!
 //! * [`insn`] — the real x86-64 eBPF instruction encoding;
-//! * [`decode`] — the pre-decoded representation the JIT compiles and
-//!   the static analyses read (fields resolved once at program load);
+//! * [`decode`] — the pre-decoded representation the verifier checks,
+//!   the JIT compiles and the static analyses read (fields resolved once
+//!   at program load);
 //! * [`analysis`] — the structural pass, the verifier's warnings, the
 //!   JIT's helper-inline plan (read from the lookup facts the verifier
 //!   records) and a worst-case per-event cost certifier
 //!   ([`analysis::CostReport`]);
-//! * [`asm::Asm`] — a label-resolving builder (the "clang" of this stack);
+//! * [`asm::Asm`] — a label-resolving builder (the "clang" of this
+//!   stack), which the text parser ([`text`]) assembles through too;
 //! * [`tnum::Tnum`] — the known-bits (tristate number) abstract domain;
 //! * [`verifier::Verifier`] — bounded size, no back-edges, uninitialized
 //!   read detection, value-tracking abstract interpretation (tnums +

@@ -14,8 +14,9 @@ use crate::verifier::AccessProofs;
 /// with [`Vm`](crate::interp::Vm).
 ///
 /// Construction eagerly pre-decodes the instruction stream into the
-/// [`Decoded`] representation the JIT compiles and the static analyses
-/// read, so field extraction is paid once per program load.
+/// [`Decoded`] representation the verifier checks, the JIT compiles and
+/// the static analyses read, so field extraction is paid once per
+/// program load and all three see the same instructions.
 ///
 /// A successful value-tracking verification attaches per-pc
 /// memory-access proofs and map-call facts ([`AccessProofs`]) as a side
@@ -63,8 +64,8 @@ impl Clone for Program {
 }
 
 impl Program {
-    /// Wraps a raw instruction sequence, pre-decoding it for the JIT and
-    /// the analyses.
+    /// Wraps a raw instruction sequence, pre-decoding it for the
+    /// verifier, the JIT and the analyses.
     pub fn new(name: impl Into<String>, insns: Vec<Insn>) -> Program {
         let decoded = decode_program(&insns);
         Program {

@@ -1,9 +1,12 @@
-//! Text-format assembler: parse the mnemonic syntax the disassembler
-//! emits.
+//! Text-format assembler: parse the mnemonic syntax [`emit_program`]
+//! writes.
 //!
 //! This gives the VM a bpftool-like round trip: programs can be written
-//! (or dumped, edited, and re-loaded) as plain text. Supported grammar,
-//! one instruction per line:
+//! (or dumped, edited, and re-loaded) as plain text. The parser builds
+//! each program through [`Asm`], which lays out the slots and resolves
+//! the labels, and it shares its mnemonic tables with [`emit_program`]
+//! and [`Insn`]'s `Display`. Supported grammar, one instruction per
+//! line:
 //!
 //! ```text
 //! ; comments with ';' or '//'
@@ -16,22 +19,22 @@
 //!     ld_dw r2, 0x1122334455  ; 64-bit immediate (two slots)
 //!     ld_map_fd r1, 3         ; pseudo map-fd load (two slots)
 //!     jeq   r6, 42, out       ; jumps: jeq jgt jge jset jne jsgt jsge
-//!     jlt   r6, r7, +2        ;        jlt jle jslt jsle; target is a
-//!     ja    out               ;        label or a relative '+N'/'-N'
+//!     jlt32 r6, r7, +2        ;   jlt jle jslt jsle (+ '32' suffix);
+//!     ja    out               ;   target is a label or a relative '+N'/'-N'
 //!     call  bpf_ktime_get_ns  ; helper by name or by id
 //!     call  14
 //! out:
 //!     exit
 //! ```
 
-use std::collections::HashMap;
-
+use crate::asm::{Asm, AsmError};
 use crate::helpers::Helper;
 use crate::insn::{
-    Insn, Reg, OP_ADD, OP_AND, OP_ARSH, OP_DIV, OP_JEQ, OP_JGE, OP_JGT, OP_JLE, OP_JLT, OP_JNE,
-    OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL, OP_NEG, OP_OR,
-    OP_RSH, OP_SUB, OP_XOR, SZ_B, SZ_DW, SZ_H, SZ_W,
+    field_bits, mnemonic, size_suffix, Insn, Reg, ALU_MNEMONICS, CLS_ALU, CLS_ALU64, CLS_JMP,
+    CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, JMP_MNEMONICS, MODE_IMM, OP_CALL, OP_EXIT, OP_JA,
+    OP_NEG, PSEUDO_MAP_FD, SIZE_SUFFIXES, SRC_K, SRC_X, SZ_DW,
 };
+use crate::maps::MapFd;
 use crate::program::Program;
 
 /// Parse failures, with the 1-based source line.
@@ -55,49 +58,6 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
         message: message.into(),
-    }
-}
-
-/// One parsed statement before label resolution.
-#[derive(Debug)]
-enum Stmt {
-    Fixed(Insn),
-    LdDw {
-        dst: Reg,
-        value: u64,
-    },
-    LdMapFd {
-        dst: Reg,
-        fd: u32,
-    },
-    Jump {
-        op: u8,
-        dst: Reg,
-        operand: Operand,
-        is32: bool,
-        target: Target,
-    },
-    Ja(Target),
-}
-
-#[derive(Debug)]
-enum Operand {
-    Reg(Reg),
-    Imm(i32),
-}
-
-#[derive(Debug)]
-enum Target {
-    Label(String),
-    Relative(i16),
-}
-
-impl Stmt {
-    fn slots(&self) -> usize {
-        match self {
-            Stmt::LdDw { .. } | Stmt::LdMapFd { .. } => 2,
-            _ => 1,
-        }
     }
 }
 
@@ -163,52 +123,6 @@ fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i16), ParseError> {
     Ok((reg, off))
 }
 
-fn alu_op(name: &str) -> Option<u8> {
-    Some(match name {
-        "add" => OP_ADD,
-        "sub" => OP_SUB,
-        "mul" => OP_MUL,
-        "div" => OP_DIV,
-        "or" => OP_OR,
-        "and" => OP_AND,
-        "lsh" => OP_LSH,
-        "rsh" => OP_RSH,
-        "neg" => OP_NEG,
-        "mod" => OP_MOD,
-        "xor" => OP_XOR,
-        "mov" => OP_MOV,
-        "arsh" => OP_ARSH,
-        _ => return None,
-    })
-}
-
-fn jmp_op(name: &str) -> Option<u8> {
-    Some(match name {
-        "jeq" => OP_JEQ,
-        "jgt" => OP_JGT,
-        "jge" => OP_JGE,
-        "jset" => OP_JSET,
-        "jne" => OP_JNE,
-        "jsgt" => OP_JSGT,
-        "jsge" => OP_JSGE,
-        "jlt" => OP_JLT,
-        "jle" => OP_JLE,
-        "jslt" => OP_JSLT,
-        "jsle" => OP_JSLE,
-        _ => return None,
-    })
-}
-
-fn size_of_suffix(suffix: &str) -> Option<u8> {
-    Some(match suffix {
-        "b" => SZ_B,
-        "h" => SZ_H,
-        "w" => SZ_W,
-        "dw" => SZ_DW,
-        _ => return None,
-    })
-}
-
 fn helper_id(tok: &str, line: usize) -> Result<i32, ParseError> {
     if let Ok(id) = tok.parse::<i32>() {
         return Ok(id);
@@ -223,13 +137,29 @@ fn helper_id(tok: &str, line: usize) -> Result<i32, ParseError> {
     Err(err(line, format!("unknown helper `{tok}`")))
 }
 
-fn parse_target(tok: &str) -> Target {
-    if tok.starts_with('+') || tok.starts_with('-') {
-        if let Ok(rel) = tok.parse::<i16>() {
-            return Target::Relative(rel);
-        }
+/// The ALU or jump instruction `class_op` on `dst` whose right-hand
+/// operand `tok` is a register, or else a 32-bit immediate.
+fn with_operand(class_op: u8, dst: Reg, tok: &str, line: usize) -> Result<Insn, ParseError> {
+    let (code, src, imm) = match parse_reg(tok, line) {
+        Ok(src) => (class_op | SRC_X, src, 0),
+        Err(_) => (class_op | SRC_K, 0, parse_imm_i32(tok, line)?),
+    };
+    Ok(Insn {
+        code,
+        dst,
+        src,
+        off: 0,
+        imm,
+    })
+}
+
+/// Appends the jump `insn` to `asm`: `tok` is a relative `+N`/`-N`
+/// offset or a label `asm` resolves.
+fn push_jump(asm: Asm, insn: Insn, tok: &str) -> Asm {
+    match tok.parse::<i16>() {
+        Ok(off) if tok.starts_with(['+', '-']) => asm.insn(Insn { off, ..insn }),
+        _ => asm.jump(insn, tok),
     }
-    Target::Label(tok.to_string())
 }
 
 /// Parses one program from its textual form.
@@ -252,8 +182,9 @@ fn parse_target(tok: &str) -> Target {
 /// assert_eq!(prog.len(), 3);
 /// ```
 pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
-    let mut stmts: Vec<(usize, Stmt)> = Vec::new();
-    let mut labels: HashMap<String, usize> = HashMap::new(); // label -> stmt idx
+    let mut asm = Asm::new(name);
+    // The source line of each item in `asm`, for its label errors.
+    let mut item_lines = Vec::new();
 
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -276,9 +207,11 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
             if label.is_empty() || label.contains(char::is_whitespace) {
                 break; // not a label, e.g. inside an operand (none today)
             }
-            if labels.insert(label.to_string(), stmts.len()).is_some() {
-                return Err(err(line_no, format!("label `{label}` defined twice")));
+            if asm.has_label(label) {
+                let duplicate = AsmError::DuplicateLabel(label.to_string());
+                return Err(err(line_no, duplicate.to_string()));
             }
+            asm = asm.label(label);
             rest = tail[1..].trim_start();
         }
         if rest.is_empty() {
@@ -298,174 +231,71 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
             }
         };
 
-        let stmt = if mnemonic == "exit" {
+        asm = if mnemonic == "exit" {
             need(0)?;
-            Stmt::Fixed(Insn::exit())
+            asm.exit()
         } else if mnemonic == "call" {
             need(1)?;
-            Stmt::Fixed(Insn::call(helper_id(args[0], line_no)?))
+            asm.insn(Insn::call(helper_id(args[0], line_no)?))
         } else if mnemonic == "ja" {
             need(1)?;
-            Stmt::Ja(parse_target(args[0]))
+            push_jump(asm, Insn::ja(0), args[0])
         } else if mnemonic == "ld_dw" {
             need(2)?;
-            Stmt::LdDw {
-                dst: parse_reg(args[0], line_no)?,
-                value: parse_imm_u64(args[1], line_no)?,
-            }
+            let dst = parse_reg(args[0], line_no)?;
+            asm.ld_dw(dst, parse_imm_u64(args[1], line_no)?)
         } else if mnemonic == "ld_map_fd" {
             need(2)?;
             let fd = parse_imm_i64(args[1], line_no)?;
-            Stmt::LdMapFd {
-                dst: parse_reg(args[0], line_no)?,
-                fd: u32::try_from(fd).map_err(|_| err(line_no, "map fd out of range"))?,
-            }
+            let dst = parse_reg(args[0], line_no)?;
+            let fd = u32::try_from(fd).map_err(|_| err(line_no, "map fd out of range"))?;
+            asm.ld_map_fd(dst, MapFd(fd))
         } else if let Some(rest) = mnemonic.strip_prefix("ldx") {
-            let size = size_of_suffix(rest)
+            let size = field_bits(&SIZE_SUFFIXES, rest)
                 .ok_or_else(|| err(line_no, format!("bad load size in `{mnemonic}`")))?;
             need(2)?;
             let dst = parse_reg(args[0], line_no)?;
             let (src, off) = parse_mem(args[1], line_no)?;
-            Stmt::Fixed(Insn::load(size, dst, src, off))
+            asm.load(size, dst, src, off)
         } else if let Some(rest) = mnemonic.strip_prefix("stx") {
-            let size = size_of_suffix(rest)
+            let size = field_bits(&SIZE_SUFFIXES, rest)
                 .ok_or_else(|| err(line_no, format!("bad store size in `{mnemonic}`")))?;
             need(2)?;
             let (dst, off) = parse_mem(args[0], line_no)?;
-            let src = parse_reg(args[1], line_no)?;
-            Stmt::Fixed(Insn::store_reg(size, dst, src, off))
+            asm.store_reg(size, dst, parse_reg(args[1], line_no)?, off)
         } else if let Some(rest) = mnemonic.strip_prefix("st") {
-            let size = size_of_suffix(rest)
+            let size = field_bits(&SIZE_SUFFIXES, rest)
                 .ok_or_else(|| err(line_no, format!("bad store size in `{mnemonic}`")))?;
             need(2)?;
             let (dst, off) = parse_mem(args[0], line_no)?;
-            let imm = parse_imm_i32(args[1], line_no)?;
-            Stmt::Fixed(Insn::store_imm(size, dst, off, imm))
-        } else if let Some((op, is32)) = {
-            match jmp_op(mnemonic) {
-                Some(op) => Some((op, false)),
-                None => mnemonic
-                    .strip_suffix("32")
-                    .and_then(jmp_op)
-                    .map(|op| (op, true)),
-            }
-        } {
-            need(3)?;
-            let dst = parse_reg(args[0], line_no)?;
-            let operand = if args[1].starts_with('r') && parse_reg(args[1], line_no).is_ok() {
-                Operand::Reg(parse_reg(args[1], line_no)?)
-            } else {
-                Operand::Imm(parse_imm_i32(args[1], line_no)?)
-            };
-            Stmt::Jump {
-                op,
-                dst,
-                operand,
-                is32,
-                target: parse_target(args[2]),
-            }
+            asm.store_imm(size, dst, off, parse_imm_i32(args[1], line_no)?)
         } else {
-            // ALU, possibly with a 32 suffix.
-            let (name, is32) = match mnemonic.strip_suffix("32") {
+            // ALU or conditional jump, possibly with a 32 suffix.
+            let (base, is32) = match mnemonic.strip_suffix("32") {
                 Some(base) => (base, true),
                 None => (mnemonic, false),
             };
-            let op = alu_op(name)
-                .ok_or_else(|| err(line_no, format!("unknown mnemonic `{mnemonic}`")))?;
-            if op == OP_NEG {
-                need(1)?;
+            if let Some(op) = field_bits(&JMP_MNEMONICS, base) {
+                need(3)?;
+                let class = if is32 { CLS_JMP32 } else { CLS_JMP };
                 let dst = parse_reg(args[0], line_no)?;
-                Stmt::Fixed(if is32 {
-                    Insn::alu32_imm(OP_NEG, dst, 0)
-                } else {
-                    Insn::alu64_imm(OP_NEG, dst, 0)
-                })
+                let insn = with_operand(class | op, dst, args[1], line_no)?;
+                push_jump(asm, insn, args[2])
             } else {
-                need(2)?;
+                let op = field_bits(&ALU_MNEMONICS, base)
+                    .ok_or_else(|| err(line_no, format!("unknown mnemonic `{mnemonic}`")))?;
+                let class = if is32 { CLS_ALU } else { CLS_ALU64 };
+                // `neg` has no operand; it encodes an immediate 0.
+                need(if op == OP_NEG { 1 } else { 2 })?;
                 let dst = parse_reg(args[0], line_no)?;
-                let insn = if args[1].starts_with('r') && parse_reg(args[1], line_no).is_ok() {
-                    let src = parse_reg(args[1], line_no)?;
-                    if is32 {
-                        Insn::alu32_reg(op, dst, src)
-                    } else {
-                        Insn::alu64_reg(op, dst, src)
-                    }
-                } else {
-                    let imm = parse_imm_i32(args[1], line_no)?;
-                    if is32 {
-                        Insn::alu32_imm(op, dst, imm)
-                    } else {
-                        Insn::alu64_imm(op, dst, imm)
-                    }
-                };
-                Stmt::Fixed(insn)
+                let operand = if op == OP_NEG { "0" } else { args[1] };
+                asm.insn(with_operand(class | op, dst, operand, line_no)?)
             }
         };
-        stmts.push((line_no, stmt));
+        item_lines.push(line_no);
     }
-
-    // Slot layout.
-    let mut slot_of_stmt = Vec::with_capacity(stmts.len());
-    let mut slot = 0usize;
-    for (_, stmt) in &stmts {
-        slot_of_stmt.push(slot);
-        slot += stmt.slots();
-    }
-    let total = slot;
-    let label_slot = |label: &str, line: usize| -> Result<usize, ParseError> {
-        let idx = *labels
-            .get(label)
-            .ok_or_else(|| err(line, format!("undefined label `{label}`")))?;
-        Ok(if idx == stmts.len() {
-            total
-        } else {
-            slot_of_stmt[idx]
-        })
-    };
-
-    let mut insns = Vec::with_capacity(total);
-    for (i, (line_no, stmt)) in stmts.iter().enumerate() {
-        let here = slot_of_stmt[i];
-        let resolve = |target: &Target| -> Result<i16, ParseError> {
-            match target {
-                Target::Relative(rel) => Ok(*rel),
-                Target::Label(label) => {
-                    let target_slot = label_slot(label, *line_no)? as i64;
-                    i16::try_from(target_slot - here as i64 - 1)
-                        .map_err(|_| err(*line_no, "jump displacement out of range"))
-                }
-            }
-        };
-        match stmt {
-            Stmt::Fixed(insn) => insns.push(*insn),
-            Stmt::LdDw { dst, value } => {
-                insns.push(Insn::ld_dw_lo(*dst, *value));
-                insns.push(Insn::ld_dw_hi(*value));
-            }
-            Stmt::LdMapFd { dst, fd } => {
-                insns.push(Insn::ld_map_fd_lo(*dst, *fd));
-                insns.push(Insn::ld_dw_hi(0));
-            }
-            Stmt::Ja(target) => insns.push(Insn::ja(resolve(target)?)),
-            Stmt::Jump {
-                op,
-                dst,
-                operand,
-                is32,
-                target,
-            } => {
-                let off = resolve(target)?;
-                let insn = match (operand, is32) {
-                    (Operand::Reg(src), false) => Insn::jmp_reg(*op, *dst, *src, off),
-                    (Operand::Imm(imm), false) => Insn::jmp_imm(*op, *dst, *imm, off),
-                    (Operand::Reg(src), true) => Insn::jmp32_reg(*op, *dst, *src, off),
-                    (Operand::Imm(imm), true) => Insn::jmp32_imm(*op, *dst, *imm, off),
-                };
-                insns.push(insn);
-            }
-        }
-    }
-    Ok(Program::new(name, insns))
+    asm.resolve()
+        .map_err(|(item, e)| err(item_lines[item], e.to_string()))
 }
 
 /// An instruction that has no textual rendering (unknown opcode byte).
@@ -488,57 +318,6 @@ impl std::fmt::Display for EmitError {
 }
 
 impl std::error::Error for EmitError {}
-
-fn alu_name(op: u8) -> Option<&'static str> {
-    Some(match op {
-        OP_ADD => "add",
-        OP_SUB => "sub",
-        OP_MUL => "mul",
-        OP_DIV => "div",
-        OP_OR => "or",
-        OP_AND => "and",
-        OP_LSH => "lsh",
-        OP_RSH => "rsh",
-        OP_NEG => "neg",
-        OP_MOD => "mod",
-        OP_XOR => "xor",
-        OP_MOV => "mov",
-        OP_ARSH => "arsh",
-        _ => return None,
-    })
-}
-
-fn jmp_name(op: u8) -> Option<&'static str> {
-    Some(match op {
-        OP_JEQ => "jeq",
-        OP_JGT => "jgt",
-        OP_JGE => "jge",
-        OP_JSET => "jset",
-        OP_JNE => "jne",
-        OP_JSGT => "jsgt",
-        OP_JSGE => "jsge",
-        OP_JLT => "jlt",
-        OP_JLE => "jle",
-        OP_JSLT => "jslt",
-        OP_JSLE => "jsle",
-        _ => return None,
-    })
-}
-
-fn size_name(size: u8) -> &'static str {
-    match size {
-        SZ_B => "b",
-        SZ_H => "h",
-        SZ_W => "w",
-        _ => {
-            if size == SZ_DW {
-                "dw"
-            } else {
-                "?"
-            }
-        }
-    }
-}
 
 /// Renders a program back into the text grammar [`parse_program`] accepts.
 ///
@@ -563,11 +342,6 @@ fn size_name(size: u8) -> &'static str {
 /// assert_eq!(parse_program("t", &text).unwrap().insns(), prog.insns());
 /// ```
 pub fn emit_program(prog: &Program) -> Result<String, EmitError> {
-    use crate::insn::{
-        CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MODE_IMM,
-        OP_CALL, OP_EXIT, OP_JA, PSEUDO_MAP_FD,
-    };
-
     let insns = prog.insns();
     let mut out = String::new();
     let mut pc = 0usize;
@@ -593,27 +367,27 @@ pub fn emit_program(prog: &Program) -> Result<String, EmitError> {
             }
             CLS_LDX => format!(
                 "ldx{} r{}, [r{}{:+}]",
-                size_name(insn.size()),
+                size_suffix(insn.size()),
                 insn.dst,
                 insn.src,
                 insn.off
             ),
             CLS_STX => format!(
                 "stx{} [r{}{:+}], r{}",
-                size_name(insn.size()),
+                size_suffix(insn.size()),
                 insn.dst,
                 insn.off,
                 insn.src
             ),
             CLS_ST => format!(
                 "st{} [r{}{:+}], {}",
-                size_name(insn.size()),
+                size_suffix(insn.size()),
                 insn.dst,
                 insn.off,
                 insn.imm
             ),
             CLS_ALU | CLS_ALU64 => {
-                let name = alu_name(insn.op()).ok_or(bad)?;
+                let name = mnemonic(&ALU_MNEMONICS, insn.op()).ok_or(bad)?;
                 let sfx = if insn.class() == CLS_ALU { "32" } else { "" };
                 if insn.op() == OP_NEG {
                     format!("{name}{sfx} r{}", insn.dst)
@@ -630,7 +404,7 @@ pub fn emit_program(prog: &Program) -> Result<String, EmitError> {
             },
             CLS_JMP if insn.op() == OP_EXIT => "exit".to_string(),
             CLS_JMP | CLS_JMP32 => {
-                let name = jmp_name(insn.op()).ok_or(bad)?;
+                let name = mnemonic(&JMP_MNEMONICS, insn.op()).ok_or(bad)?;
                 let sfx = if insn.class() == CLS_JMP32 { "32" } else { "" };
                 if insn.is_src_reg() {
                     format!("{name}{sfx} r{}, r{}, {:+}", insn.dst, insn.src, insn.off)
@@ -647,7 +421,6 @@ pub fn emit_program(prog: &Program) -> Result<String, EmitError> {
     Ok(out)
 }
 
-#[cfg(test)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,11 +544,31 @@ mod tests {
             ("ldxq r0, [r1+0]\nexit", 1, "bad load size"),
             ("mov r0\nexit", 1, "expects 2 operand"),
         ];
-        for (src, line, needle) in cases {
+        // The second jump to `far` is 32,771 slots back, past i16.
+        let far = format!(
+            "far: mov r0, 0\nja far\n{}ja far\nexit",
+            "ld_dw r0, 0\n".repeat(16_384)
+        );
+        let label_rows = [
+            (far.as_str(), 16_387, "out of 16-bit range"),
+            (
+                "jeq r0, 1, ok\njne r0, 0, nowhere\nok: exit",
+                2,
+                "undefined label",
+            ),
+        ];
+        for (src, line, needle) in cases.into_iter().chain(label_rows) {
             let e = parse_program("t", src).unwrap_err();
             assert_eq!(e.line, line, "{src}");
             assert!(e.message.contains(needle), "{src}: {e}");
         }
+    }
+
+    #[test]
+    fn jmp32_label_jumps_resolve() {
+        use crate::insn::{OP_JEQ, R1};
+        let prog = parse_program("t", "jeq32 r1, 5, out\nmov r0, 1\nout:\nexit").unwrap();
+        assert_eq!(prog.insns()[0], Insn::jmp32_imm(OP_JEQ, R1, 5, 1));
     }
 
     #[test]

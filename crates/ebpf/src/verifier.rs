@@ -31,14 +31,10 @@
 //! instructions and dead stack stores.
 
 use crate::analysis::MapSite;
-use crate::decode::AluOp;
+use crate::decode::{AluOp, CmpOp, Decoded};
 use crate::helpers::{ArgClass, Helper, RetClass};
-use crate::insn::{
-    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, MAX_INSNS,
-    OP_ADD, OP_AND, OP_ARSH, OP_CALL, OP_DIV, OP_EXIT, OP_JA, OP_JEQ, OP_JGE, OP_JGT, OP_JLE,
-    OP_JLT, OP_JNE, OP_JSET, OP_JSGE, OP_JSGT, OP_JSLE, OP_JSLT, OP_LSH, OP_MOD, OP_MOV, OP_MUL,
-    OP_NEG, OP_OR, OP_RSH, OP_SUB, OP_XOR, PSEUDO_MAP_FD, REG_COUNT, STACK_SIZE,
-};
+use crate::insn::{MAX_INSNS, REG_COUNT, STACK_SIZE};
+use crate::interp::{exec_alu32, exec_alu64, take_branch};
 use crate::maps::{MapFd, MapKind, MapRegistry};
 use crate::program::Program;
 use crate::tnum::Tnum;
@@ -522,60 +518,6 @@ impl std::fmt::Display for Scalar {
     }
 }
 
-/// Exact 64-bit ALU semantics, mirroring `interp.rs` (div by zero yields
-/// 0, mod by zero leaves dst unchanged, shifts mask the count).
-fn exact64(op: u8, a: u64, b: u64) -> Option<u64> {
-    Some(match op {
-        OP_ADD => a.wrapping_add(b),
-        OP_SUB => a.wrapping_sub(b),
-        OP_MUL => a.wrapping_mul(b),
-        OP_DIV => a.checked_div(b).unwrap_or(0),
-        OP_MOD => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        OP_OR => a | b,
-        OP_AND => a & b,
-        OP_XOR => a ^ b,
-        OP_LSH => a.wrapping_shl(b as u32 & 63),
-        OP_RSH => a.wrapping_shr(b as u32 & 63),
-        OP_ARSH => ((a as i64).wrapping_shr(b as u32 & 63)) as u64,
-        OP_NEG => (a as i64).wrapping_neg() as u64,
-        _ => return None,
-    })
-}
-
-/// Exact 32-bit ALU semantics (results zero-extend).
-fn exact32(op: u8, a: u64, b: u64) -> Option<u64> {
-    let a = a as u32;
-    let b = b as u32;
-    let v32 = match op {
-        OP_ADD => a.wrapping_add(b),
-        OP_SUB => a.wrapping_sub(b),
-        OP_MUL => a.wrapping_mul(b),
-        OP_DIV => a.checked_div(b).unwrap_or(0),
-        OP_MOD => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        OP_OR => a | b,
-        OP_AND => a & b,
-        OP_XOR => a ^ b,
-        OP_LSH => a.wrapping_shl(b & 31),
-        OP_RSH => a.wrapping_shr(b & 31),
-        OP_ARSH => ((a as i32).wrapping_shr(b & 31)) as u32,
-        OP_NEG => (a as i32).wrapping_neg() as u32,
-        _ => return None,
-    };
-    Some(v32 as u64)
-}
-
 /// Smallest all-ones value >= x (upper bound for OR/XOR results).
 fn all_ones_ceil(x: u64) -> u64 {
     if x == 0 {
@@ -585,15 +527,14 @@ fn all_ones_ceil(x: u64) -> u64 {
     }
 }
 
-/// 64-bit ALU transfer function on scalars.
-fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
+/// 64-bit ALU transfer function on scalars; constants fold through the
+/// interpreter's own [`exec_alu64`].
+fn alu64_transfer(op: AluOp, a: Scalar, b: Scalar) -> Scalar {
     if let (Some(x), Some(y)) = (a.const_val(), b.const_val()) {
-        if let Some(v) = exact64(op, x, y) {
-            return Scalar::constant(v);
-        }
+        return Scalar::constant(exec_alu64(op, x, y));
     }
     let r = match op {
-        OP_ADD => {
+        AluOp::Add => {
             let (umin, umax) = match (a.umin.checked_add(b.umin), a.umax.checked_add(b.umax)) {
                 (Some(lo), Some(hi)) => (lo, hi),
                 _ => (0, u64::MAX),
@@ -610,7 +551,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 smax,
             }
         }
-        OP_SUB => {
+        AluOp::Sub => {
             let (umin, umax) = match (a.umin.checked_sub(b.umax), a.umax.checked_sub(b.umin)) {
                 (Some(lo), Some(hi)) => (lo, hi),
                 _ => (0, u64::MAX),
@@ -627,7 +568,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 smax,
             }
         }
-        OP_MUL => {
+        AluOp::Mul => {
             if a.umax <= M32 && b.umax <= M32 {
                 // The product can't wrap 64 bits.
                 Scalar {
@@ -644,7 +585,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 }
             }
         }
-        OP_DIV => {
+        AluOp::Div => {
             if let Some(c) = b.const_val() {
                 match (a.umin.checked_div(c), a.umax.checked_div(c)) {
                     (Some(lo), Some(hi)) => Scalar::from_urange(lo, hi),
@@ -661,7 +602,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 }
             }
         }
-        OP_MOD => {
+        AluOp::Mod => {
             if let Some(c) = b.const_val() {
                 if c == 0 {
                     a // BPF: mod by zero leaves dst unchanged
@@ -675,28 +616,28 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 Scalar::from_urange(0, a.umax.max(b.umax.saturating_sub(1)))
             }
         }
-        OP_AND => Scalar {
+        AluOp::And => Scalar {
             tn: a.tn.and(b.tn),
             umin: 0,
             umax: a.umax.min(b.umax),
             smin: i64::MIN,
             smax: i64::MAX,
         },
-        OP_OR => Scalar {
+        AluOp::Or => Scalar {
             tn: a.tn.or(b.tn),
             umin: a.umin.max(b.umin),
             umax: all_ones_ceil(a.umax.max(b.umax)),
             smin: i64::MIN,
             smax: i64::MAX,
         },
-        OP_XOR => Scalar {
+        AluOp::Xor => Scalar {
             tn: a.tn.xor(b.tn),
             umin: 0,
             umax: all_ones_ceil(a.umax.max(b.umax)),
             smin: i64::MIN,
             smax: i64::MAX,
         },
-        OP_LSH => {
+        AluOp::Lsh => {
             if let Some(s) = b.const_val() {
                 let s = (s & 63) as u32;
                 let bounded = a.umax.leading_zeros() >= s;
@@ -711,7 +652,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 Scalar::unknown()
             }
         }
-        OP_RSH => {
+        AluOp::Rsh => {
             if let Some(s) = b.const_val() {
                 let s = (s & 63) as u32;
                 Scalar {
@@ -726,7 +667,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 Scalar::from_urange(0, a.umax)
             }
         }
-        OP_ARSH => {
+        AluOp::Arsh => {
             if let Some(s) = b.const_val() {
                 let s = (s & 63) as u32;
                 Scalar {
@@ -749,7 +690,7 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 Scalar::unknown()
             }
         }
-        OP_NEG => {
+        AluOp::Neg => {
             if a.smin != i64::MIN {
                 Scalar {
                     tn: Tnum::constant(0).sub(a.tn),
@@ -762,15 +703,16 @@ fn alu64_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 Scalar::unknown()
             }
         }
-        _ => Scalar::unknown(),
+        AluOp::Mov => b,
     };
     r.normalized()
 }
 
-/// 32-bit ALU transfer function: exact on constants, tnum/range-based
-/// where cheap and sound, `[0, u32::MAX]` otherwise. Results zero-extend.
-fn alu32_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
-    if op == OP_MOV {
+/// 32-bit ALU transfer function: exact on constants (through
+/// [`exec_alu32`]), tnum/range-based where cheap and sound, `[0,
+/// u32::MAX]` otherwise. Results zero-extend.
+fn alu32_transfer(op: AluOp, a: Scalar, b: Scalar) -> Scalar {
+    if op == AluOp::Mov {
         return match b.const_val() {
             Some(v) => Scalar::constant(v & M32),
             None if b.umax <= M32 => b,
@@ -782,9 +724,7 @@ fn alu32_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
         };
     }
     if let (Some(x), Some(y)) = (a.const_val(), b.const_val()) {
-        if let Some(v) = exact32(op, x, y) {
-            return Scalar::constant(v);
-        }
+        return Scalar::constant(exec_alu32(op, x as u32, y as u32) as u64);
     }
     // Inputs truncated to their low 32 bits.
     let a32 = if a.umax <= M32 {
@@ -796,7 +736,7 @@ fn alu32_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
         }
         .normalized()
     };
-    let b32 = if matches!(op, OP_LSH | OP_RSH) {
+    let b32 = if matches!(op, AluOp::Lsh | AluOp::Rsh) {
         // 32-bit shifts mask the count with 31; the 64-bit transfer we
         // delegate to masks with 63, so pre-mask a known count here and
         // give up on an unknown one (the 64-bit non-const shift paths
@@ -816,11 +756,22 @@ fn alu32_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
         .normalized()
     };
     match op {
-        OP_AND | OP_OR | OP_XOR | OP_DIV | OP_MOD | OP_RSH => {
-            // These cannot produce bits above 31 from 32-bit inputs, and
-            // the 64-bit transfer is exact for them on such inputs (the
-            // shift count was pre-masked to [0, 31] above; an unknown
-            // count degrades to a sound range anyway).
+        AluOp::And
+        | AluOp::Or
+        | AluOp::Xor
+        | AluOp::Div
+        | AluOp::Mod
+        | AluOp::Rsh
+        | AluOp::Add
+        | AluOp::Sub
+        | AluOp::Mul
+        | AluOp::Lsh => {
+            // The first six cannot produce bits above 31 from 32-bit
+            // inputs, and the 64-bit transfer is exact for them on such
+            // inputs (the shift count was pre-masked to [0, 31] above; an
+            // unknown count degrades to a sound range anyway). The last
+            // four may carry past bit 31: keep the result only if it
+            // provably didn't wrap.
             let r = alu64_transfer(op, a32, b32);
             if r.umax <= M32 {
                 r
@@ -832,39 +783,25 @@ fn alu32_transfer(op: u8, a: Scalar, b: Scalar) -> Scalar {
                 .normalized()
             }
         }
-        OP_ADD | OP_SUB | OP_MUL | OP_LSH => {
-            // May carry past bit 31: keep the result only if it provably
-            // didn't wrap.
-            let r = alu64_transfer(op, a32, b32);
-            if r.umax <= M32 {
-                r
-            } else {
-                Scalar {
-                    tn: r.tn.cast32(),
-                    ..Scalar::top32()
-                }
-                .normalized()
-            }
-        }
-        _ => Scalar::top32(),
+        AluOp::Neg | AluOp::Arsh | AluOp::Mov => Scalar::top32(),
     }
 }
 
 /// Negation of a conditional-jump op: the condition that holds on the
 /// fall-through edge.
-fn negate_cmp(op: u8) -> u8 {
+fn negate_cmp(op: CmpOp) -> CmpOp {
     match op {
-        OP_JEQ => OP_JNE,
-        OP_JNE => OP_JEQ,
-        OP_JGT => OP_JLE,
-        OP_JGE => OP_JLT,
-        OP_JLT => OP_JGE,
-        OP_JLE => OP_JGT,
-        OP_JSGT => OP_JSLE,
-        OP_JSGE => OP_JSLT,
-        OP_JSLT => OP_JSGE,
-        OP_JSLE => OP_JSGT,
-        other => other, // JSET is handled out of band
+        CmpOp::Eq => CmpOp::Ne,
+        CmpOp::Ne => CmpOp::Eq,
+        CmpOp::Gt => CmpOp::Le,
+        CmpOp::Ge => CmpOp::Lt,
+        CmpOp::Lt => CmpOp::Ge,
+        CmpOp::Le => CmpOp::Gt,
+        CmpOp::Sgt => CmpOp::Sle,
+        CmpOp::Sge => CmpOp::Slt,
+        CmpOp::Slt => CmpOp::Sge,
+        CmpOp::Sle => CmpOp::Sgt,
+        CmpOp::Set => CmpOp::Set, // handled out of band
     }
 }
 
@@ -894,13 +831,13 @@ fn exclude_point(mut s: Scalar, c: u64) -> Option<Scalar> {
 /// Refines `(d, s)` under the assumption that the 64-bit comparison
 /// `d <op> s` *holds*. Returns `None` when the assumption is infeasible
 /// (the corresponding branch edge is dead).
-fn refine_cmp64(op: u8, d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
+fn refine_cmp64(op: CmpOp, d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
     match op {
-        OP_JEQ => {
+        CmpOp::Eq => {
             let m = Scalar::meet(d, s)?;
             Some((m, m))
         }
-        OP_JNE => {
+        CmpOp::Ne => {
             let mut d2 = d;
             let mut s2 = s;
             if let Some(c) = s.const_val() {
@@ -911,63 +848,63 @@ fn refine_cmp64(op: u8, d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
             }
             Some((d2, s2))
         }
-        OP_JGT => {
+        CmpOp::Gt => {
             let mut d2 = d;
             let mut s2 = s;
             d2.umin = d2.umin.max(s.umin.checked_add(1)?);
             s2.umax = s2.umax.min(d.umax.checked_sub(1)?);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JGE => {
+        CmpOp::Ge => {
             let mut d2 = d;
             let mut s2 = s;
             d2.umin = d2.umin.max(s.umin);
             s2.umax = s2.umax.min(d.umax);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JLT => {
+        CmpOp::Lt => {
             let mut d2 = d;
             let mut s2 = s;
             d2.umax = d2.umax.min(s.umax.checked_sub(1)?);
             s2.umin = s2.umin.max(d.umin.checked_add(1)?);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JLE => {
+        CmpOp::Le => {
             let mut d2 = d;
             let mut s2 = s;
             d2.umax = d2.umax.min(s.umax);
             s2.umin = s2.umin.max(d.umin);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JSGT => {
+        CmpOp::Sgt => {
             let mut d2 = d;
             let mut s2 = s;
             d2.smin = d2.smin.max(s.smin.checked_add(1)?);
             s2.smax = s2.smax.min(d.smax.checked_sub(1)?);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JSGE => {
+        CmpOp::Sge => {
             let mut d2 = d;
             let mut s2 = s;
             d2.smin = d2.smin.max(s.smin);
             s2.smax = s2.smax.min(d.smax);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JSLT => {
+        CmpOp::Slt => {
             let mut d2 = d;
             let mut s2 = s;
             d2.smax = d2.smax.min(s.smax.checked_sub(1)?);
             s2.smin = s2.smin.max(d.smin.checked_add(1)?);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        OP_JSLE => {
+        CmpOp::Sle => {
             let mut d2 = d;
             let mut s2 = s;
             d2.smax = d2.smax.min(s.smax);
             s2.smin = s2.smin.max(d.smin);
             Some((d2.try_normalize()?, s2.try_normalize()?))
         }
-        _ => Some((d, s)),
+        CmpOp::Set => Some((d, s)), // refined by the JSET functions
     }
 }
 
@@ -1031,29 +968,29 @@ fn refine_jset_fall(d: Scalar, s: Scalar) -> Option<(Scalar, Scalar)> {
 /// compare (which only observes the low halves — refinement is applied
 /// only where that is sound). `None` means the edge is provably dead.
 fn refine_branch(
-    op: u8,
+    op: CmpOp,
     taken: bool,
     is32: bool,
     d: Scalar,
     s: Scalar,
 ) -> Option<(Scalar, Scalar)> {
     if is32 {
-        // Exact evaluation when both low halves are known.
+        // Exact evaluation, by the interpreter's own compare, when both
+        // low halves are known.
         if let (Some(x), Some(y)) = (d.const_val(), s.const_val()) {
-            let holds = eval_cmp32(op, x, y);
-            return if holds == taken { Some((d, s)) } else { None };
+            return (take_branch(op, true, x, y) == taken).then_some((d, s));
         }
         // Unsigned 32-bit compares agree with the 64-bit compare when
         // both operands provably fit in 32 bits.
         let unsigned = matches!(
             op,
-            OP_JEQ | OP_JNE | OP_JGT | OP_JGE | OP_JLT | OP_JLE | OP_JSET
+            CmpOp::Eq | CmpOp::Ne | CmpOp::Gt | CmpOp::Ge | CmpOp::Lt | CmpOp::Le | CmpOp::Set
         );
         if !(unsigned && d.umax <= M32 && s.umax <= M32) {
             return Some((d, s));
         }
     }
-    if op == OP_JSET {
+    if op == CmpOp::Set {
         return if taken {
             refine_jset_taken(d, s)
         } else {
@@ -1062,26 +999,6 @@ fn refine_branch(
     }
     let effective = if taken { op } else { negate_cmp(op) };
     refine_cmp64(effective, d, s)
-}
-
-/// Concrete 32-bit comparison (low halves, signed ops on i32).
-fn eval_cmp32(op: u8, x: u64, y: u64) -> bool {
-    let (a, b) = (x as u32, y as u32);
-    let (sa, sb) = (a as i32, b as i32);
-    match op {
-        OP_JEQ => a == b,
-        OP_JNE => a != b,
-        OP_JGT => a > b,
-        OP_JGE => a >= b,
-        OP_JLT => a < b,
-        OP_JLE => a <= b,
-        OP_JSET => a & b != 0,
-        OP_JSGT => sa > sb,
-        OP_JSGE => sa >= sb,
-        OP_JSLT => sa < sb,
-        OP_JSLE => sa <= sb,
-        _ => true,
-    }
 }
 
 /// Abstract register contents.
@@ -1266,6 +1183,24 @@ impl State {
     fn render_regs(&self) -> Vec<String> {
         self.regs.iter().map(|r| r.render()).collect()
     }
+
+    /// The abstract value of an instruction's right-hand operand.
+    fn operand(&self, pc: usize, src: Operand) -> Result<RegType, VerifyError> {
+        match src {
+            Operand::Reg(reg) if !self.regs[reg as usize].is_init() => {
+                Err(VerifyError::UninitRead { pc, reg })
+            }
+            Operand::Reg(reg) => Ok(self.regs[reg as usize]),
+            Operand::Imm(v) => Ok(RegType::known(v)),
+        }
+    }
+}
+
+/// The right-hand operand of an ALU op or a conditional jump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    Reg(u8),
+    Imm(u64),
 }
 
 /// Per-pc record of resolved stack traffic, collected during abstract
@@ -1463,9 +1398,11 @@ impl Verifier {
         };
 
         // Abstract interpretation in pc order (valid because the CFG is a
-        // DAG with edges only going forward). `pred` records the first
+        // DAG with edges only going forward), over the decoded slots the
+        // JIT compiles. `pred` records the first
         // predecessor that reached each pc, giving a witness path for
         // diagnostics.
+        let decoded = program.decoded();
         let mut states: Vec<Option<State>> = vec![None; insns.len()];
         let mut pred: Vec<Option<usize>> = vec![None; insns.len()];
         states[0] = Some(State::entry());
@@ -1506,8 +1443,8 @@ impl Verifier {
                 pc += 1;
                 continue; // unreachable instruction
             };
-            let insn = insns[pc];
-            match self.step(pc, insn, state.clone(), insns, maps, &mut logs[pc]) {
+            let d = decoded[pc];
+            match self.step(pc, d, state.clone(), maps, &mut logs[pc]) {
                 Err(error) => {
                     // Record and stop propagating this path; other paths
                     // keep verifying so the report covers every error.
@@ -1518,7 +1455,8 @@ impl Verifier {
                     });
                 }
                 Ok(Flow::Next(state)) => {
-                    let next = if insn.is_ld_dw() { pc + 2 } else { pc + 1 };
+                    let two_slots = matches!(d, Decoded::LdImm64 { .. } | Decoded::LdMapFd { .. });
+                    let next = if two_slots { pc + 2 } else { pc + 1 };
                     if next >= insns.len() {
                         report.errors.push(Diagnostic {
                             error: VerifyError::FallOffEnd { pc },
@@ -1569,7 +1507,7 @@ impl Verifier {
                     &reachable,
                 ));
             report.warnings.extend(crate::analysis::dead_store_warnings(
-                program.decoded(),
+                decoded,
                 &is_ld_dw_hi,
                 &reachable,
                 |pc| {
@@ -1603,9 +1541,8 @@ impl Verifier {
     fn step(
         &self,
         pc: usize,
-        insn: Insn,
+        d: Decoded,
         mut state: State,
-        insns: &[Insn],
         maps: &MapRegistry,
         log: &mut AccessLog,
     ) -> Result<Flow, VerifyError> {
@@ -1625,61 +1562,108 @@ impl Verifier {
             Ok(())
         };
 
-        match insn.class() {
-            CLS_LD => {
-                if !insn.is_ld_dw() {
-                    return Err(VerifyError::BadOpcode {
-                        pc,
-                        code: insn.code,
-                    });
+        match d {
+            Decoded::LdImm64 { dst, value } => write(&mut state, dst, RegType::known(value))?,
+            Decoded::LdMapFd { dst, fd } => {
+                let fd = MapFd(fd);
+                if maps.def(fd).is_err() {
+                    return Err(VerifyError::BadMapFd { pc, fd: fd.0 });
                 }
-                if insn.src == PSEUDO_MAP_FD {
-                    let fd = MapFd(insn.imm as u32);
-                    if maps.def(fd).is_err() {
-                        return Err(VerifyError::BadMapFd { pc, fd: fd.0 });
-                    }
-                    write(&mut state, insn.dst, RegType::MapHandle { fd })?;
-                } else {
-                    // Both halves are constants: the 64-bit value is known.
-                    let lo = insn.imm as u32 as u64;
-                    let hi = insns.get(pc + 1).map_or(0, |i| i.imm as u32 as u64);
-                    write(&mut state, insn.dst, RegType::known(lo | (hi << 32)))?;
+                write(&mut state, dst, RegType::MapHandle { fd })?;
+            }
+            Decoded::Load {
+                size,
+                dst,
+                src,
+                off,
+            } => {
+                let base = read(&state, src)?;
+                let loaded = self.check_load(pc, &state, base, off.into(), size.into(), log)?;
+                write(&mut state, dst, loaded)?;
+            }
+            Decoded::StoreReg {
+                size,
+                dst,
+                src,
+                off,
+            } => {
+                let base = read(&state, dst)?;
+                let value = read(&state, src)?;
+                self.check_store(pc, &mut state, base, off.into(), size.into(), value, log)?;
+            }
+            Decoded::StoreImm {
+                size,
+                dst,
+                off,
+                imm,
+            } => {
+                let base = read(&state, dst)?;
+                let value = RegType::known(imm);
+                self.check_store(pc, &mut state, base, off.into(), size.into(), value, log)?;
+            }
+            Decoded::Alu64Imm { op, dst, imm } => {
+                self.alu(pc, op, true, dst, Operand::Imm(imm), &mut state)?
+            }
+            Decoded::Alu64Reg { op, dst, src } => {
+                self.alu(pc, op, true, dst, Operand::Reg(src), &mut state)?
+            }
+            Decoded::Alu32Imm { op, dst, imm } => {
+                self.alu(pc, op, false, dst, Operand::Imm(imm.into()), &mut state)?
+            }
+            Decoded::Alu32Reg { op, dst, src } => {
+                self.alu(pc, op, false, dst, Operand::Reg(src), &mut state)?
+            }
+            Decoded::Call { helper } => self.check_call(pc, helper, &mut state, maps, log)?,
+            Decoded::Exit => {
+                if !matches!(state.regs[0], RegType::Scalar(_)) {
+                    return Err(VerifyError::ExitWithoutR0 { pc });
                 }
-                Ok(Flow::Next(state))
+                return Ok(Flow::Exit);
             }
-            CLS_LDX => {
-                let base = read(&state, insn.src)?;
-                let size = insn.size_bytes();
-                let loaded = self.check_load(pc, &state, base, insn.off as i64, size, log)?;
-                write(&mut state, insn.dst, loaded)?;
-                Ok(Flow::Next(state))
+            Decoded::Ja { target } => {
+                return Ok(Flow::Jump {
+                    target: target as usize,
+                    state,
+                })
             }
-            CLS_ST | CLS_STX => {
-                let base = read(&state, insn.dst)?;
-                let size = insn.size_bytes();
-                let src_type = if insn.class() == CLS_STX {
-                    read(&state, insn.src)?
-                } else {
-                    RegType::known(insn.imm as i64 as u64)
-                };
-                self.check_store(pc, &mut state, base, insn.off as i64, size, src_type, log)?;
-                Ok(Flow::Next(state))
+            Decoded::JmpImm {
+                op,
+                w32,
+                dst,
+                rhs,
+                target,
+            } => {
+                // The decoder zero-extends a JMP32 immediate; refinement
+                // keeps the sign-extended value the instruction encodes.
+                let rhs = if w32 { rhs as u32 as i32 as u64 } else { rhs };
+                let (taken_state, fall_state) =
+                    self.branch(pc, op, w32, dst, Operand::Imm(rhs), state)?;
+                return Ok(Flow::Branch {
+                    taken: target as usize,
+                    taken_state,
+                    fall_state,
+                });
             }
-            CLS_ALU64 => {
-                self.alu(pc, insn, &mut state, true)?;
-                Ok(Flow::Next(state))
+            Decoded::JmpReg {
+                op,
+                w32,
+                dst,
+                src,
+                target,
+            } => {
+                let (taken_state, fall_state) =
+                    self.branch(pc, op, w32, dst, Operand::Reg(src), state)?;
+                return Ok(Flow::Branch {
+                    taken: target as usize,
+                    taken_state,
+                    fall_state,
+                });
             }
-            CLS_ALU => {
-                self.alu(pc, insn, &mut state, false)?;
-                Ok(Flow::Next(state))
-            }
-            CLS_JMP => self.jump(pc, insn, state, maps, false, log),
-            CLS_JMP32 => self.jump(pc, insn, state, maps, true, log),
-            _ => Err(VerifyError::BadOpcode {
-                pc,
-                code: insn.code,
-            }),
+            Decoded::UnknownHelper { id } => return Err(VerifyError::UnknownHelper { pc, id }),
+            Decoded::BadOpcode { code } => return Err(VerifyError::BadOpcode { pc, code }),
+            Decoded::MalformedLdDw => return Err(VerifyError::MalformedLdDw { pc }),
         }
+        Ok(Flow::Next(state))
     }
 
     fn check_load(
@@ -1844,49 +1828,32 @@ impl Verifier {
         }
     }
 
-    fn alu(&self, pc: usize, insn: Insn, state: &mut State, is64: bool) -> Result<(), VerifyError> {
-        if insn.dst == 10 {
+    fn alu(
+        &self,
+        pc: usize,
+        op: AluOp,
+        is64: bool,
+        dst: u8,
+        src: Operand,
+        state: &mut State,
+    ) -> Result<(), VerifyError> {
+        if dst == 10 {
             return Err(VerifyError::WriteToFp { pc });
         }
-        let op = insn.op();
-        let operand: Option<RegType> = if insn.is_src_reg() {
-            let t = state.regs[insn.src as usize];
-            if !t.is_init() {
-                return Err(VerifyError::UninitRead { pc, reg: insn.src });
-            }
-            Some(t)
-        } else {
-            None
-        };
-        let imm_scalar = RegType::known(insn.imm as i64 as u64);
-        let rhs = operand.unwrap_or(imm_scalar);
-
+        let rhs = state.operand(pc, src)?;
         // MOV initializes dst; every other op also reads it.
-        if op != OP_MOV {
-            let t = state.regs[insn.dst as usize];
-            if !t.is_init() {
-                return Err(VerifyError::UninitRead { pc, reg: insn.dst });
-            }
+        let dst_t = state.regs[dst as usize];
+        if op != AluOp::Mov && !dst_t.is_init() {
+            return Err(VerifyError::UninitRead { pc, reg: dst });
         }
-        let dst_t = state.regs[insn.dst as usize];
-
-        if (op == OP_DIV || op == OP_MOD) && !insn.is_src_reg() && insn.imm == 0 {
+        if matches!(op, AluOp::Div | AluOp::Mod) && src == Operand::Imm(0) {
             return Err(VerifyError::DivByZeroImm { pc });
-        }
-        // Both widths share the op table: an encoding it does not define
-        // (0xd0-0xf0, which includes eBPF's byte-swap `le`/`be`) is a
-        // trap on the interpreter and must never reach the JIT.
-        if AluOp::from_bits(op).is_none() {
-            return Err(VerifyError::BadOpcode {
-                pc,
-                code: insn.code,
-            });
         }
 
         if !is64 {
             // 32-bit ALU only operates on scalars (pointer truncation is
             // forbidden).
-            if op != OP_MOV && !matches!(dst_t, RegType::Scalar(_)) {
+            if op != AluOp::Mov && !matches!(dst_t, RegType::Scalar(_)) {
                 return Err(VerifyError::PointerArith { pc });
             }
             let RegType::Scalar(rhs_s) = rhs else {
@@ -1896,18 +1863,18 @@ impl Verifier {
                 RegType::Scalar(s) => s,
                 _ => Scalar::unknown(), // only reachable for MOV
             };
-            state.regs[insn.dst as usize] = RegType::Scalar(alu32_transfer(op, dst_s, rhs_s));
+            state.regs[dst as usize] = RegType::Scalar(alu32_transfer(op, dst_s, rhs_s));
             return Ok(());
         }
 
         let result = match op {
-            OP_MOV => rhs,
-            OP_ADD | OP_SUB => match (dst_t, rhs) {
+            AluOp::Mov => rhs,
+            AluOp::Add | AluOp::Sub => match (dst_t, rhs) {
                 (RegType::Scalar(a), RegType::Scalar(b)) => {
                     RegType::Scalar(alu64_transfer(op, a, b))
                 }
                 (ptr, RegType::Scalar(s)) if is_ptr(ptr) => {
-                    if insn.is_src_reg() && !self.config.value_tracking {
+                    if matches!(src, Operand::Reg(_)) && !self.config.value_tracking {
                         // Type-only mode: a register offset has no known
                         // bounds, so pointer arithmetic with it is opaque.
                         return Err(VerifyError::PointerArith { pc });
@@ -1920,178 +1887,121 @@ impl Verifier {
                 }
                 _ => return Err(VerifyError::PointerArith { pc }),
             },
-            OP_NEG => {
+            AluOp::Neg => {
                 let RegType::Scalar(a) = dst_t else {
                     return Err(VerifyError::PointerArith { pc });
                 };
-                RegType::Scalar(alu64_transfer(OP_NEG, a, a))
+                RegType::Scalar(alu64_transfer(AluOp::Neg, a, a))
             }
-            OP_MUL | OP_DIV | OP_OR | OP_AND | OP_LSH | OP_RSH | OP_MOD | OP_XOR | OP_ARSH => {
+            AluOp::Mul
+            | AluOp::Div
+            | AluOp::Or
+            | AluOp::And
+            | AluOp::Lsh
+            | AluOp::Rsh
+            | AluOp::Mod
+            | AluOp::Xor
+            | AluOp::Arsh => {
                 let (RegType::Scalar(a), RegType::Scalar(b)) = (dst_t, rhs) else {
                     return Err(VerifyError::PointerArith { pc });
                 };
                 RegType::Scalar(alu64_transfer(op, a, b))
             }
-            _ => unreachable!("undefined ALU ops are rejected above"),
         };
-        state.regs[insn.dst as usize] = result;
+        state.regs[dst as usize] = result;
         Ok(())
     }
 
-    fn jump(
+    /// The two out-edges of a conditional jump, `(taken, fall-through)`;
+    /// a `None` edge is proven dead.
+    fn branch(
         &self,
         pc: usize,
-        insn: Insn,
-        mut state: State,
-        maps: &MapRegistry,
-        is32: bool,
-        log: &mut AccessLog,
-    ) -> Result<Flow, VerifyError> {
-        let op = insn.op();
-        if is32 && matches!(op, OP_EXIT | OP_CALL | OP_JA) {
-            return Err(VerifyError::BadOpcode {
-                pc,
-                code: insn.code,
-            });
+        op: CmpOp,
+        w32: bool,
+        dst: u8,
+        src: Operand,
+        state: State,
+    ) -> Result<(Option<State>, Option<State>), VerifyError> {
+        let dst_t = state.regs[dst as usize];
+        if !dst_t.is_init() {
+            return Err(VerifyError::UninitRead { pc, reg: dst });
         }
-        match op {
-            OP_EXIT => {
-                if !matches!(state.regs[0], RegType::Scalar(_)) {
-                    return Err(VerifyError::ExitWithoutR0 { pc });
-                }
-                Ok(Flow::Exit)
+        if w32 && !matches!(dst_t, RegType::Scalar(_)) {
+            // Comparing the lower half of a pointer is meaningless.
+            return Err(VerifyError::PointerArith { pc });
+        }
+        let rhs_is_zero_imm = !w32 && src == Operand::Imm(0);
+        let rhs = state.operand(pc, src)?;
+        if let Operand::Reg(_) = src {
+            // Register comparisons must involve scalars or pointers of the
+            // same region; comparing a map handle is meaningless.
+            if matches!(dst_t, RegType::MapHandle { .. })
+                || matches!(rhs, RegType::MapHandle { .. })
+            {
+                return Err(VerifyError::PointerArith { pc });
             }
-            OP_CALL => {
-                let helper = Helper::from_id(insn.imm)
-                    .ok_or(VerifyError::UnknownHelper { pc, id: insn.imm })?;
-                self.check_call(pc, helper, &mut state, maps, log)?;
-                Ok(Flow::Next(state))
+        } else if matches!(dst_t, RegType::MapHandle { .. }) {
+            return Err(VerifyError::PointerArith { pc });
+        } else if is_ptr(dst_t)
+            && !(rhs_is_zero_imm && matches!(dst_t, RegType::PtrMapValue { .. }))
+        {
+            // The only pointer-vs-immediate comparison allowed is the
+            // NULL check on a map value.
+            return Err(VerifyError::PointerArith { pc });
+        }
+
+        let mut taken_state = Some(state.clone());
+        let mut fall_state = Some(state);
+
+        // NULL-check refinement on map-value pointers.
+        if let RegType::PtrMapValue {
+            lo, hi, value_size, ..
+        } = dst_t
+        {
+            if rhs_is_zero_imm {
+                let non_null = RegType::PtrMapValue {
+                    lo,
+                    hi,
+                    value_size,
+                    nullable: false,
+                };
+                // On the NULL edge the pointer is treated as scalar 0. A
+                // pointer takes no scalar refinement below.
+                let (null_edge, non_null_edge) = match op {
+                    CmpOp::Eq => (&mut taken_state, &mut fall_state),
+                    CmpOp::Ne => (&mut fall_state, &mut taken_state),
+                    _ => return Ok((taken_state, fall_state)),
+                };
+                if let Some(s) = null_edge {
+                    s.regs[dst as usize] = RegType::known(0);
+                }
+                if let Some(s) = non_null_edge {
+                    s.regs[dst as usize] = non_null;
+                }
             }
-            OP_JA => Ok(Flow::Jump {
-                target: (pc as i64 + 1 + insn.off as i64) as usize,
-                state,
-            }),
-            OP_JEQ | OP_JNE | OP_JGT | OP_JGE | OP_JLT | OP_JLE | OP_JSGT | OP_JSGE | OP_JSLT
-            | OP_JSLE | OP_JSET => {
-                let dst_t = state.regs[insn.dst as usize];
-                if !dst_t.is_init() {
-                    return Err(VerifyError::UninitRead { pc, reg: insn.dst });
-                }
-                if is32 && !matches!(dst_t, RegType::Scalar(_)) {
-                    // Comparing the lower half of a pointer is meaningless.
-                    return Err(VerifyError::PointerArith { pc });
-                }
-                let rhs_is_zero_imm = !is32 && !insn.is_src_reg() && insn.imm == 0;
-                let mut src_t = None;
-                if insn.is_src_reg() {
-                    let t = state.regs[insn.src as usize];
-                    if !t.is_init() {
-                        return Err(VerifyError::UninitRead { pc, reg: insn.src });
-                    }
-                    // Register comparisons must involve scalars or pointers
-                    // of the same region; comparing a map handle is
-                    // meaningless.
-                    if matches!(dst_t, RegType::MapHandle { .. })
-                        || matches!(t, RegType::MapHandle { .. })
-                    {
-                        return Err(VerifyError::PointerArith { pc });
-                    }
-                    src_t = Some(t);
-                } else if matches!(dst_t, RegType::MapHandle { .. }) {
-                    return Err(VerifyError::PointerArith { pc });
-                } else if is_ptr(dst_t)
-                    && !(rhs_is_zero_imm && matches!(dst_t, RegType::PtrMapValue { .. }))
-                {
-                    // The only pointer-vs-immediate comparison allowed is the
-                    // NULL check on a map value.
-                    return Err(VerifyError::PointerArith { pc });
-                }
+        }
 
-                let target = (pc as i64 + 1 + insn.off as i64) as usize;
-                let mut taken_state = Some(state.clone());
-                let mut fall_state = Some(state.clone());
-
-                // NULL-check refinement on map-value pointers.
-                if let RegType::PtrMapValue {
-                    lo, hi, value_size, ..
-                } = dst_t
-                {
-                    if rhs_is_zero_imm {
-                        let non_null = RegType::PtrMapValue {
-                            lo,
-                            hi,
-                            value_size,
-                            nullable: false,
-                        };
-                        match op {
-                            OP_JEQ => {
-                                // taken: pointer is NULL; treat as scalar 0.
-                                if let Some(s) = &mut taken_state {
-                                    s.regs[insn.dst as usize] = RegType::known(0);
-                                }
-                                if let Some(s) = &mut fall_state {
-                                    s.regs[insn.dst as usize] = non_null;
-                                }
+        // Scalar-vs-scalar refinement along both edges, with dead-edge
+        // pruning. Type-only mode leaves both edges live and unrefined.
+        if let (RegType::Scalar(d), RegType::Scalar(s)) = (dst_t, rhs) {
+            if self.config.value_tracking {
+                let apply = |edge: &mut Option<State>, refined| match refined {
+                    None => *edge = None,
+                    Some((d2, s2)) => {
+                        if let Some(st) = edge {
+                            st.regs[dst as usize] = RegType::Scalar(d2);
+                            if let Operand::Reg(src) = src {
+                                st.regs[src as usize] = RegType::Scalar(s2);
                             }
-                            OP_JNE => {
-                                if let Some(s) = &mut taken_state {
-                                    s.regs[insn.dst as usize] = non_null;
-                                }
-                                if let Some(s) = &mut fall_state {
-                                    s.regs[insn.dst as usize] = RegType::known(0);
-                                }
-                            }
-                            _ => {}
                         }
                     }
-                }
-
-                // Scalar-vs-scalar refinement along both edges, with
-                // dead-edge pruning.
-                let rhs_scalar = match src_t {
-                    Some(RegType::Scalar(s)) => Some(s),
-                    Some(_) => None,
-                    None => Some(Scalar::constant(insn.imm as i64 as u64)),
                 };
-                if let (RegType::Scalar(d), Some(s)) = (dst_t, rhs_scalar) {
-                    if !self.config.value_tracking {
-                        // Type-only mode: both edges stay live, unrefined.
-                        let _ = (d, s);
-                        return Ok(Flow::Branch {
-                            taken: target,
-                            taken_state,
-                            fall_state,
-                        });
-                    }
-                    let apply =
-                        |edge: &mut Option<State>, refined: Option<(Scalar, Scalar)>| match refined
-                        {
-                            None => *edge = None,
-                            Some((d2, s2)) => {
-                                if let Some(st) = edge {
-                                    st.regs[insn.dst as usize] = RegType::Scalar(d2);
-                                    if insn.is_src_reg() {
-                                        st.regs[insn.src as usize] = RegType::Scalar(s2);
-                                    }
-                                }
-                            }
-                        };
-                    apply(&mut taken_state, refine_branch(op, true, is32, d, s));
-                    apply(&mut fall_state, refine_branch(op, false, is32, d, s));
-                }
-
-                let _ = log; // conditional jumps touch no stack bytes
-                Ok(Flow::Branch {
-                    taken: target,
-                    taken_state,
-                    fall_state,
-                })
+                apply(&mut taken_state, refine_branch(op, true, w32, d, s));
+                apply(&mut fall_state, refine_branch(op, false, w32, d, s));
             }
-            _ => Err(VerifyError::BadOpcode {
-                pc,
-                code: insn.code,
-            }),
         }
+        Ok((taken_state, fall_state))
     }
 
     fn check_call(
@@ -2342,8 +2252,8 @@ fn is_ptr(t: RegType) -> bool {
 /// the concrete offset may have wrapped, so the interval widens to
 /// `[i64::MIN, i64::MAX]`: it contains every offset mod 2⁶⁴, stays full
 /// under further shifts, and fails every access check.
-fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> RegType {
-    let delta = if op == OP_ADD {
+fn adjust_ptr_range(ptr: RegType, op: AluOp, s: Scalar) -> RegType {
+    let delta = if op == AluOp::Add {
         Some((s.smin, s.smax))
     } else {
         s.smax.checked_neg().zip(s.smin.checked_neg())
@@ -2458,13 +2368,24 @@ mod tests {
             && (v as i64) <= s.smax
     }
 
-    const OPS: &[u8] = &[
-        OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD, OP_AND, OP_OR, OP_XOR, OP_LSH, OP_RSH, OP_ARSH,
-        OP_NEG,
+    const OPS: &[AluOp] = &[
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Mod,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Lsh,
+        AluOp::Rsh,
+        AluOp::Arsh,
+        AluOp::Neg,
     ];
 
     /// Headline transfer-function soundness: the abstract result always
-    /// contains the concrete result, for every op, 64- and 32-bit.
+    /// contains the concrete result the interpreter computes, for every
+    /// op, 64- and 32-bit.
     #[test]
     fn alu_transfer_is_sound() {
         let mut rng = Rng(0x5EED_0001);
@@ -2474,14 +2395,12 @@ mod tests {
             assert!(contains(a, x), "generator broke: {a} !∋ {x}");
             assert!(contains(b, y), "generator broke: {b} !∋ {y}");
             let op = OPS[(rng.next() % OPS.len() as u64) as usize];
-            if let Some(v) = exact64(op, x, y) {
-                let r = alu64_transfer(op, a, b);
-                assert!(contains(r, v), "{a} {op:#x} {b} = {r} !∋ {v} ({x} op {y})");
-            }
-            if let Some(v) = exact32(op, x, y) {
-                let r = alu32_transfer(op, a, b);
-                assert!(contains(r, v), "32-bit {op:#x}: {r} !∋ {v} ({x} op {y})");
-            }
+            let v = exec_alu64(op, x, y);
+            let r = alu64_transfer(op, a, b);
+            assert!(contains(r, v), "{a} {op:?} {b} = {r} !∋ {v} ({x} op {y})");
+            let v = exec_alu32(op, x as u32, y as u32) as u64;
+            let r = alu32_transfer(op, a, b);
+            assert!(contains(r, v), "32-bit {op:?}: {r} !∋ {v} ({x} op {y})");
         }
     }
 
@@ -2523,7 +2442,7 @@ mod tests {
                 value_size: 8,
                 nullable: false,
             };
-            for op in [OP_ADD, OP_SUB] {
+            for op in [AluOp::Add, AluOp::Sub] {
                 let RegType::PtrMapValue {
                     lo: rlo, hi: rhi, ..
                 } = adjust_ptr_range(ptr, op, s)
@@ -2532,14 +2451,14 @@ mod tests {
                 };
                 for off in members(&mut rng, lo, hi) {
                     for d in members(&mut rng, smin, smax) {
-                        let v = if op == OP_ADD {
+                        let v = if op == AluOp::Add {
                             off.wrapping_add(d)
                         } else {
                             off.wrapping_sub(d)
                         };
                         assert!(
                             rlo <= v && v <= rhi,
-                            "[{lo}, {hi}] {op:#x} [{smin}, {smax}] = [{rlo}, {rhi}] !∋ {v} \
+                            "[{lo}, {hi}] {op:?} [{smin}, {smax}] = [{rlo}, {rhi}] !∋ {v} \
                              ({off} op {d})"
                         );
                     }
@@ -2554,34 +2473,31 @@ mod tests {
     #[test]
     fn branch_refinement_is_sound() {
         let cmps = [
-            OP_JEQ, OP_JNE, OP_JGT, OP_JGE, OP_JLT, OP_JLE, OP_JSGT, OP_JSGE, OP_JSLT, OP_JSLE,
-            OP_JSET,
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Sgt,
+            CmpOp::Sge,
+            CmpOp::Slt,
+            CmpOp::Sle,
+            CmpOp::Set,
         ];
         let mut rng = Rng(0x5EED_0002);
         for _ in 0..20_000 {
             let (a, x) = rng.scalar_and_member();
             let (b, y) = rng.scalar_and_member();
             let op = cmps[(rng.next() % cmps.len() as u64) as usize];
-            let holds = match op {
-                OP_JEQ => x == y,
-                OP_JNE => x != y,
-                OP_JGT => x > y,
-                OP_JGE => x >= y,
-                OP_JLT => x < y,
-                OP_JLE => x <= y,
-                OP_JSGT => (x as i64) > (y as i64),
-                OP_JSGE => (x as i64) >= (y as i64),
-                OP_JSLT => (x as i64) < (y as i64),
-                OP_JSLE => (x as i64) <= (y as i64),
-                _ => x & y != 0,
-            };
+            let holds = take_branch(op, false, x, y);
             for taken in [true, false] {
                 if holds != taken {
                     continue; // this edge isn't the concretely-taken one
                 }
                 match refine_branch(op, taken, false, a, b) {
                     None => panic!(
-                        "pruned a live edge: op {op:#x} taken={taken} x={x} y={y} a={a} b={b}"
+                        "pruned a live edge: op {op:?} taken={taken} x={x} y={y} a={a} b={b}"
                     ),
                     Some((a2, b2)) => {
                         assert!(contains(a2, x), "refined dst {a2} lost {x}");
@@ -2595,14 +2511,14 @@ mod tests {
     #[test]
     fn normalize_cross_derives_bounds() {
         // AND with 63 pins the value to [0, 63] in every representation.
-        let r = alu64_transfer(OP_AND, Scalar::unknown(), Scalar::constant(63));
+        let r = alu64_transfer(AluOp::And, Scalar::unknown(), Scalar::constant(63));
         assert_eq!(r.umin, 0);
         assert_eq!(r.umax, 63);
         assert_eq!(r.smin, 0);
         assert_eq!(r.smax, 63);
         assert_eq!(r.tn.mask, 63);
         // Then <<3 gives a multiple of 8 in [0, 504].
-        let r = alu64_transfer(OP_LSH, r, Scalar::constant(3));
+        let r = alu64_transfer(AluOp::Lsh, r, Scalar::constant(3));
         assert_eq!((r.umin, r.umax), (0, 504));
         assert_eq!(r.tn.mask, 0b111111000);
         assert_eq!(r.tn.value, 0);
@@ -2613,12 +2529,12 @@ mod tests {
         let d = Scalar::unknown();
         let s = Scalar::constant(63);
         // taken edge of `if d > 63`: d in [64, MAX]
-        let Some((d2, _)) = refine_branch(OP_JGT, true, false, d, s) else {
+        let Some((d2, _)) = refine_branch(CmpOp::Gt, true, false, d, s) else {
             panic!("edge should be feasible");
         };
         assert_eq!(d2.umin, 64);
         // fall edge: d in [0, 63]
-        let Some((d3, _)) = refine_branch(OP_JGT, false, false, d, s) else {
+        let Some((d3, _)) = refine_branch(CmpOp::Gt, false, false, d, s) else {
             panic!("edge should be feasible");
         };
         assert_eq!((d3.umin, d3.umax), (0, 63));
@@ -2629,17 +2545,17 @@ mod tests {
     fn const_compares_prune_dead_edges() {
         let a = Scalar::constant(5);
         let b = Scalar::constant(9);
-        assert!(refine_branch(OP_JEQ, true, false, a, b).is_none());
-        assert!(refine_branch(OP_JEQ, false, false, a, b).is_some());
-        assert!(refine_branch(OP_JLT, false, false, a, b).is_none());
-        assert!(refine_branch(OP_JSET, true, false, a, Scalar::constant(2)).is_none());
+        assert!(refine_branch(CmpOp::Eq, true, false, a, b).is_none());
+        assert!(refine_branch(CmpOp::Eq, false, false, a, b).is_some());
+        assert!(refine_branch(CmpOp::Lt, false, false, a, b).is_none());
+        assert!(refine_branch(CmpOp::Set, true, false, a, Scalar::constant(2)).is_none());
     }
 
     #[test]
     fn jset_refines_known_bits() {
         // fall edge of `if d & 0x8`: bit 3 is known clear.
         let Some((d2, _)) = refine_branch(
-            OP_JSET,
+            CmpOp::Set,
             false,
             false,
             Scalar::unknown(),
@@ -2650,9 +2566,13 @@ mod tests {
         assert_eq!(d2.tn.mask & 8, 0);
         assert_eq!(d2.tn.value & 8, 0);
         // taken edge with a single-bit constant: bit known set, so d >= 8.
-        let Some((d3, _)) =
-            refine_branch(OP_JSET, true, false, Scalar::unknown(), Scalar::constant(8))
-        else {
+        let Some((d3, _)) = refine_branch(
+            CmpOp::Set,
+            true,
+            false,
+            Scalar::unknown(),
+            Scalar::constant(8),
+        ) else {
             panic!("taken edge feasible");
         };
         assert_eq!(d3.tn.value & 8, 8);
@@ -2664,10 +2584,10 @@ mod tests {
         // divisor in [2, 4]: 100 / d in [25, 50]
         let a = Scalar::constant(100);
         let b = Scalar::from_urange(2, 4);
-        let r = alu64_transfer(OP_DIV, a, b);
+        let r = alu64_transfer(AluOp::Div, a, b);
         assert_eq!((r.umin, r.umax), (25, 50));
         // divisor maybe zero: only [0, 100]
-        let r = alu64_transfer(OP_DIV, a, Scalar::from_urange(0, 4));
+        let r = alu64_transfer(AluOp::Div, a, Scalar::from_urange(0, 4));
         assert_eq!((r.umin, r.umax), (0, 100));
     }
 }

@@ -6,8 +6,9 @@
 //! check, so rejection and diagnostic paths can't silently lose
 //! coverage. A third table pins the value-tracking bounds checks:
 //! register-offset accesses whose intervals do *not* provably fit must
-//! still be rejected. Beside them, every opcode byte the decoder treats
-//! as a trap is checked to be a `BadOpcode` rejection.
+//! still be rejected. Beside them, every opcode byte is checked both
+//! ways against the decoder: a trap is a `BadOpcode` rejection, and an
+//! instruction is never rejected as a trap.
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::decode::decode_program;
@@ -16,7 +17,7 @@ use kscope_ebpf::insn::{
 };
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::verifier::{Verifier, VerifyError, VerifyWarning};
-use kscope_ebpf::{Decoded, Helper, Program};
+use kscope_ebpf::{jit, Decoded, Helper, Program};
 
 struct Case {
     /// Which `VerifyError` variant this program must trigger.
@@ -316,45 +317,72 @@ fn every_error_class_is_covered() {
     );
 }
 
-/// Every opcode byte the decoder turns into a `BadOpcode` trap, the
-/// verifier rejects as `BadOpcode` at the same pc, in every class and
-/// width (an undefined 32-bit ALU op such as 0xd4 included): a verified
-/// program never reaches a trap, which is what lets the JIT emit nothing
-/// for one.
+/// The decoder and the verifier agree on every opcode byte, both ways: a
+/// word the decoder turns into `BadOpcode` is rejected as that at its pc,
+/// in every class and width (an undefined 32-bit ALU op such as 0xd4
+/// included), so a verified program never reaches a trap and the JIT may
+/// emit nothing for one; and a word it decodes to an instruction is never
+/// rejected as a trap (`BadOpcode`, `UnknownHelper` or `MalformedLdDw`).
+/// Where the JIT runs, every such program the verifier accepts compiles.
 #[test]
 fn every_decoder_trap_is_a_bad_opcode() {
     let maps = MapRegistry::new();
-    let mut traps = 0;
+    let (mut traps, mut accepted) = (0, 0);
     for code in 0..=u8::MAX {
-        let word = Insn {
-            code,
-            dst: 0,
-            src: 1,
-            off: 0,
-            imm: 16,
-        };
-        let insns = vec![
-            Insn::mov64_imm(R0, 0),
-            Insn::mov64_imm(R1, 0),
-            word,
-            Insn::exit(),
-        ];
-        if !matches!(decode_program(&insns)[2], Decoded::BadOpcode { .. }) {
-            continue;
+        // An immediate no helper answers to, and one that names a helper.
+        for imm in [16, Helper::KtimeGetNs.id()] {
+            let word = Insn {
+                code,
+                dst: 0,
+                src: 1,
+                off: 0,
+                imm,
+            };
+            let mut insns = vec![Insn::mov64_imm(R0, 0), Insn::mov64_imm(R1, 0), word];
+            if word.is_ld_dw() {
+                insns.push(Insn::ld_dw_hi(0));
+            }
+            insns.push(Insn::exit());
+            let decoded = decode_program(&insns)[2];
+            let prog = Program::new("word", insns);
+            let verdict = Verifier::default().verify(&prog, &maps);
+            match decoded {
+                Decoded::BadOpcode { .. } => {
+                    traps += 1;
+                    assert_eq!(
+                        verdict,
+                        Err(VerifyError::BadOpcode { pc: 2, code }),
+                        "code {code:#04x}"
+                    );
+                }
+                Decoded::UnknownHelper { .. } | Decoded::MalformedLdDw => {}
+                _ => {
+                    assert!(
+                        !matches!(
+                            verdict,
+                            Err(VerifyError::BadOpcode { .. }
+                                | VerifyError::UnknownHelper { .. }
+                                | VerifyError::MalformedLdDw { .. })
+                        ),
+                        "code {code:#04x} imm {imm} decodes to {decoded:?}: {verdict:?}"
+                    );
+                    if verdict.is_ok() {
+                        accepted += 1;
+                        if jit::supported() {
+                            assert!(
+                                prog.jit().is_some(),
+                                "code {code:#04x} imm {imm}: verified but does not compile"
+                            );
+                        }
+                    }
+                }
+            }
         }
-        traps += 1;
-        let prog = Program::new("trap", insns);
-        assert_eq!(
-            Verifier::default().verify(&prog, &maps),
-            Err(VerifyError::BadOpcode { pc: 2, code }),
-            "code {code:#04x}"
-        );
     }
     assert!(traps > 0, "no opcode byte decoded to a trap");
+    assert!(accepted > 0, "no decoded opcode byte verified");
 }
 
-/// Rejected programs stay rejected under re-verification (the verifier
-/// is stateless), and the error is stable.
 #[test]
 fn rejections_are_deterministic() {
     for case in cases() {

@@ -46,6 +46,11 @@
 //!   `crates/ebpf/src/program.rs`: attached proofs are what lets a
 //!   program compile on the JIT, so a successful value-tracking
 //!   verification stays the only route to native code.
+//! * Raw-encoding reads (`.class()`, `.op()`, `.is_src_reg()` and the
+//!   `CLS_*`/`OP_*` opcode constants) are banned in the non-test code of
+//!   the verifier and the JIT (`crates/ebpf/src/{verifier,jit}.rs`):
+//!   both read the one decoded form (`crates/ebpf/src/decode.rs`), so the
+//!   instruction the verifier checks is the one the JIT compiles.
 //! * The tier shims the end-to-end benchmark still calls
 //!   (`with_jit_probes(`, `with_backend(`, `BackendKind::`) are banned
 //!   everywhere outside the file that defines each, test modules
@@ -141,6 +146,15 @@ const PROOF_ATTACH_HOME: &str = "crates/ebpf/src/verifier.rs";
 /// The file that defines the call, on its `fn` line only.
 const PROOF_ATTACH_DEFINITION: &str = "crates/ebpf/src/program.rs";
 
+/// Method calls that read opcode fields off a raw instruction word.
+const RAW_ENCODING_CALLS: &[&str] = &[".class()", ".op()", ".is_src_reg()"];
+
+/// Prefixes of the opcode-field constants, matched at an identifier start.
+const RAW_ENCODING_CONSTS: &[&str] = &["CLS_", "OP_"];
+
+/// Modules whose non-test code reads only the decoded form.
+const DECODED_ONLY_FILES: &[&str] = &["crates/ebpf/src/verifier.rs", "crates/ebpf/src/jit.rs"];
+
 /// Tier shims kept only for the end-to-end benchmark, each with the one
 /// file that may name it (its definition).
 const BENCHMARK_SHIMS: &[(&str, &str)] = &[
@@ -225,6 +239,32 @@ fn is_hot_path(path: &Path) -> bool {
 fn is_no_slice_index(path: &Path) -> bool {
     let normalized = path.to_string_lossy().replace('\\', "/");
     NO_SLICE_INDEX_FILES.iter().any(|f| normalized.ends_with(f))
+}
+
+/// True when `path` may not read raw instruction encodings.
+fn is_decoded_only(path: &Path) -> bool {
+    let normalized = path.to_string_lossy().replace('\\', "/");
+    DECODED_ONLY_FILES.iter().any(|f| normalized.ends_with(f))
+}
+
+/// Count raw-encoding reads on a stripped line: the opcode-field calls
+/// anywhere, the opcode constants where an identifier starts.
+fn count_raw_encoding_reads(line: &str) -> usize {
+    let calls: usize = RAW_ENCODING_CALLS
+        .iter()
+        .map(|pat| line.matches(pat).count())
+        .sum();
+    let consts = RAW_ENCODING_CONSTS
+        .iter()
+        .flat_map(|pat| line.match_indices(pat))
+        .filter(|(i, _)| {
+            !line[..*i]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+        .count();
+    calls + consts
 }
 
 /// True when `path` must verify and run programs only through the
@@ -331,6 +371,7 @@ fn scan_file(path: &Path, text: &str) -> usize {
     let no_index = is_no_slice_index(path);
     let runtime_client = is_runtime_client(path);
     let reference_tier_home = may_name_reference_tier(path);
+    let decoded_only = is_decoded_only(path);
     let mut count = 0usize;
     let mut in_test_item = false;
     let mut pending_cfg_test = false;
@@ -462,6 +503,19 @@ fn scan_file(path: &Path, text: &str) -> usize {
                     );
                     count += 1;
                 }
+            }
+        }
+
+        if decoded_only && !exempt {
+            for _ in 0..count_raw_encoding_reads(line) {
+                println!(
+                    "{}:{}: raw-encoding read in the verifier or the JIT (match \
+                     on `Decoded`, so both see the instruction `decode.rs` \
+                     decodes)",
+                    path.display(),
+                    lineno + 1
+                );
+                count += 1;
             }
         }
 
