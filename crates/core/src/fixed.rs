@@ -48,11 +48,6 @@ impl ScaledAcc {
         }
     }
 
-    /// Creates an accumulator with the default (microsecond-ish) scale.
-    pub fn with_default_shift() -> ScaledAcc {
-        ScaledAcc::new(DEFAULT_SHIFT)
-    }
-
     /// The configured shift.
     pub fn shift(&self) -> u32 {
         self.shift
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_is_none() {
-        let acc = ScaledAcc::with_default_shift();
+        let acc = ScaledAcc::new(DEFAULT_SHIFT);
         assert!(acc.is_empty());
         assert_eq!(acc.mean(), None);
         assert_eq!(acc.variance(), None);

@@ -33,6 +33,10 @@
 //! single-thread request-timeline reconstruction, including the pairing-rate
 //! diagnostic that shows when that simple model stops applying.
 //!
+//! [`SketchState`], re-exported from `kscope-ebpf`, is the probe's
+//! in-kernel Top-K entity sketch; the same type carries the
+//! order-invariant merge the fleet's collection tree rolls it up with.
+//!
 //! # Examples
 //!
 //! Attaching a bytecode probe to a simulated memcached and reading RPS:
@@ -75,7 +79,6 @@ mod hist;
 mod native;
 mod observer;
 mod runtime;
-pub mod sketch;
 mod stack;
 pub mod streaming;
 pub mod timeline;
@@ -89,10 +92,10 @@ pub use estimators::{
 };
 pub use fixed::{ScaledAcc, DEFAULT_SHIFT};
 pub use hist::Log2Hist;
+pub use kscope_ebpf::SketchState;
 pub use native::NativeBackend;
 pub use observer::{MetricBackend, WindowedObserver};
 pub use runtime::{
     BuildError, ProgramProbe, CTX_SIZE, NET_CTX_SIZE, NS_PER_INSN, PROBE_COST_BUDGET,
 };
-pub use sketch::TopKSketch;
 pub use stack::StackDelay;

@@ -130,18 +130,6 @@ impl StackDelay {
         Some(mean_scaled * (1u64 << self.shift()) as f64)
     }
 
-    /// Population standard deviation of time-in-stack in nanoseconds,
-    /// `None` when empty.
-    pub fn std_dev_ns(&self) -> Option<f64> {
-        if self.counters.count == 0 {
-            return None;
-        }
-        let n = self.counters.count as f64;
-        let mean = self.counters.sum as f64 / n;
-        let var = (self.counters.sumsq as f64 / n - mean * mean).max(0.0);
-        Some(var.sqrt() * (1u64 << self.shift()) as f64)
-    }
-
     /// Fraction of drain events that found their rx entry:
     /// `count / (count + misses)`, `None` when nothing was observed.
     ///
@@ -217,7 +205,6 @@ mod tests {
         assert_eq!(sd.misses(), 1);
         assert!((sd.mean_ns().unwrap() - 3_000.0).abs() < 1e-9);
         assert!((sd.coverage().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(sd.std_dev_ns().unwrap() > 0.0);
     }
 
     #[test]

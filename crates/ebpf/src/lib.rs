@@ -33,7 +33,8 @@
 //!   x86-64 (opt in via [`interp::Vm::with_jit`]; falls back to the
 //!   interpreter on unsupported programs or targets);
 //! * [`maps::MapRegistry`] — hash/array/ringbuf/Top-K-sketch maps shared
-//!   with userspace ([`sketch`] holds the mergeable heavy-hitter state);
+//!   with userspace ([`sketch`] holds the heavy-hitter state and the
+//!   collection tree's merge of it);
 //! * [`helpers::Helper`] — Linux-numbered kernel helpers
 //!   (`bpf_ktime_get_ns` = 5, `bpf_get_current_pid_tgid` = 14, …).
 //!

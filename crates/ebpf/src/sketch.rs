@@ -23,9 +23,33 @@
 //!   report can name; their counts always come from the matrix, so an
 //!   evicted-then-readmitted key loses nothing.
 //!
-//! Userspace reuses this exact type (`kscope-core` wraps it), so the
-//! probe-side stream and a userspace replay of the same stream produce
-//! bit-identical sketches — the invariant the property suite pins.
+//! Userspace reuses this exact type (`kscope-core` re-exports it), so
+//! the probe-side stream and a userspace replay of the same stream
+//! produce bit-identical sketches — the invariant the property suite
+//! pins.
+//!
+//! # Merge semantics
+//!
+//! [`SketchState::merge_all`] is the collection tree's n-ary merge. The
+//! Count-Min matrices are summed cell-wise (wrapping, like the probe's
+//! own updates), so the merged matrix is **bit-identical** to the matrix
+//! a single sketch would have built over the concatenated stream — in
+//! any order, at any fan-in. Candidate tables are *not* summed: the
+//! merger unions the candidate keys of all inputs, ranks them by their
+//! merged-matrix estimate (ties broken by key bytes), and keeps the top
+//! `capacity`. Ranking over a set makes the result a pure function of
+//! {input keys} × merged matrix, hence permutation- and
+//! associativity-invariant, which is what lets a collection tree roll
+//! sketches up shard-by-shard and still produce byte-identical root
+//! reports at any `--jobs` and any fan-in.
+//!
+//! # Error bound
+//!
+//! A Count-Min estimate never undercounts, and overcounts by exactly
+//! the lightest row's collision mass. Merging only sums matrices, so
+//! the merged estimate obeys the same bound with respect to the
+//! concatenated stream: `true ≤ est ≤ true + min_row(collisions)`.
+//! The property suite in `kscope-testkit` pins both halves.
 
 use crate::mapindex::mix64;
 use crate::maps::MAX_KEY_SIZE;
@@ -72,6 +96,13 @@ pub fn row_hash(row: u32, key: &[u8]) -> u64 {
         h = mix64(h ^ key_word(key, 8));
     }
     h
+}
+
+/// `key`'s bytes read as a big-endian integer (keys are at most 16
+/// bytes): the form [`SketchState::candidate_words`] ranks keys in.
+fn candidate_word(key: &[u8]) -> u128 {
+    key.iter()
+        .fold(0, |word, &byte| word << 8 | u128::from(byte))
 }
 
 /// One candidate-table slot: a key the sketch is currently able to name.
@@ -286,17 +317,16 @@ impl SketchState {
     /// Adds `other`'s count-min cells, total weight, and update count
     /// into `self`, cell-wise and wrapping — bit-identical to having
     /// sketched the concatenated stream, in any order or grouping.
-    /// Candidate tables are *not* merged here; a merger unions the key
-    /// sets and calls [`SketchState::set_candidates`] with its ranked
-    /// pick (the slot-probe layout is a probe-side artifact, not part of
-    /// the merged value).
+    /// Candidate tables are *not* merged here; [`SketchState::merge_all`]
+    /// unions the key sets and ranks them (the slot-probe layout is a
+    /// probe-side artifact, not part of the merged value).
     ///
     /// # Panics
     ///
     /// Panics when the two sketches have different geometry (key size,
     /// capacity, or column count) — merging those is a logic error, the
     /// same contract as `ScaledAcc::merge` in `kscope-core`.
-    pub fn merge_counts_from(&mut self, other: &SketchState) {
+    fn merge_counts_from(&mut self, other: &SketchState) {
         assert_eq!(self.key_size, other.key_size, "sketch key sizes differ");
         assert_eq!(self.capacity, other.capacity, "sketch capacities differ");
         assert_eq!(self.cols, other.cols, "sketch column counts differ");
@@ -307,19 +337,117 @@ impl SketchState {
         self.update_count = self.update_count.wrapping_add(other.update_count);
     }
 
-    /// Replaces the candidate table with `keys`, placed sequentially
-    /// from slot 0; keys beyond `capacity` are ignored. Used by mergers
-    /// after ranking the unioned candidate sets.
-    pub fn set_candidates<'a>(&mut self, keys: impl IntoIterator<Item = &'a [u8]>) {
+    /// Replaces the candidate table with `words` (keys as
+    /// [`SketchState::candidate_words`] gives them), each turned back
+    /// into `key_size` bytes and placed sequentially from slot 0; words
+    /// beyond `capacity` are ignored.
+    fn set_candidates(&mut self, words: &[u128]) {
+        let skip = 16 - self.key_size as usize;
+        let mut words = words.iter();
         for slot in self.slots.iter_mut() {
-            *slot = SketchSlot::VACANT;
-        }
-        for (next, key) in keys.into_iter().enumerate() {
-            let Some(slot) = self.slots.get_mut(next) else {
-                break;
+            *slot = match words.next() {
+                Some(word) => SketchSlot::occupy(&word.to_be_bytes()[skip..]),
+                None => SketchSlot::VACANT,
             };
-            *slot = SketchSlot::occupy(key);
         }
+    }
+
+    /// The top `k` candidates as `(key, estimate)`, heaviest first,
+    /// ties broken by ascending key bytes (so the ordering — like the
+    /// merge — is a pure function of the sketch's contents).
+    pub fn top_k(&self, k: usize) -> Vec<(Vec<u8>, u64)> {
+        let mut ranked: Vec<(Vec<u8>, u64)> = self
+            .candidate_keys()
+            .map(|key| (key.to_vec(), self.estimate(key))) // cold path: rollup readout
+            .collect(); // cold path: rollup readout
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        ranked
+    }
+
+    /// The candidate keys as integers: each key's bytes read big-endian.
+    /// A sketch's keys all share one `key_size`, so integer order is
+    /// key-byte order, and ranking or deduplicating integers is cheaper
+    /// than comparing byte slices.
+    pub fn candidate_words(&self) -> impl Iterator<Item = u128> + '_ {
+        self.candidate_keys().map(candidate_word)
+    }
+
+    /// Replaces the candidate table: deduplicates `words` (keys as
+    /// [`SketchState::candidate_words`] gives them), ranks them by
+    /// *this* sketch's matrix estimate (desc, ties by key bytes asc),
+    /// and keeps the top `capacity`.
+    ///
+    /// This is the collection tree's second round. Pass 1 merges
+    /// matrices up the tree exactly, but candidate truncation at inner
+    /// nodes uses subtree-local estimates, so which keys survive can
+    /// depend on the fan-in. Re-selecting at the root under the global
+    /// (root-matrix) order erases that: hierarchical top-`capacity`
+    /// selection under one total order equals the flat selection over
+    /// the union of every leaf's keys, so the result is identical at
+    /// any fan-in and any worker count.
+    pub fn reselect_candidates<I>(&mut self, words: I)
+    where
+        I: IntoIterator<Item = u128>,
+    {
+        let kept = self.select_keys(words, self.capacity as usize);
+        self.set_candidates(&kept);
+    }
+
+    /// The first `limit` of `words`, deduplicated and ranked by this
+    /// sketch's matrix estimate (desc), then key (asc) — the order
+    /// [`SketchState::reselect_candidates`] keeps candidates in.
+    /// Deduplicating a sorted union makes the result independent of the
+    /// order keys arrive in, and each key's estimate is computed once,
+    /// not per comparison.
+    pub fn select_keys<I>(&self, words: I, limit: usize) -> Vec<u128>
+    where
+        I: IntoIterator<Item = u128>,
+    {
+        let skip = 16 - self.key_size as usize;
+        let mut union: Vec<u128> = words.into_iter().collect(); // cold path: merge only
+        union.sort_unstable();
+        union.dedup();
+        let mut ranked: Vec<(u64, u128)> = union
+            .into_iter()
+            .map(|word| (self.estimate(&word.to_be_bytes()[skip..]), word))
+            .collect(); // cold path: merge only
+        ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        ranked.truncate(limit);
+        ranked.into_iter().map(|(_, word)| word).collect() // cold path: merge only
+    }
+
+    /// Merges any number of sketches into one, as if every input stream
+    /// had been folded into a single sketch (matrix-wise exactly so).
+    ///
+    /// The result is invariant under permutation *and* grouping of the
+    /// inputs: `merge_all([a, b, c])` equals
+    /// `merge_all([merge_all([c, a]), b])` bit for bit. Returns `None`
+    /// for an empty input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inputs disagree on key size, capacity, or matrix
+    /// geometry — merging sketches from differently-configured probes
+    /// is a deployment bug, not a recoverable condition.
+    pub fn merge_all<'a, I>(sketches: I) -> Option<SketchState>
+    where
+        I: IntoIterator<Item = &'a SketchState>,
+    {
+        let mut iter = sketches.into_iter();
+        let first = iter.next()?;
+        let mut merged = SketchState::new(first.key_size, first.capacity); // cold path: merge only
+        merged.merge_counts_from(first);
+        let mut union: Vec<u128> = first.candidate_words().collect(); // cold path: merge only
+        for sketch in iter {
+            merged.merge_counts_from(sketch);
+            union.extend(sketch.candidate_words());
+        }
+        // The union's top `capacity` under the merged matrix becomes the
+        // merged candidate table.
+        let kept = merged.select_keys(union, merged.capacity as usize);
+        merged.set_candidates(&kept);
+        Some(merged)
     }
 
     /// Serialized size (bytes) of this sketch on a report edge: a fixed
@@ -337,6 +465,29 @@ mod tests {
 
     fn key(i: u64) -> [u8; 8] {
         i.to_le_bytes()
+    }
+
+    /// A deterministic skewed stream: key `i` appears `weights[i]`
+    /// times, interleaved round-robin so no key arrives in one burst.
+    fn skewed_stream(weights: &[u64]) -> Vec<u64> {
+        let mut stream = Vec::new();
+        let max = weights.iter().copied().max().unwrap_or(0);
+        for round in 0..max {
+            for (i, &w) in weights.iter().enumerate() {
+                if round < w {
+                    stream.push(i as u64);
+                }
+            }
+        }
+        stream
+    }
+
+    fn sketch_of(stream: &[u64], capacity: u32) -> SketchState {
+        let mut s = SketchState::new(8, capacity);
+        for &k in stream {
+            s.update(&key(k), 1);
+        }
+        s
     }
 
     #[test]
@@ -438,8 +589,8 @@ mod tests {
     fn set_candidates_replaces_and_truncates() {
         let mut s = SketchState::new(8, 2);
         s.update(&key(9), 1);
-        let picks = [key(1), key(2), key(3)];
-        s.set_candidates(picks.iter().map(|k| k.as_slice()));
+        let picks = [key(1), key(2), key(3)].map(|k| candidate_word(&k));
+        s.set_candidates(&picks);
         let got: Vec<&[u8]> = s.candidate_keys().collect();
         assert_eq!(got, vec![&key(1)[..], &key(2)[..]]);
     }
@@ -461,5 +612,114 @@ mod tests {
         let mut a = SketchState::new(8, 8);
         let b = SketchState::new(8, 16);
         a.merge_counts_from(&b);
+    }
+
+    #[test]
+    fn merged_matrix_is_bit_identical_to_concat_stream() {
+        let stream = skewed_stream(&[90, 40, 40, 9, 9, 3, 1, 1, 1, 1]);
+        let whole = sketch_of(&stream, 8);
+        // Shard the stream three ways and merge.
+        let shards: Vec<SketchState> = stream
+            .chunks(stream.len() / 3 + 1)
+            .map(|c| sketch_of(c, 8))
+            .collect();
+        let merged = SketchState::merge_all(&shards).expect("non-empty");
+        assert_eq!(merged.cells(), whole.cells());
+        assert_eq!(merged.total_weight(), whole.total_weight());
+        // And every key estimates identically.
+        for k in 0..10u64 {
+            assert_eq!(merged.estimate(&key(k)), whole.estimate(&key(k)));
+        }
+    }
+
+    #[test]
+    fn merge_is_invariant_under_permutation_and_grouping() {
+        let stream = skewed_stream(&[50, 25, 12, 6, 3, 1]);
+        let shards: Vec<SketchState> = stream
+            .chunks(stream.len() / 4 + 1)
+            .map(|c| sketch_of(c, 4))
+            .collect();
+
+        let flat = SketchState::merge_all(&shards).expect("non-empty");
+
+        // Reversed order.
+        let reversed: Vec<&SketchState> = shards.iter().rev().collect();
+        assert_eq!(SketchState::merge_all(reversed).expect("non-empty"), flat);
+
+        // Nested grouping: merge pairs, then merge the pair-merges.
+        let left = SketchState::merge_all(&shards[..2]).expect("non-empty");
+        let right = SketchState::merge_all(&shards[2..]).expect("non-empty");
+        let nested = SketchState::merge_all([&left, &right]).expect("non-empty");
+        assert_eq!(nested, flat);
+    }
+
+    #[test]
+    fn top_k_names_the_true_heavy_hitters_on_skewed_input() {
+        // Zipf-ish weights with a clear top 4.
+        let weights = [400u64, 200, 100, 50, 4, 3, 2, 1];
+        let stream = skewed_stream(&weights);
+        let shards: Vec<SketchState> = stream
+            .chunks(stream.len() / 5 + 1)
+            .map(|c| sketch_of(c, 8))
+            .collect();
+        let merged = SketchState::merge_all(&shards).expect("non-empty");
+        let top: Vec<(u64, u64)> = merged
+            .top_k(4)
+            .into_iter()
+            .map(|(k, est)| (u64::from_le_bytes(k.try_into().expect("8-byte key")), est))
+            .collect();
+        let keys: Vec<u64> = top.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, vec![0, 1, 2, 3], "exact top-4 of the true stream");
+        // Estimates never undercount the true weights.
+        for (k, est) in top {
+            assert!(est >= weights[k as usize]);
+        }
+    }
+
+    #[test]
+    fn merge_all_of_nothing_is_none_and_one_is_identity() {
+        assert!(SketchState::merge_all([]).is_none());
+        let s = sketch_of(&[1, 2, 2, 3], 4);
+        let merged = SketchState::merge_all([&s]).expect("non-empty");
+        // Same matrix and same candidate set (re-ranked, same keys).
+        assert_eq!(merged.cells(), s.cells());
+        let mut a: Vec<Vec<u8>> = merged.candidate_keys().map(<[u8]>::to_vec).collect();
+        let mut b: Vec<Vec<u8>> = s.candidate_keys().map(<[u8]>::to_vec).collect();
+        a.sort();
+        b.sort();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reselect_is_grouping_invariant_where_plain_merge_is_not() {
+        // Two shards whose local heavy hitters differ: key 0 is heavy in
+        // shard A only, key 9 in shard B only, with enough tied middling
+        // keys that a capacity-2 candidate table must drop some.
+        let a = sketch_of(&skewed_stream(&[30, 10, 10, 10]), 2);
+        let b = sketch_of(&[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9], 2);
+        let c = sketch_of(&skewed_stream(&[0, 10, 10, 10]), 2);
+        let flat = SketchState::merge_all([&a, &b, &c]).expect("non-empty");
+        let ab = SketchState::merge_all([&a, &b]).expect("non-empty");
+        let nested = SketchState::merge_all([&ab, &c]).expect("non-empty");
+        // Re-selecting both roots over the same key union under their
+        // (identical) matrices converges them bit-for-bit.
+        let union: Vec<u128> = [&a, &b, &c]
+            .iter()
+            .flat_map(|s| s.candidate_words())
+            .collect();
+        let mut flat2 = flat.clone();
+        let mut nested2 = nested.clone();
+        flat2.reselect_candidates(union.iter().copied());
+        nested2.reselect_candidates(union.iter().copied());
+        assert_eq!(flat2, nested2);
+        assert_eq!(flat2.cells(), flat.cells(), "matrix untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "capacities differ")]
+    fn merge_rejects_mismatched_geometry() {
+        let a = SketchState::new(8, 4);
+        let b = SketchState::new(8, 8);
+        let _ = SketchState::merge_all([&a, &b]);
     }
 }

@@ -44,8 +44,6 @@ use crate::tnum::Tnum;
 pub struct VerifierConfig {
     /// Size in bytes of the read-only context the program receives in `r1`.
     pub ctx_size: usize,
-    /// Maximum number of instruction slots.
-    pub max_insns: usize,
     /// Whether scalars carry value information (tnum + ranges) that can
     /// justify register-offset pointer arithmetic and refine branches.
     ///
@@ -61,7 +59,6 @@ impl Default for VerifierConfig {
     fn default() -> Self {
         VerifierConfig {
             ctx_size: 64,
-            max_insns: MAX_INSNS,
             value_tracking: true,
         }
     }
@@ -1335,11 +1332,6 @@ impl Verifier {
         Verifier { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &VerifierConfig {
-        &self.config
-    }
-
     /// Verifies `program` against the maps in `maps`.
     ///
     /// # Errors
@@ -1368,11 +1360,11 @@ impl Verifier {
             });
             return report;
         }
-        if insns.len() > self.config.max_insns {
+        if insns.len() > MAX_INSNS {
             report.errors.push(Diagnostic {
                 error: VerifyError::TooLarge {
                     len: insns.len(),
-                    max: self.config.max_insns,
+                    max: MAX_INSNS,
                 },
                 path: Vec::new(),
                 regs: Vec::new(),
@@ -2306,9 +2298,6 @@ enum Flow {
     },
     Exit,
 }
-
-/// Convenience alias for verifier results.
-pub type VerifyResult = Result<(), VerifyError>;
 
 #[cfg(test)]
 mod tests {

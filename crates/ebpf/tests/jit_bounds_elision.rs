@@ -153,8 +153,7 @@ fn elided_jit_removes_proven_checks() {
         unverified_copy(&prog).jit().is_none(),
         "an unverified copy of a verified program must not compile"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
+    if kscope_ebpf::jit::supported() {
         let elided = prog.jit().expect("compilable on x86-64");
         assert_eq!(
             elided.min_ctx_len(),

@@ -380,8 +380,7 @@ fn map_value_access_every_width_matches_interp() {
         .expect("assembles");
     verify(&prog, &maps);
 
-    #[cfg(target_arch = "x86_64")]
-    {
+    if kscope_ebpf::jit::supported() {
         assert!(prog.jit().is_some(), "compilable on x86-64");
         let proven = prog.access_proofs().expect("verified").proven_count();
         assert!(
@@ -587,8 +586,7 @@ fn hash_table_moves_mid_run() {
     let stale = relayout_program(fd, &stale_ops);
     for prog in [&ok, &stale] {
         verify(prog, &base);
-        #[cfg(target_arch = "x86_64")]
-        {
+        if kscope_ebpf::jit::supported() {
             let jit = prog.jit().expect("compilable on x86-64");
             assert!(jit.inlined_calls() >= lookups, "lookups compile inline");
         }
@@ -690,8 +688,7 @@ fn finish(asm: Asm) -> Program {
 /// Asserts the JIT compiled at least `n` proven map-value accesses
 /// (those go through the resolved-pointer path).
 fn assert_resolved_accesses(prog: &Program, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
+    if kscope_ebpf::jit::supported() {
         assert!(prog.jit().is_some(), "compilable on x86-64");
         let proven = prog.access_proofs().expect("verified").proven_count();
         assert!(
@@ -700,8 +697,6 @@ fn assert_resolved_accesses(prog: &Program, n: usize) {
             prog.name()
         );
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (prog, n);
 }
 
 /// An array value written and read back through the pointer its lookup
@@ -966,13 +961,13 @@ fn hash_writes_follow_the_home_slot_oracles() {
         let label = format!("write {n}: {write:?} ({class})");
         let (res, after, _) = run_both(&label, &prog, &[], &maps, ExecEnv::default(), None);
         assert_eq!(jit_out, res, "{label}");
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            jit.trampoline_entries(helper),
-            u64::from(fell_back),
-            "{label}: the JIT takes the branch the oracle names"
-        );
-        let _ = fell_back;
+        if kscope_ebpf::jit::supported() {
+            assert_eq!(
+                jit.trampoline_entries(helper),
+                u64::from(fell_back),
+                "{label}: the JIT takes the branch the oracle names"
+            );
+        }
         maps = after;
         let entries: Vec<(Vec<u8>, Vec<u8>)> = shadow
             .iter()

@@ -23,7 +23,7 @@
 //! [`Collector::receive`] builds the same nodes from its slots when it
 //! rolls up, with the same function.
 
-use kscope_core::{Log2Hist, RawCounters, StackDelay, TopKSketch};
+use kscope_core::{Log2Hist, RawCounters, SketchState, StackDelay};
 use kscope_simcore::parallel::map_indexed;
 use kscope_simcore::Nanos;
 
@@ -166,7 +166,7 @@ pub struct AggregateReport {
     /// Merged time-in-stack state of every reporting host below.
     pub stack: StackDelay,
     /// Merged entity sketch (`None` when no host below has reported).
-    pub sketch: Option<TopKSketch>,
+    pub sketch: Option<SketchState>,
     /// The subtree's `top_k` highest-scoring host rows (score desc,
     /// host id asc) — an exact partial selection, so the root's Top-K
     /// equals the Top-K over all hosts at any fan-in.
@@ -204,7 +204,7 @@ impl AggregateReport {
         top_k: usize,
     ) -> AggregateReport {
         let mut out = AggregateReport::empty(shift);
-        let mut sketches: Vec<&TopKSketch> = Vec::new();
+        let mut sketches: Vec<&SketchState> = Vec::new();
         for child in children {
             out.hosts += child.hosts;
             out.reporting += child.reporting;
@@ -217,7 +217,7 @@ impl AggregateReport {
             out.top_rows.extend(child.top_rows.iter().copied());
             sketches.extend(child.sketch.as_ref());
         }
-        out.sketch = TopKSketch::merge_all(sketches);
+        out.sketch = SketchState::merge_all(sketches);
         rank_rows(&mut out.top_rows, top_k);
         out
     }
@@ -230,7 +230,7 @@ impl AggregateReport {
             + self
                 .sketch
                 .as_ref()
-                .map(TopKSketch::wire_bytes)
+                .map(SketchState::wire_bytes)
                 .unwrap_or(0)
             + self.top_rows.len() * ROW_BYTES
     }
@@ -317,7 +317,7 @@ pub(crate) struct Node {
     /// Each host's row, in host-id order.
     rows: Vec<HostRow>,
     /// Every reporting host's sketch candidates as
-    /// [`TopKSketch::candidate_words`], sorted and deduplicated: the
+    /// [`SketchState::candidate_words`], sorted and deduplicated: the
     /// second round picks from these under the root matrix.
     keys: Vec<u128>,
 }
@@ -392,7 +392,7 @@ fn host_row(slot: &HostSlot, host: usize, min_send_samples: u64) -> HostRow {
 fn aggregate_leaf(slots: &[HostSlot], rows: &[HostRow], shape: NodeShape) -> AggregateReport {
     let mut out = AggregateReport::empty(shape.shift);
     out.hosts = slots.len();
-    let mut sketches: Vec<&TopKSketch> = Vec::new();
+    let mut sketches: Vec<&SketchState> = Vec::new();
     for slot in slots {
         out.accepted += slot.accepted;
         out.stale += slot.stale;
@@ -405,7 +405,7 @@ fn aggregate_leaf(slots: &[HostSlot], rows: &[HostRow], shape: NodeShape) -> Agg
             sketches.push(&env.sketch);
         }
     }
-    out.sketch = TopKSketch::merge_all(sketches);
+    out.sketch = SketchState::merge_all(sketches);
     out.top_rows = rows.to_vec();
     rank_rows(&mut out.top_rows, shape.top_k);
     out
@@ -608,7 +608,7 @@ impl Collector {
         // every host's keys, hence byte-identical at any fan-in and
         // `jobs`.
         if let Some(mut sketch) = root.sketch.take() {
-            let cap = sketch.state().capacity() as usize;
+            let cap = sketch.capacity() as usize;
             let node_keys: Vec<Vec<u128>> = map_indexed(nodes, jobs, |_, node| {
                 sketch.select_keys(node.keys.iter().copied(), cap)
             });
@@ -642,7 +642,7 @@ impl Collector {
         let sketch_total_weight = root
             .sketch
             .as_ref()
-            .map(TopKSketch::total_weight)
+            .map(SketchState::total_weight)
             .unwrap_or(0);
 
         let fleet_rps = (root.merged.send.count >= self.min_send_samples)
@@ -703,11 +703,11 @@ mod tests {
             acc
         };
         let mut hist = Log2Hist::new(0);
-        let mut sketch = TopKSketch::new(8, 8);
+        let mut sketch = SketchState::new(8, 8);
         for i in 0..n {
             hist.record(delta_ns / 2);
             // A small entity stream: entity (i % 3) of this host's pid.
-            sketch.record(&(u64::from(host) << 32 | (i % 3)).to_le_bytes(), 1);
+            sketch.update(&(u64::from(host) << 32 | (i % 3)).to_le_bytes(), 1);
         }
         // A plausible stack-delay block: every request spent `delta_ns/4`
         // in the ingress stack, plus one rx-less drain.

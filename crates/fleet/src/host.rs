@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use kscope_core::{
     Agent, BuildError, BytecodeBackend, Log2Hist, ProbeSet, RawCounters, RpsEstimator,
-    SaturationAssessment, SaturationDetector, SlackAssessment, SlackEstimator, StackDelay,
-    TopKSketch, WindowedObserver,
+    SaturationAssessment, SaturationDetector, SketchState, SlackAssessment, SlackEstimator,
+    StackDelay, WindowedObserver,
 };
 use kscope_kernel::{ProbeId, Tracing};
 use kscope_netem::{DatagramTransit, NetemLink};
@@ -41,7 +41,7 @@ pub struct ReportEnvelope {
     /// The probe's cumulative Top-K entity sketch (a Count-Min matrix
     /// plus a bounded candidate table): O(K) bytes however many
     /// distinct entities the host served.
-    pub sketch: TopKSketch,
+    pub sketch: SketchState,
     /// The netstack probe's cumulative time-in-stack state (log2
     /// histogram plus count/Σ/Σ² /miss cells) — mergeable exactly, like
     /// the counters.
@@ -77,7 +77,7 @@ impl ReportEnvelope {
 /// Constant per configuration — notably independent of
 /// `config.entities`, the property the scale sweep asserts.
 pub fn report_wire_bytes(config: &crate::FleetConfig) -> usize {
-    ENVELOPE_FIXED_BYTES + TopKSketch::new(8, config.sketch_capacity).wire_bytes()
+    ENVELOPE_FIXED_BYTES + SketchState::new(8, config.sketch_capacity).wire_bytes()
 }
 
 /// Ground-truth accounting for one host, kept outside the collector so
@@ -465,7 +465,7 @@ impl SimHost {
         self.reported_windows = total;
         self.truth.windows = total as u64;
         let sketch = match self.observer_mut().backend().entity_sketch() {
-            Some(state) => TopKSketch::from_state(state.clone()),
+            Some(state) => state.clone(),
             None => unreachable!("fleet probes always carry a sketch"),
         };
         // Like the sketch, the stack cells are cumulative in the probe's

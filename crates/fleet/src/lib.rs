@@ -20,7 +20,7 @@
 //!   sufficient statistics (count/Σδ/Σδ² per stream,
 //!   `kscope_core::RawCounters`), cumulative histogram cells
 //!   (`kscope_core::Log2Hist`), and the probe's cumulative Top-K entity
-//!   sketch (`kscope_core::TopKSketch`, maintained in-probe by the
+//!   sketch (`kscope_core::SketchState`, maintained in-probe by the
 //!   `sketch_update` helper). Merging K per-host states is bit-for-bit
 //!   equal to computing over the concatenated stream, and cumulative
 //!   payloads make the channel loss-tolerant without feedback: a later

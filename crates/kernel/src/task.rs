@@ -82,15 +82,6 @@ impl TaskTable {
         self.tasks.iter().find(|t| t.tid == tid)
     }
 
-    /// All threads of a process, in spawn order.
-    pub fn threads_of(&self, pid: Pid) -> Vec<Tid> {
-        self.tasks
-            .iter()
-            .filter(|t| t.pid == pid)
-            .map(|t| t.tid)
-            .collect()
-    }
-
     /// Total threads across all processes.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -111,7 +102,7 @@ mod tests {
         let mut tasks = TaskTable::new();
         let pid = tasks.spawn_process("srv");
         assert_eq!(tasks.process_of(pid), Some(pid));
-        assert_eq!(tasks.threads_of(pid), vec![pid]);
+        assert_eq!(tasks.len(), 1);
         assert_eq!(tasks.info(pid).unwrap().name, "srv");
     }
 
@@ -123,7 +114,7 @@ mod tests {
         let t2 = tasks.spawn_thread(pid, "w1").unwrap();
         assert_ne!(t1, t2);
         assert_eq!(tasks.process_of(t1), Some(pid));
-        assert_eq!(tasks.threads_of(pid), vec![pid, t1, t2]);
+        assert_eq!(tasks.process_of(t2), Some(pid));
         assert_eq!(tasks.len(), 3);
     }
 

@@ -106,11 +106,6 @@ impl Tracing {
         Some(self.probes.remove(idx).1)
     }
 
-    /// Number of attached probes.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &TracingStats {
         &self.stats
@@ -119,11 +114,6 @@ impl Tracing {
     /// The collected trace (empty unless collection was enabled).
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Takes the collected trace, leaving an empty one.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
     }
 
     /// Mutable access to an attached probe (for reading its maps).
@@ -325,7 +315,7 @@ mod tests {
         assert_eq!(tracing.stats().probe_overhead, Nanos::from_nanos(400));
         let detached = tracing.detach(id).unwrap();
         assert_eq!(detached.name(), "counting");
-        assert_eq!(tracing.probe_count(), 0);
+        assert!(tracing.detach(id).is_none(), "detached once");
     }
 
     struct NetRecorder {
@@ -394,17 +384,6 @@ mod tests {
         assert_eq!(trace.events()[0].tid, 3);
         assert_eq!(trace.events()[1].tid, 2);
         assert_eq!(trace.events()[1].duration(), Nanos::from_micros(5));
-    }
-
-    #[test]
-    fn take_trace_resets_collection() {
-        let mut tracing = Tracing::new();
-        tracing.set_collect_trace(true);
-        tracing.sys_enter(1, 2, SyscallNo::READ, Nanos::ZERO);
-        tracing.sys_exit(1, 2, SyscallNo::READ, 0, Nanos::from_nanos(10));
-        let taken = tracing.take_trace();
-        assert_eq!(taken.len(), 1);
-        assert_eq!(tracing.trace().len(), 0);
     }
 
     #[test]

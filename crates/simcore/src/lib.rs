@@ -7,7 +7,7 @@
 //! This crate provides the three primitives every other kscope crate builds
 //! on:
 //!
-//! * [`Nanos`] / [`NanoDelta`] — nanosecond-resolution virtual time, the
+//! * [`Nanos`] — nanosecond-resolution virtual time, the
 //!   simulated equivalent of `bpf_ktime_get_ns`;
 //! * [`SimRng`] and [`Dist`] — a deterministic xoshiro256★★ generator and a
 //!   serializable vocabulary of distributions for service times, arrivals,
@@ -63,4 +63,4 @@ mod time;
 pub use dist::Dist;
 pub use engine::{Engine, Scheduler, Simulation};
 pub use rng::SimRng;
-pub use time::{NanoDelta, Nanos};
+pub use time::Nanos;

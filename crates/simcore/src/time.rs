@@ -2,9 +2,8 @@
 //!
 //! All simulated clocks — the kernel's `bpf_ktime_get_ns`, syscall
 //! timestamps, client-side latency measurements — are expressed as [`Nanos`],
-//! an absolute instant, or [`NanoDelta`], a span between two instants. Both
-//! are thin newtypes over `u64`/`i64` so that virtual time can never be
-//! confused with wall-clock time or a bare counter.
+//! a thin newtype over `u64` so that virtual time can never be confused
+//! with wall-clock time or a bare counter.
 
 use core::fmt;
 use core::iter::Sum;
@@ -124,12 +123,6 @@ impl Nanos {
         }
     }
 
-    /// Signed delta from `earlier` to `self`.
-    #[inline]
-    pub fn signed_delta(self, earlier: Nanos) -> NanoDelta {
-        NanoDelta(self.0 as i64 - earlier.0 as i64)
-    }
-
     /// True if this is the zero instant.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -222,68 +215,6 @@ impl From<Nanos> for u64 {
     }
 }
 
-/// A signed span of virtual time, in nanoseconds.
-///
-/// Produced by [`Nanos::signed_delta`]; useful for residuals and jitter where
-/// the sign carries meaning.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NanoDelta(i64);
-
-impl NanoDelta {
-    /// The zero span.
-    pub const ZERO: NanoDelta = NanoDelta(0);
-
-    /// Creates a span from raw signed nanoseconds.
-    #[inline]
-    pub const fn from_nanos(ns: i64) -> Self {
-        NanoDelta(ns)
-    }
-
-    /// Raw signed nanoseconds.
-    #[inline]
-    pub const fn as_nanos(self) -> i64 {
-        self.0
-    }
-
-    /// Magnitude of the span as an unsigned instant-like value.
-    #[inline]
-    pub const fn abs(self) -> Nanos {
-        Nanos(self.0.unsigned_abs())
-    }
-
-    /// Fractional seconds, preserving sign.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-}
-
-impl fmt::Display for NanoDelta {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 < 0 {
-            write!(f, "-{}", self.abs())
-        } else {
-            write!(f, "{}", self.abs())
-        }
-    }
-}
-
-impl Add for NanoDelta {
-    type Output = NanoDelta;
-    #[inline]
-    fn add(self, rhs: NanoDelta) -> NanoDelta {
-        NanoDelta(self.0 + rhs.0)
-    }
-}
-
-impl Sub for NanoDelta {
-    type Output = NanoDelta;
-    #[inline]
-    fn sub(self, rhs: NanoDelta) -> NanoDelta {
-        NanoDelta(self.0 - rhs.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,21 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn signed_delta_preserves_sign() {
-        let early = Nanos::from_nanos(100);
-        let late = Nanos::from_nanos(150);
-        assert_eq!(late.signed_delta(early).as_nanos(), 50);
-        assert_eq!(early.signed_delta(late).as_nanos(), -50);
-        assert_eq!(early.signed_delta(late).abs(), Nanos::from_nanos(50));
-    }
-
-    #[test]
     fn display_picks_human_unit() {
         assert_eq!(Nanos::from_nanos(12).to_string(), "12ns");
         assert_eq!(Nanos::from_micros(12).to_string(), "12.000us");
         assert_eq!(Nanos::from_millis(12).to_string(), "12.000ms");
         assert_eq!(Nanos::from_secs(12).to_string(), "12.000s");
-        assert_eq!(NanoDelta::from_nanos(-1_500).to_string(), "-1.500us");
     }
 
     #[test]

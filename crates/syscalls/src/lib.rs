@@ -53,6 +53,6 @@ pub use event::{
 };
 pub use family::SyscallFamily;
 pub use no::SyscallNo;
-pub use phase::{Phase, PhaseReport};
+pub use phase::PhaseReport;
 pub use profile::{SyscallProfile, SyscallRole};
 pub use trace::Trace;

@@ -7,23 +7,8 @@
 //! metrics only make sense over the active phase, so the first step of any
 //! analysis is locating it.
 
-use kscope_simcore::Nanos;
-
-use crate::family::SyscallFamily;
-use crate::no::SyscallNo;
 use crate::profile::SyscallProfile;
 use crate::trace::Trace;
-
-/// The three lifecycle phases of a request-response server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Process start through the first request-oriented syscall.
-    Setup,
-    /// The request-processing steady state.
-    Active,
-    /// After the last request-oriented syscall.
-    Shutdown,
-}
 
 /// Result of splitting a trace into lifecycle phases.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,20 +27,11 @@ impl PhaseReport {
     ///
     /// A trace with no request-oriented events is reported as all-setup.
     pub fn extract(trace: &Trace, profile: &SyscallProfile) -> PhaseReport {
-        Self::extract_with(trace, |no| profile.is_request_syscall(no))
-    }
-
-    /// Splits `trace` using the default family classification
-    /// ([`SyscallFamily::is_request_oriented`]); useful when no profile is
-    /// known (the "black box" case of §VI).
-    pub fn extract_default(trace: &Trace) -> PhaseReport {
-        Self::extract_with(trace, |no| SyscallFamily::of(no).is_request_oriented())
-    }
-
-    fn extract_with(trace: &Trace, is_request: impl Fn(SyscallNo) -> bool) -> PhaseReport {
         let events = trace.events();
-        let first = events.iter().position(|e| is_request(e.no));
-        let last = events.iter().rposition(|e| is_request(e.no));
+        let first = events.iter().position(|e| profile.is_request_syscall(e.no));
+        let last = events
+            .iter()
+            .rposition(|e| profile.is_request_syscall(e.no));
         match (first, last) {
             (Some(first), Some(last)) => PhaseReport {
                 setup: events[..first].iter().copied().collect(),
@@ -68,31 +44,6 @@ impl PhaseReport {
                 shutdown: Trace::new(),
             },
         }
-    }
-
-    /// The trace for one phase.
-    pub fn phase(&self, phase: Phase) -> &Trace {
-        match phase {
-            Phase::Setup => &self.setup,
-            Phase::Active => &self.active,
-            Phase::Shutdown => &self.shutdown,
-        }
-    }
-
-    /// Which phase an instant falls into, judged by completion times.
-    pub fn phase_at(&self, t: Nanos) -> Phase {
-        if let Some((start, _)) = self.active.time_span() {
-            if t < start {
-                return Phase::Setup;
-            }
-            if let Some((_, end)) = self.active.time_span() {
-                if t <= end {
-                    return Phase::Active;
-                }
-            }
-            return Phase::Shutdown;
-        }
-        Phase::Setup
     }
 
     /// Fraction of all events that fall in the active phase.
@@ -110,6 +61,8 @@ impl PhaseReport {
 mod tests {
     use super::*;
     use crate::event::SyscallEvent;
+    use crate::no::SyscallNo;
+    use kscope_simcore::Nanos;
 
     fn ev(no: SyscallNo, exit_us: u64) -> SyscallEvent {
         SyscallEvent {
@@ -152,23 +105,6 @@ mod tests {
         assert_eq!(report.setup.len(), 5);
         assert_eq!(report.active.len(), 7);
         assert_eq!(report.shutdown.len(), 3);
-    }
-
-    #[test]
-    fn default_classification_gives_same_split_here() {
-        let trace = lifecycle_trace();
-        let report = PhaseReport::extract_default(&trace);
-        assert_eq!(report.setup.len(), 5);
-        assert_eq!(report.shutdown.len(), 3);
-    }
-
-    #[test]
-    fn phase_at_classifies_instants() {
-        let trace = lifecycle_trace();
-        let report = PhaseReport::extract(&trace, &SyscallProfile::data_caching());
-        assert_eq!(report.phase_at(Nanos::from_micros(3)), Phase::Setup);
-        assert_eq!(report.phase_at(Nanos::from_micros(15)), Phase::Active);
-        assert_eq!(report.phase_at(Nanos::from_micros(31)), Phase::Shutdown);
     }
 
     #[test]

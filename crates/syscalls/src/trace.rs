@@ -7,11 +7,9 @@
 //! `RPS_obsv` and whose variance flags saturation) and **durations** (time
 //! spent inside poll syscalls, which measures idleness).
 
-use std::collections::BTreeMap;
-
 use kscope_simcore::Nanos;
 
-use crate::event::{SyscallEvent, Tid};
+use crate::event::SyscallEvent;
 use crate::no::SyscallNo;
 use crate::profile::{SyscallProfile, SyscallRole};
 
@@ -119,18 +117,6 @@ impl Trace {
         }
     }
 
-    /// A sub-trace containing only events from one thread.
-    pub fn filter_tid(&self, tid: Tid) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .copied()
-                .filter(|e| e.tid == tid)
-                .collect(),
-        }
-    }
-
     /// A sub-trace of events completing within `[start, end)`.
     pub fn slice_time(&self, start: Nanos, end: Nanos) -> Trace {
         Trace {
@@ -156,15 +142,6 @@ impl Trace {
     /// In-kernel durations of each event.
     pub fn durations(&self) -> Vec<Nanos> {
         self.events.iter().map(|e| e.duration()).collect()
-    }
-
-    /// Event counts keyed by syscall number.
-    pub fn counts_by_syscall(&self) -> BTreeMap<SyscallNo, usize> {
-        let mut counts = BTreeMap::new();
-        for e in &self.events {
-            *counts.entry(e.no).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// First and last completion instants, if the trace is non-empty.
@@ -249,6 +226,7 @@ impl IntoIterator for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Tid;
 
     fn ev(no: SyscallNo, tid: Tid, exit_us: u64) -> SyscallEvent {
         SyscallEvent {
@@ -272,10 +250,9 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_syscall_tid_and_role() {
+    fn filters_by_syscall_and_role() {
         let t = sample();
         assert_eq!(t.filter_syscall(SyscallNo::SENDTO).len(), 2);
-        assert_eq!(t.filter_tid(1).len(), 3);
         let profile = SyscallProfile::tailbench();
         assert_eq!(t.filter_role(&profile, SyscallRole::Receive).len(), 2);
         assert_eq!(t.filter_role(&profile, SyscallRole::Poll).len(), 1);
@@ -319,14 +296,6 @@ mod tests {
         let windows = t.windows(Nanos::from_micros(10));
         assert_eq!(windows.len(), 11);
         assert!(windows[5].is_empty());
-    }
-
-    #[test]
-    fn counts_by_syscall_aggregates() {
-        let counts = sample().counts_by_syscall();
-        assert_eq!(counts[&SyscallNo::RECVFROM], 2);
-        assert_eq!(counts[&SyscallNo::SENDTO], 2);
-        assert_eq!(counts[&SyscallNo::SELECT], 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! sharding; the acceptance bar is ≥500 seeded iterations over
 //! K ∈ {1, 4, 16}.
 
-use kscope_core::{Log2Hist, RawCounters, StackDelay, TopKSketch};
+use kscope_core::{Log2Hist, RawCounters, SketchState, StackDelay};
 use kscope_fleet::{run_fleet, Collector, FleetConfig, HostSlot, ReportEnvelope};
 use kscope_simcore::{Nanos, SimRng};
 use kscope_testkit::{gen, Config};
@@ -222,7 +222,7 @@ fn host0_report(seq: u64) -> ReportEnvelope {
         windows_observed: seq,
         cum,
         hist: Log2Hist::new(0),
-        sketch: TopKSketch::new(8, 8),
+        sketch: SketchState::new(8, 8),
         stack: StackDelay::new(0),
         latest_rps: None,
         saturation: None,

@@ -1,7 +1,7 @@
 //! Top-K sketch properties.
 //!
 //! The collection tree leans on four facts about
-//! `kscope_core::TopKSketch`, checked here over seeded random streams:
+//! `kscope_core::SketchState`, checked here over seeded random streams:
 //!
 //! 1. **Merge ≈ concat**: the Count-Min matrix of K merged shard
 //!    sketches is bit-identical to the matrix over the concatenated
@@ -16,15 +16,15 @@
 //!    (geometric weights, heavy keys interleaved last) the sketch's
 //!    top-K names exactly the true top-K.
 
-use kscope_core::TopKSketch;
+use kscope_core::SketchState;
 use kscope_simcore::SimRng;
 use kscope_testkit::{gen, Config};
 
 /// Folds a stream of `u64` keys into a fresh sketch.
-fn sketch_of(stream: &[u64], capacity: u32) -> TopKSketch {
-    let mut s = TopKSketch::new(8, capacity);
+fn sketch_of(stream: &[u64], capacity: u32) -> SketchState {
+    let mut s = SketchState::new(8, capacity);
     for &key in stream {
-        s.record(&key.to_le_bytes(), 1);
+        s.update(&key.to_le_bytes(), 1);
     }
     s
 }
@@ -59,15 +59,15 @@ fn merged_shards_match_concatenated_stream_within_cm_bound() {
         |&(k, capacity, ref stream): &(usize, u32, Vec<u64>)| {
             let whole = sketch_of(stream, capacity);
             let chunk = stream.len().div_ceil(k).max(1);
-            let shards: Vec<TopKSketch> = stream
+            let shards: Vec<SketchState> = stream
                 .chunks(chunk)
                 .map(|c| sketch_of(c, capacity))
                 .collect();
-            match TopKSketch::merge_all(&shards) {
+            match SketchState::merge_all(&shards) {
                 Some(merged) => {
                     assert_eq!(
-                        merged.state().cells(),
-                        whole.state().cells(),
+                        merged.cells(),
+                        whole.cells(),
                         "merged matrix must equal the concat-stream matrix"
                     );
                     assert_eq!(merged.total_weight(), stream.len() as u64);
@@ -104,12 +104,12 @@ fn merge_is_order_invariant() {
         },
         |(stream, ranks): &(Vec<u64>, Vec<u64>)| {
             let chunk = stream.len().div_ceil(ranks.len()).max(1);
-            let shards: Vec<TopKSketch> = stream.chunks(chunk).map(|c| sketch_of(c, 8)).collect();
-            let forward = TopKSketch::merge_all(&shards)
+            let shards: Vec<SketchState> = stream.chunks(chunk).map(|c| sketch_of(c, 8)).collect();
+            let forward = SketchState::merge_all(&shards)
                 .unwrap_or_else(|| panic!("non-empty shard list must merge"));
             let mut order: Vec<usize> = (0..shards.len()).collect();
             order.sort_by_key(|&i| ranks.get(i).copied().unwrap_or(0));
-            let permuted = TopKSketch::merge_all(order.iter().map(|&i| &shards[i]))
+            let permuted = SketchState::merge_all(order.iter().map(|&i| &shards[i]))
                 .unwrap_or_else(|| panic!("non-empty shard list must merge"));
             assert_eq!(forward, permuted, "merge must be order-invariant");
         }
@@ -181,7 +181,6 @@ fn adversarially_skewed_streams_yield_exact_top_k() {
             let expect: Vec<u64> = truth[..k].iter().map(|&(key, _)| key).collect();
             total_cases.set(total_cases.get() + 1);
             let tabled: std::collections::BTreeSet<u64> = sketch
-                .state()
                 .candidate_keys()
                 .map(|key| {
                     let mut bytes = [0u8; 8];
@@ -191,9 +190,13 @@ fn adversarially_skewed_streams_yield_exact_top_k() {
                 .collect();
             if expect.iter().all(|key| tabled.contains(key)) {
                 let got: Vec<u64> = sketch
-                    .top_k_u64(k)
+                    .top_k(k)
                     .into_iter()
-                    .map(|(key, _)| key)
+                    .map(|(key, _)| {
+                        let mut bytes = [0u8; 8];
+                        bytes.copy_from_slice(&key);
+                        u64::from_le_bytes(bytes)
+                    })
                     .collect();
                 assert_eq!(got, expect, "sketch top-{k} must name the true top-{k}");
                 exact_cases.set(exact_cases.get() + 1);

@@ -175,7 +175,7 @@ where
         .filter(|c| c.finished >= config.warmup && c.finished < config.end())
         .collect();
     let client = ClientStats::from_completions(config.offered_rps, config.measure, &window);
-    let ServerParts { kernel, .. } = into_parts(sim);
+    let kernel = sim.into_kernel();
     // The slice end leaves room for the shutdown events emitted at `end`.
     let trace = kernel
         .tracing
@@ -188,16 +188,6 @@ where
         probes: probe_ids,
         warmup_end: config.warmup,
         end: config.end(),
-    }
-}
-
-struct ServerParts {
-    kernel: Kernel,
-}
-
-fn into_parts(sim: ServerSim) -> ServerParts {
-    ServerParts {
-        kernel: sim.into_kernel(),
     }
 }
 
