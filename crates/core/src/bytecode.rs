@@ -1001,8 +1001,8 @@ mod tests {
             let dis = p.disassembly();
             assert!(dis.contains("kscope_sys_enter"));
             assert!(dis.contains("kscope_sys_exit"));
-            assert!(dis.contains("call 14")); // bpf_get_current_pid_tgid
-            assert!(dis.contains("call 5")); // bpf_ktime_get_ns
+            assert!(dis.contains("call bpf_get_current_pid_tgid"));
+            assert!(dis.contains("call bpf_ktime_get_ns"));
             for name in net_programs {
                 assert_eq!(
                     dis.contains(name),

@@ -5,8 +5,9 @@
 //! The verifier's abstract interpretation ([`crate::verifier`]) is the
 //! only register dataflow; everything here reads what it recorded:
 //!
-//! * **The verifier** starts from `structure` (`ld_dw` pairing and
-//!   jump targets, the one structural check) and sources its advisory
+//! * **The verifier** starts from `structure` (`ld_dw` pairing, register
+//!   numbers and jump targets, the one structural check, read off the
+//!   decoded slots like everything here) and sources its advisory
 //!   warnings (unreachable instructions, dead stack stores) from the
 //!   byte-granular liveness pass here.
 //! * **The JIT** ([`crate::jit`]) emits helper calls according to the
@@ -23,7 +24,7 @@
 
 use crate::decode::Decoded;
 use crate::helpers::Helper;
-use crate::insn::{Insn, CLS_JMP, CLS_JMP32, MAX_INSNS, OP_CALL, OP_EXIT, REG_COUNT, STACK_SIZE};
+use crate::insn::{MAX_INSNS, STACK_SIZE};
 use crate::maps::MapFd;
 use crate::program::Program;
 use crate::verifier::{VerifyError, VerifyWarning};
@@ -79,13 +80,12 @@ impl std::fmt::Display for CostReport {
 /// columns price [`helper_inline_plan`], so a program the verifier has
 /// not accepted prices every map call as a trampoline call.
 pub fn cost_report(program: &Program) -> Option<CostReport> {
-    let insns = program.insns();
-    let len = insns.len();
+    let decoded = program.decoded();
+    let len = decoded.len();
     if len == 0 || len > MAX_INSNS {
         return None;
     }
-    let is_hi = structure(insns).ok()?;
-    let decoded = program.decoded();
+    let is_hi = structure(decoded).ok()?;
     // Reverse dynamic programs over the forward DAG; index `len` is the
     // virtual fall-off-the-end terminator with zero residual cost.
     let plan = helper_inline_plan(program);
@@ -335,64 +335,52 @@ fn decoded_succs(pc: usize, d: &Decoded, len: usize, out: &mut Vec<usize>) {
         }
     };
     match d {
-        Decoded::LdImm64 { .. } | Decoded::LdMapFd { .. } => push(pc + 2),
         Decoded::Ja { target } => push(*target as usize),
         Decoded::JmpImm { target, .. } | Decoded::JmpReg { target, .. } => {
             push(*target as usize);
             push(pc + 1);
         }
-        Decoded::Exit
-        | Decoded::BadOpcode { .. }
-        | Decoded::UnknownHelper { .. }
-        | Decoded::MalformedLdDw => {}
-        _ => push(pc + 1),
+        Decoded::Exit => {}
+        _ if d.is_trap() => {}
+        _ => push(pc + d.width()),
     }
 }
 
-/// The structural pass every analysis starts from: pairs each `ld_dw`
-/// lo slot with a zero-coded hi slot, then checks that every other slot
-/// names registers r0–r10 only and that every jump target is in bounds,
-/// not a hi slot, and strictly forward. Returns the hi-slot map, or the
-/// first `MalformedLdDw` alone, or every
-/// `BadRegister`/`BadJumpTarget`/`BackEdge` in pc order.
-pub(crate) fn structure(insns: &[Insn]) -> Result<Vec<bool>, Vec<VerifyError>> {
-    let len = insns.len();
-    let mut is_hi = vec![false; len];
-    let mut pc = 0usize;
-    while let Some(insn) = insns.get(pc) {
-        if insn.is_ld_dw() {
-            if insns.get(pc + 1).is_none_or(|hi| hi.code != 0) {
-                return Err(vec![VerifyError::MalformedLdDw { pc }]);
-            }
-            if let Some(slot) = is_hi.get_mut(pc + 1) {
-                *slot = true;
-            }
-            pc += 2;
-        } else {
-            pc += 1;
-        }
+/// The structural pass every analysis starts from, over the decoded
+/// slots: the slot after each two-slot `ld_dw` is its hi slot; every
+/// other slot must name registers r0–r10 only, and every jump target
+/// (an undefined jump-class word's included) must be in bounds, not a
+/// hi slot, and strictly forward. Returns the hi-slot map, or the first
+/// `MalformedLdDw` alone, or every `BadRegister`/`BadJumpTarget`/
+/// `BackEdge` in pc order.
+pub(crate) fn structure(decoded: &[Decoded]) -> Result<Vec<bool>, Vec<VerifyError>> {
+    if let Some(pc) = decoded.iter().position(|d| *d == Decoded::MalformedLdDw) {
+        return Err(vec![VerifyError::MalformedLdDw { pc }]);
     }
+    // A hi slot has opcode 0, so it is never itself a two-slot lo.
+    let is_hi: Vec<bool> = std::iter::once(false)
+        .chain(decoded.iter().map(|d| d.width() == 2))
+        .take(decoded.len())
+        .collect();
     let mut errors = Vec::new();
-    for (pc, (insn, &hi)) in insns.iter().zip(&is_hi).enumerate() {
+    for (pc, (d, &hi)) in decoded.iter().zip(&is_hi).enumerate() {
         if hi {
             continue;
         }
-        if let Some(reg) = [insn.dst, insn.src]
-            .into_iter()
-            .find(|&r| usize::from(r) >= REG_COUNT)
-        {
-            errors.push(VerifyError::BadRegister { pc, reg });
-            continue;
-        }
-        let cls = insn.class();
-        let op = insn.op();
-        if cls != CLS_JMP && cls != CLS_JMP32 {
-            continue;
-        }
-        if cls == CLS_JMP && (op == OP_CALL || op == OP_EXIT) {
-            continue;
-        }
-        let target = pc as i64 + 1 + insn.off as i64;
+        let target = match *d {
+            Decoded::BadRegister { reg, .. } => {
+                errors.push(VerifyError::BadRegister { pc, reg });
+                continue;
+            }
+            Decoded::Ja { target }
+            | Decoded::JmpImm { target, .. }
+            | Decoded::JmpReg { target, .. }
+            | Decoded::BadOpcode {
+                target: Some(target),
+                ..
+            } => target,
+            _ => continue,
+        };
         let into_hi = usize::try_from(target)
             .ok()
             .and_then(|t| is_hi.get(t).copied())

@@ -6,8 +6,6 @@
 //! (64-bit immediate load), which occupies two instruction slots exactly as
 //! in the kernel.
 
-use core::fmt;
-
 /// Register identifier (`r0`–`r10`).
 pub type Reg = u8;
 
@@ -147,8 +145,8 @@ pub const SRC_X: u8 = 0x08;
 /// (`BPF_PSEUDO_MAP_FD`).
 pub const PSEUDO_MAP_FD: u8 = 1;
 
-// --- Mnemonics: one table per field, shared by `Display`, the text
-// parser and `emit_program` ---
+// --- Mnemonics: one table per field, shared by the text parser and the
+// one instruction renderer, `Decoded::text` ---
 
 /// ALU operation bits and their mnemonics.
 pub(crate) const ALU_MNEMONICS: [(u8, &str); 13] = [
@@ -186,22 +184,17 @@ pub(crate) const JMP_MNEMONICS: [(u8, &str); 11] = [
 pub(crate) const SIZE_SUFFIXES: [(u8, &str); 4] =
     [(SZ_B, "b"), (SZ_H, "h"), (SZ_W, "w"), (SZ_DW, "dw")];
 
-/// The mnemonic `table` gives the field value `bits`.
-pub(crate) fn mnemonic(table: &[(u8, &'static str)], bits: u8) -> Option<&'static str> {
+/// The mnemonic `table` gives the first field value `is` accepts.
+pub(crate) fn mnemonic(table: &[(u8, &'static str)], is: impl Fn(u8) -> bool) -> &'static str {
     table
         .iter()
-        .find(|(b, _)| *b == bits)
-        .map(|(_, name)| *name)
+        .find(|(b, _)| is(*b))
+        .map_or("?", |(_, name)| *name)
 }
 
 /// The field value `table` gives the mnemonic `name`.
 pub(crate) fn field_bits(table: &[(u8, &str)], name: &str) -> Option<u8> {
     table.iter().find(|(_, n)| *n == name).map(|(b, _)| *b)
-}
-
-/// The size suffix of a load/store's size bits.
-pub(crate) fn size_suffix(size: u8) -> &'static str {
-    mnemonic(&SIZE_SUFFIXES, size).unwrap_or("?")
 }
 
 /// One eBPF instruction slot.
@@ -502,66 +495,6 @@ impl Insn {
     }
 }
 
-impl fmt::Display for Insn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Insn {
-            code,
-            dst,
-            src,
-            off,
-            imm,
-        } = *self;
-        match self.class() {
-            CLS_ALU64 | CLS_ALU => {
-                let width = if self.class() == CLS_ALU64 { "" } else { "32" };
-                let name = mnemonic(&ALU_MNEMONICS, self.op()).unwrap_or("alu?");
-                if self.is_src_reg() {
-                    write!(f, "{name}{width} r{dst}, r{src}")
-                } else {
-                    write!(f, "{name}{width} r{dst}, {imm}")
-                }
-            }
-            CLS_JMP | CLS_JMP32 => match self.op() {
-                OP_EXIT if self.class() == CLS_JMP => write!(f, "exit"),
-                OP_CALL if self.class() == CLS_JMP => write!(f, "call {imm}"),
-                OP_JA if self.class() == CLS_JMP => write!(f, "ja {off:+}"),
-                op => {
-                    let name = mnemonic(&JMP_MNEMONICS, op).unwrap_or("jmp?");
-                    let width = if self.class() == CLS_JMP32 { "32" } else { "" };
-                    if self.is_src_reg() {
-                        write!(f, "{name}{width} r{dst}, r{src}, {off:+}")
-                    } else {
-                        write!(f, "{name}{width} r{dst}, {imm}, {off:+}")
-                    }
-                }
-            },
-            CLS_LDX => write!(
-                f,
-                "ldx{sz} r{dst}, [r{src}{off:+}]",
-                sz = size_suffix(self.size())
-            ),
-            CLS_STX => write!(
-                f,
-                "stx{sz} [r{dst}{off:+}], r{src}",
-                sz = size_suffix(self.size())
-            ),
-            CLS_ST => write!(
-                f,
-                "st{sz} [r{dst}{off:+}], {imm}",
-                sz = size_suffix(self.size())
-            ),
-            CLS_LD if self.is_ld_dw() => {
-                if src == PSEUDO_MAP_FD {
-                    write!(f, "ld_map_fd r{dst}, {imm}")
-                } else {
-                    write!(f, "ld_dw r{dst}, {imm} (lo)")
-                }
-            }
-            _ => write!(f, "raw {code:#04x} dst={dst} src={src} off={off} imm={imm}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,7 +517,7 @@ mod tests {
             Insn::ld_map_fd_lo(R1, 3),
         ];
         for insn in samples {
-            assert_eq!(Insn::decode(insn.encode()), insn, "{insn}");
+            assert_eq!(Insn::decode(insn.encode()), insn, "{insn:?}");
         }
     }
 
@@ -604,24 +537,6 @@ mod tests {
         assert_eq!(Insn::load(SZ_H, R0, R1, 0).size_bytes(), 2);
         assert_eq!(Insn::load(SZ_W, R0, R1, 0).size_bytes(), 4);
         assert_eq!(Insn::load(SZ_DW, R0, R1, 0).size_bytes(), 8);
-    }
-
-    #[test]
-    fn display_is_readable() {
-        assert_eq!(Insn::mov64_imm(R1, 7).to_string(), "mov r1, 7");
-        assert_eq!(Insn::mov64_reg(R2, R3).to_string(), "mov r2, r3");
-        assert_eq!(Insn::alu32_imm(OP_ADD, R1, 2).to_string(), "add32 r1, 2");
-        assert_eq!(
-            Insn::load(SZ_DW, R0, R10, -8).to_string(),
-            "ldxdw r0, [r10-8]"
-        );
-        assert_eq!(Insn::exit().to_string(), "exit");
-        assert_eq!(Insn::call(5).to_string(), "call 5");
-        assert_eq!(
-            Insn::jmp_imm(OP_JNE, R0, 232, 3).to_string(),
-            "jne r0, 232, +3"
-        );
-        assert_eq!(Insn::ld_map_fd_lo(R1, 2).to_string(), "ld_map_fd r1, 2");
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! # One interpreter, one JIT
 //!
 //! The interpreter steps the raw instruction words, re-extracting the
-//! opcode fields on every step. It is the reference semantics, and it
-//! runs every program the template JIT ([`crate::jit`], opt in via
-//! [`Vm::with_jit`]) does not: unverified programs, runs under a budget
-//! below the certified bound, and platforms without a JIT. The testkit's
-//! differential suite holds the JIT to byte-identical [`ExecOutcome`]s
-//! over thousands of verified programs.
+//! opcode fields on every step, and faults on a torn `ld_dw` or a
+//! register past r10 by the rules [`crate::decode`] owns. It is the
+//! reference semantics, and it runs every program the template JIT
+//! ([`crate::jit`], opt in via [`Vm::with_jit`]) does not: unverified
+//! programs, runs under a budget below the certified bound, and
+//! platforms without a JIT. The testkit's differential suite holds the
+//! JIT to byte-identical [`ExecOutcome`]s over thousands of verified
+//! programs.
 //!
 //! # Allocation discipline
 //!
@@ -27,11 +29,11 @@
 //! lint gate enforces this file stays free of `to_vec()`/`clone()` outside
 //! annotated cold paths.
 
-use crate::decode::{AluOp, CmpOp};
+use crate::decode::{bad_register, ld_dw_hi, AluOp, CmpOp};
 use crate::helpers::Helper;
 use crate::insn::{
-    CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, OP_CALL, OP_EXIT,
-    OP_JA, PSEUDO_MAP_FD, REG_COUNT, STACK_SIZE,
+    Insn, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, OP_CALL,
+    OP_EXIT, OP_JA, PSEUDO_MAP_FD, REG_COUNT, STACK_SIZE,
 };
 use crate::mapindex::SlotEntry;
 use crate::maps::{MapFd, MapKind, MapRegistry, MAX_KEY_SIZE};
@@ -132,10 +134,19 @@ pub enum ExecError {
         /// The budget that was exceeded.
         budget: u64,
     },
-    /// `ld_dw` missing its second slot.
+    /// `ld_dw` whose second slot is missing or is not a bare hi word
+    /// (opcode 0).
     MalformedLdDw {
         /// Faulting pc.
         pc: usize,
+    },
+    /// An executed slot whose `dst` or `src` field names a register past
+    /// r10 (the verifier's `BadRegister` rule).
+    BadRegister {
+        /// Faulting pc.
+        pc: usize,
+        /// The first such field, `dst` before `src`.
+        reg: u8,
     },
 }
 
@@ -158,6 +169,7 @@ impl std::fmt::Display for ExecError {
                 write!(f, "instruction budget of {budget} exhausted")
             }
             ExecError::MalformedLdDw { pc } => write!(f, "pc {pc}: ld_dw missing second slot"),
+            ExecError::BadRegister { pc, reg } => write!(f, "pc {pc}: no register r{reg}"),
         }
     }
 }
@@ -515,6 +527,11 @@ fn run_raw(
             return Err(ExecError::FellOffEnd);
         };
         executed += 1;
+        // A register field past r10 faults here, which also bounds every
+        // `regs` index below.
+        if usize::from(insn.dst.max(insn.src)) >= REG_COUNT {
+            return Err(register_fault(insns, pc, insn));
+        }
 
         match insn.class() {
             CLS_LD => {
@@ -524,7 +541,7 @@ fn run_raw(
                         code: insn.code,
                     });
                 }
-                let Some(&hi) = insns.get(pc + 1) else {
+                let Some(hi) = ld_dw_hi(insns, pc) else {
                     return Err(ExecError::MalformedLdDw { pc });
                 };
                 if insn.src == PSEUDO_MAP_FD {
@@ -630,6 +647,20 @@ fn run_raw(
             }
         }
         pc += 1;
+    }
+}
+
+/// The fault of a slot naming a register past r10: `BadRegister` for
+/// the first such field, unless the slot is a torn `ld_dw`, which is
+/// malformed first, as the verifier reports it.
+#[cold]
+#[inline(never)]
+fn register_fault(insns: &[Insn], pc: usize, insn: Insn) -> ExecError {
+    match bad_register(insn) {
+        Some(reg) if !insn.is_ld_dw() || ld_dw_hi(insns, pc).is_some() => {
+            ExecError::BadRegister { pc, reg }
+        }
+        _ => ExecError::MalformedLdDw { pc },
     }
 }
 

@@ -1052,15 +1052,14 @@ mod imp {
         // of an `ld_dw` is skipped by its lo half, and the verifier
         // rejects any other it reaches. It emits nothing, not even its
         // count.
-        let trap = matches!(
-            d,
-            Decoded::MalformedLdDw | Decoded::BadOpcode { .. } | Decoded::UnknownHelper { .. }
-        );
-        if !trap {
+        if !d.is_trap() {
             e.count_insn();
         }
         match d {
-            Decoded::MalformedLdDw | Decoded::BadOpcode { .. } | Decoded::UnknownHelper { .. } => {}
+            Decoded::MalformedLdDw
+            | Decoded::BadOpcode { .. }
+            | Decoded::UnknownHelper { .. }
+            | Decoded::BadRegister { .. } => {}
             // Both fall through the (empty) hi slot into the next
             // instruction.
             Decoded::LdImm64 { dst, value } => e.mov_ri(X86[dst as usize], value),

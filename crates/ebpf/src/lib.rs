@@ -12,8 +12,8 @@
 //!
 //! * [`insn`] — the real x86-64 eBPF instruction encoding;
 //! * [`decode`] — the pre-decoded representation the verifier checks,
-//!   the JIT compiles and the static analyses read (fields resolved once
-//!   at program load);
+//!   the JIT compiles, the static analyses read and the one instruction
+//!   renderer prints (fields resolved once at program load);
 //! * [`analysis`] — the structural pass, the verifier's warnings, the
 //!   JIT's helper-inline plan (read from the lookup facts the verifier
 //!   records) and a worst-case per-event cost certifier

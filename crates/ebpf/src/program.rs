@@ -138,22 +138,22 @@ impl Program {
             .as_ref()
     }
 
-    /// Renders a human-readable disassembly listing.
+    /// Renders a disassembly listing: a `; program <name>` header, then
+    /// one line per slot, its index and then the line
+    /// [`emit_program`](crate::text::emit_program) writes for it
+    /// ([`Decoded::text`]). A hi slot reads `(ld_dw continuation)` and a
+    /// trap its description, so the listing never fails.
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "; program {}", self.name);
-        let mut skip_next = false;
-        for (idx, insn) in self.insns.iter().enumerate() {
-            if skip_next {
-                skip_next = false;
-                let _ = writeln!(out, "{idx:4}:  (ld_dw continuation)");
-                continue;
+        let mut pc = 0;
+        while let Some(&slot) = self.decoded.get(pc) {
+            let _ = writeln!(out, "{pc:4}:  {}", slot.text(pc));
+            if slot.width() == 2 {
+                let _ = writeln!(out, "{:4}:  (ld_dw continuation)", pc + 1);
             }
-            let _ = writeln!(out, "{idx:4}:  {insn}");
-            if insn.is_ld_dw() {
-                skip_next = true;
-            }
+            pc += slot.width();
         }
         out
     }
@@ -193,8 +193,15 @@ mod tests {
             ],
         );
         let dis = prog.disassemble();
-        assert_eq!(dis.lines().count(), 4); // header + 3 slots
-        assert!(dis.contains("continuation"));
-        assert!(dis.contains("exit"));
+        assert_eq!(
+            dis,
+            "; program p\n   0:  ld_dw r0, 0xffffffffffff\n   1:  (ld_dw continuation)\n   2:  exit\n"
+        );
+        // A trap renders too: the listing never fails.
+        let torn = Program::new("t", vec![Insn::ld_dw_lo(R0, 1), Insn::mov64_imm(12, 0)]);
+        assert_eq!(
+            torn.disassemble(),
+            "; program t\n   0:  (malformed ld_dw)\n   1:  (no register r12)\n"
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! This gives the VM a bpftool-like round trip: programs can be written
 //! (or dumped, edited, and re-loaded) as plain text. The parser builds
 //! each program through [`Asm`], which lays out the slots and resolves
-//! the labels, and it shares its mnemonic tables with [`emit_program`]
-//! and [`Insn`]'s `Display`. Supported grammar, one instruction per
-//! line:
+//! the labels. It shares its mnemonic tables with the one instruction
+//! renderer, [`Decoded::text`], which both [`emit_program`] and
+//! [`Program::disassemble`] print through, so a listing shows the syntax
+//! this parser reads. Supported grammar, one instruction per line:
 //!
 //! ```text
 //! ; comments with ';' or '//'
@@ -28,11 +29,11 @@
 //! ```
 
 use crate::asm::{Asm, AsmError};
+use crate::decode::Decoded;
 use crate::helpers::Helper;
 use crate::insn::{
-    field_bits, mnemonic, size_suffix, Insn, Reg, ALU_MNEMONICS, CLS_ALU, CLS_ALU64, CLS_JMP,
-    CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, JMP_MNEMONICS, MODE_IMM, OP_CALL, OP_EXIT, OP_JA,
-    OP_NEG, PSEUDO_MAP_FD, SIZE_SUFFIXES, SRC_K, SRC_X, SZ_DW,
+    field_bits, Insn, Reg, ALU_MNEMONICS, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, JMP_MNEMONICS,
+    OP_NEG, SIZE_SUFFIXES, SRC_K, SRC_X,
 };
 use crate::maps::MapFd;
 use crate::program::Program;
@@ -298,28 +299,30 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
         .map_err(|(item, e)| err(item_lines[item], e.to_string()))
 }
 
-/// An instruction that has no textual rendering (unknown opcode byte).
+/// A slot that has no textual rendering: a trap ([`Decoded::has_text`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmitError {
     /// Slot index of the offending instruction.
     pub pc: usize,
-    /// The opcode byte that could not be rendered.
-    pub code: u8,
+    /// The trap decoded there.
+    pub slot: Decoded,
 }
 
 impl std::fmt::Display for EmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pc {}: opcode {:#04x} has no text form",
-            self.pc, self.code
+            "pc {}: {} has no text form",
+            self.pc,
+            self.slot.text(self.pc)
         )
     }
 }
 
 impl std::error::Error for EmitError {}
 
-/// Renders a program back into the text grammar [`parse_program`] accepts.
+/// Renders a program back into the text grammar [`parse_program`] accepts,
+/// one [`Decoded::text`] line per instruction.
 ///
 /// The output is the inverse of parsing: for any program built from the
 /// canonical [`Insn`] constructors (as the assembler and parser both do),
@@ -329,7 +332,8 @@ impl std::error::Error for EmitError {}
 ///
 /// # Errors
 ///
-/// Returns [`EmitError`] if an instruction's opcode byte has no mnemonic
+/// Returns [`EmitError`] at the first trap with no text form: an
+/// undefined opcode byte, a malformed `ld_dw` or a register past r10
 /// (e.g. raw fuzzer garbage).
 ///
 /// # Examples
@@ -342,81 +346,15 @@ impl std::error::Error for EmitError {}
 /// assert_eq!(parse_program("t", &text).unwrap().insns(), prog.insns());
 /// ```
 pub fn emit_program(prog: &Program) -> Result<String, EmitError> {
-    let insns = prog.insns();
+    use std::fmt::Write as _;
     let mut out = String::new();
-    let mut pc = 0usize;
-    while pc < insns.len() {
-        let insn = insns[pc];
-        let bad = EmitError {
-            pc,
-            code: insn.code,
-        };
-        let line = match insn.class() {
-            CLS_LD if insn.size() == SZ_DW && insn.code & 0xe0 == MODE_IMM => {
-                if insn.src == PSEUDO_MAP_FD {
-                    pc += 1; // skip the zero hi slot
-                    format!("ld_map_fd r{}, {}", insn.dst, insn.imm as u32)
-                } else if insn.src == 0 {
-                    let hi = insns.get(pc + 1).ok_or(bad)?;
-                    pc += 1;
-                    let value = (insn.imm as u32 as u64) | ((hi.imm as u32 as u64) << 32);
-                    format!("ld_dw r{}, {:#x}", insn.dst, value)
-                } else {
-                    return Err(bad);
-                }
-            }
-            CLS_LDX => format!(
-                "ldx{} r{}, [r{}{:+}]",
-                size_suffix(insn.size()),
-                insn.dst,
-                insn.src,
-                insn.off
-            ),
-            CLS_STX => format!(
-                "stx{} [r{}{:+}], r{}",
-                size_suffix(insn.size()),
-                insn.dst,
-                insn.off,
-                insn.src
-            ),
-            CLS_ST => format!(
-                "st{} [r{}{:+}], {}",
-                size_suffix(insn.size()),
-                insn.dst,
-                insn.off,
-                insn.imm
-            ),
-            CLS_ALU | CLS_ALU64 => {
-                let name = mnemonic(&ALU_MNEMONICS, insn.op()).ok_or(bad)?;
-                let sfx = if insn.class() == CLS_ALU { "32" } else { "" };
-                if insn.op() == OP_NEG {
-                    format!("{name}{sfx} r{}", insn.dst)
-                } else if insn.is_src_reg() {
-                    format!("{name}{sfx} r{}, r{}", insn.dst, insn.src)
-                } else {
-                    format!("{name}{sfx} r{}, {}", insn.dst, insn.imm)
-                }
-            }
-            CLS_JMP if insn.op() == OP_JA => format!("ja {:+}", insn.off),
-            CLS_JMP if insn.op() == OP_CALL => match Helper::from_id(insn.imm) {
-                Some(helper) => format!("call {}", helper.name()),
-                None => format!("call {}", insn.imm),
-            },
-            CLS_JMP if insn.op() == OP_EXIT => "exit".to_string(),
-            CLS_JMP | CLS_JMP32 => {
-                let name = mnemonic(&JMP_MNEMONICS, insn.op()).ok_or(bad)?;
-                let sfx = if insn.class() == CLS_JMP32 { "32" } else { "" };
-                if insn.is_src_reg() {
-                    format!("{name}{sfx} r{}, r{}, {:+}", insn.dst, insn.src, insn.off)
-                } else {
-                    format!("{name}{sfx} r{}, {}, {:+}", insn.dst, insn.imm, insn.off)
-                }
-            }
-            _ => return Err(bad),
-        };
-        out.push_str(&line);
-        out.push('\n');
-        pc += 1;
+    let mut pc = 0;
+    while let Some(&slot) = prog.decoded().get(pc) {
+        if !slot.has_text() {
+            return Err(EmitError { pc, slot });
+        }
+        let _ = writeln!(out, "{}", slot.text(pc));
+        pc += slot.width();
     }
     Ok(out)
 }

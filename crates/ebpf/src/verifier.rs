@@ -1375,7 +1375,8 @@ impl Verifier {
         // Structural pass: ld_dw pairing and jump-target validation. A
         // structurally broken program has no meaningful CFG, so these
         // errors short-circuit the value analysis.
-        let is_ld_dw_hi = match crate::analysis::structure(insns) {
+        let decoded = program.decoded();
+        let is_ld_dw_hi = match crate::analysis::structure(decoded) {
             Ok(is_hi) => is_hi,
             Err(errors) => {
                 report
@@ -1394,7 +1395,6 @@ impl Verifier {
         // JIT compiles. `pred` records the first
         // predecessor that reached each pc, giving a witness path for
         // diagnostics.
-        let decoded = program.decoded();
         let mut states: Vec<Option<State>> = vec![None; insns.len()];
         let mut pred: Vec<Option<usize>> = vec![None; insns.len()];
         states[0] = Some(State::entry());
@@ -1447,8 +1447,7 @@ impl Verifier {
                     });
                 }
                 Ok(Flow::Next(state)) => {
-                    let two_slots = matches!(d, Decoded::LdImm64 { .. } | Decoded::LdMapFd { .. });
-                    let next = if two_slots { pc + 2 } else { pc + 1 };
+                    let next = pc + d.width();
                     if next >= insns.len() {
                         report.errors.push(Diagnostic {
                             error: VerifyError::FallOffEnd { pc },
@@ -1652,8 +1651,9 @@ impl Verifier {
                 });
             }
             Decoded::UnknownHelper { id } => return Err(VerifyError::UnknownHelper { pc, id }),
-            Decoded::BadOpcode { code } => return Err(VerifyError::BadOpcode { pc, code }),
+            Decoded::BadOpcode { code, .. } => return Err(VerifyError::BadOpcode { pc, code }),
             Decoded::MalformedLdDw => return Err(VerifyError::MalformedLdDw { pc }),
+            Decoded::BadRegister { reg, .. } => return Err(VerifyError::BadRegister { pc, reg }),
         }
         Ok(Flow::Next(state))
     }

@@ -8,7 +8,7 @@ use kscope_ebpf::insn::{
 use kscope_ebpf::interp::ExecEnv;
 use kscope_ebpf::maps::{MapDef, MapRegistry};
 use kscope_ebpf::verifier::{Verifier, VerifyError};
-use kscope_ebpf::{Helper, Program, Vm};
+use kscope_ebpf::{ExecError, Helper, Program, Vm};
 
 fn run(prog: &Program, ctx: &[u8], maps: &mut MapRegistry) -> u64 {
     Verifier::default()
@@ -247,6 +247,44 @@ fn rejects_back_edges() {
         verify_err(prog, &maps),
         VerifyError::BackEdge { .. }
     ));
+}
+
+/// An unverified slot naming r11–r15 faults on every VM, and the
+/// verifier rejects it by the same rule; a torn `ld_dw` is malformed
+/// first.
+#[test]
+fn unverified_bad_registers_fault_instead_of_panicking() {
+    let maps = MapRegistry::new();
+    let with_src = |src, insn| Insn { src, ..insn };
+    let cases = [
+        (
+            vec![Insn::mov64_imm(12, 1), Insn::mov64_imm(R0, 0), Insn::exit()],
+            ExecError::BadRegister { pc: 0, reg: 12 },
+        ),
+        (
+            vec![Insn::mov64_imm(R0, 0), with_src(15, Insn::exit())],
+            ExecError::BadRegister { pc: 1, reg: 15 },
+        ),
+        (
+            vec![Insn::ld_dw_lo(11, 1), Insn::exit()],
+            ExecError::MalformedLdDw { pc: 0 },
+        ),
+    ];
+    for (insns, fault) in cases {
+        let prog = Program::new("bad-reg", insns);
+        for mut vm in [Vm::new(), Vm::new().with_jit()] {
+            let mut maps = maps.clone();
+            let got = vm.execute(&prog, &[], &mut maps, &mut ExecEnv::default());
+            assert_eq!(got, Err(fault.clone()), "{}", prog.disassemble());
+        }
+        let rejected = verify_err(prog, &maps);
+        match fault {
+            ExecError::BadRegister { pc, reg } => {
+                assert_eq!(rejected, VerifyError::BadRegister { pc, reg })
+            }
+            _ => assert_eq!(rejected, VerifyError::MalformedLdDw { pc: 0 }),
+        }
+    }
 }
 
 #[test]

@@ -98,12 +98,6 @@ pub fn render(result: &Fig1Result) -> String {
     out
 }
 
-/// Smallest sanity bound used by the smoke test: the demo server is
-/// single-threaded, so pairing must be near-perfect.
-pub fn pairing_rate_floor() -> f64 {
-    0.99
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +107,9 @@ mod tests {
         let result = run(Scale::Quick);
         assert!(result.timeline.spans.len() > 50);
         assert!(
-            result.timeline.pairing_rate() >= pairing_rate_floor(),
+            // The demo server is single-threaded, so pairing must be
+            // near-perfect.
+            result.timeline.pairing_rate() >= 0.99,
             "pairing rate {}",
             result.timeline.pairing_rate()
         );

@@ -7,11 +7,11 @@
 //! can see: a syscall number, a packed `pid_tgid`, and a `ktime` timestamp at
 //! each of `sys_enter`/`sys_exit`. This crate defines those records
 //! ([`SyscallEvent`], [`TracepointCtx`]), the x86-64 numbering
-//! ([`SyscallNo`]), the request-oriented families of §III
-//! ([`SyscallFamily`]), per-application role assignments
-//! ([`SyscallProfile`], §IV-A), trace containers with the delta/duration
-//! statistics of the paper ([`Trace`]), and the lifecycle-phase extraction of
-//! Fig. 1 ([`PhaseReport`]).
+//! ([`SyscallNo`]), per-application role assignments of the
+//! request-oriented syscalls of §III ([`SyscallProfile`], §IV-A), trace
+//! containers with the delta/duration statistics of the paper
+//! ([`Trace`]), and the lifecycle-phase extraction of Fig. 1
+//! ([`PhaseReport`]).
 //!
 //! # Examples
 //!
@@ -42,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
-mod family;
 mod no;
 mod phase;
 mod profile;
@@ -51,7 +50,6 @@ mod trace;
 pub use event::{
     pid_tgid, split_pid_tgid, NetCtx, Pid, SyscallEvent, Tid, TracePhase, TracepointCtx,
 };
-pub use family::SyscallFamily;
 pub use no::SyscallNo;
 pub use phase::PhaseReport;
 pub use profile::{SyscallProfile, SyscallRole};

@@ -157,10 +157,9 @@ mod tests {
 
     #[test]
     fn display_honours_width_and_alignment() {
-        use crate::{SyscallFamily, SyscallRole};
+        use crate::SyscallRole;
         assert_eq!(format!("{:<8}|", SyscallNo::READ), "read    |");
         assert_eq!(format!("{:>9}|", SyscallNo::from_raw(999)), "  sys_999|");
-        assert_eq!(format!("{:^6}|", SyscallFamily::Poll), " poll |");
         assert_eq!(format!("{:>7}|", SyscallRole::Send), "   send|");
         // Precision truncates, as for `str`.
         assert_eq!(format!("{:.3}", SyscallNo::EPOLL_WAIT), "epo");

@@ -125,6 +125,23 @@ fn text_round_trip_is_byte_identical() {
             for (a, b) in prog.insns().iter().zip(reparsed.insns()) {
                 assert_eq!(a.encode(), b.encode(), "encoded words differ");
             }
+            // One renderer: the listing's instruction lines, index
+            // stripped, are the emitted lines.
+            let listing = prog.disassemble();
+            let listed: Vec<&str> = listing
+                .lines()
+                .skip(1) // `; program <name>`
+                .map(|line| match line.split_once(":  ") {
+                    Some((_, insn)) => insn,
+                    None => panic!("listing line without an index: {line}"),
+                })
+                .filter(|insn| *insn != "(ld_dw continuation)")
+                .collect();
+            assert_eq!(
+                listed,
+                text.lines().collect::<Vec<_>>(),
+                "listing and emitted text differ\n{listing}"
+            );
         }
     );
 }

@@ -17,7 +17,7 @@
 //!   structured verified programs, bounds-clamped register-offset
 //!   programs with live map traffic, and fully wild instruction words
 //!   (random opcode bytes, including undefined classes, truncated
-//!   `ld_dw` pairs, and jumps into `ld_dw` hi slots);
+//!   `ld_dw` pairs, jumps into `ld_dw` hi slots, and registers past r10);
 //! * a seed-addressed `check!` fuzzer whose failures shrink to a minimal
 //!   diverging instruction sequence and print a `KSCOPE_TESTKIT_SEED`
 //!   repro command;
@@ -141,15 +141,15 @@ fn assert_dispatch_identical(
     );
 }
 
-/// A completely unconstrained instruction word, except that register
-/// fields stay in `0..=10` (the interpreter's documented input
-/// contract). Random code bytes hit undefined classes and opcodes,
-/// `ld_dw` with missing hi slots, and every size/mode combination.
+/// A completely unconstrained instruction word. Random code bytes hit
+/// undefined classes and opcodes, `ld_dw` with missing hi slots, and
+/// every size/mode combination; register fields span the whole nibble,
+/// so r11–r15 must fault alike on every VM.
 fn wild_insn(rng: &mut SimRng) -> Insn {
     Insn {
         code: gen::u64_in(rng, 0, 255) as u8,
-        dst: gen::u64_in(rng, 0, 10) as u8,
-        src: gen::u64_in(rng, 0, 10) as u8,
+        dst: gen::u64_in(rng, 0, 15) as u8,
+        src: gen::u64_in(rng, 0, 15) as u8,
         off: gen::i64_in(rng, -24, 24) as i16,
         imm: gen::i32_in(rng, -4096, 4096),
     }

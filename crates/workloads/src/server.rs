@@ -298,16 +298,6 @@ impl ServerSim {
         &self.completions
     }
 
-    /// Requests offered by the client so far.
-    pub fn offered_count(&self) -> u64 {
-        self.offered_count
-    }
-
-    /// Requests accepted but not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Consumes the simulation, returning the kernel (with its collected
     /// trace and attached probes).
     pub fn into_kernel(self) -> Kernel {

@@ -46,11 +46,14 @@
 //!   `crates/ebpf/src/program.rs`: attached proofs are what lets a
 //!   program compile on the JIT, so a successful value-tracking
 //!   verification stays the only route to native code.
-//! * Raw-encoding reads (`.class()`, `.op()`, `.is_src_reg()` and the
-//!   `CLS_*`/`OP_*` opcode constants) are banned in the non-test code of
-//!   the verifier and the JIT (`crates/ebpf/src/{verifier,jit}.rs`):
-//!   both read the one decoded form (`crates/ebpf/src/decode.rs`), so the
-//!   instruction the verifier checks is the one the JIT compiles.
+//! * Raw-encoding reads (`.class()`, `.op()`, `.is_src_reg()`,
+//!   `.is_ld_dw()` and the `CLS_*`/`OP_*` opcode constants) are banned in
+//!   the non-test code of the verifier, the JIT, the static analyses and
+//!   the program container
+//!   (`crates/ebpf/src/{verifier,jit,analysis,program}.rs`): all four
+//!   read the one decoded form (`crates/ebpf/src/decode.rs`), so the
+//!   instruction the structural pass and the verifier check is the one
+//!   the JIT compiles and the listing shows.
 //! * The tier shims the end-to-end benchmark still calls
 //!   (`with_jit_probes(`, `with_backend(`, `BackendKind::`) are banned
 //!   everywhere outside the file that defines each, test modules
@@ -147,13 +150,18 @@ const PROOF_ATTACH_HOME: &str = "crates/ebpf/src/verifier.rs";
 const PROOF_ATTACH_DEFINITION: &str = "crates/ebpf/src/program.rs";
 
 /// Method calls that read opcode fields off a raw instruction word.
-const RAW_ENCODING_CALLS: &[&str] = &[".class()", ".op()", ".is_src_reg()"];
+const RAW_ENCODING_CALLS: &[&str] = &[".class()", ".op()", ".is_src_reg()", ".is_ld_dw()"];
 
 /// Prefixes of the opcode-field constants, matched at an identifier start.
 const RAW_ENCODING_CONSTS: &[&str] = &["CLS_", "OP_"];
 
 /// Modules whose non-test code reads only the decoded form.
-const DECODED_ONLY_FILES: &[&str] = &["crates/ebpf/src/verifier.rs", "crates/ebpf/src/jit.rs"];
+const DECODED_ONLY_FILES: &[&str] = &[
+    "crates/ebpf/src/verifier.rs",
+    "crates/ebpf/src/jit.rs",
+    "crates/ebpf/src/analysis.rs",
+    "crates/ebpf/src/program.rs",
+];
 
 /// Tier shims kept only for the end-to-end benchmark, each with the one
 /// file that may name it (its definition).
